@@ -1,4 +1,4 @@
-//! Ablations over the design choices DESIGN.md calls out: proxy radius,
+//! Ablations over the solver's design choices: proxy radius,
 //! proxy point count, leaf size, and the box-coloring scheme.
 
 use srsf_bench::rule;

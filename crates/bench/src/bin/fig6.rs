@@ -2,7 +2,8 @@
 //!
 //! Prints the two data series (time vs p at fixed N; time vs p at fixed
 //! N/p) using the modeled critical path, which is what a multi-node run
-//! would observe (DESIGN.md §5). Wall time is shown alongside.
+//! would observe (see the `srsf_bench` crate docs). Wall time is shown
+//! alongside.
 
 use srsf_bench::{is_large, rule, run_laplace_case};
 use srsf_core::FactorOpts;

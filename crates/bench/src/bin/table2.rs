@@ -1,8 +1,8 @@
 //! Table II — Laplace kernel: factorization and solve runtimes vs (N, p).
 //!
 //! Columns mirror the paper: `tfact = tcomp + tother` and `tsolve`, with
-//! the modeled critical path added (DESIGN.md §5). Run with `--large` for
-//! the extended sweep.
+//! the modeled critical path added (see the `srsf_bench` crate docs). Run
+//! with `--large` for the extended sweep.
 
 use srsf_bench::{is_large, rule, run_laplace_case, sweep_procs, sweep_sides};
 use srsf_core::FactorOpts;

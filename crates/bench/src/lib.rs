@@ -1,10 +1,11 @@
 //! Shared experiment harness for the table/figure reproduction binaries.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the paper
-//! (see DESIGN.md §3). Because the default in-process rank world runs `p` threads on
+//! Every binary in `src/bin/` regenerates one table or figure of the paper.
+//! Because the default in-process rank world runs `p` threads on
 //! however many cores the host has, each parallel case reports **both** the
 //! measured wall clock and the modeled critical path
-//! `max_rank(compute) + alpha * msgs + beta * words` (DESIGN.md §5); the
+//! `max_rank(compute) + alpha * msgs + beta * words`
+//! (`WorldStats::critical_path_s` under a `NetworkModel`); the
 //! *shape* comparisons the paper makes (who wins, scaling slopes,
 //! crossovers) are made on the critical path, with wall time shown for
 //! transparency.

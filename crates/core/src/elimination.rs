@@ -16,11 +16,22 @@ use srsf_geometry::neighbors::near_field;
 use srsf_geometry::procgrid::BoxColoring;
 use srsf_geometry::tree::{BoxId, QuadTree};
 use srsf_kernels::kernel::Kernel;
-use srsf_linalg::gemm::{adjoint_matmul_acc, adjoint_matmul_sub, matmul, matmul_sub};
+use srsf_linalg::gemm::{
+    adjoint_matmul_acc, adjoint_matmul_sub, gemm_acc_block, matmul, matmul_acc, matmul_sub,
+};
 use srsf_linalg::{Lu, Mat, Scalar};
 
 /// Per-box factorization record: the pieces of `V = L S^* P^T` and
 /// `W = P S U` (Eq. 10) needed to apply the inverse.
+///
+/// A record comes in two forms, chosen by [`BlockStore::symmetric`] at
+/// factorization time. The *general* form keeps both sides of every
+/// coupling (`es`/`en` on the left of `X_RR^{-1}`, `fs`/`fnb` on the
+/// right). The *symmetric* form (real symmetric kernels) keeps only the
+/// unsolved left couplings — the right ones are their transposes — so
+/// `fs` and `fnb` are `None` and the record is about a third smaller;
+/// the solve sweep then applies the full `X_RR^{-1}` where the general
+/// one applies half of it (see `crate::solve`).
 #[derive(Clone, Debug)]
 pub struct BoxElimination<T> {
     /// The eliminated box.
@@ -45,25 +56,34 @@ pub struct BoxElimination<T> {
     pub t: Mat<T>,
     /// LU of the sparsified diagonal block `X_RR`.
     pub lu: Lu<T>,
-    /// `X_SR U^{-1}` (`|S| x |R|`).
+    /// Skeleton coupling (`|S| x |R|`): `X_SR U^{-1}` in a general
+    /// record, the unsolved `X_SR` in a symmetric one.
     pub es: Mat<T>,
-    /// `X_NR U^{-1}` (`|N| x |R|`).
+    /// Neighbor coupling (`|N| x |R|`): `X_NR U^{-1}` in a general
+    /// record, the unsolved `X_NR` in a symmetric one.
     pub en: Mat<T>,
-    /// `L^{-1} P X_RS` (`|R| x |S|`).
-    pub fs: Mat<T>,
-    /// `L^{-1} P X_RN` (`|R| x |N|`).
-    pub fnb: Mat<T>,
+    /// `L^{-1} P X_RS` (`|R| x |S|`). `None` in a symmetric record, where
+    /// `X_RS = X_SR^T` and the solve derives the term from `es`.
+    pub fs: Option<Mat<T>>,
+    /// `L^{-1} P X_RN` (`|R| x |N|`). `None` in a symmetric record, where
+    /// `X_RN = X_NR^T` and the solve derives the term from `en`.
+    pub fnb: Option<Mat<T>>,
 }
 
 impl<T: Scalar> BoxElimination<T> {
+    /// `true` for the one-sided record form of a real symmetric kernel.
+    pub fn is_symmetric(&self) -> bool {
+        self.fnb.is_none()
+    }
+
     /// Approximate heap footprint in bytes.
     pub fn heap_bytes(&self) -> usize {
         self.t.heap_bytes()
             + self.lu.heap_bytes()
             + self.es.heap_bytes()
             + self.en.heap_bytes()
-            + self.fs.heap_bytes()
-            + self.fnb.heap_bytes()
+            + self.fs.as_ref().map_or(0, Mat::heap_bytes)
+            + self.fnb.as_ref().map_or(0, Mat::heap_bytes)
             + (self.redundant.capacity() + self.skel.capacity() + self.nbr.capacity()) * 4
     }
 }
@@ -78,7 +98,12 @@ pub struct EliminationOutput<T> {
     /// Replacement blocks for pairs involving `B` (restricted to `S`):
     /// `(row_box, col_box, new_block)`.
     pub replaced: Vec<(BoxId, BoxId, Mat<T>)>,
-    /// Additive Schur deltas for neighbor pairs `(n_j, n_k)`.
+    /// Additive Schur deltas for neighbor pairs `(n_j, n_k)`. Both
+    /// directions of every pair are listed in either mode, here and in
+    /// `replaced`; in symmetric mode the block for `(y, x)` is the exact
+    /// transpose of the one for `(x, y)`, which is what keeps the store —
+    /// on the owner and on every rank that receives these as a halo
+    /// update — symmetric bit for bit.
     pub deltas: Vec<(BoxId, BoxId, Mat<T>)>,
     /// Compression path taken by this box's skeletonization (zeroed for
     /// boxes that skipped it — empty active set).
@@ -161,6 +186,11 @@ pub fn eliminate_box<K: Kernel>(
         });
     }
     let t = id.t; // |S| x |R|
+    let (n_r, n_s) = (red_positions.len(), skel_positions.len());
+    // Real symmetric kernel: the store holds `A[a, b] == A[b, a]^T` bit
+    // for bit, so everything on the `(B, N)` side is a transpose of the
+    // `(N, B)` side and only one coupling per direction is kept.
+    let sym = store.symmetric();
 
     // Gather current blocks.
     let a_bb = store.get(b, b, act);
@@ -177,35 +207,16 @@ pub fn eliminate_box<K: Kernel>(
     let nbr_sizes: Vec<usize> = nbrs.iter().map(|n| act.get(n).len()).collect();
     let n_total: usize = nbr_sizes.iter().sum();
 
-    // Stacked A_{N,B} and A_{B,N}.
-    let nb_len = a_b.len();
-    let mut a_nb = Mat::<T<K>>::zeros(n_total, nb_len);
-    let mut a_bn = Mat::<T<K>>::zeros(nb_len, n_total);
-    {
-        let mut r0 = 0;
-        for n in &nbrs {
-            let blk = ctx.get_block(store, act, n, b);
-            a_nb.set_block(r0, 0, &blk);
-            r0 += blk.nrows();
-        }
-        let mut c0 = 0;
-        for n in &nbrs {
-            let blk = ctx.get_block(store, act, b, n);
-            a_bn.set_block(0, c0, &blk);
-            c0 += blk.ncols();
-        }
+    // Stacked A_{N,B}.
+    let mut a_nb = Mat::<T<K>>::zeros(n_total, a_b.len());
+    let mut r0 = 0;
+    for n in &nbrs {
+        let blk = ctx.get_block(store, act, n, b);
+        a_nb.set_block(r0, 0, &blk);
+        r0 += blk.nrows();
     }
-    let all_rows: Vec<usize> = (0..n_total).collect();
-    let a_nr = a_nb.select(&all_rows, &red_positions);
-    let a_ns = a_nb.select(&all_rows, &skel_positions);
-    let a_rn = {
-        let cols: Vec<usize> = (0..n_total).collect();
-        a_bn.select(&red_positions, &cols)
-    };
-    let a_sn = {
-        let cols: Vec<usize> = (0..n_total).collect();
-        a_bn.select(&skel_positions, &cols)
-    };
+    let a_nr = a_nb.select_cols(&red_positions);
+    let a_ns = a_nb.select_cols(&skel_positions);
 
     // Sparsification: X_RR = A_RR - T^H A_SR - A_RS T + T^H A_SS T, etc.
     let mut x_rr = a_rr;
@@ -217,70 +228,112 @@ pub fn eliminate_box<K: Kernel>(
 
     let mut x_sr = a_sr;
     x_sr.axpy(-T::<K>::ONE, &a_ss_t); // X_SR = A_SR - A_SS T
-    let mut x_rs = a_rs;
-    adjoint_matmul_sub(&mut x_rs, &t, &a_ss); // X_RS = A_RS - T^H A_SS
     let mut x_nr = a_nr;
     matmul_sub(&mut x_nr, &a_ns, &t); // X_NR = A_NR - A_NS T
-    let mut x_rn = a_rn;
-    adjoint_matmul_sub(&mut x_rn, &t, &a_sn); // X_RN = A_RN - T^H A_SN
 
     // Factor the redundant diagonal block.
     let lu = Lu::factor(x_rr).map_err(|_| FactorError::SingularDiagonal { box_id: *b })?;
 
-    // Coupling matrices: ES = X_SR U^{-1}, EN = X_NR U^{-1},
-    //                    FS = L^{-1} P X_RS, FN = L^{-1} P X_RN.
-    let mut es = x_sr;
-    lu.solve_upper_right(&mut es);
-    let mut en = x_nr;
-    lu.solve_upper_right(&mut en);
-    let mut fs = x_rs;
-    lu.forward_mat(&mut fs);
-    let mut fnb = x_rn;
-    lu.forward_mat(&mut fnb);
+    // Left and right coupling factors: every Schur update below is a
+    // product `E · F` with `E = [ES; EN]` and `F = [FS, FN]`.
+    let (es, en, f_s, f_n, a_sn) = if sym {
+        // X_RS = X_SR^T and X_RN = X_NR^T exactly, so the couplings stay
+        // unsolved (ES = X_SR, EN = X_NR) and the whole X_RR^{-1} goes on
+        // the right factors, which the record does not keep.
+        let mut f_s = x_sr.transpose();
+        lu.solve_mat(&mut f_s);
+        let mut f_n = x_nr.transpose();
+        lu.solve_mat(&mut f_n);
+        (x_sr, x_nr, f_s, f_n, a_ns.transpose())
+    } else {
+        // Stacked A_{B,N}, gathered on its own.
+        let mut a_bn = Mat::<T<K>>::zeros(a_b.len(), n_total);
+        let mut c0 = 0;
+        for n in &nbrs {
+            let blk = ctx.get_block(store, act, b, n);
+            a_bn.set_block(0, c0, &blk);
+            c0 += blk.ncols();
+        }
+        let a_sn = a_bn.select_rows(&skel_positions);
+        // X_RS = A_RS - T^H A_SS, X_RN = A_RN - T^H A_SN.
+        let mut x_rs = a_rs;
+        adjoint_matmul_sub(&mut x_rs, &t, &a_ss);
+        let mut x_rn = a_bn.select_rows(&red_positions);
+        adjoint_matmul_sub(&mut x_rn, &t, &a_sn);
+        // ES = X_SR U^{-1}, EN = X_NR U^{-1},
+        // FS = L^{-1} P X_RS, FN = L^{-1} P X_RN.
+        let mut es = x_sr;
+        lu.solve_upper_right(&mut es);
+        let mut en = x_nr;
+        lu.solve_upper_right(&mut en);
+        lu.forward_mat(&mut x_rs);
+        lu.forward_mat(&mut x_rn);
+        (es, en, x_rs, x_rn, a_sn)
+    };
 
     // Replacement blocks (post-Schur) for pairs involving B.
     let mut replaced = Vec::with_capacity(1 + 2 * nbrs.len());
     let mut new_ss = a_ss;
-    matmul_sub(&mut new_ss, &es, &fs);
+    matmul_sub(&mut new_ss, &es, &f_s);
+    if sym {
+        new_ss.mirror_upper();
+    }
     replaced.push((*b, *b, new_ss));
-    {
-        // (B, n_j): A_SN_j - ES FN_j ; (n_j, B): A_NS_j - EN_j FS.
-        let sn_minus = {
-            let mut m = a_sn;
-            matmul_sub(&mut m, &es, &fnb);
-            m
+    // (B, n_j): A_SN_j - ES FN_j ; (n_j, B): A_NS_j - EN_j FS, which in
+    // symmetric mode is the transpose of its mirror and is not computed.
+    let mut sn_minus = a_sn;
+    matmul_sub(&mut sn_minus, &es, &f_n);
+    let ns_minus = (!sym).then(|| {
+        let mut m = a_ns;
+        matmul_sub(&mut m, &en, &f_s);
+        m
+    });
+    let mut offs = Vec::with_capacity(nbrs.len());
+    let mut off = 0;
+    for (n, &w) in nbrs.iter().zip(&nbr_sizes) {
+        let sn = sn_minus.block(0, off, n_s, w);
+        let ns = match &ns_minus {
+            Some(m) => m.block(off, 0, w, n_s),
+            None => sn.transpose(),
         };
-        let ns_minus = {
-            let mut m = a_ns;
-            matmul_sub(&mut m, &en, &fs);
-            m
-        };
-        let mut off = 0;
-        for (j, n) in nbrs.iter().enumerate() {
-            let w = nbr_sizes[j];
-            let cols: Vec<usize> = (off..off + w).collect();
-            let all_s: Vec<usize> = (0..skel_positions.len()).collect();
-            replaced.push((*b, *n, sn_minus.select(&all_s, &cols)));
-            replaced.push((*n, *b, ns_minus.select(&cols, &all_s).clone()));
-            off += w;
-        }
+        replaced.push((*b, *n, sn));
+        replaced.push((*n, *b, ns));
+        offs.push(off);
+        off += w;
     }
 
-    // Schur deltas for neighbor pairs: delta(n_j, n_k) = -EN_j FN_k.
-    let full = matmul(&en, &fnb); // |N| x |N|
-    let mut deltas = Vec::new();
-    let mut roff = 0;
-    for (j, nj) in nbrs.iter().enumerate() {
-        let rows: Vec<usize> = (roff..roff + nbr_sizes[j]).collect();
-        let mut coff = 0;
-        for (k, nk) in nbrs.iter().enumerate() {
-            let cols: Vec<usize> = (coff..coff + nbr_sizes[k]).collect();
-            let mut d = full.select(&rows, &cols);
-            d.scale_assign(-T::<K>::ONE);
-            deltas.push((*nj, *nk, d));
-            coff += nbr_sizes[k];
+    // Schur deltas for neighbor pairs: delta(n_j, n_k) = -EN_j FN_k, the
+    // sign riding the GEMM's alpha. Symmetric mode forms only the block
+    // upper triangle — one strip per block row — and emits each lower
+    // block as the exact transpose of its mirror.
+    let mut full = Mat::<T<K>>::zeros(n_total, n_total);
+    if sym {
+        for (&r0, &h) in offs.iter().zip(&nbr_sizes) {
+            let w = n_total - r0;
+            gemm_acc_block(
+                &mut full,
+                (r0, r0, h, w),
+                -T::<K>::ONE,
+                &en,
+                (r0, 0, h, n_r),
+                &f_n,
+                (0, r0, n_r, w),
+            );
         }
-        roff += nbr_sizes[j];
+    } else {
+        matmul_acc(&mut full, -T::<K>::ONE, &en, &f_n);
+    }
+    let mut deltas = Vec::with_capacity(nbrs.len() * nbrs.len());
+    for (j, nj) in nbrs.iter().enumerate() {
+        for (k, nk) in nbrs.iter().enumerate().skip(if sym { j } else { 0 }) {
+            let mut d = full.block(offs[j], offs[k], nbr_sizes[j], nbr_sizes[k]);
+            if sym && j == k {
+                d.mirror_upper();
+            } else if sym {
+                deltas.push((*nk, *nj, d.transpose()));
+            }
+            deltas.push((*nj, *nk, d));
+        }
     }
 
     let record = BoxElimination {
@@ -297,8 +350,8 @@ pub fn eliminate_box<K: Kernel>(
         lu,
         es,
         en,
-        fs,
-        fnb,
+        fs: (!sym).then_some(f_s),
+        fnb: (!sym).then_some(f_n),
     };
 
     Ok(EliminationOutput {
@@ -340,12 +393,68 @@ pub fn apply_output<K: Kernel>(
     // 4. Accumulate Schur deltas on neighbor pairs. A delta's first touch
     // materializes the pair's base block; go through the compression
     // context so unmodified off-diagonal pairs fill from the symbol table
-    // instead of per-entry kernel evaluations.
+    // instead of per-entry kernel evaluations. A symmetric store fills
+    // the mirror pair with the transpose in the same step, before either
+    // direction has received its delta.
+    let sym = store.symmetric();
     for (na, nb, d) in &out.deltas {
         if na != nb && !store.contains(na, nb) {
             let base = ctx.get_block(store, act, na, nb);
+            if sym && !store.contains(nb, na) {
+                store.insert(*nb, *na, base.transpose());
+            }
             store.insert(*na, *nb, base);
         }
         store.add_delta(*na, *nb, d, act);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::levels::merge_to_parent;
+    use srsf_geometry::grid::UnitGrid;
+    use srsf_geometry::point::BBox;
+    use srsf_kernels::laplace::LaplaceKernel;
+
+    /// The invariant the symmetric mode rests on: after any number of
+    /// eliminations and a level merge, every stored block of a real
+    /// symmetric kernel equals the transpose of its mirror bit for bit
+    /// (diagonal blocks included), and every record is one-sided.
+    #[test]
+    fn symmetric_store_stays_bitwise_symmetric() {
+        let grid = UnitGrid::new(32);
+        let kernel = LaplaceKernel::new(&grid);
+        let pts = grid.points();
+        let tree = QuadTree::build(&pts, BBox::UNIT, 16);
+        let opts = FactorOpts::default();
+        let ctx = CompressionCtx::new(&kernel, &pts, &tree, &opts);
+        let mut store = BlockStore::new(&kernel, &pts);
+        assert!(store.symmetric());
+        let mut act = ActiveSets::new();
+        let leaf = tree.leaf_level();
+        for id in tree.boxes_at_level(leaf) {
+            act.set(id, tree.leaf_points(&id).to_vec());
+        }
+        let mut n_records = 0;
+        for level in [leaf, leaf - 1] {
+            for b in tree.boxes_at_level(level) {
+                let out = eliminate_box(&store, &act, &tree, &b, &opts, &ctx).unwrap();
+                if let Some(rec) = &out.record {
+                    assert!(rec.is_symmetric() && rec.fs.is_none());
+                    n_records += 1;
+                }
+                apply_output(&mut store, &mut act, &b, &out, &ctx);
+            }
+            assert!(store.n_blocks() > 0);
+            for ((a, b), m) in store.stored_pairs() {
+                let mirror = store.get_stored(b, a).expect("mirror pair is stored too");
+                assert_eq!(*m, mirror.transpose(), "pair {a:?},{b:?} at level {level}");
+            }
+            if level == leaf {
+                merge_to_parent(&mut store, &mut act, &tree, level);
+            }
+        }
+        assert!(n_records > 0);
     }
 }

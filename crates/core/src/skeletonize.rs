@@ -54,11 +54,12 @@
 //! leaves flip the inequality.
 //!
 //! Independently, a (complex-)symmetric kernel ([`Kernel::is_symmetric`])
-//! with real entries makes the forward and adjoint blocks of an
-//! unmodified pair identical (`A_{B,M}ᴴ = A_{M,B}`), so the sketch
-//! evaluates each such pair once and applies the combined forward+adjoint
-//! sketch in a single GEMM — Rademacher sums are exactly representable,
-//! so this changes rounding order only.
+//! with real entries keeps the whole block store symmetric bit for bit
+//! ([`BlockStore::symmetric`]): the forward and adjoint blocks of every
+//! ring pair, modified or not, are identical (`A_{B,M}ᴴ = A_{M,B}`), so
+//! the sketch reads each pair once and applies the combined
+//! forward+adjoint sketch in a single GEMM — Rademacher sums are exactly
+//! representable, so this changes rounding order only.
 
 use crate::store::{ActiveSets, BlockStore};
 use crate::{Compression, CompressionTelemetry, FactorOpts};
@@ -458,11 +459,12 @@ fn sketch_proxy<K: Kernel>(
     let geom = ctx.geom(b.level);
     let n_proxy = geom.n_proxy;
     let circle = proxy_circle_from_unit(tree.bbox(b).center(), geom.radius, &geom.unit);
-    // A real symmetric kernel makes the two directions of an unmodified
-    // pair literally the same block (`A_{B,M}ᴴ = A_{M,B}`): evaluate it
-    // once and sketch both with the combined (fwd + adj) sketch — exact,
-    // because Rademacher sums live in {-2, 0, 2}.
-    let fuse = kernel.is_symmetric() && !K::Elem::IS_COMPLEX;
+    // A symmetric store makes the two directions of every pair —
+    // untouched kernel block or Schur-modified stored block alike —
+    // literally the same block (`A_{B,M}ᴴ = A_{M,B}`): read it once and
+    // sketch both with the combined (fwd + adj) sketch — exact, because
+    // Rademacher sums live in {-2, 0, 2}.
+    let fuse = store.symmetric();
 
     let mut y = Mat::<K::Elem>::zeros(rows, nb);
 
@@ -535,10 +537,10 @@ fn sketch_proxy<K: Kernel>(
         if fwd_fft && adj_fft {
             continue;
         }
-        if !fwd_fft && !adj_fft && fuse && fwd_un && adj_un {
-            let blk = match fft {
-                Some(f) => f.table_block::<K::Elem>(act.get(m), a_b, false),
-                None => store.get(m, b, act),
+        if !fwd_fft && !adj_fft && fuse {
+            let blk = match (fwd_un, fft) {
+                (true, Some(f)) => f.table_block::<K::Elem>(act.get(m), a_b, false),
+                _ => store.get(m, b, act),
             };
             let mut omega = sketch_block::<K::Elem>(seed, rows, fwd_off, am);
             omega.axpy(K::Elem::ONE, &sketch_block(seed, rows, adj_off, am));

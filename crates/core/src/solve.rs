@@ -29,7 +29,9 @@
 
 use crate::elimination::BoxElimination;
 use crate::sequential::Factorization;
-use srsf_linalg::gemm::{adjoint_matmul_sub, matmul, matmul_sub};
+use srsf_linalg::gemm::{
+    adjoint_matmul, adjoint_matmul_acc, adjoint_matmul_sub, matmul, matmul_sub,
+};
 use srsf_linalg::{Mat, Scalar};
 use std::ops::Range;
 // Sync primitives come through the srsf-verify shims: identical to
@@ -50,6 +52,24 @@ pub(crate) fn scatter<T: Scalar>(b: &mut [T], idx: &[u32], vals: &[T]) {
     }
 }
 
+// The four record kernels below are the only readers of a record's
+// coupling fields, and the only place its two forms differ. A general
+// record splits `X_RR^{-1} = U^{-1} · L^{-1} P` between the sweeps:
+//
+//   up:   b_R := L^{-1} P (b_R - T^H b_S);  b_S -= ES b_R;  b_N -= EN b_R
+//   down: b_R := U^{-1} (b_R - FS b_S - FN b_N);            b_S -= T b_R
+//
+// with `ES = X_SR U^{-1}`, `FS = L^{-1} P X_RS` (same for `N`). A
+// symmetric record stores `ES = X_SR`, `EN = X_NR` unsolved and no `F`
+// (`X_RS = ES^T`, `X_RN = EN^T`), so each sweep applies the whole inverse:
+//
+//   up:   b_R := X_RR^{-1} (b_R - T^T b_S);  b_S -= ES b_R;  b_N -= EN b_R
+//   down: b_R -= X_RR^{-1} (ES^T b_S + EN^T b_N);            b_S -= T b_R
+//
+// Between the sweeps `b_R` is private to its record (redundant rows are
+// never read by another record or the top solve), so the two forms may
+// park different intermediates there.
+
 /// Upward (forward) application of one record: `b := V b` with
 /// `V = L^{-1} P S^*` restricted to `[R, S, N]`.
 pub(crate) fn apply_upward<T: Scalar>(rec: &BoxElimination<T>, b: &mut [T]) {
@@ -61,8 +81,12 @@ pub(crate) fn apply_upward<T: Scalar>(rec: &BoxElimination<T>, b: &mut [T]) {
     for (r, v) in br.iter_mut().zip(th_bs.iter()) {
         *r -= *v;
     }
-    // b_R := L^{-1} P b_R
-    rec.lu.forward_vec(&mut br);
+    // b_R := L^{-1} P b_R (general) or X_RR^{-1} b_R (symmetric)
+    if rec.is_symmetric() {
+        rec.lu.solve_vec(&mut br);
+    } else {
+        rec.lu.forward_vec(&mut br);
+    }
     // b_S -= ES b_R ; b_N -= EN b_R
     let mut bs = bs;
     rec.es.matvec_sub_into(&br, &mut bs);
@@ -79,11 +103,21 @@ pub(crate) fn apply_downward<T: Scalar>(rec: &BoxElimination<T>, b: &mut [T]) {
     let mut br = gather(b, &rec.redundant);
     let bs = gather(b, &rec.skel);
     let bn = gather(b, &rec.nbr);
-    // b_R -= FS b_S + FN b_N
-    rec.fs.matvec_sub_into(&bs, &mut br);
-    rec.fnb.matvec_sub_into(&bn, &mut br);
-    // b_R := U^{-1} b_R
-    rec.lu.backward_vec(&mut br);
+    if let (Some(fs), Some(fnb)) = (&rec.fs, &rec.fnb) {
+        // b_R := U^{-1} (b_R - FS b_S - FN b_N)
+        fs.matvec_sub_into(&bs, &mut br);
+        fnb.matvec_sub_into(&bn, &mut br);
+        rec.lu.backward_vec(&mut br);
+    } else {
+        // b_R -= X_RR^{-1} (ES^T b_S + EN^T b_N)
+        let mut v = vec![T::ZERO; br.len()];
+        rec.es.adjoint_matvec_acc_into(&bs, &mut v);
+        rec.en.adjoint_matvec_acc_into(&bn, &mut v);
+        rec.lu.solve_vec(&mut v);
+        for (r, v) in br.iter_mut().zip(&v) {
+            *r -= *v;
+        }
+    }
     // b_S -= T b_R
     let mut bs = bs;
     rec.t.matvec_sub_into(&br, &mut bs);
@@ -121,8 +155,12 @@ pub(crate) fn upward_parts<T: Scalar>(
     let mut bs = b.gather_rows(&rec.skel);
     // B_R -= T^H B_S
     adjoint_matmul_sub(&mut br, &rec.t, &bs);
-    // B_R := L^{-1} P B_R
-    rec.lu.forward_mat(&mut br);
+    // B_R := L^{-1} P B_R (general) or X_RR^{-1} B_R (symmetric)
+    if rec.is_symmetric() {
+        rec.lu.solve_mat(&mut br);
+    } else {
+        rec.lu.forward_mat(&mut br);
+    }
     // B_S -= ES B_R ; neighbor delta EN B_R is handed back for the merge.
     matmul_sub(&mut bs, &rec.es, &br);
     let dn = matmul(&rec.en, &br);
@@ -157,11 +195,18 @@ pub(crate) fn downward_parts<T: Scalar>(rec: &BoxElimination<T>, b: &Mat<T>) -> 
     let mut br = b.gather_rows(&rec.redundant);
     let mut bs = b.gather_rows(&rec.skel);
     let bn = b.gather_rows(&rec.nbr);
-    // B_R -= FS B_S + FN B_N
-    matmul_sub(&mut br, &rec.fs, &bs);
-    matmul_sub(&mut br, &rec.fnb, &bn);
-    // B_R := U^{-1} B_R
-    rec.lu.backward_mat(&mut br);
+    if let (Some(fs), Some(fnb)) = (&rec.fs, &rec.fnb) {
+        // B_R := U^{-1} (B_R - FS B_S - FN B_N)
+        matmul_sub(&mut br, fs, &bs);
+        matmul_sub(&mut br, fnb, &bn);
+        rec.lu.backward_mat(&mut br);
+    } else {
+        // B_R -= X_RR^{-1} (ES^T B_S + EN^T B_N)
+        let mut v = adjoint_matmul(&rec.es, &bs);
+        adjoint_matmul_acc(&mut v, T::ONE, &rec.en, &bn);
+        rec.lu.solve_mat(&mut v);
+        br.axpy(-T::ONE, &v);
+    }
     // B_S -= T B_R
     matmul_sub(&mut bs, &rec.t, &br);
     (br, bs)

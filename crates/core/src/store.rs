@@ -13,7 +13,7 @@ use srsf_geometry::neighbors::within_dist2;
 use srsf_geometry::point::Point;
 use srsf_geometry::tree::BoxId;
 use srsf_kernels::kernel::Kernel;
-use srsf_linalg::Mat;
+use srsf_linalg::{Mat, Scalar};
 use std::collections::HashMap;
 
 /// Active (not-yet-eliminated) global point indices per box, in a fixed
@@ -94,6 +94,18 @@ impl<'a, K: Kernel> BlockStore<'a, K> {
         self.kernel
     }
 
+    /// `true` when every block of this store satisfies
+    /// `A[a, b] == A[b, a]ᵀ` bit for bit: the kernel is real symmetric
+    /// ([`Kernel::is_symmetric`] with a real element type), and the
+    /// elimination keeps it so by emitting every mirrored update as an
+    /// exact transpose. This one predicate selects the symmetric mode of
+    /// `skeletonize`, `eliminate_box` and `apply_output`. Complex-symmetric
+    /// kernels take the general path: the `Tᴴ` sparsification conjugates,
+    /// so their Schur updates are not transpose-symmetric.
+    pub fn symmetric(&self) -> bool {
+        self.kernel.is_symmetric() && !K::Elem::IS_COMPLEX
+    }
+
     /// Evaluate raw kernel entries for explicit index lists.
     pub fn eval_kernel(&self, rows: &[u32], cols: &[u32]) -> Mat<K::Elem> {
         Mat::from_fn(rows.len(), cols.len(), |i, j| {
@@ -156,25 +168,19 @@ impl<'a, K: Kernel> BlockStore<'a, K> {
                     .entry_or_diag(self.pts, rows[i] as usize, cols[j] as usize)
             })
         });
-        entry.axpy(srsf_linalg::Scalar::ONE, delta);
+        entry.axpy(K::Elem::ONE, delta);
     }
 
     /// After box `b` was eliminated, restrict every stored block involving
     /// `b` (excluding `(b, b)`, which the caller replaces outright) to the
     /// surviving positions `keep` of its former active set.
     pub fn shrink_box(&mut self, b: &BoxId, keep: &[usize]) {
-        let all: Vec<usize> = Vec::new();
-        let _ = all;
         for d in within_dist2(b) {
-            if let Some(m) = self.blocks.get(&(*b, d)) {
-                let cols: Vec<usize> = (0..m.ncols()).collect();
-                let shrunk = m.select(keep, &cols);
-                self.blocks.insert((*b, d), shrunk);
+            if let Some(m) = self.blocks.get_mut(&(*b, d)) {
+                *m = m.select_rows(keep);
             }
-            if let Some(m) = self.blocks.get(&(d, *b)) {
-                let rows: Vec<usize> = (0..m.nrows()).collect();
-                let shrunk = m.select(&rows, keep);
-                self.blocks.insert((d, *b), shrunk);
+            if let Some(m) = self.blocks.get_mut(&(d, *b)) {
+                *m = m.select_cols(keep);
             }
         }
     }

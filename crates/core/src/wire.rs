@@ -15,7 +15,7 @@ use crate::sequential::Factorization;
 use crate::stats::FactorStats;
 use srsf_geometry::point::Point;
 use srsf_geometry::tree::BoxId;
-use srsf_linalg::Scalar;
+use srsf_linalg::{Lu, Mat, Scalar};
 use srsf_runtime::codec::{crc64, ByteReader, ByteWriter, CodecError, Wire};
 use std::collections::HashMap;
 use std::path::Path;
@@ -114,25 +114,72 @@ impl<T: Scalar> Wire for BoxElimination<T> {
         self.lu.encode(w);
         w.put_mat(&self.es);
         w.put_mat(&self.en);
-        w.put_mat(&self.fs);
-        w.put_mat(&self.fnb);
+        // Presence flag of the right couplings: 1 = general record (`fs`
+        // and `fnb` follow), 0 = symmetric record (neither is held).
+        match (&self.fs, &self.fnb) {
+            (Some(fs), Some(fnb)) => {
+                w.put_u64(1);
+                w.put_mat(fs);
+                w.put_mat(fnb);
+            }
+            _ => w.put_u64(0),
+        }
     }
     fn decode(r: &mut ByteReader) -> Result<Self, CodecError> {
+        let at = r.position();
         let box_id = try_get_box(r)?;
         let stamp = r.try_get_u64()?;
+        let redundant = try_get_ids(r)?;
+        let skel = try_get_ids(r)?;
+        let nbr = try_get_ids(r)?;
+        let t = r.try_get_mat()?;
+        let lu: Lu<T> = Wire::decode(r)?;
+        let es = r.try_get_mat()?;
+        let en = r.try_get_mat()?;
+        let flag_at = r.position();
+        let (fs, fnb) = match r.try_get_u64()? {
+            0 => (None, None),
+            1 => (Some(r.try_get_mat()?), Some(r.try_get_mat()?)),
+            _ => {
+                return Err(CodecError::Invalid {
+                    what: "record coupling presence flag",
+                    at: flag_at,
+                })
+            }
+        };
+        // The solve sweep multiplies these blocks against row gathers of
+        // the id lists without re-checking, so every shape is pinned to
+        // `(|R|, |S|, |N|)` here: a frame that passed the CRC but is
+        // inconsistent must fail to decode, not panic a later solve.
+        let (nr, ns, nn) = (redundant.len(), skel.len(), nbr.len());
+        let shape = |m: &Mat<T>, rows: usize, cols: usize| m.nrows() == rows && m.ncols() == cols;
+        let consistent = shape(&t, ns, nr)
+            && shape(&lu.lu, nr, nr)
+            && lu.piv.len() == nr
+            && lu.piv.iter().all(|&p| p < nr)
+            && shape(&es, ns, nr)
+            && shape(&en, nn, nr)
+            && fs.as_ref().is_none_or(|m| shape(m, nr, ns))
+            && fnb.as_ref().is_none_or(|m| shape(m, nr, nn));
+        if !consistent {
+            return Err(CodecError::Invalid {
+                what: "record block shape vs redundant/skel/nbr",
+                at,
+            });
+        }
         Ok(BoxElimination {
             box_id,
             level: (stamp >> 8) as u8,
             color: (stamp & 0xFF) as u8,
-            redundant: try_get_ids(r)?,
-            skel: try_get_ids(r)?,
-            nbr: try_get_ids(r)?,
-            t: r.try_get_mat()?,
-            lu: Wire::decode(r)?,
-            es: r.try_get_mat()?,
-            en: r.try_get_mat()?,
-            fs: r.try_get_mat()?,
-            fnb: r.try_get_mat()?,
+            redundant,
+            skel,
+            nbr,
+            t,
+            lu,
+            es,
+            en,
+            fs,
+            fnb,
         })
     }
 }
@@ -225,7 +272,7 @@ impl<T: Scalar> Wire for Factorization<T> {
 // checksum alone (`tests/wire_fuzz.rs` exercises this).
 //
 //   bytes  0..8   magic  b"SRSFCKP1"
-//   bytes  8..16  container version (little-endian u64, currently 1)
+//   bytes  8..16  container version (little-endian u64, `CKPT_VERSION`)
 //   bytes 16..24  scalar tag (size_of::<T>: 8 = f64, 16 = c64; 0 = manifest)
 //   bytes 24..32  payload length in bytes
 //   bytes 32..40  CRC-64/XZ of the payload
@@ -236,7 +283,9 @@ impl<T: Scalar> Wire for Factorization<T> {
 const CKPT_MAGIC: &[u8; 8] = b"SRSFCKP1";
 /// Container version; bump on any layout change.
 /// v2: `FactorStats` carries the four compression-telemetry counters.
-const CKPT_VERSION: u64 = 2;
+/// v3: records carry a presence flag for `fs`/`fnb` (symmetric records
+/// hold neither) and decode checks every block shape.
+const CKPT_VERSION: u64 = 3;
 /// Header length in bytes.
 const CKPT_HEADER: usize = 40;
 /// Scalar tag of the scalar-independent manifest file.
@@ -519,7 +568,7 @@ pub(crate) fn decode_rank_snapshot<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use srsf_linalg::{c64, Lu, Mat};
+    use srsf_linalg::c64;
 
     fn sample_record<T: Scalar>(v: T) -> BoxElimination<T> {
         BoxElimination {
@@ -540,8 +589,8 @@ mod tests {
             },
             es: Mat::from_fn(1, 2, |_, _| v),
             en: Mat::from_fn(3, 2, |_, _| v),
-            fs: Mat::from_fn(2, 1, |_, _| v),
-            fnb: Mat::from_fn(2, 3, |_, _| v),
+            fs: Some(Mat::from_fn(2, 1, |_, _| v)),
+            fnb: Some(Mat::from_fn(2, 3, |_, _| v)),
         }
     }
 

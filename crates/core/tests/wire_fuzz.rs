@@ -119,7 +119,13 @@ fn gen_box_id(rng: &mut Rng) -> BoxId {
     }
 }
 
-fn gen_record<T: Scalar>(rng: &mut Rng, v: impl Fn(&mut Rng) -> T) -> BoxElimination<T> {
+/// A shape-consistent record in either form: `symmetric` drops the right
+/// couplings, as a real symmetric kernel's factorization does.
+fn gen_record_form<T: Scalar>(
+    rng: &mut Rng,
+    v: impl Fn(&mut Rng) -> T,
+    symmetric: bool,
+) -> BoxElimination<T> {
     let nr = rng.below(4);
     let ns = rng.below(4);
     let nn = rng.below(5);
@@ -139,13 +145,19 @@ fn gen_record<T: Scalar>(rng: &mut Rng, v: impl Fn(&mut Rng) -> T) -> BoxElimina
         redundant: (0..nr).map(|_| rng.next() as u32).collect(),
         skel: (0..ns).map(|_| rng.next() as u32).collect(),
         nbr: (0..nn).map(|_| rng.next() as u32).collect(),
-        es: mat(rng, nr, ns),
-        en: mat(rng, nr, nn),
-        fs: mat(rng, ns, nr),
-        fnb: mat(rng, nn, nr),
+        es: mat(rng, ns, nr),
+        en: mat(rng, nn, nr),
+        fs: (!symmetric).then(|| mat(rng, nr, ns)),
+        fnb: (!symmetric).then(|| mat(rng, nr, nn)),
         t,
         lu,
     }
+}
+
+/// Either record form, picked by the stream.
+fn gen_record<T: Scalar>(rng: &mut Rng, v: impl Fn(&mut Rng) -> T) -> BoxElimination<T> {
+    let symmetric = rng.next() & 1 == 0;
+    gen_record_form(rng, v, symmetric)
 }
 
 fn gen_stats(rng: &mut Rng) -> FactorStats {
@@ -332,6 +344,99 @@ fn record_round_trip_bytes() {
     });
 }
 
+/// Both record forms survive the wire by value: a symmetric record comes
+/// back with `fs`/`fnb` still absent, a general one with both intact.
+#[test]
+fn record_forms_round_trip_by_value() {
+    let mut rng = Rng::new(93);
+    for i in 0..iters(128, 8) {
+        let symmetric = i % 2 == 0;
+        let rec = gen_record_form(&mut rng, Rng::finite_f64, symmetric);
+        let back = BoxElimination::<f64>::from_bytes(rec.to_bytes()).expect("decode");
+        assert_eq!(back.is_symmetric(), symmetric);
+        assert_eq!((&back.fs, &back.fnb), (&rec.fs, &rec.fnb));
+        assert_eq!((&back.t, &back.es, &back.en), (&rec.t, &rec.es, &rec.en));
+        assert_eq!((&back.lu.lu, &back.lu.piv), (&rec.lu.lu, &rec.lu.piv));
+        assert_eq!(
+            (&back.redundant, &back.skel, &back.nbr),
+            (&rec.redundant, &rec.skel, &rec.nbr)
+        );
+    }
+}
+
+fn expect_invalid(bytes: Vec<u8>, what: &str) {
+    match decode_total::<BoxElimination<f64>>("BoxElimination<f64>", &bytes) {
+        Err(CodecError::Invalid { .. }) => {}
+        Err(e) => panic!("{what}: expected CodecError::Invalid, got {e}"),
+        Ok(_) => panic!("{what}: inconsistent record decoded successfully"),
+    }
+}
+
+/// A presence flag other than 0/1 is rejected, and so is a symmetric
+/// frame relabelled as general (its `fs`/`fnb` payload is missing).
+#[test]
+fn record_bad_presence_flag_is_codec_error() {
+    let mut rng = Rng::new(94);
+    for _ in 0..iters(32, 4) {
+        // A symmetric record ends with its flag word.
+        let bytes = gen_record_form(&mut rng, Rng::finite_f64, true).to_bytes();
+        let flag_at = bytes.len() - 8;
+        assert_eq!(bytes[flag_at..], 0u64.to_le_bytes());
+        for flag in [2u64, 7, 1 << 32, u64::MAX] {
+            let mut bent = bytes.clone();
+            bent[flag_at..].copy_from_slice(&flag.to_le_bytes());
+            expect_invalid(bent, &format!("presence flag {flag}"));
+        }
+        let mut bent = bytes.clone();
+        bent[flag_at..].copy_from_slice(&1u64.to_le_bytes());
+        assert!(
+            decode_total::<BoxElimination<f64>>("BoxElimination<f64>", &bent).is_err(),
+            "flag 1 with no fs/fnb payload must not decode"
+        );
+    }
+}
+
+/// Every block's shape is pinned to `(|R|, |S|, |N|)`: a frame that is
+/// well-formed field by field but inconsistent as a record (it would
+/// panic the solve sweep's GEMMs) fails to decode.
+#[test]
+fn record_inconsistent_shape_is_codec_error() {
+    let mut rng = Rng::new(95);
+    let grow = |m: &Mat<f64>| Mat::<f64>::zeros(m.nrows() + 1, m.ncols());
+    let widen = |m: &Mat<f64>| Mat::<f64>::zeros(m.nrows(), m.ncols() + 1);
+    for i in 0..iters(32, 4) {
+        let good = gen_record_form(&mut rng, Rng::finite_f64, i % 2 == 0);
+        BoxElimination::<f64>::from_bytes(good.to_bytes()).expect("consistent record decodes");
+        let mut cases: Vec<(&str, BoxElimination<f64>)> = Vec::new();
+        let mut bend = |what: &'static str, f: &dyn Fn(&mut BoxElimination<f64>)| {
+            let mut r = good.clone();
+            f(&mut r);
+            cases.push((what, r));
+        };
+        bend("t rows", &|r| r.t = grow(&r.t));
+        bend("t cols", &|r| r.t = widen(&r.t));
+        bend("lu not |R| x |R|", &|r| r.lu.lu = grow(&r.lu.lu));
+        bend("piv length", &|r| r.lu.piv.push(0));
+        bend("es rows", &|r| r.es = grow(&r.es));
+        bend("en cols", &|r| r.en = widen(&r.en));
+        bend("redundant list", &|r| r.redundant.push(1));
+        bend("skel list", &|r| r.skel.push(1));
+        bend("nbr list", &|r| r.nbr.push(1));
+        if !good.redundant.is_empty() {
+            bend("piv entry out of range", &|r| {
+                r.lu.piv[0] = r.redundant.len()
+            });
+        }
+        if !good.is_symmetric() {
+            bend("fs rows", &|r| r.fs = r.fs.as_ref().map(grow));
+            bend("fnb cols", &|r| r.fnb = r.fnb.as_ref().map(widen));
+        }
+        for (what, rec) in cases {
+            expect_invalid(rec.to_bytes(), what);
+        }
+    }
+}
+
 #[test]
 fn stats_round_trip_bytes() {
     byte_round_trip::<FactorStats>("FactorStats", 84, |r| gen_stats(r).to_bytes());
@@ -464,6 +569,18 @@ fn checkpoint_container_rejects_corruption() {
     let mut bent = bytes.clone();
     bent[8..16].copy_from_slice(&99u64.to_le_bytes());
     expect_rejected(&bent, "future version");
+    // The previous layout (v2: no presence flag, unchecked shapes) is
+    // refused by its version word, not misread.
+    let mut bent = bytes.clone();
+    bent[8..16].copy_from_slice(&2u64.to_le_bytes());
+    expect_rejected(&bent, "version-2 checkpoint");
+    match Factorization::<f64>::load(&bad) {
+        Err(SrsfError::Checkpoint { reason, .. }) => assert!(
+            reason.contains("version 2"),
+            "version-2 rejection must name the version: {reason}"
+        ),
+        _ => unreachable!("rejected just above"),
+    }
     let mut bent = bytes.clone();
     bent[16..24].copy_from_slice(&16u64.to_le_bytes()); // claims c64
     expect_rejected(&bent, "scalar tag mismatch");

@@ -62,6 +62,12 @@ const NC: usize = 512;
 /// Below this many multiply-adds the packing overhead is not worth it and
 /// the jki kernel wins.
 const BLOCK_MIN_FLOPS: usize = 96 * 96 * 24;
+/// Crossover of the packed `A^H B` product. Far below [`BLOCK_MIN_FLOPS`]
+/// because its fallback is the dot-product form — sequential reductions
+/// the compiler cannot vectorize (3.5 GFLOP/s against 12+ packed at
+/// `42 x 16`, depth 25..300, f64; measured down to 16^3) — where the
+/// plain product falls back to the vectorized jki kernel.
+const ADJ_PACK_MIN_FLOPS: usize = 16 * 16 * 16;
 /// Minimum multiply-adds before the scoped-thread path engages.
 const PAR_MIN_FLOPS: usize = 160 * 160 * 160;
 /// Minimum output columns handed to one worker thread.
@@ -185,7 +191,7 @@ impl<'a, T: Scalar> ViewMut<'a, T> {
 }
 
 /// Sub-block coordinates `(row offset, col offset, rows, cols)`.
-pub(crate) type BlockSpec = (usize, usize, usize, usize);
+pub type BlockSpec = (usize, usize, usize, usize);
 
 // ---------------------------------------------------------------------------
 // Public API
@@ -214,9 +220,10 @@ pub fn matmul_sub<T: Scalar>(c: &mut Mat<T>, a: &Mat<T>, b: &Mat<T>) {
 }
 
 /// `C[cblk] += alpha * A[ablk] * B[bblk]` on sub-blocks, without copying
-/// the operands out — the building block of the panel-blocked LU and the
-/// blocked triangular solves.
-pub(crate) fn gemm_acc_block<T: Scalar>(
+/// the operands out — the building block of the panel-blocked LU, the
+/// blocked triangular solves, and the block-triangular Schur product of a
+/// symmetric elimination.
+pub fn gemm_acc_block<T: Scalar>(
     c: &mut Mat<T>,
     cblk: BlockSpec,
     alpha: T,
@@ -225,9 +232,9 @@ pub(crate) fn gemm_acc_block<T: Scalar>(
     b: &Mat<T>,
     bblk: BlockSpec,
 ) {
-    debug_assert_eq!(ablk.3, bblk.2, "gemm block: inner dimension mismatch");
-    debug_assert_eq!(cblk.2, ablk.2, "gemm block: output rows mismatch");
-    debug_assert_eq!(cblk.3, bblk.3, "gemm block: output cols mismatch");
+    assert_eq!(ablk.3, bblk.2, "gemm block: inner dimension mismatch");
+    assert_eq!(cblk.2, ablk.2, "gemm block: output rows mismatch");
+    assert_eq!(cblk.3, bblk.3, "gemm block: output cols mismatch");
     gemm_dispatch(
         ViewMut::sub(c, cblk),
         alpha,
@@ -261,22 +268,22 @@ pub fn adjoint_matmul<T: Scalar>(a: &Mat<T>, b: &Mat<T>) -> Mat<T> {
     c
 }
 
-/// `C += alpha * A^H * B`. Large products are routed through a tiled
-/// explicit adjoint plus the blocked GEMM; small ones use the dot-product
-/// form directly.
+/// `C += alpha * A^H * B`. The blocked GEMM packs the `A^H` micro-panels
+/// straight from `A`'s columns — no explicit adjoint is formed, so the
+/// solve sweep's per-record `T^H B_S` and `EN^T B_N` products allocate
+/// nothing beyond their result. Tiny products and those with fewer than
+/// one micro-tile of output columns use the dot-product form directly.
 pub fn adjoint_matmul_acc<T: Scalar>(c: &mut Mat<T>, alpha: T, a: &Mat<T>, b: &Mat<T>) {
     assert_eq!(a.nrows(), b.nrows(), "A^H B: row mismatch");
     assert_eq!(c.nrows(), a.ncols(), "A^H B: output rows mismatch");
     assert_eq!(c.ncols(), b.ncols(), "A^H B: output cols mismatch");
-    let m = a.ncols();
-    let n = b.ncols();
-    let k = a.nrows();
-    if m * n * k >= BLOCK_MIN_FLOPS {
-        let at = a.adjoint();
-        matmul_acc(c, alpha, &at, b);
-        return;
+    let (m, n, k) = (a.ncols(), b.ncols(), a.nrows());
+    if m * n * k >= ADJ_PACK_MIN_FLOPS && n >= 4 {
+        let cblk = (0, 0, m, n);
+        gemm_large(ViewMut::sub(c, cblk), alpha, View::of(a), View::of(b), true);
+    } else {
+        adjoint_matmul_acc_naive(c, alpha, a, b);
     }
-    adjoint_matmul_acc_naive(c, alpha, a, b);
 }
 
 /// `C -= A^H * B`.
@@ -352,18 +359,25 @@ fn gemm_dispatch<T: Scalar>(c: ViewMut<'_, T>, alpha: T, a: View<'_, T>, b: View
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    let flops = m * n * k;
-    if flops < BLOCK_MIN_FLOPS || m < 16 || n < 4 || k < 16 {
+    if m * n * k < BLOCK_MIN_FLOPS || m < 16 || n < 4 || k < 16 {
         gemm_naive(c, alpha, a, b);
-        return;
+    } else {
+        gemm_large(c, alpha, a, b, false);
     }
-    let nt = if flops >= PAR_MIN_FLOPS {
+}
+
+/// The blocked product, threaded over output column panels when the
+/// current thread's budget allows. With `adj_a` the left operand is the
+/// adjoint of the view `a` (which is then `k x m`).
+fn gemm_large<T: Scalar>(c: ViewMut<'_, T>, alpha: T, a: View<'_, T>, b: View<'_, T>, adj_a: bool) {
+    let (m, n, k) = (c.rows, c.cols, b.rows);
+    let nt = if m * n * k >= PAR_MIN_FLOPS {
         gemm_threads().min(n / PAR_MIN_COLS).max(1)
     } else {
         1
     };
     if nt <= 1 {
-        gemm_blocked(c, alpha, a, b);
+        gemm_blocked(c, alpha, a, b, adj_a);
         return;
     }
     let chunk = n.div_ceil(nt);
@@ -375,7 +389,7 @@ fn gemm_dispatch<T: Scalar>(c: ViewMut<'_, T>, alpha: T, a: View<'_, T>, b: View
             let (head, tail) = rest.split_cols(take);
             rest = tail;
             let bsub = b.subcols(j, take);
-            s.spawn(move || gemm_blocked(head, alpha, a, bsub));
+            s.spawn(move || gemm_blocked(head, alpha, a, bsub, adj_a));
             j += take;
         }
     });
@@ -416,14 +430,20 @@ fn gemm_naive<T: Scalar>(mut c: ViewMut<'_, T>, alpha: T, a: View<'_, T>, b: Vie
 // Blocked path: packing + register-tiled micro-kernel
 // ---------------------------------------------------------------------------
 
-fn gemm_blocked<T: Scalar>(c: ViewMut<'_, T>, alpha: T, a: View<'_, T>, b: View<'_, T>) {
+fn gemm_blocked<T: Scalar>(
+    c: ViewMut<'_, T>,
+    alpha: T,
+    a: View<'_, T>,
+    b: View<'_, T>,
+    adj_a: bool,
+) {
     // Micro-tile sizes per scalar type: 16x4 keeps the 64 f64 accumulators
     // in sixteen 256-bit registers (tuned empirically against 8x4, 8x8,
     // 24x4 and 16x8); complex multiplies are 4x the flops, so 4x4 suffices.
     if T::IS_COMPLEX {
-        gemm_blocked_mr_nr::<T, 4, 4>(c, alpha, a, b);
+        gemm_blocked_mr_nr::<T, 4, 4>(c, alpha, a, b, adj_a);
     } else {
-        gemm_blocked_mr_nr::<T, 16, 4>(c, alpha, a, b);
+        gemm_blocked_mr_nr::<T, 16, 4>(c, alpha, a, b, adj_a);
     }
 }
 
@@ -432,8 +452,9 @@ fn gemm_blocked_mr_nr<T: Scalar, const MR: usize, const NR: usize>(
     alpha: T,
     a: View<'_, T>,
     b: View<'_, T>,
+    adj_a: bool,
 ) {
-    let (m, n, k) = (c.rows, c.cols, a.cols);
+    let (m, n, k) = (c.rows, c.cols, b.rows);
     let mut apack: Vec<T> = Vec::new();
     let mut bpack: Vec<T> = Vec::new();
     for jc in (0..n).step_by(NC) {
@@ -443,7 +464,11 @@ fn gemm_blocked_mr_nr<T: Scalar, const MR: usize, const NR: usize>(
             pack_b::<T, NR>(b, pc, jc, kc, nc, &mut bpack);
             for ic in (0..m).step_by(MC) {
                 let mc = MC.min(m - ic);
-                pack_a::<T, MR>(a, ic, pc, mc, kc, &mut apack);
+                if adj_a {
+                    pack_a_adj::<T, MR>(a, ic, pc, mc, kc, &mut apack);
+                } else {
+                    pack_a::<T, MR>(a, ic, pc, mc, kc, &mut apack);
+                }
                 let np = nc.div_ceil(NR);
                 let mp = mc.div_ceil(MR);
                 for q in 0..np {
@@ -512,6 +537,33 @@ fn pack_a<T: Scalar, const MR: usize>(
         for l in 0..kc {
             let src = &a.col(pc + l)[ic + i0..ic + i0 + rows];
             dst[l * MR..l * MR + rows].copy_from_slice(src);
+        }
+    }
+}
+
+/// Pack `A^H[ic.., pc..]` (`mc x kc`) into the same row micro-panels as
+/// [`pack_a`], reading the stored `A`: row `i` of `A^H` is column `i` of
+/// `A` conjugated, so each source run is contiguous.
+fn pack_a_adj<T: Scalar, const MR: usize>(
+    a: View<'_, T>,
+    ic: usize,
+    pc: usize,
+    mc: usize,
+    kc: usize,
+    buf: &mut Vec<T>,
+) {
+    let panels = mc.div_ceil(MR);
+    buf.clear();
+    buf.resize(panels * kc * MR, T::ZERO);
+    for p in 0..panels {
+        let i0 = p * MR;
+        let rows = MR.min(mc - i0);
+        let dst = &mut buf[p * kc * MR..(p + 1) * kc * MR];
+        for i in 0..rows {
+            let src = &a.col(ic + i0 + i)[pc..pc + kc];
+            for (l, &v) in src.iter().enumerate() {
+                dst[l * MR + i] = v.conj();
+            }
         }
     }
 }

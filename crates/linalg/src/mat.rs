@@ -192,6 +192,27 @@ impl<T: Scalar> Mat<T> {
         out
     }
 
+    /// Gather the rows `self[rows, :]` (all columns).
+    pub fn select_rows(&self, rows: &[usize]) -> Mat<T> {
+        let mut out = Mat::zeros(rows.len(), self.ncols);
+        for j in 0..self.ncols {
+            let src = self.col(j);
+            for (d, &i) in out.col_mut(j).iter_mut().zip(rows) {
+                *d = src[i];
+            }
+        }
+        out
+    }
+
+    /// Gather the columns `self[:, cols]` (all rows) — whole-column copies.
+    pub fn select_cols(&self, cols: &[usize]) -> Mat<T> {
+        let mut data = Vec::with_capacity(self.nrows * cols.len());
+        for &j in cols {
+            data.extend_from_slice(self.col(j));
+        }
+        Mat::from_vec(self.nrows, cols.len(), data)
+    }
+
     /// Contiguous block copy `self[r0..r0+nr, c0..c0+nc]`.
     pub fn block(&self, r0: usize, c0: usize, nr: usize, nc: usize) -> Mat<T> {
         assert!(r0 + nr <= self.nrows && c0 + nc <= self.ncols);
@@ -201,6 +222,19 @@ impl<T: Scalar> Mat<T> {
             out.col_mut(j).copy_from_slice(src);
         }
         out
+    }
+
+    /// Overwrite the strict lower triangle with the mirror of the upper
+    /// one, making a square matrix symmetric bit for bit (plain
+    /// transpose, no conjugation).
+    pub fn mirror_upper(&mut self) {
+        assert_eq!(self.nrows, self.ncols, "mirror_upper: square only");
+        let n = self.nrows;
+        for j in 0..n {
+            for i in (j + 1)..n {
+                self.data[j * n + i] = self.data[i * n + j];
+            }
+        }
     }
 
     /// Write `block` into `self` starting at `(r0, c0)`.
@@ -449,6 +483,25 @@ mod tests {
         z.set_block(1, 2, &b);
         assert_eq!(z[(2, 3)], m[(2, 3)]);
         assert_eq!(z[(0, 0)], 0.0);
+        // One-sided selects agree with the two-sided one on identity lists.
+        let all: Vec<usize> = (0..4).collect();
+        assert_eq!(m.select_rows(&[3, 0]), m.select(&[3, 0], &all));
+        assert_eq!(m.select_cols(&[1, 2]), m.select(&all, &[1, 2]));
+        assert_eq!(m.select_rows(&[]).nrows(), 0);
+        assert_eq!(m.select_cols(&[]).ncols(), 0);
+    }
+
+    #[test]
+    fn mirror_upper_makes_exactly_symmetric() {
+        let mut m = Mat::from_fn(4, 4, |i, j| (i * 4 + j) as f64 + 0.1);
+        let upper = m.clone();
+        m.mirror_upper();
+        assert_eq!(m, m.transpose());
+        for j in 0..4 {
+            for i in 0..=j {
+                assert_eq!(m[(i, j)], upper[(i, j)]);
+            }
+        }
     }
 
     #[test]

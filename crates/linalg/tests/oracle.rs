@@ -4,8 +4,8 @@
 //! and both `f64` and `c64` scalars.
 
 use srsf_linalg::gemm::{
-    adjoint_matmul, adjoint_matmul_acc_naive, matmul, matmul_acc, matmul_acc_naive, matmul_adjoint,
-    matmul_adjoint_naive,
+    adjoint_matmul, adjoint_matmul_acc, adjoint_matmul_acc_naive, matmul, matmul_acc,
+    matmul_acc_naive, matmul_adjoint, matmul_adjoint_naive, set_gemm_threads,
 };
 use srsf_linalg::norms::{fro_norm, max_abs_diff};
 use srsf_linalg::qr::{
@@ -119,6 +119,61 @@ fn gemm_blocked_matches_naive_f64() {
 #[test]
 fn gemm_blocked_matches_naive_c64() {
     gemm_oracle::<c64>(2);
+}
+
+/// `(k, m, n)` for `C (m x n) += alpha * A^H (A is k x m) * B (k x n)`:
+/// the solve sweep's record shapes, every packing edge of the adjoint
+/// path (micro-tile 16/4 rows, `KC`/`MC` = 128, ragged last panels), the
+/// crossover to the dot-product form (`n < 4`, under 16^3 multiply-adds),
+/// and empty dimensions.
+const ADJ_SHAPES: &[(usize, usize, usize)] = &[
+    (300, 42, 16),
+    (25, 42, 16),
+    (26, 62, 62),
+    (16, 16, 16),
+    (15, 17, 16),
+    (129, 131, 5),
+    (128, 128, 4),
+    (257, 33, 19),
+    (300, 42, 3),
+    (300, 42, 1),
+    (7, 9, 11),
+    (0, 5, 6),
+    (5, 0, 6),
+    (5, 6, 0),
+    (400, 170, 100), // above the threading threshold
+];
+
+fn packed_adjoint_oracle<T: TestScalar>(seed: u64) {
+    for (i, &(k, m, n)) in ADJ_SHAPES.iter().enumerate() {
+        let mut rng = Rng::new(seed + i as u64);
+        let a = rand_mat::<T>(k, m, &mut rng);
+        let b = rand_mat::<T>(k, n, &mut rng);
+        let c0 = rand_mat::<T>(m, n, &mut rng);
+        let alpha = T::from_re_im(-0.6, 0.45);
+        let mut want = c0.clone();
+        adjoint_matmul_acc_naive(&mut want, alpha, &a, &b);
+        let mut got = c0.clone();
+        adjoint_matmul_acc(&mut got, alpha, &a, &b);
+        assert_close(&got, &want, "adjoint_matmul_acc");
+        // The threaded split is by output columns, so it must not change
+        // a single bit.
+        let prev = set_gemm_threads(3);
+        let mut threaded = c0.clone();
+        adjoint_matmul_acc(&mut threaded, alpha, &a, &b);
+        set_gemm_threads(prev);
+        assert_eq!(threaded, got, "threaded adjoint_matmul_acc {k}x{m}x{n}");
+    }
+}
+
+#[test]
+fn packed_adjoint_gemm_matches_naive_f64() {
+    packed_adjoint_oracle::<f64>(11);
+}
+
+#[test]
+fn packed_adjoint_gemm_matches_naive_c64() {
+    packed_adjoint_oracle::<c64>(12);
 }
 
 #[test]

@@ -1,8 +1,7 @@
 //! `srsf-runtime`: a distributed-memory runtime with pluggable transports.
 //!
-//! **Two backends, one program (supersedes the DESIGN.md §5 substitution
-//! note).** The paper runs on up to 1024 processes of NERSC Perlmutter
-//! via Julia's `Distributed.jl`. This crate runs the same message-passing
+//! **Two backends, one program.** The paper runs on up to 1024 processes
+//! of NERSC Perlmutter via Julia's `Distributed.jl`. This crate runs the same message-passing
 //! programs on a single host over either of two backends, selected per
 //! [`World`](world::World):
 //!

@@ -171,7 +171,7 @@ impl WorldStats {
     /// Critical-path estimate: the slowest rank's compute time plus its
     /// modeled network time. This is the "parallel time" reported by the
     /// scaling harnesses on hosts with fewer cores than simulated ranks
-    /// (see DESIGN.md §5).
+    /// (see [`NetworkModel`]).
     pub fn critical_path_s(&self, model: &NetworkModel) -> f64 {
         self.per_rank
             .iter()
