@@ -713,12 +713,19 @@ fn level_transition<K: Kernel>(
         };
         let corner = grid.owner(&my_first_parent);
         if corner != me {
-            // Ship all stored child-level blocks plus all known child
-            // active sets to the corner, then retire.
+            // Ship the stored child-level blocks this rank is an
+            // authority for (it owns one side, so it received every
+            // update to them) plus all known child active sets to the
+            // corner, then retire. Pairs between two foreign boxes only
+            // carry this rank's own Schur contributions; shipping them
+            // would overwrite the complete copy the corner holds or gets
+            // from their owner.
             let mut w = ByteWriter::new();
             let pairs: Vec<_> = store
                 .stored_pairs()
-                .filter(|((a, _), _)| a.level == child_level)
+                .filter(|((a, b), _)| {
+                    a.level == child_level && (grid.owner(a) == me || grid.owner(b) == me)
+                })
                 .map(|((a, b), m)| (*a, *b, m.clone()))
                 .collect();
             w.put_u64(pairs.len() as u64);

@@ -18,6 +18,7 @@ use srsf_geometry::tree::{BoxId, QuadTree};
 use srsf_kernels::kernel::Kernel;
 use srsf_linalg::gemm::{
     adjoint_matmul_acc, adjoint_matmul_sub, gemm_acc_block, matmul, matmul_acc, matmul_sub,
+    transpose_matmul_acc,
 };
 use srsf_linalg::{Lu, Mat, Scalar};
 
@@ -27,8 +28,9 @@ use srsf_linalg::{Lu, Mat, Scalar};
 /// A record comes in two forms, chosen by [`BlockStore::symmetric`] at
 /// factorization time. The *general* form keeps both sides of every
 /// coupling (`es`/`en` on the left of `X_RR^{-1}`, `fs`/`fnb` on the
-/// right). The *symmetric* form (real symmetric kernels) keeps only the
-/// unsolved left couplings — the right ones are their transposes — so
+/// right). The *symmetric* form (symmetric kernels, real or complex)
+/// keeps only the unsolved left couplings — the right ones are their
+/// plain transposes, because such a kernel is sparsified with `T^T` — so
 /// `fs` and `fnb` are `None` and the record is about a third smaller;
 /// the solve sweep then applies the full `X_RR^{-1}` where the general
 /// one applies half of it (see `crate::solve`).
@@ -71,7 +73,7 @@ pub struct BoxElimination<T> {
 }
 
 impl<T: Scalar> BoxElimination<T> {
-    /// `true` for the one-sided record form of a real symmetric kernel.
+    /// `true` for the one-sided record form of a symmetric kernel.
     pub fn is_symmetric(&self) -> bool {
         self.fnb.is_none()
     }
@@ -187,8 +189,8 @@ pub fn eliminate_box<K: Kernel>(
     }
     let t = id.t; // |S| x |R|
     let (n_r, n_s) = (red_positions.len(), skel_positions.len());
-    // Real symmetric kernel: the store holds `A[a, b] == A[b, a]^T` bit
-    // for bit, so everything on the `(B, N)` side is a transpose of the
+    // Symmetric kernel: the store holds `A[a, b] == A[b, a]^T` bit for
+    // bit, so everything on the `(B, N)` side is a transpose of the
     // `(N, B)` side and only one coupling per direction is kept.
     let sym = store.symmetric();
 
@@ -218,13 +220,20 @@ pub fn eliminate_box<K: Kernel>(
     let a_nr = a_nb.select_cols(&red_positions);
     let a_ns = a_nb.select_cols(&skel_positions);
 
-    // Sparsification: X_RR = A_RR - T^H A_SR - A_RS T + T^H A_SS T, etc.
+    // Sparsification: X_RR = A_RR - T' A_SR - A_RS T + T' A_SS T, etc.,
+    // with T' = T^T for a symmetric kernel (the column ID of the forward
+    // stack gives A_{R,F} ~ T^T A_{S,F} there) and T' = T^H otherwise.
+    let flipped_acc = if sym {
+        transpose_matmul_acc::<T<K>>
+    } else {
+        adjoint_matmul_acc::<T<K>>
+    };
     let mut x_rr = a_rr;
-    adjoint_matmul_sub(&mut x_rr, &t, &a_sr); // -= T^H A_SR
+    flipped_acc(&mut x_rr, -T::<K>::ONE, &t, &a_sr); // -= T' A_SR
     let a_ss_t = matmul(&a_ss, &t);
-    // -= A_RS T  and  += T^H (A_SS T), accumulated in place.
+    // -= A_RS T  and  += T' (A_SS T), accumulated in place.
     matmul_sub(&mut x_rr, &a_rs, &t);
-    adjoint_matmul_acc(&mut x_rr, T::<K>::ONE, &t, &a_ss_t);
+    flipped_acc(&mut x_rr, T::<K>::ONE, &t, &a_ss_t);
 
     let mut x_sr = a_sr;
     x_sr.axpy(-T::<K>::ONE, &a_ss_t); // X_SR = A_SR - A_SS T
@@ -415,21 +424,19 @@ mod tests {
     use crate::levels::merge_to_parent;
     use srsf_geometry::grid::UnitGrid;
     use srsf_geometry::point::BBox;
+    use srsf_kernels::helmholtz::HelmholtzKernel;
     use srsf_kernels::laplace::LaplaceKernel;
 
     /// The invariant the symmetric mode rests on: after any number of
-    /// eliminations and a level merge, every stored block of a real
-    /// symmetric kernel equals the transpose of its mirror bit for bit
-    /// (diagonal blocks included), and every record is one-sided.
-    #[test]
-    fn symmetric_store_stays_bitwise_symmetric() {
-        let grid = UnitGrid::new(32);
-        let kernel = LaplaceKernel::new(&grid);
+    /// eliminations and a level merge, every stored block of a symmetric
+    /// kernel equals the *transpose* (no conjugate) of its mirror bit for
+    /// bit (diagonal blocks included), and every record is one-sided.
+    fn assert_store_stays_bitwise_symmetric<K: Kernel>(kernel: &K, grid: &UnitGrid) {
         let pts = grid.points();
         let tree = QuadTree::build(&pts, BBox::UNIT, 16);
         let opts = FactorOpts::default();
-        let ctx = CompressionCtx::new(&kernel, &pts, &tree, &opts);
-        let mut store = BlockStore::new(&kernel, &pts);
+        let ctx = CompressionCtx::new(kernel, &pts, &tree, &opts);
+        let mut store = BlockStore::new(kernel, &pts);
         assert!(store.symmetric());
         let mut act = ActiveSets::new();
         let leaf = tree.leaf_level();
@@ -456,5 +463,14 @@ mod tests {
             }
         }
         assert!(n_records > 0);
+    }
+
+    #[test]
+    fn symmetric_store_stays_bitwise_symmetric() {
+        let grid = UnitGrid::new(32);
+        assert_store_stays_bitwise_symmetric(&LaplaceKernel::new(&grid), &grid);
+        // Complex symmetric: kappa large enough that T is far from real,
+        // so a conjugate slipped into any mirrored update would show.
+        assert_store_stays_bitwise_symmetric(&HelmholtzKernel::new(&grid, 40.0), &grid);
     }
 }

@@ -53,13 +53,22 @@
 //! GEMM wins and the FFT convolution stays cold, while large uniform
 //! leaves flip the inequality.
 //!
-//! Independently, a (complex-)symmetric kernel ([`Kernel::is_symmetric`])
-//! with real entries keeps the whole block store symmetric bit for bit
-//! ([`BlockStore::symmetric`]): the forward and adjoint blocks of every
-//! ring pair, modified or not, are identical (`A_{B,M}ᴴ = A_{M,B}`), so
-//! the sketch reads each pair once and applies the combined
-//! forward+adjoint sketch in a single GEMM — Rademacher sums are exactly
-//! representable, so this changes rounding order only.
+//! ## Symmetric kernels: the forward half only
+//!
+//! A symmetric kernel ([`Kernel::is_symmetric`], `A = Aᵀ`) keeps the
+//! whole block store transpose-symmetric bit for bit
+//! ([`BlockStore::symmetric`]), so `A_{B,M}ᴴ` is `A_{M,B}` conjugated and
+//! the column ID of the forward half `[A_{M,B}; K_{proxy,B}]` alone
+//! already yields the row relation the elimination needs (transposed, not
+//! conjugated — see the record-kernel comment in `crate::solve`). For a
+//! real kernel the adjoint half is a duplicate: the sketch reads each
+//! pair once and applies the summed forward+adjoint sketch columns in a
+//! single GEMM (Rademacher sums are exactly representable, so this
+//! changes rounding order only). For a complex kernel it is the
+//! conjugate, which would only force `T` to interpolate `conj(A)` as
+//! well, and is dropped: no `(B, M)` read, no `proxy_col` evaluation,
+//! half the stack height. [`proxy_matrix`] stacks the forward half for
+//! both.
 
 use crate::store::{ActiveSets, BlockStore};
 use crate::{Compression, CompressionTelemetry, FactorOpts};
@@ -328,12 +337,12 @@ pub fn proxy_matrix<K: Kernel>(
     let pts = store.points();
     let kernel = store.kernel();
 
-    // The row count is known before any block is materialized: each
-    // nonempty ring box contributes its active count twice (both
-    // directions) and the proxy circle twice `n_proxy` — so the tall
-    // matrix is allocated once and every block written straight into it,
-    // instead of staging a `Vec<Mat>` and copying each block a second
-    // time during stacking.
+    // The row count is known before any block is materialized — each
+    // nonempty ring box contributes its active count and the proxy circle
+    // `n_proxy`, once per stacked direction — so the tall matrix is
+    // allocated once and every block written straight into it, instead of
+    // staging a `Vec<Mat>` and copying each block a second time during
+    // stacking.
     let ring: Vec<_> = dist2_ring(b)
         .into_iter()
         .filter(|m| !act.get(m).is_empty())
@@ -344,23 +353,31 @@ pub fn proxy_matrix<K: Kernel>(
     let n_proxy = geom.n_proxy;
     let circle = proxy_circle_from_unit(tree.bbox(b).center(), geom.radius, &geom.unit);
 
-    let mut out = Mat::zeros(2 * ring_rows + 2 * n_proxy, nb);
+    // A symmetric store stacks the forward half `[A_{M,B}; K_{proxy,B}]`
+    // only: its column ID `A_{F,R} ~ A_{F,S} T` is, transposed, the row
+    // relation `A_{R,F} ~ T^T A_{S,F}` the elimination uses.
+    let two_sided = !store.symmetric();
+    let dirs = 1 + usize::from(two_sided);
+    let mut out = Mat::zeros(dirs * (ring_rows + n_proxy), nb);
     let mut r0 = 0;
-    // Row blocks from the distance-2 ring, both directions.
     for m in &ring {
         let blk = store.get(m, b, act);
         out.set_block(r0, 0, &blk);
         r0 += blk.nrows();
-        let blk_h = store.get(b, m, act).adjoint();
-        out.set_block(r0, 0, &blk_h);
-        r0 += blk_h.nrows();
+        if two_sided {
+            let blk_h = store.get(b, m, act).adjoint();
+            out.set_block(r0, 0, &blk_h);
+            r0 += blk_h.nrows();
+        }
     }
     // Proxy rows for the far field beyond M(B), filled in place.
     for j in 0..nb {
         let col = out.col_mut(j);
         for (p, c) in circle.iter().enumerate() {
             col[r0 + p] = kernel.proxy_row(pts, *c, a_b[j] as usize);
-            col[r0 + n_proxy + p] = kernel.proxy_col(pts, a_b[j] as usize, *c).conj();
+            if two_sided {
+                col[r0 + n_proxy + p] = kernel.proxy_col(pts, a_b[j] as usize, *c).conj();
+            }
         }
     }
     out
@@ -391,7 +408,7 @@ pub fn skeletonize<K: Kernel>(
         .filter(|m| !act.get(m).is_empty())
         .collect();
     let ring_rows: usize = ring.iter().map(|m| act.get(m).len()).sum();
-    let m_rows = 2 * ring_rows + 2 * ctx.geom(b.level).n_proxy;
+    let m_rows = Halves::of(store).stride() * (ring_rows + ctx.geom(b.level).n_proxy);
 
     // Driver-invariant rank guess. Non-leaf boxes carry the previous
     // level's realized information in `nb` itself — a parent's active set
@@ -412,19 +429,23 @@ pub fn skeletonize<K: Kernel>(
     );
 
     let mut l = (guess + oversample).max(4);
+    // The proxy block does not depend on the sketch size: evaluated on
+    // the first attempt, shared by every retry.
+    let mut proxy = None;
     loop {
         if 2 * (l + RID_VERIFY_ROWS) >= m_rows {
             tel.sketch_fallbacks += 1;
             let m = proxy_matrix(store, act, tree, b, opts, ctx);
             return (interp_decomp(m, opts.tol, usize::MAX), tel);
         }
+        let proxy = proxy.get_or_insert_with(|| proxy_blocks(store, act, tree, b, ctx));
         let y = sketch_proxy(
             store,
             act,
-            tree,
             b,
             ctx,
             &ring,
+            proxy,
             l + RID_VERIFY_ROWS,
             box_seed,
             &mut tel,
@@ -437,6 +458,66 @@ pub fn skeletonize<K: Kernel>(
     }
 }
 
+/// Which halves of the virtual stack — `[A_{M,B}; A_{B,M}ᴴ]` per ring box,
+/// then `[K_{proxy,B}; K_{B,proxy}ᴴ]` — the sketch applies, and how
+/// (module docs, "Symmetric kernels").
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Halves {
+    /// General kernel: forward and adjoint blocks read and sketched apart.
+    Both,
+    /// Real symmetric kernel: the adjoint block *is* the forward block,
+    /// sketched once with the sum of both halves' sketch columns.
+    Fused,
+    /// Complex symmetric kernel: the adjoint (conjugate) half is dropped
+    /// and the stack has half the height.
+    Forward,
+}
+
+impl Halves {
+    fn of<K: Kernel>(store: &BlockStore<'_, K>) -> Self {
+        match (store.symmetric(), K::Elem::IS_COMPLEX) {
+            (false, _) => Halves::Both,
+            (true, false) => Halves::Fused,
+            (true, true) => Halves::Forward,
+        }
+    }
+
+    /// Stack rows (= sketch columns) per active ring or proxy point.
+    fn stride(self) -> usize {
+        match self {
+            Halves::Both | Halves::Fused => 2,
+            Halves::Forward => 1,
+        }
+    }
+}
+
+/// The proxy blocks of box `b`: `K_{proxy,B}` and, for a general kernel
+/// only, `K_{B,proxy}ᴴ` — a symmetric kernel's contract
+/// `proxy_row(y, j) == proxy_col(j, y)` makes the second one the
+/// duplicate or the conjugate of the first.
+fn proxy_blocks<K: Kernel>(
+    store: &BlockStore<'_, K>,
+    act: &ActiveSets,
+    tree: &QuadTree,
+    b: &BoxId,
+    ctx: &CompressionCtx,
+) -> (Mat<K::Elem>, Option<Mat<K::Elem>>) {
+    let a_b = act.get(b);
+    let pts = store.points();
+    let kernel = store.kernel();
+    let geom = ctx.geom(b.level);
+    let circle = proxy_circle_from_unit(tree.bbox(b).center(), geom.radius, &geom.unit);
+    let p_row = Mat::from_fn(geom.n_proxy, a_b.len(), |p, j| {
+        kernel.proxy_row(pts, circle[p], a_b[j] as usize)
+    });
+    let p_col_h = (Halves::of(store) == Halves::Both).then(|| {
+        Mat::from_fn(geom.n_proxy, a_b.len(), |p, j| {
+            kernel.proxy_col(pts, a_b[j] as usize, circle[p]).conj()
+        })
+    });
+    (p_row, p_col_h)
+}
+
 /// Form `Y = Ω · [proxy stack]` block by block, without materializing the
 /// stack: dense `Ω_blk · A_blk` GEMMs for modified/ineligible blocks, the
 /// Toeplitz FFT path for unmodified translation-invariant leaf blocks.
@@ -444,27 +525,19 @@ pub fn skeletonize<K: Kernel>(
 fn sketch_proxy<K: Kernel>(
     store: &BlockStore<'_, K>,
     act: &ActiveSets,
-    tree: &QuadTree,
     b: &BoxId,
     ctx: &CompressionCtx,
     ring: &[BoxId],
+    (p_row, p_col_h): &(Mat<K::Elem>, Option<Mat<K::Elem>>),
     rows: usize,
     seed: u64,
     tel: &mut CompressionTelemetry,
 ) -> Mat<K::Elem> {
     let a_b = act.get(b);
     let nb = a_b.len();
-    let pts = store.points();
-    let kernel = store.kernel();
-    let geom = ctx.geom(b.level);
-    let n_proxy = geom.n_proxy;
-    let circle = proxy_circle_from_unit(tree.bbox(b).center(), geom.radius, &geom.unit);
-    // A symmetric store makes the two directions of every pair —
-    // untouched kernel block or Schur-modified stored block alike —
-    // literally the same block (`A_{B,M}ᴴ = A_{M,B}`): read it once and
-    // sketch both with the combined (fwd + adj) sketch — exact, because
-    // Rademacher sums live in {-2, 0, 2}.
-    let fuse = store.symmetric();
+    let n_proxy = p_row.nrows();
+    let halves = Halves::of(store);
+    let stride = halves.stride();
 
     let mut y = Mat::<K::Elem>::zeros(rows, nb);
 
@@ -484,13 +557,12 @@ fn sketch_proxy<K: Kernel>(
         if fft.is_some() && !store.contains(m, b) {
             fwd_elig.push((r0, *m));
         }
-        r0 += am;
-        if fft.is_some() && !store.contains(b, m) {
-            adj_elig.push((r0, *m));
+        if halves != Halves::Forward && fft.is_some() && !store.contains(b, m) {
+            adj_elig.push((r0 + am, *m));
         }
-        r0 += am;
+        r0 += stride * am;
     }
-    let ring_rows = r0 / 2;
+    let proxy_off = r0;
 
     // Cost model: an FFT direction costs one length-(2S)^2 convolution
     // per sketch row; the dense route costs the symbol-table lookup of
@@ -524,40 +596,34 @@ fn sketch_proxy<K: Kernel>(
     // Dense route: walk the ring with running offsets; every direction
     // not claimed by the FFT route is materialized — from the symbol
     // table when the pair is an untouched leaf kernel block, from the
-    // store otherwise — and GEMMed into Y, pairwise-fused when the
-    // kernel allows it.
+    // store otherwise — and GEMMed into Y, pairwise-fused for a real
+    // symmetric kernel.
     let mut r0 = 0;
     for m in ring {
         let am = act.get(m).len();
         let (fwd_off, adj_off) = (r0, r0 + am);
-        r0 += 2 * am;
+        r0 += stride * am;
         let fwd_un = !store.contains(m, b);
         let adj_un = !store.contains(b, m);
-        let (fwd_fft, adj_fft) = (use_fft && fwd_un, use_fft && adj_un);
-        if fwd_fft && adj_fft {
-            continue;
-        }
-        if !fwd_fft && !adj_fft && fuse {
-            let blk = match (fwd_un, fft) {
-                (true, Some(f)) => f.table_block::<K::Elem>(act.get(m), a_b, false),
-                _ => store.get(m, b, act),
-            };
+        let do_fwd = !(use_fft && fwd_un);
+        let do_adj = halves != Halves::Forward && !(use_fft && adj_un);
+        let fwd_blk = || match (fwd_un, fft) {
+            (true, Some(f)) => f.table_block::<K::Elem>(act.get(m), a_b, false),
+            _ => store.get(m, b, act),
+        };
+        if do_fwd && do_adj && halves == Halves::Fused {
             let mut omega = sketch_block::<K::Elem>(seed, rows, fwd_off, am);
             omega.axpy(K::Elem::ONE, &sketch_block(seed, rows, adj_off, am));
-            matmul_acc(&mut y, K::Elem::ONE, &omega, &blk);
+            matmul_acc(&mut y, K::Elem::ONE, &omega, &fwd_blk());
             tel.dense_block_applies += 2;
             continue;
         }
-        if !fwd_fft {
-            let blk = match (fwd_un, fft) {
-                (true, Some(f)) => f.table_block::<K::Elem>(act.get(m), a_b, false),
-                _ => store.get(m, b, act),
-            };
+        if do_fwd {
             let omega = sketch_block::<K::Elem>(seed, rows, fwd_off, am);
-            matmul_acc(&mut y, K::Elem::ONE, &omega, &blk);
+            matmul_acc(&mut y, K::Elem::ONE, &omega, &fwd_blk());
             tel.dense_block_applies += 1;
         }
-        if !adj_fft {
+        if do_adj {
             let blk = match (adj_un, fft) {
                 (true, Some(f)) => f.table_block::<K::Elem>(act.get(m), a_b, true),
                 _ => store.get(b, m, act).adjoint(),
@@ -568,29 +634,22 @@ fn sketch_proxy<K: Kernel>(
         }
     }
 
-    // Proxy blocks: always dense (proxy points live off-grid). The same
-    // pairwise fusion applies — for a real symmetric kernel the
-    // conjugated column block *is* the row block.
+    // Proxy blocks: always dense (proxy points live off-grid), same
+    // treatment of the adjoint half as the ring blocks.
     {
-        let p_row = Mat::from_fn(n_proxy, nb, |p, j| {
-            kernel.proxy_row(pts, circle[p], a_b[j] as usize)
-        });
-        let mut omega = sketch_block::<K::Elem>(seed, rows, 2 * ring_rows, n_proxy);
-        if fuse {
+        let mut omega = sketch_block::<K::Elem>(seed, rows, proxy_off, n_proxy);
+        if halves == Halves::Fused {
             omega.axpy(
                 K::Elem::ONE,
-                &sketch_block(seed, rows, 2 * ring_rows + n_proxy, n_proxy),
+                &sketch_block(seed, rows, proxy_off + n_proxy, n_proxy),
             );
-            matmul_acc(&mut y, K::Elem::ONE, &omega, &p_row);
-        } else {
-            matmul_acc(&mut y, K::Elem::ONE, &omega, &p_row);
-            let p_col = Mat::from_fn(n_proxy, nb, |p, j| {
-                kernel.proxy_col(pts, a_b[j] as usize, circle[p]).conj()
-            });
-            let omega = sketch_block::<K::Elem>(seed, rows, 2 * ring_rows + n_proxy, n_proxy);
-            matmul_acc(&mut y, K::Elem::ONE, &omega, &p_col);
         }
-        tel.dense_block_applies += 2;
+        matmul_acc(&mut y, K::Elem::ONE, &omega, p_row);
+        if let Some(p_col_h) = p_col_h {
+            let omega = sketch_block::<K::Elem>(seed, rows, proxy_off + n_proxy, n_proxy);
+            matmul_acc(&mut y, K::Elem::ONE, &omega, p_col_h);
+        }
+        tel.dense_block_applies += stride as u64;
     }
 
     // FFT route: per sketch row and direction, scatter ω·s over the grid,
@@ -688,15 +747,39 @@ mod tests {
         let ctx = CompressionCtx::new(&k, &pts, &tree, &opts);
         let m = proxy_matrix(&store, &act, &tree, &b, &opts, &ctx);
         assert_eq!(m.ncols(), 16);
-        // Rows: both directions of every nonempty M(B) block plus the two
-        // proxy blocks.
+        // Symmetric kernel: one row per active point of every nonempty
+        // M(B) block plus one proxy block — the forward half only.
         let m_pts: usize = srsf_geometry::neighbors::dist2_ring(&b)
             .iter()
             .map(|mb| act.get(mb).len())
             .sum();
-        assert_eq!(m.nrows() % 2, 0);
-        assert!(m.nrows() >= 2 * m_pts + 2 * opts.n_proxy_min);
+        assert!(m_pts > 0);
+        let n_proxy = m.nrows() - m_pts;
+        assert!(n_proxy >= opts.n_proxy_min && n_proxy < 2 * opts.n_proxy_min);
         assert!(fro_norm(&m) > 0.0);
+
+        // A kernel that does not report symmetry stacks both directions.
+        struct General(LaplaceKernel);
+        impl Kernel for General {
+            type Elem = f64;
+            fn entry(&self, pts: &[Point], i: usize, j: usize) -> f64 {
+                self.0.entry(pts, i, j)
+            }
+            fn diag(&self, pts: &[Point], i: usize) -> f64 {
+                self.0.diag(pts, i)
+            }
+            fn proxy_row(&self, pts: &[Point], y: Point, j: usize) -> f64 {
+                self.0.proxy_row(pts, y, j)
+            }
+            fn proxy_col(&self, pts: &[Point], i: usize, y: Point) -> f64 {
+                self.0.proxy_col(pts, i, y)
+            }
+        }
+        let g = General(k.clone());
+        let gstore = BlockStore::new(&g, &pts);
+        let gctx = CompressionCtx::new(&g, &pts, &tree, &opts);
+        let m2 = proxy_matrix(&gstore, &act, &tree, &b, &opts, &gctx);
+        assert_eq!(m2.nrows(), 2 * m.nrows());
     }
 
     #[test]
@@ -893,8 +976,9 @@ mod tests {
         let ctx_f = CompressionCtx::new(&k, &pts, &tree, &opts).with_fft_gate(FftGate::Always);
         let mut t1 = CompressionTelemetry::default();
         let mut t2 = CompressionTelemetry::default();
-        let yd = sketch_proxy(&store, &act, &tree, &b, &ctx_d, &ring, 12, 99, &mut t1);
-        let yf = sketch_proxy(&store, &act, &tree, &b, &ctx_f, &ring, 12, 99, &mut t2);
+        let px = proxy_blocks(&store, &act, &tree, &b, &ctx_d);
+        let yd = sketch_proxy(&store, &act, &b, &ctx_d, &ring, &px, 12, 99, &mut t1);
+        let yf = sketch_proxy(&store, &act, &b, &ctx_f, &ring, &px, 12, 99, &mut t2);
         assert!(t1.fft_block_applies == 0 && t2.fft_block_applies > 0);
         let scale = fro_norm(&yd);
         assert!(
@@ -902,16 +986,17 @@ mod tests {
             "dense vs FFT sketch disagree"
         );
 
-        // Helmholtz (c64, sqrt(b) scaling exercises the scale vector and
-        // the conjugated adjoint direction).
+        // Helmholtz (c64, sqrt(b) scaling exercises the scale vector; the
+        // complex symmetric kernel sketches the forward half only).
         let hk = HelmholtzKernel::new(&grid, 10.0);
         let hstore = BlockStore::new(&hk, &pts);
         let hd = CompressionCtx::new(&hk, &pts, &tree, &opts).with_fft_gate(FftGate::Never);
         let hf = CompressionCtx::new(&hk, &pts, &tree, &opts).with_fft_gate(FftGate::Always);
         let mut t3 = CompressionTelemetry::default();
         let mut t4 = CompressionTelemetry::default();
-        let zd = sketch_proxy(&hstore, &act, &tree, &b, &hd, &ring, 12, 99, &mut t3);
-        let zf = sketch_proxy(&hstore, &act, &tree, &b, &hf, &ring, 12, 99, &mut t4);
+        let hpx = proxy_blocks(&hstore, &act, &tree, &b, &hd);
+        let zd = sketch_proxy(&hstore, &act, &b, &hd, &ring, &hpx, 12, 99, &mut t3);
+        let zf = sketch_proxy(&hstore, &act, &b, &hf, &ring, &hpx, 12, 99, &mut t4);
         assert!(t4.fft_block_applies > 0);
         let hscale = fro_norm(&zd);
         assert!(

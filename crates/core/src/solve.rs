@@ -30,7 +30,8 @@
 use crate::elimination::BoxElimination;
 use crate::sequential::Factorization;
 use srsf_linalg::gemm::{
-    adjoint_matmul, adjoint_matmul_acc, adjoint_matmul_sub, matmul, matmul_sub,
+    adjoint_matmul_sub, matmul, matmul_sub, transpose_matmul, transpose_matmul_acc,
+    transpose_matmul_sub,
 };
 use srsf_linalg::{Mat, Scalar};
 use std::ops::Range;
@@ -66,6 +67,14 @@ pub(crate) fn scatter<T: Scalar>(b: &mut [T], idx: &[u32], vals: &[T]) {
 //   up:   b_R := X_RR^{-1} (b_R - T^T b_S);  b_S -= ES b_R;  b_N -= EN b_R
 //   down: b_R -= X_RR^{-1} (ES^T b_S + EN^T b_N);            b_S -= T b_R
 //
+// `T^T` against `T^H` is the whole rule: a symmetric kernel (`A = A^T`,
+// real or complex) is sparsified by the congruence `S^T A S`, because the
+// column ID `A_{F,R} ~ A_{F,S} T` then gives `A_{R,F} ~ T^T A_{S,F}` with
+// no conjugate and every Schur update stays transpose-symmetric; any
+// other kernel needs the two-sided `S^H A S`. A symmetric record
+// therefore never conjugates, a general one conjugates `T` only, and for
+// real entries the two flavours are the same bits.
+//
 // Between the sweeps `b_R` is private to its record (redundant rows are
 // never read by another record or the top solve), so the two forms may
 // park different intermediates there.
@@ -75,14 +84,19 @@ pub(crate) fn scatter<T: Scalar>(b: &mut [T], idx: &[u32], vals: &[T]) {
 pub(crate) fn apply_upward<T: Scalar>(rec: &BoxElimination<T>, b: &mut [T]) {
     let mut br = gather(b, &rec.redundant);
     let bs = gather(b, &rec.skel);
-    // b_R -= T^H b_S
-    let mut th_bs = vec![T::ZERO; br.len()];
-    rec.t.adjoint_matvec_acc_into(&bs, &mut th_bs);
-    for (r, v) in br.iter_mut().zip(th_bs.iter()) {
+    // b_R := L^{-1} P (b_R - T^H b_S) (general)
+    //     or X_RR^{-1} (b_R - T^T b_S) (symmetric)
+    let sym = rec.is_symmetric();
+    let mut tt_bs = vec![T::ZERO; br.len()];
+    if sym {
+        rec.t.transpose_matvec_acc_into(&bs, &mut tt_bs);
+    } else {
+        rec.t.adjoint_matvec_acc_into(&bs, &mut tt_bs);
+    }
+    for (r, v) in br.iter_mut().zip(tt_bs.iter()) {
         *r -= *v;
     }
-    // b_R := L^{-1} P b_R (general) or X_RR^{-1} b_R (symmetric)
-    if rec.is_symmetric() {
+    if sym {
         rec.lu.solve_vec(&mut br);
     } else {
         rec.lu.forward_vec(&mut br);
@@ -111,8 +125,8 @@ pub(crate) fn apply_downward<T: Scalar>(rec: &BoxElimination<T>, b: &mut [T]) {
     } else {
         // b_R -= X_RR^{-1} (ES^T b_S + EN^T b_N)
         let mut v = vec![T::ZERO; br.len()];
-        rec.es.adjoint_matvec_acc_into(&bs, &mut v);
-        rec.en.adjoint_matvec_acc_into(&bn, &mut v);
+        rec.es.transpose_matvec_acc_into(&bs, &mut v);
+        rec.en.transpose_matvec_acc_into(&bn, &mut v);
         rec.lu.solve_vec(&mut v);
         for (r, v) in br.iter_mut().zip(&v) {
             *r -= *v;
@@ -153,12 +167,13 @@ pub(crate) fn upward_parts<T: Scalar>(
 ) -> (Mat<T>, Mat<T>, Mat<T>) {
     let mut br = b.gather_rows(&rec.redundant);
     let mut bs = b.gather_rows(&rec.skel);
-    // B_R -= T^H B_S
-    adjoint_matmul_sub(&mut br, &rec.t, &bs);
-    // B_R := L^{-1} P B_R (general) or X_RR^{-1} B_R (symmetric)
+    // B_R := L^{-1} P (B_R - T^H B_S) (general)
+    //     or X_RR^{-1} (B_R - T^T B_S) (symmetric)
     if rec.is_symmetric() {
+        transpose_matmul_sub(&mut br, &rec.t, &bs);
         rec.lu.solve_mat(&mut br);
     } else {
+        adjoint_matmul_sub(&mut br, &rec.t, &bs);
         rec.lu.forward_mat(&mut br);
     }
     // B_S -= ES B_R ; neighbor delta EN B_R is handed back for the merge.
@@ -202,8 +217,8 @@ pub(crate) fn downward_parts<T: Scalar>(rec: &BoxElimination<T>, b: &Mat<T>) -> 
         rec.lu.backward_mat(&mut br);
     } else {
         // B_R -= X_RR^{-1} (ES^T B_S + EN^T B_N)
-        let mut v = adjoint_matmul(&rec.es, &bs);
-        adjoint_matmul_acc(&mut v, T::ONE, &rec.en, &bn);
+        let mut v = transpose_matmul(&rec.es, &bs);
+        transpose_matmul_acc(&mut v, T::ONE, &rec.en, &bn);
         rec.lu.solve_mat(&mut v);
         br.axpy(-T::ONE, &v);
     }

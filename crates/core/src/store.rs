@@ -95,15 +95,14 @@ impl<'a, K: Kernel> BlockStore<'a, K> {
     }
 
     /// `true` when every block of this store satisfies
-    /// `A[a, b] == A[b, a]ᵀ` bit for bit: the kernel is real symmetric
-    /// ([`Kernel::is_symmetric`] with a real element type), and the
-    /// elimination keeps it so by emitting every mirrored update as an
-    /// exact transpose. This one predicate selects the symmetric mode of
-    /// `skeletonize`, `eliminate_box` and `apply_output`. Complex-symmetric
-    /// kernels take the general path: the `Tᴴ` sparsification conjugates,
-    /// so their Schur updates are not transpose-symmetric.
+    /// `A[a, b] == A[b, a]ᵀ` bit for bit — plain transpose, no conjugate:
+    /// the kernel is symmetric ([`Kernel::is_symmetric`], real or
+    /// complex), and the elimination keeps it so by sparsifying with `Tᵀ`
+    /// and emitting every mirrored update as an exact transpose. This one
+    /// predicate selects the symmetric mode of `skeletonize`,
+    /// `eliminate_box` and `apply_output`.
     pub fn symmetric(&self) -> bool {
-        self.kernel.is_symmetric() && !K::Elem::IS_COMPLEX
+        self.kernel.is_symmetric()
     }
 
     /// Evaluate raw kernel entries for explicit index lists.

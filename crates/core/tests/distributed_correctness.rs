@@ -67,6 +67,36 @@ fn dist_p16_with_fold_matches_accuracy() {
     assert_eq!(f.comm_stats().unwrap().per_rank.len(), 16);
 }
 
+/// Compression continues below the level where ranks fold onto their
+/// corner (`min_compress_level(1)`; the default stops above every fold):
+/// the corner must inherit each child block from a rank that owns one
+/// side of it — a member's copy of a pair between two foreign boxes holds
+/// that member's Schur contributions only.
+#[test]
+fn dist_compression_below_the_fold_stays_accurate() {
+    // p = 4 folds once (level 2 -> 1); p = 16 on the finer grid folds
+    // twice (3 -> 2 -> 1) with whole regions between the corners.
+    for (side, p) in [(32, 4), (64, 16)] {
+        let grid = UnitGrid::new(side);
+        let kernel = LaplaceKernel::new(&grid);
+        let pts = grid.points();
+        let a = DenseOp::new(assemble_dense(&kernel, &pts));
+        let b = random_vector::<f64>(pts.len(), 23);
+        let (f, x) = Solver::builder(&kernel, &pts)
+            .opts(opts().with_min_compress_level(1))
+            .driver(Driver::distributed(p))
+            .build_with_solution(&b)
+            .expect("dist factorization");
+        let r = srsf_linalg::relative_residual(&a, &x, &b);
+        assert!(r < 1e-5, "p={p}: in-world relres {r:.3e}");
+        let diff = srsf_linalg::vecops::rel_diff(&x, &f.solve(&b));
+        assert!(
+            diff < 1e-10,
+            "p={p}: in-world vs gathered solve: {diff:.3e}"
+        );
+    }
+}
+
 #[test]
 fn dist_solve_matches_gathered_solve() {
     let grid = UnitGrid::new(32);

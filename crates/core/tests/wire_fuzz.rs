@@ -11,12 +11,18 @@
 use srsf_core::elimination::{BoxElimination, FactorError};
 use srsf_core::sequential::Factorization;
 use srsf_core::wire::ScalarVec;
-use srsf_core::FactorStats;
+use srsf_core::{FactorOpts, FactorStats};
+use srsf_geometry::grid::UnitGrid;
 use srsf_geometry::tree::BoxId;
+use srsf_kernels::helmholtz::HelmholtzKernel;
+use srsf_kernels::util::random_vector;
 use srsf_linalg::{c64, Lu, Mat, Scalar};
 use srsf_runtime::codec::{ByteReader, ByteWriter, CodecError, Wire};
 use srsf_runtime::{Histogram, Span, TraceReport};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+
+mod common;
+use common::HideSymmetry;
 
 const fn iters(full: usize, miri: usize) -> usize {
     if cfg!(miri) {
@@ -120,7 +126,7 @@ fn gen_box_id(rng: &mut Rng) -> BoxId {
 }
 
 /// A shape-consistent record in either form: `symmetric` drops the right
-/// couplings, as a real symmetric kernel's factorization does.
+/// couplings, as a symmetric kernel's factorization does.
 fn gen_record_form<T: Scalar>(
     rng: &mut Rng,
     v: impl Fn(&mut Rng) -> T,
@@ -344,15 +350,15 @@ fn record_round_trip_bytes() {
     });
 }
 
-/// Both record forms survive the wire by value: a symmetric record comes
-/// back with `fs`/`fnb` still absent, a general one with both intact.
-#[test]
-fn record_forms_round_trip_by_value() {
-    let mut rng = Rng::new(93);
+/// Both record forms survive the wire by value, for real and complex
+/// entries alike: a symmetric record comes back with `fs`/`fnb` still
+/// absent, a general one with both intact.
+fn record_forms_round_trip<T: Scalar>(seed: u64, v: impl Fn(&mut Rng) -> T + Copy) {
+    let mut rng = Rng::new(seed);
     for i in 0..iters(128, 8) {
         let symmetric = i % 2 == 0;
-        let rec = gen_record_form(&mut rng, Rng::finite_f64, symmetric);
-        let back = BoxElimination::<f64>::from_bytes(rec.to_bytes()).expect("decode");
+        let rec = gen_record_form(&mut rng, v, symmetric);
+        let back = BoxElimination::<T>::from_bytes(rec.to_bytes()).expect("decode");
         assert_eq!(back.is_symmetric(), symmetric);
         assert_eq!((&back.fs, &back.fnb), (&rec.fs, &rec.fnb));
         assert_eq!((&back.t, &back.es, &back.en), (&rec.t, &rec.es, &rec.en));
@@ -362,6 +368,12 @@ fn record_forms_round_trip_by_value() {
             (&rec.redundant, &rec.skel, &rec.nbr)
         );
     }
+}
+
+#[test]
+fn record_forms_round_trip_by_value() {
+    record_forms_round_trip::<f64>(93, Rng::finite_f64);
+    record_forms_round_trip::<c64>(94, |r| c64::new(r.finite_f64(), r.finite_f64()));
 }
 
 fn expect_invalid(bytes: Vec<u8>, what: &str) {
@@ -518,6 +530,49 @@ fn factorization_save_load_round_trip() {
             "save/load round trip changed the factorization bytes"
         );
     }
+}
+
+/// A Helmholtz factorization through the checkpoint container in both
+/// record forms: the one-sided c64 records a complex symmetric kernel
+/// produces now, and the general two-sided ones it produced before the
+/// `T^T` sparsification (what an older version-3 checkpoint holds — the
+/// same kernel with its symmetry hidden writes exactly those). Each must
+/// reload and solve to the same bits.
+#[test]
+#[cfg_attr(miri, ignore = "file I/O is outside Miri's isolation")]
+fn helmholtz_checkpoints_restore_in_both_record_forms() {
+    let grid = UnitGrid::new(16);
+    let pts = grid.points();
+    let kernel = HelmholtzKernel::new(&grid, 12.0);
+    let opts = FactorOpts::default()
+        .with_tol(1e-6)
+        .with_leaf_size(16)
+        .with_min_compress_level(1);
+    let b = random_vector::<c64>(pts.len(), 7);
+    let one_sided = common::factorize(&kernel, &pts, &opts).expect("symmetric mode");
+    let general =
+        common::factorize(&HideSymmetry(kernel.clone()), &pts, &opts).expect("general mode");
+    assert!(one_sided.n_records() > 0 && one_sided.n_records() == general.n_records());
+    let mut sizes = Vec::new();
+    for (name, f) in [("one-sided", &one_sided), ("general", &general)] {
+        let path = ckpt_path(&format!("wire_fuzz_helmholtz_{name}.ckpt"));
+        f.save(&path).expect("save");
+        sizes.push(std::fs::metadata(&path).expect("stat").len());
+        let back = Factorization::<c64>::load(&path).expect("load");
+        assert_eq!(back.n_records(), f.n_records(), "{name}: record count");
+        assert!(
+            back.solve(&b) == f.solve(&b),
+            "{name}: reloaded solve differs"
+        );
+    }
+    assert!(
+        sizes[0] * 10 < sizes[1] * 8,
+        "one-sided checkpoint {} B vs general {} B",
+        sizes[0],
+        sizes[1]
+    );
+    let diff = srsf_linalg::vecops::rel_diff(&one_sided.solve(&b), &general.solve(&b));
+    assert!(diff < 1e-5, "record forms disagree by {diff:.3e}");
 }
 
 /// Container rejection matrix: truncation at every prefix length, a bit

@@ -15,7 +15,7 @@ use crate::kernel::Kernel;
 use srsf_geometry::grid::UnitGrid;
 use srsf_geometry::point::Point;
 use srsf_linalg::c64;
-use srsf_special::bessel::{j0, y0};
+use srsf_special::bessel::hankel0_1;
 use srsf_special::singular::helmholtz_self_integral;
 
 /// The paper's Gaussian bump scattering potential
@@ -74,9 +74,9 @@ impl HelmholtzKernel {
     /// `(i/4) H0^(1)(κ r)` as a complex number.
     #[inline]
     fn green(&self, r: f64) -> c64 {
-        let z = self.kappa * r;
+        let (j0, y0) = hankel0_1(self.kappa * r);
         // (i/4)(J0 + i Y0) = -Y0/4 + i J0/4
-        c64::new(-0.25 * y0(z), 0.25 * j0(z))
+        c64::new(-0.25 * y0, 0.25 * j0)
     }
 }
 
@@ -85,8 +85,10 @@ impl Kernel for HelmholtzKernel {
 
     fn entry(&self, pts: &[Point], i: usize, j: usize) -> c64 {
         let r = pts[i].dist(&pts[j]);
+        // The density product first: it commutes bit for bit, which is what
+        // makes `entry(i, j) == entry(j, i)` exact (`is_symmetric`).
         self.green(r)
-            .scale(self.prefactor * self.sqrt_b[i] * self.sqrt_b[j])
+            .scale(self.prefactor * (self.sqrt_b[i] * self.sqrt_b[j]))
     }
 
     fn diag(&self, _pts: &[Point], i: usize) -> c64 {
@@ -129,6 +131,7 @@ impl Kernel for HelmholtzKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use srsf_special::bessel::{j0, y0};
 
     #[test]
     fn bump_shape() {

@@ -52,15 +52,18 @@ pub trait Kernel: Send + Sync {
 
     /// True when the assembled operator is (complex-)symmetric:
     /// `entry(i, j) == entry(j, i)` exactly, i.e. `A = Aᵀ` — *not*
-    /// Hermitian for complex kernels. For a real symmetric kernel the
-    /// forward and adjoint directions of an unmodified pair coincide
-    /// (`A_{B,M}ᴴ = A_{M,B}`), so the randomized compression evaluates
-    /// each ring block once and sketches both directions with a single
-    /// combined GEMM. Both paper kernels qualify (Laplace is real
-    /// symmetric; Helmholtz is complex symmetric because both points
-    /// carry the same `sqrt(b)` factor). The proxy interactions must obey
-    /// the same symmetry: `proxy_row(y, j) == proxy_col(j, y)`. Defaults
-    /// to `false`.
+    /// Hermitian for complex kernels. The factorization then sparsifies
+    /// with `Tᵀ` (a congruence by transpose, which keeps every Schur
+    /// update transpose-symmetric), stores one coupling per box pair and
+    /// compresses the forward half `[A_{M,B}; K_{proxy,B}]` of the stack
+    /// only: the other half is its duplicate for a real kernel and its
+    /// conjugate for a complex one. Both paper kernels qualify (Laplace
+    /// is real symmetric; Helmholtz is complex symmetric because both
+    /// points carry the same `sqrt(b)` factor). The proxy interactions
+    /// must obey the same symmetry, `proxy_row(y, j) == proxy_col(j, y)`
+    /// exactly: a complex kernel's `proxy_col` is never evaluated, so
+    /// this clause is what makes the one-sided compression cover the
+    /// far field in both directions. Defaults to `false`.
     fn is_symmetric(&self) -> bool {
         false
     }

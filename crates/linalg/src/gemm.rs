@@ -6,7 +6,7 @@
 //! therefore runs a cache-blocked GEMM: operands are packed into
 //! contiguous micro-panels (`MC x KC` of `A`, `KC x NC` of `B`) and
 //! combined by a register-tiled fused-multiply-add micro-kernel (16x4 for
-//! `f64`, 4x4 for [`crate::c64`]), with an opt-in `std::thread::scope`
+//! `f64`, 8x4 for [`crate::c64`]), with an opt-in `std::thread::scope`
 //! parallel path over
 //! output column panels for large products (see [`set_gemm_threads`]).
 //! Small products fall through to a register-blocked jki kernel, which is
@@ -274,16 +274,7 @@ pub fn adjoint_matmul<T: Scalar>(a: &Mat<T>, b: &Mat<T>) -> Mat<T> {
 /// nothing beyond their result. Tiny products and those with fewer than
 /// one micro-tile of output columns use the dot-product form directly.
 pub fn adjoint_matmul_acc<T: Scalar>(c: &mut Mat<T>, alpha: T, a: &Mat<T>, b: &Mat<T>) {
-    assert_eq!(a.nrows(), b.nrows(), "A^H B: row mismatch");
-    assert_eq!(c.nrows(), a.ncols(), "A^H B: output rows mismatch");
-    assert_eq!(c.ncols(), b.ncols(), "A^H B: output cols mismatch");
-    let (m, n, k) = (a.ncols(), b.ncols(), a.nrows());
-    if m * n * k >= ADJ_PACK_MIN_FLOPS && n >= 4 {
-        let cblk = (0, 0, m, n);
-        gemm_large(ViewMut::sub(c, cblk), alpha, View::of(a), View::of(b), true);
-    } else {
-        adjoint_matmul_acc_naive(c, alpha, a, b);
-    }
+    flipped_matmul_acc(c, alpha, a, b, LeftOp::Adjoint);
 }
 
 /// `C -= A^H * B`.
@@ -291,11 +282,50 @@ pub fn adjoint_matmul_sub<T: Scalar>(c: &mut Mat<T>, a: &Mat<T>, b: &Mat<T>) {
     adjoint_matmul_acc(c, -T::ONE, a, b);
 }
 
+/// `C = A^T * B` (plain transpose on the left, no conjugation).
+pub fn transpose_matmul<T: Scalar>(a: &Mat<T>, b: &Mat<T>) -> Mat<T> {
+    let mut c = Mat::zeros(a.ncols(), b.ncols());
+    transpose_matmul_acc(&mut c, T::ONE, a, b);
+    c
+}
+
+/// `C += alpha * A^T * B`: [`adjoint_matmul_acc`] without the conjugate —
+/// the congruence a complex-*symmetric* operator needs (`A = A^T`, not
+/// `A^H`). Same packing, same thresholds; for real scalars the two
+/// flavours produce the same bits.
+pub fn transpose_matmul_acc<T: Scalar>(c: &mut Mat<T>, alpha: T, a: &Mat<T>, b: &Mat<T>) {
+    flipped_matmul_acc(c, alpha, a, b, LeftOp::Transpose);
+}
+
+/// `C -= A^T * B`.
+pub fn transpose_matmul_sub<T: Scalar>(c: &mut Mat<T>, a: &Mat<T>, b: &Mat<T>) {
+    transpose_matmul_acc(c, -T::ONE, a, b);
+}
+
+/// `C += alpha * op(A) * B` with `op` the adjoint or the plain transpose
+/// of the stored `A`.
+fn flipped_matmul_acc<T: Scalar>(c: &mut Mat<T>, alpha: T, a: &Mat<T>, b: &Mat<T>, op: LeftOp) {
+    assert_eq!(a.nrows(), b.nrows(), "op(A) B: row mismatch");
+    assert_eq!(c.nrows(), a.ncols(), "op(A) B: output rows mismatch");
+    assert_eq!(c.ncols(), b.ncols(), "op(A) B: output cols mismatch");
+    let (m, n, k) = (a.ncols(), b.ncols(), a.nrows());
+    if m * n * k >= ADJ_PACK_MIN_FLOPS && n >= 4 {
+        let cblk = (0, 0, m, n);
+        gemm_large(ViewMut::sub(c, cblk), alpha, View::of(a), View::of(b), op);
+    } else {
+        flipped_matmul_acc_dot(c, alpha, a, b, op == LeftOp::Adjoint);
+    }
+}
+
 /// Reference dot-product form of `C += alpha * A^H B`: both operands
 /// stream down columns.
 #[doc(hidden)]
 pub fn adjoint_matmul_acc_naive<T: Scalar>(c: &mut Mat<T>, alpha: T, a: &Mat<T>, b: &Mat<T>) {
     assert_eq!(a.nrows(), b.nrows(), "A^H B: row mismatch");
+    flipped_matmul_acc_dot(c, alpha, a, b, true);
+}
+
+fn flipped_matmul_acc_dot<T: Scalar>(c: &mut Mat<T>, alpha: T, a: &Mat<T>, b: &Mat<T>, conj: bool) {
     let k = a.nrows();
     for j in 0..b.ncols() {
         let bcol = b.col(j);
@@ -304,7 +334,8 @@ pub fn adjoint_matmul_acc_naive<T: Scalar>(c: &mut Mat<T>, alpha: T, a: &Mat<T>,
             let acol = a.col(i);
             let mut acc = T::ZERO;
             for l in 0..k {
-                acc += acol[l].conj() * bcol[l];
+                let av = if conj { acol[l].conj() } else { acol[l] };
+                acc += av * bcol[l];
             }
             *cij += alpha * acc;
         }
@@ -362,14 +393,22 @@ fn gemm_dispatch<T: Scalar>(c: ViewMut<'_, T>, alpha: T, a: View<'_, T>, b: View
     if m * n * k < BLOCK_MIN_FLOPS || m < 16 || n < 4 || k < 16 {
         gemm_naive(c, alpha, a, b);
     } else {
-        gemm_large(c, alpha, a, b, false);
+        gemm_large(c, alpha, a, b, LeftOp::Plain);
     }
 }
 
+/// How the blocked product reads its left operand: as stored, or as the
+/// transpose / adjoint of the view `a` (which is then `k x m`).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum LeftOp {
+    Plain,
+    Transpose,
+    Adjoint,
+}
+
 /// The blocked product, threaded over output column panels when the
-/// current thread's budget allows. With `adj_a` the left operand is the
-/// adjoint of the view `a` (which is then `k x m`).
-fn gemm_large<T: Scalar>(c: ViewMut<'_, T>, alpha: T, a: View<'_, T>, b: View<'_, T>, adj_a: bool) {
+/// current thread's budget allows.
+fn gemm_large<T: Scalar>(c: ViewMut<'_, T>, alpha: T, a: View<'_, T>, b: View<'_, T>, op: LeftOp) {
     let (m, n, k) = (c.rows, c.cols, b.rows);
     let nt = if m * n * k >= PAR_MIN_FLOPS {
         gemm_threads().min(n / PAR_MIN_COLS).max(1)
@@ -377,7 +416,7 @@ fn gemm_large<T: Scalar>(c: ViewMut<'_, T>, alpha: T, a: View<'_, T>, b: View<'_
         1
     };
     if nt <= 1 {
-        gemm_blocked(c, alpha, a, b, adj_a);
+        gemm_blocked(c, alpha, a, b, op);
         return;
     }
     let chunk = n.div_ceil(nt);
@@ -389,7 +428,7 @@ fn gemm_large<T: Scalar>(c: ViewMut<'_, T>, alpha: T, a: View<'_, T>, b: View<'_
             let (head, tail) = rest.split_cols(take);
             rest = tail;
             let bsub = b.subcols(j, take);
-            s.spawn(move || gemm_blocked(head, alpha, a, bsub, adj_a));
+            s.spawn(move || gemm_blocked(head, alpha, a, bsub, op));
             j += take;
         }
     });
@@ -435,15 +474,21 @@ fn gemm_blocked<T: Scalar>(
     alpha: T,
     a: View<'_, T>,
     b: View<'_, T>,
-    adj_a: bool,
+    op: LeftOp,
 ) {
     // Micro-tile sizes per scalar type: 16x4 keeps the 64 f64 accumulators
     // in sixteen 256-bit registers (tuned empirically against 8x4, 8x8,
-    // 24x4 and 16x8); complex multiplies are 4x the flops, so 4x4 suffices.
+    // 24x4 and 16x8). A complex multiply-add is two dependent real FMAs
+    // per component, and 8x4 gives c64 the same 64 real accumulators to
+    // hide that latency behind: 3.3 G complex multiply-adds per second
+    // against 2.7 for 4x4 (800^3 and the 340 x 44 x 340 Schur shape on an
+    // AVX-512 host; 6x4 .. 16x4, 4x8, 8x6 and 8x8 measured too). The tile
+    // shape does not enter any entry's arithmetic, so results are the
+    // same bits for every choice.
     if T::IS_COMPLEX {
-        gemm_blocked_mr_nr::<T, 4, 4>(c, alpha, a, b, adj_a);
+        gemm_blocked_mr_nr::<T, 8, 4>(c, alpha, a, b, op);
     } else {
-        gemm_blocked_mr_nr::<T, 16, 4>(c, alpha, a, b, adj_a);
+        gemm_blocked_mr_nr::<T, 16, 4>(c, alpha, a, b, op);
     }
 }
 
@@ -452,7 +497,7 @@ fn gemm_blocked_mr_nr<T: Scalar, const MR: usize, const NR: usize>(
     alpha: T,
     a: View<'_, T>,
     b: View<'_, T>,
-    adj_a: bool,
+    op: LeftOp,
 ) {
     let (m, n, k) = (c.rows, c.cols, b.rows);
     let mut apack: Vec<T> = Vec::new();
@@ -464,10 +509,9 @@ fn gemm_blocked_mr_nr<T: Scalar, const MR: usize, const NR: usize>(
             pack_b::<T, NR>(b, pc, jc, kc, nc, &mut bpack);
             for ic in (0..m).step_by(MC) {
                 let mc = MC.min(m - ic);
-                if adj_a {
-                    pack_a_adj::<T, MR>(a, ic, pc, mc, kc, &mut apack);
-                } else {
-                    pack_a::<T, MR>(a, ic, pc, mc, kc, &mut apack);
+                match op {
+                    LeftOp::Plain => pack_a::<T, MR>(a, ic, pc, mc, kc, &mut apack),
+                    _ => pack_a_adj::<T, MR>(a, ic, pc, mc, kc, op == LeftOp::Adjoint, &mut apack),
                 }
                 let np = nc.div_ceil(NR);
                 let mp = mc.div_ceil(MR);
@@ -541,15 +585,17 @@ fn pack_a<T: Scalar, const MR: usize>(
     }
 }
 
-/// Pack `A^H[ic.., pc..]` (`mc x kc`) into the same row micro-panels as
-/// [`pack_a`], reading the stored `A`: row `i` of `A^H` is column `i` of
-/// `A` conjugated, so each source run is contiguous.
+/// Pack `A^H[ic.., pc..]` (`conj`) or `A^T[ic.., pc..]` (`mc x kc`) into
+/// the same row micro-panels as [`pack_a`], reading the stored `A`: row
+/// `i` of the flipped operand is column `i` of `A`, so each source run is
+/// contiguous.
 fn pack_a_adj<T: Scalar, const MR: usize>(
     a: View<'_, T>,
     ic: usize,
     pc: usize,
     mc: usize,
     kc: usize,
+    conj: bool,
     buf: &mut Vec<T>,
 ) {
     let panels = mc.div_ceil(MR);
@@ -562,7 +608,7 @@ fn pack_a_adj<T: Scalar, const MR: usize>(
         for i in 0..rows {
             let src = &a.col(ic + i0 + i)[pc..pc + kc];
             for (l, &v) in src.iter().enumerate() {
-                dst[l * MR + i] = v.conj();
+                dst[l * MR + i] = if conj { v.conj() } else { v };
             }
         }
     }

@@ -367,13 +367,24 @@ impl<T: Scalar> Mat<T> {
 
     /// `y += self^H * x` (adjoint matvec).
     pub fn adjoint_matvec_acc_into(&self, x: &[T], y: &mut [T]) {
+        self.flipped_matvec_acc_into(x, y, true);
+    }
+
+    /// `y += self^T * x` (plain-transpose matvec, no conjugation). Same
+    /// bits as [`Mat::adjoint_matvec_acc_into`] for real scalars.
+    pub fn transpose_matvec_acc_into(&self, x: &[T], y: &mut [T]) {
+        self.flipped_matvec_acc_into(x, y, false);
+    }
+
+    fn flipped_matvec_acc_into(&self, x: &[T], y: &mut [T], conj: bool) {
         assert_eq!(x.len(), self.nrows);
         assert_eq!(y.len(), self.ncols);
         for j in 0..self.ncols {
             let col = self.col(j);
             let mut acc = T::ZERO;
             for i in 0..self.nrows {
-                acc += col[i].conj() * x[i];
+                let a = if conj { col[i].conj() } else { col[i] };
+                acc += a * x[i];
             }
             y[j] += acc;
         }

@@ -5,7 +5,8 @@
 
 use srsf_linalg::gemm::{
     adjoint_matmul, adjoint_matmul_acc, adjoint_matmul_acc_naive, matmul, matmul_acc,
-    matmul_acc_naive, matmul_adjoint, matmul_adjoint_naive, set_gemm_threads,
+    matmul_acc_naive, matmul_adjoint, matmul_adjoint_naive, set_gemm_threads, transpose_matmul,
+    transpose_matmul_acc, transpose_matmul_sub,
 };
 use srsf_linalg::norms::{fro_norm, max_abs_diff};
 use srsf_linalg::qr::{
@@ -123,7 +124,7 @@ fn gemm_blocked_matches_naive_c64() {
 
 /// `(k, m, n)` for `C (m x n) += alpha * A^H (A is k x m) * B (k x n)`:
 /// the solve sweep's record shapes, every packing edge of the adjoint
-/// path (micro-tile 16/4 rows, `KC`/`MC` = 128, ragged last panels), the
+/// path (micro-tile 16/8 rows, `KC`/`MC` = 128, ragged last panels), the
 /// crossover to the dot-product form (`n < 4`, under 16^3 multiply-adds),
 /// and empty dimensions.
 const ADJ_SHAPES: &[(usize, usize, usize)] = &[
@@ -174,6 +175,89 @@ fn packed_adjoint_gemm_matches_naive_f64() {
 #[test]
 fn packed_adjoint_gemm_matches_naive_c64() {
     packed_adjoint_oracle::<c64>(12);
+}
+
+/// The transpose flavour of the packed product against an entry-wise
+/// `A^T B` with no conjugate anywhere, over the same shapes: both
+/// branches of the size switch (`ADJ_PACK_MIN_FLOPS`, `n >= 4`), ragged
+/// panels, empty dimensions, the threaded split.
+fn packed_transpose_oracle<T: TestScalar>(seed: u64) {
+    for (i, &(k, m, n)) in ADJ_SHAPES.iter().enumerate() {
+        let mut rng = Rng::new(seed + i as u64);
+        let a = rand_mat::<T>(k, m, &mut rng);
+        let b = rand_mat::<T>(k, n, &mut rng);
+        let c0 = rand_mat::<T>(m, n, &mut rng);
+        let alpha = T::from_re_im(-0.6, 0.45);
+        let want = Mat::from_fn(m, n, |r, c| {
+            let dot: T = (0..k).map(|l| a[(l, r)] * b[(l, c)]).sum();
+            c0[(r, c)] + alpha * dot
+        });
+        let mut got = c0.clone();
+        transpose_matmul_acc(&mut got, alpha, &a, &b);
+        assert_close(&got, &want, "transpose_matmul_acc");
+
+        let mut adj = c0.clone();
+        adjoint_matmul_acc(&mut adj, alpha, &a, &b);
+        if T::IS_COMPLEX && k * m * n > 0 {
+            // A swapped conjugate flag must not pass: with random complex
+            // entries the two flavours differ at order one.
+            assert!(
+                max_abs_diff(&got, &adj) > 1e-3,
+                "A^T B and A^H B coincide at {k}x{m}x{n}"
+            );
+        } else {
+            assert_eq!(got, adj, "real A^T B must be the bits of A^H B");
+        }
+
+        let prev = set_gemm_threads(3);
+        let mut threaded = c0.clone();
+        transpose_matmul_acc(&mut threaded, alpha, &a, &b);
+        set_gemm_threads(prev);
+        assert_eq!(threaded, got, "threaded transpose_matmul_acc {k}x{m}x{n}");
+
+        // The allocating and subtracting forms are the same product.
+        let mut sum = transpose_matmul(&a, &b);
+        transpose_matmul_sub(&mut sum, &a, &b);
+        assert_close(
+            &sum,
+            &Mat::zeros(m, n),
+            "transpose_matmul - transpose_matmul_sub",
+        );
+    }
+}
+
+#[test]
+fn packed_transpose_gemm_matches_naive_f64() {
+    packed_transpose_oracle::<f64>(21);
+}
+
+#[test]
+fn packed_transpose_gemm_matches_naive_c64() {
+    packed_transpose_oracle::<c64>(22);
+}
+
+#[test]
+fn transpose_matvec_matches_naive() {
+    let mut rng = Rng::new(31);
+    let a = rand_mat::<c64>(37, 11, &mut rng);
+    let x: Vec<c64> = (0..37).map(|_| c64::rand(&mut rng)).collect();
+    let y0: Vec<c64> = (0..11).map(|_| c64::rand(&mut rng)).collect();
+    let mut y = y0.clone();
+    a.transpose_matvec_acc_into(&x, &mut y);
+    let mut yh = y0.clone();
+    a.adjoint_matvec_acc_into(&x, &mut yh);
+    for j in 0..11 {
+        let dot: c64 = (0..37).map(|i| a[(i, j)] * x[i]).sum();
+        assert!((y[j] - (y0[j] + dot)).norm() < TOL * 37.0);
+        assert!((y[j] - yh[j]).norm() > 1e-3, "transpose matvec conjugated");
+    }
+    // Real scalars: the two flavours are the same bits.
+    let ar = rand_mat::<f64>(37, 11, &mut rng);
+    let xr: Vec<f64> = (0..37).map(|_| rng.next_f64()).collect();
+    let (mut yt, mut ya) = (vec![0.5; 11], vec![0.5; 11]);
+    ar.transpose_matvec_acc_into(&xr, &mut yt);
+    ar.adjoint_matvec_acc_into(&xr, &mut ya);
+    assert_eq!(yt, ya);
 }
 
 #[test]

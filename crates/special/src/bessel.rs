@@ -163,9 +163,25 @@ pub fn y1(x: f64) -> f64 {
 }
 
 /// Hankel function of the first kind, order zero:
-/// `H0^(1)(x) = J0(x) + i Y0(x)`, returned as `(re, im)`.
+/// `H0^(1)(x) = J0(x) + i Y0(x)`, returned as `(re, im)`. Requires
+/// `x > 0`.
+///
+/// One pass over the pieces [`j0`] and [`y0`] share — one `J0` series
+/// below the switch, one `(P, Q)` expansion and one `sin_cos` above it —
+/// combined with the same operations in the same order, so the result is
+/// `(j0(x), y0(x))` bit for bit at about half the cost.
 pub fn hankel0_1(x: f64) -> (f64, f64) {
-    (j0(x), y0(x))
+    assert!(x > 0.0, "hankel0_1 requires a positive argument, got {x}");
+    if x < SWITCH {
+        let j = j0_series(x);
+        let y = TWO_OVER_PI * ((x / 2.0).ln() + EULER_GAMMA) * j + y0_remainder_series(x);
+        (j, y)
+    } else {
+        let (p, q) = hankel_pq(0, x);
+        let (sin, cos) = (x - FRAC_PI_4).sin_cos();
+        let amp = (TWO_OVER_PI / x).sqrt();
+        (amp * (p * cos - q * sin), amp * (p * sin + q * cos))
+    }
 }
 
 /// `(2/pi) * sum_{k>=1} (-1)^{k+1} H_k (z^2/4)^k / (k!)^2`, the series part
@@ -364,10 +380,21 @@ mod tests {
     }
 
     #[test]
-    fn hankel_combines_j_and_y() {
-        let (re, im) = hankel0_1(2.5);
-        assert_eq!(re, j0(2.5));
-        assert_eq!(im, y0(2.5));
+    fn hankel_is_j0_y0_bit_for_bit() {
+        // Dense sweep across both regimes, plus the points hugging SWITCH.
+        let mut xs: Vec<f64> = (1..4000).map(|i| i as f64 * 0.0137).collect();
+        xs.extend([
+            1e-9,
+            SWITCH - f64::EPSILON * 8.0,
+            SWITCH,
+            SWITCH + 1e-12,
+            300.0,
+        ]);
+        for x in xs {
+            let (re, im) = hankel0_1(x);
+            assert_eq!(re.to_bits(), j0(x).to_bits(), "re at x = {x}");
+            assert_eq!(im.to_bits(), y0(x).to_bits(), "im at x = {x}");
+        }
     }
 
     #[test]

@@ -20,6 +20,11 @@
 //! # Vary the grid and the process count (p must be a power of four).
 //! cargo run --release --example distributed_demo -- --p 16 --side 128
 //!
+//! # The complex-symmetric Helmholtz kernel (default kappa 25) in place of
+//! # Laplace, under any of the modes here: one-sided c64 records through
+//! # the same phases, sockets and resident sweep.
+//! cargo run --release --example distributed_demo -- --kernel helmholtz --kappa 40
+//!
 //! # Tracing and metrics: write a Chrome/Perfetto trace of the traced
 //! # run, print the per-phase profile table, and (with --resident) the
 //! # serve-metrics snapshot: latency histogram + per-rank gauges.
@@ -36,7 +41,16 @@ use srsf::prelude::*;
 use srsf::runtime::NetworkModel;
 use std::time::Instant;
 
+/// `--kernel`: which paper kernel to factor.
+#[derive(Clone, Copy)]
+enum KernelChoice {
+    Laplace,
+    Helmholtz,
+}
+
 struct Args {
+    kernel: KernelChoice,
+    kappa: f64,
     side: usize,
     p: usize,
     transport: Transport,
@@ -49,6 +63,8 @@ struct Args {
 
 fn parse_args() -> Args {
     let mut args = Args {
+        kernel: KernelChoice::Laplace,
+        kappa: 25.0,
         side: 64,
         p: 4,
         transport: Transport::InProc,
@@ -65,6 +81,14 @@ fn parse_args() -> Args {
                 .unwrap_or_else(|| panic!("{what} expects a value; see --help"))
         };
         match flag.as_str() {
+            "--kernel" => {
+                args.kernel = match value("--kernel").as_str() {
+                    "laplace" => KernelChoice::Laplace,
+                    "helmholtz" => KernelChoice::Helmholtz,
+                    other => panic!("--kernel laplace|helmholtz, got {other:?}"),
+                }
+            }
+            "--kappa" => args.kappa = value("--kappa").parse().expect("--kappa K"),
             "--side" => args.side = value("--side").parse().expect("--side N"),
             "--p" => args.p = value("--p").parse().expect("--p N"),
             "--transport" => {
@@ -86,10 +110,12 @@ fn parse_args() -> Args {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: distributed_demo [--side N] [--p N] [--transport inproc|tcp]\n\
+                    "usage: distributed_demo [--kernel laplace|helmholtz [--kappa K]]\n\
+                     \x20                       [--side N] [--p N] [--transport inproc|tcp]\n\
                      \x20                       [--resident [--solve-reps K]] [--chaos]\n\
                      \x20                       [--trace-out trace.json] [--metrics]\n\
-                     defaults: --side 64 --p 4 --transport inproc --solve-reps 5"
+                     defaults: --kernel laplace --kappa 25 --side 64 --p 4\n\
+                     \x20         --transport inproc --solve-reps 5"
                 );
                 std::process::exit(0);
             }
@@ -105,7 +131,7 @@ fn parse_args() -> Args {
 /// drop the degraded world cleanly, then restore a fresh resident world
 /// from the snapshots and verify the re-solve is bit-identical to a
 /// fault-free reference.
-fn run_chaos(side: usize, p: usize, transport: Transport) {
+fn run_chaos<K: Kernel>(kernel: &K, grid: &UnitGrid, p: usize, transport: Transport) {
     assert!(
         p >= 4,
         "--chaos needs --p >= 4: a worker rank dies while the rest survive"
@@ -116,10 +142,8 @@ fn run_chaos(side: usize, p: usize, transport: Transport) {
     let dir = std::env::temp_dir().join("srsf_demo_chaos_ckpt");
     let plan = FaultPlan::seeded(29).with_crash(victim as u32, 1);
 
-    let grid = UnitGrid::new(side);
-    let kernel = LaplaceKernel::new(&grid);
     let pts = grid.points();
-    let b = random_vector::<f64>(grid.n(), 11);
+    let b = random_vector::<K::Elem>(grid.n(), 11);
 
     println!(
         "chaos: N = {}, p = {p} ranks, transport = {transport}",
@@ -129,7 +153,7 @@ fn run_chaos(side: usize, p: usize, transport: Transport) {
     println!("chaos: seeded plan crashes rank {victim} at its first solve barrier");
     // The factor sweep is barrier-free, so the build completes (and the
     // snapshots are written) before the injected crash can fire.
-    let doomed = Solver::builder(&kernel, &pts)
+    let doomed = Solver::builder(kernel, &pts)
         .opts(
             FactorOpts::default()
                 .with_tol(1e-6)
@@ -165,7 +189,7 @@ fn run_chaos(side: usize, p: usize, transport: Transport) {
     println!("restore: resident world rebuilt from the snapshots (no re-factorization)");
     let x = restored.try_solve(&b).expect("restored solve");
 
-    let gathered = Solver::builder(&kernel, &pts)
+    let gathered = Solver::builder(kernel, &pts)
         .tol(1e-6)
         .driver(Driver::distributed(p))
         .build()
@@ -183,24 +207,17 @@ fn run_chaos(side: usize, p: usize, transport: Transport) {
 /// `reps` solves in place, report the amortization and the per-solve
 /// communication, and check the served results against the gathered
 /// factorization bit for bit.
-fn run_resident(
-    side: usize,
-    p: usize,
-    transport: Transport,
-    reps: usize,
-    trace_out: Option<&str>,
-    metrics: bool,
-) {
-    let grid = UnitGrid::new(side);
-    let kernel = LaplaceKernel::new(&grid);
+fn run_resident<K: Kernel>(kernel: &K, fast: &FastKernelOp<K::Elem>, grid: &UnitGrid, args: &Args) {
+    let (p, transport, reps) = (args.p, args.transport, args.solve_reps);
+    let (trace_out, metrics) = (args.trace_out.as_deref(), args.metrics);
     let pts = grid.points();
-    let b = random_vector::<f64>(grid.n(), 11);
+    let b = random_vector::<K::Elem>(grid.n(), 11);
 
     let t0 = Instant::now();
     // On the TCP transport this call spawns `p - 1` worker processes that
     // stay alive — parked in their serve loops — until the solver is shut
     // down; everything below runs in the launching process only.
-    let f = Solver::builder(&kernel, &pts)
+    let f = Solver::builder(kernel, &pts)
         .tol(1e-6)
         .driver(Driver::distributed(p))
         .transport(transport)
@@ -239,14 +256,13 @@ fn run_resident(
     let t_solves = t1.elapsed().as_secs_f64();
     let after = f.resident_comm_probe().expect("probe");
 
-    let fast = FastKernelOp::laplace(&kernel, &grid);
     println!(
         "\n{reps} resident solves in {:.3}s ({:.3}s each) after a {:.3}s factorization",
         t_solves,
         t_solves / reps as f64,
         t_factor
     );
-    println!("relres = {:.3e}", relative_residual(&fast, &x, &b));
+    println!("relres = {:.3e}", relative_residual(fast, &x, &b));
     let max_msgs = (0..p)
         .map(|r| (after.per_rank[r].msgs_sent - before.per_rank[r].msgs_sent) / reps as u64)
         .max()
@@ -265,7 +281,7 @@ fn run_resident(
 
     // The served results are the gathered factorization's blocked sweep,
     // bit for bit — residency changes where records live, not the answer.
-    let gathered = Solver::builder(&kernel, &pts)
+    let gathered = Solver::builder(kernel, &pts)
         .tol(1e-6)
         .driver(Driver::distributed(p))
         .build()
@@ -320,38 +336,49 @@ fn print_compression(stats: &srsf::prelude::FactorStats) {
 }
 
 fn main() {
-    let Args {
-        side,
-        p,
-        transport,
-        resident,
-        solve_reps,
-        chaos,
-        trace_out,
-        metrics,
-    } = parse_args();
-    if chaos {
-        return run_chaos(side, p, transport);
+    let args = parse_args();
+    let grid = UnitGrid::new(args.side);
+    match args.kernel {
+        KernelChoice::Laplace => {
+            let kernel = LaplaceKernel::new(&grid);
+            run(
+                &kernel,
+                &FastKernelOp::laplace(&kernel, &grid),
+                &grid,
+                &args,
+            );
+        }
+        KernelChoice::Helmholtz => {
+            let kernel = HelmholtzKernel::new(&grid, args.kappa);
+            println!("kernel = helmholtz, kappa = {}", args.kappa);
+            run(
+                &kernel,
+                &FastKernelOp::helmholtz(&kernel, &grid),
+                &grid,
+                &args,
+            );
+        }
     }
-    if resident {
-        return run_resident(
-            side,
-            p,
-            transport,
-            solve_reps,
-            trace_out.as_deref(),
-            metrics,
-        );
+}
+
+/// The selected mode over one kernel; `fast` is the FFT-accelerated
+/// matvec the residuals are measured with.
+fn run<K: Kernel>(kernel: &K, fast: &FastKernelOp<K::Elem>, grid: &UnitGrid, args: &Args) {
+    let (p, transport) = (args.p, args.transport);
+    let (trace_out, metrics) = (&args.trace_out, args.metrics);
+    if args.chaos {
+        return run_chaos(kernel, grid, p, transport);
     }
-    let grid = UnitGrid::new(side);
-    let kernel = LaplaceKernel::new(&grid);
+    if args.resident {
+        return run_resident(kernel, fast, grid, args);
+    }
     let pts = grid.points();
 
-    let b = random_vector::<f64>(grid.n(), 11);
+    let b = random_vector::<K::Elem>(grid.n(), 11);
     // On the TCP transport this call spawns `p - 1` worker processes
     // that re-execute this binary up to this same call; everything
     // below runs in the launching process only.
-    let (f, x) = Solver::builder(&kernel, &pts)
+    let (f, x) = Solver::builder(kernel, &pts)
         .tol(1e-6)
         .driver(Driver::distributed(p))
         .transport(transport)
@@ -363,7 +390,6 @@ fn main() {
         .expect("distributed driver records comm stats")
         .clone();
 
-    let fast = FastKernelOp::laplace(&kernel, &grid);
     println!(
         "N = {}, p = {p} ranks, transport = {transport} ({})",
         grid.n(),
@@ -374,7 +400,7 @@ fn main() {
     );
     println!(
         "distributed solve relres = {:.3e}",
-        relative_residual(&fast, &x, &b)
+        relative_residual(fast, &x, &b)
     );
 
     println!("\nper-rank communication:");
@@ -408,7 +434,7 @@ fn main() {
         println!("\nserve metrics are recorded by the resident driver; re-run with --resident");
         print_compression(f.stats());
     }
-    if let Some(path) = &trace_out {
+    if let Some(path) = trace_out {
         // Per-rank reports were gathered with the factorization itself.
         let reports = f.trace_reports();
         std::fs::write(path, srsf::trace::export::chrome_trace_json(&reports))
@@ -425,7 +451,7 @@ fn main() {
     if transport.base() == BaseTransport::InProc {
         return;
     }
-    let (f_in, x_in) = Solver::builder(&kernel, &pts)
+    let (f_in, x_in) = Solver::builder(kernel, &pts)
         .tol(1e-6)
         .driver(Driver::distributed(p))
         .build_with_solution(&b)
