@@ -23,7 +23,10 @@ use srsf_kernels::laplace::LaplaceKernel;
 use srsf_kernels::util::random_vector;
 use srsf_linalg::gemm::matmul;
 use srsf_linalg::triangular::solve_upper_mat;
-use srsf_linalg::{c64, cpqr, householder_qr, interp_decomp, rand_interp_decomp, LinOp, Lu, Mat};
+use srsf_linalg::{
+    c64, cpqr, householder_qr, interp_decomp, rand_interp_decomp, Ldlt, LinOp, Lu, Mat, Scalar,
+    SymPanels,
+};
 use srsf_special::bessel::{j0, y0};
 use std::time::{Duration, Instant};
 
@@ -160,6 +163,33 @@ fn random_mat(m: usize, n: usize, seed: u64) -> Mat<f64> {
         state ^= state << 17;
         (state % 2_000_000) as f64 / 1_000_000.0 - 1.0
     })
+}
+
+/// `lu/ldlt` factor and `nrhs = 16` solve cases on one symmetric,
+/// diagonally dominant `n x n` matrix (complex symmetric for `c64`).
+fn top_factor_cases<T: Scalar>(h: &mut Harness, tag: &str, n: usize) {
+    let (re, im) = (random_mat(n, n, 43), random_mat(n, n, 44));
+    let a = Mat::from_fn(n, n, |i, j| {
+        let d = if i == j { 2.0 * n as f64 } else { 0.0 };
+        T::from_re_im(re[(i, j)] + re[(j, i)] + d, im[(i, j)] + im[(j, i)])
+    });
+    let rhs = Mat::from_fn(n, 16, |i, j| T::from_f64(re[(i, j)]));
+    h.bench(&format!("lu/{tag}"), || Lu::factor(a.clone()).unwrap());
+    h.bench(&format!("ldlt/{tag}"), || {
+        Ldlt::factor(SymPanels::from_lower(&a)).unwrap()
+    });
+    let lu = Lu::factor(a.clone()).unwrap();
+    h.bench(&format!("lu_solve/{tag}_nrhs16"), || {
+        let mut b = rhs.clone();
+        lu.solve_mat(&mut b);
+        b
+    });
+    let ldlt = Ldlt::factor(SymPanels::from_lower(&a)).unwrap();
+    h.bench(&format!("ldlt_solve/{tag}_nrhs16"), || {
+        let mut b = rhs.clone();
+        ldlt.solve_mat(&mut b);
+        b
+    });
 }
 
 /// Smooth kernel-type matrix with separated clusters — the shape CPQR sees
@@ -424,6 +454,12 @@ fn main() {
             b
         });
     }
+
+    // The benchmark's two dense top blocks (laplace_grid 1651^2 f64,
+    // helmholtz_grid 1251^2 c64): general LU against the packed LDL^T of
+    // the same symmetric matrix, factor and 16-column solve.
+    top_factor_cases::<f64>(&mut h, "f64_1651", 1651);
+    top_factor_cases::<c64>(&mut h, "c64_1251", 1251);
 
     {
         // Proxy-shaped compression: tall smooth-kernel matrix.

@@ -145,6 +145,26 @@ fn main() -> ExitCode {
             fmt_s(sk)
         );
     }
+    // The dense top block both ways, at the repo benchmark's two top
+    // shapes: packed LDL^T over general LU of the same symmetric matrix
+    // (<1 = LDL^T faster). Printed, not gated — this box's run-to-run
+    // spread exceeds any margin worth enforcing.
+    for tag in ["f64_1651", "c64_1251"] {
+        for (what, suffix) in [("", ""), ("_solve", "_nrhs16")] {
+            let (lu, ldlt) = (
+                format!("lu{what}/{tag}{suffix}"),
+                format!("ldlt{what}/{tag}{suffix}"),
+            );
+            if let (Some(t_lu), Some(t_ldlt)) = (median_of(&lu), median_of(&ldlt)) {
+                println!(
+                    "{ldlt} / {lu}: {:.2}x ({} vs {})",
+                    t_ldlt / t_lu,
+                    fmt_s(t_ldlt),
+                    fmt_s(t_lu)
+                );
+            }
+        }
+    }
     if gate_factorize {
         let base_fact = base
             .iter()

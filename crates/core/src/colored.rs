@@ -20,10 +20,11 @@
 
 use crate::elimination::{apply_output, eliminate_box, EliminationOutput, FactorError};
 use crate::levels::merge_to_parent;
-use crate::sequential::{domain_for, factor_top, Factorization};
+use crate::sequential::{domain_for, Factorization};
 use crate::skeletonize::CompressionCtx;
 use crate::stats::FactorStats;
 use crate::store::{ActiveSets, BlockStore};
+use crate::top::factor_top;
 use crate::FactorOpts;
 use srsf_geometry::point::Point;
 pub use srsf_geometry::procgrid::BoxColoring as ColorScheme;
@@ -117,12 +118,10 @@ pub(crate) fn colored_factorize_with_tree<K: Kernel>(
 
     let t2 = Instant::now();
     let top_level = if leaf >= lmin { lmin } else { leaf };
-    let (top_idx, top_lu) = factor_top(&store, &act, tree, top_level, &ctx)?;
+    let (top_idx, top) = factor_top(&store, &act, tree, top_level, &ctx)?;
     stats.top_s = t2.elapsed().as_secs_f64();
     stats.total_s = t_total.elapsed().as_secs_f64();
-    Ok(Factorization::from_parts(
-        n, records, top_idx, top_lu, stats,
-    ))
+    Ok(Factorization::from_parts(n, records, top_idx, top, stats))
 }
 
 /// Snapshot-compute the eliminations of one color round across threads,

@@ -58,11 +58,12 @@ use super::{box_near_region, get_box, get_ids, order_key, owner_of_point, region
 use crate::colored::eliminate_color_round;
 use crate::elimination::{apply_output, BoxElimination, EliminationOutput, FactorError};
 use crate::levels::assemble_parent_block;
-use crate::sequential::{domain_for, factor_top, Factorization};
+use crate::sequential::{domain_for, Factorization};
 use crate::skeletonize::CompressionCtx;
 use crate::solve::{apply_downward, apply_upward, gather, scatter};
 use crate::stats::FactorStats;
 use crate::store::{ActiveSets, BlockStore};
+use crate::top::{factor_top, TopFactor};
 use crate::wire::{put_box, put_ids, ScalarVec};
 use crate::FactorOpts;
 use srsf_geometry::neighbors::near_field;
@@ -70,7 +71,7 @@ use srsf_geometry::point::Point;
 use srsf_geometry::procgrid::{BoxColoring, ProcessGrid};
 use srsf_geometry::tree::{BoxId, QuadTree};
 use srsf_kernels::kernel::Kernel;
-use srsf_linalg::{Lu, Mat, Scalar};
+use srsf_linalg::{Mat, Scalar};
 use srsf_runtime::codec::{ByteReader, ByteWriter, Wire};
 // The tag scheme (`tag = level * 64 + phase * 8 + kind`) lives in the
 // runtime next to the transports, so a receive timeout on either backend
@@ -308,7 +309,7 @@ type RankOutput<T> = Result<
 
 /// A rank's factorization-phase output: its records and routing state,
 /// plus (rank 0 only) the dense top factorization.
-pub(crate) type FactorPhaseOutcome<T> = Result<(RankState<T>, TopFactor<T>), FactorError>;
+pub(crate) type FactorPhaseOutcome<T> = Result<(RankState<T>, RankTop<T>), FactorError>;
 
 /// The factorization half of a rank's work: the level sweep (interior
 /// phase, four color rounds, level transitions with folds) and the top
@@ -438,7 +439,7 @@ fn write_rank_checkpoint<T: Scalar>(
     dir: &std::path::Path,
     me: usize,
     state: &RankState<T>,
-    top: &TopFactor<T>,
+    top: &RankTop<T>,
     pts: &[Point],
     grid: &ProcessGrid,
     opts: &FactorOpts,
@@ -479,7 +480,7 @@ fn write_rank_checkpoint<T: Scalar>(
 
 /// This rank's resident record footprint: what it holds when records stay
 /// in place (records plus, on rank 0, the dense top factorization).
-pub(crate) fn resident_bytes<T: Scalar>(state: &RankState<T>, top: &TopFactor<T>) -> u64 {
+pub(crate) fn resident_bytes<T: Scalar>(state: &RankState<T>, top: &RankTop<T>) -> u64 {
     let records: usize = state
         .records
         .iter()
@@ -487,7 +488,7 @@ pub(crate) fn resident_bytes<T: Scalar>(state: &RankState<T>, top: &TopFactor<T>
         .sum::<usize>();
     let top: usize = top
         .as_ref()
-        .map(|(idx, lu)| lu.heap_bytes() + idx.capacity() * 4)
+        .map(|(idx, top)| top.heap_bytes() + idx.capacity() * 4)
         .unwrap_or(0);
     (records + top) as u64
 }
@@ -705,7 +706,7 @@ fn level_transition<K: Kernel>(
 
     if fold && child_active {
         // The corner rank of my 2x2 group at the parent level.
-        let (x0, y0, _, _) = region_of(grid, me, child_level);
+        let (x0, y0, x1, y1) = region_of(grid, me, child_level);
         let my_first_parent = BoxId {
             level: parent_level,
             ix: (x0 / 2) as u32,
@@ -734,9 +735,16 @@ fn level_transition<K: Kernel>(
                 put_box(&mut w, b);
                 w.put_mat(m);
             }
+            // Active sets go the same way: only those this rank was kept
+            // current on — boxes within distance 2 of its region, the
+            // ones every eliminating neighbor sends it updates for. At
+            // the leaf level `act` also still holds the initial, full
+            // sets of every farther box; shipping those would overwrite
+            // the shrunken sets the corner (or another member) tracks.
+            let my_region = (x0, y0, x1, y1);
             let acts: Vec<(BoxId, Vec<u32>)> = tree
                 .boxes_at_level(child_level)
-                .filter(|b| !act.get(b).is_empty() || grid.owner(b) == me)
+                .filter(|b| box_near_region(b, my_region, 2))
                 .map(|b| (b, act.get(&b).to_vec()))
                 .collect();
             w.put_u64(acts.len() as u64);
@@ -866,8 +874,9 @@ fn level_transition<K: Kernel>(
     // without a rendezvous.
 }
 
-/// The dense top factorization (index map + LU), present on rank 0 only.
-pub(crate) type TopFactor<T> = Option<(Vec<u32>, Lu<T>)>;
+/// The dense top factorization (index map + factors), present on rank 0
+/// only.
+pub(crate) type RankTop<T> = Option<(Vec<u32>, TopFactor<T>)>;
 
 /// Gather the remaining active blocks on rank 0 and factor the top.
 fn gather_top<K: Kernel>(
@@ -878,7 +887,7 @@ fn gather_top<K: Kernel>(
     act: &mut ActiveSets,
     top_level: u8,
     cctx: &CompressionCtx,
-) -> Result<TopFactor<K::Elem>, FactorError> {
+) -> Result<RankTop<K::Elem>, FactorError> {
     let me = ctx.rank();
     let active = grid.active_ranks(top_level);
     if me != 0 {
@@ -934,15 +943,14 @@ fn gather_top<K: Kernel>(
             store.insert(a, b, m);
         }
     }
-    let (top_idx, top_lu) = factor_top(store, act, tree, top_level, cctx)?;
-    Ok(Some((top_idx, top_lu)))
+    Ok(Some(factor_top(store, act, tree, top_level, cctx)?))
 }
 
 /// Gather all records on rank 0 and assemble the global factorization.
 fn gather_factorization<T: Scalar>(
     ctx: &mut RankCtx,
     grid: &ProcessGrid,
-    top: Option<(Vec<u32>, Lu<T>)>,
+    top: RankTop<T>,
     state: RankState<T>,
     n: usize,
 ) -> Result<Option<Factorization<T>>, FactorError> {
@@ -995,9 +1003,9 @@ fn gather_factorization<T: Scalar>(
         })
         .collect();
     // INVARIANT: rank 0 runs the top-level merge, so its record always exists
-    let (top_idx, top_lu) = top.expect("rank 0 holds the top factorization");
+    let (top_idx, top) = top.expect("rank 0 holds the top factorization");
     Ok(Some(Factorization::from_parts(
-        n, records, top_idx, top_lu, stats,
+        n, records, top_idx, top, stats,
     )))
 }
 
@@ -1010,7 +1018,7 @@ fn dist_solve<T: Scalar>(
     tree: &QuadTree,
     pts: &[Point],
     state: &RankState<T>,
-    top: Option<&(Vec<u32>, Lu<T>)>,
+    top: Option<&(Vec<u32>, TopFactor<T>)>,
     top_level: u8,
     leaf: u8,
     lmin: u8,
@@ -1097,9 +1105,9 @@ fn dist_solve<T: Scalar>(
             }
         }
         // INVARIANT: rank 0 runs the top-level merge, so its record always exists
-        let (top_idx, top_lu) = top.expect("rank 0 has the top");
+        let (top_idx, top) = top.expect("rank 0 has the top");
         let mut vals = gather(&x, top_idx);
-        top_lu.solve_vec(&mut vals);
+        top.solve_vec(&mut vals);
         scatter(&mut x, top_idx, &vals);
         // Send each active rank back the entries it owns.
         for &dst in active_top.iter().filter(|&&r| r != 0) {

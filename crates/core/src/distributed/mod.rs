@@ -39,7 +39,7 @@ mod serve;
 
 #[allow(deprecated)]
 pub use factorize::{dist_factorize, dist_factorize_and_solve};
-pub(crate) use factorize::{dist_factorize_with_tree, TopFactor};
+pub(crate) use factorize::{dist_factorize_with_tree, RankTop};
 pub use serve::ResidentService;
 pub(crate) use serve::{dist_factorize_resident, restore_resident_service};
 

@@ -53,7 +53,7 @@
 //! snapshots — no kernel evaluations, no re-factorization — and restored
 //! solves are bit-identical to the original service's.
 
-use super::factorize::{factor_phase, resident_bytes, TopFactor};
+use super::factorize::{factor_phase, resident_bytes, RankTop};
 use super::{get_ids, key_level_phase, owned_leaf_ids, owner_of_point, region_of, RankState};
 use crate::elimination::{BoxElimination, FactorError};
 use crate::error::SrsfError;
@@ -141,7 +141,7 @@ pub(crate) struct ServeState<T> {
     /// Ids received from each retiring fold member at each fold level.
     fold_ids: HashMap<(u8, usize), Vec<u32>>,
     /// The dense top factorization (rank 0 only).
-    top: TopFactor<T>,
+    top: RankTop<T>,
     leaf: u8,
     lmin: u8,
     top_level: u8,
@@ -157,7 +157,7 @@ impl<T: Scalar> ServeState<T> {
     #[allow(clippy::too_many_arguments)]
     fn from_rank_state(
         state: RankState<T>,
-        top: TopFactor<T>,
+        top: RankTop<T>,
         tree: &QuadTree,
         pts: &[Point],
         grid: &ProcessGrid,
@@ -395,9 +395,9 @@ fn solve_resident_mat<T: Scalar>(
             x.scatter_rows(&ids, &rows);
         }
         // INVARIANT: rank 0 runs the top-level merge, so its record always exists
-        let (top_idx, top_lu) = st.top.as_ref().expect("rank 0 holds the top");
+        let (top_idx, top) = st.top.as_ref().expect("rank 0 holds the top");
         let mut vals = x.gather_rows(top_idx);
-        top_lu.solve_mat(&mut vals);
+        top.solve_mat(&mut vals);
         x.scatter_rows(top_idx, &vals);
         for (dst, ids) in &st.top_reply {
             let mut w = ByteWriter::new();

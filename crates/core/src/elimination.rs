@@ -345,16 +345,20 @@ pub fn eliminate_box<K: Kernel>(
         }
     }
 
+    // Sized up front: a `flat_map().collect()` grows by doubling, and the
+    // capacity-based `heap_bytes` of the record would then differ from
+    // that of its decoded (exactly sized) copy on another rank.
+    let mut nbr = Vec::with_capacity(n_total);
+    for n in &nbrs {
+        nbr.extend_from_slice(act.get(n));
+    }
     let record = BoxElimination {
         box_id: *b,
         level: b.level,
         color: BoxColoring::Four.color(b),
         redundant: red_positions.iter().map(|&p| a_b[p]).collect(),
         skel: skel_positions.iter().map(|&p| a_b[p]).collect(),
-        nbr: nbrs
-            .iter()
-            .flat_map(|n| act.get(n).iter().copied())
-            .collect(),
+        nbr,
         t,
         lu,
         es,

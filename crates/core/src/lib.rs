@@ -22,7 +22,8 @@
 //! Supporting modules: [`store`] (modified-interaction block store with
 //! kernel-on-miss), [`skeletonize`] (proxy ID), [`elimination`] (the strong
 //! skeletonization operator `Z(A; B)` of Eq. 10), [`levels`] (merge /
-//! level-transition logic), [`solve`] (upward/downward substitution passes),
+//! level-transition logic), [`top`] (the dense top block: packed `L D Lᵀ` or
+//! LU), [`solve`] (upward/downward substitution passes),
 //! [`stats`] (ranks per level, memory, timing breakdowns).
 
 #![forbid(unsafe_code)]
@@ -38,6 +39,7 @@ pub mod solve;
 pub mod solver;
 pub mod stats;
 pub mod store;
+pub mod top;
 pub mod wire;
 
 pub use error::SrsfError;
@@ -48,6 +50,7 @@ pub use skeletonize::CompressionCtx;
 pub use solver::{Driver, Factorized, Solver, SolverBuilder};
 pub use srsf_runtime::{BaseTransport, FaultPlan, RankHealth, Transport};
 pub use stats::{CompressionTelemetry, FactorStats};
+pub use top::TopFactor;
 
 /// How per-box skeletonization compresses the proxy matrix.
 ///
@@ -118,7 +121,8 @@ pub struct FactorOpts {
     /// radius) + 32)` where `kappa` is the kernel's oscillation parameter.
     pub proxy_osc_factor: f64,
     /// Coarsest tree level at which compression is applied (paper: 3; the
-    /// remaining active DOFs above it are finished with a dense LU).
+    /// remaining active DOFs above it are finished with a dense
+    /// factorization — see [`top`]).
     pub min_compress_level: usize,
     /// Worker threads the dense GEMM may use for large products inside the
     /// *sequential* driver (`1` = serial, the default; `0` = auto-detect).

@@ -3,8 +3,10 @@
 //! A bottom-up sweep over the quad-tree: every box at every level is
 //! skeletonized and its redundant DOFs eliminated, levels are merged, and
 //! the few DOFs surviving above `min_compress_level` are finished with a
-//! dense pivoted LU. The result approximates `A^{-1}` as the composition
-//! Eq. (12) of per-box operators plus the top solve.
+//! dense factorization ([`crate::top`]: a packed block `L D Lᵀ` for
+//! symmetric kernels, a pivoted LU otherwise). The result approximates
+//! `A^{-1}` as the composition Eq. (12) of per-box operators plus the top
+//! solve.
 
 use crate::elimination::{apply_output, eliminate_box, BoxElimination, FactorError};
 use crate::levels::merge_to_parent;
@@ -12,11 +14,12 @@ use crate::skeletonize::CompressionCtx;
 use crate::solve;
 use crate::stats::FactorStats;
 use crate::store::{ActiveSets, BlockStore};
+use crate::top::{factor_top, TopFactor};
 use crate::FactorOpts;
 use srsf_geometry::point::{BBox, Point};
-use srsf_geometry::tree::{BoxId, QuadTree};
+use srsf_geometry::tree::QuadTree;
 use srsf_kernels::kernel::Kernel;
-use srsf_linalg::{LinOp, Lu, Mat, Scalar};
+use srsf_linalg::{LinOp, Mat, Scalar};
 use std::time::Instant;
 
 /// The strong recursive skeletonization factorization of a kernel matrix.
@@ -29,7 +32,7 @@ pub struct Factorization<T> {
     pub(crate) records: Vec<BoxElimination<T>>,
     /// Global ids of the DOFs in the dense top block, in assembly order.
     pub(crate) top_idx: Vec<u32>,
-    pub(crate) top_lu: Lu<T>,
+    pub(crate) top: TopFactor<T>,
     pub(crate) stats: FactorStats,
 }
 
@@ -97,13 +100,19 @@ impl<T: Scalar> Factorization<T> {
         self.top_idx.len()
     }
 
+    /// The factored dense top block; its variant tells which form the
+    /// factorization took (`Symmetric` for symmetric kernels).
+    pub fn top_factor(&self) -> &TopFactor<T> {
+        &self.top
+    }
+
     /// Approximate memory footprint of the factorization in bytes.
     pub fn memory_bytes(&self) -> usize {
         self.records
             .iter()
             .map(BoxElimination::heap_bytes)
             .sum::<usize>()
-            + self.top_lu.heap_bytes()
+            + self.top.heap_bytes()
             + self.top_idx.capacity() * 4
     }
 
@@ -111,7 +120,7 @@ impl<T: Scalar> Factorization<T> {
         n: usize,
         records: Vec<BoxElimination<T>>,
         top_idx: Vec<u32>,
-        top_lu: Lu<T>,
+        top: TopFactor<T>,
         mut stats: FactorStats,
     ) -> Self {
         stats.top_size = top_idx.len();
@@ -119,12 +128,12 @@ impl<T: Scalar> Factorization<T> {
             .iter()
             .map(BoxElimination::heap_bytes)
             .sum::<usize>()
-            + top_lu.heap_bytes();
+            + top.heap_bytes();
         Self {
             n,
             records,
             top_idx,
-            top_lu,
+            top,
             stats,
         }
     }
@@ -233,53 +242,9 @@ fn factorize_with_tree_inner<K: Kernel>(
     // Dense top factorization over the remaining active DOFs.
     let t2 = Instant::now();
     let top_level = if leaf >= lmin { lmin } else { leaf };
-    let (top_idx, top_lu) = factor_top(&store, &act, tree, top_level, &ctx)?;
+    let (top_idx, top) = factor_top(&store, &act, tree, top_level, &ctx)?;
     stats.top_s = t2.elapsed().as_secs_f64();
     stats.total_s = t_total.elapsed().as_secs_f64();
 
-    Ok(Factorization::from_parts(
-        n, records, top_idx, top_lu, stats,
-    ))
-}
-
-/// Assemble and LU-factor the dense top block over all boxes at
-/// `top_level`, in row-major box order. A pivot breakdown is reported as
-/// [`FactorError::SingularTop`] — the top system is a property of the
-/// whole remaining active set, not of any one box.
-pub(crate) fn factor_top<K: Kernel>(
-    store: &BlockStore<'_, K>,
-    act: &ActiveSets,
-    tree: &QuadTree,
-    top_level: u8,
-    ctx: &CompressionCtx,
-) -> Result<(Vec<u32>, Lu<K::Elem>), FactorError> {
-    let boxes: Vec<BoxId> = tree.boxes_at_level(top_level).collect();
-    let sizes: Vec<usize> = boxes.iter().map(|b| act.get(b).len()).collect();
-    let total: usize = sizes.iter().sum();
-    let mut top_idx = Vec::with_capacity(total);
-    for b in &boxes {
-        top_idx.extend_from_slice(act.get(b));
-    }
-    let mut a = Mat::zeros(total, total);
-    let mut r0 = 0;
-    for (i, bi) in boxes.iter().enumerate() {
-        if sizes[i] == 0 {
-            continue;
-        }
-        let mut c0 = 0;
-        for (j, bj) in boxes.iter().enumerate() {
-            if sizes[j] == 0 {
-                continue;
-            }
-            let blk = ctx.get_block(store, act, bi, bj);
-            a.set_block(r0, c0, &blk);
-            c0 += sizes[j];
-        }
-        r0 += sizes[i];
-    }
-    let lu = Lu::factor(a).map_err(|e| FactorError::SingularTop {
-        size: total,
-        step: e.step,
-    })?;
-    Ok((top_idx, lu))
+    Ok(Factorization::from_parts(n, records, top_idx, top, stats))
 }

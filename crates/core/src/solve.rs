@@ -146,7 +146,7 @@ pub(crate) fn apply_inverse<T: Scalar>(f: &Factorization<T>, b: &mut [T]) {
         apply_upward(rec, b);
     }
     let mut top = gather(b, &f.top_idx);
-    f.top_lu.solve_vec(&mut top);
+    f.top.solve_vec(&mut top);
     scatter(b, &f.top_idx, &top);
     for rec in f.records.iter().rev() {
         apply_downward(rec, b);
@@ -243,7 +243,7 @@ pub(crate) fn apply_inverse_mat<T: Scalar>(f: &Factorization<T>, b: &mut Mat<T>)
         apply_upward_mat(rec, b);
     }
     let mut top = b.gather_rows(&f.top_idx);
-    f.top_lu.solve_mat(&mut top);
+    f.top.solve_mat(&mut top);
     b.scatter_rows(&f.top_idx, &top);
     for rec in f.records.iter().rev() {
         apply_downward_mat(rec, b);
@@ -402,7 +402,7 @@ pub(crate) fn apply_inverse_mat_threaded<T: Scalar>(
     let groups = color_groups(&f.records);
     threaded_pass(&f.records, &groups, b, n_threads, false);
     let mut top = b.gather_rows(&f.top_idx);
-    f.top_lu.solve_mat(&mut top);
+    f.top.solve_mat(&mut top);
     b.scatter_rows(&f.top_idx, &top);
     threaded_pass(&f.records, &groups, b, n_threads, true);
 }

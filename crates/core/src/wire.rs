@@ -8,11 +8,12 @@
 //! [`CodecError`], not a panic). The same encodings also serve the
 //! record-gather messages inside the distributed factorization itself.
 
-use crate::distributed::{RankState, TopFactor};
+use crate::distributed::{RankState, RankTop};
 use crate::elimination::{BoxElimination, FactorError};
 use crate::error::SrsfError;
 use crate::sequential::Factorization;
 use crate::stats::FactorStats;
+use crate::top::TopFactor;
 use srsf_geometry::point::Point;
 use srsf_geometry::tree::BoxId;
 use srsf_linalg::{Lu, Mat, Scalar};
@@ -46,10 +47,12 @@ pub(crate) fn put_ids(w: &mut ByteWriter, ids: &[u32]) {
 }
 
 pub(crate) fn try_get_ids(r: &mut ByteReader) -> Result<Vec<u32>, CodecError> {
-    Ok(r.try_get_u64_slice()?
-        .into_iter()
-        .map(|v| v as u32)
-        .collect())
+    // Not `into_iter().map().collect()`: that reuses the u64 allocation
+    // in place and the id list would report twice its bytes.
+    let slots = r.try_get_u64_slice()?;
+    let mut ids = Vec::with_capacity(slots.len());
+    ids.extend(slots.iter().map(|&v| v as u32));
+    Ok(ids)
 }
 
 /// Wire wrapper for a scalar vector (e.g. a distributed solution).
@@ -242,23 +245,79 @@ impl Wire for FactorStats {
     }
 }
 
+/// A form tag (0 = general LU, 1 = packed `L D Lᵀ`) ahead of the factors.
+/// Decoding pins an LU's pivots to its dimension (the packed form checks
+/// its own blocks), so a solve cannot index out of bounds on a frame that
+/// passed the CRC.
+impl<T: Scalar> Wire for TopFactor<T> {
+    fn encode(&self, w: &mut ByteWriter) {
+        match self {
+            TopFactor::General(lu) => {
+                w.put_u64(0);
+                lu.encode(w);
+            }
+            TopFactor::Symmetric(ldlt) => {
+                w.put_u64(1);
+                ldlt.encode(w);
+            }
+        }
+    }
+    fn decode(r: &mut ByteReader) -> Result<Self, CodecError> {
+        let at = r.position();
+        match r.try_get_u64()? {
+            0 => {
+                let lu: Lu<T> = Wire::decode(r)?;
+                let n = lu.lu.nrows();
+                if lu.lu.ncols() != n || lu.piv.len() != n || lu.piv.iter().any(|&p| p >= n) {
+                    return Err(CodecError::Invalid {
+                        what: "top LU shape vs pivots",
+                        at,
+                    });
+                }
+                Ok(TopFactor::General(lu))
+            }
+            1 => Ok(TopFactor::Symmetric(Wire::decode(r)?)),
+            _ => Err(CodecError::Invalid {
+                what: "top factor form tag",
+                at,
+            }),
+        }
+    }
+}
+
+/// The top block as `(index map, factors)`, the two agreeing on the
+/// dimension.
+fn put_top<T: Scalar>(w: &mut ByteWriter, top_idx: &[u32], top: &TopFactor<T>) {
+    put_ids(w, top_idx);
+    top.encode(w);
+}
+
+fn try_get_top<T: Scalar>(r: &mut ByteReader) -> Result<(Vec<u32>, TopFactor<T>), CodecError> {
+    let top_idx = try_get_ids(r)?;
+    let at = r.position();
+    let top = TopFactor::decode(r)?;
+    if top.dim() != top_idx.len() {
+        return Err(CodecError::Invalid {
+            what: "top factor dimension vs index map",
+            at,
+        });
+    }
+    Ok((top_idx, top))
+}
+
 impl<T: Scalar> Wire for Factorization<T> {
     fn encode(&self, w: &mut ByteWriter) {
         w.put_u64(self.n as u64);
         self.records.encode(w);
-        put_ids(w, &self.top_idx);
-        self.top_lu.encode(w);
+        put_top(w, &self.top_idx, &self.top);
         self.stats.encode(w);
     }
     fn decode(r: &mut ByteReader) -> Result<Self, CodecError> {
         let n = r.try_get_u64()? as usize;
         let records = Wire::decode(r)?;
-        let top_idx = try_get_ids(r)?;
-        let top_lu = Wire::decode(r)?;
+        let (top_idx, top) = try_get_top(r)?;
         let stats = FactorStats::decode(r)?;
-        Ok(Factorization::from_parts(
-            n, records, top_idx, top_lu, stats,
-        ))
+        Ok(Factorization::from_parts(n, records, top_idx, top, stats))
     }
 }
 
@@ -285,7 +344,8 @@ const CKPT_MAGIC: &[u8; 8] = b"SRSFCKP1";
 /// v2: `FactorStats` carries the four compression-telemetry counters.
 /// v3: records carry a presence flag for `fs`/`fnb` (symmetric records
 /// hold neither) and decode checks every block shape.
-const CKPT_VERSION: u64 = 3;
+/// v4: the top block carries a form tag (general LU | packed `L D Lᵀ`).
+const CKPT_VERSION: u64 = 4;
 /// Header length in bytes.
 const CKPT_HEADER: usize = 40;
 /// Scalar tag of the scalar-independent manifest file.
@@ -456,7 +516,7 @@ pub(crate) fn rank_ckpt_name(rank: usize) -> String {
 /// only) the dense top factorization — as a snapshot payload. HashMaps go
 /// out key-sorted so the bytes (and hence the container CRC) are
 /// deterministic.
-pub(crate) fn encode_rank_snapshot<T: Scalar>(state: &RankState<T>, top: &TopFactor<T>) -> Vec<u8> {
+pub(crate) fn encode_rank_snapshot<T: Scalar>(state: &RankState<T>, top: &RankTop<T>) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.put_u64(state.records.len() as u64);
     for (key, rec) in &state.records {
@@ -488,10 +548,9 @@ pub(crate) fn encode_rank_snapshot<T: Scalar>(state: &RankState<T>, top: &TopFac
     }
     state.stats.encode(&mut w);
     match top {
-        Some((idx, lu)) => {
+        Some((idx, top)) => {
             w.put_u64(1);
-            put_ids(&mut w, idx);
-            lu.encode(&mut w);
+            put_top(&mut w, idx, top);
         }
         None => w.put_u64(0),
     }
@@ -504,7 +563,7 @@ pub(crate) fn encode_rank_snapshot<T: Scalar>(state: &RankState<T>, top: &TopFac
 #[allow(clippy::type_complexity)]
 pub(crate) fn decode_rank_snapshot<T: Scalar>(
     bytes: Vec<u8>,
-) -> Result<(RankState<T>, TopFactor<T>), CodecError> {
+) -> Result<(RankState<T>, RankTop<T>), CodecError> {
     let mut r = ByteReader::new(bytes);
     let n_records = r.try_get_u64()? as usize;
     let mut records = Vec::new();
@@ -541,11 +600,7 @@ pub(crate) fn decode_rank_snapshot<T: Scalar>(
     let at = r.position();
     let top = match r.try_get_u64()? {
         0 => None,
-        1 => {
-            let idx = try_get_ids(&mut r)?;
-            let lu = Wire::decode(&mut r)?;
-            Some((idx, lu))
-        }
+        1 => Some(try_get_top(&mut r)?),
         _ => {
             return Err(CodecError::Invalid {
                 what: "rank snapshot top discriminant",
@@ -651,10 +706,10 @@ mod tests {
             9,
             vec![sample_record(2.0f64)],
             vec![0, 4, 8],
-            Lu {
+            TopFactor::General(Lu {
                 lu: Mat::from_fn(3, 3, |i, j| (i + 2 * j) as f64 + 1.0),
                 piv: vec![0, 2, 1],
-            },
+            }),
             stats,
         );
         let back = Factorization::<f64>::from_bytes(f.to_bytes()).unwrap();

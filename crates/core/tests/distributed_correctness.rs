@@ -97,6 +97,35 @@ fn dist_compression_below_the_fold_stays_accurate() {
     }
 }
 
+/// p = 16 on 32² with 16-point leaves folds straight after the leaf
+/// level, with 2x2 boxes per rank: the one level where a rank's `act`
+/// still holds the initial full sets of boxes it never receives updates
+/// for. Retiring members used to ship those to their corner, which then
+/// sized parent blocks from them and panicked in `add_delta` on the first
+/// correctly sized delta. Members ship only the sets they track.
+#[test]
+fn dist_fold_straight_after_the_leaf_level() {
+    let grid = UnitGrid::new(32);
+    let kernel = LaplaceKernel::new(&grid);
+    let pts = grid.points();
+    let a = DenseOp::new(assemble_dense(&kernel, &pts));
+    let b = random_vector::<f64>(pts.len(), 29);
+    for lmin in [1, 2] {
+        let (f, x) = Solver::builder(&kernel, &pts)
+            .opts(opts().with_min_compress_level(lmin))
+            .driver(Driver::distributed(16))
+            .build_with_solution(&b)
+            .expect("dist factorization");
+        let r = srsf_linalg::relative_residual(&a, &x, &b);
+        assert!(r < 1e-5, "lmin={lmin}: in-world relres {r:.3e}");
+        let diff = srsf_linalg::vecops::rel_diff(&x, &f.solve(&b));
+        assert!(
+            diff < 1e-10,
+            "lmin={lmin}: in-world vs gathered: {diff:.3e}"
+        );
+    }
+}
+
 #[test]
 fn dist_solve_matches_gathered_solve() {
     let grid = UnitGrid::new(32);

@@ -6,16 +6,19 @@
 //! general two-sided path on identical matrix entries, which makes it the
 //! reference: both must solve the same system to the compression
 //! tolerance, under every driver, while the symmetric factor is about a
-//! third smaller.
+//! third smaller — and its dense top block, a packed `L D Lᵀ` instead of
+//! an LU, about half.
 
-use srsf_core::{Driver, FactorOpts, Solver};
+use srsf_core::{Driver, FactorOpts, Solver, TopFactor};
 use srsf_geometry::grid::{scattered_points, UnitGrid};
 use srsf_geometry::point::Point;
 use srsf_kernels::helmholtz::HelmholtzKernel;
 use srsf_kernels::kernel::Kernel;
 use srsf_kernels::laplace::LaplaceKernel;
 use srsf_kernels::util::random_vector;
+use srsf_linalg::ldlt::NB;
 use srsf_linalg::vecops::rel_diff;
+use srsf_linalg::{relative_residual, DenseOp};
 
 mod common;
 use common::HideSymmetry;
@@ -67,6 +70,36 @@ fn assert_modes_agree<K: Kernel + Clone>(kernel: K, pts: &[Point], what: &str) {
         assert!(
             ratio < 0.70,
             "{what}, {driver:?}: symmetric factor is {ratio:.3} of the general one"
+        );
+        // The form of the top follows the kernel's symmetry alone, and
+        // the packed form holds the lower block triangle: `top (top +
+        // NB) / 2` entries against the `top^2` of an LU of that size,
+        // plus pivots either way. (The two modes sketch different stacks,
+        // so their skeletons and top sizes may differ by a few.)
+        let (top_sym, top_gen) = (
+            f_sym.factorization().top_factor(),
+            f_gen.factorization().top_factor(),
+        );
+        assert!(
+            matches!(top_sym, TopFactor::Symmetric(_)),
+            "{what}, {driver:?}"
+        );
+        assert!(
+            matches!(top_gen, TopFactor::General(_)),
+            "{what}, {driver:?}"
+        );
+        let elem = std::mem::size_of::<K::Elem>();
+        let lu_bytes = |top: usize| top * top * elem;
+        let pivots = |top: usize| top * std::mem::size_of::<usize>();
+        let top = top_gen.dim();
+        assert_eq!(top_gen.heap_bytes(), lu_bytes(top) + pivots(top));
+        let top = top_sym.dim();
+        let share = 0.5 + NB as f64 / (2.0 * top as f64);
+        assert!(
+            top_sym.heap_bytes() as f64 <= share * lu_bytes(top) as f64 + pivots(top) as f64,
+            "{what}, {driver:?}: packed top of {top} holds {} B, an LU {} B",
+            top_sym.heap_bytes(),
+            lu_bytes(top)
         );
     }
 }
@@ -130,4 +163,60 @@ fn helmholtz_symmetric_mode_agrees_with_general() {
 fn helmholtz_symmetric_block_solve_matches_vector_solve() {
     let grid = UnitGrid::new(32);
     assert_block_solve_matches_vector_solve(&HelmholtzKernel::new(&grid, 40.0), &grid.points());
+}
+
+/// A symmetric, well-conditioned kernel no block `L D Lᵀ` without
+/// pivoting across blocks can factor: points interact only across the
+/// line `x = 1/2`, so with the left half ordered first the matrix is
+/// `[[0, B], [Bᵀ, 0]]` and the leading diagonal block is exactly zero.
+#[derive(Clone)]
+struct CrossOnly;
+
+impl Kernel for CrossOnly {
+    type Elem = f64;
+    fn entry(&self, pts: &[Point], i: usize, j: usize) -> f64 {
+        let (p, q) = (pts[i], pts[j]);
+        if (p.x < 0.5) == (q.x < 0.5) {
+            0.0
+        } else if p.y == q.y {
+            4.0
+        } else {
+            (-30.0 * (p.y - q.y).abs()).exp()
+        }
+    }
+    fn diag(&self, _pts: &[Point], _i: usize) -> f64 {
+        0.0
+    }
+    fn proxy_row(&self, _pts: &[Point], _y: Point, _j: usize) -> f64 {
+        unreachable!("single-box problem: nothing is compressed")
+    }
+    fn proxy_col(&self, _pts: &[Point], _i: usize, _y: Point) -> f64 {
+        unreachable!("single-box problem: nothing is compressed")
+    }
+    fn is_symmetric(&self) -> bool {
+        true
+    }
+}
+
+/// When the symmetric top breaks down, `factor_top` re-assembles the
+/// square and factors it with the pivoted LU: the solver still builds,
+/// reports the general form, and meets the residual contract. One box
+/// holds every point, so the top block *is* the kernel matrix.
+#[test]
+fn top_breakdown_falls_back_to_lu() {
+    let half = NB + 8;
+    let column = |x: f64| (0..half).map(move |k| Point::new(x, (k as f64 + 0.5) / half as f64));
+    let pts: Vec<Point> = column(0.25).chain(column(0.75)).collect();
+    let solver = Solver::builder(&CrossOnly, &pts)
+        .opts(FactorOpts::default().with_leaf_size(pts.len()))
+        .build()
+        .expect("the LU fallback factors what LDLᵀ cannot");
+    let f = solver.factorization();
+    assert_eq!((f.n_records(), f.top_size()), (0, pts.len()));
+    assert!(matches!(f.top_factor(), TopFactor::General(_)));
+    let b = random_vector::<f64>(pts.len(), 3);
+    let x = solver.solve(&b);
+    let a = DenseOp::new(srsf_kernels::assemble::assemble_dense(&CrossOnly, &pts));
+    let relres = relative_residual(&a, &x, &b);
+    assert!(relres < 1e-12, "fallback residual {relres:.3e}");
 }

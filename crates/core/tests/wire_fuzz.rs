@@ -11,12 +11,15 @@
 use srsf_core::elimination::{BoxElimination, FactorError};
 use srsf_core::sequential::Factorization;
 use srsf_core::wire::ScalarVec;
-use srsf_core::{FactorOpts, FactorStats};
+use srsf_core::{Driver, FactorOpts, FactorStats, Solver, TopFactor, Transport};
 use srsf_geometry::grid::UnitGrid;
 use srsf_geometry::tree::BoxId;
 use srsf_kernels::helmholtz::HelmholtzKernel;
+use srsf_kernels::kernel::Kernel;
+use srsf_kernels::laplace::LaplaceKernel;
 use srsf_kernels::util::random_vector;
-use srsf_linalg::{c64, Lu, Mat, Scalar};
+use srsf_linalg::ldlt::NB;
+use srsf_linalg::{c64, Ldlt, Lu, Mat, Scalar};
 use srsf_runtime::codec::{ByteReader, ByteWriter, CodecError, Wire};
 use srsf_runtime::{Histogram, Span, TraceReport};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -230,9 +233,34 @@ fn gen_histogram(rng: &mut Rng) -> Histogram {
     h
 }
 
+/// A shape-consistent packed `L D Lᵀ` of dimension `n`: one (pivoted
+/// diagonal block, sub-diagonal panel) pair per `NB`-wide block column.
+fn gen_ldlt<T: Scalar>(rng: &mut Rng, n: usize, v: impl Fn(&mut Rng) -> T) -> Ldlt<T> {
+    let mat = |rng: &mut Rng, m: usize, n: usize| {
+        let vals: Vec<T> = (0..m * n).map(|_| v(rng)).collect();
+        Mat::from_vec(m, n, vals)
+    };
+    let (mut diag, mut sub) = (Vec::new(), Vec::new());
+    for k0 in (0..n).step_by(NB) {
+        let nb = NB.min(n - k0);
+        diag.push(Lu {
+            lu: mat(rng, nb, nb),
+            piv: (0..nb).map(|_| rng.below(nb)).collect(),
+        });
+        sub.push(mat(rng, n - k0 - nb, nb));
+    }
+    Ldlt::from_parts(n, diag, sub).expect("consistent shapes")
+}
+
 /// Hand-assemble a valid `Factorization<f64>` frame from the documented
-/// layout: `n, Vec<BoxElimination>, top ids, top Lu, FactorStats`.
+/// layout: `n, Vec<BoxElimination>, top ids, top form tag, top factors
+/// (Lu | Ldlt), FactorStats` — either top form, picked by the stream.
 fn gen_factorization_frame(rng: &mut Rng) -> Vec<u8> {
+    let symmetric_top = rng.next() & 1 == 0;
+    gen_factorization_frame_form(rng, symmetric_top)
+}
+
+fn gen_factorization_frame_form(rng: &mut Rng, symmetric_top: bool) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.put_u64(rng.below(1 << 20) as u64);
     let records: Vec<BoxElimination<f64>> = (0..rng.below(3))
@@ -244,15 +272,21 @@ fn gen_factorization_frame(rng: &mut Rng) -> Vec<u8> {
     for _ in 0..top_n {
         w.put_u64(rng.next() & 0xFFFF_FFFF);
     }
-    let top_lu = Lu::<f64> {
-        lu: Mat::from_vec(
-            top_n,
-            top_n,
-            (0..top_n * top_n).map(|i| i as f64 + 1.0).collect(),
-        ),
-        piv: (0..top_n).collect(),
-    };
-    top_lu.encode(&mut w);
+    if symmetric_top {
+        w.put_u64(1);
+        gen_ldlt(rng, top_n, Rng::finite_f64).encode(&mut w);
+    } else {
+        w.put_u64(0);
+        let top_lu = Lu::<f64> {
+            lu: Mat::from_vec(
+                top_n,
+                top_n,
+                (0..top_n * top_n).map(|i| i as f64 + 1.0).collect(),
+            ),
+            piv: (0..top_n).collect(),
+        };
+        top_lu.encode(&mut w);
+    }
     gen_stats(rng).encode(&mut w);
     w.finish()
 }
@@ -290,6 +324,31 @@ fn stats_decode_is_total() {
 #[test]
 fn factorization_decode_is_total() {
     fuzz_type::<Factorization<f64>>("Factorization<f64>", 76, gen_factorization_frame);
+}
+
+#[test]
+fn ldlt_decode_is_total() {
+    fuzz_type::<Ldlt<f64>>("Ldlt<f64>", 96, |r| {
+        let n = r.below(6);
+        gen_ldlt(r, n, Rng::finite_f64).to_bytes()
+    });
+    fuzz_type::<Ldlt<c64>>("Ldlt<c64>", 97, |r| {
+        let n = r.below(5);
+        gen_ldlt(r, n, |r| c64::new(r.finite_f64(), r.finite_f64())).to_bytes()
+    });
+    // Both form tags of the top factor.
+    fuzz_type::<TopFactor<f64>>("TopFactor<f64>", 100, |r| {
+        let n = r.below(5);
+        if r.next() & 1 == 0 {
+            TopFactor::Symmetric(gen_ldlt(r, n, Rng::finite_f64)).to_bytes()
+        } else {
+            let lu = Lu {
+                lu: Mat::from_vec(n, n, (0..n * n).map(|_| r.finite_f64()).collect()),
+                piv: (0..n).map(|_| r.below(n)).collect(),
+            };
+            TopFactor::General(lu).to_bytes()
+        }
+    });
 }
 
 /// Worker result frames are `Result<(CommStats-ish payload), FactorError>`
@@ -449,6 +508,92 @@ fn record_inconsistent_shape_is_codec_error() {
     }
 }
 
+/// The packed top factor survives the wire by value at one block column
+/// and at several, and a frame whose blocks do not fit its dimension —
+/// every field well-formed on its own — fails to decode instead of
+/// panicking a later solve.
+#[test]
+fn ldlt_round_trip_and_shape_rejection() {
+    let mut rng = Rng::new(98);
+    for n in [0, 1, 5, NB, NB + 3, 2 * NB + 1] {
+        let f = gen_ldlt(&mut rng, n, |r| c64::new(r.finite_f64(), r.finite_f64()));
+        let bytes = f.to_bytes();
+        let back = Ldlt::<c64>::from_bytes(bytes.clone()).expect("decode");
+        assert_eq!(back.dim(), n);
+        assert_eq!(back.sub_panels(), f.sub_panels());
+        for (a, b) in back.diag_blocks().iter().zip(f.diag_blocks()) {
+            assert_eq!((&a.lu, &a.piv), (&b.lu, &b.piv));
+        }
+        assert_eq!(back.to_bytes(), bytes);
+        assert_eq!(back.heap_bytes(), f.heap_bytes(), "n={n}: decoded capacity");
+    }
+    // Same blocks under another dimension word: `NB + 3` and `NB + 4`
+    // have the same block-column count, so only the shape check can tell.
+    let mut bytes = gen_ldlt(&mut rng, NB + 3, Rng::finite_f64).to_bytes();
+    bytes[..8].copy_from_slice(&((NB + 4) as u64).to_le_bytes());
+    assert!(matches!(
+        decode_total::<Ldlt<f64>>("Ldlt<f64>", &bytes),
+        Err(CodecError::Invalid { .. })
+    ));
+    // A pivot outside its diagonal block.
+    let good = gen_ldlt(&mut rng, 4, Rng::finite_f64);
+    let mut w = ByteWriter::new();
+    w.put_u64(4);
+    Lu {
+        lu: good.diag_blocks()[0].lu.clone(),
+        piv: vec![0, 1, 2, 4],
+    }
+    .encode(&mut w);
+    w.put_mat(&good.sub_panels()[0]);
+    assert!(matches!(
+        decode_total::<Ldlt<f64>>("Ldlt<f64>", &w.finish()),
+        Err(CodecError::Invalid { .. })
+    ));
+}
+
+/// Both top forms decode from their tag; any other tag, and a top whose
+/// dimension disagrees with its index map, is a `CodecError`.
+#[test]
+fn top_factor_tags_round_trip_and_reject() {
+    let mut rng = Rng::new(99);
+    for i in 0..iters(64, 4) {
+        let symmetric = i % 2 == 0;
+        let frame = gen_factorization_frame_form(&mut rng, symmetric);
+        let f = Factorization::<f64>::from_bytes(frame).expect("valid frame decodes");
+        assert_eq!(matches!(f.top_factor(), TopFactor::Symmetric(_)), symmetric);
+        // Locate the tag word: it follows `n`, the records and the
+        // length-prefixed top ids.
+        let bytes = f.to_bytes();
+        let tag_at = {
+            let mut r = ByteReader::new(bytes.clone());
+            r.try_get_u64().unwrap();
+            Vec::<BoxElimination<f64>>::decode(&mut r).unwrap();
+            r.try_get_u64_slice().unwrap();
+            r.position()
+        };
+        let expect = if symmetric { 1u64 } else { 0 };
+        assert_eq!(bytes[tag_at..tag_at + 8], expect.to_le_bytes());
+        for tag in [2u64, 1 << 40, u64::MAX] {
+            let mut bent = bytes.clone();
+            bent[tag_at..tag_at + 8].copy_from_slice(&tag.to_le_bytes());
+            assert!(matches!(
+                decode_total::<Factorization<f64>>("Factorization<f64>", &bent),
+                Err(CodecError::Invalid { .. })
+            ));
+        }
+        // One more top id than the factor has rows.
+        let mut bent = bytes[..tag_at].to_vec();
+        let len_at = tag_at - 8 * (f.top_size() + 1);
+        bent[len_at..len_at + 8].copy_from_slice(&(f.top_size() as u64 + 1).to_le_bytes());
+        bent.extend_from_slice(&0u64.to_le_bytes());
+        bent.extend_from_slice(&bytes[tag_at..]);
+        assert!(
+            decode_total::<Factorization<f64>>("Factorization<f64>", &bent).is_err(),
+            "top dimension vs index map"
+        );
+    }
+}
+
 #[test]
 fn stats_round_trip_bytes() {
     byte_round_trip::<FactorStats>("FactorStats", 84, |r| gen_stats(r).to_bytes());
@@ -533,11 +678,10 @@ fn factorization_save_load_round_trip() {
 }
 
 /// A Helmholtz factorization through the checkpoint container in both
-/// record forms: the one-sided c64 records a complex symmetric kernel
-/// produces now, and the general two-sided ones it produced before the
-/// `T^T` sparsification (what an older version-3 checkpoint holds — the
-/// same kernel with its symmetry hidden writes exactly those). Each must
-/// reload and solve to the same bits.
+/// record forms: the one-sided c64 records (and packed `L D Lᵀ` top) a
+/// complex symmetric kernel produces, and the general two-sided ones
+/// (with an LU top) the same kernel writes with its symmetry hidden. Each
+/// must reload and solve to the same bits.
 #[test]
 #[cfg_attr(miri, ignore = "file I/O is outside Miri's isolation")]
 fn helmholtz_checkpoints_restore_in_both_record_forms() {
@@ -553,6 +697,8 @@ fn helmholtz_checkpoints_restore_in_both_record_forms() {
     let general =
         common::factorize(&HideSymmetry(kernel.clone()), &pts, &opts).expect("general mode");
     assert!(one_sided.n_records() > 0 && one_sided.n_records() == general.n_records());
+    assert!(matches!(one_sided.top_factor(), TopFactor::Symmetric(_)));
+    assert!(matches!(general.top_factor(), TopFactor::General(_)));
     let mut sizes = Vec::new();
     for (name, f) in [("one-sided", &one_sided), ("general", &general)] {
         let path = ckpt_path(&format!("wire_fuzz_helmholtz_{name}.ckpt"));
@@ -624,17 +770,19 @@ fn checkpoint_container_rejects_corruption() {
     let mut bent = bytes.clone();
     bent[8..16].copy_from_slice(&99u64.to_le_bytes());
     expect_rejected(&bent, "future version");
-    // The previous layout (v2: no presence flag, unchecked shapes) is
-    // refused by its version word, not misread.
-    let mut bent = bytes.clone();
-    bent[8..16].copy_from_slice(&2u64.to_le_bytes());
-    expect_rejected(&bent, "version-2 checkpoint");
-    match Factorization::<f64>::load(&bad) {
-        Err(SrsfError::Checkpoint { reason, .. }) => assert!(
-            reason.contains("version 2"),
-            "version-2 rejection must name the version: {reason}"
-        ),
-        _ => unreachable!("rejected just above"),
+    // The previous layouts (v2: no presence flag, unchecked shapes; v3:
+    // no top form tag) are refused by their version word, not misread.
+    for old in [2u64, 3] {
+        let mut bent = bytes.clone();
+        bent[8..16].copy_from_slice(&old.to_le_bytes());
+        expect_rejected(&bent, &format!("version-{old} checkpoint"));
+        match Factorization::<f64>::load(&bad) {
+            Err(SrsfError::Checkpoint { reason, .. }) => assert!(
+                reason.contains(&format!("version {old}")),
+                "version-{old} rejection must name the version: {reason}"
+            ),
+            _ => unreachable!("rejected just above"),
+        }
     }
     let mut bent = bytes.clone();
     bent[16..24].copy_from_slice(&16u64.to_le_bytes()); // claims c64
@@ -650,4 +798,84 @@ fn checkpoint_container_rejects_corruption() {
         Err(e) => panic!("cross-scalar load: expected Checkpoint error, got {e}"),
         Ok(_) => panic!("an f64 snapshot decoded as c64"),
     }
+}
+
+fn small_opts() -> FactorOpts {
+    FactorOpts::default()
+        .with_tol(1e-6)
+        .with_leaf_size(16)
+        .with_min_compress_level(2)
+}
+
+/// The capacity-based footprint of a factorization does not depend on
+/// whether its blocks were computed in place or decoded from a frame: a
+/// checkpoint save/load returns the same `memory_bytes`, and the rank-0
+/// gather of a distributed build (records and the top arrive over the
+/// wire) reports what the ranks held resident. Both top forms.
+fn assert_decoded_footprint_matches<K: Kernel>(kernel: &K, grid: &UnitGrid, symmetric: bool) {
+    let pts = grid.points();
+    let f = common::factorize(kernel, &pts, &small_opts()).expect("factorization");
+    assert_eq!(matches!(f.top_factor(), TopFactor::Symmetric(_)), symmetric);
+    let path = ckpt_path(&format!("wire_fuzz_footprint_{symmetric}.ckpt"));
+    f.save(&path).expect("save");
+    let back = Factorization::<K::Elem>::load(&path).expect("load");
+    assert_eq!(back.memory_bytes(), f.memory_bytes(), "save/load footprint");
+
+    let build = |resident: bool| {
+        Solver::builder(kernel, &pts)
+            .opts(small_opts())
+            .driver(Driver::distributed(4))
+            .resident(resident)
+            .build()
+            .expect("distributed build")
+    };
+    let (gathered, resident) = (build(false), build(true));
+    assert_eq!(
+        gathered.memory_bytes(),
+        resident.memory_bytes(),
+        "gathered footprint vs the ranks' resident total"
+    );
+}
+
+#[test]
+#[cfg_attr(
+    miri,
+    ignore = "file I/O and rank threads are outside Miri's isolation"
+)]
+fn decoded_footprint_matches_in_memory_twin() {
+    let grid = UnitGrid::new(32);
+    let kernel = LaplaceKernel::new(&grid);
+    assert_decoded_footprint_matches(&kernel, &grid, true);
+    assert_decoded_footprint_matches(&HideSymmetry(kernel), &grid, false);
+}
+
+/// A resident Helmholtz build checkpoints its per-rank snapshots (rank 0
+/// with the packed `L D Lᵀ` top); the restored world solves to the bits
+/// of the live one.
+#[test]
+#[cfg_attr(
+    miri,
+    ignore = "file I/O and rank threads are outside Miri's isolation"
+)]
+fn helmholtz_resident_restore_solves_bit_identically() {
+    let dir = ckpt_path("wire_fuzz_helmholtz_resident");
+    let grid = UnitGrid::new(32);
+    let pts = grid.points();
+    let kernel = HelmholtzKernel::new(&grid, 12.0);
+    let live = Solver::builder(&kernel, &pts)
+        .opts(small_opts())
+        .driver(Driver::distributed(4))
+        .resident(true)
+        .checkpoint_dir(&dir)
+        .build()
+        .expect("checkpointed build");
+    let mut b = Mat::zeros(pts.len(), 3);
+    for j in 0..3 {
+        b.col_mut(j)
+            .copy_from_slice(&random_vector::<c64>(pts.len(), 17 + j as u64));
+    }
+    let want = live.solve_mat(&b);
+    let restored = Solver::<c64>::restore_resident(&pts, &dir, Transport::InProc).expect("restore");
+    assert_eq!(restored.memory_bytes(), live.memory_bytes());
+    assert!(restored.solve_mat(&b) == want, "restored solve differs");
 }

@@ -7,6 +7,7 @@
 //! * a column-major dense matrix type [`Mat`],
 //! * matrix multiplication (plain / adjoint variants) in [`gemm`],
 //! * partially pivoted LU ([`lu`]) and triangular solves ([`triangular`]),
+//! * a packed block `L D Lᵀ` of a symmetric matrix ([`ldlt`]),
 //! * Householder QR and greedy column-pivoted QR ([`qr`]),
 //! * the interpolative decomposition ([`id`]) used for skeletonization,
 //! * BLAS-1 style vector helpers ([`vecops`]).
@@ -26,6 +27,7 @@
 pub mod complex;
 pub mod gemm;
 pub mod id;
+pub mod ldlt;
 pub mod lu;
 pub mod mat;
 pub mod norms;
@@ -39,6 +41,7 @@ pub mod vecops;
 pub use complex::c64;
 pub use gemm::{gemm_threads, set_gemm_threads};
 pub use id::{interp_decomp, IdResult};
+pub use ldlt::{Ldlt, LdltBreakdown, SymPanels};
 pub use lu::Lu;
 pub use mat::Mat;
 pub use op::{relative_residual, DenseOp, LinOp};

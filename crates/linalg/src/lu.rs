@@ -1,8 +1,10 @@
 //! Partially pivoted LU factorization.
 //!
 //! Used to eliminate the redundant diagonal blocks `X_RR` in the strong
-//! skeletonization operator and to finish the top of the tree with a dense
-//! solve. Row pivoting is essential: the skeletonized diagonal blocks are
+//! skeletonization operator, to factor the diagonal blocks of the packed
+//! `L D Lᵀ` ([`crate::ldlt`]) that finishes the top of the tree for a
+//! symmetric kernel, and as the whole top factorization for every other
+//! kernel. Row pivoting is essential: the skeletonized diagonal blocks are
 //! well conditioned empirically but carry no structural guarantee.
 
 use crate::gemm::gemm_acc_block;

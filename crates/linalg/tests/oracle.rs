@@ -8,6 +8,7 @@ use srsf_linalg::gemm::{
     matmul_acc_naive, matmul_adjoint, matmul_adjoint_naive, set_gemm_threads, transpose_matmul,
     transpose_matmul_acc, transpose_matmul_sub,
 };
+use srsf_linalg::ldlt::NB;
 use srsf_linalg::norms::{fro_norm, max_abs_diff};
 use srsf_linalg::qr::{
     cpqr, cpqr_naive, form_q, form_q_naive, householder_qr, householder_qr_naive,
@@ -17,7 +18,7 @@ use srsf_linalg::triangular::{
     solve_lower_right_mat_unblocked, solve_upper_mat, solve_upper_mat_unblocked,
     solve_upper_right_mat, solve_upper_right_mat_unblocked,
 };
-use srsf_linalg::{c64, Lu, Mat, Scalar};
+use srsf_linalg::{c64, Ldlt, LdltBreakdown, Lu, Mat, Scalar, SymPanels};
 
 const TOL: f64 = 1e-12;
 
@@ -422,6 +423,189 @@ fn lu_blocked_matches_unblocked_f64() {
 #[test]
 fn lu_blocked_matches_unblocked_c64() {
     lu_oracle::<c64>(10);
+}
+
+/// A random well-conditioned symmetric matrix: `R + Rᵀ + n I`. For `c64`
+/// it is complex *symmetric*, not Hermitian (the imaginary parts of
+/// mirrored entries are equal, not opposite).
+fn rand_symmetric<T: TestScalar>(n: usize, rng: &mut Rng) -> Mat<T> {
+    let r = rand_mat::<T>(n, n, rng);
+    let mut a = Mat::from_fn(n, n, |i, j| r[(i, j)] + r[(j, i)]);
+    for d in 0..n {
+        a[(d, d)] += T::from_f64(n as f64);
+    }
+    a
+}
+
+/// Expand packed `L D Lᵀ` factors back into dense `L` and `D`.
+fn ldlt_dense_factors<T: Scalar>(f: &Ldlt<T>) -> (Mat<T>, Mat<T>) {
+    let n = f.dim();
+    let (mut l, mut d) = (Mat::identity(n), Mat::zeros(n, n));
+    let mut k0 = 0;
+    for (lu, l21) in f.diag_blocks().iter().zip(f.sub_panels()) {
+        let nb = lu.dim();
+        // D_k = P⁻¹ (L_k U_k): undo the row swaps last to first.
+        let lk = Mat::from_fn(nb, nb, |i, j| match i.cmp(&j) {
+            std::cmp::Ordering::Greater => lu.lu[(i, j)],
+            std::cmp::Ordering::Equal => T::ONE,
+            std::cmp::Ordering::Less => T::ZERO,
+        });
+        let uk = Mat::from_fn(nb, nb, |i, j| if i <= j { lu.lu[(i, j)] } else { T::ZERO });
+        let mut dk = matmul(&lk, &uk);
+        for (k, &r) in lu.piv.iter().enumerate().rev() {
+            dk.swap_rows(k, r);
+        }
+        d.set_block(k0, k0, &dk);
+        l.set_block(k0 + nb, k0, l21);
+        k0 += nb;
+    }
+    (l, d)
+}
+
+/// `Ldlt` against `Lu` on the same symmetric matrix: solutions, the
+/// vector sweep against the block sweep, the reconstruction `L D Lᵀ`, and
+/// the packed footprint — at the block-column edges and one ragged
+/// multi-panel size.
+fn ldlt_oracle<T: TestScalar>(seed: u64) {
+    for (i, &n) in [1, NB - 1, NB, NB + 1, 3 * NB + 7].iter().enumerate() {
+        let mut rng = Rng::new(seed + i as u64);
+        let a = rand_symmetric::<T>(n, &mut rng);
+        if T::IS_COMPLEX && n > 1 {
+            assert_ne!(a[(1, 0)], a[(0, 1)].conj(), "test matrix is Hermitian");
+        }
+        let f = Ldlt::factor(SymPanels::from_lower(&a)).expect("well-conditioned LDLᵀ");
+        assert_eq!(f.dim(), n);
+        let lu = Lu::factor(a.clone()).expect("LU");
+
+        let b = rand_mat::<T>(n, 5, &mut rng);
+        let (mut x_ldlt, mut x_lu) = (b.clone(), b.clone());
+        f.solve_mat(&mut x_ldlt);
+        lu.solve_mat(&mut x_lu);
+        assert_close(&x_ldlt, &x_lu, "LDLᵀ vs LU solution");
+        for j in 0..b.ncols() {
+            let mut xj = b.col(j).to_vec();
+            f.solve_vec(&mut xj);
+            let xj = Mat::from_vec(n, 1, xj);
+            assert_close(
+                &xj,
+                &x_ldlt.block(0, j, n, 1),
+                "solve_vec vs solve_mat column",
+            );
+        }
+
+        let (l, d) = ldlt_dense_factors(&f);
+        let ldlt = matmul(&matmul(&l, &d), &l.transpose());
+        assert_close(&ldlt, &a, "L D Lᵀ reconstruction");
+
+        let elem = std::mem::size_of::<T>();
+        let bound = (n * (n + NB) / 2 + n) * elem + 64 * n;
+        assert!(
+            f.heap_bytes() <= bound,
+            "n={n}: {} B packed, bound {bound}",
+            f.heap_bytes()
+        );
+        if n > 2 * NB {
+            assert!(
+                f.heap_bytes() * 10 < lu.heap_bytes() * 7,
+                "n={n}: not packed"
+            );
+        }
+    }
+}
+
+#[test]
+fn ldlt_matches_lu_f64() {
+    ldlt_oracle::<f64>(31);
+}
+
+#[test]
+fn ldlt_matches_lu_c64() {
+    ldlt_oracle::<c64>(32);
+}
+
+/// `SymPanels::set_block` from a partition that does not line up with the
+/// block columns packs the same panels as `from_lower` — including the
+/// upper parts of straddled diagonal blocks, which only ever arrive as
+/// mirrors of blocks below the diagonal.
+#[test]
+fn sym_panels_assemble_from_unaligned_lower_blocks() {
+    let mut rng = Rng::new(33);
+    let sizes = [40usize, 0, 70, 3, 90, 25, 64];
+    let n: usize = sizes.iter().sum();
+    let a = rand_symmetric::<c64>(n, &mut rng);
+    let mut p = SymPanels::zeros(n);
+    let mut r0 = 0;
+    for (i, &si) in sizes.iter().enumerate() {
+        let mut c0 = 0;
+        for &sj in &sizes[..=i] {
+            if si > 0 && sj > 0 {
+                p.set_block(r0, c0, &a.block(r0, c0, si, sj));
+            }
+            c0 += sj;
+        }
+        r0 += si;
+    }
+    assert_eq!(p, SymPanels::from_lower(&a));
+}
+
+/// The threaded trailing update and solve sweeps split by output
+/// columns: not one bit may move. Sized so the products actually cross
+/// the threading threshold.
+#[test]
+fn ldlt_threaded_is_bit_identical() {
+    let n = 17 * NB + 5;
+    let mut rng = Rng::new(34);
+    let a = rand_symmetric::<f64>(n, &mut rng);
+    let b = rand_mat::<f64>(n, 64, &mut rng);
+    let run = |threads: usize| {
+        let prev = set_gemm_threads(threads);
+        let f = Ldlt::factor(SymPanels::from_lower(&a)).expect("LDLᵀ");
+        let mut x = b.clone();
+        f.solve_mat(&mut x);
+        set_gemm_threads(prev);
+        (f, x)
+    };
+    let ((f1, x1), (f4, x4)) = (run(1), run(4));
+    assert_eq!(x1, x4, "threaded solve_mat");
+    for (d1, d4) in f1.diag_blocks().iter().zip(f4.diag_blocks()) {
+        assert_eq!(
+            (&d1.lu, &d1.piv),
+            (&d4.lu, &d4.piv),
+            "threaded diagonal block"
+        );
+    }
+    assert_eq!(f1.sub_panels(), f4.sub_panels(), "threaded panels");
+}
+
+/// Without pivoting across blocks some nonsingular symmetric matrices
+/// cannot be factored: the factorization must say so, not return a wrong
+/// answer.
+#[test]
+fn ldlt_reports_breakdown() {
+    let mut rng = Rng::new(35);
+    let m = NB + 9;
+    let mut b = rand_mat::<f64>(m, m, &mut rng);
+    for d in 0..m {
+        b[(d, d)] += m as f64;
+    }
+    // [[0, B], [Bᵀ, 0]]: nonsingular, but the leading block is zero.
+    let mut a = Mat::zeros(2 * m, 2 * m);
+    a.set_block(m, 0, &b.transpose());
+    a.set_block(0, m, &b);
+    assert!(Lu::factor(a.clone()).is_ok());
+    assert_eq!(
+        Ldlt::factor(SymPanels::from_lower(&a)).err(),
+        Some(LdltBreakdown::ZeroPivot { step: 0 })
+    );
+    // A tiny leading block instead of a zero one: factorable in exact
+    // arithmetic, hopeless in floating point.
+    for d in 0..m {
+        a[(d, d)] = 1e-9;
+    }
+    match Ldlt::factor(SymPanels::from_lower(&a)) {
+        Err(LdltBreakdown::Growth { step: 0, max_l }) => assert!(max_l > 1e3),
+        other => panic!("expected a growth breakdown, got {other:?}"),
+    }
 }
 
 fn triangular_oracle<T: TestScalar>(seed: u64) {

@@ -218,6 +218,23 @@ impl ByteReader {
         Ok(claimed as usize)
     }
 
+    /// Read `n` elements (`n` already validated by [`Self::check_len`])
+    /// into a vector of exactly that capacity. Collecting through a
+    /// `Result` would lose the size hint and leave the vector grown by
+    /// doubling — up to twice the bytes the capacity-based `heap_bytes`
+    /// accounting of a decoded factorization should report.
+    fn try_collect<T>(
+        &mut self,
+        n: usize,
+        mut get: impl FnMut(&mut Self) -> Result<T, CodecError>,
+    ) -> Result<Vec<T>, CodecError> {
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(get(self)?);
+        }
+        Ok(out)
+    }
+
     /// Bounds-checked read of an unsigned 64-bit integer.
     pub fn try_get_u64(&mut self) -> Result<u64, CodecError> {
         Ok(u64::from_le_bytes(self.try_take::<8>()?))
@@ -252,14 +269,14 @@ impl ByteReader {
     pub fn try_get_u64_slice(&mut self) -> Result<Vec<u64>, CodecError> {
         let claimed = self.try_get_u64()?;
         let n = self.check_len(claimed, 8)?;
-        (0..n).map(|_| self.try_get_u64()).collect()
+        self.try_collect(n, Self::try_get_u64)
     }
 
     /// Bounds-checked read of a length-prefixed scalar slice.
     pub fn try_get_scalar_slice<T: Scalar>(&mut self) -> Result<Vec<T>, CodecError> {
         let claimed = self.try_get_u64()?;
         let n = self.check_len(claimed, scalar_bytes::<T>())?;
-        (0..n).map(|_| self.try_get_scalar()).collect()
+        self.try_collect(n, Self::try_get_scalar)
     }
 
     /// Bounds-checked read of a matrix. The claimed dimensions are
@@ -282,8 +299,8 @@ impl ByteReader {
         }
         let total = nrows * ncols;
         let n = self.check_len(total, scalar_bytes::<T>())?;
-        let data: Result<Vec<T>, CodecError> = (0..n).map(|_| self.try_get_scalar()).collect();
-        Ok(Mat::from_vec(nrows as usize, ncols as usize, data?))
+        let data = self.try_collect(n, Self::try_get_scalar)?;
+        Ok(Mat::from_vec(nrows as usize, ncols as usize, data))
     }
 
     /// Read an unsigned 64-bit integer.
@@ -601,6 +618,32 @@ impl<T: Scalar> Wire for srsf_linalg::Lu<T> {
             .map(|v| v as usize)
             .collect();
         Ok(srsf_linalg::Lu { lu, piv })
+    }
+}
+
+impl<T: Scalar> Wire for srsf_linalg::Ldlt<T> {
+    fn encode(&self, w: &mut ByteWriter) {
+        w.put_u64(self.dim() as u64);
+        for (d, s) in self.diag_blocks().iter().zip(self.sub_panels()) {
+            d.encode(w);
+            w.put_mat(s);
+        }
+    }
+    fn decode(r: &mut ByteReader) -> Result<Self, CodecError> {
+        let at = r.position();
+        let n = r.try_get_u64()?;
+        // One (diagonal block, panel) pair per block column; each pair
+        // encodes at least its four dimension words and a pivot count.
+        let n_cols = r.check_len(n.div_ceil(srsf_linalg::ldlt::NB as u64), 40)?;
+        let (mut diag, mut sub) = (Vec::with_capacity(n_cols), Vec::with_capacity(n_cols));
+        for _ in 0..n_cols {
+            diag.push(srsf_linalg::Lu::decode(r)?);
+            sub.push(r.try_get_mat()?);
+        }
+        srsf_linalg::Ldlt::from_parts(n as usize, diag, sub).ok_or(CodecError::Invalid {
+            what: "LDLᵀ block shapes vs dimension",
+            at,
+        })
     }
 }
 
