@@ -22,6 +22,7 @@ use srsf_kernels::helmholtz::HelmholtzKernel;
 use srsf_kernels::laplace::LaplaceKernel;
 use srsf_kernels::util::random_vector;
 use srsf_linalg::gemm::matmul;
+use srsf_linalg::panel::{panel_mul_acc, panel_mul_t_acc, panel_rows};
 use srsf_linalg::triangular::solve_upper_mat;
 use srsf_linalg::{
     c64, cpqr, householder_qr, interp_decomp, rand_interp_decomp, Ldlt, LinOp, Lu, Mat, Scalar,
@@ -166,8 +167,9 @@ fn random_mat(m: usize, n: usize, seed: u64) -> Mat<f64> {
 }
 
 /// `lu/ldlt` factor and `nrhs = 16` solve cases on one symmetric,
-/// diagonally dominant `n x n` matrix (complex symmetric for `c64`).
-fn top_factor_cases<T: Scalar>(h: &mut Harness, tag: &str, n: usize) {
+/// diagonally dominant `n x n` matrix (complex symmetric for `c64`);
+/// hands the packed factor back for the panel twins.
+fn top_factor_cases<T: Scalar>(h: &mut Harness, tag: &str, n: usize) -> Ldlt<T> {
     let (re, im) = (random_mat(n, n, 43), random_mat(n, n, 44));
     let a = Mat::from_fn(n, n, |i, j| {
         let d = if i == j { 2.0 * n as f64 } else { 0.0 };
@@ -190,6 +192,73 @@ fn top_factor_cases<T: Scalar>(h: &mut Harness, tag: &str, n: usize) {
         ldlt.solve_mat(&mut b);
         b
     });
+    ldlt
+}
+
+/// The RHS-major panel kernels of the blocked solve sweep at one record
+/// shape (`n` neighbor rows, `r` redundants) and one top, each next to
+/// the column-major call it replaced at the same `nrhs`: `EN^T B_N` and
+/// `EN B_R` against `gemm/`, `X_RR^{-1}` against `lu_solve/`, the packed
+/// top against `ldlt_solve/` (which `top_factor_cases` has already
+/// recorded for `nrhs = 16`).
+fn panel_cases<T: Scalar>(
+    h: &mut Harness,
+    scalar: &str,
+    nrhs: usize,
+    (n, r): (usize, usize),
+    top: &Ldlt<T>,
+) {
+    let hp = panel_rows::<T>(nrhs);
+    let mat = |m: usize, k: usize, seed: u64| {
+        let (re, im) = (random_mat(m, k, seed), random_mat(m, k, seed + 1));
+        Mat::from_fn(m, k, |i, j| T::from_re_im(re[(i, j)], im[(i, j)]))
+    };
+    let en = mat(n, r, 61);
+    let (xn, xr) = (mat(hp, n, 63), mat(hp, r, 65));
+    let mut v = Mat::zeros(hp, r);
+    h.bench(&format!("panel_mul/{scalar}_{nrhs}x{n}x{r}"), || {
+        panel_mul_acc(&mut v, T::ONE, &xn, &en, false)
+    });
+    let mut d = Mat::zeros(hp, n);
+    h.bench(&format!("panel_mul_t/{scalar}_{nrhs}x{n}x{r}"), || {
+        panel_mul_t_acc(&mut d, T::ONE, &xr, &en)
+    });
+    let br = mat(r, nrhs, 67);
+    h.bench(&format!("gemm/{scalar}_{n}x{r}x{nrhs}"), || {
+        matmul(&en, &br)
+    });
+
+    let mut a = mat(r, r, 69);
+    for i in 0..r {
+        a[(i, i)] += T::from_f64(r as f64);
+    }
+    let lu = Lu::factor(a).unwrap();
+    h.bench(&format!("panel_lu/{scalar}_{nrhs}x{r}"), || {
+        let mut x = xr.clone();
+        lu.solve_panel(&mut x);
+        x
+    });
+    h.bench(&format!("lu_solve/{scalar}_{r}_nrhs{nrhs}"), || {
+        let mut b = br.clone();
+        lu.solve_mat(&mut b);
+        b
+    });
+
+    let t = top.dim();
+    let xt = mat(hp, t, 71);
+    h.bench(&format!("panel_ldlt/{scalar}_{nrhs}x{t}"), || {
+        let mut x = xt.clone();
+        top.solve_panel(&mut x);
+        x
+    });
+    if nrhs != 16 {
+        let bt = mat(t, nrhs, 73);
+        h.bench(&format!("ldlt_solve/{scalar}_{t}_nrhs{nrhs}"), || {
+            let mut b = bt.clone();
+            top.solve_mat(&mut b);
+            b
+        });
+    }
 }
 
 /// Smooth kernel-type matrix with separated clusters — the shape CPQR sees
@@ -458,8 +527,12 @@ fn main() {
     // The benchmark's two dense top blocks (laplace_grid 1651^2 f64,
     // helmholtz_grid 1251^2 c64): general LU against the packed LDL^T of
     // the same symmetric matrix, factor and 16-column solve.
-    top_factor_cases::<f64>(&mut h, "f64_1651", 1651);
-    top_factor_cases::<c64>(&mut h, "c64_1251", 1251);
+    let top_f64 = top_factor_cases::<f64>(&mut h, "f64_1651", 1651);
+    let top_c64 = top_factor_cases::<c64>(&mut h, "c64_1251", 1251);
+    // The median record of the same two factorizations, one register
+    // tile of right-hand sides each.
+    panel_cases::<f64>(&mut h, "f64", 16, (349, 41), &top_f64);
+    panel_cases::<c64>(&mut h, "c64", 8, (332, 45), &top_c64);
 
     {
         // Proxy-shaped compression: tall smooth-kernel matrix.

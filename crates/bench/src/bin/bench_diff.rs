@@ -51,16 +51,12 @@ fn field_f64(line: &str, key: &str) -> Option<f64> {
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let gate_trace = args.iter().any(|a| a == "--gate-trace-overhead");
-    let gate_factorize = args.iter().any(|a| a == "--gate-factorize");
-    args.retain(|a| a != "--gate-trace-overhead" && a != "--gate-factorize");
+    args.retain(|a| a != "--gate-trace-overhead");
     let (base_path, cur_path) = match args.as_slice() {
         [] => ("BENCH_seed.json".to_string(), "BENCH_pr.json".to_string()),
         [b, c] => (b.clone(), c.clone()),
         _ => {
-            eprintln!(
-                "usage: bench-diff [--gate-trace-overhead] [--gate-factorize] \
-                 [BASELINE.json CURRENT.json]"
-            );
+            eprintln!("usage: bench-diff [--gate-trace-overhead] [BASELINE.json CURRENT.json]");
             return ExitCode::FAILURE;
         }
     };
@@ -131,9 +127,7 @@ fn main() -> ExitCode {
     // Compression: sketched vs full-CPQR medians of the same sequential
     // factorization, both from the *current* report. <1 would mean the
     // randomized sketch-then-ID default lost to the deterministic path it
-    // replaced. `--gate-factorize` additionally hard-fails the job if the
-    // default `factorize/laplace_4096` case regressed vs the baseline
-    // report — the headline O(N) number this crate exists to protect.
+    // replaced.
     if let (Some(sk), Some(cp)) = (
         median_of("factorize/laplace_4096_sketched"),
         median_of("factorize/laplace_4096_cpqr"),
@@ -165,30 +159,26 @@ fn main() -> ExitCode {
             }
         }
     }
-    if gate_factorize {
-        let base_fact = base
-            .iter()
-            .find(|(n, _)| n == "factorize/laplace_4096")
-            .map(|(_, m)| *m);
-        match (base_fact, median_of("factorize/laplace_4096")) {
-            (Some(b), Some(c)) if c > b * 1.05 => {
-                eprintln!(
-                    "bench-diff: factorize/laplace_4096 regressed {:.2}x vs baseline \
-                     ({} -> {})",
-                    c / b,
-                    fmt_s(b),
-                    fmt_s(c)
-                );
-                return ExitCode::FAILURE;
-            }
-            (Some(_), Some(_)) => {}
-            _ => {
-                eprintln!(
-                    "bench-diff: --gate-factorize set but factorize/laplace_4096 is \
-                     missing from {base_path} or {cur_path}"
-                );
-                return ExitCode::FAILURE;
-            }
+    // The blocked solve sweep's RHS-major panel kernels over the
+    // column-major calls they replaced, same shapes and `nrhs` (<1 = the
+    // panel kernel is faster). Printed, not gated, like the line above.
+    for (panel, column_major) in [
+        ("panel_mul/f64_16x349x41", "gemm/f64_349x41x16"),
+        ("panel_mul_t/f64_16x349x41", "gemm/f64_349x41x16"),
+        ("panel_lu/f64_16x41", "lu_solve/f64_41_nrhs16"),
+        ("panel_ldlt/f64_16x1651", "ldlt_solve/f64_1651_nrhs16"),
+        ("panel_mul/c64_8x332x45", "gemm/c64_332x45x8"),
+        ("panel_mul_t/c64_8x332x45", "gemm/c64_332x45x8"),
+        ("panel_lu/c64_8x45", "lu_solve/c64_45_nrhs8"),
+        ("panel_ldlt/c64_8x1251", "ldlt_solve/c64_1251_nrhs8"),
+    ] {
+        if let (Some(t_p), Some(t_c)) = (median_of(panel), median_of(column_major)) {
+            println!(
+                "{panel} / {column_major}: {:.2}x ({} vs {})",
+                t_p / t_c,
+                fmt_s(t_p),
+                fmt_s(t_c)
+            );
         }
     }
 

@@ -11,17 +11,18 @@
 //! Algorithm 2's solve phase — upward pass with neighbor delta exchange,
 //! dense top solve on rank 0, downward pass with request/reply value
 //! refresh — as one SPMD function executed by all ranks over the existing
-//! `KIND_SOLVE_*` tags, with the rank-local sweeps GEMM-blocked via the
-//! level-3 kernels of [`crate::solve`].
+//! `KIND_SOLVE_*` tags, with the rank-local sweeps on the RHS-major panel
+//! kernels of [`crate::solve`] (each rank's working block is `nrhs x n`,
+//! and every frame cut from it `nrhs x |ids|`).
 //!
 //! **Bit-exactness.** The resident solve reproduces the gathered
 //! [`Factorization::apply_inverse_mat`](crate::Factorization) sweep *bit
 //! for bit* (asserted in `tests/resident_serve.rs`): per-rank records are
 //! applied in global elimination-order (the sorted order key), and the
-//! neighbor delta shipped for a remote row is the very `EN · B_R` GEMM
-//! product row the serial merge would subtract — not an after-minus-before
-//! difference, which would pick up the sender's stale copy of the remote
-//! value. Within any `(level, phase)` round the four-color schedule
+//! neighbor delta shipped for a remote point is the very column of the
+//! `X_R · ENᵀ` product the serial merge would subtract — not an
+//! after-minus-before difference, which would pick up the sender's stale
+//! copy of the remote value. Within any `(level, phase)` round the four-color schedule
 //! guarantees no row receives deltas from two different ranks and no rank
 //! both holds phase records and receives non-empty deltas, so the
 //! receive-order of the exchange cannot reorder the serial summation.
@@ -58,7 +59,10 @@ use super::{get_ids, key_level_phase, owned_leaf_ids, owner_of_point, region_of,
 use crate::elimination::{BoxElimination, FactorError};
 use crate::error::SrsfError;
 use crate::sequential::domain_for;
-use crate::solve::{downward_parts, merge_upward, upward_parts};
+use crate::solve::{
+    downward_parts, frame_of, merge_downward, merge_upward, solve_top, upward_parts, RecordPanels,
+    RhsBlock,
+};
 use crate::stats::FactorStats;
 use crate::wire::put_ids;
 use crate::FactorOpts;
@@ -285,24 +289,24 @@ impl<T: Scalar> ServeState<T> {
     }
 }
 
-/// Per-record neighbor-delta batches bound for one rank: `(row ids,
-/// matching rows of the `EN B_R` product)`.
+/// Per-record neighbor-delta batches bound for one rank: `(point ids,
+/// matching columns of the `X_R ENᵀ` product)`.
 type DeltaBatch<'a, T> = Vec<(&'a [u32], Mat<T>)>;
 
 /// The SPMD resident solve: every rank (rank 0 included) runs this over
-/// its slab-initialized full-height working block `x` (`n x nrhs`; only
-/// owned and protocol-refreshed rows are ever read — stale remote copies
-/// are write-only). On return, rank 0's `x` holds the full solution;
-/// worker copies are discarded by the caller.
+/// its slab-initialized full-width working block `x` (`nrhs x n`; only
+/// owned and protocol-refreshed points are ever read — stale remote
+/// copies are write-only). On return, rank 0's `x` holds the full
+/// solution; worker copies are discarded by the caller.
 ///
 /// Note on working memory: residency keeps the *factor* (record) memory
 /// at O(N/p) per rank — the paper's bound, and what this mode exists
-/// for — but the per-solve working block is allocated full-height for
-/// global row addressing, O(N·nrhs) scratch per rank per solve (freed at
-/// solve end; same shape the legacy in-world solve and the gathered
-/// rank-0 sweep use). Shrinking it to owned+halo height needs a rank-
-/// local row remap of every record index — a follow-up, not a
-/// correctness issue.
+/// for — but the per-solve working block is allocated full-width for
+/// global point addressing, O(N·nrhs) scratch per rank per solve (freed
+/// at solve end; same shape the legacy in-world solve and the gathered
+/// rank-0 sweep use). Shrinking it to owned+halo width needs a rank-
+/// local remap of every record index — a follow-up, not a correctness
+/// issue.
 ///
 /// `rank0_owned` is rank 0's cached per-rank slab row map (None on
 /// workers).
@@ -316,12 +320,13 @@ fn solve_resident_mat<T: Scalar>(
     ctx: &mut RankCtx,
     geo: &ResidentGeo,
     st: &ServeState<T>,
-    x: &mut Mat<T>,
+    x: &mut RhsBlock<T>,
     rank0_owned: Option<&[Vec<u32>]>,
 ) -> Result<(), RecvError> {
     let me = ctx.rank();
     let grid = &geo.grid;
     let levels: Vec<u8> = (st.lmin..=st.leaf).rev().collect();
+    let mut panels = RecordPanels::new();
 
     // ---- Upward pass -----------------------------------------------------
     for &level in &levels {
@@ -333,12 +338,12 @@ fn solve_resident_mat<T: Scalar>(
                     neighbors.iter().map(|&r| (r, Vec::new())).collect();
                 for i in st.round_range(level, phase) {
                     let rec = &st.records[i].1;
-                    let (br, bs, dn) = upward_parts(rec, x);
-                    // Remote rows of the neighbor delta: the exact rows of
-                    // the `EN B_R` product the serial merge subtracts,
-                    // routed by the precomputed ownership tables.
+                    upward_parts(rec, x, &mut panels);
+                    // Remote points of the neighbor delta: the exact
+                    // columns of the `X_R ENᵀ` product the serial merge
+                    // subtracts, routed by the precomputed ownership tables.
                     for (dst, ids, pos) in &st.routing[i] {
-                        let rows = dn.gather_rows(pos);
+                        let rows = frame_of(&panels.n, pos, x.nrhs());
                         outgoing
                             .get_mut(dst)
                             // INVARIANT: outgoing was pre-seeded with every
@@ -346,7 +351,7 @@ fn solve_resident_mat<T: Scalar>(
                             .expect("delta for a non-adjacent rank")
                             .push((ids, rows));
                     }
-                    merge_upward(rec, x, br, bs, dn);
+                    merge_upward(rec, x, &panels);
                 }
                 for &dst in &neighbors {
                     let entries = outgoing.remove(&dst).unwrap_or_default();
@@ -369,7 +374,7 @@ fn solve_resident_mat<T: Scalar>(
                         // INVARIANT: this frame was encoded by a peer rank under the matching tag
                         // and the transport delivers whole messages, so decode cannot truncate
                         let rows: Mat<T> = r.get_mat();
-                        x.scatter_rows_sub(&ids, &rows);
+                        x.scatter_sub(&ids, &rows);
                     }
                 }
             }
@@ -392,24 +397,22 @@ fn solve_resident_mat<T: Scalar>(
             // INVARIANT: this frame was encoded by a peer rank under the matching tag
             // and the transport delivers whole messages, so decode cannot truncate
             let rows: Mat<T> = r.get_mat();
-            x.scatter_rows(&ids, &rows);
+            x.scatter(&ids, &rows);
         }
         // INVARIANT: rank 0 runs the top-level merge, so its record always exists
         let (top_idx, top) = st.top.as_ref().expect("rank 0 holds the top");
-        let mut vals = x.gather_rows(top_idx);
-        top.solve_mat(&mut vals);
-        x.scatter_rows(top_idx, &vals);
+        solve_top(top_idx, top, x, &mut panels.r);
         for (dst, ids) in &st.top_reply {
             let mut w = ByteWriter::new();
             put_ids(&mut w, ids);
-            w.put_mat(&x.gather_rows(ids));
+            w.put_mat(&x.frame(ids));
             ctx.send(*dst, tag(st.top_level, 7, KIND_SOLVE_VAL), w.finish());
         }
     } else if active_top.contains(&me) {
         let ids = st.owned_act_ids(st.top_level);
         let mut w = ByteWriter::new();
         put_ids(&mut w, &ids);
-        w.put_mat(&x.gather_rows(&ids));
+        w.put_mat(&x.frame(&ids));
         ctx.send(0, tag(st.top_level, 6, KIND_SOLVE_VAL), w.finish());
         let payload = ctx.try_recv(0, tag(st.top_level, 7, KIND_SOLVE_VAL))?;
         let mut r = ByteReader::new(payload);
@@ -417,7 +420,7 @@ fn solve_resident_mat<T: Scalar>(
         // INVARIANT: this frame was encoded by a peer rank under the matching tag
         // and the transport delivers whole messages, so decode cannot truncate
         let rows: Mat<T> = r.get_mat();
-        x.scatter_rows(&ids, &rows);
+        x.scatter(&ids, &rows);
     }
     ctx.try_barrier()?;
     drop(top_sp);
@@ -452,7 +455,7 @@ fn solve_resident_mat<T: Scalar>(
                     let ids = get_ids(&mut ByteReader::new(payload));
                     let mut w = ByteWriter::new();
                     put_ids(&mut w, &ids);
-                    w.put_mat(&x.gather_rows(&ids));
+                    w.put_mat(&x.frame(&ids));
                     ctx.send(src, tag(level, phase, KIND_SOLVE_VAL), w.finish());
                 }
                 for &src in &neighbors {
@@ -462,14 +465,13 @@ fn solve_resident_mat<T: Scalar>(
                     // INVARIANT: this frame was encoded by a peer rank under the matching tag
                     // and the transport delivers whole messages, so decode cannot truncate
                     let rows: Mat<T> = r.get_mat();
-                    x.scatter_rows(&ids, &rows);
+                    x.scatter(&ids, &rows);
                 }
                 // Apply my records of this round in reverse global order.
                 for i in st.round_range(level, phase).rev() {
                     let rec = &st.records[i].1;
-                    let (br, bs) = downward_parts(rec, x);
-                    x.scatter_rows(&rec.redundant, &br);
-                    x.scatter_rows(&rec.skel, &bs);
+                    downward_parts(rec, x, &mut panels);
+                    merge_downward(rec, x, &panels);
                 }
             }
         }
@@ -486,11 +488,11 @@ fn solve_resident_mat<T: Scalar>(
             // INVARIANT: this frame was encoded by a peer rank under the matching tag
             // and the transport delivers whole messages, so decode cannot truncate
             let rows: Mat<T> = ByteReader::new(payload).get_mat();
-            x.scatter_rows(&owned[src], &rows);
+            x.scatter(&owned[src], &rows);
         }
     } else {
         let mut w = ByteWriter::new();
-        w.put_mat(&x.gather_rows(&st.owned_leaf_ids));
+        w.put_mat(&x.frame(&st.owned_leaf_ids));
         ctx.send_service(0, TAG_SERVE_SOL, w.finish());
     }
     Ok(())
@@ -502,7 +504,7 @@ fn fold_up_mat<T: Scalar>(
     grid: &ProcessGrid,
     st: &ServeState<T>,
     child_level: u8,
-    x: &mut Mat<T>,
+    x: &mut RhsBlock<T>,
 ) -> Result<(), RecvError> {
     let me = ctx.rank();
     let parent_level = child_level - 1;
@@ -521,7 +523,7 @@ fn fold_up_mat<T: Scalar>(
         let ids = st.owned_act_ids(child_level);
         let mut w = ByteWriter::new();
         put_ids(&mut w, &ids);
-        w.put_mat(&x.gather_rows(&ids));
+        w.put_mat(&x.frame(&ids));
         ctx.send(corner, tag(child_level, 5, KIND_SOLVE_VAL), w.finish());
     } else {
         let stride = grid.q() / grid.effective_q(child_level);
@@ -534,7 +536,7 @@ fn fold_up_mat<T: Scalar>(
             // INVARIANT: this frame was encoded by a peer rank under the matching tag
             // and the transport delivers whole messages, so decode cannot truncate
             let rows: Mat<T> = r.get_mat();
-            x.scatter_rows(&ids, &rows);
+            x.scatter(&ids, &rows);
         }
     }
     Ok(())
@@ -547,7 +549,7 @@ fn fold_down_mat<T: Scalar>(
     grid: &ProcessGrid,
     st: &ServeState<T>,
     child_level: u8,
-    x: &mut Mat<T>,
+    x: &mut RhsBlock<T>,
 ) -> Result<(), RecvError> {
     let me = ctx.rank();
     let parent_level = child_level - 1;
@@ -570,7 +572,7 @@ fn fold_down_mat<T: Scalar>(
         // INVARIANT: this frame was encoded by a peer rank under the matching tag
         // and the transport delivers whole messages, so decode cannot truncate
         let rows: Mat<T> = r.get_mat();
-        x.scatter_rows(&ids, &rows);
+        x.scatter(&ids, &rows);
     } else {
         let stride = grid.q() / grid.effective_q(child_level);
         let (cx, cy) = grid.coords_of(me);
@@ -583,7 +585,7 @@ fn fold_down_mat<T: Scalar>(
                 .unwrap_or_default();
             let mut w = ByteWriter::new();
             put_ids(&mut w, &ids);
-            w.put_mat(&x.gather_rows(&ids));
+            w.put_mat(&x.frame(&ids));
             ctx.send(member, tag(child_level, 6, KIND_SOLVE_VAL), w.finish());
         }
     }
@@ -650,9 +652,9 @@ fn serve_loop<T: Scalar>(ctx: &mut RankCtx, geo: &ResidentGeo, st: &ServeState<T
                         return;
                     }
                 };
-                assert_eq!(slab.ncols(), nrhs, "rank {me}: RHS slab shape mismatch");
-                let mut x = Mat::zeros(geo.n, nrhs);
-                x.scatter_rows(&st.owned_leaf_ids, &slab);
+                assert_eq!(slab.nrows(), nrhs, "rank {me}: RHS slab shape mismatch");
+                let mut x = RhsBlock::zeros(nrhs, geo.n);
+                x.scatter(&st.owned_leaf_ids, &slab);
                 if let Err(e) = solve_resident_mat(ctx, geo, st, &mut x, None) {
                     eprintln!("srsf-core: rank {me} abandoning resident serve: {e}");
                     return;
@@ -800,8 +802,9 @@ impl<T: Scalar> ResidentService<T> {
     }
 
     /// Solve `A X = B` on the resident world: scatter B's rows by leaf
-    /// ownership, run the distributed blocked solve in place, gather the
-    /// solution rows. Bit-identical to the gathered factorization's
+    /// ownership (as columns of the RHS-major block each rank sweeps), run
+    /// the distributed blocked solve in place, gather the solution rows.
+    /// Bit-identical to the gathered factorization's
     /// [`crate::Factorization::solve_mat`].
     ///
     /// Panics if a rank fails mid-solve; use
@@ -819,8 +822,16 @@ impl<T: Scalar> ResidentService<T> {
     /// no abort — and the service is poisoned: the world is
     /// desynchronized, so every later solve returns the same error
     /// immediately. Shutdown and Drop still reap the surviving workers.
+    ///
+    /// A block of the wrong height is [`SrsfError::RhsLength`]; nothing
+    /// has been sent by then, so the service stays usable.
     pub fn try_solve_mat(&self, b: &Mat<T>) -> Result<Mat<T>, SrsfError> {
-        assert_eq!(b.nrows(), self.n, "right-hand side row count mismatch");
+        if b.nrows() != self.n {
+            return Err(SrsfError::RhsLength {
+                expected: self.n,
+                got: b.nrows(),
+            });
+        }
         // INVARIANT: lock poisoning requires a panicked driver call, which
         // already surfaced to the caller
         let inner = &mut *self.inner.lock().expect("resident service poisoned");
@@ -836,16 +847,16 @@ impl<T: Scalar> ResidentService<T> {
         // RHS scatter envelope, the SPMD sweep, the solution gather.
         let t_solve = std::time::Instant::now();
         let nrhs = b.ncols() as u64;
+        let mut x = RhsBlock::from_cols(b);
         for dst in 1..self.p {
             let mut w = ByteWriter::new();
             w.put_u64(CMD_SOLVE);
             w.put_u64(nrhs);
             handle.ctx().send_service(dst, TAG_SERVE_CMD, w.finish());
             let mut w = ByteWriter::new();
-            w.put_mat(&b.gather_rows(&inner.owned[dst]));
+            w.put_mat(&x.frame(&inner.owned[dst]));
             handle.ctx().send_service(dst, TAG_SERVE_RHS, w.finish());
         }
-        let mut x = b.clone();
         if let Err(e) = solve_resident_mat(
             handle.ctx(),
             &inner.geo,
@@ -861,7 +872,7 @@ impl<T: Scalar> ResidentService<T> {
         }
         self.metrics
             .observe_solve(t_solve.elapsed().as_nanos() as u64, true);
-        Ok(x)
+        Ok(x.into_cols())
     }
 
     /// Solve `A x = b` (single right-hand side) on the resident world:

@@ -55,17 +55,17 @@ impl<T: Scalar> Factorization<T> {
     }
 
     /// Apply the approximate inverse to an `n x nrhs` block of right-hand
-    /// sides in place: `B := A^{-1} B`, one GEMM-driven sweep over the
-    /// records instead of `nrhs` vector sweeps.
+    /// sides in place: `B := A^{-1} B`; see [`Factorization::solve_mat`].
     pub fn apply_inverse_mat(&self, b: &mut Mat<T>) {
-        solve::apply_inverse_mat(self, b);
+        *b = self.solve_mat(b);
     }
 
-    /// Solve `A X = B` for every column of `b` at once.
+    /// Solve `A X = B` for every column of `b` at once: one sweep of
+    /// level-3 panel kernels over the records instead of `nrhs` vector
+    /// sweeps. Column `j` of the result has the same bits whatever the
+    /// other columns are and wherever it sits among them.
     pub fn solve_mat(&self, b: &Mat<T>) -> Mat<T> {
-        let mut x = b.clone();
-        self.apply_inverse_mat(&mut x);
-        x
+        solve::solve_mat(self, b, 1)
     }
 
     /// Blocked apply scheduled over `n_threads` workers by the records'
@@ -74,15 +74,14 @@ impl<T: Scalar> Factorization<T> {
     /// same-color records (whole rounds for a colored-driver
     /// factorization) compute concurrently and merge in record order.
     pub fn apply_inverse_mat_threaded(&self, b: &mut Mat<T>, n_threads: usize) {
-        solve::apply_inverse_mat_threaded(self, b, n_threads);
+        *b = solve::solve_mat(self, b, n_threads);
     }
 
     /// Threaded single-batch apply of one right-hand side vector; see
     /// [`Factorization::apply_inverse_mat_threaded`].
     pub fn apply_inverse_threaded(&self, b: &mut [T], n_threads: usize) {
-        let mut m = Mat::from_vec(b.len(), 1, b.to_vec());
-        solve::apply_inverse_mat_threaded(self, &mut m, n_threads);
-        b.copy_from_slice(m.as_slice());
+        let m = Mat::from_vec(b.len(), 1, b.to_vec());
+        b.copy_from_slice(solve::solve_mat(self, &m, n_threads).as_slice());
     }
 
     /// Factorization statistics (ranks per level, timings, memory).

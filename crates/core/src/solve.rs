@@ -6,33 +6,44 @@
 //! touches only its box's redundant/skeleton entries and its neighbors'
 //! active entries — the locality that makes the distributed solve possible.
 //!
-//! Three application paths share the record data:
+//! Two sweeps share the record data, and the second runs serially or
+//! threaded:
 //!
 //! * **Single vector** ([`apply_inverse`]) — level-2 matvecs per record;
 //!   this is what the distributed driver's rank-local solve uses, where
 //!   each rank holds one slice of one right-hand side.
-//! * **Blocked multi-RHS** ([`apply_inverse_mat`]) — the same sweeps over
-//!   an `n x nrhs` [`Mat`]: row-block gather/scatter plus `T^H B_S`,
-//!   `L^{-1} P B_R`, and the Schur subtractions as GEMM/blocked-TRSM
-//!   calls into `srsf-linalg`. This is the hot path of a served
+//! * **Blocked multi-RHS** ([`solve_mat`]) — the hot path of a served
 //!   deployment, where the factorization is amortized over many incident
-//!   right-hand sides at once.
-//! * **Color-scheduled threaded apply** ([`apply_inverse_mat_threaded`])
-//!   — records carry a `(level, color)` stamp from factorization time;
-//!   contiguous same-stamp runs are applied concurrently under
-//!   `std::thread::scope`. With the distance-3 `Nine` coloring all record
-//!   writes are disjoint by construction; the distance-2 `Four` scheme
-//!   additionally shares additive neighbor updates. Both run the same
-//!   snapshot-read compute phase followed by a fixed-order merge
-//!   (mirroring `eliminate_color_round`), so the result is bit-identical
-//!   to the serial [`apply_inverse_mat`] for any thread count.
+//!   right-hand sides at once. The sweep holds its working block
+//!   **RHS-major** ([`RhsBlock`]: `nrhs x n`, one point's values for all
+//!   right-hand sides contiguous; the caller's `n x nrhs` block is
+//!   transposed on entry and on exit). A record gathers its `R`/`S`/`N`
+//!   points — one `nrhs`-long copy per index — into panels that a serial
+//!   sweep allocates once ([`RecordPanels`]), zero-padded to the
+//!   register-tile height (`srsf_linalg::panel::panel_rows`). The padding
+//!   lives in those panels only: the block itself, and every wire frame
+//!   the resident ranks cut from it, keeps exactly `nrhs` rows. Every
+//!   product is then `panel * M` or `panel * M^T` and `X_RR^{-1}` a
+//!   right-sided `X (LU)^{-T}`, with the right-hand sides in the register
+//!   tile and `T`/`ES`/`EN`/`LU` streamed in place, once
+//!   (`srsf_linalg::panel`). No kernel combines two rows of a panel and
+//!   none chooses its arithmetic by `nrhs`, so the lanes are independent:
+//!   a right-hand side is solved to the same bits alone, in any batch,
+//!   and at any position in it.
+//! * **The same, color-scheduled over threads** (`solve_mat` with
+//!   `n_threads > 1`) — records carry a `(level, color)` stamp from
+//!   factorization time; contiguous same-stamp runs are applied
+//!   concurrently under `std::thread::scope`. With the distance-3 `Nine`
+//!   coloring all record writes are disjoint by construction; the
+//!   distance-2 `Four` scheme additionally shares additive neighbor
+//!   updates. Both run the same snapshot-read compute phase followed by a
+//!   fixed-order merge (mirroring `eliminate_color_round`), so the result
+//!   is bit-identical to the serial sweep for any thread count.
 
 use crate::elimination::BoxElimination;
 use crate::sequential::Factorization;
-use srsf_linalg::gemm::{
-    adjoint_matmul_sub, matmul, matmul_sub, transpose_matmul, transpose_matmul_acc,
-    transpose_matmul_sub,
-};
+use crate::top::TopFactor;
+use srsf_linalg::panel::{panel_mul_acc, panel_mul_t_acc, panel_rows};
 use srsf_linalg::{Mat, Scalar};
 use std::ops::Range;
 // Sync primitives come through the srsf-verify shims: identical to
@@ -157,96 +168,221 @@ pub(crate) fn apply_inverse<T: Scalar>(f: &Factorization<T>, b: &mut [T]) {
 // Blocked multi-RHS application
 // ---------------------------------------------------------------------------
 
-/// The snapshot-read compute half of the upward record application:
-/// returns `(B_R, B_S, EN B_R)` where `B_R` and `B_S` are the updated
-/// redundant/skeleton row blocks and `EN B_R` is the *additive* neighbor
-/// delta, left unapplied so callers can merge it in a fixed record order.
+/// The blocked sweep's working block, RHS-major: `nrhs x n`, column `i`
+/// holding point `i`'s value for every right-hand side. A type of its
+/// own so that it cannot be taken for the caller's `n x nrhs` block.
+pub(crate) struct RhsBlock<T>(Mat<T>);
+
+impl<T: Scalar> RhsBlock<T> {
+    /// All-zero block.
+    pub(crate) fn zeros(nrhs: usize, n: usize) -> Self {
+        Self(Mat::zeros(nrhs, n))
+    }
+
+    /// From the caller's `n x nrhs` block of columns.
+    pub(crate) fn from_cols(b: &Mat<T>) -> Self {
+        Self(b.transpose())
+    }
+
+    /// Back to `n x nrhs`.
+    pub(crate) fn into_cols(self) -> Mat<T> {
+        self.0.transpose()
+    }
+
+    /// Number of right-hand sides.
+    pub(crate) fn nrhs(&self) -> usize {
+        self.0.nrows()
+    }
+
+    /// Gather points `idx` into `panel`, zero-padded to the tile height.
+    fn gather(&self, idx: &[u32], panel: &mut Mat<T>) {
+        self.0
+            .gather_cols_into(idx, panel_rows::<T>(self.nrhs()), panel);
+    }
+
+    /// The exact-height `nrhs x |idx|` copy of points `idx` that goes on
+    /// the wire.
+    pub(crate) fn frame(&self, idx: &[u32]) -> Mat<T> {
+        frame_of(&self.0, idx, self.nrhs())
+    }
+
+    /// `self[.., idx[k]] = vals[.., k]` (`vals` a panel or a frame).
+    pub(crate) fn scatter(&mut self, idx: &[u32], vals: &Mat<T>) {
+        self.0.scatter_cols(idx, vals);
+    }
+
+    /// `self[.., idx[k]] -= vals[.., k]`.
+    pub(crate) fn scatter_sub(&mut self, idx: &[u32], vals: &Mat<T>) {
+        self.0.scatter_cols_sub(idx, vals);
+    }
+}
+
+/// Columns `pos` of `panel` cut down to `nrhs` rows: a wire frame.
+pub(crate) fn frame_of<T: Scalar>(panel: &Mat<T>, pos: &[u32], nrhs: usize) -> Mat<T> {
+    let mut out = Mat::zeros(0, 0);
+    panel.gather_cols_into(pos, nrhs, &mut out);
+    out
+}
+
+/// The panels one record application works in: after
+/// [`upward_parts`] the updated `X_R`, `X_S` and the additive neighbor
+/// delta `X_R EN^T`; after [`downward_parts`] the updated `X_R`, `X_S`.
+/// A serial sweep keeps one set for all its records.
+pub(crate) struct RecordPanels<T> {
+    pub(crate) r: Mat<T>,
+    pub(crate) s: Mat<T>,
+    pub(crate) n: Mat<T>,
+    v: Mat<T>,
+}
+
+impl<T: Scalar> RecordPanels<T> {
+    pub(crate) fn new() -> Self {
+        let empty = || Mat::zeros(0, 0);
+        Self {
+            r: empty(),
+            s: empty(),
+            n: empty(),
+            v: empty(),
+        }
+    }
+}
+
+/// The snapshot-read compute half of the upward record application
+/// (the transpose of [`apply_upward`], all right-hand sides at once):
+/// leaves the updated `X_R` and `X_S` in `w.r`, `w.s` and the *additive*
+/// neighbor delta `X_R EN^T` in `w.n`, unapplied so callers can merge it
+/// in a fixed record order.
 pub(crate) fn upward_parts<T: Scalar>(
     rec: &BoxElimination<T>,
-    b: &Mat<T>,
-) -> (Mat<T>, Mat<T>, Mat<T>) {
-    let mut br = b.gather_rows(&rec.redundant);
-    let mut bs = b.gather_rows(&rec.skel);
-    // B_R := L^{-1} P (B_R - T^H B_S) (general)
-    //     or X_RR^{-1} (B_R - T^T B_S) (symmetric)
+    x: &RhsBlock<T>,
+    w: &mut RecordPanels<T>,
+) {
+    x.gather(&rec.redundant, &mut w.r);
+    x.gather(&rec.skel, &mut w.s);
+    // X_R := (X_R - X_S conj(T)) P^T L^{-T} (general)
+    //     or (X_R - X_S T) X_RR^{-T}        (symmetric)
     if rec.is_symmetric() {
-        transpose_matmul_sub(&mut br, &rec.t, &bs);
-        rec.lu.solve_mat(&mut br);
+        panel_mul_acc(&mut w.r, -T::ONE, &w.s, &rec.t, false);
+        rec.lu.solve_panel(&mut w.r);
     } else {
-        adjoint_matmul_sub(&mut br, &rec.t, &bs);
-        rec.lu.forward_mat(&mut br);
+        panel_mul_acc(&mut w.r, -T::ONE, &w.s, &rec.t, true);
+        rec.lu.forward_panel(&mut w.r);
     }
-    // B_S -= ES B_R ; neighbor delta EN B_R is handed back for the merge.
-    matmul_sub(&mut bs, &rec.es, &br);
-    let dn = matmul(&rec.en, &br);
-    (br, bs, dn)
+    // X_S -= X_R ES^T ; the neighbor delta X_R EN^T is left for the merge.
+    panel_mul_t_acc(&mut w.s, -T::ONE, &w.r, &rec.es);
+    w.n.reset_zeros(w.r.nrows(), rec.nbr.len());
+    panel_mul_t_acc(&mut w.n, T::ONE, &w.r, &rec.en);
 }
 
-/// Merge half of the upward application: overwrite the box's own row
-/// blocks, subtract the neighbor delta.
+/// Merge half of the upward application: overwrite the box's own points,
+/// subtract the neighbor delta.
 pub(crate) fn merge_upward<T: Scalar>(
     rec: &BoxElimination<T>,
-    b: &mut Mat<T>,
-    br: Mat<T>,
-    bs: Mat<T>,
-    dn: Mat<T>,
+    x: &mut RhsBlock<T>,
+    w: &RecordPanels<T>,
 ) {
-    b.scatter_rows(&rec.redundant, &br);
-    b.scatter_rows(&rec.skel, &bs);
-    b.scatter_rows_sub(&rec.nbr, &dn);
+    x.scatter(&rec.redundant, &w.r);
+    x.scatter(&rec.skel, &w.s);
+    x.scatter_sub(&rec.nbr, &w.n);
 }
 
-/// Upward application of one record to an `n x nrhs` block: the level-3
-/// counterpart of [`apply_upward`].
-pub(crate) fn apply_upward_mat<T: Scalar>(rec: &BoxElimination<T>, b: &mut Mat<T>) {
-    let (br, bs, dn) = upward_parts(rec, b);
-    merge_upward(rec, b, br, bs, dn);
-}
-
-/// The snapshot-read compute half of the downward record application:
-/// returns the updated `(B_R, B_S)` row blocks. Downward writes touch
-/// only the box's own rows, so no delta is needed.
-pub(crate) fn downward_parts<T: Scalar>(rec: &BoxElimination<T>, b: &Mat<T>) -> (Mat<T>, Mat<T>) {
-    let mut br = b.gather_rows(&rec.redundant);
-    let mut bs = b.gather_rows(&rec.skel);
-    let bn = b.gather_rows(&rec.nbr);
+/// The snapshot-read compute half of the downward record application
+/// (the transpose of [`apply_downward`]): leaves the updated `X_R`, `X_S`
+/// in `w.r`, `w.s`. Downward writes touch only the box's own points, so
+/// no delta is needed.
+pub(crate) fn downward_parts<T: Scalar>(
+    rec: &BoxElimination<T>,
+    x: &RhsBlock<T>,
+    w: &mut RecordPanels<T>,
+) {
+    x.gather(&rec.redundant, &mut w.r);
+    x.gather(&rec.skel, &mut w.s);
+    x.gather(&rec.nbr, &mut w.n);
     if let (Some(fs), Some(fnb)) = (&rec.fs, &rec.fnb) {
-        // B_R := U^{-1} (B_R - FS B_S - FN B_N)
-        matmul_sub(&mut br, fs, &bs);
-        matmul_sub(&mut br, fnb, &bn);
-        rec.lu.backward_mat(&mut br);
+        // X_R := (X_R - X_S FS^T - X_N FN^T) U^{-T}
+        panel_mul_t_acc(&mut w.r, -T::ONE, &w.s, fs);
+        panel_mul_t_acc(&mut w.r, -T::ONE, &w.n, fnb);
+        rec.lu.backward_panel(&mut w.r);
     } else {
-        // B_R -= X_RR^{-1} (ES^T B_S + EN^T B_N)
-        let mut v = transpose_matmul(&rec.es, &bs);
-        transpose_matmul_acc(&mut v, T::ONE, &rec.en, &bn);
-        rec.lu.solve_mat(&mut v);
-        br.axpy(-T::ONE, &v);
+        // X_R -= (X_S ES + X_N EN) X_RR^{-T}
+        w.v.reset_zeros(w.r.nrows(), w.r.ncols());
+        panel_mul_acc(&mut w.v, T::ONE, &w.s, &rec.es, false);
+        panel_mul_acc(&mut w.v, T::ONE, &w.n, &rec.en, false);
+        rec.lu.solve_panel(&mut w.v);
+        w.r.axpy(-T::ONE, &w.v);
     }
-    // B_S -= T B_R
-    matmul_sub(&mut bs, &rec.t, &br);
-    (br, bs)
+    // X_S -= X_R T^T
+    panel_mul_t_acc(&mut w.s, -T::ONE, &w.r, &rec.t);
 }
 
-/// Downward application of one record to an `n x nrhs` block: the
-/// level-3 counterpart of [`apply_downward`].
-pub(crate) fn apply_downward_mat<T: Scalar>(rec: &BoxElimination<T>, b: &mut Mat<T>) {
-    let (br, bs) = downward_parts(rec, b);
-    b.scatter_rows(&rec.redundant, &br);
-    b.scatter_rows(&rec.skel, &bs);
+/// Merge half of the downward application.
+pub(crate) fn merge_downward<T: Scalar>(
+    rec: &BoxElimination<T>,
+    x: &mut RhsBlock<T>,
+    w: &RecordPanels<T>,
+) {
+    x.scatter(&rec.redundant, &w.r);
+    x.scatter(&rec.skel, &w.s);
 }
 
-/// Full blocked solve: upward pass, dense top solve (one blocked
-/// triangular pair over all columns), downward pass.
-pub(crate) fn apply_inverse_mat<T: Scalar>(f: &Factorization<T>, b: &mut Mat<T>) {
+/// The dense top solve on the block's top points `top_idx`, through the
+/// scratch `panel`.
+pub(crate) fn solve_top<T: Scalar>(
+    top_idx: &[u32],
+    top: &TopFactor<T>,
+    x: &mut RhsBlock<T>,
+    panel: &mut Mat<T>,
+) {
+    x.gather(top_idx, panel);
+    top.solve_panel(panel);
+    x.scatter(top_idx, panel);
+}
+
+/// Full blocked solve of an `n x nrhs` block of right-hand sides:
+/// upward pass, dense top solve, downward pass, all on the RHS-major
+/// transpose of `b`. With `n_threads > 1` the two record passes
+/// ([`record_pass`]) are scheduled by the records' `(level, color)` stamps:
+/// same-color records of a level compute concurrently against a snapshot
+/// of the block and merge in record order, so the result is bit-identical
+/// for any `n_threads`.
+///
+/// With the distance-3 `Nine` coloring the records of a group write
+/// disjoint points outright; with the paper's `Four` scheme same-color
+/// boxes at distance 2 share additive neighbor updates, which the
+/// fixed-order merge applies exactly as the serial sweep would.
+pub(crate) fn solve_mat<T: Scalar>(f: &Factorization<T>, b: &Mat<T>, n_threads: usize) -> Mat<T> {
+    assert!(n_threads >= 1, "need at least one worker thread");
     assert_eq!(b.nrows(), f.n, "right-hand side row count mismatch");
-    for rec in &f.records {
-        apply_upward_mat(rec, b);
+    let mut x = RhsBlock::from_cols(b);
+    record_pass(&f.records, &mut x, n_threads, false);
+    solve_top(&f.top_idx, &f.top, &mut x, &mut Mat::zeros(0, 0));
+    record_pass(&f.records, &mut x, n_threads, true);
+    x.into_cols()
+}
+
+/// One substitution pass over all records, upward in elimination order
+/// or downward in its reverse: serial with one set of panels, or
+/// color-scheduled over `n_threads` workers.
+fn record_pass<T: Scalar>(
+    records: &[BoxElimination<T>],
+    x: &mut RhsBlock<T>,
+    n_threads: usize,
+    downward: bool,
+) {
+    if n_threads > 1 {
+        return threaded_pass(records, &color_groups(records), x, n_threads, downward);
     }
-    let mut top = b.gather_rows(&f.top_idx);
-    f.top.solve_mat(&mut top);
-    b.scatter_rows(&f.top_idx, &top);
-    for rec in f.records.iter().rev() {
-        apply_downward_mat(rec, b);
+    let mut w = RecordPanels::new();
+    if downward {
+        for rec in records.iter().rev() {
+            downward_parts(rec, x, &mut w);
+            merge_downward(rec, x, &w);
+        }
+    } else {
+        for rec in records {
+            upward_parts(rec, x, &mut w);
+            merge_upward(rec, x, &w);
+        }
     }
 }
 
@@ -282,26 +418,24 @@ fn color_groups<T>(records: &[BoxElimination<T>]) -> Vec<Range<usize>> {
 /// [`Barrier`] between groups — respawning `thread::scope` per group
 /// costs more than a small group's compute. Per group, every worker
 /// pulls record indices from a shared atomic counter (work-stealing:
-/// per-box ranks vary widely), computes the record's row blocks against
-/// a read-locked snapshot of `b`, and parks at the barrier; one
-/// designated merger then write-locks `b` and applies the outputs in
+/// per-box ranks vary widely), computes the record's panels against
+/// a read-locked snapshot of `x`, and parks at the barrier; one
+/// designated merger then write-locks `x` and applies the outputs in
 /// serial record order (reverse order within a group on the downward
 /// pass, mirroring the serial sweep), and a second barrier releases the
 /// pool into the next group.
 fn threaded_pass<T: Scalar>(
     records: &[BoxElimination<T>],
     groups: &[Range<usize>],
-    b: &mut Mat<T>,
+    x: &mut RhsBlock<T>,
     n_threads: usize,
     downward: bool,
 ) {
-    // (B_R, B_S, additive neighbor delta — upward only).
-    type Parts<T> = (Mat<T>, Mat<T>, Option<Mat<T>>);
-    let slots: Vec<Mutex<Option<Parts<T>>>> =
+    let slots: Vec<Mutex<Option<RecordPanels<T>>>> =
         (0..records.len()).map(|_| Mutex::new(None)).collect();
     let counters: Vec<AtomicUsize> = groups.iter().map(|_| AtomicUsize::new(0)).collect();
     let barrier = Barrier::new(n_threads);
-    let lock = RwLock::new(std::mem::replace(b, Mat::zeros(0, 0)));
+    let lock = RwLock::new(std::mem::replace(x, RhsBlock::zeros(0, 0)));
     let order: Vec<usize> = if downward {
         (0..groups.len()).rev().collect()
     } else {
@@ -325,14 +459,12 @@ fn threaded_pass<T: Scalar>(
                         break;
                     }
                     let i = g.start + k;
-                    let rec = &records[i];
-                    let out = if downward {
-                        let (br, bs) = downward_parts(rec, &snapshot);
-                        (br, bs, None)
+                    let mut out = RecordPanels::new();
+                    if downward {
+                        downward_parts(&records[i], &snapshot, &mut out);
                     } else {
-                        let (br, bs, dn) = upward_parts(rec, &snapshot);
-                        (br, bs, Some(dn))
-                    };
+                        upward_parts(&records[i], &snapshot, &mut out);
+                    }
                     // INVARIANT: poisoning requires a panicked worker, whose panic
                     // already propagates through the scope join
                     *slots[i].lock().expect("slot poisoned") = Some(out);
@@ -349,7 +481,7 @@ fn threaded_pass<T: Scalar>(
                     g.clone().collect()
                 };
                 for i in idx {
-                    let (br, bs, dn) = slots[i]
+                    let out = slots[i]
                         .lock()
                         // INVARIANT: poisoning requires a panicked worker (propagated
                         // at scope join)
@@ -358,11 +490,10 @@ fn threaded_pass<T: Scalar>(
                         // INVARIANT: the barrier orders every record's slot write
                         // before the merger's take
                         .expect("missing record output");
-                    let rec = &records[i];
-                    bm.scatter_rows(&rec.redundant, &br);
-                    bm.scatter_rows(&rec.skel, &bs);
-                    if let Some(dn) = dn {
-                        bm.scatter_rows_sub(&rec.nbr, &dn);
+                    if downward {
+                        merge_downward(&records[i], &mut bm, &out);
+                    } else {
+                        merge_upward(&records[i], &mut bm, &out);
                     }
                 }
             }
@@ -377,32 +508,5 @@ fn threaded_pass<T: Scalar>(
     });
     // INVARIANT: all workers joined at scope end; poisoning would mean a panic
     // that already propagated
-    *b = lock.into_inner().expect("rhs lock poisoned");
-}
-
-/// Threaded blocked solve, scheduled by the records' `(level, color)`
-/// stamps: same-color records of a level compute concurrently against a
-/// snapshot of `b` and merge in record order, so the result is
-/// bit-identical to [`apply_inverse_mat`] for any `n_threads`.
-///
-/// With the distance-3 `Nine` coloring the records of a group write
-/// disjoint rows outright; with the paper's `Four` scheme same-color
-/// boxes at distance 2 share additive neighbor updates, which the
-/// fixed-order merge applies exactly as the serial sweep would.
-pub(crate) fn apply_inverse_mat_threaded<T: Scalar>(
-    f: &Factorization<T>,
-    b: &mut Mat<T>,
-    n_threads: usize,
-) {
-    assert!(n_threads >= 1, "need at least one worker thread");
-    if n_threads == 1 {
-        return apply_inverse_mat(f, b);
-    }
-    assert_eq!(b.nrows(), f.n, "right-hand side row count mismatch");
-    let groups = color_groups(&f.records);
-    threaded_pass(&f.records, &groups, b, n_threads, false);
-    let mut top = b.gather_rows(&f.top_idx);
-    f.top.solve_mat(&mut top);
-    b.scatter_rows(&f.top_idx, &top);
-    threaded_pass(&f.records, &groups, b, n_threads, true);
+    *x = lock.into_inner().expect("rhs lock poisoned");
 }

@@ -192,6 +192,15 @@ pub struct Solver<T> {
     traces: Vec<TraceReport>,
 }
 
+/// `Ok` if a right-hand side of `got` rows fits a problem of size `n`.
+fn check_rhs(n: usize, got: usize) -> Result<(), SrsfError> {
+    if got == n {
+        Ok(())
+    } else {
+        Err(SrsfError::RhsLength { expected: n, got })
+    }
+}
+
 impl<T: Scalar> Solver<T> {
     /// Start building a solver for the kernel matrix over `pts`.
     ///
@@ -241,28 +250,23 @@ impl<T: Scalar> Solver<T> {
     /// drops) cleanly, and [`Solver::restore_resident`] can rebuild a
     /// fresh world from checkpoints.
     pub fn try_solve(&self, b: &[T]) -> Result<Vec<T>, SrsfError> {
-        if b.len() != self.n() {
-            return Err(SrsfError::RhsLength {
-                expected: self.n(),
-                got: b.len(),
-            });
-        }
         match &self.backend {
-            SolverBackend::Local(f) => Ok(f.solve(b)),
+            SolverBackend::Local(f) => {
+                check_rhs(f.n(), b.len())?;
+                Ok(f.solve(b))
+            }
+            // (The service checks the length itself.)
             SolverBackend::Resident(s) => s.try_solve(b),
         }
     }
 
     /// Fallible [`Solver::solve_mat`]; see [`Solver::try_solve`].
     pub fn try_solve_mat(&self, b: &Mat<T>) -> Result<Mat<T>, SrsfError> {
-        if b.nrows() != self.n() {
-            return Err(SrsfError::RhsLength {
-                expected: self.n(),
-                got: b.nrows(),
-            });
-        }
         match &self.backend {
-            SolverBackend::Local(f) => Ok(f.solve_mat(b)),
+            SolverBackend::Local(f) => {
+                check_rhs(f.n(), b.nrows())?;
+                Ok(f.solve_mat(b))
+            }
             SolverBackend::Resident(s) => s.try_solve_mat(b),
         }
     }
@@ -731,12 +735,7 @@ impl<'a, K: Kernel> SolverBuilder<'a, K> {
     /// so its communication shows up in [`Solver::comm_stats`]; the other
     /// drivers solve locally after factoring.
     pub fn build_with_solution(self, rhs: &[K::Elem]) -> Result<Solved<K::Elem>, SrsfError> {
-        if rhs.len() != self.pts.len() {
-            return Err(SrsfError::RhsLength {
-                expected: self.pts.len(),
-                got: rhs.len(),
-            });
-        }
+        check_rhs(self.pts.len(), rhs.len())?;
         let (solver, x) = self.build_inner(Some(rhs))?;
         // INVARIANT: build_inner(Some(rhs)) always produces a solution
         Ok((solver, x.expect("solution requested")))

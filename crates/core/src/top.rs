@@ -44,11 +44,13 @@ impl<T: Scalar> TopFactor<T> {
         }
     }
 
-    /// In-place multi-RHS solve `B := A_top^{-1} B`.
-    pub fn solve_mat(&self, b: &mut Mat<T>) {
+    /// In-place multi-RHS solve on an RHS-major panel (`h x dim`, one
+    /// right-hand side per row; see `srsf_linalg::panel`):
+    /// `X := X A_top^{-T}`, the transpose of `B := A_top^{-1} B`.
+    pub fn solve_panel(&self, x: &mut Mat<T>) {
         match self {
-            TopFactor::General(lu) => lu.solve_mat(b),
-            TopFactor::Symmetric(ldlt) => ldlt.solve_mat(b),
+            TopFactor::General(lu) => lu.solve_panel(x),
+            TopFactor::Symmetric(ldlt) => ldlt.solve_panel(x),
         }
     }
 

@@ -14,7 +14,7 @@
 //! one-column case of the blocked sweep and is compared against exactly
 //! that.
 
-use srsf_core::{Driver, FactorOpts, Solver};
+use srsf_core::{Driver, FactorOpts, Solver, SrsfError};
 use srsf_geometry::grid::UnitGrid;
 use srsf_kernels::helmholtz::HelmholtzKernel;
 use srsf_kernels::kernel::Kernel;
@@ -181,6 +181,52 @@ fn resident_matches_gathered_bitwise_helmholtz_c64_p4() {
     let kernel = HelmholtzKernel::new(&grid, 20.0);
     assert_resident_equivalent(&kernel, &grid.points(), 4, Transport::InProc);
     let _ = c64::ZERO;
+}
+
+/// A block or vector of the wrong height is a typed error from the
+/// fallible entry points — the service's own check, not a panic on rank
+/// 0 — and costs the service nothing: no frame has been sent, so the
+/// next well-formed solve is answered (and answered right).
+fn assert_wrong_height_is_an_error_not_a_poison(p: usize) {
+    let grid = UnitGrid::new(16);
+    let kernel = LaplaceKernel::new(&grid);
+    let pts = grid.points();
+    let resident = Solver::builder(&kernel, &pts)
+        .opts(opts())
+        .driver(Driver::distributed(p))
+        .resident(true)
+        .build()
+        .expect("resident build");
+    let b = random_mat::<f64>(pts.len(), 3, 7);
+    let want = resident.solve_mat(&b);
+    let wrong = SrsfError::RhsLength {
+        expected: pts.len(),
+        got: pts.len() - 1,
+    };
+    let short = Mat::<f64>::zeros(pts.len() - 1, 3);
+    assert_eq!(resident.try_solve_mat(&short).unwrap_err(), wrong, "p={p}");
+    assert_eq!(
+        resident.try_solve(&vec![1.0; pts.len() - 1]).unwrap_err(),
+        wrong,
+        "p={p}"
+    );
+    let again = resident.try_solve_mat(&b).expect("service still answers");
+    assert_mat_bits(
+        &again,
+        &want,
+        &format!("p={p}: solve after a rejected block"),
+    );
+    assert!(resident.shutdown().is_some(), "p={p}: clean shutdown");
+}
+
+#[test]
+fn wrong_rhs_height_is_a_typed_error_p1() {
+    assert_wrong_height_is_an_error_not_a_poison(1);
+}
+
+#[test]
+fn wrong_rhs_height_is_a_typed_error_p4() {
+    assert_wrong_height_is_an_error_not_a_poison(4);
 }
 
 /// The acceptance case: resident `solve_mat` over real OS processes,

@@ -1,6 +1,7 @@
 //! The blocked multi-RHS solve path and the color-scheduled threaded
 //! apply: `solve_mat` must agree column-for-column with repeated single
-//! `solve` calls across scalar types and all three drivers, and the
+//! `solve` calls across scalar types and all three drivers, a column's
+//! solution must not depend on the batch it is solved in, and the
 //! threaded apply must be bit-identical to the serial blocked apply for
 //! any thread count.
 
@@ -94,6 +95,63 @@ fn solve_mat_matches_repeated_solve_c64() {
     for driver in drivers() {
         assert_solve_mat_matches::<c64, _>(&kernel, &pts, driver, &[0, 1, 7]);
     }
+}
+
+/// Batch invariance: column `j` of `solve_mat(B)` depends on column `j`
+/// of `B` alone — bit for bit the same whether it is solved by itself or
+/// in a block of any width, at any position, padded into a register tile
+/// or spanning several. Every lane of the RHS-major sweep runs the same
+/// multiply-add sequence whatever tile it sits in; a kernel that picked
+/// its arithmetic by `nrhs` (as the GEMM's naive/blocked crossover did)
+/// fails this. It is the property a batching front-end needs.
+fn assert_batch_invariant<T: Scalar, K: Kernel<Elem = T>>(kernel: &K, pts: &[Point]) {
+    let n = pts.len();
+    let col = random_vector::<T>(n, 5);
+    let builds = [
+        (Driver::Sequential, false),
+        (
+            Driver::Colored {
+                scheme: ColorScheme::Four,
+                threads: 2,
+            },
+            false,
+        ),
+        (Driver::distributed(4), false),
+        (Driver::distributed(4), true),
+    ];
+    for (driver, resident) in builds {
+        let f = Solver::builder(kernel, pts)
+            .opts(opts())
+            .driver(driver)
+            .resident(resident)
+            .build()
+            .unwrap();
+        let what = format!("{driver:?}, resident {resident}");
+        let alone = f.solve_mat(&Mat::from_vec(n, 1, col.clone()));
+        if resident {
+            // The served vector solve is the one-column block.
+            assert_eq!(f.solve(&col), alone.col(0), "{what}: solve(&b)");
+        }
+        for nrhs in [3usize, 7, 16, 17, 64] {
+            for at in [0, nrhs / 2, nrhs - 1] {
+                let mut b = rhs_mat::<T>(n, nrhs, 1000 + (nrhs * 64 + at) as u64);
+                b.col_mut(at).copy_from_slice(&col);
+                let x = f.solve_mat(&b);
+                assert!(
+                    x.col(at) == alone.col(0),
+                    "{what}: column {at} of {nrhs} differs from the same column solved alone"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn solve_mat_is_batch_invariant() {
+    let grid = UnitGrid::new(32);
+    assert_batch_invariant::<f64, _>(&LaplaceKernel::new(&grid), &grid.points());
+    let grid = UnitGrid::new(16);
+    assert_batch_invariant::<c64, _>(&HelmholtzKernel::new(&grid, 12.0), &grid.points());
 }
 
 #[test]

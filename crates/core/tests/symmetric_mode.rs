@@ -51,9 +51,9 @@ fn build<K: Kernel>(kernel: &K, pts: &[Point], driver: Driver) -> Solver<K::Elem
         .expect("factorization")
 }
 
-/// Factor `pts` both ways under every driver: the solutions must agree
-/// to `10 * tol`, and the symmetric factor must be under 70 % of the
-/// general one.
+/// Factor `pts` both ways under every driver: the solutions — of the
+/// vector sweep and of the blocked one — must agree to `10 * tol`, and
+/// the symmetric factor must be under 70 % of the general one.
 fn assert_modes_agree<K: Kernel + Clone>(kernel: K, pts: &[Point], what: &str) {
     let general = HideSymmetry(kernel.clone());
     let b = random_vector::<K::Elem>(pts.len(), 5);
@@ -66,6 +66,27 @@ fn assert_modes_agree<K: Kernel + Clone>(kernel: K, pts: &[Point], what: &str) {
             diff < 10.0 * TOL,
             "{what}, {driver:?}: symmetric vs general solution differ by {diff:.3e}"
         );
+        // The blocked sweep crosses the general records through kernels
+        // of its own — `conj(T)`, `FS`/`FN`, the split `L^{-1} P` /
+        // `U^{-1}` — which no symmetric factorization ever reaches.
+        let mut bm = srsf_linalg::Mat::zeros(pts.len(), 5);
+        for j in 0..5 {
+            bm.col_mut(j)
+                .copy_from_slice(&random_vector::<K::Elem>(pts.len(), 60 + j as u64));
+        }
+        let (xm_sym, xm_gen) = (f_sym.solve_mat(&bm), f_gen.solve_mat(&bm));
+        for j in 0..5 {
+            let diff = rel_diff(xm_sym.col(j), xm_gen.col(j));
+            assert!(
+                diff < 10.0 * TOL,
+                "{what}, {driver:?}: block column {j} differs across modes by {diff:.3e}"
+            );
+            let diff = rel_diff(xm_gen.col(j), &f_gen.solve(bm.col(j)));
+            assert!(
+                diff < 1e-10,
+                "{what}, {driver:?}: general block column {j} vs vector solve {diff:.3e}"
+            );
+        }
         let ratio = f_sym.memory_bytes() as f64 / f_gen.memory_bytes() as f64;
         assert!(
             ratio < 0.70,

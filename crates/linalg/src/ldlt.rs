@@ -76,7 +76,9 @@ impl core::fmt::Display for LdltBreakdown {
 impl std::error::Error for LdltBreakdown {}
 
 /// `(first column, width)` of every block column of an `n x n` matrix.
-fn block_cols(n: usize) -> impl DoubleEndedIterator<Item = (usize, usize)> + ExactSizeIterator {
+pub(crate) fn block_cols(
+    n: usize,
+) -> impl DoubleEndedIterator<Item = (usize, usize)> + ExactSizeIterator {
     (0..n).step_by(NB).map(move |k0| (k0, NB.min(n - k0)))
 }
 

@@ -8,6 +8,9 @@
 //! * matrix multiplication (plain / adjoint variants) in [`gemm`],
 //! * partially pivoted LU ([`lu`]) and triangular solves ([`triangular`]),
 //! * a packed block `L D Lᵀ` of a symmetric matrix ([`ldlt`]),
+//! * the RHS-major panel kernels of the blocked solve sweep ([`panel`]):
+//!   `panel · M`, `panel · Mᵀ` and the right-sided triangular solves, with
+//!   the right-hand sides in the register tile and `M` streamed unpacked,
 //! * Householder QR and greedy column-pivoted QR ([`qr`]),
 //! * the interpolative decomposition ([`id`]) used for skeletonization,
 //! * BLAS-1 style vector helpers ([`vecops`]).
@@ -32,6 +35,7 @@ pub mod lu;
 pub mod mat;
 pub mod norms;
 pub mod op;
+pub mod panel;
 pub mod qr;
 pub mod rid;
 pub mod scalar;

@@ -147,15 +147,33 @@ impl<T: Scalar> Mat<T> {
         self.transposed(T::IS_COMPLEX)
     }
 
-    /// Cache-tiled out-of-place (conjugate) transpose.
+    /// Cache-tiled out-of-place (conjugate) transpose: within a tile the
+    /// source is read down its columns and the writes stride through
+    /// `out` — unless that stride is a multiple of 4 KiB, which maps every
+    /// write of a tile column onto one L1 cache set (the solve sweep's
+    /// `nrhs x n` block going back to `n x nrhs` with `n` a power of two:
+    /// 4 ns an entry instead of 1). Then the tile is walked the other
+    /// way, contiguous in `out` and strided in the source.
     fn transposed(&self, conj: bool) -> Mat<T> {
         const TILE: usize = 32;
         let (m, n) = (self.nrows, self.ncols);
+        let aliased = |stride: usize| (stride * core::mem::size_of::<T>()).is_multiple_of(4096);
+        let by_rows = aliased(n) && !aliased(m);
         let mut out = Mat::zeros(n, m);
         for jb in (0..n).step_by(TILE) {
             let jend = (jb + TILE).min(n);
             for ib in (0..m).step_by(TILE) {
                 let iend = (ib + TILE).min(m);
+                if by_rows {
+                    for i in ib..iend {
+                        let dst = &mut out.data[i * n + jb..i * n + jend];
+                        for (off, d) in dst.iter_mut().enumerate() {
+                            let v = self.data[(jb + off) * m + i];
+                            *d = if conj { v.conj() } else { v };
+                        }
+                    }
+                    continue;
+                }
                 for j in jb..jend {
                     let src = &self.col(j)[ib..iend];
                     for (off, &v) in src.iter().enumerate() {
@@ -246,45 +264,51 @@ impl<T: Scalar> Mat<T> {
         }
     }
 
-    /// Gather rows `idx` into a dense `idx.len() x ncols` matrix — the
-    /// multi-RHS analogue of the solve phase's vector gather. Indices may
-    /// repeat; they are read, never aliased mutably.
-    pub fn gather_rows(&self, idx: &[u32]) -> Mat<T> {
-        let mut out = Mat::zeros(idx.len(), self.ncols);
-        for j in 0..self.ncols {
-            let src = self.col(j);
-            let dst = out.col_mut(j);
-            for (k, &i) in idx.iter().enumerate() {
-                dst[k] = src[i as usize];
-            }
-        }
-        out
+    /// Re-shape to an all-zero `nrows x ncols` matrix, keeping the
+    /// allocation — for scratch that is refilled once per record.
+    pub fn reset_zeros(&mut self, nrows: usize, ncols: usize) {
+        self.data.clear();
+        self.data.resize(nrows * ncols, T::ZERO);
+        (self.nrows, self.ncols) = (nrows, ncols);
     }
 
-    /// Scatter `vals` back into rows `idx`: `self[idx[k], j] = vals[k, j]`.
-    pub fn scatter_rows(&mut self, idx: &[u32], vals: &Mat<T>) {
-        assert_eq!(vals.nrows, idx.len());
-        assert_eq!(vals.ncols, self.ncols);
-        for j in 0..self.ncols {
-            let src = vals.col(j);
-            let dst = self.col_mut(j);
-            for (k, &i) in idx.iter().enumerate() {
-                dst[i as usize] = src[k];
-            }
+    /// Gather columns `idx` into `out`, re-shaped to `nrows x idx.len()`
+    /// (its allocation is kept): `out[.., k] = self[.., idx[k]]`, rows
+    /// beyond `self.nrows()` zero, rows beyond `nrows` dropped. With the
+    /// solve sweep's RHS-major block as `self` this is one contiguous
+    /// copy per point, into a panel padded to the register-tile height or
+    /// out of one into an exact-height wire frame. Indices may repeat.
+    pub fn gather_cols_into(&self, idx: &[u32], nrows: usize, out: &mut Mat<T>) {
+        let keep = nrows.min(self.nrows);
+        out.data.clear();
+        out.data.reserve(nrows * idx.len());
+        for &j in idx {
+            out.data.extend_from_slice(&self.col(j as usize)[..keep]);
+            out.data.resize(out.data.len() + nrows - keep, T::ZERO);
+        }
+        (out.nrows, out.ncols) = (nrows, idx.len());
+    }
+
+    /// Scatter the columns of `vals` back: `self[.., idx[k]] = vals[.., k]`
+    /// over `self`'s rows (`vals` may be taller — panel padding).
+    pub fn scatter_cols(&mut self, idx: &[u32], vals: &Mat<T>) {
+        assert_eq!(vals.ncols, idx.len());
+        assert!(vals.nrows >= self.nrows);
+        let h = self.nrows;
+        for (k, &j) in idx.iter().enumerate() {
+            self.col_mut(j as usize).copy_from_slice(&vals.col(k)[..h]);
         }
     }
 
-    /// Subtract `vals` from rows `idx`: `self[idx[k], j] -= vals[k, j]`.
+    /// Subtract the columns of `vals`: `self[.., idx[k]] -= vals[.., k]`.
     /// Used to merge additive neighbor updates in a fixed record order so
     /// the threaded solve apply stays bit-deterministic.
-    pub fn scatter_rows_sub(&mut self, idx: &[u32], vals: &Mat<T>) {
-        assert_eq!(vals.nrows, idx.len());
-        assert_eq!(vals.ncols, self.ncols);
-        for j in 0..self.ncols {
-            let src = vals.col(j);
-            let dst = self.col_mut(j);
-            for (k, &i) in idx.iter().enumerate() {
-                dst[i as usize] -= src[k];
+    pub fn scatter_cols_sub(&mut self, idx: &[u32], vals: &Mat<T>) {
+        assert_eq!(vals.ncols, idx.len());
+        assert!(vals.nrows >= self.nrows);
+        for (k, &j) in idx.iter().enumerate() {
+            for (d, s) in self.col_mut(j as usize).iter_mut().zip(vals.col(k)) {
+                *d -= *s;
             }
         }
     }
@@ -559,35 +583,40 @@ mod tests {
     }
 
     #[test]
-    fn gather_scatter_rows_roundtrip() {
-        let m = Mat::from_fn(5, 3, |i, j| (10 * i + j) as f64);
+    fn gather_scatter_cols_roundtrip() {
+        let m = Mat::from_fn(3, 5, |i, j| (i + 10 * j) as f64 + 1.0);
         let idx = [4u32, 0, 2];
-        let g = m.gather_rows(&idx);
-        assert_eq!(g.nrows(), 3);
-        assert_eq!(g[(0, 1)], m[(4, 1)]);
+        // Into a padded panel: extra rows are zero.
+        let mut g = Mat::zeros(0, 0);
+        m.gather_cols_into(&idx, 4, &mut g);
+        assert_eq!((g.nrows(), g.ncols()), (4, 3));
+        assert_eq!(g[(1, 0)], m[(1, 4)]);
         assert_eq!(g[(2, 2)], m[(2, 2)]);
-        let mut back = Mat::zeros(5, 3);
-        back.scatter_rows(&idx, &g);
-        for &i in &idx {
-            for j in 0..3 {
-                assert_eq!(back[(i as usize, j)], m[(i as usize, j)]);
-            }
+        assert_eq!(g[(3, 1)], 0.0);
+        // Out of it again at the exact height: padding dropped.
+        let mut exact = Mat::zeros(7, 7);
+        g.gather_cols_into(&[2, 0], 3, &mut exact);
+        assert_eq!(exact, m.select_cols(&[2, 4]));
+        let mut back = Mat::zeros(3, 5);
+        back.scatter_cols(&idx, &g);
+        for &j in &idx {
+            assert_eq!(back.col(j as usize), m.col(j as usize));
         }
-        assert_eq!(back[(1, 0)], 0.0);
+        assert_eq!(back[(1, 1)], 0.0);
         let mut sub = m.clone();
-        sub.scatter_rows_sub(&idx, &g);
-        for &i in &idx {
-            for j in 0..3 {
-                assert_eq!(sub[(i as usize, j)], 0.0);
-            }
+        sub.scatter_cols_sub(&idx, &g);
+        for &j in &idx {
+            assert_eq!(sub.col(j as usize), &[0.0; 3]);
         }
-        assert_eq!(sub[(3, 1)], m[(3, 1)]);
-        // Empty index set and zero-column RHS are fine.
-        let e = m.gather_rows(&[]);
-        assert_eq!(e.nrows(), 0);
-        let z: Mat<f64> = Mat::zeros(5, 0);
-        let gz = z.gather_rows(&idx);
-        assert_eq!((gz.nrows(), gz.ncols()), (3, 0));
+        assert_eq!(sub.col(3), m.col(3));
+        // Empty index set and zero right-hand sides are fine.
+        m.gather_cols_into(&[], 4, &mut g);
+        assert_eq!((g.nrows(), g.ncols()), (4, 0));
+        let z: Mat<f64> = Mat::zeros(0, 5);
+        z.gather_cols_into(&idx, 0, &mut g);
+        assert_eq!((g.nrows(), g.ncols()), (0, 3));
+        g.reset_zeros(2, 2);
+        assert_eq!(g, Mat::zeros(2, 2));
     }
 
     #[test]

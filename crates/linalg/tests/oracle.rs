@@ -10,6 +10,7 @@ use srsf_linalg::gemm::{
 };
 use srsf_linalg::ldlt::NB;
 use srsf_linalg::norms::{fro_norm, max_abs_diff};
+use srsf_linalg::panel::{panel_mul_acc, panel_mul_t_acc, panel_rows};
 use srsf_linalg::qr::{
     cpqr, cpqr_naive, form_q, form_q_naive, householder_qr, householder_qr_naive,
 };
@@ -521,6 +522,205 @@ fn ldlt_matches_lu_f64() {
 #[test]
 fn ldlt_matches_lu_c64() {
     ldlt_oracle::<c64>(32);
+}
+
+/// Right-hand-side counts of the panel oracles: one row, ragged tiles,
+/// exactly one tile of either scalar type, one row more, several tiles.
+const PANEL_HEIGHTS: [usize; 6] = [1, 3, 8, 16, 17, 64];
+
+/// `b` (`n x nrhs`) as a panel: transposed and zero-padded to the tile.
+fn to_panel<T: Scalar>(b: &Mat<T>) -> Mat<T> {
+    let mut p = Mat::zeros(panel_rows::<T>(b.ncols()), b.nrows());
+    p.set_block(0, 0, &b.transpose());
+    p
+}
+
+/// Back again: the first `nrhs` rows of `p`, transposed; the padding rows
+/// must still be zero (no kernel may leak one row into another).
+fn from_panel<T: Scalar>(p: &Mat<T>, nrhs: usize) -> Mat<T> {
+    for j in 0..p.ncols() {
+        assert!(
+            p.col(j)[nrhs..].iter().all(|v| *v == T::ZERO),
+            "padding row written in column {j}"
+        );
+    }
+    p.block(0, 0, nrhs, p.ncols()).transpose()
+}
+
+/// The two panel products against the column-major GEMM on the
+/// transposed operands — the record shapes of the solve sweep, widths
+/// straddling the four-wide strips, and empty index sets on either side.
+fn panel_product_oracle<T: TestScalar>(seed: u64) {
+    let alpha = T::from_re_im(-0.7, 0.4);
+    for (i, &nrhs) in PANEL_HEIGHTS.iter().enumerate() {
+        for (j, &r) in [0usize, 1, 3, 4, 5, 41, 64, 67].iter().enumerate() {
+            for &n in &[0usize, 1, 7, 90] {
+                let mut rng = Rng::new(seed + (i * 100 + j * 10 + n) as u64);
+                let m = rand_mat::<T>(n, r, &mut rng);
+                let (bn, br) = (
+                    rand_mat::<T>(n, nrhs, &mut rng),
+                    rand_mat::<T>(r, nrhs, &mut rng),
+                );
+                let what = format!("nrhs {nrhs}, M {n}x{r}");
+                // (alpha M^T B_N + B_R)^T = alpha X_N M + X_R, and with
+                // conj(M) for the adjoint.
+                for conj in [false, true] {
+                    let mut want = br.clone();
+                    if conj {
+                        adjoint_matmul_acc(&mut want, alpha, &m, &bn);
+                    } else {
+                        transpose_matmul_acc(&mut want, alpha, &m, &bn);
+                    }
+                    let mut c = to_panel(&br);
+                    panel_mul_acc(&mut c, alpha, &to_panel(&bn), &m, conj);
+                    assert_close(&from_panel(&c, nrhs), &want, &format!("panel * M, {what}"));
+                }
+                // (alpha M B_R + B_N)^T = alpha X_R M^T + X_N.
+                let mut want = bn.clone();
+                matmul_acc(&mut want, alpha, &m, &br);
+                let mut c = to_panel(&bn);
+                panel_mul_t_acc(&mut c, alpha, &to_panel(&br), &m);
+                assert_close(
+                    &from_panel(&c, nrhs),
+                    &want,
+                    &format!("panel * M^T, {what}"),
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn panel_products_match_gemm_f64() {
+    panel_product_oracle::<f64>(51);
+}
+
+#[test]
+fn panel_products_match_gemm_c64() {
+    panel_product_oracle::<c64>(52);
+}
+
+/// `Lu::{solve,forward,backward}_panel` against their column-major twins
+/// on a pivoting (not diagonally dominant) matrix.
+fn panel_lu_oracle<T: TestScalar>(seed: u64) {
+    for (i, &nrhs) in PANEL_HEIGHTS.iter().enumerate() {
+        for (j, &r) in [0usize, 1, 3, 4, 5, 41, 64, 67].iter().enumerate() {
+            let mut rng = Rng::new(seed + (i * 10 + j) as u64);
+            let mut a = rand_mat::<T>(r, r, &mut rng);
+            for d in 0..r {
+                a[(d, (d * 7 + 3) % r)] += T::from_f64(3.0);
+            }
+            let lu = Lu::factor(a).expect("LU");
+            assert!(r < 4 || lu.piv.iter().enumerate().any(|(k, &p)| k != p));
+            let b = rand_mat::<T>(r, nrhs, &mut rng);
+            let run = |col: &dyn Fn(&mut Mat<T>), panel: &dyn Fn(&mut Mat<T>), what: &str| {
+                let (mut want, mut x) = (b.clone(), to_panel(&b));
+                col(&mut want);
+                panel(&mut x);
+                assert_close(
+                    &from_panel(&x, nrhs),
+                    &want,
+                    &format!("{what}, nrhs {nrhs}, r {r}"),
+                );
+            };
+            run(&|m| lu.solve_mat(m), &|x| lu.solve_panel(x), "solve_panel");
+            run(
+                &|m| lu.forward_mat(m),
+                &|x| lu.forward_panel(x),
+                "forward_panel",
+            );
+            run(
+                &|m| lu.backward_mat(m),
+                &|x| lu.backward_panel(x),
+                "backward_panel",
+            );
+        }
+    }
+}
+
+#[test]
+fn panel_lu_solves_match_column_major_f64() {
+    panel_lu_oracle::<f64>(53);
+}
+
+#[test]
+fn panel_lu_solves_match_column_major_c64() {
+    panel_lu_oracle::<c64>(54);
+}
+
+/// `Ldlt::solve_panel` against `Ldlt::solve_mat` at the block-column
+/// edges (complex *symmetric* for `c64`).
+fn panel_ldlt_oracle<T: TestScalar>(seed: u64) {
+    for (i, &n) in [1, NB - 1, NB, NB + 1, 3 * NB + 7].iter().enumerate() {
+        let mut rng = Rng::new(seed + i as u64);
+        let a = rand_symmetric::<T>(n, &mut rng);
+        let f = Ldlt::factor(SymPanels::from_lower(&a)).expect("well-conditioned LDLᵀ");
+        for &nrhs in &PANEL_HEIGHTS {
+            let b = rand_mat::<T>(n, nrhs, &mut rng);
+            let (mut want, mut x) = (b.clone(), to_panel(&b));
+            f.solve_mat(&mut want);
+            f.solve_panel(&mut x);
+            assert_close(
+                &from_panel(&x, nrhs),
+                &want,
+                &format!("Ldlt::solve_panel, n {n}, nrhs {nrhs}"),
+            );
+        }
+    }
+}
+
+#[test]
+fn panel_ldlt_solve_matches_column_major_f64() {
+    panel_ldlt_oracle::<f64>(55);
+}
+
+#[test]
+fn panel_ldlt_solve_matches_column_major_c64() {
+    panel_ldlt_oracle::<c64>(56);
+}
+
+/// The property the solve sweep's batch invariance rests on: a panel row
+/// gets the same bits whatever the panel height and wherever it sits.
+#[test]
+fn panel_kernels_are_batch_invariant() {
+    fn run<T: TestScalar>(seed: u64) {
+        let mut rng = Rng::new(seed);
+        let (r, n, top) = (41, 90, 2 * NB + 9);
+        let (m, a) = (
+            rand_mat::<T>(n, r, &mut rng),
+            rand_symmetric::<T>(r, &mut rng),
+        );
+        let (lu, ldlt) = (
+            Lu::factor(a).expect("LU"),
+            Ldlt::factor(SymPanels::from_lower(&rand_symmetric::<T>(top, &mut rng))).expect("LDLᵀ"),
+        );
+        let pipeline = |b: &Mat<T>| {
+            // b: (r + n + top) x nrhs, split into three panels.
+            let nrhs = b.ncols();
+            let mut xr = to_panel(&b.block(0, 0, r, nrhs));
+            let mut xn = to_panel(&b.block(r, 0, n, nrhs));
+            let mut xt = to_panel(&b.block(r + n, 0, top, nrhs));
+            panel_mul_acc(&mut xr, -T::ONE, &xn, &m, true);
+            lu.solve_panel(&mut xr);
+            panel_mul_t_acc(&mut xn, -T::ONE, &xr, &m);
+            ldlt.solve_panel(&mut xt);
+            from_panel(&xr, nrhs)
+                .vstack(&from_panel(&xn, nrhs))
+                .vstack(&from_panel(&xt, nrhs))
+        };
+        let col = rand_mat::<T>(r + n + top, 1, &mut rng);
+        let alone = pipeline(&col);
+        for &nrhs in &PANEL_HEIGHTS[1..] {
+            for at in [0, nrhs / 2, nrhs - 1] {
+                let mut b = rand_mat::<T>(r + n + top, nrhs, &mut rng);
+                b.set_block(0, at, &col);
+                let x = pipeline(&b);
+                assert_eq!(x.col(at), alone.col(0), "nrhs {nrhs}, column {at}");
+            }
+        }
+    }
+    run::<f64>(57);
+    run::<c64>(58);
 }
 
 /// `SymPanels::set_block` from a partition that does not line up with the
