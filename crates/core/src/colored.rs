@@ -20,7 +20,7 @@
 
 use crate::elimination::{apply_output, eliminate_box, EliminationOutput, FactorError};
 use crate::levels::merge_to_parent;
-use crate::sequential::{domain_for, Factorization};
+use crate::sequential::Factorization;
 use crate::skeletonize::CompressionCtx;
 use crate::stats::FactorStats;
 use crate::store::{ActiveSets, BlockStore};
@@ -37,25 +37,9 @@ use srsf_verify::sync::atomic::{AtomicUsize, Ordering};
 use srsf_verify::sync::OnceLock;
 use std::time::Instant;
 
-/// Factor with the box-colored parallel schedule using `n_threads` worker
-/// threads per color round.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Solver::builder(kernel, pts).driver(Driver::Colored { .. }).build()` instead"
-)]
-pub fn colored_factorize<K: Kernel>(
-    kernel: &K,
-    pts: &[Point],
-    opts: &FactorOpts,
-    scheme: ColorScheme,
-    n_threads: usize,
-) -> Result<Factorization<K::Elem>, FactorError> {
-    let tree = QuadTree::build(pts, domain_for(pts), opts.leaf_size);
-    colored_factorize_with_tree(kernel, pts, &tree, opts, scheme, n_threads)
-}
-
-/// Factor with the box-colored schedule against a caller-provided tree
-/// (the driver entry point used by `Solver`).
+/// Factor with the box-colored parallel schedule, `n_threads` worker
+/// threads per color round, against a caller-provided tree (the driver
+/// entry point used by `Solver`).
 pub(crate) fn colored_factorize_with_tree<K: Kernel>(
     kernel: &K,
     pts: &[Point],

@@ -34,8 +34,8 @@
 //!   (`tag = level*64 + phase*8 + kind`) makes every frame of the sweep
 //!   unique per `(src, tag)`, and the matching queue buffers frames that
 //!   arrive ahead of their receive, so tag matching alone orders the
-//!   computation. (The in-world solve keeps its barriers; they separate
-//!   reused solve tags across passes.)
+//!   computation. (The solve keeps its barriers; they separate reused
+//!   solve tags across passes.)
 //!
 //! All data moves through explicit byte messages with per-rank counters,
 //! so the §IV communication bounds (messages = O(log N + log p), words =
@@ -49,18 +49,20 @@
 //! `tests/transport_equiv.rs`).
 //!
 //! The phase machinery up to (and including) the top factorization is
-//! shared with the resident serving mode as [`factor_phase`]; everything
-//! below it — the record gather onto rank 0, the one-shot in-world vector
-//! solve — is the *gathered* mode only. The resident mode's counterpart
-//! lives in [`super::serve`].
+//! shared with the resident serving mode as [`factor_phase`]; the record
+//! gather onto rank 0 below it is the *gathered* mode only. The solve
+//! protocol lives in [`super::serve`] for both: the resident service runs
+//! it per request, and `build_with_solution` runs it once, at one
+//! right-hand side, inside the factorization world before the gather.
 
-use super::{box_near_region, get_box, get_ids, order_key, owner_of_point, region_of, RankState};
+use super::serve::{solve_resident_mat, ServeState};
+use super::{box_near_region, get_box, get_ids, order_key, owned_leaf_ids, region_of, RankState};
 use crate::colored::eliminate_color_round;
 use crate::elimination::{apply_output, BoxElimination, EliminationOutput, FactorError};
 use crate::levels::assemble_parent_block;
-use crate::sequential::{domain_for, Factorization};
+use crate::sequential::Factorization;
 use crate::skeletonize::CompressionCtx;
-use crate::solve::{apply_downward, apply_upward, gather, scatter};
+use crate::solve::RhsBlock;
 use crate::stats::FactorStats;
 use crate::store::{ActiveSets, BlockStore};
 use crate::top::{factor_top, TopFactor};
@@ -77,8 +79,7 @@ use srsf_runtime::codec::{ByteReader, ByteWriter, Wire};
 // runtime next to the transports, so a receive timeout on either backend
 // can decode the step it was waiting on; see `srsf_runtime::tags`.
 use srsf_runtime::tags::{
-    tag, KIND_ACT_REFRESH, KIND_FOLD, KIND_PHASE_UPDATE, KIND_RECORDS, KIND_SOLVE_REQ,
-    KIND_SOLVE_UP, KIND_SOLVE_VAL, KIND_TOP,
+    tag, KIND_ACT_REFRESH, KIND_FOLD, KIND_PHASE_UPDATE, KIND_RECORDS, KIND_TOP,
 };
 use srsf_runtime::world::{RankCtx, World};
 use srsf_runtime::WorldStats;
@@ -183,10 +184,6 @@ fn decode_record<T: Scalar>(r: &mut ByteReader) -> (u64, BoxElimination<T>) {
     (key, rec)
 }
 
-/// A factorization gathered on rank 0, the per-rank communication
-/// counters, and (when a right-hand side was supplied) the solution.
-pub type DistOutcome<T> = Result<(Factorization<T>, WorldStats, Option<Vec<T>>), FactorError>;
-
 /// What the gathered-mode build yields: the factorization assembled on
 /// rank 0, the algorithmic per-rank counters, the optional in-world
 /// solution, and each rank's *resident* record footprint in bytes — what
@@ -200,41 +197,6 @@ pub(crate) struct DistBuild<T> {
     /// Per-rank span reports when [`FactorOpts::trace`] was on (one per
     /// rank, rank order); empty otherwise.
     pub(crate) traces: Vec<srsf_trace::TraceReport>,
-}
-
-/// Distributed factorization; returns the factorization assembled on rank
-/// 0 and the per-rank communication statistics.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Solver::builder(kernel, pts).driver(Driver::Distributed { grid }).build()` instead"
-)]
-pub fn dist_factorize<K: Kernel>(
-    kernel: &K,
-    pts: &[Point],
-    grid: &ProcessGrid,
-    opts: &FactorOpts,
-) -> Result<(Factorization<K::Elem>, WorldStats), FactorError> {
-    let tree = QuadTree::build(pts, domain_for(pts), opts.leaf_size);
-    let b = dist_factorize_with_tree(kernel, pts, &tree, grid, opts, None)?;
-    Ok((b.fact, b.stats))
-}
-
-/// Distributed factorization plus (optionally) one distributed solve.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Solver::builder(kernel, pts).driver(Driver::Distributed { grid }) \
-            .build_with_solution(rhs)` instead"
-)]
-pub fn dist_factorize_and_solve<K: Kernel>(
-    kernel: &K,
-    pts: &[Point],
-    grid: &ProcessGrid,
-    opts: &FactorOpts,
-    rhs: Option<&[K::Elem]>,
-) -> DistOutcome<K::Elem> {
-    let tree = QuadTree::build(pts, domain_for(pts), opts.leaf_size);
-    let b = dist_factorize_with_tree(kernel, pts, &tree, grid, opts, rhs)?;
-    Ok((b.fact, b.stats, b.x))
 }
 
 /// Distributed factorization against a caller-provided tree (the
@@ -339,7 +301,6 @@ pub(crate) fn factor_phase<K: Kernel>(
     }
     let mut state = RankState::<K::Elem> {
         records: Vec::new(),
-        record_phase: Vec::new(),
         act_end: HashMap::new(),
         fold_ids: HashMap::new(),
         stats: FactorStats::new(pts.len(), leaf),
@@ -508,8 +469,7 @@ fn run_rank<K: Kernel>(
     // Every rank stores the flag (on the TCP backend each rank is its own
     // process); storing `false` keeps untraced runs self-cleaning.
     srsf_trace::set_enabled(opts.trace);
-    let (mut state, top) = factor_phase(ctx, kernel, pts, tree, grid, opts, leaf, lmin)?;
-    let top_level = if leaf >= lmin { lmin } else { leaf };
+    let (state, top) = factor_phase(ctx, kernel, pts, tree, grid, opts, leaf, lmin)?;
     let bytes = resident_bytes(&state, &top);
     // Snapshot the *algorithmic* communication counters here: everything
     // after this point (solve traffic is reported separately; shipping the
@@ -517,36 +477,40 @@ fn run_rank<K: Kernel>(
     // must not pollute the §IV bound measurements.
     let algo_stats = ctx.stats();
 
-    // Optional distributed solve.
-    let t_solve = std::time::Instant::now();
-    let x = rhs.map(|b| {
-        dist_solve(
-            ctx,
-            grid,
-            tree,
-            pts,
-            &state,
-            top.as_ref(),
-            top_level,
-            leaf,
-            lmin,
-            b,
-        )
-    });
-    if rhs.is_some() {
-        state.stats.solve_s = t_solve.elapsed().as_secs_f64();
-    }
-    let x = match x {
-        Some(Some(v)) => Some(v),
-        _ => None,
+    // Optional in-world solve: the resident protocol, once, at one
+    // right-hand side. Only a build that asked for it pays for the
+    // routing tables.
+    let me = ctx.rank();
+    let (state, top, x) = match rhs {
+        None => (state, top, None),
+        Some(b) => {
+            let t_solve = std::time::Instant::now();
+            let st = ServeState::from_rank_state(state, top, tree, pts, grid, leaf, lmin, me);
+            let owned: Option<Vec<Vec<u32>>> = (me == 0).then(|| {
+                (0..grid.p())
+                    .map(|r| owned_leaf_ids(tree, grid, r))
+                    .collect()
+            });
+            let mut x = RhsBlock::from_row(b);
+            if let Err(e) = solve_resident_mat(ctx, grid, &st, &mut x, owned.as_deref()) {
+                // INVARIANT: deliberate — the panic `RankCtx::recv` raises for
+                // the same failure, which `catch_rank_failure` turns into the
+                // typed error at the driver boundary
+                panic!("{e}");
+            }
+            let (mut state, top) = st.into_rank_state();
+            state.stats.solve_s = t_solve.elapsed().as_secs_f64();
+            let x = (me == 0).then(|| ScalarVec(x.as_slice().to_vec()));
+            (state, top, x)
+        }
     };
 
     // Gather records on rank 0 and assemble the factorization object.
     let f = gather_factorization(ctx, grid, top, state, pts.len())?;
     // Drain this rank's span buffers last so the report covers the whole
     // build (the record gather included).
-    let trace = opts.trace.then(|| srsf_trace::take_report(ctx.rank()));
-    Ok((algo_stats, bytes, trace, f.map(|f| (f, x.map(ScalarVec)))))
+    let trace = opts.trace.then(|| srsf_trace::take_report(me));
+    Ok((algo_stats, bytes, trace, f.map(|f| (f, x))))
 }
 
 /// Eliminate `boxes` (phase `phase` of `level`) in four box-color
@@ -637,7 +601,6 @@ fn run_phase<K: Kernel>(
                     order_key(state.stats.leaf_level, level, phase, color, b),
                     rec.clone(),
                 ));
-                state.record_phase.push((level, phase));
             }
             // Post-apply skeleton ids: later merges never touch `act(b)`
             // (deltas land on the block store only), so encoding now is
@@ -1007,345 +970,4 @@ fn gather_factorization<T: Scalar>(
     Ok(Some(Factorization::from_parts(
         n, records, top_idx, top, stats,
     )))
-}
-
-/// The distributed solve: upward pass with neighbor delta exchange, top
-/// solve on rank 0, downward pass with request/reply value refresh.
-#[allow(clippy::too_many_arguments)]
-fn dist_solve<T: Scalar>(
-    ctx: &mut RankCtx,
-    grid: &ProcessGrid,
-    tree: &QuadTree,
-    pts: &[Point],
-    state: &RankState<T>,
-    top: Option<&(Vec<u32>, TopFactor<T>)>,
-    top_level: u8,
-    leaf: u8,
-    lmin: u8,
-    b: &[T],
-) -> Option<Vec<T>> {
-    let me = ctx.rank();
-    let mut x = b.to_vec();
-    let levels: Vec<u8> = (lmin..=leaf).rev().collect();
-
-    // ---- Upward pass -----------------------------------------------------
-    for &level in &levels {
-        let _sp = srsf_trace::span!(srsf_trace::Cat::Solve, "solve upward level {level}");
-        if grid.is_active(me, level) {
-            let neighbors = grid.neighbor_ranks(me, level);
-            for phase in 0..=4u8 {
-                // Apply my records of this phase; collect deltas on entries
-                // owned by other ranks.
-                let mut remote: HashMap<usize, Vec<(u32, T)>> = HashMap::new();
-                for (i, (_, rec)) in state.records.iter().enumerate() {
-                    if state.record_phase[i] != (level, phase) {
-                        continue;
-                    }
-                    let before: Vec<T> = gather(&x, &rec.nbr);
-                    apply_upward(rec, &mut x);
-                    for (j, &id) in rec.nbr.iter().enumerate() {
-                        let owner = owner_of_point(grid, tree, pts, id, level);
-                        if owner != me {
-                            let delta = x[id as usize] - before[j];
-                            if delta != T::ZERO {
-                                remote.entry(owner).or_default().push((id, delta));
-                            }
-                        }
-                    }
-                }
-                for &dst in &neighbors {
-                    let items = remote.remove(&dst).unwrap_or_default();
-                    let mut w = ByteWriter::new();
-                    w.put_u64(items.len() as u64);
-                    for (id, v) in &items {
-                        w.put_u64(*id as u64);
-                        w.put_scalar(*v);
-                    }
-                    ctx.send(dst, tag(level, phase, KIND_SOLVE_UP), w.finish());
-                }
-                debug_assert!(remote.is_empty(), "delta for a non-adjacent rank");
-                for &src in &neighbors {
-                    let payload = ctx.recv(src, tag(level, phase, KIND_SOLVE_UP));
-                    let mut r = ByteReader::new(payload);
-                    // INVARIANT: this frame was encoded by a peer rank under the matching tag
-                    // and the transport delivers whole messages, so decode cannot truncate
-                    let n_items = r.get_u64();
-                    for _ in 0..n_items {
-                        // INVARIANT: this frame was encoded by a peer rank under the matching tag
-                        // and the transport delivers whole messages, so decode cannot truncate
-                        let id = r.get_u64() as usize;
-                        // INVARIANT: this frame was encoded by a peer rank under the matching tag
-                        // and the transport delivers whole messages, so decode cannot truncate
-                        let v: T = r.get_scalar();
-                        x[id] += v;
-                    }
-                }
-            }
-        }
-        ctx.barrier();
-        // Fold value shipment when the next level retires this rank.
-        if level > lmin {
-            solve_fold_up(ctx, grid, state, level, &mut x);
-        }
-    }
-
-    // ---- Top solve on rank 0 ---------------------------------------------
-    let top_sp = srsf_trace::span!(srsf_trace::Cat::Solve, "solve top level {top_level}");
-    let active_top = grid.active_ranks(top_level);
-    if me == 0 {
-        for &src in active_top.iter().filter(|&&r| r != 0) {
-            let payload = ctx.recv(src, tag(top_level, 6, KIND_SOLVE_VAL));
-            let mut r = ByteReader::new(payload);
-            let ids = get_ids(&mut r);
-            // INVARIANT: this frame was encoded by a peer rank under the matching tag
-            // and the transport delivers whole messages, so decode cannot truncate
-            let vals: Vec<T> = r.get_scalar_slice();
-            for (id, v) in ids.iter().zip(vals.iter()) {
-                x[*id as usize] = *v;
-            }
-        }
-        // INVARIANT: rank 0 runs the top-level merge, so its record always exists
-        let (top_idx, top) = top.expect("rank 0 has the top");
-        let mut vals = gather(&x, top_idx);
-        top.solve_vec(&mut vals);
-        scatter(&mut x, top_idx, &vals);
-        // Send each active rank back the entries it owns.
-        for &dst in active_top.iter().filter(|&&r| r != 0) {
-            let items: Vec<(u32, T)> = top_idx
-                .iter()
-                .filter(|&&id| owner_of_point(grid, tree, pts, id, top_level) == dst)
-                .map(|&id| (id, x[id as usize]))
-                .collect();
-            let mut w = ByteWriter::new();
-            put_ids(&mut w, &items.iter().map(|(i, _)| *i).collect::<Vec<_>>());
-            w.put_scalar_slice(&items.iter().map(|(_, v)| *v).collect::<Vec<_>>());
-            ctx.send(dst, tag(top_level, 7, KIND_SOLVE_VAL), w.finish());
-        }
-    } else if active_top.contains(&me) {
-        let owned_ids: Vec<u32> = state
-            .act_end
-            .get(&top_level)
-            .map(|v| v.iter().flat_map(|(_, ids)| ids.iter().copied()).collect())
-            .unwrap_or_default();
-        let vals: Vec<T> = gather(&x, &owned_ids);
-        let mut w = ByteWriter::new();
-        put_ids(&mut w, &owned_ids);
-        w.put_scalar_slice(&vals);
-        ctx.send(0, tag(top_level, 6, KIND_SOLVE_VAL), w.finish());
-        let payload = ctx.recv(0, tag(top_level, 7, KIND_SOLVE_VAL));
-        let mut r = ByteReader::new(payload);
-        let ids = get_ids(&mut r);
-        // INVARIANT: this frame was encoded by a peer rank under the matching tag
-        // and the transport delivers whole messages, so decode cannot truncate
-        let vals: Vec<T> = r.get_scalar_slice();
-        for (id, v) in ids.iter().zip(vals.iter()) {
-            x[*id as usize] = *v;
-        }
-    }
-    ctx.barrier();
-    drop(top_sp);
-
-    // ---- Downward pass ----------------------------------------------------
-    for &level in levels.iter().rev() {
-        let _sp = srsf_trace::span!(srsf_trace::Cat::Solve, "solve downward level {level}");
-        // Un-fold: corners return the still-active values to members.
-        if level > lmin {
-            solve_fold_down(ctx, grid, state, level, &mut x);
-        }
-        if grid.is_active(me, level) {
-            let neighbors = grid.neighbor_ranks(me, level);
-            for phase in (0..=4u8).rev() {
-                // Refresh remote values my phase records read.
-                let mut needed: HashMap<usize, Vec<u32>> = HashMap::new();
-                for (i, (_, rec)) in state.records.iter().enumerate() {
-                    if state.record_phase[i] != (level, phase) {
-                        continue;
-                    }
-                    for &id in &rec.nbr {
-                        let owner = owner_of_point(grid, tree, pts, id, level);
-                        if owner != me {
-                            needed.entry(owner).or_default().push(id);
-                        }
-                    }
-                }
-                for &dst in &neighbors {
-                    let mut ids = needed.remove(&dst).unwrap_or_default();
-                    ids.sort_unstable();
-                    ids.dedup();
-                    let mut w = ByteWriter::new();
-                    put_ids(&mut w, &ids);
-                    ctx.send(dst, tag(level, phase, KIND_SOLVE_REQ), w.finish());
-                }
-                for &src in &neighbors {
-                    let payload = ctx.recv(src, tag(level, phase, KIND_SOLVE_REQ));
-                    let mut r = ByteReader::new(payload);
-                    let ids = get_ids(&mut r);
-                    let vals: Vec<T> = gather(&x, &ids);
-                    let mut w = ByteWriter::new();
-                    put_ids(&mut w, &ids);
-                    w.put_scalar_slice(&vals);
-                    ctx.send(src, tag(level, phase, KIND_SOLVE_VAL), w.finish());
-                }
-                for &src in &neighbors {
-                    let payload = ctx.recv(src, tag(level, phase, KIND_SOLVE_VAL));
-                    let mut r = ByteReader::new(payload);
-                    let ids = get_ids(&mut r);
-                    // INVARIANT: this frame was encoded by a peer rank under the matching tag
-                    // and the transport delivers whole messages, so decode cannot truncate
-                    let vals: Vec<T> = r.get_scalar_slice();
-                    for (id, v) in ids.iter().zip(vals.iter()) {
-                        x[*id as usize] = *v;
-                    }
-                }
-                // Apply my records of this phase in reverse order.
-                for i in (0..state.records.len()).rev() {
-                    if state.record_phase[i] != (level, phase) {
-                        continue;
-                    }
-                    apply_downward(&state.records[i].1, &mut x);
-                }
-            }
-        }
-        ctx.barrier();
-    }
-
-    // ---- Final gather on rank 0 -------------------------------------------
-    if me == 0 {
-        for src in 1..grid.p() {
-            let payload = ctx.recv(src, tag(1, 7, KIND_SOLVE_VAL));
-            let mut r = ByteReader::new(payload);
-            let ids = get_ids(&mut r);
-            // INVARIANT: this frame was encoded by a peer rank under the matching tag
-            // and the transport delivers whole messages, so decode cannot truncate
-            let vals: Vec<T> = r.get_scalar_slice();
-            for (id, v) in ids.iter().zip(vals.iter()) {
-                x[*id as usize] = *v;
-            }
-        }
-        Some(x)
-    } else {
-        // Send every entry of a leaf box I own.
-        let mut ids: Vec<u32> = Vec::new();
-        for b in tree.boxes_at_level(leaf) {
-            if grid.owner(&b) == me {
-                ids.extend_from_slice(tree.leaf_points(&b));
-            }
-        }
-        let vals: Vec<T> = gather(&x, &ids);
-        let mut w = ByteWriter::new();
-        put_ids(&mut w, &ids);
-        w.put_scalar_slice(&vals);
-        ctx.send(0, tag(1, 7, KIND_SOLVE_VAL), w.finish());
-        None
-    }
-}
-
-/// Upward fold in the solve: retiring ranks ship their surviving entries'
-/// values to the corner.
-fn solve_fold_up<T: Scalar>(
-    ctx: &mut RankCtx,
-    grid: &ProcessGrid,
-    state: &RankState<T>,
-    child_level: u8,
-    x: &mut [T],
-) {
-    let me = ctx.rank();
-    let parent_level = child_level - 1;
-    if grid.effective_q(parent_level) >= grid.effective_q(child_level) {
-        return;
-    }
-    if !grid.is_active(me, child_level) {
-        return;
-    }
-    let (x0, y0, _, _) = region_of(grid, me, child_level);
-    let corner = grid.owner(&BoxId {
-        level: parent_level,
-        ix: (x0 / 2) as u32,
-        iy: (y0 / 2) as u32,
-    });
-    if corner != me {
-        let ids: Vec<u32> = state
-            .act_end
-            .get(&child_level)
-            .map(|v| v.iter().flat_map(|(_, ids)| ids.iter().copied()).collect())
-            .unwrap_or_default();
-        let vals: Vec<T> = gather(x, &ids);
-        let mut w = ByteWriter::new();
-        put_ids(&mut w, &ids);
-        w.put_scalar_slice(&vals);
-        ctx.send(corner, tag(child_level, 5, KIND_SOLVE_VAL), w.finish());
-    } else {
-        let stride = grid.q() / grid.effective_q(child_level);
-        let (cx, cy) = grid.coords_of(me);
-        for (dx, dy) in [(1u32, 0u32), (0, 1), (1, 1)] {
-            let member = grid.rank_of(cx + dx * stride, cy + dy * stride);
-            let payload = ctx.recv(member, tag(child_level, 5, KIND_SOLVE_VAL));
-            let mut r = ByteReader::new(payload);
-            let ids = get_ids(&mut r);
-            // INVARIANT: this frame was encoded by a peer rank under the matching tag
-            // and the transport delivers whole messages, so decode cannot truncate
-            let vals: Vec<T> = r.get_scalar_slice();
-            for (id, v) in ids.iter().zip(vals.iter()) {
-                x[*id as usize] = *v;
-            }
-        }
-    }
-}
-
-/// Downward un-fold: corners return the surviving entries' values to the
-/// members they absorbed.
-fn solve_fold_down<T: Scalar>(
-    ctx: &mut RankCtx,
-    grid: &ProcessGrid,
-    state: &RankState<T>,
-    child_level: u8,
-    x: &mut [T],
-) {
-    let me = ctx.rank();
-    let parent_level = child_level - 1;
-    if grid.effective_q(parent_level) >= grid.effective_q(child_level) {
-        return;
-    }
-    if !grid.is_active(me, child_level) {
-        return;
-    }
-    let (x0, y0, _, _) = region_of(grid, me, child_level);
-    let corner = grid.owner(&BoxId {
-        level: parent_level,
-        ix: (x0 / 2) as u32,
-        iy: (y0 / 2) as u32,
-    });
-    if corner != me {
-        let ids: Vec<u32> = state
-            .act_end
-            .get(&child_level)
-            .map(|v| v.iter().flat_map(|(_, ids)| ids.iter().copied()).collect())
-            .unwrap_or_default();
-        let payload = ctx.recv(corner, tag(child_level, 6, KIND_SOLVE_VAL));
-        let mut r = ByteReader::new(payload);
-        let got_ids = get_ids(&mut r);
-        debug_assert_eq!(got_ids, ids);
-        // INVARIANT: this frame was encoded by a peer rank under the matching tag
-        // and the transport delivers whole messages, so decode cannot truncate
-        let vals: Vec<T> = r.get_scalar_slice();
-        for (id, v) in got_ids.iter().zip(vals.iter()) {
-            x[*id as usize] = *v;
-        }
-    } else {
-        let stride = grid.q() / grid.effective_q(child_level);
-        let (cx, cy) = grid.coords_of(me);
-        for (dx, dy) in [(1u32, 0u32), (0, 1), (1, 1)] {
-            let member = grid.rank_of(cx + dx * stride, cy + dy * stride);
-            let ids = state
-                .fold_ids
-                .get(&(child_level, member))
-                .cloned()
-                .unwrap_or_default();
-            let vals: Vec<T> = gather(x, &ids);
-            let mut w = ByteWriter::new();
-            put_ids(&mut w, &ids);
-            w.put_scalar_slice(&vals);
-            ctx.send(member, tag(child_level, 6, KIND_SOLVE_VAL), w.finish());
-        }
-    }
 }

@@ -37,8 +37,6 @@
 mod factorize;
 mod serve;
 
-#[allow(deprecated)]
-pub use factorize::{dist_factorize, dist_factorize_and_solve};
 pub(crate) use factorize::{dist_factorize_with_tree, RankTop};
 pub use serve::ResidentService;
 pub(crate) use serve::{dist_factorize_resident, restore_resident_service};
@@ -142,8 +140,6 @@ pub(crate) fn owned_leaf_ids(tree: &QuadTree, grid: &ProcessGrid, rank: usize) -
 /// Per-rank state shared between the factorization and solve passes.
 pub(crate) struct RankState<T> {
     pub(crate) records: Vec<(u64, BoxElimination<T>)>,
-    /// `(level, phase)` per record, aligned with `records`.
-    pub(crate) record_phase: Vec<(u8, u8)>,
     /// Post-elimination active sets of *owned* boxes per level.
     pub(crate) act_end: HashMap<u8, Vec<(BoxId, Vec<u32>)>>,
     /// Fold bookkeeping for the solve: ids received from each retiring

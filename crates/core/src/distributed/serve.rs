@@ -56,7 +56,7 @@
 
 use super::factorize::{factor_phase, resident_bytes, RankTop};
 use super::{get_ids, key_level_phase, owned_leaf_ids, owner_of_point, region_of, RankState};
-use crate::elimination::{BoxElimination, FactorError};
+use crate::elimination::FactorError;
 use crate::error::SrsfError;
 use crate::sequential::domain_for;
 use crate::solve::{
@@ -124,10 +124,11 @@ type IdsByRank = Vec<(usize, Vec<u32>)>;
 /// routing, the per-round downward refresh lists, rank 0's top reply
 /// partition — and the per-solve hot path does no ownership math at all.
 pub(crate) struct ServeState<T> {
-    /// `(order key, record)`, sorted by key — the global elimination
-    /// order restricted to this rank, which is what makes the resident
-    /// sweeps bit-identical to the gathered serial sweep.
-    records: Vec<(u64, BoxElimination<T>)>,
+    /// The factor-phase output, its `records` sorted by order key — the
+    /// global elimination order restricted to this rank, which is what
+    /// makes the resident sweeps bit-identical to the gathered serial
+    /// sweep. Its `act_end` and `fold_ids` route the fold exchanges.
+    state: RankState<T>,
     /// Record index range of each `(level, phase)` round — contiguous
     /// because `records` is key-sorted.
     rounds: HashMap<(u8, u8), std::ops::Range<usize>>,
@@ -140,10 +141,6 @@ pub(crate) struct ServeState<T> {
     /// Rank 0 only: the top-solve reply partition — which `top_idx`
     /// entries each active rank owns.
     top_reply: IdsByRank,
-    /// Post-elimination active sets of owned boxes per level.
-    act_end: HashMap<u8, Vec<(BoxId, Vec<u32>)>>,
-    /// Ids received from each retiring fold member at each fold level.
-    fold_ids: HashMap<(u8, usize), Vec<u32>>,
     /// The dense top factorization (rank 0 only).
     top: RankTop<T>,
     leaf: u8,
@@ -151,16 +148,14 @@ pub(crate) struct ServeState<T> {
     top_level: u8,
     /// This rank's slab rows, in the canonical row-major leaf-box order.
     owned_leaf_ids: Vec<u32>,
-    /// This rank's factorization stats (rank tables merged at build).
-    stats: FactorStats,
     /// Resident footprint: records plus (rank 0) the top factorization.
     bytes: u64,
 }
 
 impl<T: Scalar> ServeState<T> {
     #[allow(clippy::too_many_arguments)]
-    fn from_rank_state(
-        state: RankState<T>,
+    pub(super) fn from_rank_state(
+        mut state: RankState<T>,
         top: RankTop<T>,
         tree: &QuadTree,
         pts: &[Point],
@@ -170,14 +165,8 @@ impl<T: Scalar> ServeState<T> {
         me: usize,
     ) -> Self {
         let bytes = resident_bytes(&state, &top);
-        let RankState {
-            mut records,
-            act_end,
-            fold_ids,
-            stats,
-            ..
-        } = state;
-        records.sort_by_key(|(k, _)| *k);
+        state.records.sort_by_key(|(k, _)| *k);
+        let records = &state.records;
 
         // Round ranges: key-sorted records make (level, phase) runs
         // contiguous.
@@ -258,21 +247,24 @@ impl<T: Scalar> ServeState<T> {
         };
 
         Self {
-            records,
+            state,
             rounds,
             routing,
             need,
             top_reply,
-            act_end,
-            fold_ids,
             top,
             leaf,
             lmin,
             top_level,
             owned_leaf_ids: owned_leaf_ids(tree, grid, me),
-            stats,
             bytes,
         }
+    }
+
+    /// Back to the factor-phase output (records now key-sorted): what the
+    /// gathered driver ships to rank 0 once its in-world solve is done.
+    pub(super) fn into_rank_state(self) -> (RankState<T>, RankTop<T>) {
+        (self.state, self.top)
     }
 
     /// Record index range of one `(level, phase)` round.
@@ -282,7 +274,8 @@ impl<T: Scalar> ServeState<T> {
 
     /// Ids of the entries this rank owned at `level` after elimination.
     fn owned_act_ids(&self, level: u8) -> Vec<u32> {
-        self.act_end
+        self.state
+            .act_end
             .get(&level)
             .map(|v| v.iter().flat_map(|(_, ids)| ids.iter().copied()).collect())
             .unwrap_or_default()
@@ -293,20 +286,21 @@ impl<T: Scalar> ServeState<T> {
 /// matching columns of the `X_R ENᵀ` product)`.
 type DeltaBatch<'a, T> = Vec<(&'a [u32], Mat<T>)>;
 
-/// The SPMD resident solve: every rank (rank 0 included) runs this over
-/// its slab-initialized full-width working block `x` (`nrhs x n`; only
-/// owned and protocol-refreshed points are ever read — stale remote
-/// copies are write-only). On return, rank 0's `x` holds the full
-/// solution; worker copies are discarded by the caller.
+/// The SPMD distributed solve: every rank (rank 0 included) runs this over
+/// its full-width working block `x` (`nrhs x n`; only owned and
+/// protocol-refreshed points are ever read, so a rank may start from its
+/// slab or from the whole right-hand side). On return, rank 0's `x` holds
+/// the full solution; worker copies are discarded by the caller. The
+/// resident service runs it per request, the gathered driver once, in
+/// the factorization world, for `build_with_solution`.
 ///
 /// Note on working memory: residency keeps the *factor* (record) memory
 /// at O(N/p) per rank — the paper's bound, and what this mode exists
 /// for — but the per-solve working block is allocated full-width for
 /// global point addressing, O(N·nrhs) scratch per rank per solve (freed
-/// at solve end; same shape the legacy in-world solve and the gathered
-/// rank-0 sweep use). Shrinking it to owned+halo width needs a rank-
-/// local remap of every record index — a follow-up, not a correctness
-/// issue.
+/// at solve end; same shape the gathered rank-0 sweep uses). Shrinking
+/// it to owned+halo width needs a rank-local remap of every record
+/// index — a follow-up, not a correctness issue.
 ///
 /// `rank0_owned` is rank 0's cached per-rank slab row map (None on
 /// workers).
@@ -315,16 +309,15 @@ type DeltaBatch<'a, T> = Vec<(&'a [u32], Mat<T>)>;
 /// variant, so a rank that dies (or a link that goes down) mid-solve
 /// surfaces here as a typed [`RecvError`] within the receive timeout —
 /// the caller (rank 0's service, a worker's serve loop) abandons the
-/// solve instead of hanging or panicking.
-fn solve_resident_mat<T: Scalar>(
+/// solve instead of hanging; the gathered driver re-raises it as a panic.
+pub(super) fn solve_resident_mat<T: Scalar>(
     ctx: &mut RankCtx,
-    geo: &ResidentGeo,
+    grid: &ProcessGrid,
     st: &ServeState<T>,
     x: &mut RhsBlock<T>,
     rank0_owned: Option<&[Vec<u32>]>,
 ) -> Result<(), RecvError> {
     let me = ctx.rank();
-    let grid = &geo.grid;
     let levels: Vec<u8> = (st.lmin..=st.leaf).rev().collect();
     let mut panels = RecordPanels::new();
 
@@ -337,7 +330,7 @@ fn solve_resident_mat<T: Scalar>(
                 let mut outgoing: HashMap<usize, DeltaBatch<'_, T>> =
                     neighbors.iter().map(|&r| (r, Vec::new())).collect();
                 for i in st.round_range(level, phase) {
-                    let rec = &st.records[i].1;
+                    let rec = &st.state.records[i].1;
                     upward_parts(rec, x, &mut panels);
                     // Remote points of the neighbor delta: the exact
                     // columns of the `X_R ENᵀ` product the serial merge
@@ -469,7 +462,7 @@ fn solve_resident_mat<T: Scalar>(
                 }
                 // Apply my records of this round in reverse global order.
                 for i in st.round_range(level, phase).rev() {
-                    let rec = &st.records[i].1;
+                    let rec = &st.state.records[i].1;
                     downward_parts(rec, x, &mut panels);
                     merge_downward(rec, x, &panels);
                 }
@@ -579,6 +572,7 @@ fn fold_down_mat<T: Scalar>(
         for (dx, dy) in [(1u32, 0u32), (0, 1), (1, 1)] {
             let member = grid.rank_of(cx + dx * stride, cy + dy * stride);
             let ids = st
+                .state
                 .fold_ids
                 .get(&(child_level, member))
                 .cloned()
@@ -608,9 +602,9 @@ fn serve_rank<T: Scalar>(
     match &outcome {
         Ok(st) => {
             w.put_u64(1);
-            w.put_u64(st.records.len() as u64);
+            w.put_u64(st.state.records.len() as u64);
             w.put_u64(st.bytes);
-            st.stats.encode(&mut w);
+            st.state.stats.encode(&mut w);
             factor_comm.encode(&mut w);
         }
         Err(e) => {
@@ -655,7 +649,7 @@ fn serve_loop<T: Scalar>(ctx: &mut RankCtx, geo: &ResidentGeo, st: &ServeState<T
                 assert_eq!(slab.nrows(), nrhs, "rank {me}: RHS slab shape mismatch");
                 let mut x = RhsBlock::zeros(nrhs, geo.n);
                 x.scatter(&st.owned_leaf_ids, &slab);
-                if let Err(e) = solve_resident_mat(ctx, geo, st, &mut x, None) {
+                if let Err(e) = solve_resident_mat(ctx, &geo.grid, st, &mut x, None) {
                     eprintln!("srsf-core: rank {me} abandoning resident serve: {e}");
                     return;
                 }
@@ -859,7 +853,7 @@ impl<T: Scalar> ResidentService<T> {
         }
         if let Err(e) = solve_resident_mat(
             handle.ctx(),
-            &inner.geo,
+            &inner.geo.grid,
             &inner.st,
             &mut x,
             Some(&inner.owned),
@@ -1090,11 +1084,11 @@ pub(crate) fn dist_factorize_resident<K: Kernel>(
         }
     };
 
-    per_rank_records[0] = st.records.len();
+    per_rank_records[0] = st.state.records.len();
     per_rank_bytes[0] = st.bytes as usize;
     // Merge the global rank table (the gathered path rebuilds the same
     // table from the shipped records); timings stay rank 0's.
-    let mut stats = st.stats.clone();
+    let mut stats = st.state.stats.clone();
     for ws in &worker_stats {
         for (&level, &(count, sum)) in &ws.ranks {
             let e = stats.ranks.entry(level).or_insert((0, 0));
@@ -1143,9 +1137,9 @@ fn serve_rank_restored<T: Scalar>(
     match &outcome {
         Ok(st) => {
             w.put_u64(1);
-            w.put_u64(st.records.len() as u64);
+            w.put_u64(st.state.records.len() as u64);
             w.put_u64(st.bytes);
-            st.stats.encode(&mut w);
+            st.state.stats.encode(&mut w);
         }
         Err(msg) => {
             w.put_u64(0);
@@ -1274,10 +1268,10 @@ pub(crate) fn restore_resident_service<T: Scalar>(
         }
     };
 
-    per_rank_records[0] = st.records.len();
+    per_rank_records[0] = st.state.records.len();
     per_rank_bytes[0] = st.bytes as usize;
     // Merge the global rank table, exactly as the build path does.
-    let mut stats = st.stats.clone();
+    let mut stats = st.state.stats.clone();
     for ws in &worker_stats {
         for (&level, &(count, sum)) in &ws.ranks {
             let e = stats.ranks.entry(level).or_insert((0, 0));

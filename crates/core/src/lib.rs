@@ -43,8 +43,6 @@ pub mod top;
 pub mod wire;
 
 pub use error::SrsfError;
-#[allow(deprecated)]
-pub use sequential::factorize;
 pub use sequential::Factorization;
 pub use skeletonize::CompressionCtx;
 pub use solver::{Driver, Factorized, Solver, SolverBuilder};

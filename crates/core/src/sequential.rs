@@ -44,7 +44,7 @@ impl<T: Scalar> Factorization<T> {
 
     /// Apply the approximate inverse in place: `b := A^{-1} b`.
     pub fn apply_inverse(&self, b: &mut [T]) {
-        solve::apply_inverse(self, b);
+        solve::apply_inverse(self, b, 1);
     }
 
     /// Solve `A x = b`.
@@ -61,9 +61,10 @@ impl<T: Scalar> Factorization<T> {
     }
 
     /// Solve `A X = B` for every column of `b` at once: one sweep of
-    /// level-3 panel kernels over the records instead of `nrhs` vector
-    /// sweeps. Column `j` of the result has the same bits whatever the
-    /// other columns are and wherever it sits among them.
+    /// level-3 panel kernels over the records instead of `nrhs` sweeps.
+    /// Column `j` of the result has the same bits whatever the other
+    /// columns are and wherever it sits among them, and they are the bits
+    /// [`Factorization::solve`] gives for that column alone.
     pub fn solve_mat(&self, b: &Mat<T>) -> Mat<T> {
         solve::solve_mat(self, b, 1)
     }
@@ -77,11 +78,10 @@ impl<T: Scalar> Factorization<T> {
         *b = solve::solve_mat(self, b, n_threads);
     }
 
-    /// Threaded single-batch apply of one right-hand side vector; see
+    /// Threaded apply of one right-hand side vector; see
     /// [`Factorization::apply_inverse_mat_threaded`].
     pub fn apply_inverse_threaded(&self, b: &mut [T], n_threads: usize) {
-        let m = Mat::from_vec(b.len(), 1, b.to_vec());
-        b.copy_from_slice(solve::solve_mat(self, &m, n_threads).as_slice());
+        solve::apply_inverse(self, b, n_threads);
     }
 
     /// Factorization statistics (ranks per level, timings, memory).
@@ -157,20 +157,6 @@ pub fn domain_for(pts: &[Point]) -> BBox {
     } else {
         BBox::enclosing(pts)
     }
-}
-
-/// Factor the kernel matrix over `pts` (Algorithm 1).
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Solver::builder(kernel, pts).build()` instead"
-)]
-pub fn factorize<K: Kernel>(
-    kernel: &K,
-    pts: &[Point],
-    opts: &FactorOpts,
-) -> Result<Factorization<K::Elem>, FactorError> {
-    let tree = QuadTree::build(pts, domain_for(pts), opts.leaf_size);
-    factorize_with_tree(kernel, pts, &tree, opts)
 }
 
 /// Factor against a caller-provided tree (shared by drivers and tests).

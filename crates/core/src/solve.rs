@@ -6,39 +6,44 @@
 //! touches only its box's redundant/skeleton entries and its neighbors'
 //! active entries — the locality that makes the distributed solve possible.
 //!
-//! Two sweeps share the record data, and the second runs serially or
-//! threaded:
+//! There is one sweep. It holds its working block **RHS-major**
+//! ([`RhsBlock`]: `nrhs x n`, one point's values for all right-hand
+//! sides contiguous) and every entry is a view of it:
 //!
-//! * **Single vector** ([`apply_inverse`]) — level-2 matvecs per record;
-//!   this is what the distributed driver's rank-local solve uses, where
-//!   each rank holds one slice of one right-hand side.
-//! * **Blocked multi-RHS** ([`solve_mat`]) — the hot path of a served
+//! * **One vector** ([`apply_inverse`]) — a length-`n` slice *is* a
+//!   `1 x n` RHS-major block, so it is swept as it stands.
+//! * **A block of columns** ([`solve_mat`]) — the hot path of a served
 //!   deployment, where the factorization is amortized over many incident
-//!   right-hand sides at once. The sweep holds its working block
-//!   **RHS-major** ([`RhsBlock`]: `nrhs x n`, one point's values for all
-//!   right-hand sides contiguous; the caller's `n x nrhs` block is
-//!   transposed on entry and on exit). A record gathers its `R`/`S`/`N`
-//!   points — one `nrhs`-long copy per index — into panels that a serial
-//!   sweep allocates once ([`RecordPanels`]), zero-padded to the
-//!   register-tile height (`srsf_linalg::panel::panel_rows`). The padding
-//!   lives in those panels only: the block itself, and every wire frame
-//!   the resident ranks cut from it, keeps exactly `nrhs` rows. Every
-//!   product is then `panel * M` or `panel * M^T` and `X_RR^{-1}` a
-//!   right-sided `X (LU)^{-T}`, with the right-hand sides in the register
-//!   tile and `T`/`ES`/`EN`/`LU` streamed in place, once
-//!   (`srsf_linalg::panel`). No kernel combines two rows of a panel and
-//!   none chooses its arithmetic by `nrhs`, so the lanes are independent:
-//!   a right-hand side is solved to the same bits alone, in any batch,
-//!   and at any position in it.
-//! * **The same, color-scheduled over threads** (`solve_mat` with
-//!   `n_threads > 1`) — records carry a `(level, color)` stamp from
-//!   factorization time; contiguous same-stamp runs are applied
-//!   concurrently under `std::thread::scope`. With the distance-3 `Nine`
-//!   coloring all record writes are disjoint by construction; the
-//!   distance-2 `Four` scheme additionally shares additive neighbor
-//!   updates. Both run the same snapshot-read compute phase followed by a
-//!   fixed-order merge (mirroring `eliminate_color_round`), so the result
-//!   is bit-identical to the serial sweep for any thread count.
+//!   right-hand sides at once; the caller's `n x nrhs` block is
+//!   transposed on entry and on exit.
+//! * **A rank's share of either** (`distributed::serve`) — the resident
+//!   service and the gathered driver's in-world solve run the same four
+//!   record kernels and [`solve_top`] on each rank's block, with the
+//!   exchange of remote points between them.
+//!
+//! A record gathers its `R`/`S`/`N` points — one `nrhs`-long copy per
+//! index — into panels that a serial sweep allocates once
+//! ([`RecordPanels`]), zero-padded to the register-tile height
+//! (`srsf_linalg::panel::panel_rows`; exactly 1 for one right-hand
+//! side). The padding lives in those panels only: the block itself, and
+//! every wire frame the ranks cut from it, keeps exactly `nrhs` rows.
+//! Every product is then `panel * M` or `panel * M^T` and `X_RR^{-1}` a
+//! right-sided `X (LU)^{-T}`, with the right-hand sides in the register
+//! tile and `T`/`ES`/`EN`/`LU` streamed in place, once
+//! (`srsf_linalg::panel`). No kernel combines two rows of a panel and
+//! none chooses its arithmetic by `nrhs`, so the lanes are independent:
+//! a right-hand side is solved to the same bits alone, in any batch,
+//! and at any position in it.
+//!
+//! **Color-scheduled over threads** (`n_threads > 1`) — records carry a
+//! `(level, color)` stamp from factorization time; contiguous same-stamp
+//! runs are applied concurrently under `std::thread::scope`. With the
+//! distance-3 `Nine` coloring all record writes are disjoint by
+//! construction; the distance-2 `Four` scheme additionally shares
+//! additive neighbor updates. Both run the same snapshot-read compute
+//! phase followed by a fixed-order merge (mirroring
+//! `eliminate_color_round`), so the result is bit-identical to the
+//! serial sweep for any thread count.
 
 use crate::elimination::BoxElimination;
 use crate::sequential::Factorization;
@@ -51,18 +56,6 @@ use std::ops::Range;
 // `--cfg srsf_model` (see crates/verify).
 use srsf_verify::sync::atomic::{AtomicUsize, Ordering};
 use srsf_verify::sync::{Barrier, Mutex, RwLock};
-
-#[inline]
-pub(crate) fn gather<T: Scalar>(b: &[T], idx: &[u32]) -> Vec<T> {
-    idx.iter().map(|&i| b[i as usize]).collect()
-}
-
-#[inline]
-pub(crate) fn scatter<T: Scalar>(b: &mut [T], idx: &[u32], vals: &[T]) {
-    for (&i, &v) in idx.iter().zip(vals.iter()) {
-        b[i as usize] = v;
-    }
-}
 
 // The four record kernels below are the only readers of a record's
 // coupling fields, and the only place its two forms differ. A general
@@ -89,86 +82,12 @@ pub(crate) fn scatter<T: Scalar>(b: &mut [T], idx: &[u32], vals: &[T]) {
 // Between the sweeps `b_R` is private to its record (redundant rows are
 // never read by another record or the top solve), so the two forms may
 // park different intermediates there.
+//
+// The formulas are written for one right-hand side as a column `b`; the
+// kernels hold the right-hand sides as the rows of `X` and apply the
+// transposes (`X_R := (X_R - X_S conj(T)) P^T L^{-T}`, …).
 
-/// Upward (forward) application of one record: `b := V b` with
-/// `V = L^{-1} P S^*` restricted to `[R, S, N]`.
-pub(crate) fn apply_upward<T: Scalar>(rec: &BoxElimination<T>, b: &mut [T]) {
-    let mut br = gather(b, &rec.redundant);
-    let bs = gather(b, &rec.skel);
-    // b_R := L^{-1} P (b_R - T^H b_S) (general)
-    //     or X_RR^{-1} (b_R - T^T b_S) (symmetric)
-    let sym = rec.is_symmetric();
-    let mut tt_bs = vec![T::ZERO; br.len()];
-    if sym {
-        rec.t.transpose_matvec_acc_into(&bs, &mut tt_bs);
-    } else {
-        rec.t.adjoint_matvec_acc_into(&bs, &mut tt_bs);
-    }
-    for (r, v) in br.iter_mut().zip(tt_bs.iter()) {
-        *r -= *v;
-    }
-    if sym {
-        rec.lu.solve_vec(&mut br);
-    } else {
-        rec.lu.forward_vec(&mut br);
-    }
-    // b_S -= ES b_R ; b_N -= EN b_R
-    let mut bs = bs;
-    rec.es.matvec_sub_into(&br, &mut bs);
-    let mut bn = gather(b, &rec.nbr);
-    rec.en.matvec_sub_into(&br, &mut bn);
-    scatter(b, &rec.redundant, &br);
-    scatter(b, &rec.skel, &bs);
-    scatter(b, &rec.nbr, &bn);
-}
-
-/// Downward (backward) application of one record: `b := W b` with
-/// `W = P S U^{-1}`-style ordering (see Section II-D).
-pub(crate) fn apply_downward<T: Scalar>(rec: &BoxElimination<T>, b: &mut [T]) {
-    let mut br = gather(b, &rec.redundant);
-    let bs = gather(b, &rec.skel);
-    let bn = gather(b, &rec.nbr);
-    if let (Some(fs), Some(fnb)) = (&rec.fs, &rec.fnb) {
-        // b_R := U^{-1} (b_R - FS b_S - FN b_N)
-        fs.matvec_sub_into(&bs, &mut br);
-        fnb.matvec_sub_into(&bn, &mut br);
-        rec.lu.backward_vec(&mut br);
-    } else {
-        // b_R -= X_RR^{-1} (ES^T b_S + EN^T b_N)
-        let mut v = vec![T::ZERO; br.len()];
-        rec.es.transpose_matvec_acc_into(&bs, &mut v);
-        rec.en.transpose_matvec_acc_into(&bn, &mut v);
-        rec.lu.solve_vec(&mut v);
-        for (r, v) in br.iter_mut().zip(&v) {
-            *r -= *v;
-        }
-    }
-    // b_S -= T b_R
-    let mut bs = bs;
-    rec.t.matvec_sub_into(&br, &mut bs);
-    scatter(b, &rec.redundant, &br);
-    scatter(b, &rec.skel, &bs);
-}
-
-/// Full solve: upward pass, dense top solve, downward pass.
-pub(crate) fn apply_inverse<T: Scalar>(f: &Factorization<T>, b: &mut [T]) {
-    assert_eq!(b.len(), f.n, "right-hand side length mismatch");
-    for rec in &f.records {
-        apply_upward(rec, b);
-    }
-    let mut top = gather(b, &f.top_idx);
-    f.top.solve_vec(&mut top);
-    scatter(b, &f.top_idx, &top);
-    for rec in f.records.iter().rev() {
-        apply_downward(rec, b);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Blocked multi-RHS application
-// ---------------------------------------------------------------------------
-
-/// The blocked sweep's working block, RHS-major: `nrhs x n`, column `i`
+/// The sweep's working block, RHS-major: `nrhs x n`, column `i`
 /// holding point `i`'s value for every right-hand side. A type of its
 /// own so that it cannot be taken for the caller's `n x nrhs` block.
 pub(crate) struct RhsBlock<T>(Mat<T>);
@@ -187,6 +106,19 @@ impl<T: Scalar> RhsBlock<T> {
     /// Back to `n x nrhs`.
     pub(crate) fn into_cols(self) -> Mat<T> {
         self.0.transpose()
+    }
+
+    /// One right-hand side: the slice is the `1 x n` block.
+    pub(crate) fn from_row(b: &[T]) -> Self {
+        let mut x = Self::zeros(1, b.len());
+        x.0.as_mut_slice().copy_from_slice(b);
+        x
+    }
+
+    /// The block's values in storage order: the solution itself when
+    /// there is one right-hand side.
+    pub(crate) fn as_slice(&self) -> &[T] {
+        self.0.as_slice()
     }
 
     /// Number of right-hand sides.
@@ -247,8 +179,7 @@ impl<T: Scalar> RecordPanels<T> {
     }
 }
 
-/// The snapshot-read compute half of the upward record application
-/// (the transpose of [`apply_upward`], all right-hand sides at once):
+/// The snapshot-read compute half of the upward record application:
 /// leaves the updated `X_R` and `X_S` in `w.r`, `w.s` and the *additive*
 /// neighbor delta `X_R EN^T` in `w.n`, unapplied so callers can merge it
 /// in a fixed record order.
@@ -286,10 +217,9 @@ pub(crate) fn merge_upward<T: Scalar>(
     x.scatter_sub(&rec.nbr, &w.n);
 }
 
-/// The snapshot-read compute half of the downward record application
-/// (the transpose of [`apply_downward`]): leaves the updated `X_R`, `X_S`
-/// in `w.r`, `w.s`. Downward writes touch only the box's own points, so
-/// no delta is needed.
+/// The snapshot-read compute half of the downward record application:
+/// leaves the updated `X_R`, `X_S` in `w.r`, `w.s`. Downward writes touch
+/// only the box's own points, so no delta is needed.
 pub(crate) fn downward_parts<T: Scalar>(
     rec: &BoxElimination<T>,
     x: &RhsBlock<T>,
@@ -338,26 +268,32 @@ pub(crate) fn solve_top<T: Scalar>(
     x.scatter(top_idx, panel);
 }
 
-/// Full blocked solve of an `n x nrhs` block of right-hand sides:
-/// upward pass, dense top solve, downward pass, all on the RHS-major
-/// transpose of `b`. With `n_threads > 1` the two record passes
-/// ([`record_pass`]) are scheduled by the records' `(level, color)` stamps:
-/// same-color records of a level compute concurrently against a snapshot
-/// of the block and merge in record order, so the result is bit-identical
-/// for any `n_threads`.
-///
-/// With the distance-3 `Nine` coloring the records of a group write
-/// disjoint points outright; with the paper's `Four` scheme same-color
-/// boxes at distance 2 share additive neighbor updates, which the
-/// fixed-order merge applies exactly as the serial sweep would.
-pub(crate) fn solve_mat<T: Scalar>(f: &Factorization<T>, b: &Mat<T>, n_threads: usize) -> Mat<T> {
+/// The sweep: upward pass, dense top solve, downward pass. With
+/// `n_threads > 1` the two record passes are color-scheduled
+/// ([`threaded_pass`]); the result is bit-identical for any `n_threads`.
+fn sweep<T: Scalar>(f: &Factorization<T>, x: &mut RhsBlock<T>, n_threads: usize) {
     assert!(n_threads >= 1, "need at least one worker thread");
+    record_pass(&f.records, x, n_threads, false);
+    solve_top(&f.top_idx, &f.top, x, &mut Mat::zeros(0, 0));
+    record_pass(&f.records, x, n_threads, true);
+}
+
+/// Solve an `n x nrhs` block of right-hand sides: [`sweep`] on its
+/// RHS-major transpose.
+pub(crate) fn solve_mat<T: Scalar>(f: &Factorization<T>, b: &Mat<T>, n_threads: usize) -> Mat<T> {
     assert_eq!(b.nrows(), f.n, "right-hand side row count mismatch");
     let mut x = RhsBlock::from_cols(b);
-    record_pass(&f.records, &mut x, n_threads, false);
-    solve_top(&f.top_idx, &f.top, &mut x, &mut Mat::zeros(0, 0));
-    record_pass(&f.records, &mut x, n_threads, true);
+    sweep(f, &mut x, n_threads);
     x.into_cols()
+}
+
+/// Solve one right-hand side in place, `b := A^{-1} b`: [`sweep`] at
+/// `nrhs = 1`, the same bits as that column in any [`solve_mat`] block.
+pub(crate) fn apply_inverse<T: Scalar>(f: &Factorization<T>, b: &mut [T], n_threads: usize) {
+    assert_eq!(b.len(), f.n, "right-hand side length mismatch");
+    let mut x = RhsBlock::from_row(b);
+    sweep(f, &mut x, n_threads);
+    b.copy_from_slice(x.as_slice());
 }
 
 /// One substitution pass over all records, upward in elimination order

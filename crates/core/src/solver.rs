@@ -305,10 +305,9 @@ impl<T: Scalar> Solver<T> {
         }
     }
 
-    /// Solve `A X = B` for every column of `b` at once (one blocked
-    /// sweep over the records instead of `nrhs` vector sweeps). In
-    /// residency mode the column block is scattered by row ownership and
-    /// swept in place on the rank world.
+    /// Solve `A X = B` for every column of `b` at once (one sweep over
+    /// the records instead of `nrhs`). In residency mode the column block
+    /// is scattered by row ownership and swept in place on the rank world.
     pub fn solve_mat(&self, b: &Mat<T>) -> Mat<T> {
         match &self.backend {
             SolverBackend::Local(f) => f.solve_mat(b),
@@ -731,9 +730,13 @@ impl<'a, K: Kernel> SolverBuilder<'a, K> {
     /// Build and additionally solve one right-hand side.
     ///
     /// For [`Driver::Distributed`] the solve runs *inside* the rank world
-    /// (Algorithm 2's upward/downward passes with neighbor-only traffic),
-    /// so its communication shows up in [`Solver::comm_stats`]; the other
-    /// drivers solve locally after factoring.
+    /// (Algorithm 2's upward/downward passes with neighbor-only traffic,
+    /// the resident service's protocol at one right-hand side) and gives
+    /// the bits [`Solver::solve`] gives afterwards; the other drivers
+    /// solve locally after factoring. [`Solver::comm_stats`] holds the
+    /// factorization-phase counters only — they are snapshotted before
+    /// this solve; per-solve traffic is what
+    /// [`Solver::resident_comm_probe`] measures on a resident solver.
     pub fn build_with_solution(self, rhs: &[K::Elem]) -> Result<Solved<K::Elem>, SrsfError> {
         check_rhs(self.pts.len(), rhs.len())?;
         let (solver, x) = self.build_inner(Some(rhs))?;

@@ -36,14 +36,6 @@ impl<T: Scalar> TopFactor<T> {
         }
     }
 
-    /// In-place solve `b := A_top^{-1} b`.
-    pub fn solve_vec(&self, b: &mut [T]) {
-        match self {
-            TopFactor::General(lu) => lu.solve_vec(b),
-            TopFactor::Symmetric(ldlt) => ldlt.solve_vec(b),
-        }
-    }
-
     /// In-place multi-RHS solve on an RHS-major panel (`h x dim`, one
     /// right-hand side per row; see `srsf_linalg::panel`):
     /// `X := X A_top^{-T}`, the transpose of `B := A_top^{-1} B`.

@@ -345,7 +345,9 @@ const CKPT_MAGIC: &[u8; 8] = b"SRSFCKP1";
 /// v3: records carry a presence flag for `fs`/`fnb` (symmetric records
 /// hold neither) and decode checks every block shape.
 /// v4: the top block carries a form tag (general LU | packed `L D Lᵀ`).
-const CKPT_VERSION: u64 = 4;
+/// v5: rank snapshots drop the per-record `(level, phase)` table (the
+/// order key carries both).
+const CKPT_VERSION: u64 = 5;
 /// Header length in bytes.
 const CKPT_HEADER: usize = 40;
 /// Scalar tag of the scalar-independent manifest file.
@@ -523,10 +525,6 @@ pub(crate) fn encode_rank_snapshot<T: Scalar>(state: &RankState<T>, top: &RankTo
         w.put_u64(*key);
         rec.encode(&mut w);
     }
-    w.put_u64(state.record_phase.len() as u64);
-    for &(level, phase) in &state.record_phase {
-        w.put_u64(((level as u64) << 8) | phase as u64);
-    }
     let mut act: Vec<_> = state.act_end.iter().collect();
     act.sort_by_key(|(level, _)| **level);
     w.put_u64(act.len() as u64);
@@ -571,12 +569,6 @@ pub(crate) fn decode_rank_snapshot<T: Scalar>(
         let key = r.try_get_u64()?;
         records.push((key, BoxElimination::decode(&mut r)?));
     }
-    let n_phases = r.try_get_u64()? as usize;
-    let mut record_phase = Vec::new();
-    for _ in 0..n_phases {
-        let packed = r.try_get_u64()?;
-        record_phase.push(((packed >> 8) as u8, (packed & 0xFF) as u8));
-    }
     let n_levels = r.try_get_u64()? as usize;
     let mut act_end = HashMap::new();
     for _ in 0..n_levels {
@@ -611,7 +603,6 @@ pub(crate) fn decode_rank_snapshot<T: Scalar>(
     Ok((
         RankState {
             records,
-            record_phase,
             act_end,
             fold_ids,
             stats,
@@ -708,7 +699,7 @@ mod tests {
             vec![0, 4, 8],
             TopFactor::General(Lu {
                 lu: Mat::from_fn(3, 3, |i, j| (i + 2 * j) as f64 + 1.0),
-                piv: vec![0, 2, 1],
+                piv: vec![0, 2, 2],
             }),
             stats,
         );

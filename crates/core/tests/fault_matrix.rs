@@ -227,6 +227,38 @@ fn crash_mid_solve_is_typed_bounded_and_droppable_inproc() {
     let _ = again.solve(&b);
 }
 
+/// The gathered build's in-world solve runs the service's protocol, so
+/// it owes the same failure contract: the factor phase is barrier-free,
+/// the crash at barrier 1 fires at the in-world solve's first level
+/// barrier, and `build_with_solution` returns the typed error within the
+/// receive timeout — no hang, no stray panic.
+#[test]
+fn crash_in_the_gathered_in_world_solve_fails_the_build_typed() {
+    let grid = UnitGrid::new(32);
+    let kernel = LaplaceKernel::new(&grid);
+    let pts = grid.points();
+    let b = random_vector::<f64>(pts.len(), 5);
+    let plan = FaultPlan::seeded(3).with_crash(2, 1);
+    let t0 = Instant::now();
+    let Err(err) = Solver::builder(&kernel, &pts)
+        .opts(opts())
+        .driver(Driver::distributed(4))
+        .transport(Transport::InProc.with_faults(plan))
+        .build_with_solution(&b)
+    else {
+        panic!("a crashed rank must fail the build");
+    };
+    assert!(
+        t0.elapsed() < Duration::from_secs(30),
+        "failure detection took {:?} — not bounded",
+        t0.elapsed()
+    );
+    assert!(
+        matches!(err, SrsfError::RankFailed { rank: 2, .. }),
+        "expected RankFailed on rank 2, got {err}"
+    );
+}
+
 /// A permanently cut link during factorization fails the build with a
 /// typed `RankFailed` within the receive timeout instead of hanging.
 #[test]

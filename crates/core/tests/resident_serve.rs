@@ -130,9 +130,15 @@ fn assert_resident_equivalent<K: Kernel>(
             assert_mat_bits(&got, &want, &format!("p={p} nrhs={nrhs} rep={rep}"));
         }
     }
-    // ... and single vectors (the one-column case of the blocked sweep).
+    // ... and single vectors: the one-column case of the sweep, served
+    // or gathered.
     let b = random_vector::<K::Elem>(pts.len(), 77);
     let want = gathered.solve_mat(&Mat::from_vec(b.len(), 1, b.clone()));
+    assert_eq!(
+        gathered.solve(&b),
+        want.as_slice(),
+        "p={p}: gathered vector"
+    );
     for rep in 0..3 {
         let got = resident.solve(&b);
         assert_eq!(got.len(), b.len());
@@ -141,11 +147,6 @@ fn assert_resident_equivalent<K: Kernel>(
             assert_eq!(x.im(), y.im(), "p={p} rep={rep}: vector entry {i}");
         }
     }
-    // Accuracy-class sanity against the vector sweep (different kernel
-    // path, so close-not-bitwise).
-    let xv = gathered.solve(&b);
-    let diff = srsf_linalg::vecops::rel_diff(&resident.solve(&b), &xv);
-    assert!(diff < 1e-10, "p={p}: blocked vs vector sweep diff {diff:e}");
 
     // Explicit shutdown returns the session counters once.
     let final_stats = resident.shutdown().expect("first shutdown");

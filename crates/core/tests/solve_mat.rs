@@ -1,9 +1,9 @@
-//! The blocked multi-RHS solve path and the color-scheduled threaded
-//! apply: `solve_mat` must agree column-for-column with repeated single
-//! `solve` calls across scalar types and all three drivers, a column's
-//! solution must not depend on the batch it is solved in, and the
-//! threaded apply must be bit-identical to the serial blocked apply for
-//! any thread count.
+//! The one solve sweep at every width and the color-scheduled threaded
+//! apply: `solve_mat` must agree column-for-column, bit for bit, with
+//! repeated single `solve` calls across scalar types and all three
+//! drivers, a column's solution must not depend on the batch it is solved
+//! in, and the threaded apply must be bit-identical to the serial apply
+//! for any thread count.
 
 use srsf_core::colored::ColorScheme;
 use srsf_core::{Driver, FactorOpts, Factorized, Solver, SrsfError};
@@ -44,9 +44,8 @@ fn drivers() -> Vec<Driver> {
     ]
 }
 
-/// `solve_mat` column `j` must match `solve(col j)` up to roundoff (the
-/// blocked path reorders the floating-point work but applies the same
-/// operators).
+/// `solve_mat` column `j` must be `solve(col j)` bit for bit: the vector
+/// solve is the same sweep at one right-hand side.
 fn assert_solve_mat_matches<T: Scalar, K: Kernel<Elem = T>>(
     kernel: &K,
     pts: &[Point],
@@ -64,15 +63,10 @@ fn assert_solve_mat_matches<T: Scalar, K: Kernel<Elem = T>>(
         assert_eq!(x.nrows(), pts.len());
         assert_eq!(x.ncols(), nrhs);
         for j in 0..nrhs {
-            let xj = f.solve(b.col(j));
-            let scale = xj.iter().map(|v| v.abs()).fold(1.0f64, f64::max);
-            for (got, want) in x.col(j).iter().zip(xj.iter()) {
-                let diff = (*got - *want).abs();
-                assert!(
-                    diff <= 1e-10 * scale,
-                    "driver {driver:?} nrhs {nrhs} col {j}: diff {diff:.3e} (scale {scale:.3e})"
-                );
-            }
+            assert!(
+                x.col(j) == f.solve(b.col(j)),
+                "driver {driver:?} nrhs {nrhs} col {j}"
+            );
         }
     }
 }
@@ -100,8 +94,9 @@ fn solve_mat_matches_repeated_solve_c64() {
 /// Batch invariance: column `j` of `solve_mat(B)` depends on column `j`
 /// of `B` alone — bit for bit the same whether it is solved by itself or
 /// in a block of any width, at any position, padded into a register tile
-/// or spanning several. Every lane of the RHS-major sweep runs the same
-/// multiply-add sequence whatever tile it sits in; a kernel that picked
+/// or spanning several — and the same as `solve` of it. Every lane of
+/// the RHS-major sweep runs the same multiply-add sequence whatever tile
+/// it sits in; a kernel that picked
 /// its arithmetic by `nrhs` (as the GEMM's naive/blocked crossover did)
 /// fails this. It is the property a batching front-end needs.
 fn assert_batch_invariant<T: Scalar, K: Kernel<Elem = T>>(kernel: &K, pts: &[Point]) {
@@ -128,10 +123,8 @@ fn assert_batch_invariant<T: Scalar, K: Kernel<Elem = T>>(kernel: &K, pts: &[Poi
             .unwrap();
         let what = format!("{driver:?}, resident {resident}");
         let alone = f.solve_mat(&Mat::from_vec(n, 1, col.clone()));
-        if resident {
-            // The served vector solve is the one-column block.
-            assert_eq!(f.solve(&col), alone.col(0), "{what}: solve(&b)");
-        }
+        // The vector solve is the one-column block, under every driver.
+        assert_eq!(f.solve(&col), alone.col(0), "{what}: solve(&b)");
         for nrhs in [3usize, 7, 16, 17, 64] {
             for at in [0, nrhs / 2, nrhs - 1] {
                 let mut b = rhs_mat::<T>(n, nrhs, 1000 + (nrhs * 64 + at) as u64);

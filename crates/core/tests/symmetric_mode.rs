@@ -51,9 +51,9 @@ fn build<K: Kernel>(kernel: &K, pts: &[Point], driver: Driver) -> Solver<K::Elem
         .expect("factorization")
 }
 
-/// Factor `pts` both ways under every driver: the solutions — of the
-/// vector sweep and of the blocked one — must agree to `10 * tol`, and
-/// the symmetric factor must be under 70 % of the general one.
+/// Factor `pts` both ways under every driver: the solutions — of one
+/// vector and of a block — must agree to `10 * tol`, and the symmetric
+/// factor must be under 70 % of the general one.
 fn assert_modes_agree<K: Kernel + Clone>(kernel: K, pts: &[Point], what: &str) {
     let general = HideSymmetry(kernel.clone());
     let b = random_vector::<K::Elem>(pts.len(), 5);
@@ -66,9 +66,9 @@ fn assert_modes_agree<K: Kernel + Clone>(kernel: K, pts: &[Point], what: &str) {
             diff < 10.0 * TOL,
             "{what}, {driver:?}: symmetric vs general solution differ by {diff:.3e}"
         );
-        // The blocked sweep crosses the general records through kernels
-        // of its own — `conj(T)`, `FS`/`FN`, the split `L^{-1} P` /
-        // `U^{-1}` — which no symmetric factorization ever reaches.
+        // A block crosses the general records through branches of the
+        // sweep — `conj(T)`, `FS`/`FN`, the split `L^{-1} P` / `U^{-1}` —
+        // which no symmetric factorization ever reaches.
         let mut bm = srsf_linalg::Mat::zeros(pts.len(), 5);
         for j in 0..5 {
             bm.col_mut(j)
@@ -81,10 +81,9 @@ fn assert_modes_agree<K: Kernel + Clone>(kernel: K, pts: &[Point], what: &str) {
                 diff < 10.0 * TOL,
                 "{what}, {driver:?}: block column {j} differs across modes by {diff:.3e}"
             );
-            let diff = rel_diff(xm_gen.col(j), &f_gen.solve(bm.col(j)));
             assert!(
-                diff < 1e-10,
-                "{what}, {driver:?}: general block column {j} vs vector solve {diff:.3e}"
+                xm_gen.col(j) == f_gen.solve(bm.col(j)),
+                "{what}, {driver:?}: general block column {j} vs vector solve"
             );
         }
         let ratio = f_sym.memory_bytes() as f64 / f_gen.memory_bytes() as f64;
@@ -125,9 +124,9 @@ fn assert_modes_agree<K: Kernel + Clone>(kernel: K, pts: &[Point], what: &str) {
     }
 }
 
-/// The blocked multi-RHS sweep reads the one-sided records through its
-/// own kernels (`upward_parts`/`downward_parts`): it must match the
-/// vector sweep column for column.
+/// A block and its columns one at a time cross the one-sided records
+/// through the same kernels (`upward_parts`/`downward_parts`): the same
+/// bits column for column, under all three drivers.
 fn assert_block_solve_matches_vector_solve<K: Kernel>(kernel: &K, pts: &[Point]) {
     for driver in drivers() {
         let f = build(kernel, pts, driver);
@@ -138,9 +137,8 @@ fn assert_block_solve_matches_vector_solve<K: Kernel>(kernel: &K, pts: &[Point])
         }
         let x = f.solve_mat(&b);
         for j in 0..16 {
-            let xj = f.solve(b.col(j));
             assert!(
-                rel_diff(x.col(j), &xj) < 1e-10,
+                x.col(j) == f.solve(b.col(j)),
                 "{driver:?}: block column {j} differs from the vector solve"
             );
         }

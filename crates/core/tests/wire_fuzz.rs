@@ -771,8 +771,9 @@ fn checkpoint_container_rejects_corruption() {
     bent[8..16].copy_from_slice(&99u64.to_le_bytes());
     expect_rejected(&bent, "future version");
     // The previous layouts (v2: no presence flag, unchecked shapes; v3:
-    // no top form tag) are refused by their version word, not misread.
-    for old in [2u64, 3] {
+    // no top form tag; v4: a per-record phase table in rank snapshots)
+    // are refused by their version word, not misread.
+    for old in [2u64, 3, 4] {
         let mut bent = bytes.clone();
         bent[8..16].copy_from_slice(&old.to_le_bytes());
         expect_rejected(&bent, &format!("version-{old} checkpoint"));

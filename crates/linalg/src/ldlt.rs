@@ -287,29 +287,6 @@ impl<T: Scalar> Ldlt<T> {
         &self.sub
     }
 
-    /// In-place solve `b := A^{-1} b`.
-    pub fn solve_vec(&self, b: &mut [T]) {
-        assert_eq!(b.len(), self.n);
-        // Forward sweep and the block-diagonal solve: y = L⁻¹ b, z = D⁻¹ y.
-        for ((k0, nb), (lu, l21)) in block_cols(self.n).zip(self.diag.iter().zip(&self.sub)) {
-            let (head, tail) = b.split_at_mut(k0 + nb);
-            let yk = &mut head[k0..];
-            l21.matvec_sub_into(yk, tail);
-            lu.solve_vec(yk);
-        }
-        // Backward sweep: x_k = z_k - L₂₁ᵀ x_below.
-        let mut t = Vec::with_capacity(NB);
-        for ((k0, nb), l21) in block_cols(self.n).zip(&self.sub).rev() {
-            let (head, tail) = b.split_at_mut(k0 + nb);
-            t.clear();
-            t.resize(nb, T::ZERO);
-            l21.transpose_matvec_acc_into(tail, &mut t);
-            for (x, v) in head[k0..].iter_mut().zip(&t) {
-                *x -= *v;
-            }
-        }
-    }
-
     /// In-place multi-RHS solve `B := A^{-1} B`.
     pub fn solve_mat(&self, b: &mut Mat<T>) {
         assert_eq!(b.nrows(), self.n);

@@ -206,29 +206,14 @@ impl<T: Scalar> Lu<T> {
         solve_upper_mat(&self.lu, false, b);
     }
 
-    /// `b := L^{-1} P b` — the forward half, used by the factorization's
-    /// upward solve pass.
-    pub fn forward_vec(&self, b: &mut [T]) {
-        assert_eq!(b.len(), self.dim());
-        self.apply_piv_vec(b);
-        solve_lower_vec(&self.lu, true, b);
-    }
-
-    /// `b := U^{-1} b` — the backward half, used by the downward pass.
-    pub fn backward_vec(&self, b: &mut [T]) {
-        assert_eq!(b.len(), self.dim());
-        solve_upper_vec(&self.lu, false, b);
-    }
-
-    /// `B := L^{-1} P B`, matrix version of [`Lu::forward_vec`].
+    /// `B := L^{-1} P B` — the forward half of [`Lu::solve_mat`].
     pub fn forward_mat(&self, b: &mut Mat<T>) {
         assert_eq!(b.nrows(), self.dim());
         self.apply_piv_mat(b);
         solve_lower_mat(&self.lu, true, b);
     }
 
-    /// `B := U^{-1} B`, matrix version of [`Lu::backward_vec`] — the
-    /// blocked downward half of the factorization's multi-RHS solve.
+    /// `B := U^{-1} B` — the backward half of [`Lu::solve_mat`].
     pub fn backward_mat(&self, b: &mut Mat<T>) {
         assert_eq!(b.nrows(), self.dim());
         solve_upper_mat(&self.lu, false, b);
@@ -301,19 +286,6 @@ mod tests {
         let mut direct = b;
         lu.solve_mat(&mut direct);
         assert_eq!(via_halves, direct);
-    }
-
-    #[test]
-    fn forward_backward_compose_to_solve() {
-        let a = test_matrix(6);
-        let x: Vec<f64> = (0..6).map(|i| i as f64 * 0.7 - 2.0).collect();
-        let mut b = a.matvec(&x);
-        let lu = Lu::factor(a).unwrap();
-        lu.forward_vec(&mut b);
-        lu.backward_vec(&mut b);
-        for (got, want) in b.iter().zip(x.iter()) {
-            assert!((got - want).abs() < 1e-10);
-        }
     }
 
     #[test]

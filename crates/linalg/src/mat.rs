@@ -373,47 +373,6 @@ impl<T: Scalar> Mat<T> {
         }
     }
 
-    /// `y -= self * x`.
-    pub fn matvec_sub_into(&self, x: &[T], y: &mut [T]) {
-        assert_eq!(x.len(), self.ncols);
-        assert_eq!(y.len(), self.nrows);
-        for j in 0..self.ncols {
-            let xj = x[j];
-            if xj == T::ZERO {
-                continue;
-            }
-            let col = self.col(j);
-            for i in 0..self.nrows {
-                y[i] -= col[i] * xj;
-            }
-        }
-    }
-
-    /// `y += self^H * x` (adjoint matvec).
-    pub fn adjoint_matvec_acc_into(&self, x: &[T], y: &mut [T]) {
-        self.flipped_matvec_acc_into(x, y, true);
-    }
-
-    /// `y += self^T * x` (plain-transpose matvec, no conjugation). Same
-    /// bits as [`Mat::adjoint_matvec_acc_into`] for real scalars.
-    pub fn transpose_matvec_acc_into(&self, x: &[T], y: &mut [T]) {
-        self.flipped_matvec_acc_into(x, y, false);
-    }
-
-    fn flipped_matvec_acc_into(&self, x: &[T], y: &mut [T], conj: bool) {
-        assert_eq!(x.len(), self.nrows);
-        assert_eq!(y.len(), self.ncols);
-        for j in 0..self.ncols {
-            let col = self.col(j);
-            let mut acc = T::ZERO;
-            for i in 0..self.nrows {
-                let a = if conj { col[i].conj() } else { col[i] };
-                acc += a * x[i];
-            }
-            y[j] += acc;
-        }
-    }
-
     /// Approximate number of heap bytes held by the matrix.
     pub fn heap_bytes(&self) -> usize {
         self.data.capacity() * core::mem::size_of::<T>()
@@ -574,12 +533,6 @@ mod tests {
         let mut acc = vec![1.0, 1.0];
         m.matvec_acc_into(&x, &mut acc);
         assert_eq!(acc, vec![-1.0, -1.0]);
-        let mut sub = vec![0.0, 0.0];
-        m.matvec_sub_into(&x, &mut sub);
-        assert_eq!(sub, vec![2.0, 2.0]);
-        let mut at = vec![0.0; 3];
-        m.adjoint_matvec_acc_into(&[1.0, 1.0], &mut at);
-        assert_eq!(at, vec![5.0, 7.0, 9.0]);
     }
 
     #[test]

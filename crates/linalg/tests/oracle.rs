@@ -239,30 +239,6 @@ fn packed_transpose_gemm_matches_naive_c64() {
 }
 
 #[test]
-fn transpose_matvec_matches_naive() {
-    let mut rng = Rng::new(31);
-    let a = rand_mat::<c64>(37, 11, &mut rng);
-    let x: Vec<c64> = (0..37).map(|_| c64::rand(&mut rng)).collect();
-    let y0: Vec<c64> = (0..11).map(|_| c64::rand(&mut rng)).collect();
-    let mut y = y0.clone();
-    a.transpose_matvec_acc_into(&x, &mut y);
-    let mut yh = y0.clone();
-    a.adjoint_matvec_acc_into(&x, &mut yh);
-    for j in 0..11 {
-        let dot: c64 = (0..37).map(|i| a[(i, j)] * x[i]).sum();
-        assert!((y[j] - (y0[j] + dot)).norm() < TOL * 37.0);
-        assert!((y[j] - yh[j]).norm() > 1e-3, "transpose matvec conjugated");
-    }
-    // Real scalars: the two flavours are the same bits.
-    let ar = rand_mat::<f64>(37, 11, &mut rng);
-    let xr: Vec<f64> = (0..37).map(|_| rng.next_f64()).collect();
-    let (mut yt, mut ya) = (vec![0.5; 11], vec![0.5; 11]);
-    ar.transpose_matvec_acc_into(&xr, &mut yt);
-    ar.adjoint_matvec_acc_into(&xr, &mut ya);
-    assert_eq!(yt, ya);
-}
-
-#[test]
 fn transpose_tiled_matches_naive() {
     for (i, &(m, n)) in [(0usize, 5usize), (1, 1), (33, 65), (100, 7), (70, 129)]
         .iter()
@@ -464,9 +440,8 @@ fn ldlt_dense_factors<T: Scalar>(f: &Ldlt<T>) -> (Mat<T>, Mat<T>) {
 }
 
 /// `Ldlt` against `Lu` on the same symmetric matrix: solutions, the
-/// vector sweep against the block sweep, the reconstruction `L D Lᵀ`, and
-/// the packed footprint — at the block-column edges and one ragged
-/// multi-panel size.
+/// reconstruction `L D Lᵀ`, and the packed footprint — at the
+/// block-column edges and one ragged multi-panel size.
 fn ldlt_oracle<T: TestScalar>(seed: u64) {
     for (i, &n) in [1, NB - 1, NB, NB + 1, 3 * NB + 7].iter().enumerate() {
         let mut rng = Rng::new(seed + i as u64);
@@ -483,16 +458,6 @@ fn ldlt_oracle<T: TestScalar>(seed: u64) {
         f.solve_mat(&mut x_ldlt);
         lu.solve_mat(&mut x_lu);
         assert_close(&x_ldlt, &x_lu, "LDLᵀ vs LU solution");
-        for j in 0..b.ncols() {
-            let mut xj = b.col(j).to_vec();
-            f.solve_vec(&mut xj);
-            let xj = Mat::from_vec(n, 1, xj);
-            assert_close(
-                &xj,
-                &x_ldlt.block(0, j, n, 1),
-                "solve_vec vs solve_mat column",
-            );
-        }
 
         let (l, d) = ldlt_dense_factors(&f);
         let ldlt = matmul(&matmul(&l, &d), &l.transpose());

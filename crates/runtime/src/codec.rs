@@ -321,26 +321,11 @@ impl ByteReader {
         self.try_get_f64().unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Read a scalar (panicking; see [`ByteReader::try_get_scalar`]).
-    pub fn get_scalar<T: Scalar>(&mut self) -> T {
-        // INVARIANT: deliberate — documented panicking variant of try_get_scalar
-        self.try_get_scalar().unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Read a length-prefixed `u64` slice (panicking; see
     /// [`ByteReader::try_get_u64_slice`]).
     pub fn get_u64_slice(&mut self) -> Vec<u64> {
         // INVARIANT: deliberate — documented panicking variant of try_get_u64_slice
         self.try_get_u64_slice().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Read a length-prefixed scalar slice (panicking; see
-    /// [`ByteReader::try_get_scalar_slice`]).
-    pub fn get_scalar_slice<T: Scalar>(&mut self) -> Vec<T> {
-        self.try_get_scalar_slice()
-            // INVARIANT: deliberate — documented panicking variant of
-            // try_get_scalar_slice
-            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Read a matrix (panicking; see [`ByteReader::try_get_mat`]).
@@ -714,7 +699,7 @@ mod tests {
         w.put_scalar_slice(&v);
         let mut r = ByteReader::new(w.finish());
         let back: Mat<c64> = r.get_mat();
-        let backv: Vec<c64> = r.get_scalar_slice();
+        let backv: Vec<c64> = r.try_get_scalar_slice().unwrap();
         assert_eq!(back, m);
         assert_eq!(backv, v);
         assert_eq!(r.remaining(), 0);

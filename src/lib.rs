@@ -85,14 +85,6 @@ pub mod prelude {
         BaseTransport, Compression, CompressionTelemetry, Driver, FactorOpts, Factorized,
         FaultPlan, RankHealth, Solver, SrsfError, Transport,
     };
-    // Deprecated free-function drivers, kept so pre-builder call sites
-    // continue to compile against the prelude.
-    #[allow(deprecated)]
-    pub use srsf_core::{
-        colored::colored_factorize,
-        distributed::{dist_factorize, dist_factorize_and_solve},
-        factorize,
-    };
     pub use srsf_geometry::{grid::UnitGrid, point::Point, procgrid::ProcessGrid, tree::QuadTree};
     pub use srsf_iterative::{
         cg::{cg, pcg},
