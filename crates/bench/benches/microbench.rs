@@ -23,6 +23,7 @@ use srsf_kernels::laplace::LaplaceKernel;
 use srsf_kernels::util::random_vector;
 use srsf_linalg::gemm::matmul;
 use srsf_linalg::panel::{panel_mul_acc, panel_mul_t_acc, panel_rows};
+use srsf_linalg::rid::sketch_block;
 use srsf_linalg::triangular::solve_upper_mat;
 use srsf_linalg::{
     c64, cpqr, householder_qr, interp_decomp, rand_interp_decomp, Ldlt, LinOp, Lu, Mat, Scalar,
@@ -166,6 +167,13 @@ fn random_mat(m: usize, n: usize, seed: u64) -> Mat<f64> {
     })
 }
 
+/// A random `m x k` matrix of either scalar type (imaginary parts from
+/// the next seed).
+fn scalar_mat<T: Scalar>(m: usize, k: usize, seed: u64) -> Mat<T> {
+    let (re, im) = (random_mat(m, k, seed), random_mat(m, k, seed + 1));
+    Mat::from_fn(m, k, |i, j| T::from_re_im(re[(i, j)], im[(i, j)]))
+}
+
 /// `lu/ldlt` factor and `nrhs = 16` solve cases on one symmetric,
 /// diagonally dominant `n x n` matrix (complex symmetric for `c64`);
 /// hands the packed factor back for the panel twins.
@@ -209,10 +217,7 @@ fn panel_cases<T: Scalar>(
     top: &Ldlt<T>,
 ) {
     let hp = panel_rows::<T>(nrhs);
-    let mat = |m: usize, k: usize, seed: u64| {
-        let (re, im) = (random_mat(m, k, seed), random_mat(m, k, seed + 1));
-        Mat::from_fn(m, k, |i, j| T::from_re_im(re[(i, j)], im[(i, j)]))
-    };
+    let mat = scalar_mat::<T>;
     let en = mat(n, r, 61);
     let (xn, xr) = (mat(hp, n, 63), mat(hp, r, 65));
     let mut v = Mat::zeros(hp, r);
@@ -228,21 +233,7 @@ fn panel_cases<T: Scalar>(
         matmul(&en, &br)
     });
 
-    let mut a = mat(r, r, 69);
-    for i in 0..r {
-        a[(i, i)] += T::from_f64(r as f64);
-    }
-    let lu = Lu::factor(a).unwrap();
-    h.bench(&format!("panel_lu/{scalar}_{nrhs}x{r}"), || {
-        let mut x = xr.clone();
-        lu.solve_panel(&mut x);
-        x
-    });
-    h.bench(&format!("lu_solve/{scalar}_{r}_nrhs{nrhs}"), || {
-        let mut b = br.clone();
-        lu.solve_mat(&mut b);
-        b
-    });
+    lu_solve_pair::<T>(h, scalar, nrhs, r);
 
     let t = top.dim();
     let xt = mat(hp, t, 71);
@@ -259,6 +250,32 @@ fn panel_cases<T: Scalar>(
             b
         });
     }
+}
+
+/// `X_RR^{-1}` on `rows` right-hand sides both ways: `panel_lu/` solves
+/// them as the rows of a `rows x r` panel (`X A^{-T}`), `lu_solve/` as
+/// the columns of an `r x rows` matrix. One register tile of rows is the
+/// solve sweep's record; hundreds are the factorization's `|N| x |R|`
+/// coupling.
+fn lu_solve_pair<T: Scalar>(h: &mut Harness, scalar: &str, rows: usize, r: usize) {
+    let mat = scalar_mat::<T>;
+    let mut a = mat(r, r, 69);
+    for i in 0..r {
+        a[(i, i)] += T::from_f64(r as f64);
+    }
+    let lu = Lu::factor(a).unwrap();
+    let xr = mat(panel_rows::<T>(rows), r, 65);
+    h.bench(&format!("panel_lu/{scalar}_{rows}x{r}"), || {
+        let mut x = xr.clone();
+        lu.solve_panel(&mut x);
+        x
+    });
+    let br = mat(r, rows, 67);
+    h.bench(&format!("lu_solve/{scalar}_{r}_nrhs{rows}"), || {
+        let mut b = br.clone();
+        lu.solve_mat(&mut b);
+        b
+    });
 }
 
 /// Smooth kernel-type matrix with separated clusters — the shape CPQR sees
@@ -533,6 +550,13 @@ fn main() {
     // tile of right-hand sides each.
     panel_cases::<f64>(&mut h, "f64", 16, (349, 41), &top_f64);
     panel_cases::<c64>(&mut h, "c64", 8, (332, 45), &top_c64);
+    // The set-up side of the same kernel: a box's neighbor coupling
+    // `X_NR X_RR^{-T}` (laplace_grid, upper levels), and the sketch block
+    // that multiplies one ring block of a leaf box.
+    lu_solve_pair::<f64>(&mut h, "f64", 512, 41);
+    h.bench("sketch_block/f64_58x1088", || {
+        sketch_block::<f64>(17, 58, 3 * 1088, 1088)
+    });
 
     {
         // Proxy-shaped compression: tall smooth-kernel matrix.

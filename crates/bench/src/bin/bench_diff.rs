@@ -166,6 +166,8 @@ fn main() -> ExitCode {
         ("panel_mul/f64_16x349x41", "gemm/f64_349x41x16"),
         ("panel_mul_t/f64_16x349x41", "gemm/f64_349x41x16"),
         ("panel_lu/f64_16x41", "lu_solve/f64_41_nrhs16"),
+        // The factorization's coupling solve `X_NR X_RR^{-T}`.
+        ("panel_lu/f64_512x41", "lu_solve/f64_41_nrhs512"),
         ("panel_ldlt/f64_16x1651", "ldlt_solve/f64_1651_nrhs16"),
         ("panel_mul/c64_8x332x45", "gemm/c64_332x45x8"),
         ("panel_mul_t/c64_8x332x45", "gemm/c64_332x45x8"),

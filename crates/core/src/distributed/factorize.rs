@@ -759,7 +759,8 @@ fn level_transition<K: Kernel>(
 
     if parent_active_rank {
         // Materialize parent pairs (P, Q) at distance <= 1 where I own one
-        // side, assembling from child data.
+        // side, assembling from child data — in the direction(s) the
+        // store keeps.
         let mut done: HashSet<(BoxId, BoxId)> = HashSet::new();
         let mut to_insert = Vec::new();
         let my_parents: Vec<BoxId> = tree
@@ -771,7 +772,7 @@ fn level_transition<K: Kernel>(
             targets.extend(near_field(p));
             for q in targets {
                 for (a, b) in [(*p, q), (q, *p)] {
-                    if !done.insert((a, b)) {
+                    if !store.is_canonical(&a, &b) || !done.insert((a, b)) {
                         continue;
                     }
                     let (blk, any) = assemble_parent_block(store, act, &a, &b);
@@ -867,7 +868,9 @@ fn gather_top<K: Kernel>(
                 put_box(&mut w, b);
                 put_ids(&mut w, ids);
             }
-            // Stored pairs whose row box I own (authoritative, deduped).
+            // Stored pairs whose row box I own (authoritative, deduped;
+            // a symmetric store holds the lower block triangle, which is
+            // all `factor_top` reads).
             let pairs: Vec<_> = store
                 .stored_pairs()
                 .filter(|((a, _), _)| a.level == top_level && grid.owner(a) == me)

@@ -8,6 +8,14 @@
 //! and the set of block updates, without mutating the store — the three
 //! drivers (sequential, box-colored, distributed) share it and differ only
 //! in how they schedule the updates.
+//!
+//! For a symmetric kernel the elimination is one-sided end to end: only
+//! `A_{N,B}` is gathered, the record keeps the unsolved left couplings,
+//! and every update block is produced once, for the direction the store
+//! keeps ([`BlockStore::is_canonical`]: row box not before column box in
+//! row-major order, the rule stated in `crate::store`) — `(B, B)`, one of
+//! `(n, B)` / `(B, n)` per neighbor, and the neighbor pairs `(n_j, n_k)`
+//! with `k <= j`.
 
 use crate::skeletonize::{skeletonize, CompressionCtx};
 use crate::store::{ActiveSets, BlockStore};
@@ -100,12 +108,11 @@ pub struct EliminationOutput<T> {
     /// Replacement blocks for pairs involving `B` (restricted to `S`):
     /// `(row_box, col_box, new_block)`.
     pub replaced: Vec<(BoxId, BoxId, Mat<T>)>,
-    /// Additive Schur deltas for neighbor pairs `(n_j, n_k)`. Both
-    /// directions of every pair are listed in either mode, here and in
-    /// `replaced`; in symmetric mode the block for `(y, x)` is the exact
-    /// transpose of the one for `(x, y)`, which is what keeps the store —
-    /// on the owner and on every rank that receives these as a halo
-    /// update — symmetric bit for bit.
+    /// Additive Schur deltas for neighbor pairs `(n_j, n_k)`. A general
+    /// kernel lists both directions of every pair, here and in
+    /// `replaced`; a symmetric one lists each unordered pair once, under
+    /// the key the store holds it by (module docs) — on the owner and on
+    /// every rank that receives these as a halo update.
     pub deltas: Vec<(BoxId, BoxId, Mat<T>)>,
     /// Compression path taken by this box's skeletonization (zeroed for
     /// boxes that skipped it — empty active set).
@@ -189,9 +196,9 @@ pub fn eliminate_box<K: Kernel>(
     }
     let t = id.t; // |S| x |R|
     let (n_r, n_s) = (red_positions.len(), skel_positions.len());
-    // Symmetric kernel: the store holds `A[a, b] == A[b, a]^T` bit for
-    // bit, so everything on the `(B, N)` side is a transpose of the
-    // `(N, B)` side and only one coupling per direction is kept.
+    // Symmetric kernel: `A[a, b] == A[b, a]^T`, so everything on the
+    // `(B, N)` side is a transpose of the `(N, B)` side and only one
+    // coupling per direction is kept.
     let sym = store.symmetric();
 
     // Gather current blocks.
@@ -246,14 +253,17 @@ pub fn eliminate_box<K: Kernel>(
     // Left and right coupling factors: every Schur update below is a
     // product `E · F` with `E = [ES; EN]` and `F = [FS, FN]`.
     let (es, en, f_s, f_n, a_sn) = if sym {
-        // X_RS = X_SR^T and X_RN = X_NR^T exactly, so the couplings stay
-        // unsolved (ES = X_SR, EN = X_NR) and the whole X_RR^{-1} goes on
-        // the right factors, which the record does not keep.
-        let mut f_s = x_sr.transpose();
-        lu.solve_mat(&mut f_s);
-        let mut f_n = x_nr.transpose();
-        lu.solve_mat(&mut f_n);
-        (x_sr, x_nr, f_s, f_n, a_ns.transpose())
+        // X_RS = X_SR^T and X_RN = X_NR^T, so the couplings stay unsolved
+        // (ES = X_SR, EN = X_NR) and the whole X_RR^{-1} goes on the right
+        // factors, which the record does not keep: F = G^T with
+        // G = X X_RR^{-T}, one panel solve over all rows of X at once.
+        let right_factor = |x: &Mat<T<K>>| {
+            let mut g = x.clone();
+            lu.solve_panel(&mut g);
+            g.transpose()
+        };
+        let (f_s, f_n) = (right_factor(&x_sr), right_factor(&x_nr));
+        (x_sr, x_nr, f_s, f_n, None)
     } else {
         // Stacked A_{B,N}, gathered on its own.
         let mut a_bn = Mat::<T<K>>::zeros(a_b.len(), n_total);
@@ -270,63 +280,70 @@ pub fn eliminate_box<K: Kernel>(
         let mut x_rn = a_bn.select_rows(&red_positions);
         adjoint_matmul_sub(&mut x_rn, &t, &a_sn);
         // ES = X_SR U^{-1}, EN = X_NR U^{-1},
-        // FS = L^{-1} P X_RS, FN = L^{-1} P X_RN.
+        // FS = L^{-1} P X_RS, FN = L^{-1} P X_RN — the latter two as
+        // panel solves on the transposes.
         let mut es = x_sr;
         lu.solve_upper_right(&mut es);
         let mut en = x_nr;
         lu.solve_upper_right(&mut en);
-        lu.forward_mat(&mut x_rs);
-        lu.forward_mat(&mut x_rn);
-        (es, en, x_rs, x_rn, a_sn)
+        let forward = |x: &Mat<T<K>>| {
+            let mut g = x.transpose();
+            lu.forward_panel(&mut g);
+            g.transpose()
+        };
+        (es, en, forward(&x_rs), forward(&x_rn), Some(a_sn))
     };
 
     // Replacement blocks (post-Schur) for pairs involving B.
-    let mut replaced = Vec::with_capacity(1 + 2 * nbrs.len());
+    let mut replaced = Vec::with_capacity(1 + nbrs.len() * if sym { 1 } else { 2 });
     let mut new_ss = a_ss;
     matmul_sub(&mut new_ss, &es, &f_s);
     if sym {
         new_ss.mirror_upper();
     }
     replaced.push((*b, *b, new_ss));
-    // (B, n_j): A_SN_j - ES FN_j ; (n_j, B): A_NS_j - EN_j FS, which in
-    // symmetric mode is the transpose of its mirror and is not computed.
-    let mut sn_minus = a_sn;
-    matmul_sub(&mut sn_minus, &es, &f_n);
-    let ns_minus = (!sym).then(|| {
-        let mut m = a_ns;
-        matmul_sub(&mut m, &en, &f_s);
+    // (n_j, B): A_NS_j - EN_j FS, and for a general kernel also
+    // (B, n_j): A_SN_j - ES FN_j. A symmetric store holds one of the two:
+    // the block is emitted under its stored key.
+    let mut ns_minus = a_ns;
+    matmul_sub(&mut ns_minus, &en, &f_s);
+    let sn_minus = a_sn.map(|mut m| {
+        matmul_sub(&mut m, &es, &f_n);
         m
     });
     let mut offs = Vec::with_capacity(nbrs.len());
     let mut off = 0;
     for (n, &w) in nbrs.iter().zip(&nbr_sizes) {
-        let sn = sn_minus.block(0, off, n_s, w);
-        let ns = match &ns_minus {
-            Some(m) => m.block(off, 0, w, n_s),
-            None => sn.transpose(),
-        };
-        replaced.push((*b, *n, sn));
-        replaced.push((*n, *b, ns));
+        let ns = ns_minus.block(off, 0, w, n_s);
+        match &sn_minus {
+            Some(sn) => {
+                replaced.push((*b, *n, sn.block(0, off, n_s, w)));
+                replaced.push((*n, *b, ns));
+            }
+            None if store.is_canonical(n, b) => replaced.push((*n, *b, ns)),
+            None => replaced.push((*b, *n, ns.transpose())),
+        }
         offs.push(off);
         off += w;
     }
 
     // Schur deltas for neighbor pairs: delta(n_j, n_k) = -EN_j FN_k, the
-    // sign riding the GEMM's alpha. Symmetric mode forms only the block
-    // upper triangle — one strip per block row — and emits each lower
-    // block as the exact transpose of its mirror.
+    // sign riding the GEMM's alpha. Symmetric mode forms and emits only
+    // the block lower triangle `k <= j`, one strip per block row:
+    // `near_field` lists the neighbors in row-major order, so these are
+    // the stored keys.
     let mut full = Mat::<T<K>>::zeros(n_total, n_total);
     if sym {
         for (&r0, &h) in offs.iter().zip(&nbr_sizes) {
-            let w = n_total - r0;
+            let w = r0 + h;
             gemm_acc_block(
                 &mut full,
-                (r0, r0, h, w),
+                (r0, 0, h, w),
                 -T::<K>::ONE,
                 &en,
                 (r0, 0, h, n_r),
                 &f_n,
-                (0, r0, n_r, w),
+                (0, 0, n_r, w),
             );
         }
     } else {
@@ -334,12 +351,12 @@ pub fn eliminate_box<K: Kernel>(
     }
     let mut deltas = Vec::with_capacity(nbrs.len() * nbrs.len());
     for (j, nj) in nbrs.iter().enumerate() {
-        for (k, nk) in nbrs.iter().enumerate().skip(if sym { j } else { 0 }) {
+        let n_cols = if sym { j + 1 } else { nbrs.len() };
+        for (k, nk) in nbrs.iter().enumerate().take(n_cols) {
+            debug_assert!(store.is_canonical(nj, nk));
             let mut d = full.block(offs[j], offs[k], nbr_sizes[j], nbr_sizes[k]);
             if sym && j == k {
                 d.mirror_upper();
-            } else if sym {
-                deltas.push((*nk, *nj, d.transpose()));
             }
             deltas.push((*nj, *nk, d));
         }
@@ -406,16 +423,10 @@ pub fn apply_output<K: Kernel>(
     // 4. Accumulate Schur deltas on neighbor pairs. A delta's first touch
     // materializes the pair's base block; go through the compression
     // context so unmodified off-diagonal pairs fill from the symbol table
-    // instead of per-entry kernel evaluations. A symmetric store fills
-    // the mirror pair with the transpose in the same step, before either
-    // direction has received its delta.
-    let sym = store.symmetric();
+    // instead of per-entry kernel evaluations.
     for (na, nb, d) in &out.deltas {
         if na != nb && !store.contains(na, nb) {
             let base = ctx.get_block(store, act, na, nb);
-            if sym && !store.contains(nb, na) {
-                store.insert(*nb, *na, base.transpose());
-            }
             store.insert(*na, *nb, base);
         }
         store.add_delta(*na, *nb, d, act);
@@ -426,55 +437,91 @@ pub fn apply_output<K: Kernel>(
 mod tests {
     use super::*;
     use crate::levels::merge_to_parent;
+    use crate::store::tests::HideSymmetry;
     use srsf_geometry::grid::UnitGrid;
     use srsf_geometry::point::BBox;
     use srsf_kernels::helmholtz::HelmholtzKernel;
     use srsf_kernels::laplace::LaplaceKernel;
 
-    /// The invariant the symmetric mode rests on: after any number of
-    /// eliminations and a level merge, every stored block of a symmetric
-    /// kernel equals the *transpose* (no conjugate) of its mirror bit for
-    /// bit (diagonal blocks included), and every record is one-sided.
-    fn assert_store_stays_bitwise_symmetric<K: Kernel>(kernel: &K, grid: &UnitGrid) {
+    /// Eliminate the two finest levels of the `grid` problem with a merge
+    /// in between, checking `per_level` on the store after each level's
+    /// eliminations and after the merge. Returns the peak block count.
+    fn sweep_two_levels<K: Kernel>(
+        kernel: &K,
+        grid: &UnitGrid,
+        mut per_level: impl FnMut(&BlockStore<'_, K>, &ActiveSets),
+        mut per_record: impl FnMut(&BoxElimination<K::Elem>),
+    ) -> usize {
         let pts = grid.points();
         let tree = QuadTree::build(&pts, BBox::UNIT, 16);
         let opts = FactorOpts::default();
         let ctx = CompressionCtx::new(kernel, &pts, &tree, &opts);
         let mut store = BlockStore::new(kernel, &pts);
-        assert!(store.symmetric());
         let mut act = ActiveSets::new();
         let leaf = tree.leaf_level();
         for id in tree.boxes_at_level(leaf) {
             act.set(id, tree.leaf_points(&id).to_vec());
         }
-        let mut n_records = 0;
+        let (mut n_records, mut blocks_peak) = (0, 0);
         for level in [leaf, leaf - 1] {
             for b in tree.boxes_at_level(level) {
                 let out = eliminate_box(&store, &act, &tree, &b, &opts, &ctx).unwrap();
                 if let Some(rec) = &out.record {
-                    assert!(rec.is_symmetric() && rec.fs.is_none());
+                    per_record(rec);
                     n_records += 1;
                 }
                 apply_output(&mut store, &mut act, &b, &out, &ctx);
             }
-            assert!(store.n_blocks() > 0);
-            for ((a, b), m) in store.stored_pairs() {
-                let mirror = store.get_stored(b, a).expect("mirror pair is stored too");
-                assert_eq!(*m, mirror.transpose(), "pair {a:?},{b:?} at level {level}");
-            }
+            blocks_peak = blocks_peak.max(store.n_blocks());
+            per_level(&store, &act);
             if level == leaf {
                 merge_to_parent(&mut store, &mut act, &tree, level);
+                per_level(&store, &act);
             }
         }
-        assert!(n_records > 0);
+        assert!(n_records > 0 && blocks_peak > 0);
+        blocks_peak
+    }
+
+    /// The invariant the symmetric mode rests on: after any number of
+    /// eliminations and a level merge, a symmetric store holds no key but
+    /// the canonical one of each pair, serves the other direction as the
+    /// exact *transpose* (no conjugate; diagonal blocks are their own
+    /// transposes bit for bit), every record is one-sided — and the store
+    /// peaks at about half the blocks of the same kernel with its
+    /// symmetry hidden.
+    fn assert_symmetric_store_is_one_sided<K: Kernel + Clone>(kernel: &K, grid: &UnitGrid) {
+        let blocks_sym = sweep_two_levels(
+            kernel,
+            grid,
+            |store, act| {
+                assert!(store.symmetric());
+                for ((a, b), m) in store.stored_pairs() {
+                    assert!(a.flat() >= b.flat(), "non-canonical key {a:?},{b:?}");
+                    assert_eq!(store.get(a, b, act), *m);
+                    assert_eq!(store.get(b, a, act), m.transpose(), "pair {a:?},{b:?}");
+                }
+            },
+            |rec| assert!(rec.is_symmetric() && rec.fs.is_none()),
+        );
+        let blocks_gen = sweep_two_levels(
+            &HideSymmetry(kernel.clone()),
+            grid,
+            |store, _| assert!(!store.symmetric()),
+            |rec| assert!(!rec.is_symmetric()),
+        );
+        assert!(
+            blocks_sym as f64 <= 0.55 * blocks_gen as f64,
+            "{blocks_sym} blocks against {blocks_gen} two-sided"
+        );
     }
 
     #[test]
     fn symmetric_store_stays_bitwise_symmetric() {
         let grid = UnitGrid::new(32);
-        assert_store_stays_bitwise_symmetric(&LaplaceKernel::new(&grid), &grid);
-        // Complex symmetric: kappa large enough that T is far from real,
-        // so a conjugate slipped into any mirrored update would show.
-        assert_store_stays_bitwise_symmetric(&HelmholtzKernel::new(&grid, 40.0), &grid);
+        assert_symmetric_store_is_one_sided(&LaplaceKernel::new(&grid), &grid);
+        // Complex symmetric: a conjugate slipped into the served
+        // direction or into a diagonal block would show.
+        assert_symmetric_store_is_one_sided(&HelmholtzKernel::new(&grid, 40.0), &grid);
     }
 }

@@ -81,24 +81,18 @@ pub fn merge_to_parent<K: Kernel>(
     // Parent active sets (children still present in `act`).
     let parents: Vec<BoxId> = tree.boxes_at_level(parent_level).collect();
     let parent_acts: Vec<Vec<u32>> = parents.iter().map(|p| parent_active(act, p)).collect();
-    // Materialize modified parent pairs at distance <= 1. A symmetric
-    // store holds `A[b, a] == A[a, b]^T` bit for bit at the child level
-    // (and so does the kernel), so one direction of every pair is
-    // assembled and the other is its transpose.
-    let sym = store.symmetric();
+    // Materialize modified parent pairs at distance <= 1 — for a
+    // symmetric store only the direction it keeps.
     let mut to_insert = Vec::new();
     for pa in &parents {
         let mut targets = vec![*pa];
         targets.extend(near_field(pa));
         for pb in targets {
-            if sym && pb < *pa {
+            if !store.is_canonical(pa, &pb) {
                 continue;
             }
             let (blk, any) = assemble_parent_block(store, act, pa, &pb);
             if any {
-                if sym && pb != *pa {
-                    to_insert.push((pb, *pa, blk.transpose()));
-                }
                 to_insert.push((*pa, pb, blk));
             }
         }

@@ -56,8 +56,9 @@
 //! ## Symmetric kernels: the forward half only
 //!
 //! A symmetric kernel ([`Kernel::is_symmetric`], `A = Aᵀ`) keeps the
-//! whole block store transpose-symmetric bit for bit
-//! ([`BlockStore::symmetric`]), so `A_{B,M}ᴴ` is `A_{M,B}` conjugated and
+//! whole modified matrix transpose-symmetric — the store holds one block
+//! per pair and serves either direction
+//! ([`BlockStore::symmetric`]) — so `A_{B,M}ᴴ` is `A_{M,B}` conjugated and
 //! the column ID of the forward half `[A_{M,B}; K_{proxy,B}]` alone
 //! already yields the row relation the elimination needs (transposed, not
 //! conjugated — see the record-kernel comment in `crate::solve`). For a
@@ -80,7 +81,9 @@ use srsf_geometry::proxy::{proxy_circle_from_unit, proxy_count, unit_circle};
 use srsf_geometry::tree::{BoxId, QuadTree};
 use srsf_kernels::kernel::Kernel;
 use srsf_linalg::gemm::matmul_acc;
-use srsf_linalg::rid::{derive_seed, id_from_sketch, sketch_block, sketch_sign, RID_VERIFY_ROWS};
+use srsf_linalg::rid::{
+    derive_seed, id_from_sketch, sketch_block, sketch_block_sum, sketch_sign, RID_VERIFY_ROWS,
+};
 use srsf_linalg::{c64, interp_decomp, IdResult, Mat, Scalar};
 
 /// Per-level proxy geometry, computed once per factorization: all boxes
@@ -612,8 +615,7 @@ fn sketch_proxy<K: Kernel>(
             _ => store.get(m, b, act),
         };
         if do_fwd && do_adj && halves == Halves::Fused {
-            let mut omega = sketch_block::<K::Elem>(seed, rows, fwd_off, am);
-            omega.axpy(K::Elem::ONE, &sketch_block(seed, rows, adj_off, am));
+            let omega = sketch_block_sum::<K::Elem>(seed, rows, &[fwd_off, adj_off], am);
             matmul_acc(&mut y, K::Elem::ONE, &omega, &fwd_blk());
             tel.dense_block_applies += 2;
             continue;
@@ -637,13 +639,12 @@ fn sketch_proxy<K: Kernel>(
     // Proxy blocks: always dense (proxy points live off-grid), same
     // treatment of the adjoint half as the ring blocks.
     {
-        let mut omega = sketch_block::<K::Elem>(seed, rows, proxy_off, n_proxy);
-        if halves == Halves::Fused {
-            omega.axpy(
-                K::Elem::ONE,
-                &sketch_block(seed, rows, proxy_off + n_proxy, n_proxy),
-            );
-        }
+        let halves_of_p_row: &[usize] = if halves == Halves::Fused {
+            &[proxy_off, proxy_off + n_proxy]
+        } else {
+            &[proxy_off]
+        };
+        let omega = sketch_block_sum::<K::Elem>(seed, rows, halves_of_p_row, n_proxy);
         matmul_acc(&mut y, K::Elem::ONE, &omega, p_row);
         if let Some(p_col_h) = p_col_h {
             let omega = sketch_block::<K::Elem>(seed, rows, proxy_off + n_proxy, n_proxy);
@@ -759,23 +760,7 @@ mod tests {
         assert!(fro_norm(&m) > 0.0);
 
         // A kernel that does not report symmetry stacks both directions.
-        struct General(LaplaceKernel);
-        impl Kernel for General {
-            type Elem = f64;
-            fn entry(&self, pts: &[Point], i: usize, j: usize) -> f64 {
-                self.0.entry(pts, i, j)
-            }
-            fn diag(&self, pts: &[Point], i: usize) -> f64 {
-                self.0.diag(pts, i)
-            }
-            fn proxy_row(&self, pts: &[Point], y: Point, j: usize) -> f64 {
-                self.0.proxy_row(pts, y, j)
-            }
-            fn proxy_col(&self, pts: &[Point], i: usize, y: Point) -> f64 {
-                self.0.proxy_col(pts, i, y)
-            }
-        }
-        let g = General(k.clone());
+        let g = crate::store::tests::HideSymmetry(k.clone());
         let gstore = BlockStore::new(&g, &pts);
         let gctx = CompressionCtx::new(&g, &pts, &tree, &opts);
         let m2 = proxy_matrix(&gstore, &act, &tree, &b, &opts, &gctx);

@@ -8,12 +8,28 @@
 //! current active index sets. This mirrors the paper's "explicitly store
 //! the modified interactions for every box" (Section III-C) while keeping
 //! the memory footprint at O(N).
+//!
+//! # One block per pair for a symmetric kernel
+//!
+//! A symmetric kernel (`A = Aᵀ`, real or complex) is sparsified with `Tᵀ`,
+//! so every modified block satisfies `A[a, b] == A[b, a]ᵀ` and the store
+//! keeps only one of the two. **The canonical-pair rule:** the block of
+//! the unordered pair `{a, b}` lives under the key whose row box does not
+//! come before its column box in row-major box order
+//! (`a.flat() >= b.flat()`) — the lower block triangle, which is what
+//! `factor_top` reads. Every method takes a pair in either direction and
+//! serves or updates the other one by transposition, so callers need not
+//! know the rule; the producers that emit many blocks (`eliminate_box`,
+//! the level merges) ask [`BlockStore::is_canonical`] and emit the stored
+//! direction, so that nothing is transposed on the way in. A general
+//! kernel keeps directed pairs, both directions on their own.
 
 use srsf_geometry::neighbors::within_dist2;
 use srsf_geometry::point::Point;
 use srsf_geometry::tree::BoxId;
 use srsf_kernels::kernel::Kernel;
 use srsf_linalg::{Mat, Scalar};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Active (not-yet-eliminated) global point indices per box, in a fixed
@@ -64,13 +80,15 @@ impl ActiveSets {
     }
 }
 
-/// Key of a directed pair block `A[row_box, col_box]`.
+/// Key of a stored pair block `A[row_box, col_box]`.
 pub type PairKey = (BoxId, BoxId);
 
 /// Block store: modified blocks plus kernel-on-miss evaluation.
 pub struct BlockStore<'a, K: Kernel> {
     kernel: &'a K,
     pts: &'a [Point],
+    /// [`Kernel::is_symmetric`], read once.
+    sym: bool,
     blocks: HashMap<PairKey, Mat<K::Elem>>,
 }
 
@@ -80,6 +98,7 @@ impl<'a, K: Kernel> BlockStore<'a, K> {
         Self {
             kernel,
             pts,
+            sym: kernel.is_symmetric(),
             blocks: HashMap::new(),
         }
     }
@@ -94,15 +113,32 @@ impl<'a, K: Kernel> BlockStore<'a, K> {
         self.kernel
     }
 
-    /// `true` when every block of this store satisfies
-    /// `A[a, b] == A[b, a]ᵀ` bit for bit — plain transpose, no conjugate:
-    /// the kernel is symmetric ([`Kernel::is_symmetric`], real or
-    /// complex), and the elimination keeps it so by sparsifying with `Tᵀ`
-    /// and emitting every mirrored update as an exact transpose. This one
-    /// predicate selects the symmetric mode of `skeletonize`,
-    /// `eliminate_box` and `apply_output`.
+    /// `true` when the kernel is symmetric ([`Kernel::is_symmetric`], real
+    /// or complex), so that `A[a, b] == A[b, a]ᵀ` — plain transpose, no
+    /// conjugate — and the store keeps one block per unordered pair
+    /// (module docs). This one predicate selects the symmetric mode of
+    /// `skeletonize`, `eliminate_box` and `factor_top`.
     pub fn symmetric(&self) -> bool {
-        self.kernel.is_symmetric()
+        self.sym
+    }
+
+    /// `true` when `(a, b)` is a key this store holds as given: always
+    /// for a general kernel, and for a symmetric one when `a` does not
+    /// come before `b` in row-major box order (the canonical-pair rule of
+    /// the module docs). A producer that emits only canonical pairs never
+    /// makes the store transpose.
+    pub fn is_canonical(&self, a: &BoxId, b: &BoxId) -> bool {
+        !self.sym || a.flat() >= b.flat()
+    }
+
+    /// The key holding pair `(a, b)` and whether its block is stored
+    /// transposed relative to the request.
+    fn key(&self, a: &BoxId, b: &BoxId) -> (PairKey, bool) {
+        if self.is_canonical(a, b) {
+            ((*a, *b), false)
+        } else {
+            ((*b, *a), true)
+        }
     }
 
     /// Evaluate raw kernel entries for explicit index lists.
@@ -115,7 +151,7 @@ impl<'a, K: Kernel> BlockStore<'a, K> {
 
     /// `true` if the pair has a materialized (modified) block.
     pub fn contains(&self, a: &BoxId, b: &BoxId) -> bool {
-        self.blocks.contains_key(&(*a, *b))
+        self.blocks.contains_key(&self.key(a, b).0)
     }
 
     /// Number of materialized blocks.
@@ -131,43 +167,60 @@ impl<'a, K: Kernel> BlockStore<'a, K> {
     /// The block `A[active(a), active(b)]`: stored version if modified,
     /// kernel evaluation otherwise.
     pub fn get(&self, a: &BoxId, b: &BoxId, act: &ActiveSets) -> Mat<K::Elem> {
-        if let Some(m) = self.blocks.get(&(*a, *b)) {
-            debug_assert_eq!(m.nrows(), act.get(a).len(), "stale rows for {a:?},{b:?}");
-            debug_assert_eq!(m.ncols(), act.get(b).len(), "stale cols for {a:?},{b:?}");
-            m.clone()
-        } else {
-            self.eval_kernel(act.get(a), act.get(b))
+        match self.get_stored(a, b) {
+            Some(m) => {
+                debug_assert_eq!(m.nrows(), act.get(a).len(), "stale rows for {a:?},{b:?}");
+                debug_assert_eq!(m.ncols(), act.get(b).len(), "stale cols for {a:?},{b:?}");
+                m.into_owned()
+            }
+            None => self.eval_kernel(act.get(a), act.get(b)),
         }
     }
 
-    /// Borrow a stored block if present.
-    pub fn get_stored(&self, a: &BoxId, b: &BoxId) -> Option<&Mat<K::Elem>> {
-        self.blocks.get(&(*a, *b))
+    /// The stored block of a pair if present: borrowed when `(a, b)` is
+    /// the stored key, transposed into a fresh matrix otherwise.
+    pub fn get_stored(&self, a: &BoxId, b: &BoxId) -> Option<Cow<'_, Mat<K::Elem>>> {
+        let (key, flipped) = self.key(a, b);
+        let m = self.blocks.get(&key)?;
+        Some(if flipped {
+            Cow::Owned(m.transpose())
+        } else {
+            Cow::Borrowed(m)
+        })
     }
 
     /// Insert/replace the stored block of a pair.
     pub fn insert(&mut self, a: BoxId, b: BoxId, m: Mat<K::Elem>) {
-        self.blocks.insert((a, b), m);
+        let (key, flipped) = self.key(&a, &b);
+        self.blocks
+            .insert(key, if flipped { m.transpose() } else { m });
     }
 
     /// Remove a stored block.
     pub fn remove(&mut self, a: &BoxId, b: &BoxId) -> Option<Mat<K::Elem>> {
-        self.blocks.remove(&(*a, *b))
+        let (key, flipped) = self.key(a, b);
+        let m = self.blocks.remove(&key)?;
+        Some(if flipped { m.transpose() } else { m })
     }
 
     /// `block(a,b) += delta`, materializing from the kernel first if the
     /// pair was still implicit. `delta` must match the current active sets.
     pub fn add_delta(&mut self, a: BoxId, b: BoxId, delta: &Mat<K::Elem>, act: &ActiveSets) {
-        let entry = self.blocks.entry((a, b)).or_insert_with(|| {
+        let ((ka, kb), flipped) = self.key(&a, &b);
+        let entry = self.blocks.entry((ka, kb)).or_insert_with(|| {
             // Hoist the active-set lookups out of the per-entry closure.
-            let rows = act.get(&a);
-            let cols = act.get(&b);
+            let rows = act.get(&ka);
+            let cols = act.get(&kb);
             Mat::from_fn(rows.len(), cols.len(), |i, j| {
                 self.kernel
                     .entry_or_diag(self.pts, rows[i] as usize, cols[j] as usize)
             })
         });
-        entry.axpy(K::Elem::ONE, delta);
+        if flipped {
+            entry.axpy(K::Elem::ONE, &delta.transpose());
+        } else {
+            entry.axpy(K::Elem::ONE, delta);
+        }
     }
 
     /// After box `b` was eliminated, restrict every stored block involving
@@ -190,18 +243,54 @@ impl<'a, K: Kernel> BlockStore<'a, K> {
         self.blocks.retain(|(a, _), _| a.level != level);
     }
 
-    /// Iterate stored pairs (for fold transfers in the distributed driver).
+    /// Iterate the stored blocks under their stored keys — one per
+    /// unordered pair for a symmetric kernel (for fold and top transfers
+    /// in the distributed driver).
     pub fn stored_pairs(&self) -> impl Iterator<Item = (&PairKey, &Mat<K::Elem>)> {
         self.blocks.iter()
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use srsf_geometry::grid::UnitGrid;
     use srsf_kernels::laplace::LaplaceKernel;
     use srsf_linalg::norms::max_abs_diff;
+
+    /// The wrapped kernel with its symmetry hidden: same entries, only
+    /// the mode predicate changes, so the store keeps directed pairs and
+    /// the factorization takes the general two-sided path (the unit-test
+    /// twin of `tests/common::HideSymmetry`).
+    pub(crate) struct HideSymmetry<K>(pub K);
+
+    impl<K: Kernel> Kernel for HideSymmetry<K> {
+        type Elem = K::Elem;
+        fn entry(&self, pts: &[Point], i: usize, j: usize) -> K::Elem {
+            self.0.entry(pts, i, j)
+        }
+        fn diag(&self, pts: &[Point], i: usize) -> K::Elem {
+            self.0.diag(pts, i)
+        }
+        fn proxy_row(&self, pts: &[Point], y: Point, j: usize) -> K::Elem {
+            self.0.proxy_row(pts, y, j)
+        }
+        fn proxy_col(&self, pts: &[Point], i: usize, y: Point) -> K::Elem {
+            self.0.proxy_col(pts, i, y)
+        }
+        fn kappa(&self) -> f64 {
+            self.0.kappa()
+        }
+        fn is_translation_invariant(&self) -> bool {
+            self.0.is_translation_invariant()
+        }
+        fn point_scale(&self, i: usize) -> f64 {
+            self.0.point_scale(i)
+        }
+        fn seed_id(&self) -> u64 {
+            self.0.seed_id()
+        }
+    }
 
     fn setup() -> (UnitGrid, LaplaceKernel, Vec<Point>) {
         let grid = UnitGrid::new(8);
@@ -235,7 +324,8 @@ mod tests {
     #[test]
     fn stored_block_takes_priority() {
         let (_, k, pts) = setup();
-        let mut store = BlockStore::new(&k, &pts);
+        let general = HideSymmetry(k);
+        let mut store = BlockStore::new(&general, &pts);
         let mut act = ActiveSets::new();
         let a = bid(2, 0, 0);
         let b = bid(2, 1, 0);
@@ -245,6 +335,41 @@ mod tests {
         store.insert(a, b, m);
         assert!(store.contains(&a, &b));
         assert_eq!(store.get(&a, &b, &act)[(0, 0)], 123.0);
+        // A general kernel keeps directed pairs.
+        assert!(!store.symmetric() && !store.contains(&b, &a));
+    }
+
+    /// A symmetric store keeps one block per unordered pair, under the
+    /// key whose row box comes last in row-major order, and serves,
+    /// replaces and removes it through either direction.
+    #[test]
+    fn symmetric_store_keeps_one_block_per_pair() {
+        let (_, k, pts) = setup();
+        let mut store = BlockStore::new(&k, &pts);
+        assert!(store.symmetric());
+        let mut act = ActiveSets::new();
+        let a = bid(2, 3, 0); // row-major: before b
+        let b = bid(2, 0, 1);
+        assert!(store.is_canonical(&b, &a) && !store.is_canonical(&a, &b));
+        assert!(store.is_canonical(&a, &a));
+        act.set(a, vec![0, 1, 2]);
+        act.set(b, vec![9, 10]);
+        let m = Mat::from_fn(3, 2, |i, j| (10 * i + j) as f64);
+        store.insert(a, b, m.clone());
+        assert_eq!(store.n_blocks(), 1);
+        assert!(store.contains(&a, &b) && store.contains(&b, &a));
+        let keys: Vec<PairKey> = store.stored_pairs().map(|(k, _)| *k).collect();
+        assert_eq!(keys, [(b, a)]);
+        assert_eq!(store.get(&a, &b, &act), m);
+        assert_eq!(store.get(&b, &a, &act), m.transpose());
+        assert_eq!(*store.get_stored(&b, &a).unwrap(), m.transpose());
+        // Replacing through the stored direction is seen by the other.
+        let m2 = Mat::from_fn(2, 3, |i, j| (i + 7 * j) as f64);
+        store.insert(b, a, m2.clone());
+        assert_eq!(store.n_blocks(), 1);
+        assert_eq!(store.get(&a, &b, &act), m2.transpose());
+        assert_eq!(store.remove(&a, &b), Some(m2.transpose()));
+        assert_eq!(store.n_blocks(), 0);
         assert!(!store.contains(&b, &a));
     }
 
@@ -267,10 +392,34 @@ mod tests {
         assert!(max_abs_diff(&got, &want) < 1e-15);
     }
 
+    /// `add_delta` through the direction a symmetric store does not keep
+    /// materializes and updates the one stored block.
+    #[test]
+    fn add_delta_through_the_unstored_direction() {
+        let (_, k, pts) = setup();
+        let mut store = BlockStore::new(&k, &pts);
+        let mut act = ActiveSets::new();
+        let a = bid(2, 1, 1);
+        let b = bid(2, 2, 1);
+        assert!(!store.is_canonical(&a, &b));
+        act.set(a, vec![3, 4]);
+        act.set(b, vec![20, 21, 22]);
+        let base = store.get(&a, &b, &act);
+        let delta = Mat::from_fn(2, 3, |i, j| (i + 2 * j) as f64);
+        store.add_delta(a, b, &delta, &act);
+        store.add_delta(b, a, &delta.transpose(), &act);
+        assert_eq!(store.n_blocks(), 1);
+        let mut want = base;
+        want.axpy(2.0, &delta);
+        assert!(max_abs_diff(&store.get(&a, &b, &act), &want) < 1e-15);
+        assert_eq!(store.get(&b, &a, &act), store.get(&a, &b, &act).transpose());
+    }
+
     #[test]
     fn shrink_box_restricts_stored_pairs() {
         let (_, k, pts) = setup();
-        let mut store = BlockStore::new(&k, &pts);
+        let general = HideSymmetry(k);
+        let mut store = BlockStore::new(&general, &pts);
         let mut act = ActiveSets::new();
         let b = bid(3, 4, 4);
         let d = bid(3, 5, 4); // neighbor
@@ -287,6 +436,23 @@ mod tests {
         assert_eq!(db.ncols(), 2);
         assert_eq!(db[(1, 0)], 101.0);
         assert_eq!(db[(0, 1)], 3.0);
+    }
+
+    /// Shrinking either box of a pair restricts the one stored block of a
+    /// symmetric store, whichever side of the key the box sits on.
+    #[test]
+    fn shrink_box_on_either_side_of_the_stored_key() {
+        let (_, k, pts) = setup();
+        let mut store = BlockStore::new(&k, &pts);
+        let b = bid(3, 4, 4);
+        let d = bid(3, 5, 4); // stored as (d, b)
+        let m = Mat::from_fn(4, 2, |i, j| (10 * i + j) as f64);
+        store.insert(b, d, m.clone());
+        store.shrink_box(&b, &[1, 3]);
+        assert_eq!(*store.get_stored(&b, &d).unwrap(), m.select_rows(&[1, 3]));
+        store.shrink_box(&d, &[1]);
+        assert_eq!(*store.get_stored(&b, &d).unwrap(), m.select(&[1, 3], &[1]));
+        assert_eq!(store.n_blocks(), 1);
     }
 
     #[test]

@@ -157,9 +157,7 @@ impl<T: Scalar> Wire for BoxElimination<T> {
         let (nr, ns, nn) = (redundant.len(), skel.len(), nbr.len());
         let shape = |m: &Mat<T>, rows: usize, cols: usize| m.nrows() == rows && m.ncols() == cols;
         let consistent = shape(&t, ns, nr)
-            && shape(&lu.lu, nr, nr)
-            && lu.piv.len() == nr
-            && lu.piv.iter().all(|&p| p < nr)
+            && lu.dim() == nr
             && shape(&es, ns, nr)
             && shape(&en, nn, nr)
             && fs.as_ref().is_none_or(|m| shape(m, nr, ns))
@@ -246,9 +244,9 @@ impl Wire for FactorStats {
 }
 
 /// A form tag (0 = general LU, 1 = packed `L D Lᵀ`) ahead of the factors.
-/// Decoding pins an LU's pivots to its dimension (the packed form checks
-/// its own blocks), so a solve cannot index out of bounds on a frame that
-/// passed the CRC.
+/// Either form's decoder pins every LU's pivots to its dimension and to
+/// their own rows (`Lu::is_well_formed`), so a solve cannot index out of
+/// bounds on a frame that passed the CRC.
 impl<T: Scalar> Wire for TopFactor<T> {
     fn encode(&self, w: &mut ByteWriter) {
         match self {
@@ -265,17 +263,7 @@ impl<T: Scalar> Wire for TopFactor<T> {
     fn decode(r: &mut ByteReader) -> Result<Self, CodecError> {
         let at = r.position();
         match r.try_get_u64()? {
-            0 => {
-                let lu: Lu<T> = Wire::decode(r)?;
-                let n = lu.lu.nrows();
-                if lu.lu.ncols() != n || lu.piv.len() != n || lu.piv.iter().any(|&p| p >= n) {
-                    return Err(CodecError::Invalid {
-                        what: "top LU shape vs pivots",
-                        at,
-                    });
-                }
-                Ok(TopFactor::General(lu))
-            }
+            0 => Ok(TopFactor::General(Wire::decode(r)?)),
             1 => Ok(TopFactor::Symmetric(Wire::decode(r)?)),
             _ => Err(CodecError::Invalid {
                 what: "top factor form tag",

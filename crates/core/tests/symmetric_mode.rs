@@ -165,6 +165,33 @@ fn symmetric_block_solve_matches_vector_solve() {
     assert_block_solve_matches_vector_solve(&LaplaceKernel::new(&grid), &grid.points());
 }
 
+/// A symmetric kernel ships one block per pair in every halo update,
+/// fold and top gather: at p = 4 the set-up words fall to under 0.65 of
+/// the two-sided twin's, in the same messages. (The two modes sketch
+/// different stacks, so ranks — and with them every block size — differ
+/// by a few; the skeleton and active-set lists ride along in both.)
+#[test]
+fn symmetric_setup_ships_half_the_words_in_the_same_messages() {
+    let grid = UnitGrid::new(32);
+    let kernel = LaplaceKernel::new(&grid);
+    let pts = grid.points();
+    let f_sym = build(&kernel, &pts, Driver::distributed(4));
+    let f_gen = build(&HideSymmetry(kernel), &pts, Driver::distributed(4));
+    let (sym, gen) = (f_sym.comm_stats().unwrap(), f_gen.comm_stats().unwrap());
+    let msgs = |w: &srsf_runtime::WorldStats| -> Vec<u64> {
+        w.per_rank.iter().map(|r| r.msgs_sent).collect()
+    };
+    assert_eq!(msgs(sym), msgs(gen), "per-rank message counts");
+    assert!(sym.total_msgs() > 0);
+    let ratio = sym.total_words() as f64 / gen.total_words() as f64;
+    assert!(
+        ratio <= 0.65,
+        "symmetric set-up ships {} words, two-sided {} ({ratio:.3})",
+        sym.total_words(),
+        gen.total_words()
+    );
+}
+
 /// Complex symmetric: the `T^T` sparsification against the two-sided
 /// `T^H` one. The wavenumbers put 2 and 6 wavelengths across the domain,
 /// so `T` is far from real and a conjugate in the wrong place (or a

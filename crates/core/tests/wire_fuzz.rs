@@ -53,6 +53,11 @@ impl Rng {
     fn below(&mut self, n: usize) -> usize {
         (self.next() % n.max(1) as u64) as usize
     }
+    /// Pivots a partially pivoted LU of dimension `n` can produce: entry
+    /// `k` in `k..n`.
+    fn pivots(&mut self, n: usize) -> Vec<usize> {
+        (0..n).map(|k| k + self.below(n - k)).collect()
+    }
     fn bytes(&mut self, len: usize) -> Vec<u8> {
         (0..len).map(|_| self.next() as u8).collect()
     }
@@ -145,7 +150,7 @@ fn gen_record_form<T: Scalar>(
     let t = mat(rng, ns, nr);
     let lu = Lu {
         lu: mat(rng, nr, nr),
-        piv: (0..nr).map(|_| rng.below(nr.max(1))).collect(),
+        piv: rng.pivots(nr),
     };
     BoxElimination {
         box_id: gen_box_id(rng),
@@ -245,7 +250,7 @@ fn gen_ldlt<T: Scalar>(rng: &mut Rng, n: usize, v: impl Fn(&mut Rng) -> T) -> Ld
         let nb = NB.min(n - k0);
         diag.push(Lu {
             lu: mat(rng, nb, nb),
-            piv: (0..nb).map(|_| rng.below(nb)).collect(),
+            piv: rng.pivots(nb),
         });
         sub.push(mat(rng, n - k0 - nb, nb));
     }
@@ -344,7 +349,7 @@ fn ldlt_decode_is_total() {
         } else {
             let lu = Lu {
                 lu: Mat::from_vec(n, n, (0..n * n).map(|_| r.finite_f64()).collect()),
-                piv: (0..n).map(|_| r.below(n)).collect(),
+                piv: r.pivots(n),
             };
             TopFactor::General(lu).to_bytes()
         }
@@ -498,6 +503,11 @@ fn record_inconsistent_shape_is_codec_error() {
                 r.lu.piv[0] = r.redundant.len()
             });
         }
+        if good.redundant.len() >= 2 {
+            bend("piv entry above its row", &|r| {
+                *r.lu.piv.last_mut().unwrap() = 0
+            });
+        }
         if !good.is_symmetric() {
             bend("fs rows", &|r| r.fs = r.fs.as_ref().map(grow));
             bend("fnb cols", &|r| r.fnb = r.fnb.as_ref().map(widen));
@@ -535,20 +545,22 @@ fn ldlt_round_trip_and_shape_rejection() {
         decode_total::<Ldlt<f64>>("Ldlt<f64>", &bytes),
         Err(CodecError::Invalid { .. })
     ));
-    // A pivot outside its diagonal block.
+    // A pivot outside its diagonal block, and one above its own row.
     let good = gen_ldlt(&mut rng, 4, Rng::finite_f64);
-    let mut w = ByteWriter::new();
-    w.put_u64(4);
-    Lu {
-        lu: good.diag_blocks()[0].lu.clone(),
-        piv: vec![0, 1, 2, 4],
+    for piv in [vec![0, 1, 2, 4], vec![0, 1, 2, 0]] {
+        let mut w = ByteWriter::new();
+        w.put_u64(4);
+        Lu {
+            lu: good.diag_blocks()[0].lu.clone(),
+            piv,
+        }
+        .encode(&mut w);
+        w.put_mat(&good.sub_panels()[0]);
+        assert!(matches!(
+            decode_total::<Ldlt<f64>>("Ldlt<f64>", &w.finish()),
+            Err(CodecError::Invalid { .. })
+        ));
     }
-    .encode(&mut w);
-    w.put_mat(&good.sub_panels()[0]);
-    assert!(matches!(
-        decode_total::<Ldlt<f64>>("Ldlt<f64>", &w.finish()),
-        Err(CodecError::Invalid { .. })
-    ));
 }
 
 /// Both top forms decode from their tag; any other tag, and a top whose
@@ -592,6 +604,16 @@ fn top_factor_tags_round_trip_and_reject() {
             "top dimension vs index map"
         );
     }
+    // A general top whose last pivot points above its own row: in range,
+    // but a panel solve would swap columns it has already passed.
+    let bent = TopFactor::General(Lu {
+        lu: Mat::<f64>::identity(3),
+        piv: vec![0, 1, 0],
+    });
+    assert!(matches!(
+        decode_total::<TopFactor<f64>>("TopFactor<f64>", &bent.to_bytes()),
+        Err(CodecError::Invalid { .. })
+    ));
 }
 
 #[test]

@@ -254,8 +254,9 @@ impl<T: Scalar> Ldlt<T> {
 
     /// Rebuild from decoded parts; `None` unless every block has exactly
     /// the shape [`Ldlt::factor`] produces for an `n x n` matrix and every
-    /// pivot stays inside its block (so a solve cannot index out of
-    /// bounds).
+    /// diagonal block is a well-formed LU ([`Lu::is_well_formed`]: pivots
+    /// inside the block and at or below their row, so a solve cannot
+    /// index out of bounds).
     pub fn from_parts(n: usize, diag: Vec<Lu<T>>, sub: Vec<Mat<T>>) -> Option<Self> {
         let n_cols = n.div_ceil(NB);
         let ok = diag.len() == n_cols
@@ -263,9 +264,8 @@ impl<T: Scalar> Ldlt<T> {
             && block_cols(n)
                 .zip(diag.iter().zip(&sub))
                 .all(|((k0, nb), (d, s))| {
-                    (d.lu.nrows(), d.lu.ncols()) == (nb, nb)
-                        && d.piv.len() == nb
-                        && d.piv.iter().all(|&p| p < nb)
+                    d.dim() == nb
+                        && d.is_well_formed()
                         && (s.nrows(), s.ncols()) == (n - k0 - nb, nb)
                 });
         ok.then_some(Self { n, diag, sub })

@@ -174,6 +174,18 @@ impl<T: Scalar> Lu<T> {
         self.lu.nrows()
     }
 
+    /// `true` when these are factors [`Lu::factor`] could have produced:
+    /// a square packed matrix and one pivot per row, at or below that row
+    /// (`k <= piv[k] < dim`). Decoders check it on factors that arrive
+    /// from outside the program — the solves swap rows and panel columns
+    /// by the pivots without looking at them again.
+    pub fn is_well_formed(&self) -> bool {
+        let n = self.lu.nrows();
+        self.lu.ncols() == n
+            && self.piv.len() == n
+            && self.piv.iter().enumerate().all(|(k, &p)| k <= p && p < n)
+    }
+
     /// Apply the row permutation `P` to a vector in place.
     pub fn apply_piv_vec(&self, b: &mut [T]) {
         for (k, &r) in self.piv.iter().enumerate() {

@@ -3,10 +3,13 @@
 //! A *panel* is a [`Mat`] holding right-hand sides in its rows: `h x w`,
 //! column `k` being one point's values for all right-hand sides, so a
 //! point's data is one contiguous run and a gather from the sweep's
-//! `nrhs x n` working block is one copy per index. `h` is the number of
-//! right-hand sides rounded up by [`panel_rows`]; the padding rows are
-//! zero and stay zero, because no kernel here ever combines two rows of a
-//! panel.
+//! `nrhs x n` working block is one copy per index. The solve sweep makes
+//! `h` the number of right-hand sides rounded up by [`panel_rows`]; the
+//! padding rows are zero and stay zero, because no kernel here ever
+//! combines two rows of a panel. For the same reason any other height
+//! works too: the factorization solves its `|N| x |R|` couplings as
+//! panels as they are, and the rows below the last whole tile go one at
+//! a time, each with the bits it would have in a padded panel.
 //!
 //! Every product of the sweep is then `panel * M` or `panel * M^T` with
 //! the panel on the left, which puts the right-hand sides — not the
@@ -60,24 +63,23 @@ pub fn panel_rows<T: Scalar>(nrhs: usize) -> usize {
 
 /// Run `$body` once per register tile of an `$h`-row panel, with `$i0`
 /// the tile's first row and `$mr` its height as a constant: tiles of 16,
-/// then 8, then 4 rows for reals, 8 / 4 / 2 for complex scalars, and the
-/// one-row panel as it is.
+/// then 8, then 4 rows for reals, 8 / 4 / 2 for complex scalars, and what
+/// is left below the smallest tile one row at a time — the whole of a
+/// one-row panel, and the tail of a set-up panel whose height is a
+/// coupling's row count, not a padded batch.
 macro_rules! for_each_tile {
     ($t:ty, $h:expr, |$i0:ident, $mr:ident| $body:expr) => {{
         let h: usize = $h;
         let big = if <$t>::IS_COMPLEX { 8 } else { 16 };
-        assert!(
-            h == 1 || h % (big / 4) == 0,
-            "panel height is not a multiple of the tile"
-        );
         let mut $i0 = 0;
-        if h == 1 {
-            const $mr: usize = 1;
-            $body;
-            $i0 += 1;
-        }
         while $i0 < h {
             let left = h - $i0;
+            if left < big / 4 {
+                const $mr: usize = 1;
+                $body;
+                $i0 += 1;
+                continue;
+            }
             match (<$t>::IS_COMPLEX, left >= big, left >= big / 2) {
                 (false, true, _) => {
                     const $mr: usize = 16;

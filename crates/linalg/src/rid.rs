@@ -103,27 +103,38 @@ pub fn sketch_sign(seed: u64, r: usize, c: usize) -> f64 {
 /// function of global coordinates, disjoint column ranges of `Ω` can be
 /// generated independently and their `Ω_blk · A_blk` products summed.
 pub fn sketch_block<T: Scalar>(seed: u64, rows: usize, col0: usize, cols: usize) -> Mat<T> {
-    if rows == 0 || cols == 0 {
-        return Mat::zeros(rows, cols);
+    sketch_block_sum(seed, rows, &[col0], cols)
+}
+
+/// The sum of the sketch sub-blocks `Ω[0..rows, c0..c0+cols]` over every
+/// `c0` in `col0s` — what multiplies a block that sits at several row
+/// offsets of the sketched stack (a real symmetric kernel's forward and
+/// adjoint halves). Sums of signs are exact, so the result has the bits
+/// of adding the blocks one by one.
+pub fn sketch_block_sum<T: Scalar>(seed: u64, rows: usize, col0s: &[usize], cols: usize) -> Mat<T> {
+    let mut out = Mat::zeros(rows, cols);
+    if rows == 0 {
+        return out;
     }
-    // Hash each 64-column word once per row, then expand bits.
-    let w0 = col0 >> 6;
-    let nw = ((col0 + cols - 1) >> 6) - w0 + 1;
-    let mut words = vec![0u64; rows * nw];
-    for r in 0..rows {
-        for w in 0..nw {
-            words[r * nw + w] = mix(seed, r as u64, (w0 + w) as u64);
+    // One hash word holds the signs of 64 consecutive columns of a row:
+    // hash a word column once, then peel one bit per output column.
+    let mut words = vec![0u64; rows];
+    for &col0 in col0s {
+        let mut hashed = usize::MAX;
+        for c in 0..cols {
+            let (w, bit) = ((col0 + c) >> 6, (col0 + c) & 63);
+            if w != hashed {
+                for (r, word) in words.iter_mut().enumerate() {
+                    *word = mix(seed, r as u64, w as u64);
+                }
+                hashed = w;
+            }
+            for (o, word) in out.col_mut(c).iter_mut().zip(&words) {
+                *o += T::from_f64(1.0 - 2.0 * ((word >> bit) & 1) as f64);
+            }
         }
     }
-    Mat::from_fn(rows, cols, |r, c| {
-        let gc = col0 + c;
-        let word = words[r * nw + ((gc >> 6) - w0)];
-        T::from_f64(if (word >> (gc & 63)) & 1 == 0 {
-            1.0
-        } else {
-            -1.0
-        })
-    })
+    out
 }
 
 /// Attempt an ID from an already-formed sketch `Y = Ω A`.
@@ -386,5 +397,17 @@ mod tests {
         // Different seeds give different sketches.
         let other = sketch_block::<f64>(seed ^ 1, 6, 0, 32);
         assert!(max_abs_diff(&whole, &other) > 0.0);
+        // Blocks that straddle hash words agree with random access, and
+        // the summed block has the bits of adding its parts.
+        let (a, b) = (
+            sketch_block::<c64>(seed, 5, 50, 100),
+            sketch_block::<c64>(seed, 5, 150, 100),
+        );
+        for c in 0..100 {
+            assert_eq!(a[(4, c)], c64::new(sketch_sign(seed, 4, 50 + c), 0.0));
+        }
+        let mut sum = a;
+        sum.axpy(c64::ONE, &b);
+        assert_eq!(sketch_block_sum::<c64>(seed, 5, &[50, 150], 100), sum);
     }
 }

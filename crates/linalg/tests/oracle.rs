@@ -603,6 +603,42 @@ fn panel_lu_oracle<T: TestScalar>(seed: u64) {
     }
 }
 
+/// The set-up path solves a coupling as a panel at its own height: tall,
+/// not padded to a tile. `Lu::solve_panel` on `B^T` as it is must match
+/// `Lu::solve_mat` of `B`, and give every row the bits it has in the
+/// padded panel (the rows below the last whole tile go one at a time).
+fn tall_panel_oracle<T: TestScalar>(seed: u64) {
+    for (i, &h) in [1usize, 3, 512, 515].iter().enumerate() {
+        for (j, &r) in [1usize, 41, 64].iter().enumerate() {
+            let mut rng = Rng::new(seed + (i * 10 + j) as u64);
+            let mut a = rand_mat::<T>(r, r, &mut rng);
+            for d in 0..r {
+                a[(d, (d * 7 + 3) % r)] += T::from_f64(3.0);
+            }
+            let lu = Lu::factor(a).expect("LU");
+            assert!(r < 4 || lu.piv.iter().enumerate().any(|(k, &p)| k != p));
+            let b = rand_mat::<T>(r, h, &mut rng);
+            let mut want = b.clone();
+            lu.solve_mat(&mut want);
+            let mut x = b.transpose();
+            lu.solve_panel(&mut x);
+            assert_close(&x.transpose(), &want, &format!("tall panel {h} x {r}"));
+            let mut padded = to_panel(&b);
+            lu.solve_panel(&mut padded);
+            assert!(
+                x == padded.block(0, 0, h, r),
+                "tall panel {h} x {r}: bits differ from the padded panel"
+            );
+        }
+    }
+}
+
+#[test]
+fn tall_panel_solves_match_column_major() {
+    tall_panel_oracle::<f64>(57);
+    tall_panel_oracle::<c64>(58);
+}
+
 #[test]
 fn panel_lu_solves_match_column_major_f64() {
     panel_lu_oracle::<f64>(53);

@@ -595,14 +595,26 @@ impl<T: Scalar> Wire for srsf_linalg::Lu<T> {
         w.put_mat(&self.lu);
         w.put_u64_slice(&self.piv.iter().map(|&v| v as u64).collect::<Vec<_>>());
     }
+    /// Fails on factors no factorization produces — not square, or a
+    /// pivot outside `k..dim` — so that no decoded LU, on its own or
+    /// inside a record, a top factor or an `L D Lᵀ` block, can make a
+    /// later solve swap out of bounds.
     fn decode(r: &mut ByteReader) -> Result<Self, CodecError> {
+        let at = r.position();
         let lu = r.try_get_mat()?;
         let piv = r
             .try_get_u64_slice()?
             .into_iter()
             .map(|v| v as usize)
             .collect();
-        Ok(srsf_linalg::Lu { lu, piv })
+        let lu = srsf_linalg::Lu { lu, piv };
+        if !lu.is_well_formed() {
+            return Err(CodecError::Invalid {
+                what: "LU shape vs pivots",
+                at,
+            });
+        }
+        Ok(lu)
     }
 }
 
@@ -898,7 +910,7 @@ mod tests {
 
         let lu = srsf_linalg::Lu {
             lu: Mat::from_fn(2, 2, |i, j| (i * 2 + j) as f64),
-            piv: vec![1, 0],
+            piv: vec![1, 1],
         };
         let mut r = ByteReader::new(lu.to_bytes());
         let back = srsf_linalg::Lu::<f64>::decode(&mut r).unwrap();

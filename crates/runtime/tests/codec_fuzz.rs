@@ -186,7 +186,9 @@ fn gen_lu(rng: &mut Rng) -> Lu<f64> {
     let n = rng.below(4);
     Lu {
         lu: Mat::from_vec(n, n, (0..n * n).map(|i| i as f64).collect()),
-        piv: (0..n).map(|_| rng.below(8)).collect(),
+        // What a partially pivoted LU produces, and all the decoder
+        // accepts: pivot `k` in `k..n`.
+        piv: (0..n).map(|k| k + rng.below(n - k)).collect(),
     }
 }
 

@@ -421,6 +421,16 @@ fn run<K: Kernel>(kernel: &K, fast: &FastKernelOp<K::Elem>, grid: &UnitGrid, arg
         stats.max_words(),
         stats.max_words() as f64 / sqrt_np
     );
+    let words: Vec<u64> = stats.per_rank.iter().map(|s| s.words_sent).collect();
+    println!(
+        "factor-phase words per rank = {words:?}, total {} ({})",
+        stats.total_words(),
+        if kernel.is_symmetric() {
+            "symmetric kernel: one block per box pair in every halo update, fold and top gather"
+        } else {
+            "general kernel: both directions of every box pair"
+        }
+    );
     println!(
         "modeled critical path: intra-node {:.3}s, inter-node {:.3}s",
         stats.critical_path_s(&NetworkModel::intra_node()),
