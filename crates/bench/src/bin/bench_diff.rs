@@ -1,10 +1,12 @@
-//! Print seed-vs-PR microbench ratios so regressions are visible in the
-//! CI job log.
+//! Print the ratios between two microbench reports (say, the parent
+//! commit's and the working tree's, each written with `--json`).
 //!
 //! ```sh
-//! cargo run --release -p srsf-bench --bin bench-diff -- BENCH_seed.json BENCH_pr.json
+//! cargo run --release -p srsf-bench --bin bench-diff -- parent.json change.json
 //! ```
 //!
+//! Nothing here fails a build: the microbench is a probe of primitives,
+//! and the gated comparison is the repo benchmark's (`benchmark/`).
 //! Reads two `srsf-microbench/1` reports (see the README "Performance"
 //! section for the schema) and prints, per case, the baseline and current
 //! median times and the speedup `baseline / current` (>1 is faster).
@@ -49,18 +51,12 @@ fn field_f64(line: &str, key: &str) -> Option<f64> {
 }
 
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let gate_trace = args.iter().any(|a| a == "--gate-trace-overhead");
-    args.retain(|a| a != "--gate-trace-overhead");
-    let (base_path, cur_path) = match args.as_slice() {
-        [] => ("BENCH_seed.json".to_string(), "BENCH_pr.json".to_string()),
-        [b, c] => (b.clone(), c.clone()),
-        _ => {
-            eprintln!("usage: bench-diff [--gate-trace-overhead] [BASELINE.json CURRENT.json]");
-            return ExitCode::FAILURE;
-        }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let [base_path, cur_path] = args.as_slice() else {
+        eprintln!("usage: bench-diff BASELINE.json CURRENT.json");
+        return ExitCode::FAILURE;
     };
-    let (base, cur) = match (parse_cases(&base_path), parse_cases(&cur_path)) {
+    let (base, cur) = match (parse_cases(base_path), parse_cases(cur_path)) {
         (Ok(b), Ok(c)) => (b, c),
         (b, c) => {
             for e in [b.err(), c.err()].into_iter().flatten() {
@@ -187,31 +183,17 @@ fn main() -> ExitCode {
     // Tracing overhead: traced vs untraced medians of the same 4-rank
     // factorization, both from the *current* report. The span API
     // promises a branch-on-one-atomic no-op when disabled, so the ratio
-    // should sit at 1.0 within noise; `--gate-trace-overhead` (the CI
-    // bench job) turns the 2% budget into a hard failure.
+    // should sit at 1.0 within noise.
     if let (Some(off), Some(on)) = (
         median_of("trace_overhead/laplace_4096_off"),
         median_of("trace_overhead/laplace_4096_on"),
     ) {
-        let ratio = on / off;
         println!(
-            "trace overhead on/off: {ratio:.3}x ({} -> {})",
+            "trace overhead on/off: {:.3}x ({} -> {})",
+            on / off,
             fmt_s(off),
             fmt_s(on)
         );
-        if gate_trace && ratio > 1.02 {
-            eprintln!(
-                "bench-diff: traced factorization exceeds the 2% overhead budget \
-                 ({ratio:.3}x > 1.02x)"
-            );
-            return ExitCode::FAILURE;
-        }
-    } else if gate_trace {
-        eprintln!(
-            "bench-diff: --gate-trace-overhead set but the trace_overhead cases \
-             are missing from {cur_path}"
-        );
-        return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
 }

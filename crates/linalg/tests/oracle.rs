@@ -181,7 +181,7 @@ fn packed_adjoint_gemm_matches_naive_c64() {
 
 /// The transpose flavour of the packed product against an entry-wise
 /// `A^T B` with no conjugate anywhere, over the same shapes: both
-/// branches of the size switch (`ADJ_PACK_MIN_FLOPS`, `n >= 4`), ragged
+/// branches of the size switch (`PACK_MIN_FLOPS`, `n >= 4`), ragged
 /// panels, empty dimensions, the threaded split.
 fn packed_transpose_oracle<T: TestScalar>(seed: u64) {
     for (i, &(k, m, n)) in ADJ_SHAPES.iter().enumerate() {
