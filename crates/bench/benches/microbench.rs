@@ -29,7 +29,8 @@ use srsf_linalg::{
     c64, cpqr, householder_qr, interp_decomp, rand_interp_decomp, Ldlt, LinOp, Lu, Mat, Scalar,
     SymPanels,
 };
-use srsf_special::bessel::{j0, y0};
+use srsf_special::bessel::{hankel0_1_slice, j0, y0};
+use srsf_special::log::ln_slice;
 use std::time::{Duration, Instant};
 
 /// One measured case, accumulated for the optional JSON report.
@@ -69,6 +70,18 @@ impl Harness {
     fn bench_gflops<R>(&mut self, name: &str, flops: f64, f: impl FnMut() -> R) {
         if let Some(median) = self.bench_n(name, None, f) {
             println!("{:<32} {:>12.1} GFLOP/s", "", flops / median * 1e-9);
+        }
+    }
+
+    /// [`Harness::bench`] for a case that produces `elems` values: prints
+    /// nanoseconds per value (at the median) under the timing line.
+    fn bench_ns_per_elem<R>(&mut self, name: &str, elems: usize, f: impl FnMut() -> R) {
+        if let Some(median) = self.bench_n(name, None, f) {
+            println!(
+                "{:<32} {:>12.2} ns/element",
+                "",
+                median * 1e9 / elems as f64
+            );
         }
     }
 
@@ -474,6 +487,32 @@ fn main() {
         }
         acc
     });
+
+    // The slice routines under the kernels' column evaluation: squared
+    // distances as the Laplace kernel sees them, and `kappa r` on either
+    // side of the Hankel series/asymptotic switch at 11.
+    {
+        let ramp = |lo: f64, hi: f64| -> Vec<f64> {
+            (0..4096)
+                .map(|i| lo + (hi - lo) * (i as f64 + 0.5) / 4096.0)
+                .collect()
+        };
+        let r2 = ramp(1e-5, 2.0);
+        let mut out = vec![0.0; 4096];
+        h.bench_ns_per_elem("special/ln_slice_4096", 4096, || {
+            out.copy_from_slice(&r2);
+            ln_slice(&mut out);
+            out[7]
+        });
+        let (mut re, mut im) = (vec![0.0; 4096], vec![0.0; 4096]);
+        for (tag, x) in [("small", ramp(0.2, 10.9)), ("large", ramp(11.0, 36.0))] {
+            let name = format!("special/hankel0_slice_4096_{tag}");
+            h.bench_ns_per_elem(&name, 4096, || {
+                hankel0_1_slice(&x, &mut re, &mut im);
+                re[7] + im[7]
+            });
+        }
+    }
 
     for n in [256usize, 4096] {
         let plan = Fft::new(n);

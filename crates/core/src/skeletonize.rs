@@ -138,14 +138,19 @@ impl LeafFft {
             )
         };
         let rc: Vec<_> = rows_act.iter().map(coords).collect();
-        let cc: Vec<_> = cols_act.iter().map(coords).collect();
-        Mat::from_fn(rc.len(), cc.len(), |i, j| {
-            let (ix, iy, si) = rc[i];
-            let (jx, jy, sj) = cc[j];
-            let t = self.table[((iy - jy + off) as usize) * w + (ix - jx + off) as usize];
-            let t = if conj { t.conj() } else { t };
-            T::from_re_im(t.re, t.im).scale(si * sj)
-        })
+        let mut out = Mat::zeros(rc.len(), cols_act.len());
+        for (j, g) in cols_act.iter().enumerate() {
+            // The column's share of the table index and of the scaling,
+            // once per column.
+            let (jx, jy, sj) = coords(g);
+            let base = (off - jy) * w as i64 + (off - jx);
+            for (o, &(ix, iy, si)) in out.col_mut(j).iter_mut().zip(&rc) {
+                let t = self.table[(base + iy * w as i64 + ix) as usize];
+                let t = if conj { t.conj() } else { t };
+                *o = T::from_re_im(t.re, t.im).scale(si * sj);
+            }
+        }
+        out
     }
 }
 
@@ -374,13 +379,11 @@ pub fn proxy_matrix<K: Kernel>(
         }
     }
     // Proxy rows for the far field beyond M(B), filled in place.
-    for j in 0..nb {
-        let col = out.col_mut(j);
-        for (p, c) in circle.iter().enumerate() {
-            col[r0 + p] = kernel.proxy_row(pts, *c, a_b[j] as usize);
-            if two_sided {
-                col[r0 + n_proxy + p] = kernel.proxy_col(pts, a_b[j] as usize, *c).conj();
-            }
+    for (j, &g) in a_b.iter().enumerate() {
+        let (fwd, adj) = out.col_mut(j)[r0..].split_at_mut(n_proxy);
+        kernel.proxy_column(pts, &circle, g as usize, fwd);
+        if two_sided {
+            proxy_col_adjoint(kernel, pts, g as usize, &circle, adj);
         }
     }
     out
@@ -510,15 +513,32 @@ fn proxy_blocks<K: Kernel>(
     let kernel = store.kernel();
     let geom = ctx.geom(b.level);
     let circle = proxy_circle_from_unit(tree.bbox(b).center(), geom.radius, &geom.unit);
-    let p_row = Mat::from_fn(geom.n_proxy, a_b.len(), |p, j| {
-        kernel.proxy_row(pts, circle[p], a_b[j] as usize)
-    });
+    let mut p_row = Mat::zeros(geom.n_proxy, a_b.len());
+    for (j, &g) in a_b.iter().enumerate() {
+        kernel.proxy_column(pts, &circle, g as usize, p_row.col_mut(j));
+    }
     let p_col_h = (Halves::of(store) == Halves::Both).then(|| {
-        Mat::from_fn(geom.n_proxy, a_b.len(), |p, j| {
-            kernel.proxy_col(pts, a_b[j] as usize, circle[p]).conj()
-        })
+        let mut m = Mat::zeros(geom.n_proxy, a_b.len());
+        for (j, &g) in a_b.iter().enumerate() {
+            proxy_col_adjoint(kernel, pts, g as usize, &circle, m.col_mut(j));
+        }
+        m
     });
     (p_row, p_col_h)
+}
+
+/// One column of `K_{B,proxy}ᴴ`: `out[p] = conj(proxy_col(i, circle[p]))`
+/// — the adjoint half only a general kernel stacks.
+fn proxy_col_adjoint<K: Kernel>(
+    kernel: &K,
+    pts: &[Point],
+    i: usize,
+    circle: &[Point],
+    out: &mut [K::Elem],
+) {
+    for (o, &y) in out.iter_mut().zip(circle) {
+        *o = kernel.proxy_col(pts, i, y).conj();
+    }
 }
 
 /// Form `Y = Ω · [proxy stack]` block by block, without materializing the

@@ -143,10 +143,7 @@ impl<'a, K: Kernel> BlockStore<'a, K> {
 
     /// Evaluate raw kernel entries for explicit index lists.
     pub fn eval_kernel(&self, rows: &[u32], cols: &[u32]) -> Mat<K::Elem> {
-        Mat::from_fn(rows.len(), cols.len(), |i, j| {
-            self.kernel
-                .entry_or_diag(self.pts, rows[i] as usize, cols[j] as usize)
-        })
+        eval_kernel(self.kernel, self.pts, rows, cols)
     }
 
     /// `true` if the pair has a materialized (modified) block.
@@ -207,15 +204,10 @@ impl<'a, K: Kernel> BlockStore<'a, K> {
     /// pair was still implicit. `delta` must match the current active sets.
     pub fn add_delta(&mut self, a: BoxId, b: BoxId, delta: &Mat<K::Elem>, act: &ActiveSets) {
         let ((ka, kb), flipped) = self.key(&a, &b);
-        let entry = self.blocks.entry((ka, kb)).or_insert_with(|| {
-            // Hoist the active-set lookups out of the per-entry closure.
-            let rows = act.get(&ka);
-            let cols = act.get(&kb);
-            Mat::from_fn(rows.len(), cols.len(), |i, j| {
-                self.kernel
-                    .entry_or_diag(self.pts, rows[i] as usize, cols[j] as usize)
-            })
-        });
+        let entry = self
+            .blocks
+            .entry((ka, kb))
+            .or_insert_with(|| eval_kernel(self.kernel, self.pts, act.get(&ka), act.get(&kb)));
         if flipped {
             entry.axpy(K::Elem::ONE, &delta.transpose());
         } else {
@@ -249,6 +241,16 @@ impl<'a, K: Kernel> BlockStore<'a, K> {
     pub fn stored_pairs(&self) -> impl Iterator<Item = (&PairKey, &Mat<K::Elem>)> {
         self.blocks.iter()
     }
+}
+
+/// `A[rows, cols]` from the kernel, a column at a time
+/// ([`Kernel::column`], diagonal folded in).
+fn eval_kernel<K: Kernel>(kernel: &K, pts: &[Point], rows: &[u32], cols: &[u32]) -> Mat<K::Elem> {
+    let mut m = Mat::zeros(rows.len(), cols.len());
+    for (j, &c) in cols.iter().enumerate() {
+        kernel.column(pts, rows, c as usize, m.col_mut(j));
+    }
+    m
 }
 
 #[cfg(test)]
@@ -319,6 +321,12 @@ pub(crate) mod tests {
         // Diagonal folding on a self pair.
         let s = store.get(&a, &a, &act);
         assert_eq!(s[(2, 2)], k.diag(&pts, 2));
+        // A wrapper with the scalar methods only evaluates through the
+        // trait's default column; same bits as the kernel's own.
+        let wrapped = HideSymmetry(k.clone());
+        let plain = BlockStore::new(&wrapped, &pts);
+        assert_eq!(plain.get(&a, &b, &act), m);
+        assert_eq!(plain.get(&a, &a, &act), s);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::kernel::Kernel;
 use srsf_geometry::grid::UnitGrid;
 use srsf_geometry::point::Point;
 use srsf_linalg::c64;
-use srsf_special::bessel::hankel0_1;
+use srsf_special::bessel::{hankel0_1, hankel0_1_slice};
 use srsf_special::singular::helmholtz_self_integral;
 
 /// The paper's Gaussian bump scattering potential
@@ -74,10 +74,39 @@ impl HelmholtzKernel {
     /// `(i/4) H0^(1)(κ r)` as a complex number.
     #[inline]
     fn green(&self, r: f64) -> c64 {
-        let (j0, y0) = hankel0_1(self.kappa * r);
-        // (i/4)(J0 + i Y0) = -Y0/4 + i J0/4
-        c64::new(-0.25 * y0, 0.25 * j0)
+        green_of(hankel0_1(self.kappa * r))
     }
+
+    /// `out[k] = scale(k) · (i/4) H0^(1)(κ dist(k))`: the arithmetic of
+    /// `entry` / `proxy_row`, the Hankel function taken a group of
+    /// arguments at a time.
+    #[inline]
+    fn green_column(
+        &self,
+        out: &mut [c64],
+        dist: impl Fn(usize) -> f64,
+        scale: impl Fn(usize) -> f64,
+    ) {
+        /// Entries per pass: the `κ r` of that many live on the stack.
+        const GROUP: usize = 64;
+        let (mut x, mut j0, mut y0) = ([0.0; GROUP], [0.0; GROUP], [0.0; GROUP]);
+        for (g, out) in out.chunks_mut(GROUP).enumerate() {
+            let (k0, n) = (g * GROUP, out.len());
+            for (k, x) in x[..n].iter_mut().enumerate() {
+                *x = self.kappa * dist(k0 + k);
+            }
+            hankel0_1_slice(&x[..n], &mut j0[..n], &mut y0[..n]);
+            for (k, o) in out.iter_mut().enumerate() {
+                *o = green_of((j0[k], y0[k])).scale(scale(k0 + k));
+            }
+        }
+    }
+}
+
+/// `(i/4)(J0 + i Y0) = -Y0/4 + i J0/4`.
+#[inline]
+fn green_of((j0, y0): (f64, f64)) -> c64 {
+    c64::new(-0.25 * y0, 0.25 * j0)
 }
 
 impl Kernel for HelmholtzKernel {
@@ -104,6 +133,40 @@ impl Kernel for HelmholtzKernel {
     fn proxy_col(&self, pts: &[Point], i: usize, y: Point) -> c64 {
         let r = pts[i].dist(&y);
         self.green(r).scale(self.prefactor * self.sqrt_b[i])
+    }
+
+    fn column(&self, pts: &[Point], rows: &[u32], col: usize, out: &mut [c64]) {
+        assert_eq!(rows.len(), out.len(), "column: one output per row");
+        let (c, sc) = (pts[col], self.sqrt_b[col]);
+        let on_diag = |k: usize| rows[k] as usize == col;
+        self.green_column(
+            out,
+            // The diagonal is no Green's function: any positive stand-in
+            // distance will do for the value replaced below.
+            |k| {
+                if on_diag(k) {
+                    1.0
+                } else {
+                    pts[rows[k] as usize].dist(&c)
+                }
+            },
+            |k| self.prefactor * (self.sqrt_b[rows[k] as usize] * sc),
+        );
+        for (k, o) in out.iter_mut().enumerate() {
+            if on_diag(k) {
+                *o = self.diag(pts, col);
+            }
+        }
+    }
+
+    fn proxy_column(&self, pts: &[Point], circle: &[Point], j: usize, out: &mut [c64]) {
+        assert_eq!(
+            circle.len(),
+            out.len(),
+            "proxy_column: one output per proxy"
+        );
+        let (c, scale) = (pts[j], self.prefactor * self.sqrt_b[j]);
+        self.green_column(out, |p| circle[p].dist(&c), |_| scale);
     }
 
     fn kappa(&self) -> f64 {

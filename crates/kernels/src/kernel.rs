@@ -92,10 +92,61 @@ pub trait Kernel: Send + Sync {
         }
     }
 
-    /// Assemble the dense block `A[rows, cols]`.
+    /// One column of the matrix: `out[k] = A[rows[k], col]`, the diagonal
+    /// folded in (`rows` may contain `col`, anywhere, and may be empty;
+    /// `out.len() == rows.len()`). `rows` is an active set as the
+    /// factorization holds it, hence `u32`.
+    ///
+    /// This is how every bulk producer — the block store, the dense
+    /// blocks of [`Kernel::block`] — asks for entries, so that a kernel
+    /// can evaluate a whole column with vector instructions. **The column
+    /// contract:** every value is a pure function of its own `(row, col)`
+    /// pair and is, bit for bit, what [`Kernel::entry_or_diag`] returns
+    /// for that pair. An implementor may therefore vectorise *across*
+    /// entries — the same operations, in the same order, on many entries
+    /// at once — but may not let anything about the batch reach a value:
+    /// no term count or scaling taken from a batch maximum, no
+    /// reassociated sum, no approximation chosen by the list length. The
+    /// factorization relies on it: the same entry is produced through
+    /// lists of different lengths and orders on different drivers, ranks
+    /// and thread counts, which must all agree bitwise, and a symmetric
+    /// kernel's `A[i, j]` and `A[j, i]` come out of different columns.
+    ///
+    /// The default loops over [`Kernel::entry_or_diag`], so a kernel that
+    /// implements only the scalar methods (a wrapper, a test kernel)
+    /// meets the contract as it is.
+    fn column(&self, pts: &[Point], rows: &[u32], col: usize, out: &mut [Self::Elem]) {
+        assert_eq!(rows.len(), out.len(), "column: one output per row");
+        for (o, &r) in out.iter_mut().zip(rows) {
+            *o = self.entry_or_diag(pts, r as usize, col);
+        }
+    }
+
+    /// One column of the proxy block `K_{proxy,B}` of Eq. (7):
+    /// `out[p] = proxy_row(circle[p], j)`, under the column contract of
+    /// [`Kernel::column`] with [`Kernel::proxy_row`] as the scalar
+    /// reference, which is also the default.
+    fn proxy_column(&self, pts: &[Point], circle: &[Point], j: usize, out: &mut [Self::Elem]) {
+        assert_eq!(
+            circle.len(),
+            out.len(),
+            "proxy_column: one output per proxy"
+        );
+        for (o, &y) in out.iter_mut().zip(circle) {
+            *o = self.proxy_row(pts, y, j);
+        }
+    }
+
+    /// Assemble the dense block `A[rows, cols]`, column by column.
     fn block(&self, pts: &[Point], rows: &[usize], cols: &[usize]) -> Mat<Self::Elem> {
-        Mat::from_fn(rows.len(), cols.len(), |i, j| {
-            self.entry_or_diag(pts, rows[i], cols[j])
-        })
+        // INVARIANT: `rows` index `pts`, and the factorization addresses
+        // a point set by `u32` throughout (active sets, records, wire).
+        let as_u32 = |&r: &usize| u32::try_from(r).expect("point indices fit in u32");
+        let rows: Vec<u32> = rows.iter().map(as_u32).collect();
+        let mut m = Mat::zeros(rows.len(), cols.len());
+        for (j, &c) in cols.iter().enumerate() {
+            self.column(pts, &rows, c, m.col_mut(j));
+        }
+        m
     }
 }

@@ -14,6 +14,7 @@
 use crate::kernel::Kernel;
 use srsf_geometry::grid::UnitGrid;
 use srsf_geometry::point::Point;
+use srsf_special::log::ln_slice;
 use srsf_special::singular::laplace_log_self_integral;
 
 /// Laplace log kernel with collocation weight `h^2`.
@@ -41,12 +42,28 @@ impl LaplaceKernel {
         Self { weight, diag }
     }
 
+    /// `r2[k] := -(w / 2π) ln r[k]` from squared distances — the one
+    /// formula behind every off-diagonal and proxy value, alone or a
+    /// column at a time.
+    #[inline]
+    fn finish(&self, r2: &mut [f64]) {
+        ln_slice(r2);
+        // -(w / 2π) ln r = -(w / 4π) ln r^2
+        let scale = -self.weight / (4.0 * core::f64::consts::PI);
+        for v in r2 {
+            *v *= scale;
+        }
+    }
+
     #[inline]
     fn eval(&self, a: Point, b: Point) -> f64 {
-        let r2 = a.dist_sq(&b);
-        debug_assert!(r2 > 0.0, "coincident points reached the off-diagonal path");
-        // -(w / 2π) ln r = -(w / 4π) ln r^2
-        -self.weight * r2.ln() / (4.0 * core::f64::consts::PI)
+        let mut r2 = [a.dist_sq(&b)];
+        debug_assert!(
+            r2[0] > 0.0,
+            "coincident points reached the off-diagonal path"
+        );
+        self.finish(&mut r2);
+        r2[0]
     }
 }
 
@@ -67,6 +84,41 @@ impl Kernel for LaplaceKernel {
 
     fn proxy_col(&self, pts: &[Point], i: usize, y: Point) -> f64 {
         self.eval(pts[i], y)
+    }
+
+    fn column(&self, pts: &[Point], rows: &[u32], col: usize, out: &mut [f64]) {
+        assert_eq!(rows.len(), out.len(), "column: one output per row");
+        let c = pts[col];
+        for (o, &r) in out.iter_mut().zip(rows) {
+            let r2 = pts[r as usize].dist_sq(&c);
+            debug_assert!(
+                r2 > 0.0 || r as usize == col,
+                "coincident points reached the off-diagonal path"
+            );
+            // The diagonal is no logarithm: a stand-in keeps its `ln 0`
+            // off the slice routine's special-value path.
+            *o = if r as usize == col { 1.0 } else { r2 };
+        }
+        self.finish(out);
+        for (o, &r) in out.iter_mut().zip(rows) {
+            if r as usize == col {
+                *o = self.diag;
+            }
+        }
+    }
+
+    fn proxy_column(&self, pts: &[Point], circle: &[Point], j: usize, out: &mut [f64]) {
+        assert_eq!(
+            circle.len(),
+            out.len(),
+            "proxy_column: one output per proxy"
+        );
+        let c = pts[j];
+        for (o, y) in out.iter_mut().zip(circle) {
+            *o = y.dist_sq(&c);
+            debug_assert!(*o > 0.0, "a proxy point coincides with a grid point");
+        }
+        self.finish(out);
     }
 
     fn is_translation_invariant(&self) -> bool {

@@ -205,12 +205,12 @@ impl<T: Scalar> Ldlt<T> {
             let lu = Lu::factor(dk).map_err(|e| LdltBreakdown::ZeroPivot { step: k0 + e.step })?;
             let k1 = k0 + nb;
             if k1 < n {
-                // W = A₂₁ as assembled and updated so far;
-                // L₂₁ᵀ = D⁻¹ Wᵀ because D is symmetric.
-                let wt = sub[k].transpose();
-                let mut lt = wt.clone();
-                lu.solve_mat(&mut lt);
-                let l21 = lt.transpose();
+                // W = A₂₁ as assembled and updated so far, kept transposed
+                // as the update's right operand; L₂₁ = W D⁻ᵀ — D is
+                // symmetric — is a panel solve on W where it lies.
+                let mut l21 = core::mem::replace(&mut sub[k], Mat::zeros(0, 0));
+                let wt = l21.transpose();
+                lu.solve_panel(&mut l21);
                 // A NaN (from a vanishing pivot) sticks, where `f64::max`
                 // would drop it.
                 let max_l = l21.as_slice().iter().map(|v| v.abs()).fold(0.0, |m, a| {

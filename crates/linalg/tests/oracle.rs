@@ -462,6 +462,10 @@ fn ldlt_oracle<T: TestScalar>(seed: u64) {
         let (l, d) = ldlt_dense_factors(&f);
         let ldlt = matmul(&matmul(&l, &d), &l.transpose());
         assert_close(&ldlt, &a, "L D Lᵀ reconstruction");
+        // Entry-wise too: `L₂₁ = W D⁻ᵀ` comes out of a panel solve on the
+        // sub-diagonal panel where it lies, ragged last block included.
+        let err = max_abs_diff(&ldlt, &a);
+        assert!(err <= 1e-13 * n as f64, "n={n}: |L D Lᵀ - A| = {err:.3e}");
 
         let elem = std::mem::size_of::<T>();
         let bound = (n * (n + NB) / 2 + n) * elem + 64 * n;

@@ -2,9 +2,11 @@
 //!
 //! * [`bessel`] — double-precision Bessel functions `J0, J1, Y0, Y1` and the
 //!   Hankel function `H0^(1)` needed by the 2-D Helmholtz kernel (Eq. 19 of
-//!   the paper). Ported from the Cephes rational approximations and
-//!   validated against high-precision reference values, the Wronskian
-//!   identity, and the ascending series.
+//!   the paper), one argument at a time or over a slice: fixed-length
+//!   ascending series and Hankel asymptotic expansions, validated against
+//!   high-precision reference values and the Wronskian identity.
+//! * [`log`] — the natural logarithm over a slice, one vectorised lane
+//!   formula (what the Laplace kernel's column evaluation ends in).
 //! * [`gauss`] — Gauss–Legendre rules with runtime node computation (no
 //!   tabulated magic constants).
 //! * [`quad`] — adaptive 1-D quadrature and a nested adaptive `dblquad`
@@ -18,10 +20,12 @@
 
 pub mod bessel;
 pub mod gauss;
+pub mod log;
 pub mod quad;
 pub mod singular;
 
-pub use bessel::{hankel0_1, j0, j1, y0, y1};
+pub use bessel::{hankel0_1, hankel0_1_slice, j0, j1, y0, y1};
 pub use gauss::GaussLegendre;
+pub use log::{ln, ln_slice};
 pub use quad::{adaptive_quad, dblquad};
 pub use singular::{helmholtz_self_integral, laplace_log_self_integral};
