@@ -56,7 +56,10 @@
 //! right-hand side, inside the factorization world before the gather.
 
 use super::serve::{solve_resident_mat, ServeState};
-use super::{box_near_region, get_box, get_ids, order_key, owned_leaf_ids, region_of, RankState};
+use super::{
+    box_near_region, get_box, get_ids, order_key, owned_leaf_ids, region_of, RankState, RankTop,
+    TopShare,
+};
 use crate::colored::eliminate_color_round;
 use crate::elimination::{apply_output, BoxElimination, EliminationOutput, FactorError};
 use crate::levels::assemble_parent_block;
@@ -138,9 +141,6 @@ fn decode_and_apply_update<K: Kernel>(
     let skel_positions: Vec<usize> = get_ids(r).into_iter().map(|v| v as usize).collect();
     let skel_ids = get_ids(r);
     let was_eliminated = skel_ids.len() != act.get(&b).len();
-    if was_eliminated {
-        store.shrink_box(&b, &skel_positions);
-    }
     // INVARIANT: this frame was encoded by a peer rank under the matching tag
     // and the transport delivers whole messages, so decode cannot truncate
     let n_replaced = r.get_u64() as usize;
@@ -151,6 +151,9 @@ fn decode_and_apply_update<K: Kernel>(
         // INVARIANT: this frame was encoded by a peer rank under the matching tag
         // and the transport delivers whole messages, so decode cannot truncate
         replaced.push((x, y, r.get_mat::<K::Elem>()));
+    }
+    if was_eliminated {
+        store.shrink_box(&b, &skel_positions, &replaced);
     }
     for (x, y, m) in replaced {
         store.insert(x, y, m);
@@ -270,7 +273,7 @@ type RankOutput<T> = Result<
 >;
 
 /// A rank's factorization-phase output: its records and routing state,
-/// plus (rank 0 only) the dense top factorization.
+/// plus (rank 0 only) the dense top factorization, whole.
 pub(crate) type FactorPhaseOutcome<T> = Result<(RankState<T>, RankTop<T>), FactorError>;
 
 /// The factorization half of a rank's work: the level sweep (interior
@@ -384,20 +387,18 @@ pub(crate) fn factor_phase<K: Kernel>(
         gather_top(ctx, grid, tree, &mut store, &mut act, top_level, &cctx)?
     };
     state.stats.total_s = t_total.elapsed().as_secs_f64();
-    if let Some(dir) = &opts.checkpoint_dir {
-        write_rank_checkpoint(dir, me, &state, &top, pts, grid, opts);
-    }
     Ok((state, top))
 }
 
-/// Snapshot this rank's factor-phase output into `dir/rank_{me}.ckpt`
-/// (rank 0 additionally writes the run manifest) — the persistence hook
-/// behind [`FactorOpts::checkpoint_dir`] and
-/// [`crate::Solver::restore_resident`]. Runs the moment the factor sweep
-/// completes, on both serving modes and both transports (on TCP every
-/// rank is its own process and writes its own file).
-fn write_rank_checkpoint<T: Scalar>(
-    dir: &std::path::Path,
+/// Snapshot what this rank will serve from into `dir/rank_{me}.ckpt`
+/// (rank 0 additionally writes the run manifest) when
+/// [`FactorOpts::checkpoint_dir`] is set — the persistence hook behind
+/// [`crate::Solver::restore_resident`]. Runs the moment the rank holds
+/// its final state — after the factor sweep in a gathered build, after
+/// the top's block columns were dealt out in a resident one — on both
+/// transports (on TCP every rank is its own process and writes its own
+/// file).
+pub(super) fn write_rank_checkpoint<T: Scalar>(
     me: usize,
     state: &RankState<T>,
     top: &RankTop<T>,
@@ -405,6 +406,9 @@ fn write_rank_checkpoint<T: Scalar>(
     grid: &ProcessGrid,
     opts: &FactorOpts,
 ) {
+    let Some(dir) = &opts.checkpoint_dir else {
+        return;
+    };
     use crate::wire::{
         encode_rank_snapshot, geometry_hash, rank_ckpt_name, scalar_tag, write_container,
         write_manifest, CkptManifest,
@@ -439,19 +443,149 @@ fn write_rank_checkpoint<T: Scalar>(
     }
 }
 
-/// This rank's resident record footprint: what it holds when records stay
-/// in place (records plus, on rank 0, the dense top factorization).
+/// This rank's resident factor footprint: its records plus its share of
+/// the dense top factorization.
 pub(crate) fn resident_bytes<T: Scalar>(state: &RankState<T>, top: &RankTop<T>) -> u64 {
     let records: usize = state
         .records
         .iter()
         .map(|(_, r)| r.heap_bytes())
         .sum::<usize>();
-    let top: usize = top
-        .as_ref()
-        .map(|(idx, top)| top.heap_bytes() + idx.capacity() * 4)
-        .unwrap_or(0);
-    (records + top) as u64
+    (records + top.as_ref().map_or(0, TopShare::heap_bytes)) as u64
+}
+
+/// Cut `col_bytes.len()` consecutive block columns into one contiguous
+/// range per owner so that `loads[i]` plus the bytes of owner `i`'s
+/// range comes out level: water-fill the column bytes onto the loads
+/// (an owner already above the level gets nothing), then walk the
+/// columns once, closing owner `i`'s range at the column boundary
+/// nearest the running sum of the shares up to `i`. Returns the
+/// `loads.len() + 1` range boundaries.
+fn level_ranges(loads: &[usize], col_bytes: &[usize]) -> Vec<usize> {
+    let total: usize = col_bytes.iter().sum();
+    let mut sorted = loads.to_vec();
+    sorted.sort_unstable();
+    // The level over the `k` lightest owners, for the largest `k` whose
+    // level reaches up to the next owner's load.
+    let (mut level, mut below) = (0, 0);
+    for (k, &load) in sorted.iter().enumerate() {
+        if k > 0 && level <= load {
+            break;
+        }
+        below += load;
+        level = (total + below) / (k + 1);
+    }
+    let mut bounds = vec![0];
+    let (mut k, mut filled, mut target) = (0, 0, 0);
+    for &load in &loads[..loads.len() - 1] {
+        target += level.saturating_sub(load);
+        while k < col_bytes.len() && filled + col_bytes[k] / 2 <= target {
+            filled += col_bytes[k];
+            k += 1;
+        }
+        bounds.push(k);
+    }
+    bounds.push(col_bytes.len());
+    bounds
+}
+
+/// The resident build's last step: deal the block columns of the packed
+/// top, which the factor phase left whole on rank 0, out over the ranks
+/// active at the top level, so that the bytes a rank keeps — records plus
+/// top — are level ([`level_ranges`]). Every active rank reports its
+/// record bytes to rank 0 and gets back its range with its place in the
+/// owner chain, or word that it holds none; rank 0 keeps the first range
+/// and the index map. Block columns move, one range at a time, out of
+/// rank 0's factor into the frame, so no second copy of the top is ever
+/// live. A general top has no block columns to deal and stays a chain of
+/// one.
+///
+/// Rank 0 answers every report even when its own factor phase failed:
+/// the other ranks finished theirs and must reach their serve loops to
+/// be told.
+pub(super) fn scatter_top<T: Scalar>(
+    ctx: &mut RankCtx,
+    grid: &ProcessGrid,
+    top_level: u8,
+    out: FactorPhaseOutcome<T>,
+) -> FactorPhaseOutcome<T> {
+    let me = ctx.rank();
+    let t = tag(top_level, 7, KIND_TOP);
+    let peers: Vec<usize> = grid
+        .active_ranks(top_level)
+        .into_iter()
+        .filter(|&r| r != 0)
+        .collect();
+    if me != 0 {
+        let Ok((state, _)) = &out else {
+            return out;
+        };
+        if !peers.contains(&me) {
+            return out;
+        }
+        let mut w = ByteWriter::new();
+        w.put_u64(resident_bytes(state, &None));
+        ctx.send(0, t, w.finish());
+        let mut r = ByteReader::new(ctx.recv(0, t));
+        // INVARIANT: this frame was encoded by rank 0 under the matching tag and
+        // the transport delivers whole messages, so decode cannot truncate
+        let share = Option::<TopShare<T>>::decode(&mut r)
+            .unwrap_or_else(|e| panic!("malformed top share frame: {e}"));
+        return out.map(|(state, _)| (state, share));
+    }
+    let peer_loads: Vec<usize> = peers
+        .iter()
+        // INVARIANT: same trusted-frame argument, for the one-word report
+        .map(|&src| ByteReader::new(ctx.recv(src, t)).get_u64() as usize)
+        .collect();
+    let Ok((state, Some(mine))) = out else {
+        for &dst in &peers {
+            ctx.send(dst, t, None::<TopShare<T>>.to_bytes());
+        }
+        return out;
+    };
+    let TopShare { idx, mut cols, .. } = mine;
+    let col_bytes: Vec<usize> = match &cols {
+        TopFactor::General(_) => Vec::new(),
+        TopFactor::Symmetric(ldlt) => ldlt
+            .diag_blocks()
+            .iter()
+            .zip(ldlt.sub_panels())
+            .map(|(d, s)| d.heap_bytes() + s.heap_bytes())
+            .collect(),
+    };
+    let mut loads = vec![resident_bytes(&state, &None) as usize + idx.capacity() * 4];
+    loads.extend(peer_loads);
+    let bounds = level_ranges(&loads, &col_bytes);
+    // The chain, as `(rank, first block column)`: rank 0 whatever it
+    // holds, then every peer with a range; the others hold none.
+    let mut chain = vec![(0, 0)];
+    for (&dst, range) in peers.iter().zip(bounds[1..].windows(2)) {
+        if range[0] < range[1] {
+            chain.push((dst, range[0]));
+        } else {
+            ctx.send(dst, t, None::<TopShare<T>>.to_bytes());
+        }
+    }
+    // Last range first, so each one splits off the tail of what is left.
+    if let TopFactor::Symmetric(ldlt) = &mut cols {
+        for j in (1..chain.len()).rev() {
+            let share = TopShare {
+                idx: Vec::new(),
+                cols: TopFactor::Symmetric(ldlt.split_off(chain[j].1)),
+                prev: Some(chain[j - 1].0),
+                next: chain.get(j + 1).map(|&(rank, _)| rank),
+            };
+            ctx.send(chain[j].0, t, Some(share).to_bytes());
+        }
+    }
+    let mine = TopShare {
+        idx,
+        cols,
+        prev: None,
+        next: chain.get(1).map(|&(rank, _)| rank),
+    };
+    Ok((state, Some(mine)))
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -470,6 +604,7 @@ fn run_rank<K: Kernel>(
     // process); storing `false` keeps untraced runs self-cleaning.
     srsf_trace::set_enabled(opts.trace);
     let (state, top) = factor_phase(ctx, kernel, pts, tree, grid, opts, leaf, lmin)?;
+    write_rank_checkpoint(ctx.rank(), &state, &top, pts, grid, opts);
     let bytes = resident_bytes(&state, &top);
     // Snapshot the *algorithmic* communication counters here: everything
     // after this point (solve traffic is reported separately; shipping the
@@ -595,13 +730,6 @@ fn run_phase<K: Kernel>(
         for (b, out) in cboxes.iter().zip(outputs) {
             ctx.compute(|| apply_output(store, act, b, &out, cctx));
             state.stats.compression.absorb(&out.compression);
-            if let Some(rec) = &out.record {
-                state.stats.add_rank(level, rec.skel.len());
-                state.records.push((
-                    order_key(state.stats.leaf_level, level, phase, color, b),
-                    rec.clone(),
-                ));
-            }
             // Post-apply skeleton ids: later merges never touch `act(b)`
             // (deltas land on the block store only), so encoding now is
             // byte-identical to encoding at phase end.
@@ -627,6 +755,12 @@ fn run_phase<K: Kernel>(
                     let w = frames.remove(r).expect("pending frame");
                     ctx.send(*r, tag(level, phase, KIND_PHASE_UPDATE), w.finish());
                 }
+            }
+            // The frames read the output's blocks; the record moves out last.
+            if let Some(rec) = out.record {
+                state.stats.add_rank(level, rec.skel.len());
+                let key = order_key(state.stats.leaf_level, level, phase, color, b);
+                state.records.push((key, rec));
             }
         }
         drop(merge_sp);
@@ -690,10 +824,9 @@ fn level_transition<K: Kernel>(
                 .filter(|((a, b), _)| {
                     a.level == child_level && (grid.owner(a) == me || grid.owner(b) == me)
                 })
-                .map(|((a, b), m)| (*a, *b, m.clone()))
                 .collect();
             w.put_u64(pairs.len() as u64);
-            for (a, b, m) in &pairs {
+            for ((a, b), m) in pairs {
                 put_box(&mut w, a);
                 put_box(&mut w, b);
                 w.put_mat(m);
@@ -838,10 +971,6 @@ fn level_transition<K: Kernel>(
     // without a rendezvous.
 }
 
-/// The dense top factorization (index map + factors), present on rank 0
-/// only.
-pub(crate) type RankTop<T> = Option<(Vec<u32>, TopFactor<T>)>;
-
 /// Gather the remaining active blocks on rank 0 and factor the top.
 fn gather_top<K: Kernel>(
     ctx: &mut RankCtx,
@@ -874,14 +1003,15 @@ fn gather_top<K: Kernel>(
             let pairs: Vec<_> = store
                 .stored_pairs()
                 .filter(|((a, _), _)| a.level == top_level && grid.owner(a) == me)
-                .map(|((a, b), m)| (*a, *b, m.clone()))
                 .collect();
             w.put_u64(pairs.len() as u64);
-            for (a, b, m) in &pairs {
+            for ((a, b), m) in pairs {
                 put_box(&mut w, a);
                 put_box(&mut w, b);
                 w.put_mat(m);
             }
+            // Rank 0 has the level now; nothing reads this copy again.
+            store.drop_level(top_level);
             ctx.send(0, tag(top_level, 6, KIND_TOP), w.finish());
         }
         return Ok(None);
@@ -909,7 +1039,13 @@ fn gather_top<K: Kernel>(
             store.insert(a, b, m);
         }
     }
-    Ok(Some(factor_top(store, act, tree, top_level, cctx)?))
+    let (idx, cols) = factor_top(store, act, tree, top_level, cctx)?;
+    Ok(Some(TopShare {
+        idx,
+        cols,
+        prev: None,
+        next: None,
+    }))
 }
 
 /// Gather all records on rank 0 and assemble the global factorization.
@@ -969,8 +1105,43 @@ fn gather_factorization<T: Scalar>(
         })
         .collect();
     // INVARIANT: rank 0 runs the top-level merge, so its record always exists
-    let (top_idx, top) = top.expect("rank 0 holds the top factorization");
+    let top = top.expect("rank 0 holds the top factorization");
     Ok(Some(Factorization::from_parts(
-        n, records, top_idx, top, stats,
+        n, records, top.idx, top.cols, stats,
     )))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::level_ranges;
+
+    /// Per-owner totals after dealing `cols` out by `bounds`.
+    fn totals(loads: &[usize], cols: &[usize], bounds: &[usize]) -> Vec<usize> {
+        loads
+            .iter()
+            .zip(bounds.windows(2))
+            .map(|(l, w)| l + cols[w[0]..w[1]].iter().sum::<usize>())
+            .collect()
+    }
+
+    #[test]
+    fn level_ranges_fill_the_light_owners_first() {
+        // A top shaped like the real one: 27 block columns shrinking
+        // linearly, four owners with the benchmark's record bytes.
+        let cols: Vec<usize> = (0..27).map(|k| 33_000 + (26 - k) * 32_768).collect();
+        let loads = [13_100_000, 12_600_000, 12_600_000, 12_000_000];
+        let bounds = level_ranges(&loads, &cols);
+        assert_eq!((bounds[0], bounds[4]), (0, 27));
+        assert!(bounds.windows(2).all(|w| w[0] <= w[1]));
+        let t = totals(&loads, &cols, &bounds);
+        let (max, min) = (t.iter().max().unwrap(), t.iter().min().unwrap());
+        assert!(*max as f64 / *min as f64 <= 1.05, "{t:?}");
+
+        // An owner already above the level gets nothing; nor does anyone
+        // when there is nothing to deal (a general top).
+        let bounds = level_ranges(&[100, 5_000_000, 100], &[1000, 1000, 1000, 1000]);
+        assert_eq!(bounds, [0, 2, 2, 4]);
+        assert_eq!(level_ranges(&[7, 1, 3], &[]), [0, 0, 0, 0]);
+        assert_eq!(level_ranges(&[9], &[5, 5]), [0, 2]);
+    }
 }

@@ -14,8 +14,9 @@
 //!   an API artifact outside Algorithm 2's analysis, and it forfeits the
 //!   paper's O(N/p) per-rank memory bound the moment the build returns.
 //! * **Resident** ([`serve`]) — the rank world *stays alive*: records
-//!   remain on the ranks that produced them, rank 0 holds only the dense
-//!   top factorization plus routing metadata, and repeated
+//!   remain on the ranks that produced them, the dense top factorization
+//!   is spread by block columns over the ranks active at the top level,
+//!   rank 0 keeps the routing metadata, and repeated
 //!   `solve`/`solve_mat` calls run Algorithm 2's upward/downward passes
 //!   in place over a request/response command loop
 //!   (`srsf_runtime::world::WorldHandle`). This is the paper's serving
@@ -37,12 +38,13 @@
 mod factorize;
 mod serve;
 
-pub(crate) use factorize::{dist_factorize_with_tree, RankTop};
+pub(crate) use factorize::dist_factorize_with_tree;
 pub use serve::ResidentService;
 pub(crate) use serve::{dist_factorize_resident, restore_resident_service};
 
 use crate::elimination::BoxElimination;
 use crate::stats::FactorStats;
+use crate::top::TopFactor;
 use crate::wire::{try_get_box, try_get_ids};
 use srsf_geometry::point::Point;
 use srsf_geometry::procgrid::ProcessGrid;
@@ -147,6 +149,36 @@ pub(crate) struct RankState<T> {
     pub(crate) fold_ids: HashMap<(u8, usize), Vec<u32>>,
     pub(crate) stats: FactorStats,
 }
+
+/// One rank's share of the factored dense top block: the block columns
+/// it applies in the top solve and its place in the chain of owners the
+/// solve's panel travels along (see [`serve`]). The factor phase leaves
+/// the whole top on rank 0 — a chain of one, which is also all a general
+/// (unsymmetric) top ever is; the resident build then deals the block
+/// columns out.
+pub(crate) struct TopShare<T> {
+    /// Point ids of the top block's rows, in matrix order: on the head
+    /// of the chain (rank 0), which gathers the values into the panel and
+    /// takes them back; empty elsewhere.
+    pub(crate) idx: Vec<u32>,
+    /// The block columns held (`col_span()` of the top's columns).
+    pub(crate) cols: TopFactor<T>,
+    /// Owner of the block columns just before this range (`None`: head).
+    pub(crate) prev: Option<usize>,
+    /// Owner of the block columns just after it (`None`: the panel
+    /// turns round here).
+    pub(crate) next: Option<usize>,
+}
+
+impl<T: srsf_linalg::Scalar> TopShare<T> {
+    /// Resident bytes of the share.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.cols.heap_bytes() + self.idx.capacity() * 4
+    }
+}
+
+/// A rank's share of the top, if it holds one.
+pub(crate) type RankTop<T> = Option<TopShare<T>>;
 
 #[cfg(test)]
 mod tests {

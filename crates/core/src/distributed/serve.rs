@@ -2,18 +2,47 @@
 //! repeated solves in place.
 //!
 //! After [`factor_phase`](super::factorize::factor_phase) completes, each
-//! rank's elimination records **stay where they were produced**: rank 0
-//! holds only the dense top factorization plus routing metadata
-//! (ownership maps, fold ids, per-level active sets), and ranks `1..p`
-//! park in a request/response command loop
-//! ([`serve_rank`]) driven by rank 0 through a live
-//! [`WorldHandle`]. Every [`ResidentService::solve_mat`] then runs
-//! Algorithm 2's solve phase — upward pass with neighbor delta exchange,
-//! dense top solve on rank 0, downward pass with request/reply value
-//! refresh — as one SPMD function executed by all ranks over the existing
-//! `KIND_SOLVE_*` tags, with the rank-local sweeps on the RHS-major panel
-//! kernels of [`crate::solve`] (each rank's working block is `nrhs x n`,
-//! and every frame cut from it `nrhs x |ids|`).
+//! rank's elimination records **stay where they were produced**, the
+//! block columns of the dense top factorization are dealt out over the
+//! ranks active at the top level (below), rank 0 keeps the routing
+//! metadata (ownership maps, fold ids, per-level active sets), and ranks
+//! `1..p` park in a request/response command loop ([`serve_rank`]) driven
+//! by rank 0 through a live [`WorldHandle`]. Every
+//! [`ResidentService::solve_mat`] then runs Algorithm 2's solve phase —
+//! upward pass with neighbor delta exchange, dense top solve along the
+//! owner chain, downward pass with request/reply value refresh — as one
+//! SPMD function executed by all ranks over the existing `KIND_SOLVE_*`
+//! tags, with the rank-local sweeps on the RHS-major panel kernels of
+//! [`crate::solve`] (each rank's working block is `nrhs x n`, and every
+//! frame cut from it `nrhs x |ids|`).
+//!
+//! **Who holds the top.** The factor phase leaves the packed `L D Lᵀ`
+//! of the top on rank 0. The resident build then cuts its 64-wide block
+//! columns into one contiguous range per rank active at the top level —
+//! ranges sized from the exact bytes of every column so that a rank's
+//! records plus its range come out level (`scatter_top` in
+//! [`super::factorize`]) — and moves each range to its owner, rank 0
+//! keeping the first one and the index map. Per-rank factor bytes are
+//! then (records + top) / p rather than records / p + top on rank 0. A
+//! rank whose records already weigh more than the level gets no columns
+//! and is not part of the chain; a general (unsymmetric) top, whose LU
+//! has no independent block columns, stays whole on rank 0, as does the
+//! top of a gathered build: a chain of one owner, run by the same code.
+//!
+//! **Hop order.** The top solve of `X A⁻ᵀ` is a forward and a backward
+//! sweep over block columns, each step touching its own column's blocks
+//! and the panel columns from there to the end. So the panel travels:
+//! rank 0 gathers the top rows from the active ranks as before, applies
+//! the forward steps of its range, and sends the panel columns past its
+//! range to the next owner, which does the same with its range, …; the
+//! last owner turns round, applies its backward steps, and the finished
+//! columns come back down the chain, each owner completing its own range
+//! on the way, until rank 0 holds the whole solved panel and sends the
+//! replies the other ranks wait for. That is `2 (owners − 1)` counted
+//! frames per solve, of at most `nrhs x top` entries, under
+//! `(top level, phase 6 | 7, KIND_SOLVE_UP)` ([`top_chain_step`]); the
+//! `srsf-verify` model `top_chain_token_makes_two_p_minus_one_hops`
+//! explores its interleavings with the value gather and the replies.
 //!
 //! **Bit-exactness.** The resident solve reproduces the gathered
 //! [`Factorization::apply_inverse_mat`](crate::Factorization) sweep *bit
@@ -26,6 +55,10 @@
 //! guarantees no row receives deltas from two different ranks and no rank
 //! both holds phase records and receives non-empty deltas, so the
 //! receive-order of the exchange cannot reorder the serial summation.
+//! The owner chain does not reorder anything either: it performs the
+//! block-column steps of the one-owner sweep in that sweep's order, each
+//! kernel call on the same operands — the same blocks, the same panel
+//! columns, padded to the same tile height — only on different ranks.
 //!
 //! **Counters.** Solve traffic moves under the algorithmic
 //! `KIND_SOLVE_*` tags and lands in the §IV data counters, so
@@ -33,7 +66,11 @@
 //! O(sqrt(N/p)) words. The service *envelope* — command dispatch, the
 //! RHS scatter and solution gather slabs (O(N·nrhs/p) words, the
 //! residency analogue of the old record gather), and stats probes — moves
-//! as uncounted service frames ([`RankCtx::send_service`]).
+//! as uncounted service frames ([`RankCtx::send_service`]). The one-off
+//! dealing out of the top's block columns is counted traffic, sent after
+//! the factor-phase counters were snapshotted: those
+//! ([`ResidentService::comm`]) are Algorithm 2's and equal in both
+//! serving modes, and the scatter shows in a traced build's spans.
 //!
 //! **Shutdown.** Tag-based and Drop-safe: [`ResidentService::shutdown`]
 //! broadcasts a shutdown command and joins the workers through
@@ -49,19 +86,22 @@
 //!
 //! **Checkpoint/restore.** When the factorization ran with
 //! [`FactorOpts::checkpoint_dir`](crate::FactorOpts) set, each rank
-//! persisted its snapshot at factor completion;
+//! persisted its snapshot — records, routing, and its own block columns
+//! of the top with its place in the chain — once it held them;
 //! [`restore_resident_service`] rebuilds a fresh rank world from those
 //! snapshots — no kernel evaluations, no re-factorization — and restored
 //! solves are bit-identical to the original service's.
 
-use super::factorize::{factor_phase, resident_bytes, RankTop};
-use super::{get_ids, key_level_phase, owned_leaf_ids, owner_of_point, region_of, RankState};
+use super::factorize::{factor_phase, resident_bytes, scatter_top, write_rank_checkpoint};
+use super::{
+    get_ids, key_level_phase, owned_leaf_ids, owner_of_point, region_of, RankState, RankTop,
+    TopShare,
+};
 use crate::elimination::FactorError;
 use crate::error::SrsfError;
 use crate::sequential::domain_for;
 use crate::solve::{
-    downward_parts, frame_of, merge_downward, merge_upward, solve_top, upward_parts, RecordPanels,
-    RhsBlock,
+    downward_parts, frame_of, merge_downward, merge_upward, upward_parts, RecordPanels, RhsBlock,
 };
 use crate::stats::FactorStats;
 use crate::wire::put_ids;
@@ -70,6 +110,7 @@ use srsf_geometry::point::Point;
 use srsf_geometry::procgrid::ProcessGrid;
 use srsf_geometry::tree::{BoxId, QuadTree};
 use srsf_kernels::kernel::Kernel;
+use srsf_linalg::panel::panel_rows;
 use srsf_linalg::{Mat, Scalar};
 use srsf_runtime::codec::{ByteReader, ByteWriter, Wire};
 use srsf_runtime::tags::{
@@ -115,7 +156,7 @@ type DeltaRoute = Vec<(usize, Vec<u32>, Vec<u32>)>;
 type IdsByRank = Vec<(usize, Vec<u32>)>;
 
 /// One rank's resident solve state: its own elimination records in global
-/// elimination order, the solve-routing metadata, and (rank 0 only) the
+/// elimination order, the solve-routing metadata, and its share of the
 /// dense top factorization.
 ///
 /// Records, geometry, and ownership are fixed at factorization time, so
@@ -141,14 +182,15 @@ pub(crate) struct ServeState<T> {
     /// Rank 0 only: the top-solve reply partition — which `top_idx`
     /// entries each active rank owns.
     top_reply: IdsByRank,
-    /// The dense top factorization (rank 0 only).
+    /// This rank's block columns of the dense top factorization and its
+    /// place in the owner chain (`None`: it holds none).
     top: RankTop<T>,
     leaf: u8,
     lmin: u8,
     top_level: u8,
     /// This rank's slab rows, in the canonical row-major leaf-box order.
     owned_leaf_ids: Vec<u32>,
-    /// Resident footprint: records plus (rank 0) the top factorization.
+    /// Resident footprint: records plus the share of the top.
     bytes: u64,
 }
 
@@ -230,12 +272,13 @@ impl<T: Scalar> ServeState<T> {
         // Rank 0's top reply partition.
         let top_level = lmin.min(leaf);
         let top_reply = match &top {
-            Some((top_idx, _)) => grid
+            Some(share) if me == 0 => grid
                 .active_ranks(top_level)
                 .into_iter()
                 .filter(|&r| r != 0)
                 .map(|dst| {
-                    let ids: Vec<u32> = top_idx
+                    let ids: Vec<u32> = share
+                        .idx
                         .iter()
                         .copied()
                         .filter(|&id| owner_of_point(grid, tree, pts, id, top_level) == dst)
@@ -243,7 +286,7 @@ impl<T: Scalar> ServeState<T> {
                     (dst, ids)
                 })
                 .collect(),
-            None => Vec::new(),
+            _ => Vec::new(),
         };
 
         Self {
@@ -379,7 +422,7 @@ pub(super) fn solve_resident_mat<T: Scalar>(
         }
     }
 
-    // ---- Top solve on rank 0 ---------------------------------------------
+    // ---- Top solve: gathered on rank 0, swept along the owner chain -------
     let top_sp = srsf_trace::span!(srsf_trace::Cat::Solve, "solve top level {}", st.top_level);
     let active_top = grid.active_ranks(st.top_level);
     if me == 0 {
@@ -392,9 +435,19 @@ pub(super) fn solve_resident_mat<T: Scalar>(
             let rows: Mat<T> = r.get_mat();
             x.scatter(&ids, &rows);
         }
-        // INVARIANT: rank 0 runs the top-level merge, so its record always exists
-        let (top_idx, top) = st.top.as_ref().expect("rank 0 holds the top");
-        solve_top(top_idx, top, x, &mut panels.r);
+    } else if active_top.contains(&me) {
+        let ids = st.owned_act_ids(st.top_level);
+        let mut w = ByteWriter::new();
+        put_ids(&mut w, &ids);
+        w.put_mat(&x.frame(&ids));
+        ctx.send(0, tag(st.top_level, 6, KIND_SOLVE_VAL), w.finish());
+    }
+    // An owner takes its turn in the chain before it waits for rank 0's
+    // reply: the reply leaves rank 0 only once the panel is back there.
+    if let Some(share) = &st.top {
+        top_chain_step(ctx, st.top_level, share, x, &mut panels.r)?;
+    }
+    if me == 0 {
         for (dst, ids) in &st.top_reply {
             let mut w = ByteWriter::new();
             put_ids(&mut w, ids);
@@ -402,11 +455,6 @@ pub(super) fn solve_resident_mat<T: Scalar>(
             ctx.send(*dst, tag(st.top_level, 7, KIND_SOLVE_VAL), w.finish());
         }
     } else if active_top.contains(&me) {
-        let ids = st.owned_act_ids(st.top_level);
-        let mut w = ByteWriter::new();
-        put_ids(&mut w, &ids);
-        w.put_mat(&x.frame(&ids));
-        ctx.send(0, tag(st.top_level, 6, KIND_SOLVE_VAL), w.finish());
         let payload = ctx.try_recv(0, tag(st.top_level, 7, KIND_SOLVE_VAL))?;
         let mut r = ByteReader::new(payload);
         let ids = get_ids(&mut r);
@@ -487,6 +535,90 @@ pub(super) fn solve_resident_mat<T: Scalar>(
         let mut w = ByteWriter::new();
         w.put_mat(&x.frame(&st.owned_leaf_ids));
         ctx.send_service(0, TAG_SERVE_SOL, w.finish());
+    }
+    Ok(())
+}
+
+/// One owner's turn in the top solve. The panel — right-hand sides in
+/// rows, the top block's columns from this owner's first to the last —
+/// arrives from the previous owner (on the head of the chain: is
+/// gathered from the block), takes the forward sweep of the block columns
+/// held, goes on to the next owner without the columns just finished and
+/// comes back with everything after them final, takes the backward
+/// sweep, and returns to the previous owner (on the head: to the block).
+/// The last owner turns the panel round. Frames carry exactly `nrhs`
+/// rows; each owner pads them back to the tile height the head gathered
+/// at, so every kernel call sees the operands of the one-owner sweep.
+fn top_chain_step<T: Scalar>(
+    ctx: &mut RankCtx,
+    top_level: u8,
+    share: &TopShare<T>,
+    x: &mut RhsBlock<T>,
+    panel: &mut Mat<T>,
+) -> Result<(), RecvError> {
+    let span = share.cols.col_span();
+    let width = share.cols.dim() - span.start;
+    let (fwd, bwd) = (
+        tag(top_level, 6, KIND_SOLVE_UP),
+        tag(top_level, 7, KIND_SOLVE_UP),
+    );
+    // Panel columns by position: all of them, and those past the range.
+    let all: Vec<u32> = (0..width as u32).collect();
+    let rest = &all[span.len()..];
+    match share.prev {
+        None => x.gather(&share.idx, panel),
+        Some(prev) => {
+            // INVARIANT: this frame was encoded by a peer rank under the matching tag
+            // and the transport delivers whole messages, so decode cannot truncate
+            let rows: Mat<T> = ByteReader::new(ctx.try_recv(prev, fwd)?).get_mat();
+            assert_eq!(
+                (rows.nrows(), rows.ncols()),
+                (x.nrhs(), width),
+                "top panel frame shape"
+            );
+            rows.gather_cols_into(&all, panel_rows::<T>(x.nrhs()), panel);
+        }
+    }
+    {
+        let _sp = srsf_trace::span!(
+            srsf_trace::Cat::Solve,
+            "top forward cols {}..{}",
+            span.start,
+            span.end
+        );
+        share.cols.forward_cols(panel);
+    }
+    if let Some(next) = share.next {
+        let mut w = ByteWriter::new();
+        w.put_mat(&frame_of(panel, rest, x.nrhs()));
+        ctx.send(next, fwd, w.finish());
+        // INVARIANT: same trusted-frame argument as above
+        let rows: Mat<T> = ByteReader::new(ctx.try_recv(next, bwd)?).get_mat();
+        assert_eq!(
+            (rows.nrows(), rows.ncols()),
+            (x.nrhs(), rest.len()),
+            "top panel frame shape"
+        );
+        for (&j, k) in rest.iter().zip(0..) {
+            panel.col_mut(j as usize)[..rows.nrows()].copy_from_slice(rows.col(k));
+        }
+    }
+    {
+        let _sp = srsf_trace::span!(
+            srsf_trace::Cat::Solve,
+            "top backward cols {}..{}",
+            span.start,
+            span.end
+        );
+        share.cols.backward_cols(panel);
+    }
+    match share.prev {
+        None => x.scatter(&share.idx, panel),
+        Some(prev) => {
+            let mut w = ByteWriter::new();
+            w.put_mat(&frame_of(panel, &all, x.nrhs()));
+            ctx.send(prev, bwd, w.finish());
+        }
     }
     Ok(())
 }
@@ -725,7 +857,7 @@ impl<T: Scalar> ResidentService<T> {
         self.n
     }
 
-    /// Size of the dense top block (resident on rank 0).
+    /// Size of the dense top block.
     pub fn top_size(&self) -> usize {
         self.top_size
     }
@@ -747,8 +879,8 @@ impl<T: Scalar> ResidentService<T> {
         &self.per_rank_records
     }
 
-    /// Resident factor bytes held by each rank (records; plus the top
-    /// factorization on rank 0).
+    /// Resident factor bytes held by each rank: its records plus its
+    /// block columns of the top factorization.
     pub fn bytes_per_rank(&self) -> &[usize] {
         &self.per_rank_bytes
     }
@@ -1013,11 +1145,16 @@ pub(crate) fn dist_factorize_resident<K: Kernel>(
         // own process); storing `false` keeps untraced runs self-cleaning.
         srsf_trace::set_enabled(opts.trace);
         let me = ctx.rank();
-        let out =
-            factor_phase(ctx, kernel, pts, tree, grid, opts, leaf, lmin).map(|(state, top)| {
-                ServeState::from_rank_state(state, top, tree, pts, grid, leaf, lmin, me)
-            });
-        (out, ctx.stats())
+        let out = factor_phase(ctx, kernel, pts, tree, grid, opts, leaf, lmin);
+        // The factor-phase counters are Algorithm 2's and the same in both
+        // serving modes; dealing the top out is residency's own one-off
+        // traffic and shows in the cumulative counters (`comm_probe`).
+        let factor_comm = ctx.stats();
+        let out = scatter_top(ctx, grid, lmin.min(leaf), out).map(|(state, top)| {
+            write_rank_checkpoint(me, &state, &top, pts, grid, opts);
+            ServeState::from_rank_state(state, top, tree, pts, grid, leaf, lmin, me)
+        });
+        (out, factor_comm)
     };
     let serve_geo = geo.clone();
     let serve = move |ctx: &mut RankCtx, s: FactorOut<K::Elem>| {
@@ -1098,7 +1235,7 @@ pub(crate) fn dist_factorize_resident<K: Kernel>(
         stats.peak_store_bytes = stats.peak_store_bytes.max(ws.peak_store_bytes);
         stats.compression.absorb(&ws.compression);
     }
-    stats.top_size = st.top.as_ref().map(|(idx, _)| idx.len()).unwrap_or(0);
+    stats.top_size = st.top.as_ref().map_or(0, |share| share.idx.len());
     stats.record_bytes = per_rank_bytes.iter().sum();
 
     let owned: Vec<Vec<u32>> = (0..p).map(|r| owned_leaf_ids(tree, grid, r)).collect();
@@ -1212,6 +1349,14 @@ pub(crate) fn restore_resident_service<T: Scalar>(
         let payload = read_container(&path, scalar_tag::<T>()).map_err(|e| e.to_string())?;
         let (state, top) =
             decode_rank_snapshot::<T>(payload).map_err(|e| format!("{}: {e}", path.display()))?;
+        // A chain link is a rank of this world other than the holder.
+        let links = top.iter().flat_map(|share| [share.prev, share.next]);
+        if links.flatten().any(|r| r >= p || r == me) {
+            return Err(format!(
+                "{}: top share links outside the world",
+                path.display()
+            ));
+        }
         Ok(ServeState::from_rank_state(
             state, top, &tree, pts, &grid, leaf, lmin, me,
         ))
@@ -1281,7 +1426,7 @@ pub(crate) fn restore_resident_service<T: Scalar>(
         stats.peak_store_bytes = stats.peak_store_bytes.max(ws.peak_store_bytes);
         stats.compression.absorb(&ws.compression);
     }
-    stats.top_size = st.top.as_ref().map(|(idx, _)| idx.len()).unwrap_or(0);
+    stats.top_size = st.top.as_ref().map_or(0, |share| share.idx.len());
     stats.record_bytes = per_rank_bytes.iter().sum();
 
     let owned: Vec<Vec<u32>> = (0..p).map(|r| owned_leaf_ids(&tree, &grid, r)).collect();

@@ -407,8 +407,9 @@ pub fn apply_output<K: Kernel>(
         // Either empty box or full-rank ID: nothing changes.
         return;
     }
-    // 1. Restrict stored far-ring pairs involving B to the skeleton rows/cols.
-    store.shrink_box(b, &out.skel_positions);
+    // 1. Restrict the stored pairs involving B that step 2 does not
+    // overwrite — the distance-2 ring — to the skeleton rows/cols.
+    store.shrink_box(b, &out.skel_positions, &out.replaced);
     // 2. Install replacement blocks (the (B,B), (B,n), (n,B) pairs).
     for (ra, rb, m) in &out.replaced {
         store.insert(*ra, *rb, m.clone());

@@ -127,7 +127,7 @@ impl<T: Scalar> RhsBlock<T> {
     }
 
     /// Gather points `idx` into `panel`, zero-padded to the tile height.
-    fn gather(&self, idx: &[u32], panel: &mut Mat<T>) {
+    pub(crate) fn gather(&self, idx: &[u32], panel: &mut Mat<T>) {
         self.0
             .gather_cols_into(idx, panel_rows::<T>(self.nrhs()), panel);
     }

@@ -372,9 +372,11 @@ impl<T: Scalar> Solver<T> {
     }
 
     /// Peak resident factor bytes over ranks ([`Driver::Distributed`]
-    /// only): what the most loaded rank holds when records stay in place.
-    /// In gather mode this reports what the ranks held *before* shipping
-    /// their records to rank 0 — the footprint residency would keep.
+    /// only): what the most loaded rank holds when records stay in place
+    /// and the top's block columns are dealt out. In gather mode this
+    /// reports what the ranks held at the end of the factor sweep, *before*
+    /// shipping their records to rank 0 — the dense top still whole on
+    /// rank 0.
     pub fn memory_bytes_max_rank(&self) -> Option<usize> {
         self.per_rank_bytes
             .as_ref()
@@ -649,9 +651,10 @@ impl<'a, K: Kernel> SolverBuilder<'a, K> {
 
     /// Residency mode for [`Driver::Distributed`] (default: off). When
     /// on, `build` returns a solver backed by a **live resident rank
-    /// world**: elimination records stay on the ranks that produced them
-    /// (rank 0 holds only the dense top factorization and routing
-    /// metadata — it never assembles the global record set), and every
+    /// world**: elimination records stay on the ranks that produced them,
+    /// the dense top factorization is spread by block columns over the
+    /// ranks active at the top level (rank 0 keeps the routing metadata —
+    /// it never assembles the global record set), and every
     /// [`Solver::solve`]/[`Solver::solve_mat`] runs Algorithm 2's solve
     /// phase in place over a request/response command loop. This is the
     /// serving deployment of the paper: O(N/p) factor memory per rank and

@@ -216,15 +216,28 @@ impl<'a, K: Kernel> BlockStore<'a, K> {
     }
 
     /// After box `b` was eliminated, restrict every stored block involving
-    /// `b` (excluding `(b, b)`, which the caller replaces outright) to the
-    /// surviving positions `keep` of its former active set.
-    pub fn shrink_box(&mut self, b: &BoxId, keep: &[usize]) {
+    /// `b` to the surviving positions `keep` of its former active set —
+    /// except `(b, b)` and the pairs listed in `replaced`, which the
+    /// caller overwrites outright next (the elimination's post-Schur
+    /// blocks: every near neighbour's pair on the eliminating rank, so
+    /// that what is left to restrict there is the distance-2 ring).
+    pub fn shrink_box(
+        &mut self,
+        b: &BoxId,
+        keep: &[usize],
+        replaced: &[(BoxId, BoxId, Mat<K::Elem>)],
+    ) {
+        let replaced: Vec<PairKey> = replaced.iter().map(|(x, y, _)| self.key(x, y).0).collect();
         for d in within_dist2(b) {
-            if let Some(m) = self.blocks.get_mut(&(*b, d)) {
-                *m = m.select_rows(keep);
+            if !replaced.contains(&(*b, d)) {
+                if let Some(m) = self.blocks.get_mut(&(*b, d)) {
+                    *m = m.select_rows(keep);
+                }
             }
-            if let Some(m) = self.blocks.get_mut(&(d, *b)) {
-                *m = m.select_cols(keep);
+            if !replaced.contains(&(d, *b)) {
+                if let Some(m) = self.blocks.get_mut(&(d, *b)) {
+                    *m = m.select_cols(keep);
+                }
             }
         }
     }
@@ -435,7 +448,7 @@ pub(crate) mod tests {
         act.set(d, vec![20, 21]);
         store.insert(b, d, Mat::from_fn(4, 2, |i, j| (10 * i + j) as f64));
         store.insert(d, b, Mat::from_fn(2, 4, |i, j| (100 * i + j) as f64));
-        store.shrink_box(&b, &[1, 3]);
+        store.shrink_box(&b, &[1, 3], &[]);
         let bd = store.get_stored(&b, &d).unwrap();
         assert_eq!(bd.nrows(), 2);
         assert_eq!(bd[(0, 0)], 10.0);
@@ -456,11 +469,16 @@ pub(crate) mod tests {
         let d = bid(3, 5, 4); // stored as (d, b)
         let m = Mat::from_fn(4, 2, |i, j| (10 * i + j) as f64);
         store.insert(b, d, m.clone());
-        store.shrink_box(&b, &[1, 3]);
+        store.shrink_box(&b, &[1, 3], &[]);
         assert_eq!(*store.get_stored(&b, &d).unwrap(), m.select_rows(&[1, 3]));
-        store.shrink_box(&d, &[1]);
+        store.shrink_box(&d, &[1], &[]);
         assert_eq!(*store.get_stored(&b, &d).unwrap(), m.select(&[1, 3], &[1]));
         assert_eq!(store.n_blocks(), 1);
+        // A pair the caller is about to overwrite is left as it is,
+        // whichever direction names it.
+        let untouched = store.get_stored(&b, &d).unwrap().into_owned();
+        store.shrink_box(&d, &[0], &[(b, d, Mat::zeros(0, 0))]);
+        assert_eq!(*store.get_stored(&b, &d).unwrap(), untouched);
     }
 
     #[test]

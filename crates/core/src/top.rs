@@ -9,6 +9,13 @@
 //! `top x top` square is never allocated. Every other kernel, and a
 //! symmetric top whose `L D Lᵀ` breaks down, takes the general path: the
 //! full square and a partially pivoted LU.
+//!
+//! The solve of either form is a forward and a backward sweep over
+//! 64-wide block columns that touch nothing but the column being applied
+//! and the panel columns from it to the end. The sequential and colored
+//! drivers run both over the whole factor; the resident distributed
+//! service deals the block columns of the packed form out over its ranks
+//! and runs the same two sweeps range by range ([`TopFactor`]).
 
 use crate::elimination::FactorError;
 use crate::skeletonize::CompressionCtx;
@@ -17,7 +24,14 @@ use srsf_geometry::tree::{BoxId, QuadTree};
 use srsf_kernels::kernel::Kernel;
 use srsf_linalg::{Ldlt, Lu, Mat, Scalar, SymPanels};
 
-/// The factored dense top block.
+/// The factored dense top block — or, where the top is spread over a
+/// rank world (`distributed::serve`), one rank's contiguous range of the
+/// packed form's block columns. The solve is two sweeps that visit one
+/// block column at a time ([`TopFactor::forward_cols`],
+/// [`TopFactor::backward_cols`]), so it runs range by range wherever the
+/// ranges live; [`TopFactor::solve_panel`] is the two sweeps over a
+/// factor held whole. A general LU is never split: its one holder's
+/// forward sweep is `L⁻¹P`, its backward sweep `U⁻¹`.
 #[derive(Clone, Debug)]
 pub enum TopFactor<T> {
     /// Partially pivoted LU of the full square.
@@ -36,17 +50,48 @@ impl<T: Scalar> TopFactor<T> {
         }
     }
 
+    /// The columns of the top block this value's sweeps finish: all of
+    /// them unless it is a range of a spread `L D Lᵀ`.
+    pub fn col_span(&self) -> core::ops::Range<usize> {
+        match self {
+            TopFactor::General(lu) => 0..lu.dim(),
+            TopFactor::Symmetric(ldlt) => ldlt.col_span(),
+        }
+    }
+
+    /// `true` when no part of the factor lives elsewhere.
+    pub fn is_whole(&self) -> bool {
+        self.col_span() == (0..self.dim())
+    }
+
     /// In-place multi-RHS solve on an RHS-major panel (`h x dim`, one
     /// right-hand side per row; see `srsf_linalg::panel`):
     /// `X := X A_top^{-T}`, the transpose of `B := A_top^{-1} B`.
     pub fn solve_panel(&self, x: &mut Mat<T>) {
+        assert!(self.is_whole(), "solve_panel needs the whole top factor");
+        self.forward_cols(x);
+        self.backward_cols(x);
+    }
+
+    /// Forward sweep of the columns held, on the panel columns from
+    /// `col_span().start` to the end (`h x (dim - col_span().start)`).
+    pub fn forward_cols(&self, x: &mut Mat<T>) {
         match self {
-            TopFactor::General(lu) => lu.solve_panel(x),
-            TopFactor::Symmetric(ldlt) => ldlt.solve_panel(x),
+            TopFactor::General(lu) => lu.forward_panel(x),
+            TopFactor::Symmetric(ldlt) => ldlt.forward_cols(x),
         }
     }
 
-    /// Approximate heap footprint in bytes.
+    /// Backward sweep of the columns held, on the same panel columns,
+    /// everything past `col_span().end` final.
+    pub fn backward_cols(&self, x: &mut Mat<T>) {
+        match self {
+            TopFactor::General(lu) => lu.backward_panel(x),
+            TopFactor::Symmetric(ldlt) => ldlt.backward_cols(x),
+        }
+    }
+
+    /// Approximate heap footprint in bytes (of the columns held).
     pub fn heap_bytes(&self) -> usize {
         match self {
             TopFactor::General(lu) => lu.heap_bytes(),

@@ -8,7 +8,7 @@
 //! [`CodecError`], not a panic). The same encodings also serve the
 //! record-gather messages inside the distributed factorization itself.
 
-use crate::distributed::{RankState, RankTop};
+use crate::distributed::{RankState, RankTop, TopShare};
 use crate::elimination::{BoxElimination, FactorError};
 use crate::error::SrsfError;
 use crate::sequential::Factorization;
@@ -243,10 +243,11 @@ impl Wire for FactorStats {
     }
 }
 
-/// A form tag (0 = general LU, 1 = packed `L D Lᵀ`) ahead of the factors.
-/// Either form's decoder pins every LU's pivots to its dimension and to
-/// their own rows (`Lu::is_well_formed`), so a solve cannot index out of
-/// bounds on a frame that passed the CRC.
+/// A form tag (0 = general LU, 1 = packed `L D Lᵀ`, all of its block
+/// columns or a range of them) ahead of the factors. Either form's
+/// decoder pins every LU's pivots to its dimension and to their own rows
+/// (`Lu::is_well_formed`), so a solve cannot index out of bounds on a
+/// frame that passed the CRC.
 impl<T: Scalar> Wire for TopFactor<T> {
     fn encode(&self, w: &mut ByteWriter) {
         match self {
@@ -273,37 +274,61 @@ impl<T: Scalar> Wire for TopFactor<T> {
     }
 }
 
-/// The top block as `(index map, factors)`, the two agreeing on the
-/// dimension.
-fn put_top<T: Scalar>(w: &mut ByteWriter, top_idx: &[u32], top: &TopFactor<T>) {
-    put_ids(w, top_idx);
-    top.encode(w);
-}
-
-fn try_get_top<T: Scalar>(r: &mut ByteReader) -> Result<(Vec<u32>, TopFactor<T>), CodecError> {
-    let top_idx = try_get_ids(r)?;
-    let at = r.position();
-    let top = TopFactor::decode(r)?;
-    if top.dim() != top_idx.len() {
-        return Err(CodecError::Invalid {
-            what: "top factor dimension vs index map",
-            at,
-        });
+/// A rank's share of the top: index map, block columns, chain links.
+/// The index map goes with the head of the chain and with nobody else,
+/// and there it agrees with the factor's dimension; no owner links to
+/// itself.
+impl<T: Scalar> Wire for TopShare<T> {
+    fn encode(&self, w: &mut ByteWriter) {
+        put_ids(w, &self.idx);
+        self.cols.encode(w);
+        self.prev.encode(w);
+        self.next.encode(w);
     }
-    Ok((top_idx, top))
+    fn decode(r: &mut ByteReader) -> Result<Self, CodecError> {
+        let at = r.position();
+        let share = TopShare {
+            idx: try_get_ids(r)?,
+            cols: TopFactor::decode(r)?,
+            prev: Wire::decode(r)?,
+            next: Wire::decode(r)?,
+        };
+        let idx_len = match share.prev {
+            None => share.cols.dim(),
+            Some(_) => 0,
+        };
+        if share.idx.len() != idx_len || (share.prev.is_some() && share.prev == share.next) {
+            return Err(CodecError::Invalid {
+                what: "top share index map and chain links",
+                at,
+            });
+        }
+        Ok(share)
+    }
 }
 
+/// The top goes out as the one-owner share it is: index map and whole
+/// factor, no links.
 impl<T: Scalar> Wire for Factorization<T> {
     fn encode(&self, w: &mut ByteWriter) {
         w.put_u64(self.n as u64);
         self.records.encode(w);
-        put_top(w, &self.top_idx, &self.top);
+        put_ids(w, &self.top_idx);
+        self.top.encode(w);
         self.stats.encode(w);
     }
     fn decode(r: &mut ByteReader) -> Result<Self, CodecError> {
         let n = r.try_get_u64()? as usize;
         let records = Wire::decode(r)?;
-        let (top_idx, top) = try_get_top(r)?;
+        let top_idx = try_get_ids(r)?;
+        let at = r.position();
+        let top = TopFactor::decode(r)?;
+        if top.dim() != top_idx.len() || !top.is_whole() {
+            return Err(CodecError::Invalid {
+                what: "top factor dimension vs index map",
+                at,
+            });
+        }
         let stats = FactorStats::decode(r)?;
         Ok(Factorization::from_parts(n, records, top_idx, top, stats))
     }
@@ -335,7 +360,9 @@ const CKPT_MAGIC: &[u8; 8] = b"SRSFCKP1";
 /// v4: the top block carries a form tag (general LU | packed `L D Lᵀ`).
 /// v5: rank snapshots drop the per-record `(level, phase)` table (the
 /// order key carries both).
-const CKPT_VERSION: u64 = 5;
+/// v6: a packed `L D Lᵀ` carries the range of block columns held, and a
+/// rank snapshot its share of the top (range and chain links).
+const CKPT_VERSION: u64 = 6;
 /// Header length in bytes.
 const CKPT_HEADER: usize = 40;
 /// Scalar tag of the scalar-independent manifest file.
@@ -502,10 +529,10 @@ pub(crate) fn rank_ckpt_name(rank: usize) -> String {
     format!("rank_{rank}.ckpt")
 }
 
-/// Encode one rank's factor-phase output — its [`RankState`] plus (rank 0
-/// only) the dense top factorization — as a snapshot payload. HashMaps go
-/// out key-sorted so the bytes (and hence the container CRC) are
-/// deterministic.
+/// Encode what one rank serves from — its [`RankState`] plus its share
+/// of the dense top factorization, if it holds one — as a snapshot
+/// payload. HashMaps go out key-sorted so the bytes (and hence the
+/// container CRC) are deterministic.
 pub(crate) fn encode_rank_snapshot<T: Scalar>(state: &RankState<T>, top: &RankTop<T>) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.put_u64(state.records.len() as u64);
@@ -533,13 +560,7 @@ pub(crate) fn encode_rank_snapshot<T: Scalar>(state: &RankState<T>, top: &RankTo
         put_ids(&mut w, ids);
     }
     state.stats.encode(&mut w);
-    match top {
-        Some((idx, top)) => {
-            w.put_u64(1);
-            put_top(&mut w, idx, top);
-        }
-        None => w.put_u64(0),
-    }
+    top.encode(&mut w);
     w.finish()
 }
 
@@ -577,17 +598,7 @@ pub(crate) fn decode_rank_snapshot<T: Scalar>(
         fold_ids.insert((level, member), try_get_ids(&mut r)?);
     }
     let stats = FactorStats::decode(&mut r)?;
-    let at = r.position();
-    let top = match r.try_get_u64()? {
-        0 => None,
-        1 => Some(try_get_top(&mut r)?),
-        _ => {
-            return Err(CodecError::Invalid {
-                what: "rank snapshot top discriminant",
-                at,
-            })
-        }
-    };
+    let top = Option::<TopShare<T>>::decode(&mut r)?;
     Ok((
         RankState {
             records,
@@ -670,6 +681,73 @@ mod tests {
             let back = FactorError::from_bytes(e.to_bytes()).unwrap();
             assert_eq!(format!("{back}"), format!("{e}"));
         }
+    }
+
+    /// A rank snapshot carries the rank's share of the top — block-column
+    /// range and chain links — and a share whose index map or links
+    /// cannot be a chain's fails to decode.
+    #[test]
+    fn rank_snapshot_carries_the_top_share() {
+        use srsf_linalg::ldlt::NB;
+        let n = NB + 3;
+        let lu = |d: usize| Lu {
+            lu: Mat::from_fn(d, d, |i, j| if i == j { 2.0 } else { 0.25 }),
+            piv: (0..d).collect(),
+        };
+        let mut head = srsf_linalg::Ldlt::from_parts(
+            n,
+            vec![lu(NB), lu(3)],
+            vec![Mat::from_fn(3, NB, |i, j| (i + j) as f64), Mat::zeros(0, 3)],
+        )
+        .expect("consistent shapes");
+        let tail = head.split_off(1);
+        let shares = [
+            TopShare {
+                idx: (0..n as u32).collect(),
+                cols: TopFactor::Symmetric(head),
+                prev: None,
+                next: Some(2),
+            },
+            TopShare {
+                idx: Vec::new(),
+                cols: TopFactor::Symmetric(tail),
+                prev: Some(0),
+                next: None,
+            },
+        ];
+        for share in shares {
+            let state = RankState::<f64> {
+                records: vec![(7, sample_record(1.5))],
+                act_end: HashMap::new(),
+                fold_ids: HashMap::new(),
+                stats: FactorStats::new(9, 2),
+            };
+            let want = share.to_bytes();
+            let bytes = encode_rank_snapshot(&state, &Some(share));
+            let (back, top) = decode_rank_snapshot::<f64>(bytes).expect("decode");
+            assert_eq!(back.records.len(), 1);
+            assert_eq!(top.expect("share").to_bytes(), want);
+        }
+        let bend = |f: &dyn Fn(&mut TopShare<f64>)| {
+            let mut share = TopShare {
+                idx: Vec::new(),
+                cols: TopFactor::General(lu(3)),
+                prev: Some(1),
+                next: Some(2),
+            };
+            f(&mut share);
+            TopShare::<f64>::from_bytes(share.to_bytes())
+        };
+        assert!(bend(&|_| ()).is_ok());
+        assert!(
+            bend(&|s| s.idx = vec![0, 1, 2]).is_err(),
+            "index map off the head"
+        );
+        assert!(
+            bend(&|s| s.prev = None).is_err(),
+            "head without its index map"
+        );
+        assert!(bend(&|s| s.next = Some(1)).is_err(), "a two-rank loop");
     }
 
     #[test]

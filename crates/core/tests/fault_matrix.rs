@@ -259,6 +259,50 @@ fn crash_in_the_gathered_in_world_solve_fails_the_build_typed() {
     );
 }
 
+/// The top solve's panel is lost between two middle owners of the chain:
+/// the link between ranks 1 and 2 goes down after the (single) upward
+/// barrier, so the forward hop 1 -> 2 never arrives. Every rank is then
+/// inside a bounded receive or barrier — rank 2 for the hop, rank 3 for
+/// its own, rank 1 and rank 0 for the panel's way back — so the solve
+/// fails typed, naming the next owner and the chain's step, within the
+/// receive timeout; the degraded world drops without a hang.
+#[test]
+fn lost_hop_in_the_top_chain_is_typed_and_bounded() {
+    let grid = UnitGrid::new(32);
+    let kernel = LaplaceKernel::new(&grid);
+    let pts = grid.points();
+    let plan = FaultPlan::seeded(37).with_cut(1, 2, 1);
+    let solver = resident(&kernel, &pts, 4, Transport::InProc.with_faults(plan));
+    let b = random_mat::<f64>(pts.len(), 3, 77);
+
+    let t0 = Instant::now();
+    let err = solver.try_solve_mat(&b).expect_err("the panel is lost");
+    assert!(
+        t0.elapsed() < Duration::from_secs(20),
+        "failure detection took {:?} — not bounded by the receive timeout",
+        t0.elapsed()
+    );
+    match &err {
+        SrsfError::RankFailed { rank, step } => {
+            assert_eq!(*rank, 1, "rank 0 waits on the next owner: {err}");
+            assert!(step.contains("SOLVE_UP"), "not a chain hop: {step}");
+        }
+        other => panic!("expected RankFailed, got {other}"),
+    }
+    assert_eq!(solver.try_solve_mat(&b).expect_err("poisoned"), err);
+    let t1 = Instant::now();
+    drop(solver);
+    assert!(
+        t1.elapsed() < Duration::from_secs(20),
+        "reaping the survivors took {:?}",
+        t1.elapsed()
+    );
+    // (Had ranks 1 and 2 not been neighbours in the chain, the cut would
+    // have hit nothing and the solve succeeded.) The slate is clean:
+    let again = resident(&kernel, &pts, 4, Transport::InProc);
+    let _ = again.solve_mat(&b);
+}
+
 /// A permanently cut link during factorization fails the build with a
 /// typed `RankFailed` within the receive timeout instead of hanging.
 #[test]
@@ -310,6 +354,7 @@ fn checkpoint_restore_serves_bit_identical_solutions() {
         .records_per_rank()
         .expect("per-rank records")
         .to_vec();
+    let bytes = original.memory_bytes_per_rank().expect("bytes").to_vec();
     original.shutdown().expect("shutdown");
 
     let restored = Solver::restore_resident(&pts, &dir, Transport::InProc).expect("restore");
@@ -318,6 +363,12 @@ fn checkpoint_restore_serves_bit_identical_solutions() {
         restored.records_per_rank().expect("per-rank records"),
         &records[..],
         "restored record distribution differs"
+    );
+    // Every rank's snapshot carried its own block columns of the top.
+    assert_eq!(
+        restored.memory_bytes_per_rank().expect("bytes"),
+        &bytes[..],
+        "restored per-rank bytes differ"
     );
     for rep in 0..2 {
         let got = restored.try_solve_mat(&b).expect("restored solve");

@@ -23,6 +23,9 @@ use srsf_kernels::util::random_vector;
 use srsf_linalg::{c64, Mat, Scalar};
 use srsf_runtime::{set_tcp_child_args, Transport};
 
+mod common;
+use common::HideSymmetry;
+
 fn opts() -> FactorOpts {
     FactorOpts::default().with_tol(1e-8).with_leaf_size(16)
 }
@@ -101,6 +104,19 @@ fn assert_resident_equivalent<K: Kernel>(
             max_rank,
             gathered.memory_bytes()
         );
+        // The top's block columns left rank 0 for the other ranks, and
+        // dealing them out added no byte.
+        let spread = resident.memory_bytes_per_rank().expect("per-rank bytes");
+        let on_rank0 = gathered.memory_bytes_per_rank().expect("per-rank bytes");
+        assert_eq!(
+            spread.iter().sum::<usize>(),
+            on_rank0.iter().sum::<usize>(),
+            "p={p}: sum of per-rank bytes"
+        );
+        assert!(
+            spread[0] < on_rank0[0] && spread.iter().zip(on_rank0).skip(1).all(|(s, g)| s >= g),
+            "p={p}: the top did not leave rank 0: {spread:?} vs {on_rank0:?}"
+        );
     }
     assert_eq!(resident.n_records(), gathered.n_records());
     assert_eq!(resident.top_size(), gathered.top_size());
@@ -122,7 +138,7 @@ fn assert_resident_equivalent<K: Kernel>(
     }
 
     // Factor once, serve repeatedly: blocked multi-RHS ...
-    for nrhs in [1usize, 7, 64] {
+    for nrhs in [1usize, 3, 7, 16, 64] {
         let b = random_mat::<K::Elem>(pts.len(), nrhs, 1000 + nrhs as u64);
         let want = gathered.solve_mat(&b);
         for rep in 0..2 {
@@ -360,4 +376,120 @@ fn resident_build_with_solution_matches_serving() {
         .expect("resident build+solve");
     let again = solver.solve(&b);
     assert_eq!(x, again, "served solve repeats the build-time solution");
+}
+
+fn helmholtz(grid: &UnitGrid) -> HelmholtzKernel {
+    HelmholtzKernel::new(grid, 20.0)
+}
+
+/// The owner chain of the top solve at its longest here: sixteen ranks,
+/// complex blocks.
+#[test]
+fn resident_matches_gathered_bitwise_helmholtz_c64_p16() {
+    let grid = UnitGrid::new(32);
+    assert_resident_equivalent(&helmholtz(&grid), &grid.points(), 16, Transport::InProc);
+}
+
+/// The same equivalence with every rank a process, so that the block
+/// columns of the top and the hops of its solve cross real sockets. One
+/// TCP session per test function (see `transport_equiv.rs`).
+macro_rules! resident_tcp_case {
+    ($name:ident, $kernel:expr, $p:expr) => {
+        #[test]
+        fn $name() {
+            set_tcp_child_args(Some(vec![stringify!($name).into(), "--exact".into()]));
+            let grid = UnitGrid::new(32);
+            assert_resident_equivalent(&$kernel(&grid), &grid.points(), $p, Transport::Tcp);
+        }
+    };
+}
+
+resident_tcp_case!(
+    resident_tcp_matches_gathered_laplace_p4,
+    LaplaceKernel::new,
+    4
+);
+resident_tcp_case!(
+    resident_tcp_matches_gathered_laplace_p16,
+    LaplaceKernel::new,
+    16
+);
+resident_tcp_case!(resident_tcp_matches_gathered_helmholtz_p4, helmholtz, 4);
+resident_tcp_case!(resident_tcp_matches_gathered_helmholtz_p16, helmholtz, 16);
+
+/// Per-rank factor bytes at the paper's scale: with the top's block
+/// columns dealt out the heaviest rank is within 1.25x of the lightest at
+/// p = 4 and 1.6x at p = 16 (it was 2.06x and 5.73x with the top on
+/// rank 0), and not a byte is added: the sum is the gathered build's.
+#[test]
+fn top_block_columns_level_the_per_rank_bytes() {
+    let grid = UnitGrid::new(128);
+    let kernel = LaplaceKernel::new(&grid);
+    let pts = grid.points();
+    for (p, bound) in [(4, 1.25), (16, 1.6)] {
+        let build = |resident: bool| {
+            Solver::builder(&kernel, &pts)
+                .tol(1e-6)
+                .driver(Driver::distributed(p))
+                .resident(resident)
+                .build()
+                .expect("build")
+        };
+        let spread = build(true).memory_bytes_per_rank().expect("bytes").to_vec();
+        let on_rank0 = build(false)
+            .memory_bytes_per_rank()
+            .expect("bytes")
+            .to_vec();
+        let ratio = |v: &[usize]| {
+            *v.iter().max().expect("ranks") as f64 / *v.iter().min().expect("ranks") as f64
+        };
+        assert!(
+            ratio(&spread) <= bound,
+            "p={p}: max/min {:.3} > {bound} ({spread:?})",
+            ratio(&spread)
+        );
+        assert!(ratio(&on_rank0) > bound, "p={p}: nothing to level");
+        assert_eq!(
+            spread.iter().sum::<usize>(),
+            on_rank0.iter().sum::<usize>(),
+            "p={p}: sum of per-rank bytes"
+        );
+    }
+}
+
+/// A general (unsymmetric-mode) top is never split: the chain has one
+/// owner, rank 0, and the resident world still solves to contract and to
+/// the gathered build's bits.
+#[test]
+fn general_top_stays_on_one_owner_and_solves_to_contract() {
+    let grid = UnitGrid::new(32);
+    let kernel = HideSymmetry(LaplaceKernel::new(&grid));
+    let pts = grid.points();
+    let build = |resident: bool| {
+        Solver::builder(&kernel, &pts)
+            .opts(opts())
+            .driver(Driver::distributed(4))
+            .resident(resident)
+            .build()
+            .expect("build")
+    };
+    let (resident, gathered) = (build(true), build(false));
+    assert_eq!(
+        resident.memory_bytes_per_rank().expect("bytes"),
+        gathered.memory_bytes_per_rank().expect("bytes"),
+        "a general top stays where it was factored"
+    );
+    let b = random_mat::<f64>(pts.len(), 3, 4000);
+    let x = resident.solve_mat(&b);
+    assert_mat_bits(
+        &x,
+        &gathered.solve_mat(&b),
+        "general top, resident vs gathered",
+    );
+    let all: Vec<usize> = (0..pts.len()).collect();
+    let a = srsf_linalg::DenseOp::new(kernel.block(&pts, &all, &all));
+    for j in 0..b.ncols() {
+        let r = srsf_linalg::relative_residual(&a, x.col(j), b.col(j));
+        assert!(r < 1e-6, "column {j}: relres {r:.3e} at tol 1e-8");
+    }
 }

@@ -550,6 +550,8 @@ fn ldlt_round_trip_and_shape_rejection() {
     for piv in [vec![0, 1, 2, 4], vec![0, 1, 2, 0]] {
         let mut w = ByteWriter::new();
         w.put_u64(4);
+        w.put_u64(0);
+        w.put_u64(1);
         Lu {
             lu: good.diag_blocks()[0].lu.clone(),
             piv,
@@ -561,6 +563,81 @@ fn ldlt_round_trip_and_shape_rejection() {
             Err(CodecError::Invalid { .. })
         ));
     }
+}
+
+/// A range of the packed top's block columns — what a rank of the
+/// resident world holds and its snapshot carries — survives the wire by
+/// value, byte for byte; a truncated frame, a range outside the matrix's
+/// block columns, panels of another column's height and an ill-formed
+/// diagonal block all fail to decode.
+#[test]
+fn ldlt_column_range_round_trip_and_rejection() {
+    let mut rng = Rng::new(101);
+    let n = 3 * NB + 5; // four block columns
+    let whole = gen_ldlt(&mut rng, n, Rng::finite_f64);
+    for (from, to) in [(0, 4), (0, 1), (1, 3), (2, 4), (3, 4), (4, 4), (0, 0)] {
+        let mut head = whole.clone();
+        let _ = head.split_off(to);
+        let range = head.split_off(from);
+        assert_eq!(range.cols(), from..to);
+        let bytes = range.to_bytes();
+        let back = Ldlt::<f64>::from_bytes(bytes.clone()).expect("decode");
+        assert_eq!((back.dim(), back.cols()), (n, from..to));
+        assert_eq!(back.to_bytes(), bytes);
+        assert_eq!(back.heap_bytes(), range.heap_bytes(), "decoded capacity");
+        assert_eq!(back.is_whole(), (from, to) == (0, 4));
+        for cut in (0..bytes.len()).step_by(if cfg!(miri) { 512 } else { 64 }) {
+            assert!(decode_total::<Ldlt<f64>>("Ldlt range", &bytes[..cut]).is_err());
+        }
+    }
+    // Words of the frame: dimension, first block column, count.
+    let mut mid = whole.clone();
+    let mid = mid.split_off(1);
+    let frame = |first: u64, count: Option<u64>| {
+        let mut bytes = mid.to_bytes();
+        bytes[8..16].copy_from_slice(&first.to_le_bytes());
+        if let Some(c) = count {
+            bytes[16..24].copy_from_slice(&c.to_le_bytes());
+        }
+        bytes
+    };
+    let cases = [
+        ("panels of the block column before", frame(0, None)),
+        ("a range running past the last block column", frame(2, None)),
+        ("a first column far outside", frame(u64::MAX - 1, None)),
+        ("a count the frame cannot hold", frame(1, Some(1 << 40))),
+    ];
+    for (what, bytes) in cases {
+        assert!(
+            decode_total::<Ldlt<f64>>("Ldlt range", &bytes).is_err(),
+            "{what} decoded"
+        );
+    }
+    // A gathered factorization holds its top whole: a frame with a range
+    // in that place — dimension and index map in agreement — is refused.
+    let mut w = ByteWriter::new();
+    w.put_u64(n as u64);
+    Vec::<BoxElimination<f64>>::new().encode(&mut w);
+    w.put_u64_slice(&vec![0; n]);
+    TopFactor::Symmetric(mid.clone()).encode(&mut w);
+    gen_stats(&mut rng).encode(&mut w);
+    assert!(matches!(
+        decode_total::<Factorization<f64>>("Factorization<f64>", &w.finish()),
+        Err(CodecError::Invalid { .. })
+    ));
+    // A pivot above its row in the range's first diagonal block.
+    let mut w = ByteWriter::new();
+    for word in [n, 1, 1] {
+        w.put_u64(word as u64);
+    }
+    let mut d = mid.diag_blocks()[0].clone();
+    d.piv[NB - 1] = 0;
+    d.encode(&mut w);
+    w.put_mat(&mid.sub_panels()[0]);
+    assert!(matches!(
+        decode_total::<Ldlt<f64>>("Ldlt range", &w.finish()),
+        Err(CodecError::Invalid { .. })
+    ));
 }
 
 /// Both top forms decode from their tag; any other tag, and a top whose
@@ -793,9 +870,10 @@ fn checkpoint_container_rejects_corruption() {
     bent[8..16].copy_from_slice(&99u64.to_le_bytes());
     expect_rejected(&bent, "future version");
     // The previous layouts (v2: no presence flag, unchecked shapes; v3:
-    // no top form tag; v4: a per-record phase table in rank snapshots)
-    // are refused by their version word, not misread.
-    for old in [2u64, 3, 4] {
+    // no top form tag; v4: a per-record phase table in rank snapshots;
+    // v5: an `L D Lᵀ` without its block-column range) are refused by
+    // their version word, not misread.
+    for old in [2u64, 3, 4, 5] {
         let mut bent = bytes.clone();
         bent[8..16].copy_from_slice(&old.to_le_bytes());
         expect_rejected(&bent, &format!("version-{old} checkpoint"));

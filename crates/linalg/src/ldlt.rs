@@ -183,9 +183,19 @@ impl<T: Scalar> SymPanels<T> {
 /// Packed factors `A = L D Lᵀ` of a symmetric matrix (see the module
 /// docs): per block column the pivoted LU of its diagonal block `D_k` and
 /// the panel `L[k1.., k0..k1]` below it.
+///
+/// A value holds a contiguous range of the block columns — all of them
+/// as [`Ldlt::factor`] returns it. The panel solve touches only the
+/// block column it is applying, so the columns can be dealt out
+/// ([`Ldlt::split_off`]) and the solve run range by range wherever the
+/// ranges live (`Ldlt::forward_cols` / `backward_cols` in
+/// [`crate::panel`]): first to last forward, last to first backward, the
+/// same operations in the same order as on the whole.
 #[derive(Clone, Debug)]
 pub struct Ldlt<T> {
     n: usize,
+    /// Index of the first block column held.
+    first: usize,
     diag: Vec<Lu<T>>,
     sub: Vec<Mat<T>>,
 }
@@ -249,26 +259,50 @@ impl<T: Scalar> Ldlt<T> {
             }
             diag.push(lu);
         }
-        Ok(Self { n, diag, sub })
+        Ok(Self {
+            n,
+            first: 0,
+            diag,
+            sub,
+        })
     }
 
-    /// Rebuild from decoded parts; `None` unless every block has exactly
-    /// the shape [`Ldlt::factor`] produces for an `n x n` matrix and every
-    /// diagonal block is a well-formed LU ([`Lu::is_well_formed`]: pivots
-    /// inside the block and at or below their row, so a solve cannot
-    /// index out of bounds).
+    /// Rebuild all block columns from decoded parts:
+    /// [`Ldlt::from_col_parts`] for the whole range.
     pub fn from_parts(n: usize, diag: Vec<Lu<T>>, sub: Vec<Mat<T>>) -> Option<Self> {
-        let n_cols = n.div_ceil(NB);
-        let ok = diag.len() == n_cols
-            && sub.len() == n_cols
+        Self::from_col_parts(n, 0, diag, sub).filter(Self::is_whole)
+    }
+
+    /// Rebuild the block columns `first .. first + diag.len()` of an
+    /// `n x n` factorization from decoded parts; `None` unless the range
+    /// lies inside the matrix, every block has exactly the shape
+    /// [`Ldlt::factor`] produces there and every diagonal block is a
+    /// well-formed LU ([`Lu::is_well_formed`]: pivots inside the block
+    /// and at or below their row, so a solve cannot index out of bounds).
+    pub fn from_col_parts(
+        n: usize,
+        first: usize,
+        diag: Vec<Lu<T>>,
+        sub: Vec<Mat<T>>,
+    ) -> Option<Self> {
+        let ok = diag.len() == sub.len()
+            && first
+                .checked_add(diag.len())
+                .is_some_and(|end| end <= n.div_ceil(NB))
             && block_cols(n)
+                .skip(first)
                 .zip(diag.iter().zip(&sub))
                 .all(|((k0, nb), (d, s))| {
                     d.dim() == nb
                         && d.is_well_formed()
                         && (s.nrows(), s.ncols()) == (n - k0 - nb, nb)
                 });
-        ok.then_some(Self { n, diag, sub })
+        ok.then_some(Self {
+            n,
+            first,
+            diag,
+            sub,
+        })
     }
 
     /// Matrix dimension.
@@ -276,19 +310,61 @@ impl<T: Scalar> Ldlt<T> {
         self.n
     }
 
-    /// The factored diagonal blocks `D_k`, one per block column.
+    /// The block columns held, as indices into the `dim().div_ceil(NB)`
+    /// block columns of the matrix.
+    pub fn cols(&self) -> core::ops::Range<usize> {
+        self.first..self.first + self.diag.len()
+    }
+
+    /// The matrix columns the held block columns cover.
+    pub fn col_span(&self) -> core::ops::Range<usize> {
+        let cols = self.cols();
+        (cols.start * NB).min(self.n)..(cols.end * NB).min(self.n)
+    }
+
+    /// `true` when every block column of the matrix is held.
+    pub fn is_whole(&self) -> bool {
+        self.cols() == (0..self.n.div_ceil(NB))
+    }
+
+    /// Move the block columns `at..` (an index into the matrix's block
+    /// columns, inside the held range) out into a value of their own;
+    /// `self` keeps those before `at`. No block is copied.
+    pub fn split_off(&mut self, at: usize) -> Self {
+        let cols = self.cols();
+        assert!(
+            cols.start <= at && at <= cols.end,
+            "split point outside the held block columns"
+        );
+        Self {
+            n: self.n,
+            first: at,
+            diag: self.diag.split_off(at - cols.start),
+            sub: self.sub.split_off(at - cols.start),
+        }
+    }
+
+    /// `(first column, width)` of every block column held.
+    pub(crate) fn block_cols(
+        &self,
+    ) -> impl DoubleEndedIterator<Item = (usize, usize)> + ExactSizeIterator {
+        block_cols(self.n).skip(self.first).take(self.diag.len())
+    }
+
+    /// The factored diagonal blocks `D_k`, one per block column held.
     pub fn diag_blocks(&self) -> &[Lu<T>] {
         &self.diag
     }
 
-    /// The sub-diagonal panels of `L`, one per block column (the last is
-    /// empty).
+    /// The sub-diagonal panels of `L`, one per block column held (the
+    /// matrix's last is empty).
     pub fn sub_panels(&self) -> &[Mat<T>] {
         &self.sub
     }
 
-    /// In-place multi-RHS solve `B := A^{-1} B`.
+    /// In-place multi-RHS solve `B := A^{-1} B` (all block columns held).
     pub fn solve_mat(&self, b: &mut Mat<T>) {
+        assert!(self.is_whole(), "solve_mat needs every block column");
         assert_eq!(b.nrows(), self.n);
         let (n, nrhs) = (self.n, b.ncols());
         if nrhs == 0 {
@@ -321,7 +397,7 @@ impl<T: Scalar> Ldlt<T> {
         }
     }
 
-    /// Approximate heap footprint in bytes.
+    /// Approximate heap footprint in bytes of the block columns held.
     pub fn heap_bytes(&self) -> usize {
         self.diag.iter().map(Lu::heap_bytes).sum::<usize>()
             + self.sub.iter().map(Mat::heap_bytes).sum::<usize>()

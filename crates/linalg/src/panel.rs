@@ -37,9 +37,11 @@
 //! triangle on the diagonal — the only scalar code — and subtracts their
 //! rank-four update from the columns still to come.
 //! [`Ldlt::solve_panel`] needs nothing else: a block column of the packed
-//! top is a record with `EN = L21`.
+//! top is a record with `EN = L21`, and since a sweep touches one block
+//! column at a time it runs over any contiguous range of them
+//! ([`Ldlt::forward_cols`], [`Ldlt::backward_cols`]).
 
-use crate::ldlt::{block_cols, Ldlt};
+use crate::ldlt::Ldlt;
 use crate::lu::Lu;
 use crate::mat::Mat;
 use crate::scalar::Scalar;
@@ -456,24 +458,52 @@ impl<T: Scalar> Lu<T> {
 
 impl<T: Scalar> Ldlt<T> {
     /// `X := X A^{-T} = X A^{-1}` on a panel (`h x dim`): the RHS-major
-    /// [`Ldlt::solve_mat`]. Forward, block column `k` updates the panel
-    /// columns below it, `X_below -= X_k L21^T`, and is solved against
-    /// its diagonal block; backward, `X_k -= X_below L21`.
+    /// [`Ldlt::solve_mat`], the two sweeps below over every block column.
     pub fn solve_panel(&self, x: &mut Mat<T>) {
-        assert_eq!(x.ncols(), self.dim(), "panel width != LDLT dimension");
-        let (n, h) = (self.dim(), x.nrows());
+        assert!(self.is_whole(), "solve_panel needs every block column");
+        self.forward_cols(x);
+        self.backward_cols(x);
+    }
+
+    /// The forward sweep of the block columns held, first to last, on the
+    /// panel columns from the first one held to the end
+    /// (`h x (dim - col_span().start)`): block column `k` updates the
+    /// panel columns below it, `X_below -= X_k L21^T`, and is solved
+    /// against its diagonal block. The columns before the range must have
+    /// been swept already; on return those of the range are finished for
+    /// this pass and the rest is what the next range starts from.
+    pub fn forward_cols(&self, x: &mut Mat<T>) {
+        let (c0, h) = (self.col_span().start, x.nrows());
+        assert_eq!(
+            x.ncols(),
+            self.dim() - c0,
+            "panel width != trailing dimension"
+        );
         let x = x.as_mut_slice();
         let cols = self.diag_blocks().iter().zip(self.sub_panels());
-        for ((k0, nb), (lu, l21)) in block_cols(n).zip(cols) {
-            let (head, below) = x.split_at_mut((k0 + nb) * h);
-            let xk = &mut head[k0 * h..];
+        for ((k0, nb), (lu, l21)) in self.block_cols().zip(cols) {
+            let (head, below) = x.split_at_mut((k0 + nb - c0) * h);
+            let xk = &mut head[(k0 - c0) * h..];
             let shape = (l21.nrows(), nb);
             mul_t_acc(h, below, -T::ONE, xk, (l21.as_slice(), l21.nrows()), shape);
             lu.solve_panel_slice(h, xk);
         }
-        for ((k0, nb), l21) in block_cols(n).zip(self.sub_panels()).rev() {
-            let (head, below) = x.split_at_mut((k0 + nb) * h);
-            mul_acc::<T, false>(h, &mut head[k0 * h..], -T::ONE, below, l21);
+    }
+
+    /// The backward sweep of the block columns held, last to first, on
+    /// the same panel columns as [`Ldlt::forward_cols`]:
+    /// `X_k -= X_below L21`, with everything below the range final.
+    pub fn backward_cols(&self, x: &mut Mat<T>) {
+        let (c0, h) = (self.col_span().start, x.nrows());
+        assert_eq!(
+            x.ncols(),
+            self.dim() - c0,
+            "panel width != trailing dimension"
+        );
+        let x = x.as_mut_slice();
+        for ((k0, nb), l21) in self.block_cols().zip(self.sub_panels()).rev() {
+            let (head, below) = x.split_at_mut((k0 + nb - c0) * h);
+            mul_acc::<T, false>(h, &mut head[(k0 - c0) * h..], -T::ONE, below, l21);
         }
     }
 }

@@ -684,6 +684,114 @@ fn panel_ldlt_solve_matches_column_major_c64() {
     panel_ldlt_oracle::<c64>(56);
 }
 
+/// A shape-consistent packed `L D Lᵀ` with random, well-scaled blocks —
+/// what the sweeps see, without the cost of factoring a matrix that
+/// large in a debug build: diagonally dominant LU blocks with pivots that
+/// swap, panels small enough that nothing grows.
+fn rand_ldlt<T: TestScalar>(n: usize, rng: &mut Rng) -> Ldlt<T> {
+    let (mut diag, mut sub) = (Vec::new(), Vec::new());
+    for k0 in (0..n).step_by(NB) {
+        let nb = NB.min(n - k0);
+        let mut lu = rand_mat::<T>(nb, nb, rng);
+        lu.scale_assign(T::from_f64(1.0 / nb as f64));
+        for i in 0..nb {
+            lu[(i, i)] += T::from_f64(2.0);
+        }
+        let piv = (0..nb).map(|k| k + (7 * k + 3) % (nb - k)).collect();
+        diag.push(Lu { lu, piv });
+        let mut l21 = rand_mat::<T>(n - k0 - nb, nb, rng);
+        l21.scale_assign(T::from_f64(1.0 / n as f64));
+        sub.push(l21);
+    }
+    Ldlt::from_parts(n, diag, sub).expect("consistent shapes")
+}
+
+/// The top solve as a chain of owners runs it: forward over the block
+/// columns held, the panel columns past them on to the next owner and
+/// back, backward over the block columns held.
+fn chain_solve<T: Scalar>(owners: &[Ldlt<T>], mut panel: Mat<T>) -> Mat<T> {
+    let (me, rest) = owners.split_first().expect("a chain has a head");
+    me.forward_cols(&mut panel);
+    if !rest.is_empty() {
+        let (h, done) = (panel.nrows(), me.col_span().len());
+        let onward = panel.block(0, done, h, panel.ncols() - done);
+        panel.set_block(0, done, &chain_solve(rest, onward));
+    }
+    me.backward_cols(&mut panel);
+    panel
+}
+
+/// Every way to cut `n_cols` block columns into one to four contiguous
+/// ranges, the first of which may be empty (a head that only gathers) —
+/// at up to eight block columns; beyond that (a debug build sweeps a
+/// 1677-column panel in a second) the cuts over four boundaries.
+fn range_cuts(n_cols: usize) -> Vec<Vec<usize>> {
+    let at: Vec<usize> = if n_cols <= 8 {
+        (0..n_cols).collect()
+    } else {
+        vec![0, 1, n_cols / 2, n_cols - 1]
+    };
+    let mut cuts = vec![Vec::new()];
+    for (i, &a) in at.iter().enumerate() {
+        cuts.push(vec![a]);
+        for (j, &b) in at.iter().enumerate().skip(i + 1) {
+            cuts.push(vec![a, b]);
+            cuts.extend(at[j + 1..].iter().map(|&c| vec![a, b, c]));
+        }
+    }
+    cuts
+}
+
+/// Dealing the block columns out changes no bit and no byte: the chain
+/// over any contiguous ranges equals `Ldlt::solve_panel` on the whole,
+/// and the ranges' footprints add up to the whole's.
+fn ldlt_split_oracle<T: TestScalar>(seed: u64) {
+    for (i, &n) in [63, 64, 65, 200, 1677].iter().enumerate() {
+        let mut rng = Rng::new(seed + i as u64);
+        let f = rand_ldlt::<T>(n, &mut rng);
+        let panels: Vec<(Mat<T>, Mat<T>)> = [1, 3, 16]
+            .iter()
+            .map(|&h| {
+                let x = rand_mat::<T>(h, n, &mut rng);
+                let mut want = x.clone();
+                f.solve_panel(&mut want);
+                (x, want)
+            })
+            .collect();
+        for cuts in range_cuts(n.div_ceil(NB)) {
+            let mut head = f.clone();
+            let mut owners: Vec<Ldlt<T>> = cuts.iter().rev().map(|&c| head.split_off(c)).collect();
+            owners.push(head);
+            owners.reverse();
+            assert_eq!(
+                owners.iter().map(Ldlt::heap_bytes).sum::<usize>(),
+                f.heap_bytes(),
+                "n {n}, cuts {cuts:?}: bytes"
+            );
+            assert!(owners
+                .windows(2)
+                .all(|w| w[0].cols().end == w[1].cols().start));
+            for (x, want) in &panels {
+                let got = chain_solve(&owners, x.clone());
+                let same = got.as_slice().iter().zip(want.as_slice()).all(|(a, b)| {
+                    (a.re().to_bits(), a.im().to_bits()) == (b.re().to_bits(), b.im().to_bits())
+                });
+                assert!(same, "n {n}, cuts {cuts:?}, h {}: bits", x.nrows());
+            }
+        }
+    }
+}
+
+#[test]
+fn ldlt_column_ranges_solve_bitwise_f64() {
+    ldlt_split_oracle::<f64>(59);
+}
+
+#[test]
+fn ldlt_column_ranges_solve_bitwise_c64() {
+    ldlt_split_oracle::<c64>(60);
+}
+
 /// The property the solve sweep's batch invariance rests on: a panel row
 /// gets the same bits whatever the panel height and wherever it sits.
 #[test]

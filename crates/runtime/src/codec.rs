@@ -272,11 +272,29 @@ impl ByteReader {
         self.try_collect(n, Self::try_get_u64)
     }
 
+    /// Read `n` scalars (`n` already validated by [`Self::check_len`])
+    /// in one pass, into a vector of exactly that capacity.
+    fn take_scalars<T: Scalar>(&mut self, n: usize) -> Vec<T> {
+        let w = scalar_bytes::<T>();
+        let bytes = &self.buf[self.pos..self.pos + n * w];
+        let mut out = Vec::with_capacity(n);
+        out.extend(bytes.chunks_exact(w).map(|c| {
+            let word = |at: usize| {
+                let mut b = [0u8; 8];
+                b.copy_from_slice(&c[at..at + 8]);
+                f64::from_le_bytes(b)
+            };
+            T::from_re_im(word(0), if T::IS_COMPLEX { word(8) } else { 0.0 })
+        }));
+        self.pos += n * w;
+        out
+    }
+
     /// Bounds-checked read of a length-prefixed scalar slice.
     pub fn try_get_scalar_slice<T: Scalar>(&mut self) -> Result<Vec<T>, CodecError> {
         let claimed = self.try_get_u64()?;
         let n = self.check_len(claimed, scalar_bytes::<T>())?;
-        self.try_collect(n, Self::try_get_scalar)
+        Ok(self.take_scalars(n))
     }
 
     /// Bounds-checked read of a matrix. The claimed dimensions are
@@ -299,7 +317,7 @@ impl ByteReader {
         }
         let total = nrows * ncols;
         let n = self.check_len(total, scalar_bytes::<T>())?;
-        let data = self.try_collect(n, Self::try_get_scalar)?;
+        let data = self.take_scalars(n);
         Ok(Mat::from_vec(nrows as usize, ncols as usize, data))
     }
 
@@ -618,29 +636,42 @@ impl<T: Scalar> Wire for srsf_linalg::Lu<T> {
     }
 }
 
+/// The block columns held (all of them, or a rank's range of a
+/// distributed top): matrix dimension, first block column, count, then
+/// one (diagonal block, panel) pair per column.
 impl<T: Scalar> Wire for srsf_linalg::Ldlt<T> {
     fn encode(&self, w: &mut ByteWriter) {
         w.put_u64(self.dim() as u64);
+        w.put_u64(self.cols().start as u64);
+        w.put_u64(self.cols().len() as u64);
         for (d, s) in self.diag_blocks().iter().zip(self.sub_panels()) {
             d.encode(w);
             w.put_mat(s);
         }
     }
+    /// Fails unless the range lies inside the matrix's block columns,
+    /// every panel has the height `n - k1` of its column and every
+    /// diagonal block is a well-formed LU.
     fn decode(r: &mut ByteReader) -> Result<Self, CodecError> {
         let at = r.position();
         let n = r.try_get_u64()?;
-        // One (diagonal block, panel) pair per block column; each pair
-        // encodes at least its four dimension words and a pivot count.
-        let n_cols = r.check_len(n.div_ceil(srsf_linalg::ldlt::NB as u64), 40)?;
+        let first = r.try_get_u64()?;
+        // Each pair encodes at least its four dimension words and a
+        // pivot count.
+        let n_cols = r.try_get_u64()?;
+        let n_cols = r.check_len(n_cols, 40)?;
         let (mut diag, mut sub) = (Vec::with_capacity(n_cols), Vec::with_capacity(n_cols));
         for _ in 0..n_cols {
             diag.push(srsf_linalg::Lu::decode(r)?);
             sub.push(r.try_get_mat()?);
         }
-        srsf_linalg::Ldlt::from_parts(n as usize, diag, sub).ok_or(CodecError::Invalid {
-            what: "LDLᵀ block shapes vs dimension",
-            at,
-        })
+        usize::try_from(first)
+            .ok()
+            .and_then(|first| srsf_linalg::Ldlt::from_col_parts(n as usize, first, diag, sub))
+            .ok_or(CodecError::Invalid {
+                what: "LDLᵀ block columns vs dimension",
+                at,
+            })
     }
 }
 

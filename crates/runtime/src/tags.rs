@@ -11,7 +11,9 @@
 //! * `level` — quad-tree level the step belongs to;
 //! * `phase` — `0` = interior elimination, `1..=4` = the four boundary
 //!   color rounds, `5` = fold shipments, `6`/`7` = level-transition,
-//!   top-gather and solve bookkeeping steps;
+//!   top-gather and solve bookkeeping steps (at the top level also the
+//!   top factor's scatter, `7`/`KIND_TOP`, and the forward and backward
+//!   hops of the top solve's panel, `6` and `7`/`KIND_SOLVE_UP`);
 //! * `kind` — which message of the step (see the `KIND_*` constants).
 //!
 //! Keeping the scheme here — in the runtime, next to the transports —

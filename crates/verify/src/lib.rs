@@ -20,10 +20,11 @@
 //! SRSF_MODEL_REPLAY="0,1,1,2" RUSTFLAGS="--cfg srsf_model" cargo test -p srsf-verify <failing test>
 //! ```
 //!
-//! The subsystem models under `tests/` mirror the four concurrent cores
-//! of the solver (transport matching queue, timeout barrier, resident
-//! shutdown handshake, work-stealing claim, fixed-order delta merge) in
-//! a few dozen lines each, small enough to explore exhaustively.
+//! The subsystem models under `tests/` mirror the concurrent cores of
+//! the solver (transport matching queue, timeout barrier, resident
+//! shutdown handshake, work-stealing claim, fixed-order delta merge, the
+//! resident top solve's owner chain) in a few dozen lines each, small
+//! enough to explore exhaustively.
 
 #![forbid(unsafe_code)]
 

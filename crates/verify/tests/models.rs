@@ -774,6 +774,115 @@ fn rank_death_mid_phase_is_observed_by_all_live_ranks() {
 }
 
 // ---------------------------------------------------------------------------
+// Subsystem 9: the top solve's owner chain (core::distributed::serve).
+// The packed top's block columns live on a chain of owners; rank 0 gathers
+// every active rank's values, the panel makes p_top - 1 forward hops (each
+// owner applying its columns before passing the rest on), turns round at
+// the last owner and makes p_top - 1 hops back, and only then does rank 0
+// send the replies the other ranks are waiting for. Value frames, replies
+// and hops share each rank's one inbox and are told apart by (src, tag).
+// An owner must take its turn in the chain *before* it waits for rank 0's
+// reply: the reply is downstream of its own hop.
+// ---------------------------------------------------------------------------
+
+const TOP_VALUES: u32 = 10;
+const TOP_REPLY: u32 = 11;
+const TOP_FWD: u32 = 12;
+const TOP_BWD: u32 = 13;
+
+/// One rank of a `p`-owner chain (rank order). The panel is modeled as a
+/// number each forward step multiplies into and each backward step adds
+/// to, so that any reordering or lost hop changes the result. Returns
+/// what the rank ends up holding and how many hop frames it sent.
+fn top_chain_rank(
+    me: usize,
+    p: usize,
+    rx: &mpsc::Receiver<DFrame>,
+    txs: &[mpsc::Sender<DFrame>],
+    reply_first: bool,
+) -> (u64, usize) {
+    let (mut pending, mut dead) = (Vec::new(), Vec::new());
+    let send = |dst: usize, tag: u32, val: u64| {
+        txs[dst].send(DFrame { src: me, tag, val }).unwrap();
+    };
+    let mut hops = 0;
+    let mut chain_turn = |panel: u64, pending: &mut Vec<DFrame>, dead: &mut Vec<usize>| {
+        let mut panel = panel * 10 + me as u64; // forward sweep of my columns
+        if me + 1 < p {
+            send(me + 1, TOP_FWD, panel);
+            hops += 1;
+            panel = recv_from(rx, pending, dead, me + 1, TOP_BWD).expect("panel back");
+        }
+        panel + 1000 * (me as u64 + 1) // backward sweep of my columns
+    };
+    if me == 0 {
+        let gathered: u64 = (1..p)
+            .map(|src| recv_from(rx, &mut pending, &mut dead, src, TOP_VALUES).expect("values"))
+            .sum();
+        let solved = chain_turn(gathered, &mut pending, &mut dead);
+        for dst in 1..p {
+            send(dst, TOP_REPLY, solved);
+        }
+        return (solved, hops);
+    }
+    send(0, TOP_VALUES, me as u64);
+    let mut reply = None;
+    if reply_first {
+        // BUG: rank 0 replies only once the panel is back, and the panel
+        // cannot come back past an owner that has not taken its turn.
+        reply = recv_from(rx, &mut pending, &mut dead, 0, TOP_REPLY);
+    }
+    let panel = recv_from(rx, &mut pending, &mut dead, me - 1, TOP_FWD).expect("panel");
+    let back = chain_turn(panel, &mut pending, &mut dead);
+    send(me - 1, TOP_BWD, back);
+    hops += 1;
+    let reply = reply.or_else(|| recv_from(rx, &mut pending, &mut dead, 0, TOP_REPLY));
+    (reply.expect("reply"), hops)
+}
+
+/// Three owners, every rank a thread; `reply_first` seeds the ordering
+/// bug on rank 1.
+fn top_chain_round(reply_first: bool) -> Vec<(u64, usize)> {
+    let p = 3;
+    let (txs, rxs): (Vec<_>, Vec<_>) = (0..p).map(|_| mpsc::channel::<DFrame>()).unzip();
+    let mut rxs = rxs.into_iter();
+    let rx0 = rxs.next().unwrap();
+    let workers: Vec<_> = rxs
+        .enumerate()
+        .map(|(i, rx)| {
+            let txs = txs.clone();
+            thread::spawn(move || top_chain_rank(i + 1, p, &rx, &txs, reply_first && i == 0))
+        })
+        .collect();
+    let mut out = vec![top_chain_rank(0, p, &rx0, &txs, false)];
+    out.extend(workers.into_iter().map(|w| w.join().unwrap()));
+    out
+}
+
+#[test]
+fn top_chain_token_makes_two_p_minus_one_hops() {
+    let report = Model::new()
+        .preemption_bound(3)
+        .max_schedules(50_000)
+        .check(|| {
+            let out = top_chain_round(false);
+            // Gathered 1 + 2 = 3; forward 3 -> 30 -> 301 -> 3012; backward
+            // +3000, +2000, +1000: every rank ends with the same solved
+            // value, on every schedule, after 2 (p - 1) = 4 hop frames.
+            assert!(out.iter().all(|&(v, _)| v == 9012), "{out:?}");
+            assert_eq!(out.iter().map(|&(_, h)| h).sum::<usize>(), 4);
+            out
+        });
+    assert!(report.schedules >= 1000, "explored {}", report.schedules);
+}
+
+#[test]
+fn detects_reply_wait_before_chain_turn_as_deadlock() {
+    let msg = expect_failure(Model::new().preemption_bound(2), || top_chain_round(true));
+    assert!(msg.contains("deadlock"), "unexpected failure: {msg}");
+}
+
+// ---------------------------------------------------------------------------
 // Bug detection and deterministic replay.
 // ---------------------------------------------------------------------------
 

@@ -238,8 +238,17 @@ fn run_resident<K: Kernel>(kernel: &K, fast: &FastKernelOp<K::Elem>, grid: &Unit
     for (r, (n, bb)) in records.iter().zip(bytes.iter()).enumerate() {
         println!("{r:>5} {n:>10} {bb:>14}");
     }
+    let (heaviest, lightest) = (
+        *bytes.iter().max().expect("ranks"),
+        *bytes.iter().min().expect("ranks"),
+    );
     println!(
-        "rank 0 holds {} of {} records (top block {} resident on rank 0)",
+        "factor bytes max/min over ranks = {:.3} ({heaviest} / {lightest})",
+        heaviest as f64 / lightest as f64
+    );
+    println!(
+        "rank 0 holds {} of {} records (top block {}: its block columns are \
+         dealt out over the ranks active at the top level)",
         records[0],
         f.n_records(),
         f.top_size()
@@ -278,6 +287,19 @@ fn run_resident<K: Kernel>(kernel: &K, fast: &FastKernelOp<K::Elem>, grid: &Unit
         max_words as f64 / sqrt_np,
         sqrt_np
     );
+    let per_solve = |pick: fn(&srsf::runtime::CommStats) -> u64| -> Vec<u64> {
+        (0..p)
+            .map(|r| (pick(&after.per_rank[r]) - pick(&before.per_rank[r])) / reps as u64)
+            .collect()
+    };
+    // The top solve's panel hops along the owners of the top's block
+    // columns and back: a sending owner's share of these is one or two
+    // messages of up to `top` words per right-hand side.
+    println!(
+        "per-solve msgs per rank = {:?}, words per rank = {:?}",
+        per_solve(|s| s.msgs_sent),
+        per_solve(|s| s.words_sent)
+    );
 
     // The served results are the gathered factorization's blocked sweep,
     // bit for bit — residency changes where records live, not the answer.
@@ -309,6 +331,32 @@ fn run_resident<K: Kernel>(kernel: &K, fast: &FastKernelOp<K::Elem>, grid: &Unit
         println!(
             "trace: wrote Chrome/Perfetto JSON for {} ranks to {path}",
             reports.len()
+        );
+        // The top chain by its spans: the hops are the sends under
+        // KIND_SOLVE_UP in the top level's bookkeeping phases; the one-off
+        // scatter of the block columns is what rank 0 sends under
+        // KIND_TOP (in the top gather it only receives).
+        let sends = |kind: &str, from: std::ops::Range<usize>| -> (usize, u64) {
+            let hits = reports
+                .iter()
+                .filter(|rep| from.contains(&(rep.rank as usize)))
+                .flat_map(|rep| &rep.spans)
+                .filter(|s| {
+                    s.name.starts_with("send ")
+                        && s.name.contains("transition/gather")
+                        && s.name.ends_with(kind)
+                });
+            hits.fold((0, 0), |(n, b), s| (n + 1, b + s.bytes))
+        };
+        let (hops, hop_bytes) = sends("kind SOLVE_UP", 0..p);
+        let (scatter_msgs, scatter_bytes) = sends("kind TOP", 0..1);
+        println!(
+            "top chain: {:.1} messages and {} words per solve over all ranks; \
+             one-off scatter of the top's block columns from rank 0: \
+             {scatter_msgs} messages, {} words",
+            hops as f64 / reps as f64,
+            hop_bytes / 8 / reps as u64,
+            scatter_bytes / 8
         );
     }
 
