@@ -17,16 +17,15 @@
 //!   thread count).
 //! * [`BoxColoring::Nine`] — distance-3 coloring: all writes disjoint,
 //!   lock-free by construction; used as an ablation.
+//!
+//! The level loop is the sequential driver's (`crate::sequential`), cut
+//! into one round per color; this module holds the schemes and the
+//! worker pool that eliminates a round.
 
-use crate::elimination::{apply_output, eliminate_box, EliminationOutput, FactorError};
-use crate::levels::merge_to_parent;
-use crate::sequential::Factorization;
+use crate::elimination::{eliminate_box, EliminationOutput, FactorError};
 use crate::skeletonize::CompressionCtx;
-use crate::stats::FactorStats;
 use crate::store::{ActiveSets, BlockStore};
-use crate::top::factor_top;
 use crate::FactorOpts;
-use srsf_geometry::point::Point;
 pub use srsf_geometry::procgrid::BoxColoring as ColorScheme;
 use srsf_geometry::tree::{BoxId, QuadTree};
 use srsf_kernels::kernel::Kernel;
@@ -35,78 +34,6 @@ use srsf_kernels::kernel::Kernel;
 // `--cfg srsf_model` (see crates/verify).
 use srsf_verify::sync::atomic::{AtomicUsize, Ordering};
 use srsf_verify::sync::OnceLock;
-use std::time::Instant;
-
-/// Factor with the box-colored parallel schedule, `n_threads` worker
-/// threads per color round, against a caller-provided tree (the driver
-/// entry point used by `Solver`).
-pub(crate) fn colored_factorize_with_tree<K: Kernel>(
-    kernel: &K,
-    pts: &[Point],
-    tree: &QuadTree,
-    opts: &FactorOpts,
-    scheme: ColorScheme,
-    n_threads: usize,
-) -> Result<Factorization<K::Elem>, FactorError> {
-    assert!(n_threads >= 1);
-    let t_total = Instant::now();
-    let n = pts.len();
-    let leaf = tree.leaf_level();
-    let mut stats = FactorStats::new(n, leaf);
-    let mut store = BlockStore::new(kernel, pts);
-    let mut act = ActiveSets::new();
-    for id in tree.boxes_at_level(leaf) {
-        act.set(id, tree.leaf_points(&id).to_vec());
-    }
-
-    let lmin = (opts.min_compress_level as u8).min(leaf);
-    let ctx = CompressionCtx::new(kernel, pts, tree, opts);
-    let mut records = Vec::new();
-    if leaf >= lmin && leaf >= 1 {
-        let mut level = leaf;
-        loop {
-            let t0 = Instant::now();
-            for color in 0..scheme.count() {
-                let boxes: Vec<BoxId> = tree
-                    .boxes_at_level(level)
-                    .filter(|b| scheme.color(b) == color)
-                    .collect();
-                let outputs =
-                    eliminate_color_round(&store, &act, tree, &boxes, opts, &ctx, n_threads)?;
-                // Deterministic merge in row-major box order.
-                for (b, out) in boxes.iter().zip(outputs) {
-                    if let Some(rec) = &out.record {
-                        stats.add_rank(level, rec.skel.len());
-                    }
-                    stats.compression.absorb(&out.compression);
-                    apply_output(&mut store, &mut act, b, &out, &ctx);
-                    if let Some(mut rec) = out.record {
-                        // Restamp with this driver's schedule color so the
-                        // threaded solve apply sees whole color rounds.
-                        rec.color = scheme.color(b);
-                        records.push(rec);
-                    }
-                }
-            }
-            stats.eliminate_s += t0.elapsed().as_secs_f64();
-            stats.peak_store_bytes = stats.peak_store_bytes.max(store.heap_bytes());
-            if level == lmin {
-                break;
-            }
-            let t1 = Instant::now();
-            merge_to_parent(&mut store, &mut act, tree, level);
-            stats.merge_s += t1.elapsed().as_secs_f64();
-            level -= 1;
-        }
-    }
-
-    let t2 = Instant::now();
-    let top_level = if leaf >= lmin { lmin } else { leaf };
-    let (top_idx, top) = factor_top(&store, &act, tree, top_level, &ctx)?;
-    stats.top_s = t2.elapsed().as_secs_f64();
-    stats.total_s = t_total.elapsed().as_secs_f64();
-    Ok(Factorization::from_parts(n, records, top_idx, top, stats))
-}
 
 /// Snapshot-compute the eliminations of one color round across threads,
 /// preserving the input box order in the output.

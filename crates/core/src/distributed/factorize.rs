@@ -66,7 +66,7 @@ use crate::levels::assemble_parent_block;
 use crate::sequential::Factorization;
 use crate::skeletonize::CompressionCtx;
 use crate::solve::RhsBlock;
-use crate::stats::FactorStats;
+use crate::stats::{CompressionTelemetry, FactorStats};
 use crate::store::{ActiveSets, BlockStore};
 use crate::top::{factor_top, TopFactor};
 use crate::wire::{put_box, put_ids, ScalarVec};
@@ -1065,10 +1065,7 @@ fn gather_factorization<T: Scalar>(
         }
         // Compression telemetry rides the record frame so rank 0's
         // gathered stats cover every rank's boxes, not just its own.
-        w.put_u64(state.stats.compression.sketch_retries);
-        w.put_u64(state.stats.compression.sketch_fallbacks);
-        w.put_u64(state.stats.compression.fft_block_applies);
-        w.put_u64(state.stats.compression.dense_block_applies);
+        state.stats.compression.encode(&mut w);
         ctx.send(0, tag(0, 7, KIND_RECORDS), w.finish());
         return Ok(None);
     }
@@ -1083,15 +1080,10 @@ fn gather_factorization<T: Scalar>(
         for _ in 0..n_recs {
             keyed.push(decode_record(&mut r));
         }
-        // INVARIANT: same frame as above — the peer appended exactly four
-        // telemetry counters after its records, so decode cannot truncate.
-        let (retries, fallbacks, fft, dense) = (r.get_u64(), r.get_u64(), r.get_u64(), r.get_u64());
-        stats.compression.absorb(&crate::CompressionTelemetry {
-            sketch_retries: retries,
-            sketch_fallbacks: fallbacks,
-            fft_block_applies: fft,
-            dense_block_applies: dense,
-        });
+        // INVARIANT: same trusted-peer argument as `decode_record`
+        let tel = CompressionTelemetry::decode(&mut r)
+            .unwrap_or_else(|e| panic!("malformed record frame telemetry: {e}"));
+        stats.compression.absorb(&tel);
     }
     keyed.sort_by_key(|(k, _)| *k);
     stats.ranks.clear();

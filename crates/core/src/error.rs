@@ -28,9 +28,10 @@ pub enum SrsfError {
     /// [`rank_threads`](crate::FactorOpts::rank_threads)).
     InvalidThreadCount,
     /// An option was set that the selected driver does not support; the
-    /// message names the knob that driver threads through instead. Raised
-    /// rather than silently ignoring the option (e.g. `gemm_threads` is
-    /// sequential-only, `rank_threads` is distributed-only).
+    /// message names what to use instead. Raised rather than silently
+    /// ignoring the option: `rank_threads` is distributed-only, and the
+    /// sequential and colored drivers point at `Driver::colored(threads)`
+    /// and the colored driver's own `threads`.
     UnsupportedOption {
         /// The option that was set.
         option: &'static str,

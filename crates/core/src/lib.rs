@@ -13,7 +13,8 @@
 //! * [`colored`] — the shared-memory reference of Section V-C (the paper's
 //!   C++/OpenMP comparison): all boxes of a level are graph-colored and
 //!   same-color boxes are processed concurrently, with snapshot reads and
-//!   additive merge of Schur updates (provably order-equivalent).
+//!   additive merge of Schur updates (provably order-equivalent). It runs
+//!   the sequential driver's level loop, cut into one round per color.
 //! * [`distributed`] — Algorithm 2, the contribution: leaf boxes are block
 //!   partitioned over a process grid; *interior* boxes factor with zero
 //!   communication, *boundary* boxes in four process-color rounds with
@@ -57,8 +58,8 @@ pub use top::TopFactor;
 /// small seeded Rademacher sketch and pivots on that, verifying the
 /// tolerance a-posteriori and falling back to the full CPQR when the
 /// sketch cannot certify it — see `srsf_linalg::rid` for the algorithm
-/// and `skeletonize` for the block-by-block assembly and the FFT leaf
-/// fast path.
+/// and `skeletonize` for the block-by-block assembly and the symbol-table
+/// leaf blocks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Compression {
@@ -122,24 +123,15 @@ pub struct FactorOpts {
     /// remaining active DOFs above it are finished with a dense
     /// factorization — see [`top`]).
     pub min_compress_level: usize,
-    /// Worker threads the dense GEMM may use for large products inside the
-    /// *sequential* driver (`1` = serial, the default; `0` = auto-detect).
-    /// Sequential-only by contract: the colored driver parallelizes across
-    /// boxes (`Driver::Colored { threads, .. }`) and the distributed
-    /// driver across ranks and per-rank boxes ([`rank_threads`]), so
-    /// setting this with either of those drivers is rejected with
-    /// [`SrsfError::UnsupportedOption`] rather than silently ignored.
-    ///
-    /// [`rank_threads`]: FactorOpts::rank_threads
-    pub gemm_threads: usize,
     /// Worker threads each *distributed* rank uses for its per-phase box
     /// eliminations (`1` = serial, the default). Every rank runs its
     /// phase boxes in four sub-color rounds on a work-stealing pool and
     /// merges in fixed box order, so the factorization is bit-identical
     /// for every value of this knob; see the module docs of
     /// [`distributed`]. Rejected with [`SrsfError::UnsupportedOption`]
-    /// by the sequential and colored drivers (which have their own
-    /// threading levers), and `0` is rejected with
+    /// by the sequential and colored drivers (the colored driver's
+    /// lever is `Driver::Colored { threads, .. }`; the sequential one
+    /// runs on one thread), and `0` is rejected with
     /// [`SrsfError::InvalidThreadCount`].
     pub rank_threads: usize,
     /// Message transport for the distributed driver:
@@ -197,7 +189,6 @@ impl Default for FactorOpts {
             n_proxy_min: 64,
             proxy_osc_factor: 2.0,
             min_compress_level: 3,
-            gemm_threads: 1,
             rank_threads: 1,
             transport: Transport::InProc,
             resident: false,
@@ -248,13 +239,6 @@ impl FactorOpts {
     /// Set the coarsest compressed tree level.
     pub fn with_min_compress_level(mut self, level: usize) -> Self {
         self.min_compress_level = level;
-        self
-    }
-
-    /// Set the GEMM thread budget for the sequential driver's dense
-    /// products (`1` = serial, `0` = auto-detect hardware parallelism).
-    pub fn with_gemm_threads(mut self, threads: usize) -> Self {
-        self.gemm_threads = threads;
         self
     }
 

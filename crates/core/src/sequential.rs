@@ -7,8 +7,13 @@
 //! symmetric kernels, a pivoted LU otherwise). The result approximates
 //! `A^{-1}` as the composition Eq. (12) of per-box operators plus the top
 //! solve.
+//!
+//! The level loop here is also the box-colored driver's (§V-C): the two
+//! differ only in how `factorize_in_rounds` cuts a level's boxes into
+//! rounds — one box per round here, one colour per round there.
 
-use crate::elimination::{apply_output, eliminate_box, BoxElimination, FactorError};
+use crate::colored::eliminate_color_round;
+use crate::elimination::{apply_output, BoxElimination, FactorError};
 use crate::levels::merge_to_parent;
 use crate::skeletonize::CompressionCtx;
 use crate::solve;
@@ -17,7 +22,8 @@ use crate::store::{ActiveSets, BlockStore};
 use crate::top::{factor_top, TopFactor};
 use crate::FactorOpts;
 use srsf_geometry::point::{BBox, Point};
-use srsf_geometry::tree::QuadTree;
+use srsf_geometry::procgrid::BoxColoring;
+use srsf_geometry::tree::{BoxId, QuadTree};
 use srsf_kernels::kernel::Kernel;
 use srsf_linalg::{LinOp, Mat, Scalar};
 use std::time::Instant;
@@ -159,30 +165,42 @@ pub fn domain_for(pts: &[Point]) -> BBox {
     }
 }
 
-/// Factor against a caller-provided tree (shared by drivers and tests).
-///
-/// The sequential driver is the only one that hands the dense kernels a
-/// thread budget (`FactorOpts::gemm_threads`): it owns the whole machine,
-/// whereas the colored/distributed drivers already parallelize across
-/// boxes and ranks. The budget is thread-local and restored on exit, so
-/// it never leaks into callers or sibling drivers.
+/// One round of a level: the boxes eliminated against one snapshot of the
+/// store, in merge order, and the colour their records are stamped with.
+pub(crate) type Round = (u8, Vec<BoxId>);
+
+/// Algorithm 1 against a caller-provided tree: every box its own round,
+/// in row-major order, on one thread — eliminate, then apply, box by box.
+/// A record keeps the stamp
+/// [`eliminate_box`](crate::elimination::eliminate_box) gives it, the
+/// box's four-colouring.
 pub fn factorize_with_tree<K: Kernel>(
     kernel: &K,
     pts: &[Point],
     tree: &QuadTree,
     opts: &FactorOpts,
 ) -> Result<Factorization<K::Elem>, FactorError> {
-    let prev = srsf_linalg::set_gemm_threads(opts.gemm_threads);
-    let result = factorize_with_tree_inner(kernel, pts, tree, opts);
-    srsf_linalg::set_gemm_threads(prev);
-    result
+    factorize_in_rounds(kernel, pts, tree, opts, 1, |level| {
+        tree.boxes_at_level(level)
+            .map(|b| (BoxColoring::Four.color(&b), vec![b]))
+            .collect()
+    })
 }
 
-fn factorize_with_tree_inner<K: Kernel>(
+/// The shared-memory level sweep, parameterised by how `rounds` cuts a
+/// level's boxes into rounds. Each round is eliminated on `threads`
+/// workers against one snapshot of the store
+/// ([`eliminate_color_round`]), then merged in box order; its records
+/// take the round's colour. Same-round boxes must not read what another
+/// one writes — singleton rounds trivially, colour rounds by the §V-C
+/// distance argument ([`crate::colored`]).
+pub(crate) fn factorize_in_rounds<K: Kernel>(
     kernel: &K,
     pts: &[Point],
     tree: &QuadTree,
     opts: &FactorOpts,
+    threads: usize,
+    rounds: impl Fn(u8) -> Vec<Round>,
 ) -> Result<Factorization<K::Elem>, FactorError> {
     let t_total = Instant::now();
     let n = pts.len();
@@ -201,15 +219,19 @@ fn factorize_with_tree_inner<K: Kernel>(
         let mut level = leaf;
         loop {
             let t0 = Instant::now();
-            for b in tree.boxes_at_level(level) {
-                let out = eliminate_box(&store, &act, tree, &b, opts, &ctx)?;
-                if let Some(rec) = &out.record {
-                    stats.add_rank(level, rec.skel.len());
-                }
-                stats.compression.absorb(&out.compression);
-                apply_output(&mut store, &mut act, &b, &out, &ctx);
-                if let Some(rec) = out.record {
-                    records.push(rec);
+            for (color, boxes) in rounds(level) {
+                let outputs =
+                    eliminate_color_round(&store, &act, tree, &boxes, opts, &ctx, threads)?;
+                for (b, out) in boxes.iter().zip(outputs) {
+                    if let Some(rec) = &out.record {
+                        stats.add_rank(level, rec.skel.len());
+                    }
+                    stats.compression.absorb(&out.compression);
+                    apply_output(&mut store, &mut act, b, &out, &ctx);
+                    if let Some(mut rec) = out.record {
+                        rec.color = color;
+                        records.push(rec);
+                    }
                 }
             }
             stats.eliminate_s += t0.elapsed().as_secs_f64();
@@ -232,4 +254,91 @@ fn factorize_with_tree_inner<K: Kernel>(
     stats.total_s = t_total.elapsed().as_secs_f64();
 
     Ok(Factorization::from_parts(n, records, top_idx, top, stats))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::elimination::eliminate_box;
+    use crate::store::tests::HideSymmetry;
+    use srsf_geometry::grid::UnitGrid;
+    use srsf_kernels::helmholtz::HelmholtzKernel;
+    use srsf_kernels::laplace::LaplaceKernel;
+    use srsf_kernels::util::random_vector;
+
+    /// Algorithm 1 as the sequential driver spelled it before it shared
+    /// the level loop: eliminate, then apply, box by box in row-major
+    /// order, records keeping `eliminate_box`'s stamp.
+    fn reference<K: Kernel>(
+        kernel: &K,
+        pts: &[Point],
+        tree: &QuadTree,
+        opts: &FactorOpts,
+    ) -> Factorization<K::Elem> {
+        let leaf = tree.leaf_level();
+        let mut stats = FactorStats::new(pts.len(), leaf);
+        let mut store = BlockStore::new(kernel, pts);
+        let mut act = ActiveSets::new();
+        for id in tree.boxes_at_level(leaf) {
+            act.set(id, tree.leaf_points(&id).to_vec());
+        }
+        let lmin = (opts.min_compress_level as u8).min(leaf);
+        let ctx = CompressionCtx::new(kernel, pts, tree, opts);
+        let mut records = Vec::new();
+        let mut level = leaf;
+        loop {
+            for b in tree.boxes_at_level(level) {
+                let out = eliminate_box(&store, &act, tree, &b, opts, &ctx).expect("eliminate");
+                if let Some(rec) = &out.record {
+                    stats.add_rank(level, rec.skel.len());
+                }
+                stats.compression.absorb(&out.compression);
+                apply_output(&mut store, &mut act, &b, &out, &ctx);
+                if let Some(rec) = out.record {
+                    records.push(rec);
+                }
+            }
+            if level == lmin {
+                break;
+            }
+            merge_to_parent(&mut store, &mut act, tree, level);
+            level -= 1;
+        }
+        let (top_idx, top) = factor_top(&store, &act, tree, lmin, &ctx).expect("top");
+        Factorization::from_parts(pts.len(), records, top_idx, top, stats)
+    }
+
+    fn check<K: Kernel>(kernel: &K, pts: &[Point], label: &str) {
+        // Leaves at level 3, compressed down to level 2: one merge.
+        let opts = FactorOpts::default()
+            .with_leaf_size(16)
+            .with_min_compress_level(2);
+        let tree = QuadTree::build(pts, domain_for(pts), opts.leaf_size);
+        let want = reference(kernel, pts, &tree, &opts);
+        let got = factorize_with_tree(kernel, pts, &tree, &opts).expect("factorize");
+        let stamps = |f: &Factorization<K::Elem>| -> Vec<_> {
+            f.records
+                .iter()
+                .map(|r| (r.box_id, r.level, r.color))
+                .collect()
+        };
+        assert_eq!(got.n_records(), want.n_records(), "{label}: records");
+        assert_eq!(got.stats.ranks, want.stats.ranks, "{label}: ranks");
+        assert_eq!(stamps(&got), stamps(&want), "{label}: colour stamps");
+        let b = random_vector::<K::Elem>(pts.len(), 7);
+        assert!(got.solve(&b) == want.solve(&b), "{label}: solution bits");
+    }
+
+    /// `Driver::Sequential` through the shared level loop is the literal
+    /// Algorithm 1 loop, bit for bit, for a real symmetric, a complex
+    /// symmetric and a general kernel.
+    #[test]
+    fn shared_loop_is_the_literal_algorithm_1() {
+        let grid = UnitGrid::new(32);
+        let pts = grid.points();
+        let laplace = LaplaceKernel::new(&grid);
+        check(&laplace, &pts, "Laplace");
+        check(&HelmholtzKernel::new(&grid, 10.0), &pts, "Helmholtz");
+        check(&HideSymmetry(laplace), &pts, "HideSymmetry(Laplace)");
+    }
 }

@@ -35,23 +35,27 @@
 //! (`2 l ≥ m`) the box falls back to the deterministic
 //! [`interp_decomp`] — accuracy is never worse than the CPQR baseline.
 //!
-//! ## FFT leaf fast path
+//! ## Symbol-table leaf blocks
 //!
 //! At the leaf level the ring blocks of a translation-invariant kernel
 //! ([`Kernel::is_translation_invariant`]) on the uniform unit grid are
 //! untouched kernel evaluations with the structure
 //! `A[i,j] = s_i · t(x_i − x_j) · s_j`. The symbol `t` is tabulated once
 //! per factorization — one kernel evaluation per *offset* — and such
-//! blocks either assemble by table lookup (no transcendentals) or are
-//! applied to the sketch through the [`Toeplitz2D`] circulant embedding:
-//! one scatter, FFT convolution, and gather per sketch row and
-//! direction, without materializing the block at all. Schur updates
-//! destroy the structure above the leaves (and on modified leaf pairs,
-//! which `BlockStore::contains` detects), so those blocks always go the
-//! dense route. A per-box cost model picks whichever application is
-//! cheaper: at the paper's default leaf size (64) the table-assembled
-//! GEMM wins and the FFT convolution stays cold, while large uniform
-//! leaves flip the inequality.
+//! blocks assemble by table lookup, with no transcendentals. Schur
+//! updates destroy the structure on modified pairs, which
+//! `BlockStore::contains` detects; those blocks come from the store.
+//! The sketch reads the table at the leaf level only;
+//! [`CompressionCtx::get_block`] reads it at every level.
+//!
+//! These blocks used to have a second route: a `Toeplitz2D` circulant
+//! embedding applied them to the sketch by FFT convolution without
+//! forming them. A per-box cost model chose between the two, and at the
+//! paper's 64-point leaves it never chose the convolution (0 FFT block
+//! applies on every benchmark workload), while every context still paid
+//! for the symbol's FFT (1 MiB and 2.2 ms at 128²). So the route went.
+//! If large uniform leaves ever make it pay, the design to return to is
+//! SNIPPETS.md #1: one FFT plan and scratch per thread, reused.
 //!
 //! ## Symmetric kernels: the forward half only
 //!
@@ -73,7 +77,6 @@
 
 use crate::store::{ActiveSets, BlockStore};
 use crate::{Compression, CompressionTelemetry, FactorOpts};
-use srsf_fft::toeplitz::Toeplitz2D;
 use srsf_geometry::grid::UnitGrid;
 use srsf_geometry::neighbors::dist2_ring;
 use srsf_geometry::point::Point;
@@ -82,7 +85,7 @@ use srsf_geometry::tree::{BoxId, QuadTree};
 use srsf_kernels::kernel::Kernel;
 use srsf_linalg::gemm::matmul_acc;
 use srsf_linalg::rid::{
-    derive_seed, id_from_sketch, sketch_block, sketch_block_sum, sketch_sign, RID_VERIFY_ROWS,
+    derive_seed, id_from_sketch, sketch_block, sketch_block_sum, RID_VERIFY_ROWS,
 };
 use srsf_linalg::{c64, interp_decomp, IdResult, Mat, Scalar};
 
@@ -95,22 +98,20 @@ struct LevelGeom {
     unit: Vec<Point>,
 }
 
-/// The leaf-level Toeplitz operator of a translation-invariant kernel on
-/// the uniform grid, plus its per-point scaling and the raw symbol table
-/// the operator was built from.
-struct LeafFft {
+/// The symbol of a translation-invariant kernel on the uniform grid,
+/// plus its per-point scaling (module docs, "Symbol-table leaf blocks").
+struct SymbolTable {
     side: usize,
-    toeplitz: Toeplitz2D,
     /// `s_i` per grid point; empty = identity (Laplace).
     scale: Vec<f64>,
     /// Raw symbol `t(dx, dy)`, row-major over `dy, dx ∈ [-(side-1),
     /// side-1]` — one kernel evaluation per *offset* instead of per
-    /// entry, so unmodified leaf blocks assemble by table lookup with no
+    /// entry, so unmodified blocks assemble by table lookup with no
     /// transcendentals.
     table: Vec<c64>,
 }
 
-impl LeafFft {
+impl SymbolTable {
     #[inline]
     fn scale_at(&self, i: usize) -> f64 {
         if self.scale.is_empty() {
@@ -154,16 +155,6 @@ impl LeafFft {
     }
 }
 
-/// Overrides the FFT cost model — tests force the path on small problems
-/// where the model would (correctly) pick dense.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(not(test), allow(dead_code))] // Always/Never are test-only overrides
-pub(crate) enum FftGate {
-    Auto,
-    Always,
-    Never,
-}
-
 /// Immutable per-factorization compression state, built once per driver
 /// (per rank for the distributed driver — the construction is
 /// deterministic, so every rank derives the identical context) and
@@ -175,8 +166,7 @@ pub struct CompressionCtx {
     /// Indexed by tree level `0..=leaf`.
     geoms: Vec<LevelGeom>,
     leaf_level: u8,
-    leaf_fft: Option<LeafFft>,
-    fft_gate: FftGate,
+    symbols: Option<SymbolTable>,
 }
 
 impl CompressionCtx {
@@ -207,8 +197,8 @@ impl CompressionCtx {
             })
             .collect();
         let sketched = matches!(opts.compression, Compression::Sketched { .. });
-        let leaf_fft = if sketched && kernel.is_translation_invariant() {
-            detect_unit_grid(pts).map(|side| build_leaf_fft(kernel, pts, side))
+        let symbols = if sketched && kernel.is_translation_invariant() {
+            detect_unit_grid(pts).map(|side| build_symbol_table(kernel, pts, side))
         } else {
             None
         };
@@ -217,21 +207,15 @@ impl CompressionCtx {
             seed_id: kernel.seed_id(),
             geoms,
             leaf_level: leaf,
-            leaf_fft,
-            fft_gate: FftGate::Auto,
+            symbols,
         }
     }
 
-    #[cfg(test)]
-    pub(crate) fn with_fft_gate(mut self, gate: FftGate) -> Self {
-        self.fft_gate = gate;
-        self
-    }
-
-    /// Whether the leaf FFT operator was built (translation-invariant
-    /// kernel on a detected uniform grid under sketched compression).
+    /// Whether the symbol table was built (translation-invariant kernel
+    /// on a detected uniform grid under sketched compression). The name
+    /// predates the removal of the FFT route; the benchmark reads it.
     pub fn has_leaf_fft(&self) -> bool {
-        self.leaf_fft.is_some()
+        self.symbols.is_some()
     }
 
     fn geom(&self, level: u8) -> &LevelGeom {
@@ -253,19 +237,17 @@ impl CompressionCtx {
         m: &BoxId,
         b: &BoxId,
     ) -> Mat<K::Elem> {
-        if m != b {
-            if let Some(f) = &self.leaf_fft {
-                if self.fft_gate != FftGate::Never && !store.contains(m, b) {
-                    return f.table_block(act.get(m), act.get(b), false);
-                }
+        match &self.symbols {
+            Some(t) if m != b && !store.contains(m, b) => {
+                t.table_block(act.get(m), act.get(b), false)
             }
+            _ => store.get(m, b, act),
         }
-        store.get(m, b, act)
     }
 }
 
 /// Detect whether `pts` is exactly the row-major [`UnitGrid`] layout with
-/// a power-of-two side (bitwise comparison — the FFT identity is exact
+/// a power-of-two side (bitwise comparison — the symbol identity is exact
 /// only for the true grid).
 fn detect_unit_grid(pts: &[Point]) -> Option<usize> {
     let n = pts.len();
@@ -283,11 +265,11 @@ fn detect_unit_grid(pts: &[Point]) -> Option<usize> {
     Some(side)
 }
 
-/// Build the leaf Toeplitz operator: symbol `t(d) = entry / (s_i s_j)` at
-/// a representative grid pair realizing each offset, `t(0,0) = 0` (ring
-/// blocks never pair a point with itself). Requires the symmetric-kernel
+/// Tabulate the symbol `t(d) = entry / (s_i s_j)` at a representative
+/// grid pair realizing each offset, `t(0,0) = 0` (off-diagonal blocks
+/// never pair a point with itself). Requires the symmetric-kernel
 /// contract of [`Kernel::is_translation_invariant`] (`t(−d) = t(d)`).
-fn build_leaf_fft<K: Kernel>(kernel: &K, pts: &[Point], side: usize) -> LeafFft {
+fn build_symbol_table<K: Kernel>(kernel: &K, pts: &[Point], side: usize) -> SymbolTable {
     let n = side * side;
     let scale_full: Vec<f64> = (0..n).map(|i| kernel.point_scale(i)).collect();
     let identity = scale_full.iter().all(|&s| s == 1.0);
@@ -297,7 +279,7 @@ fn build_leaf_fft<K: Kernel>(kernel: &K, pts: &[Point], side: usize) -> LeafFft 
     for dy in -off..=off {
         for dx in -off..=off {
             if dx == 0 && dy == 0 {
-                continue; // ring blocks never pair a point with itself
+                continue; // off-diagonal blocks never pair a point with itself
             }
             let (i, j) = offset_pair(side, dx, dy);
             let e = kernel.entry(pts, i, j);
@@ -306,12 +288,8 @@ fn build_leaf_fft<K: Kernel>(kernel: &K, pts: &[Point], side: usize) -> LeafFft 
                 c64::new(e.re() / ss, e.im() / ss);
         }
     }
-    let toeplitz = Toeplitz2D::new(side, |dx, dy| {
-        table[((dy + off) as usize) * w + (dx + off) as usize]
-    });
-    LeafFft {
+    SymbolTable {
         side,
-        toeplitz,
         scale: if identity { Vec::new() } else { scale_full },
         table,
     }
@@ -414,7 +392,11 @@ pub fn skeletonize<K: Kernel>(
         .filter(|m| !act.get(m).is_empty())
         .collect();
     let ring_rows: usize = ring.iter().map(|m| act.get(m).len()).sum();
-    let m_rows = Halves::of(store).stride() * (ring_rows + ctx.geom(b.level).n_proxy);
+    // The sketch pays only while it is smaller than the stack the fallback
+    // would factor: `proxy_matrix` stacks both directions for a general
+    // kernel and the forward half alone for a symmetric one (also for a
+    // real symmetric kernel, whose sketch fuses two halves' columns).
+    let m_rows = (1 + usize::from(!store.symmetric())) * (ring_rows + ctx.geom(b.level).n_proxy);
 
     // Driver-invariant rank guess. Non-leaf boxes carry the previous
     // level's realized information in `nb` itself — a parent's active set
@@ -542,8 +524,9 @@ fn proxy_col_adjoint<K: Kernel>(
 }
 
 /// Form `Y = Ω · [proxy stack]` block by block, without materializing the
-/// stack: dense `Ω_blk · A_blk` GEMMs for modified/ineligible blocks, the
-/// Toeplitz FFT path for unmodified translation-invariant leaf blocks.
+/// stack: one `Ω_blk · A_blk` GEMM per ring block and direction (one per
+/// pair for a real symmetric kernel) and per proxy block. At the leaf
+/// level an unmodified ring block assembles from the symbol table.
 #[allow(clippy::too_many_arguments)]
 fn sketch_proxy<K: Kernel>(
     store: &BlockStore<'_, K>,
@@ -557,97 +540,35 @@ fn sketch_proxy<K: Kernel>(
     tel: &mut CompressionTelemetry,
 ) -> Mat<K::Elem> {
     let a_b = act.get(b);
-    let nb = a_b.len();
     let n_proxy = p_row.nrows();
     let halves = Halves::of(store);
-    let stride = halves.stride();
+    let symbols = ctx.symbols.as_ref().filter(|_| b.level == ctx.leaf_level);
 
-    let mut y = Mat::<K::Elem>::zeros(rows, nb);
+    let mut y = Mat::<K::Elem>::zeros(rows, a_b.len());
 
-    // Partition ring blocks into FFT-eligible (leaf level, unmodified
-    // pair, operator available) and dense, tracking each block's row
-    // offset in the virtual tall stack — the offset keys the sketch
-    // columns, so the partition never changes the result, only the route.
-    let fft = ctx
-        .leaf_fft
-        .as_ref()
-        .filter(|_| b.level == ctx.leaf_level && ctx.fft_gate != FftGate::Never);
-    let mut fwd_elig: Vec<(usize, BoxId)> = Vec::new();
-    let mut adj_elig: Vec<(usize, BoxId)> = Vec::new();
-    let mut r0 = 0;
-    for m in ring {
-        let am = act.get(m).len();
-        if fft.is_some() && !store.contains(m, b) {
-            fwd_elig.push((r0, *m));
-        }
-        if halves != Halves::Forward && fft.is_some() && !store.contains(b, m) {
-            adj_elig.push((r0 + am, *m));
-        }
-        r0 += stride * am;
-    }
-    let proxy_off = r0;
-
-    // Cost model: an FFT direction costs one length-(2S)^2 convolution
-    // per sketch row; the dense route costs the symbol-table lookup of
-    // the eligible entries plus their GEMM flops. ~10 flops per FFT
-    // butterfly point, ~4 per table lookup.
-    let use_fft = match (fft, ctx.fft_gate) {
-        (None, _) | (_, FftGate::Never) => false,
-        (Some(_), FftGate::Always) => true,
-        (Some(f), FftGate::Auto) => {
-            let elig_rows: usize = fwd_elig
-                .iter()
-                .chain(adj_elig.iter())
-                .map(|(_, m)| act.get(m).len())
-                .sum();
-            let n_dirs = usize::from(!fwd_elig.is_empty()) + usize::from(!adj_elig.is_empty());
-            let big = 2 * f.side;
-            let fft_cost = n_dirs as f64
-                * rows as f64
-                * 10.0
-                * (big * big) as f64
-                * ((big * big) as f64).log2();
-            let dense_cost = elig_rows as f64 * nb as f64 * (4.0 + 2.0 * rows as f64);
-            fft_cost < dense_cost
-        }
-    };
-    if !use_fft {
-        fwd_elig.clear();
-        adj_elig.clear();
-    }
-
-    // Dense route: walk the ring with running offsets; every direction
-    // not claimed by the FFT route is materialized — from the symbol
-    // table when the pair is an untouched leaf kernel block, from the
-    // store otherwise — and GEMMed into Y, pairwise-fused for a real
-    // symmetric kernel.
+    // Walk the ring with running offsets into the virtual tall stack —
+    // the offset keys the sketch columns of each block.
     let mut r0 = 0;
     for m in ring {
         let am = act.get(m).len();
         let (fwd_off, adj_off) = (r0, r0 + am);
-        r0 += stride * am;
-        let fwd_un = !store.contains(m, b);
-        let adj_un = !store.contains(b, m);
-        let do_fwd = !(use_fft && fwd_un);
-        let do_adj = halves != Halves::Forward && !(use_fft && adj_un);
-        let fwd_blk = || match (fwd_un, fft) {
-            (true, Some(f)) => f.table_block::<K::Elem>(act.get(m), a_b, false),
+        r0 += halves.stride() * am;
+        let fwd_blk = match symbols {
+            Some(t) if !store.contains(m, b) => t.table_block::<K::Elem>(act.get(m), a_b, false),
             _ => store.get(m, b, act),
         };
-        if do_fwd && do_adj && halves == Halves::Fused {
+        if halves == Halves::Fused {
             let omega = sketch_block_sum::<K::Elem>(seed, rows, &[fwd_off, adj_off], am);
-            matmul_acc(&mut y, K::Elem::ONE, &omega, &fwd_blk());
+            matmul_acc(&mut y, K::Elem::ONE, &omega, &fwd_blk);
             tel.dense_block_applies += 2;
             continue;
         }
-        if do_fwd {
-            let omega = sketch_block::<K::Elem>(seed, rows, fwd_off, am);
-            matmul_acc(&mut y, K::Elem::ONE, &omega, &fwd_blk());
-            tel.dense_block_applies += 1;
-        }
-        if do_adj {
-            let blk = match (adj_un, fft) {
-                (true, Some(f)) => f.table_block::<K::Elem>(act.get(m), a_b, true),
+        let omega = sketch_block::<K::Elem>(seed, rows, fwd_off, am);
+        matmul_acc(&mut y, K::Elem::ONE, &omega, &fwd_blk);
+        tel.dense_block_applies += 1;
+        if halves == Halves::Both {
+            let blk = match symbols {
+                Some(t) if !store.contains(b, m) => t.table_block::<K::Elem>(act.get(m), a_b, true),
                 _ => store.get(b, m, act).adjoint(),
             };
             let omega = sketch_block::<K::Elem>(seed, rows, adj_off, am);
@@ -656,62 +577,21 @@ fn sketch_proxy<K: Kernel>(
         }
     }
 
-    // Proxy blocks: always dense (proxy points live off-grid), same
-    // treatment of the adjoint half as the ring blocks.
-    {
-        let halves_of_p_row: &[usize] = if halves == Halves::Fused {
-            &[proxy_off, proxy_off + n_proxy]
-        } else {
-            &[proxy_off]
-        };
-        let omega = sketch_block_sum::<K::Elem>(seed, rows, halves_of_p_row, n_proxy);
-        matmul_acc(&mut y, K::Elem::ONE, &omega, p_row);
-        if let Some(p_col_h) = p_col_h {
-            let omega = sketch_block::<K::Elem>(seed, rows, proxy_off + n_proxy, n_proxy);
-            matmul_acc(&mut y, K::Elem::ONE, &omega, p_col_h);
-        }
-        tel.dense_block_applies += stride as u64;
+    // Proxy blocks (proxy points live off-grid, so never from the table),
+    // same treatment of the adjoint half as the ring blocks.
+    let proxy_off = r0;
+    let halves_of_p_row: &[usize] = if halves == Halves::Fused {
+        &[proxy_off, proxy_off + n_proxy]
+    } else {
+        &[proxy_off]
+    };
+    let omega = sketch_block_sum::<K::Elem>(seed, rows, halves_of_p_row, n_proxy);
+    matmul_acc(&mut y, K::Elem::ONE, &omega, p_row);
+    if let Some(p_col_h) = p_col_h {
+        let omega = sketch_block::<K::Elem>(seed, rows, proxy_off + n_proxy, n_proxy);
+        matmul_acc(&mut y, K::Elem::ONE, &omega, p_col_h);
     }
-
-    // FFT route: per sketch row and direction, scatter ω·s over the grid,
-    // convolve once for *all* eligible blocks of that direction (their
-    // active sets are disjoint), and gather at the box's points.
-    // Forward blocks contribute `s_j · (T v)[g_j]`, adjoint blocks the
-    // conjugate — see `build_leaf_fft` for the symbol contract.
-    if use_fft && (!fwd_elig.is_empty() || !adj_elig.is_empty()) {
-        // INVARIANT: use_fft is only true when `fft` is Some.
-        let f = fft.expect("fft operator gated above");
-        let s2 = f.side * f.side;
-        let mut scratch = f.toeplitz.scratch();
-        let mut v = vec![c64::ZERO; s2];
-        let mut out = vec![c64::ZERO; s2];
-        for r in 0..rows {
-            for (elig, conj) in [(&fwd_elig, false), (&adj_elig, true)] {
-                if elig.is_empty() {
-                    continue;
-                }
-                v.fill(c64::ZERO);
-                for (off, m) in elig {
-                    for (i, &gi) in act.get(m).iter().enumerate() {
-                        let w = sketch_sign(seed, r, off + i) * f.scale_at(gi as usize);
-                        v[gi as usize] = c64::new(w, 0.0);
-                    }
-                }
-                f.toeplitz.apply_into(&v, &mut out, &mut scratch);
-                for (j, &gj) in a_b.iter().enumerate() {
-                    let t = if conj {
-                        out[gj as usize].conj()
-                    } else {
-                        out[gj as usize]
-                    };
-                    let val = K::Elem::from_re_im(t.re, t.im).scale(f.scale_at(gj as usize));
-                    y.col_mut(j)[r] += val;
-                }
-            }
-        }
-        tel.fft_block_applies += (fwd_elig.len() + adj_elig.len()) as u64;
-    }
-
+    tel.dense_block_applies += halves.stride() as u64;
     y
 }
 
@@ -836,12 +716,12 @@ mod tests {
     }
 
     /// Exact far-field block `A_{F,B}` for the accuracy assertions below.
-    fn true_far_field(
-        store: &BlockStore<'_, LaplaceKernel>,
+    fn true_far_field<K: Kernel>(
+        store: &BlockStore<'_, K>,
         act: &ActiveSets,
         tree: &QuadTree,
         b: &BoxId,
-    ) -> Mat<f64> {
+    ) -> Mat<K::Elem> {
         let a_b = act.get(b);
         let mut far_rows: Vec<u32> = Vec::new();
         for other in tree.boxes_at_level(b.level) {
@@ -852,16 +732,20 @@ mod tests {
         store.eval_kernel(&far_rows, a_b)
     }
 
-    fn assert_far_field_bound(afb: &Mat<f64>, id: &IdResult<f64>, label: &str) {
-        let rows: Vec<usize> = (0..afb.nrows()).collect();
-        let ar = afb.select(&rows, &id.redundant);
-        let as_ = afb.select(&rows, &id.skel);
-        let approx = srsf_linalg::gemm::matmul(&as_, &id.t);
-        let err = srsf_linalg::norms::max_abs_diff(&ar, &approx);
-        let scale = fro_norm(afb);
+    /// The far-field contract: `‖A_FR − A_FS T‖_max ≤ C · tol · ‖A_FB‖_F`.
+    const FAR_FIELD_C: f64 = 1e3;
+
+    /// `‖A_FR − A_FS T‖_max / (tol · ‖A_FB‖_F)`: at most [`FAR_FIELD_C`]
+    /// when the ID meets the contract.
+    fn far_field_ratio<T: Scalar>(afb: &Mat<T>, id: &IdResult<T>, tol: f64) -> f64 {
+        id_error(afb, id) / (tol * fro_norm(afb).max(1e-12))
+    }
+
+    fn assert_far_field_bound<T: Scalar>(afb: &Mat<T>, id: &IdResult<T>, tol: f64, label: &str) {
+        let ratio = far_field_ratio(afb, id, tol);
         assert!(
-            err < 1e-5 * scale.max(1e-12),
-            "{label} ID failed on true far field: {err:.3e} vs scale {scale:.3e}"
+            ratio <= FAR_FIELD_C,
+            "{label} ID failed on true far field: error {ratio:.3e} x tol x |A_FB|"
         );
     }
 
@@ -886,7 +770,8 @@ mod tests {
         };
         let (id, tel) = skeletonize(&store, &act, &tree, &b, &opts, &ctx);
         assert_eq!(tel, CompressionTelemetry::default());
-        assert_far_field_bound(&true_far_field(&store, &act, &tree, &b), &id, "CPQR");
+        let afb = true_far_field(&store, &act, &tree, &b);
+        assert_far_field_bound(&afb, &id, opts.tol, "CPQR");
     }
 
     /// The sketched path must satisfy the *same* true-far-field bound as
@@ -910,7 +795,8 @@ mod tests {
         let (id, tel) = skeletonize(&store, &act, &tree, &b, &opts, &ctx);
         assert!(tel.dense_block_applies > 0, "sketch should have run");
         assert_eq!(tel.sketch_fallbacks, 0);
-        assert_far_field_bound(&true_far_field(&store, &act, &tree, &b), &id, "sketched");
+        let afb = true_far_field(&store, &act, &tree, &b);
+        assert_far_field_bound(&afb, &id, opts.tol, "sketched");
 
         // And the skeleton count agrees with the deterministic path to
         // within the oversampling slack.
@@ -928,91 +814,149 @@ mod tests {
         );
     }
 
-    /// Forcing the FFT route must exercise it (telemetry) and still meet
-    /// the far-field bound — the Toeplitz application is exact on
-    /// unmodified leaf blocks, so only the sketch statistics change.
+    /// The sketch accuracy contract, measured (see the `srsf_linalg::rid`
+    /// module docs for what is proven): over 1000 sketch seeds per case,
+    /// one leaf box each, no ID may miss the true-far-field bound. Retry
+    /// and fallback rates are reported and loosely bounded. Leaves of
+    /// 6 x 6 points keep the skeleton well below the box (16-point ones
+    /// keep all 16 at tol 1e-9) at a third of a 64-point box's cost; the
+    /// cases run on threads of their own, about 20 s each in a debug build.
     #[test]
-    fn sketched_fft_path_compresses_true_far_field() {
-        let (grid, k, tree) = setup(32, 64);
-        let pts = grid.points();
-        let store = BlockStore::new(&k, &pts);
-        let act = leaf_actives(&grid, &tree);
-        let opts = FactorOpts {
-            tol: 1e-8,
-            ..FactorOpts::default().with_compression(Compression::sketched())
-        };
-        let ctx = CompressionCtx::new(&k, &pts, &tree, &opts).with_fft_gate(FftGate::Always);
-        assert!(ctx.has_leaf_fft(), "unit grid + Laplace must detect");
-        let b = BoxId {
-            level: tree.leaf_level(),
-            ix: 1,
-            iy: 2,
-        };
-        let (id, tel) = skeletonize(&store, &act, &tree, &b, &opts, &ctx);
-        assert!(tel.fft_block_applies > 0, "FFT path should have run");
-        assert_far_field_bound(
-            &true_far_field(&store, &act, &tree, &b),
-            &id,
-            "FFT-sketched",
-        );
+    fn sketch_seed_sweep_meets_far_field_bound() {
+        const SEEDS: u64 = 1000;
+        fn sweep<K: Kernel>(k: &K, grid: &UnitGrid, tree: &QuadTree, tol: f64, label: &str) {
+            let pts = grid.points();
+            let store = BlockStore::new(k, &pts);
+            let act = leaf_actives(grid, tree);
+            let b = BoxId {
+                level: tree.leaf_level(),
+                ix: 0,
+                iy: 0,
+            };
+            let afb = true_far_field(&store, &act, tree, &b);
+            assert!(afb.nrows() > 0, "{label}: empty far field");
+            let mut opts = FactorOpts::default().with_tol(tol);
+            let mut ctx = CompressionCtx::new(k, &pts, tree, &opts);
+            let (mut worst, mut tel, mut ranks) = (0.0f64, CompressionTelemetry::default(), 0);
+            for seed in 0..SEEDS {
+                opts.compression = Compression::Sketched {
+                    oversample: 10,
+                    seed,
+                };
+                ctx.compression = opts.compression;
+                let (id, t) = skeletonize(&store, &act, tree, &b, &opts, &ctx);
+                tel.absorb(&t);
+                ranks += id.rank();
+                let ratio = far_field_ratio(&afb, &id, tol);
+                assert!(
+                    ratio <= FAR_FIELD_C,
+                    "{label}, seed {seed}: error {ratio:.3e} x tol x |A_FB|"
+                );
+                worst = worst.max(ratio);
+            }
+            println!(
+                "{label}: {SEEDS} seeds, 0 violations, worst {worst:.2e} x tol x |A_FB|, \
+                 mean rank {:.1} of {}, retry rate {:.3}, fallback rate {:.3}",
+                ranks as f64 / SEEDS as f64,
+                act.get(&b).len(),
+                tel.sketch_retries as f64 / SEEDS as f64,
+                tel.sketch_fallbacks as f64 / SEEDS as f64
+            );
+            assert!(tel.sketch_retries <= SEEDS / 4, "{label}: {tel:?}");
+            assert!(tel.sketch_fallbacks <= SEEDS / 100, "{label}: {tel:?}");
+        }
+        let (grid, k, tree) = setup(24, 36);
+        let hk = HelmholtzKernel::new(&grid, 25.0);
+        std::thread::scope(|s| {
+            s.spawn(|| sweep(&k, &grid, &tree, 1e-6, "Laplace tol 1e-6"));
+            s.spawn(|| sweep(&k, &grid, &tree, 1e-9, "Laplace tol 1e-9"));
+            s.spawn(|| sweep(&hk, &grid, &tree, 1e-6, "Helmholtz kappa 25 tol 1e-6"));
+        });
     }
 
-    /// The FFT route and the dense route apply the same operator: the
-    /// sketches they produce agree to rounding, for both paper kernels
-    /// (identity scaling and sqrt(b) scaling).
+    /// A real symmetric kernel's fallback factors the forward half of the
+    /// stack alone, so a first sketch already as costly as that falls back
+    /// without being formed. A general kernel's fallback stacks both
+    /// directions, and the same sketch size still pays there.
     #[test]
-    fn fft_and_dense_sketches_agree() {
-        // Laplace (f64, identity scale).
+    fn real_symmetric_fallback_measures_the_forward_stack() {
         let (grid, k, tree) = setup(16, 16);
         let pts = grid.points();
         let store = BlockStore::new(&k, &pts);
         let act = leaf_actives(&grid, &tree);
-        let opts = FactorOpts::default();
         let b = BoxId {
             level: tree.leaf_level(),
-            ix: 0,
-            iy: 3,
+            ix: 1,
+            iy: 1,
         };
-        let ring: Vec<BoxId> = dist2_ring(&b)
-            .into_iter()
-            .filter(|m| !act.get(m).is_empty())
-            .collect();
-        let ctx_d = CompressionCtx::new(&k, &pts, &tree, &opts).with_fft_gate(FftGate::Never);
-        let ctx_f = CompressionCtx::new(&k, &pts, &tree, &opts).with_fft_gate(FftGate::Always);
-        let mut t1 = CompressionTelemetry::default();
-        let mut t2 = CompressionTelemetry::default();
-        let px = proxy_blocks(&store, &act, &tree, &b, &ctx_d);
-        let yd = sketch_proxy(&store, &act, &b, &ctx_d, &ring, &px, 12, 99, &mut t1);
-        let yf = sketch_proxy(&store, &act, &b, &ctx_f, &ring, &px, 12, 99, &mut t2);
-        assert!(t1.fft_block_applies == 0 && t2.fft_block_applies > 0);
-        let scale = fro_norm(&yd);
-        assert!(
-            srsf_linalg::norms::max_abs_diff(&yd, &yf) < 1e-12 * scale,
-            "dense vs FFT sketch disagree"
+        let cpqr = CompressionCtx::new(&k, &pts, &tree, &cpqr_opts());
+        let stack = proxy_matrix(&store, &act, &tree, &b, &cpqr_opts(), &cpqr).nrows();
+        // First attempt `2 (guess + stack / 2 + RID_VERIFY_ROWS)`: past the
+        // forward stack, short of twice it (guess = 16 here).
+        let opts = FactorOpts::default().with_compression(Compression::Sketched {
+            oversample: stack / 2,
+            seed: 1,
+        });
+        let ctx = CompressionCtx::new(&k, &pts, &tree, &opts);
+        let (id, tel) = skeletonize(&store, &act, &tree, &b, &opts, &ctx);
+        assert_eq!(
+            tel,
+            CompressionTelemetry {
+                sketch_fallbacks: 1,
+                ..CompressionTelemetry::default()
+            }
         );
+        let (full, _) = skeletonize(&store, &act, &tree, &b, &cpqr_opts(), &cpqr);
+        assert_eq!((id.skel, id.redundant), (full.skel, full.redundant));
 
-        // Helmholtz (c64, sqrt(b) scaling exercises the scale vector; the
-        // complex symmetric kernel sketches the forward half only).
-        let hk = HelmholtzKernel::new(&grid, 10.0);
-        let hstore = BlockStore::new(&hk, &pts);
-        let hd = CompressionCtx::new(&hk, &pts, &tree, &opts).with_fft_gate(FftGate::Never);
-        let hf = CompressionCtx::new(&hk, &pts, &tree, &opts).with_fft_gate(FftGate::Always);
-        let mut t3 = CompressionTelemetry::default();
-        let mut t4 = CompressionTelemetry::default();
-        let hpx = proxy_blocks(&hstore, &act, &tree, &b, &hd);
-        let zd = sketch_proxy(&hstore, &act, &b, &hd, &ring, &hpx, 12, 99, &mut t3);
-        let zf = sketch_proxy(&hstore, &act, &b, &hf, &ring, &hpx, 12, 99, &mut t4);
-        assert!(t4.fft_block_applies > 0);
-        let hscale = fro_norm(&zd);
-        assert!(
-            srsf_linalg::norms::max_abs_diff(&zd, &zf) < 1e-12 * hscale,
-            "Helmholtz dense vs FFT sketch disagree"
-        );
+        let g = crate::store::tests::HideSymmetry(k.clone());
+        let gstore = BlockStore::new(&g, &pts);
+        let gctx = CompressionCtx::new(&g, &pts, &tree, &opts);
+        let (_, gtel) = skeletonize(&gstore, &act, &tree, &b, &opts, &gctx);
+        assert!(gtel.dense_block_applies > 0, "general kernel: {gtel:?}");
+    }
+
+    /// The symbol table serves the blocks the kernel would, for unmodified
+    /// pairs at the leaf level and one coarser: bit for bit for Laplace
+    /// (unscaled, exact dyadic offsets), within 4 ε relative for
+    /// Helmholtz (its `sqrt(b)` scaling rounds in another order).
+    #[test]
+    fn table_blocks_match_kernel_blocks() {
+        fn check<K: Kernel>(k: &K, grid: &UnitGrid, tree: &QuadTree, rel: f64) {
+            let pts = grid.points();
+            let mut store = BlockStore::new(k, &pts);
+            let mut act = leaf_actives(grid, tree);
+            let ctx = CompressionCtx::new(k, &pts, tree, &FactorOpts::default());
+            assert!(ctx.has_leaf_fft());
+            let leaf = tree.leaf_level();
+            for level in [leaf, leaf - 1] {
+                if level < leaf {
+                    crate::levels::merge_to_parent(&mut store, &mut act, tree, level + 1);
+                }
+                for m in tree.boxes_at_level(level) {
+                    for b in tree.boxes_at_level(level).filter(|b| *b != m) {
+                        assert!(!store.contains(&m, &b));
+                        let got = ctx.get_block(&store, &act, &m, &b);
+                        let want = store.get(&m, &b, &act);
+                        for (g, w) in got.as_slice().iter().zip(want.as_slice()) {
+                            assert!(
+                                (*g - *w).abs() <= rel * w.abs(),
+                                "level {level}, {m:?} x {b:?}: {g:?} vs {w:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        let (grid, k, tree) = setup(16, 16);
+        check(&k, &grid, &tree, 0.0);
+        let hk = HelmholtzKernel::new(&grid, 25.0);
+        check(&hk, &grid, &tree, 4.0 * f64::EPSILON);
     }
 
     /// Scattered (non-grid) points must not detect as a grid.
     #[test]
-    fn no_fft_operator_off_grid() {
+    fn no_symbol_table_off_grid() {
         let pts = srsf_geometry::grid::scattered_points(256, 7);
         let k = LaplaceKernel::with_params(1.0 / 256.0, 1.0);
         let tree = QuadTree::build(&pts, BBox::UNIT, 16);

@@ -28,12 +28,11 @@
 //! `memory_bytes`) and `LinOp` — so it plugs into the Krylov methods of
 //! `srsf-iterative` as a preconditioner unchanged.
 
-use crate::colored::colored_factorize_with_tree;
 use crate::distributed::{
     dist_factorize_resident, dist_factorize_with_tree, restore_resident_service, ResidentService,
 };
 use crate::error::SrsfError;
-use crate::sequential::{domain_for, factorize_with_tree, Factorization};
+use crate::sequential::{domain_for, factorize_in_rounds, factorize_with_tree, Factorization};
 use crate::stats::FactorStats;
 use crate::FactorOpts;
 use srsf_geometry::point::Point;
@@ -609,19 +608,6 @@ impl<'a, K: Kernel> SolverBuilder<'a, K> {
         self
     }
 
-    /// GEMM thread budget for the sequential driver's dense products
-    /// (`1` = serial, `0` = auto-detect). Sequential-only: the colored
-    /// and distributed drivers have their own threading levers
-    /// ([`Driver::Colored`]'s `threads` and [`rank_threads`]), so `build`
-    /// rejects the combination with [`SrsfError::UnsupportedOption`]
-    /// instead of silently ignoring the budget.
-    ///
-    /// [`rank_threads`]: SolverBuilder::rank_threads
-    pub fn gemm_threads(mut self, threads: usize) -> Self {
-        self.opts = self.opts.with_gemm_threads(threads);
-        self
-    }
-
     /// Worker threads each rank of [`Driver::Distributed`] uses for its
     /// per-phase box eliminations (`1` = serial, the default). The boxes
     /// of a phase run in four sub-color rounds on a work-stealing pool
@@ -763,52 +749,39 @@ impl<'a, K: Kernel> SolverBuilder<'a, K> {
         if opts.leaf_size == 0 {
             return Err(SrsfError::InvalidLeafSize);
         }
-        // Each driver owns exactly one threading lever; reject the others
-        // instead of silently ignoring them (`gemm_threads` used to be a
-        // no-op under the colored and distributed drivers).
-        let driver_name = match driver {
-            Driver::Sequential => "sequential",
-            Driver::Colored { .. } => "colored",
-            Driver::Distributed { .. } => "distributed",
-        };
-        if opts.gemm_threads != 1 && !matches!(driver, Driver::Sequential) {
-            return Err(SrsfError::UnsupportedOption {
-                option: "gemm_threads",
-                driver: driver_name,
-                instead: match driver {
-                    Driver::Colored { .. } => "`Driver::Colored { threads, .. }`",
-                    _ => "`SolverBuilder::rank_threads`",
-                },
-            });
-        }
+        // The threading lever is the driver's own; reject `rank_threads`
+        // elsewhere instead of silently ignoring it.
         if opts.rank_threads != 1 && !matches!(driver, Driver::Distributed { .. }) {
+            let (driver, instead) = match driver {
+                Driver::Colored { .. } => ("colored", "`Driver::Colored { threads, .. }`"),
+                _ => ("sequential", "`Driver::colored(threads)`"),
+            };
             return Err(SrsfError::UnsupportedOption {
                 option: "rank_threads",
-                driver: driver_name,
-                instead: match driver {
-                    Driver::Colored { .. } => "`Driver::Colored { threads, .. }`",
-                    _ => "`SolverBuilder::gemm_threads`",
-                },
+                driver,
+                instead,
             });
         }
         let tree = QuadTree::build(pts, domain_for(pts), opts.leaf_size);
         let (backend, comm, x, per_rank_bytes, traces) = match driver {
-            Driver::Sequential => {
-                let fact = factorize_with_tree(kernel, pts, &tree, &opts)?;
-                let x = rhs.map(|b| fact.solve(b));
-                (
-                    SolverBackend::Local(Box::new(fact)),
-                    None,
-                    x,
-                    None,
-                    Vec::new(),
-                )
-            }
-            Driver::Colored { scheme, threads } => {
-                if threads == 0 {
-                    return Err(SrsfError::InvalidThreadCount);
-                }
-                let fact = colored_factorize_with_tree(kernel, pts, &tree, &opts, scheme, threads)?;
+            Driver::Sequential | Driver::Colored { .. } => {
+                let fact = match driver {
+                    Driver::Colored { scheme, threads } => {
+                        if threads == 0 {
+                            return Err(SrsfError::InvalidThreadCount);
+                        }
+                        // One round per colour (§V-C), on `threads` workers.
+                        factorize_in_rounds(kernel, pts, &tree, &opts, threads, |level| {
+                            (0..scheme.count())
+                                .map(|color| {
+                                    let boxes = tree.boxes_at_level(level);
+                                    (color, boxes.filter(|b| scheme.color(b) == color).collect())
+                                })
+                                .collect()
+                        })?
+                    }
+                    _ => factorize_with_tree(kernel, pts, &tree, &opts)?,
+                };
                 let x = rhs.map(|b| fact.solve(b));
                 (
                     SolverBackend::Local(Box::new(fact)),

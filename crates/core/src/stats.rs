@@ -14,8 +14,11 @@ pub struct CompressionTelemetry {
     /// Boxes that exhausted the sketch budget and fell back to the full
     /// deterministic CPQR.
     pub sketch_fallbacks: u64,
-    /// Ring/proxy blocks applied to the sketch through the Toeplitz FFT
-    /// fast path.
+    /// Always 0: it counted blocks applied to the sketch by FFT
+    /// convolution, a route the sketch no longer has (`skeletonize`
+    /// module docs). Kept only because `benchmark/src/adapter.rs` and
+    /// `benchmark/tests/smoke.rs` read it; it is neither accumulated nor
+    /// sent over the wire.
     pub fft_block_applies: u64,
     /// Ring/proxy blocks applied to the sketch as dense GEMMs (always 0
     /// under [`crate::Compression::Cpqr`], which forms no sketch).
@@ -27,7 +30,6 @@ impl CompressionTelemetry {
     pub fn absorb(&mut self, other: &CompressionTelemetry) {
         self.sketch_retries += other.sketch_retries;
         self.sketch_fallbacks += other.sketch_fallbacks;
-        self.fft_block_applies += other.fft_block_applies;
         self.dense_block_applies += other.dense_block_applies;
     }
 }
@@ -57,8 +59,8 @@ pub struct FactorStats {
     pub record_bytes: usize,
     /// Peak bytes held by the modified-block store.
     pub peak_store_bytes: usize,
-    /// Randomized-compression behavior (retries, fallbacks, FFT vs dense
-    /// sketch block applications).
+    /// Randomized-compression behavior (retries, fallbacks, sketch block
+    /// applications).
     pub compression: CompressionTelemetry,
 }
 

@@ -12,7 +12,7 @@ use crate::distributed::{RankState, RankTop, TopShare};
 use crate::elimination::{BoxElimination, FactorError};
 use crate::error::SrsfError;
 use crate::sequential::Factorization;
-use crate::stats::FactorStats;
+use crate::stats::{CompressionTelemetry, FactorStats};
 use crate::top::TopFactor;
 use srsf_geometry::point::Point;
 use srsf_geometry::tree::BoxId;
@@ -185,6 +185,25 @@ impl<T: Scalar> Wire for BoxElimination<T> {
     }
 }
 
+/// The live compression counters, shared by [`FactorStats`] and the
+/// distributed record gather. `fft_block_applies` is always 0 and stays
+/// off the wire.
+impl Wire for CompressionTelemetry {
+    fn encode(&self, w: &mut ByteWriter) {
+        w.put_u64(self.sketch_retries);
+        w.put_u64(self.sketch_fallbacks);
+        w.put_u64(self.dense_block_applies);
+    }
+    fn decode(r: &mut ByteReader) -> Result<Self, CodecError> {
+        Ok(CompressionTelemetry {
+            sketch_retries: r.try_get_u64()?,
+            sketch_fallbacks: r.try_get_u64()?,
+            fft_block_applies: 0,
+            dense_block_applies: r.try_get_u64()?,
+        })
+    }
+}
+
 impl Wire for FactorStats {
     fn encode(&self, w: &mut ByteWriter) {
         w.put_u64(self.n as u64);
@@ -203,10 +222,7 @@ impl Wire for FactorStats {
         w.put_u64(self.top_size as u64);
         w.put_u64(self.record_bytes as u64);
         w.put_u64(self.peak_store_bytes as u64);
-        w.put_u64(self.compression.sketch_retries);
-        w.put_u64(self.compression.sketch_fallbacks);
-        w.put_u64(self.compression.fft_block_applies);
-        w.put_u64(self.compression.dense_block_applies);
+        self.compression.encode(w);
     }
     fn decode(r: &mut ByteReader) -> Result<Self, CodecError> {
         let n = r.try_get_u64()? as usize;
@@ -235,10 +251,7 @@ impl Wire for FactorStats {
         stats.top_size = r.try_get_u64()? as usize;
         stats.record_bytes = r.try_get_u64()? as usize;
         stats.peak_store_bytes = r.try_get_u64()? as usize;
-        stats.compression.sketch_retries = r.try_get_u64()?;
-        stats.compression.sketch_fallbacks = r.try_get_u64()?;
-        stats.compression.fft_block_applies = r.try_get_u64()?;
-        stats.compression.dense_block_applies = r.try_get_u64()?;
+        stats.compression = CompressionTelemetry::decode(r)?;
         Ok(stats)
     }
 }
@@ -362,7 +375,9 @@ const CKPT_MAGIC: &[u8; 8] = b"SRSFCKP1";
 /// order key carries both).
 /// v6: a packed `L D Lᵀ` carries the range of block columns held, and a
 /// rank snapshot its share of the top (range and chain links).
-const CKPT_VERSION: u64 = 6;
+/// v7: `FactorStats` carries three compression counters (the FFT-route
+/// counter left the wire).
+const CKPT_VERSION: u64 = 7;
 /// Header length in bytes.
 const CKPT_HEADER: usize = 40;
 /// Scalar tag of the scalar-independent manifest file.

@@ -210,44 +210,26 @@ fn driver_equivalence_on_one_laplace_problem() {
     assert!(dd < 1e3 * tol, "distributed vs sequential: {dd:.3e}");
 }
 
-/// Each driver owns exactly one threading lever; the others are rejected
-/// with a typed error naming the supported knob instead of being
-/// silently ignored (`gemm_threads` used to be a no-op under the colored
-/// and distributed drivers).
+/// `rank_threads` is the distributed driver's threading lever; the local
+/// drivers reject it with a typed error naming their own lever instead of
+/// silently ignoring it.
 #[test]
 fn mismatched_threading_knobs_are_typed_errors() {
     let grid = UnitGrid::new(8);
     let kernel = LaplaceKernel::new(&grid);
     let pts = grid.points();
 
-    // gemm_threads is sequential-only: both parallel drivers reject it.
-    for (driver, name) in [
-        (Driver::colored(2), "colored"),
-        (Driver::distributed(1), "distributed"),
-    ] {
-        let err = Solver::builder(&kernel, &pts)
-            .driver(driver)
-            .gemm_threads(2)
-            .build()
-            .unwrap_err();
-        match err {
-            SrsfError::UnsupportedOption { option, driver, .. } => {
-                assert_eq!((option, driver), ("gemm_threads", name));
-            }
-            other => panic!("expected UnsupportedOption for {name}, got {other:?}"),
-        }
-        // `0` (auto-detect) is just as unsupported as an explicit count.
-        assert!(Solver::builder(&kernel, &pts)
-            .driver(driver)
-            .gemm_threads(0)
-            .build()
-            .is_err());
-    }
-
-    // rank_threads is distributed-only: the local drivers reject it...
-    for (driver, name) in [
-        (Driver::Sequential, "sequential"),
-        (Driver::colored(2), "colored"),
+    for (driver, name, lever) in [
+        (
+            Driver::Sequential,
+            "sequential",
+            "`Driver::colored(threads)`",
+        ),
+        (
+            Driver::colored(2),
+            "colored",
+            "`Driver::Colored { threads, .. }`",
+        ),
     ] {
         let err = Solver::builder(&kernel, &pts)
             .driver(driver)
@@ -255,8 +237,12 @@ fn mismatched_threading_knobs_are_typed_errors() {
             .build()
             .unwrap_err();
         match err {
-            SrsfError::UnsupportedOption { option, driver, .. } => {
-                assert_eq!((option, driver), ("rank_threads", name));
+            SrsfError::UnsupportedOption {
+                option,
+                driver,
+                instead,
+            } => {
+                assert_eq!((option, driver, instead), ("rank_threads", name, lever));
             }
             other => panic!("expected UnsupportedOption for {name}, got {other:?}"),
         }
@@ -269,54 +255,10 @@ fn mismatched_threading_knobs_are_typed_errors() {
         .unwrap_err();
     assert_eq!(err, SrsfError::InvalidThreadCount);
 
-    // The supported combinations still build.
+    // The supported combination still builds.
     assert!(Solver::builder(&kernel, &pts)
         .driver(Driver::distributed(1))
         .rank_threads(2)
         .build()
         .is_ok());
-    assert!(Solver::builder(&kernel, &pts)
-        .gemm_threads(2)
-        .build()
-        .is_ok());
-}
-
-#[test]
-fn gemm_threads_knob_does_not_change_results() {
-    let grid = UnitGrid::new(32);
-    let kernel = LaplaceKernel::new(&grid);
-    let pts = grid.points();
-    let b = random_vector::<f64>(grid.n(), 5);
-
-    let serial = Solver::builder(&kernel, &pts)
-        .tol(1e-7)
-        .leaf_size(16)
-        .build()
-        .unwrap();
-    // The threaded GEMM splits only over output columns, so per-column
-    // arithmetic is unchanged; a thread budget must not alter the result.
-    let threaded = Solver::builder(&kernel, &pts)
-        .tol(1e-7)
-        .leaf_size(16)
-        .gemm_threads(3)
-        .build()
-        .unwrap();
-    // The budget is restored after the build: no leak into this thread.
-    assert_eq!(srsf_linalg::gemm_threads(), 1);
-
-    let xs = serial.solve(&b);
-    let xt = threaded.solve(&b);
-    assert!(
-        rel_diff(&xt, &xs) < 1e-12,
-        "thread budget changed the result"
-    );
-
-    // `0` (auto-detect) is also accepted.
-    let auto = Solver::builder(&kernel, &pts)
-        .tol(1e-7)
-        .leaf_size(16)
-        .gemm_threads(0)
-        .build()
-        .unwrap();
-    assert!(rel_diff(&auto.solve(&b), &xs) < 1e-12);
 }

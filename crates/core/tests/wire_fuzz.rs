@@ -190,7 +190,6 @@ fn gen_stats(rng: &mut Rng) -> FactorStats {
     s.peak_store_bytes = rng.below(1 << 30);
     s.compression.sketch_retries = rng.below(1 << 10) as u64;
     s.compression.sketch_fallbacks = rng.below(1 << 10) as u64;
-    s.compression.fft_block_applies = rng.below(1 << 20) as u64;
     s.compression.dense_block_applies = rng.below(1 << 20) as u64;
     s
 }
@@ -871,9 +870,10 @@ fn checkpoint_container_rejects_corruption() {
     expect_rejected(&bent, "future version");
     // The previous layouts (v2: no presence flag, unchecked shapes; v3:
     // no top form tag; v4: a per-record phase table in rank snapshots;
-    // v5: an `L D Lᵀ` without its block-column range) are refused by
-    // their version word, not misread.
-    for old in [2u64, 3, 4, 5] {
+    // v5: an `L D Lᵀ` without its block-column range; v6: four
+    // compression counters in the stats) are refused by their version
+    // word, not misread.
+    for old in [2u64, 3, 4, 5, 6] {
         let mut bent = bytes.clone();
         bent[8..16].copy_from_slice(&old.to_le_bytes());
         expect_rejected(&bent, &format!("version-{old} checkpoint"));

@@ -5,12 +5,11 @@
 //! updates inside the blocked QR / CPQR / LU / LDL^T routines.
 //! [`matmul_acc`] therefore runs a cache-blocked GEMM: operands are packed
 //! into contiguous micro-panels (`MC x KC` of `A`, `KC x NC` of `B`) and
-//! combined by a register-tiled fused-multiply-add micro-kernel, with an
-//! opt-in `std::thread::scope` parallel path over output column panels for
-//! large products (see [`set_gemm_threads`]). Small products fall through
-//! to a register-blocked jki kernel, which is also exposed as
-//! [`matmul_acc_naive`] — the reference oracle the blocked path is tested
-//! against.
+//! combined by a register-tiled fused-multiply-add micro-kernel. Small
+//! products fall through to a register-blocked jki kernel, which is also
+//! exposed as [`matmul_acc_naive`] — the reference oracle the blocked path
+//! is tested against. Every product runs on the calling thread: the
+//! drivers parallelize across boxes and ranks, never inside one product.
 //!
 //! # The register tile
 //!
@@ -70,38 +69,7 @@
 
 use crate::mat::Mat;
 use crate::scalar::Scalar;
-use core::cell::{Cell, RefCell};
-
-// ---------------------------------------------------------------------------
-// Threading knob
-// ---------------------------------------------------------------------------
-
-thread_local! {
-    static GEMM_THREADS: Cell<usize> = const { Cell::new(1) };
-}
-
-/// The GEMM worker-thread budget of the *current* thread (default 1, i.e.
-/// serial). Thread-local on purpose: the colored and distributed drivers
-/// run many box eliminations on their own worker threads, where nested
-/// GEMM parallelism would only oversubscribe — their workers keep the
-/// serial default while the sequential driver can opt in.
-pub fn gemm_threads() -> usize {
-    GEMM_THREADS.with(Cell::get)
-}
-
-/// Set the GEMM thread budget for the current thread and return the
-/// previous value. `0` means "auto" (`std::thread::available_parallelism`).
-/// Products below a size threshold stay serial regardless.
-pub fn set_gemm_threads(n: usize) -> usize {
-    let n = if n == 0 {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-    } else {
-        n
-    };
-    GEMM_THREADS.with(|c| c.replace(n))
-}
+use core::cell::RefCell;
 
 // ---------------------------------------------------------------------------
 // Blocking parameters
@@ -148,10 +116,6 @@ const PACK_MIN_FLOPS: usize = 16 * 16 * 16;
 const BLOCK_MIN_ROWS: usize = 4;
 const BLOCK_MIN_COLS: usize = 12;
 const BLOCK_MIN_DEPTH: usize = 16;
-/// Minimum multiply-adds before the scoped-thread path engages.
-const PAR_MIN_FLOPS: usize = 160 * 160 * 160;
-/// Minimum output columns handed to one worker thread.
-const PAR_MIN_COLS: usize = 32;
 
 // ---------------------------------------------------------------------------
 // Column-major views (support sub-block products without copies)
@@ -197,23 +161,12 @@ impl<'a, T: Scalar> View<'a, T> {
         let s = (self.c0 + j) * self.ld + self.r0;
         &self.data[s..s + self.rows]
     }
-
-    /// Narrow to columns `j0 .. j0 + cols`.
-    fn subcols(mut self, j0: usize, cols: usize) -> Self {
-        debug_assert!(j0 + cols <= self.cols);
-        self.c0 += j0;
-        self.cols = cols;
-        self
-    }
 }
 
-/// Mutable view of a column-major sub-block. `base` is the element offset
-/// of `data[0]` within the original full buffer, so views survive being
-/// split at column boundaries for the threaded path.
+/// Mutable view of a column-major sub-block.
 struct ViewMut<'a, T> {
     data: &'a mut [T],
     ld: usize,
-    base: usize,
     r0: usize,
     c0: usize,
     rows: usize,
@@ -227,7 +180,6 @@ impl<'a, T: Scalar> ViewMut<'a, T> {
         Self {
             data: m.as_mut_slice(),
             ld,
-            base: 0,
             r0,
             c0,
             rows,
@@ -237,7 +189,7 @@ impl<'a, T: Scalar> ViewMut<'a, T> {
 
     #[inline]
     fn col_mut(&mut self, j: usize) -> &mut [T] {
-        let s = (self.c0 + j) * self.ld + self.r0 - self.base;
+        let s = (self.c0 + j) * self.ld + self.r0;
         &mut self.data[s..s + self.rows]
     }
 
@@ -246,35 +198,7 @@ impl<'a, T: Scalar> ViewMut<'a, T> {
     #[inline]
     fn tile_mut(&mut self, i: usize, j: usize) -> &mut [T] {
         debug_assert!(i < self.rows && j < self.cols);
-        &mut self.data[(self.c0 + j) * self.ld + self.r0 + i - self.base..]
-    }
-
-    /// Split at column `j` into disjoint views over `0..j` and `j..cols`.
-    fn split_cols(self, j: usize) -> (ViewMut<'a, T>, ViewMut<'a, T>) {
-        debug_assert!(j <= self.cols);
-        let cut = (self.c0 + j) * self.ld - self.base;
-        let cut = cut.min(self.data.len());
-        let (head, tail) = self.data.split_at_mut(cut);
-        (
-            ViewMut {
-                data: head,
-                ld: self.ld,
-                base: self.base,
-                r0: self.r0,
-                c0: self.c0,
-                rows: self.rows,
-                cols: j,
-            },
-            ViewMut {
-                data: tail,
-                ld: self.ld,
-                base: self.base + cut,
-                r0: self.r0,
-                c0: self.c0 + j,
-                rows: self.rows,
-                cols: self.cols - j,
-            },
-        )
+        &mut self.data[(self.c0 + j) * self.ld + self.r0 + i..]
     }
 }
 
@@ -399,7 +323,7 @@ fn flipped_matmul_acc<T: Scalar>(c: &mut Mat<T>, alpha: T, a: &Mat<T>, b: &Mat<T
     let (m, n, k) = (a.ncols(), b.ncols(), a.nrows());
     if m * n * k >= PACK_MIN_FLOPS && n >= 4 {
         let cblk = (0, 0, m, n);
-        gemm_large(ViewMut::sub(c, cblk), alpha, View::of(a), View::of(b), op);
+        gemm_blocked(ViewMut::sub(c, cblk), alpha, View::of(a), View::of(b), op);
     } else {
         flipped_matmul_acc_dot(c, alpha, a, b, op == LeftOp::Adjoint);
     }
@@ -470,7 +394,7 @@ pub fn matmul_adjoint_naive<T: Scalar>(a: &Mat<T>, b: &Mat<T>) -> Mat<T> {
 }
 
 // ---------------------------------------------------------------------------
-// Dispatch + threaded path
+// Dispatch
 // ---------------------------------------------------------------------------
 
 fn gemm_dispatch<T: Scalar>(c: ViewMut<'_, T>, alpha: T, a: View<'_, T>, b: View<'_, T>) {
@@ -483,7 +407,7 @@ fn gemm_dispatch<T: Scalar>(c: ViewMut<'_, T>, alpha: T, a: View<'_, T>, b: View
         && n >= BLOCK_MIN_COLS
         && k >= BLOCK_MIN_DEPTH
     {
-        gemm_large(c, alpha, a, b, LeftOp::Plain);
+        gemm_blocked(c, alpha, a, b, LeftOp::Plain);
     } else {
         gemm_naive(c, alpha, a, b);
     }
@@ -496,34 +420,6 @@ enum LeftOp {
     Plain,
     Transpose,
     Adjoint,
-}
-
-/// The blocked product, threaded over output column panels when the
-/// current thread's budget allows.
-fn gemm_large<T: Scalar>(c: ViewMut<'_, T>, alpha: T, a: View<'_, T>, b: View<'_, T>, op: LeftOp) {
-    let (m, n, k) = (c.rows, c.cols, b.rows);
-    let nt = if m * n * k >= PAR_MIN_FLOPS {
-        gemm_threads().min(n / PAR_MIN_COLS).max(1)
-    } else {
-        1
-    };
-    if nt <= 1 {
-        gemm_blocked(c, alpha, a, b, op);
-        return;
-    }
-    let chunk = n.div_ceil(nt);
-    std::thread::scope(|s| {
-        let mut rest = c;
-        let mut j = 0;
-        while j < n {
-            let take = chunk.min(n - j);
-            let (head, tail) = rest.split_cols(take);
-            rest = tail;
-            let bsub = b.subcols(j, take);
-            s.spawn(move || gemm_blocked(head, alpha, a, bsub, op));
-            j += take;
-        }
-    });
 }
 
 /// jki-order register-blocked kernel for small products and the oracle.
@@ -574,8 +470,8 @@ thread_local! {
     /// The packed `A` and `B` blocks of the blocked product, as real
     /// lanes, kept across calls: a factorization issues thousands of
     /// products (one sketch GEMM per box side, the Schur strips) that
-    /// each need the same few hundred kilobytes. A worker of the threaded
-    /// path is a thread of its own and so has its own pair.
+    /// each need the same few hundred kilobytes. Each driver worker thread
+    /// has its own pair.
     static PACK: RefCell<(Vec<f64>, Vec<f64>)> = const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
@@ -942,39 +838,6 @@ mod tests {
         }
         check::<f64>(1.5);
         check::<c64>(c64::new(-0.2, 1.1));
-    }
-
-    #[test]
-    fn threaded_path_matches_serial() {
-        let m = 192;
-        let k = 192;
-        let n = 192;
-        let a = Mat::from_fn(m, k, |i, j| ((i * 13 + j) % 17) as f64 - 8.0);
-        let b = Mat::from_fn(k, n, |i, j| ((i + 3 * j) % 29) as f64 * 0.1);
-        let serial = matmul(&a, &b);
-        let prev = set_gemm_threads(3);
-        let threaded = matmul(&a, &b);
-        set_gemm_threads(prev);
-        // Thread split is by output columns only, so the arithmetic per
-        // column is identical: results must match bit-for-bit.
-        assert_eq!(max_abs_diff(&serial, &threaded), 0.0);
-    }
-
-    #[test]
-    fn thread_knob_is_thread_local_and_restores() {
-        assert_eq!(gemm_threads(), 1);
-        let prev = set_gemm_threads(4);
-        assert_eq!(prev, 1);
-        assert_eq!(gemm_threads(), 4);
-        std::thread::scope(|s| {
-            s.spawn(|| assert_eq!(gemm_threads(), 1, "knob must not leak across threads"));
-        });
-        set_gemm_threads(prev);
-        assert_eq!(gemm_threads(), 1);
-        // 0 resolves to the available parallelism (>= 1).
-        let before = set_gemm_threads(0);
-        assert!(gemm_threads() >= 1);
-        set_gemm_threads(before);
     }
 
     #[test]

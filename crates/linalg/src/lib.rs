@@ -19,8 +19,7 @@
 //! linear-algebra support is thin, and the approved dependency set for this
 //! reproduction does not include a BLAS binding. The hot kernels are
 //! level-3 formulations — a cache-blocked GEMM with packed operand panels
-//! and a register-tiled micro-kernel (plus an opt-in scoped-thread path,
-//! see [`set_gemm_threads`]), compact-WY blocked Householder QR/CPQR with
+//! and a register-tiled micro-kernel, compact-WY blocked Householder QR/CPQR with
 //! downdated column norms, a panel-blocked LU, and blocked triangular
 //! solves — each keeping its level-2 predecessor as a `*_naive` /
 //! `*_unblocked` reference oracle for the randomized agreement tests.
@@ -43,7 +42,6 @@ pub mod triangular;
 pub mod vecops;
 
 pub use complex::c64;
-pub use gemm::{gemm_threads, set_gemm_threads};
 pub use id::{interp_decomp, IdResult};
 pub use ldlt::{Ldlt, LdltBreakdown, SymPanels};
 pub use lu::Lu;

@@ -30,6 +30,34 @@
 //! routine falls back to the full deterministic [`interp_decomp`] — so
 //! accuracy is never worse than the non-randomized path.
 //!
+//! # Failure probability
+//!
+//! Write `E = A[:,R] − A[:,S] T` for the error of a candidate ID. The
+//! holdout rows read `Ω_v E`, and `Ω_v` took no part in choosing the
+//! candidate. What [`RID_VERIFY_ROWS`] = 8 such rows buy:
+//!
+//! * **Proven for Gaussian rows only.** Halko–Martinsson–Tropp (2011),
+//!   §4.3, Lemma 4.1: with `r` independent standard Gaussian probes,
+//!   `‖E‖ > 10 √(2/π) max_i ‖ω_iᵀ E‖` has probability at most `10^-r`.
+//!   For our 8 rows that would be `10^-8`.
+//! * **Proven for the Rademacher rows drawn here.** The bound is much
+//!   weaker. Each row is isotropic, so `E ‖ωᵀE‖² = ‖E‖_F²`. A Rademacher
+//!   quadratic form with `M = E Eᵀ` has `E[(ωᵀMω)²] ≤ 3 (tr M)²`. So by
+//!   Paley–Zygmund one row reads `‖ωᵀE‖² ≥ θ ‖E‖_F²` with probability at
+//!   least `(1 − θ)² / 3`. All eight rows under-read the error by more
+//!   than `1/√θ` with probability at most `(1 − (1 − θ)²/3)^8`: 0.043 at
+//!   `θ = 10^-2`, and 0.039 as `θ → 0`. Only errors concentrated on one
+//!   or two rows of the stack come near this worst case. The rows come
+//!   from a counter hash, so their independence is itself an assumption.
+//! * **Measured, not proven: the Gaussian-like rate.** `srsf-core`'s
+//!   `sketch_seed_sweep_meets_far_field_bound` runs 1000 seeds on one
+//!   leaf box for each of Laplace at tol 1e-6 and 1e-9 and Helmholtz at
+//!   κ = 25. It sees no true-far-field violation, no retry and no
+//!   fallback. Zero failures in 1000 trials bound the end-to-end rate
+//!   per case by 3 × 10^-3 at 95 % confidence. The benchmark's
+//!   `core.compress.sketch_retries` and `sketch_fallbacks` are 0 on all
+//!   four workloads.
+//!
 //! # Determinism
 //!
 //! Sketch entries are a pure function of the seed and the *global*

@@ -5,8 +5,8 @@
 
 use srsf_linalg::gemm::{
     adjoint_matmul, adjoint_matmul_acc, adjoint_matmul_acc_naive, matmul, matmul_acc,
-    matmul_acc_naive, matmul_adjoint, matmul_adjoint_naive, set_gemm_threads, transpose_matmul,
-    transpose_matmul_acc, transpose_matmul_sub,
+    matmul_acc_naive, matmul_adjoint, matmul_adjoint_naive, transpose_matmul, transpose_matmul_acc,
+    transpose_matmul_sub,
 };
 use srsf_linalg::ldlt::NB;
 use srsf_linalg::norms::{fro_norm, max_abs_diff};
@@ -144,7 +144,7 @@ const ADJ_SHAPES: &[(usize, usize, usize)] = &[
     (0, 5, 6),
     (5, 0, 6),
     (5, 6, 0),
-    (400, 170, 100), // above the threading threshold
+    (400, 170, 100), // depth across two `KC` blocks
 ];
 
 fn packed_adjoint_oracle<T: TestScalar>(seed: u64) {
@@ -159,13 +159,6 @@ fn packed_adjoint_oracle<T: TestScalar>(seed: u64) {
         let mut got = c0.clone();
         adjoint_matmul_acc(&mut got, alpha, &a, &b);
         assert_close(&got, &want, "adjoint_matmul_acc");
-        // The threaded split is by output columns, so it must not change
-        // a single bit.
-        let prev = set_gemm_threads(3);
-        let mut threaded = c0.clone();
-        adjoint_matmul_acc(&mut threaded, alpha, &a, &b);
-        set_gemm_threads(prev);
-        assert_eq!(threaded, got, "threaded adjoint_matmul_acc {k}x{m}x{n}");
     }
 }
 
@@ -182,7 +175,7 @@ fn packed_adjoint_gemm_matches_naive_c64() {
 /// The transpose flavour of the packed product against an entry-wise
 /// `A^T B` with no conjugate anywhere, over the same shapes: both
 /// branches of the size switch (`PACK_MIN_FLOPS`, `n >= 4`), ragged
-/// panels, empty dimensions, the threaded split.
+/// panels, empty dimensions.
 fn packed_transpose_oracle<T: TestScalar>(seed: u64) {
     for (i, &(k, m, n)) in ADJ_SHAPES.iter().enumerate() {
         let mut rng = Rng::new(seed + i as u64);
@@ -210,12 +203,6 @@ fn packed_transpose_oracle<T: TestScalar>(seed: u64) {
         } else {
             assert_eq!(got, adj, "real A^T B must be the bits of A^H B");
         }
-
-        let prev = set_gemm_threads(3);
-        let mut threaded = c0.clone();
-        transpose_matmul_acc(&mut threaded, alpha, &a, &b);
-        set_gemm_threads(prev);
-        assert_eq!(threaded, got, "threaded transpose_matmul_acc {k}x{m}x{n}");
 
         // The allocating and subtracting forms are the same product.
         let mut sum = transpose_matmul(&a, &b);
@@ -859,35 +846,6 @@ fn sym_panels_assemble_from_unaligned_lower_blocks() {
         r0 += si;
     }
     assert_eq!(p, SymPanels::from_lower(&a));
-}
-
-/// The threaded trailing update and solve sweeps split by output
-/// columns: not one bit may move. Sized so the products actually cross
-/// the threading threshold.
-#[test]
-fn ldlt_threaded_is_bit_identical() {
-    let n = 17 * NB + 5;
-    let mut rng = Rng::new(34);
-    let a = rand_symmetric::<f64>(n, &mut rng);
-    let b = rand_mat::<f64>(n, 64, &mut rng);
-    let run = |threads: usize| {
-        let prev = set_gemm_threads(threads);
-        let f = Ldlt::factor(SymPanels::from_lower(&a)).expect("LDLᵀ");
-        let mut x = b.clone();
-        f.solve_mat(&mut x);
-        set_gemm_threads(prev);
-        (f, x)
-    };
-    let ((f1, x1), (f4, x4)) = (run(1), run(4));
-    assert_eq!(x1, x4, "threaded solve_mat");
-    for (d1, d4) in f1.diag_blocks().iter().zip(f4.diag_blocks()) {
-        assert_eq!(
-            (&d1.lu, &d1.piv),
-            (&d4.lu, &d4.piv),
-            "threaded diagonal block"
-        );
-    }
-    assert_eq!(f1.sub_panels(), f4.sub_panels(), "threaded panels");
 }
 
 /// Without pivoting across blocks some nonsingular symmetric matrices

@@ -368,7 +368,7 @@ fn run_resident<K: Kernel>(kernel: &K, fast: &FastKernelOp<K::Elem>, grid: &Unit
 /// Compression observability: the per-level skeleton rank table (Fig. 9
 /// of the paper) plus the sketched path's counters — how often the
 /// a-posteriori check forced a retry or a CPQR fallback, and how many
-/// sketch blocks went through the FFT fast path vs dense GEMMs.
+/// blocks the sketches applied.
 fn print_compression(stats: &srsf::prelude::FactorStats) {
     println!("\ncompression (all ranks):");
     println!("{:>7} {:>8} {:>10}", "level", "boxes", "avg rank");
@@ -378,8 +378,8 @@ fn print_compression(stats: &srsf::prelude::FactorStats) {
     }
     let c = &stats.compression;
     println!(
-        "sketch retries = {}, CPQR fallbacks = {}, sketch blocks: {} FFT / {} dense",
-        c.sketch_retries, c.sketch_fallbacks, c.fft_block_applies, c.dense_block_applies
+        "sketch retries = {}, CPQR fallbacks = {}, sketch blocks = {}",
+        c.sketch_retries, c.sketch_fallbacks, c.dense_block_applies
     );
 }
 
