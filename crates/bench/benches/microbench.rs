@@ -399,8 +399,9 @@ fn main() {
         // rank world, then serve repeated blocked solves in place
         // (records stay on their ranks; each iteration is one full
         // scatter -> distributed sweep -> gather round trip). The
-        // gathered case serves the same factorization from the rank-0
-        // global object — the serial path residency replaces.
+        // gathered case serves the same factorization from its local copy
+        // on rank 0 (`Solver::gather`) — the serial path residency
+        // replaces.
         let bm16 = {
             let mut m = Mat::zeros(grid.n(), 16);
             for j in 0..16 {
@@ -412,17 +413,12 @@ fn main() {
         let resident = Solver::builder(&kernel, &pts)
             .opts(opts_for(Transport::InProc))
             .driver(Driver::distributed(4))
-            .resident(true)
             .build()
             .expect("resident factorization");
         h.bench("dist_solve/resident_1024_p4_nrhs16", || {
             resident.solve_mat(&bm16)
         });
-        let gathered = Solver::builder(&kernel, &pts)
-            .opts(opts_for(Transport::InProc))
-            .driver(Driver::distributed(4))
-            .build()
-            .expect("gathered factorization");
+        let gathered = resident.gather().expect("gathered factorization");
         h.bench("dist_solve/gathered_1024_p4_nrhs16", || {
             gathered.solve_mat(&bm16)
         });
@@ -458,8 +454,8 @@ fn main() {
         // Tracing overhead: the same 4-rank factorization with span
         // recording off vs on. Disabled, every span site is one branch on
         // a relaxed atomic; enabled, it is a clock pair plus a fixed-slot
-        // ring-buffer write (and the per-rank report rides the existing
-        // result gather). A fixed iteration count keeps the two medians
+        // ring-buffer write (and the per-rank reports stay in the ring
+        // buffers until drained). A fixed iteration count keeps the two medians
         // comparable; `bench-diff` prints the on/off ratio.
         let trace_iters = if quick { 3 } else { 7 };
         for (name, trace) in [

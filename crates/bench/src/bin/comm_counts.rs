@@ -16,16 +16,16 @@
 //! case it belongs to, recomputing earlier cases in-process — so prefer
 //! the small sweep (`SRSF_BENCH_LARGE` unset) when using `tcp`.
 //!
-//! With `--solve-reps k` each case additionally factors a **resident**
-//! solver (records stay on their ranks), serves `k` repeated solves
+//! With `--solve-reps k` each case instead factors a solver (records stay
+//! on their ranks), serves `k` repeated solves
 //! against it, and reports the per-solve messages/words — measured
 //! exactly, as the counter delta between two probe snapshots bracketing
 //! the `k` solves, divided by `k` — separately from the factorization
 //! traffic above. The solve-phase bound O(sqrt(N/p)) is thereby measured
 //! rather than assumed. (The RHS scatter / solution gather slabs are the
-//! serving API's envelope — the residency analogue of the old rank-0
-//! record gather — and move as uncounted service frames; their volume is
-//! the analytic `N/p * nrhs` words per rank, printed for reference.)
+//! serving API's envelope and move as uncounted service frames; their
+//! volume is the analytic `N/p * nrhs` words per rank, printed for
+//! reference.)
 
 use srsf_bench::{is_large, rule, run_laplace_case, sweep_sides};
 use srsf_core::{Driver, FactorOpts, Solver, Transport};
@@ -43,7 +43,6 @@ fn resident_solve_counters(side: usize, p: usize, opts: &FactorOpts, reps: usize
     let f = Solver::builder(&kernel, &pts)
         .opts(opts.clone())
         .driver(Driver::distributed(p))
-        .resident(true)
         .build()
         .expect("resident factorization");
     let b = random_vector::<f64>(grid.n(), 1234);

@@ -114,15 +114,16 @@ fn factor_and_solve<K: srsf_kernels::kernel::Kernel>(
     } else {
         let grid = ProcessGrid::new(p);
         let t0 = Instant::now();
-        let (f, x) = Solver::builder(kernel, pts)
+        let f = Solver::builder(kernel, pts)
             .opts(opts.clone())
             .driver(Driver::Distributed { grid })
-            .build_with_solution(b)
+            .build()
             // INVARIANT: deliberate — the experiment harness aborts on setup failure
             .expect("distributed factorization");
-        let total = t0.elapsed().as_secs_f64();
-        let tsolve = f.stats().solve_s;
-        let tfact = (total - tsolve).max(0.0);
+        let tfact = t0.elapsed().as_secs_f64();
+        let t1 = Instant::now();
+        let x = f.solve(b);
+        let tsolve = t1.elapsed().as_secs_f64();
         // INVARIANT: a Distributed-driver solver always carries comm stats
         let stats = f.comm_stats().expect("distributed comm stats").clone();
         (f, x, stats, (tfact, tsolve))

@@ -1,5 +1,4 @@
-//! The distributed factorization (Algorithm 2) and the gathered serving
-//! mode.
+//! The distributed factorization (Algorithm 2).
 //!
 //! Leaf boxes are block-partitioned over a `q x q` process grid (Figure 4).
 //! Every level runs as:
@@ -48,28 +47,21 @@
 //! same code, solutions, and counters on both (see
 //! `tests/transport_equiv.rs`).
 //!
-//! The phase machinery up to (and including) the top factorization is
-//! shared with the resident serving mode as [`factor_phase`]; the record
-//! gather onto rank 0 below it is the *gathered* mode only. The solve
-//! protocol lives in [`super::serve`] for both: the resident service runs
-//! it per request, and `build_with_solution` runs it once, at one
-//! right-hand side, inside the factorization world before the gather.
+//! The sweep ends with the top factorization on rank 0 ([`factor_phase`])
+//! and the dealing out of its block columns ([`scatter_top`]); every rank
+//! then keeps what it produced and serves from it ([`super::serve`]).
 
-use super::serve::{solve_resident_mat, ServeState};
 use super::{
-    box_near_region, get_box, get_ids, order_key, owned_leaf_ids, region_of, RankState, RankTop,
-    TopShare,
+    box_near_region, get_box, get_ids, order_key, region_of, RankState, RankTop, TopShare,
 };
 use crate::colored::eliminate_color_round;
-use crate::elimination::{apply_output, BoxElimination, EliminationOutput, FactorError};
+use crate::elimination::{apply_output, EliminationOutput, FactorError};
 use crate::levels::assemble_parent_block;
-use crate::sequential::Factorization;
 use crate::skeletonize::CompressionCtx;
-use crate::solve::RhsBlock;
-use crate::stats::{CompressionTelemetry, FactorStats};
+use crate::stats::FactorStats;
 use crate::store::{ActiveSets, BlockStore};
 use crate::top::{factor_top, TopFactor};
-use crate::wire::{put_box, put_ids, ScalarVec};
+use crate::wire::{put_box, put_ids};
 use crate::FactorOpts;
 use srsf_geometry::neighbors::near_field;
 use srsf_geometry::point::Point;
@@ -81,11 +73,8 @@ use srsf_runtime::codec::{ByteReader, ByteWriter, Wire};
 // The tag scheme (`tag = level * 64 + phase * 8 + kind`) lives in the
 // runtime next to the transports, so a receive timeout on either backend
 // can decode the step it was waiting on; see `srsf_runtime::tags`.
-use srsf_runtime::tags::{
-    tag, KIND_ACT_REFRESH, KIND_FOLD, KIND_PHASE_UPDATE, KIND_RECORDS, KIND_TOP,
-};
-use srsf_runtime::world::{RankCtx, World};
-use srsf_runtime::WorldStats;
+use srsf_runtime::tags::{tag, KIND_ACT_REFRESH, KIND_FOLD, KIND_PHASE_UPDATE, KIND_TOP};
+use srsf_runtime::world::RankCtx;
 use std::collections::{HashMap, HashSet};
 
 /// Serialize one box's elimination side effects for a tracking rank:
@@ -172,106 +161,6 @@ fn decode_and_apply_update<K: Kernel>(
     }
 }
 
-fn encode_record<T: Scalar>(w: &mut ByteWriter, key: u64, rec: &BoxElimination<T>) {
-    w.put_u64(key);
-    rec.encode(w);
-}
-
-fn decode_record<T: Scalar>(r: &mut ByteReader) -> (u64, BoxElimination<T>) {
-    // INVARIANT: this frame was encoded by a peer rank under the matching tag
-    // and the transport delivers whole messages, so decode cannot truncate
-    let key = r.get_u64();
-    // INVARIANT: record frames are produced by our own encoder (trusted peer
-    // rank); a malformed one is a peer bug worth dying loudly on
-    let rec = BoxElimination::decode(r).unwrap_or_else(|e| panic!("malformed record frame: {e}"));
-    (key, rec)
-}
-
-/// What the gathered-mode build yields: the factorization assembled on
-/// rank 0, the algorithmic per-rank counters, the optional in-world
-/// solution, and each rank's *resident* record footprint in bytes — what
-/// the rank held before shipping its records to the gather (the number
-/// [`crate::Solver::memory_bytes_per_rank`] reports).
-pub(crate) struct DistBuild<T> {
-    pub(crate) fact: Factorization<T>,
-    pub(crate) stats: WorldStats,
-    pub(crate) x: Option<Vec<T>>,
-    pub(crate) per_rank_bytes: Vec<usize>,
-    /// Per-rank span reports when [`FactorOpts::trace`] was on (one per
-    /// rank, rank order); empty otherwise.
-    pub(crate) traces: Vec<srsf_trace::TraceReport>,
-}
-
-/// Distributed factorization against a caller-provided tree (the
-/// gathered-mode driver entry point used by `Solver`).
-pub(crate) fn dist_factorize_with_tree<K: Kernel>(
-    kernel: &K,
-    pts: &[Point],
-    tree: &QuadTree,
-    grid: &ProcessGrid,
-    opts: &FactorOpts,
-    rhs: Option<&[K::Elem]>,
-) -> Result<DistBuild<K::Elem>, FactorError> {
-    let leaf = tree.leaf_level();
-    let lmin = (opts.min_compress_level as u8).min(leaf);
-    let world = World::new(grid.p())
-        .transport(opts.transport)
-        .with_recv_timeout(opts.recv_timeout);
-
-    let (results, _total_stats) =
-        world.run(|ctx| run_rank(ctx, kernel, pts, tree, grid, opts, leaf, lmin, rhs));
-
-    // Report the *algorithmic* per-rank counters (pre record-gather); the
-    // gather that assembles the Factorization on rank 0 is an API artifact
-    // outside Algorithm 2's communication analysis.
-    let mut fact = None;
-    let mut stats = WorldStats::default();
-    let mut per_rank_bytes = Vec::with_capacity(grid.p());
-    let mut traces = Vec::new();
-    for r in results {
-        match r {
-            Ok((rank_stats, bytes, trace, payload)) => {
-                stats.per_rank.push(rank_stats);
-                per_rank_bytes.push(bytes as usize);
-                if let Some(t) = trace {
-                    traces.push(t);
-                }
-                if let Some(p) = payload {
-                    fact = Some(p);
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    // INVARIANT: the rank-0 closure always assembles the factorization when
-    // no rank returned an error above
-    let (f, x) = fact.expect("rank 0 must produce the factorization");
-    Ok(DistBuild {
-        fact: f,
-        stats,
-        x: x.map(|v| v.0),
-        per_rank_bytes,
-        traces,
-    })
-}
-
-/// What every rank returns from the world: its algorithmic counters, its
-/// resident record bytes (what the rank held before the gather), its span
-/// report (when [`FactorOpts::trace`] is on), and, on rank 0 only, the
-/// gathered factorization (plus the solution when a right-hand side was
-/// supplied). On the TCP backend this type crosses the process boundary
-/// as a result frame, hence the [`Wire`] bound met via `crate::wire`
-/// ([`ScalarVec`] wraps the solution vector).
-type RankOutput<T> = Result<
-    (
-        srsf_runtime::stats::CommStats,
-        u64,
-        Option<srsf_trace::TraceReport>,
-        Option<(Factorization<T>, Option<ScalarVec<T>>)>,
-    ),
-    FactorError,
->;
-
 /// A rank's factorization-phase output: its records and routing state,
 /// plus (rank 0 only) the dense top factorization, whole.
 pub(crate) type FactorPhaseOutcome<T> = Result<(RankState<T>, RankTop<T>), FactorError>;
@@ -279,9 +168,8 @@ pub(crate) type FactorPhaseOutcome<T> = Result<(RankState<T>, RankTop<T>), Facto
 /// The factorization half of a rank's work: the level sweep (interior
 /// phase, four color rounds, level transitions with folds) and the top
 /// gather/factorization, leaving this rank's elimination records and
-/// solve-routing metadata in the returned [`RankState`]. Everything both
-/// serving modes share ends here; the caller decides whether the records
-/// are then gathered (this module) or stay resident ([`super::serve`]).
+/// solve-routing metadata in the returned [`RankState`], where they stay
+/// for the serve loop ([`super::serve`]).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn factor_phase<K: Kernel>(
     ctx: &mut RankCtx,
@@ -394,8 +282,7 @@ pub(crate) fn factor_phase<K: Kernel>(
 /// (rank 0 additionally writes the run manifest) when
 /// [`FactorOpts::checkpoint_dir`] is set — the persistence hook behind
 /// [`crate::Solver::restore_resident`]. Runs the moment the rank holds
-/// its final state — after the factor sweep in a gathered build, after
-/// the top's block columns were dealt out in a resident one — on both
+/// its final state — once the top's block columns were dealt out — on both
 /// transports (on TCP every rank is its own process and writes its own
 /// file).
 pub(super) fn write_rank_checkpoint<T: Scalar>(
@@ -489,7 +376,7 @@ fn level_ranges(loads: &[usize], col_bytes: &[usize]) -> Vec<usize> {
     bounds
 }
 
-/// The resident build's last step: deal the block columns of the packed
+/// The build's last step: deal the block columns of the packed
 /// top, which the factor phase left whole on rank 0, out over the ranks
 /// active at the top level, so that the bytes a rank keeps — records plus
 /// top — are level ([`level_ranges`]). Every active rank reports its
@@ -586,66 +473,6 @@ pub(super) fn scatter_top<T: Scalar>(
         next: chain.get(1).map(|&(rank, _)| rank),
     };
     Ok((state, Some(mine)))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_rank<K: Kernel>(
-    ctx: &mut RankCtx,
-    kernel: &K,
-    pts: &[Point],
-    tree: &QuadTree,
-    grid: &ProcessGrid,
-    opts: &FactorOpts,
-    leaf: u8,
-    lmin: u8,
-    rhs: Option<&[K::Elem]>,
-) -> RankOutput<K::Elem> {
-    // Every rank stores the flag (on the TCP backend each rank is its own
-    // process); storing `false` keeps untraced runs self-cleaning.
-    srsf_trace::set_enabled(opts.trace);
-    let (state, top) = factor_phase(ctx, kernel, pts, tree, grid, opts, leaf, lmin)?;
-    write_rank_checkpoint(ctx.rank(), &state, &top, pts, grid, opts);
-    let bytes = resident_bytes(&state, &top);
-    // Snapshot the *algorithmic* communication counters here: everything
-    // after this point (solve traffic is reported separately; shipping the
-    // records to rank 0 is an API convenience, not part of Algorithm 2)
-    // must not pollute the §IV bound measurements.
-    let algo_stats = ctx.stats();
-
-    // Optional in-world solve: the resident protocol, once, at one
-    // right-hand side. Only a build that asked for it pays for the
-    // routing tables.
-    let me = ctx.rank();
-    let (state, top, x) = match rhs {
-        None => (state, top, None),
-        Some(b) => {
-            let t_solve = std::time::Instant::now();
-            let st = ServeState::from_rank_state(state, top, tree, pts, grid, leaf, lmin, me);
-            let owned: Option<Vec<Vec<u32>>> = (me == 0).then(|| {
-                (0..grid.p())
-                    .map(|r| owned_leaf_ids(tree, grid, r))
-                    .collect()
-            });
-            let mut x = RhsBlock::from_row(b);
-            if let Err(e) = solve_resident_mat(ctx, grid, &st, &mut x, owned.as_deref()) {
-                // INVARIANT: deliberate — the panic `RankCtx::recv` raises for
-                // the same failure, which `catch_rank_failure` turns into the
-                // typed error at the driver boundary
-                panic!("{e}");
-            }
-            let (mut state, top) = st.into_rank_state();
-            state.stats.solve_s = t_solve.elapsed().as_secs_f64();
-            let x = (me == 0).then(|| ScalarVec(x.as_slice().to_vec()));
-            (state, top, x)
-        }
-    };
-
-    // Gather records on rank 0 and assemble the factorization object.
-    let f = gather_factorization(ctx, grid, top, state, pts.len())?;
-    // Drain this rank's span buffers last so the report covers the whole
-    // build (the record gather included).
-    let trace = opts.trace.then(|| srsf_trace::take_report(me));
-    Ok((algo_stats, bytes, trace, f.map(|f| (f, x))))
 }
 
 /// Eliminate `boxes` (phase `phase` of `level`) in four box-color
@@ -1046,61 +873,6 @@ fn gather_top<K: Kernel>(
         prev: None,
         next: None,
     }))
-}
-
-/// Gather all records on rank 0 and assemble the global factorization.
-fn gather_factorization<T: Scalar>(
-    ctx: &mut RankCtx,
-    grid: &ProcessGrid,
-    top: RankTop<T>,
-    state: RankState<T>,
-    n: usize,
-) -> Result<Option<Factorization<T>>, FactorError> {
-    let me = ctx.rank();
-    if me != 0 {
-        let mut w = ByteWriter::new();
-        w.put_u64(state.records.len() as u64);
-        for (key, rec) in &state.records {
-            encode_record(&mut w, *key, rec);
-        }
-        // Compression telemetry rides the record frame so rank 0's
-        // gathered stats cover every rank's boxes, not just its own.
-        state.stats.compression.encode(&mut w);
-        ctx.send(0, tag(0, 7, KIND_RECORDS), w.finish());
-        return Ok(None);
-    }
-    let mut keyed: Vec<(u64, BoxElimination<T>)> = state.records;
-    let mut stats = state.stats;
-    for src in 1..grid.p() {
-        let payload = ctx.recv(src, tag(0, 7, KIND_RECORDS));
-        let mut r = ByteReader::new(payload);
-        // INVARIANT: this frame was encoded by a peer rank under the matching tag
-        // and the transport delivers whole messages, so decode cannot truncate
-        let n_recs = r.get_u64();
-        for _ in 0..n_recs {
-            keyed.push(decode_record(&mut r));
-        }
-        // INVARIANT: same trusted-peer argument as `decode_record`
-        let tel = CompressionTelemetry::decode(&mut r)
-            .unwrap_or_else(|e| panic!("malformed record frame telemetry: {e}"));
-        stats.compression.absorb(&tel);
-    }
-    keyed.sort_by_key(|(k, _)| *k);
-    stats.ranks.clear();
-    let leaf = stats.leaf_level;
-    let records: Vec<BoxElimination<T>> = keyed
-        .into_iter()
-        .map(|(key, rec)| {
-            let level = leaf - ((key >> 46) as u8);
-            stats.add_rank(level, rec.skel.len());
-            rec
-        })
-        .collect();
-    // INVARIANT: rank 0 runs the top-level merge, so its record always exists
-    let top = top.expect("rank 0 holds the top factorization");
-    Ok(Some(Factorization::from_parts(
-        n, records, top.idx, top.cols, stats,
-    )))
 }
 
 #[cfg(test)]

@@ -1,34 +1,25 @@
-//! Algorithm 2: the distributed-memory parallel factorization and its two
-//! serving modes.
+//! Algorithm 2: the distributed-memory parallel factorization and the
+//! rank world that serves solves from it.
 //!
 //! Leaf boxes are block-partitioned over a `q x q` process grid (Figure
 //! 4) and factored level by level with interior/boundary phases and four
 //! process-color rounds — see [`factorize`] for the phase structure and
-//! the communication pattern. What happens *after* the factorization is
-//! the mode split:
+//! the communication pattern. The rank world then *stays alive*
+//! ([`serve`]): records remain on the ranks that produced them, the dense
+//! top factorization is spread by block columns over the ranks active at
+//! the top level, rank 0 keeps the routing metadata, and repeated
+//! `solve`/`solve_mat` calls run Algorithm 2's upward/downward passes in
+//! place over a request/response command loop
+//! (`srsf_runtime::world::WorldHandle`). This is the paper's deployment:
+//! O(N/p) factor memory per rank and O(sqrt(N/p)) words moved per rank
+//! per solve, amortized over many right-hand sides. A caller that wants
+//! the factorization as one local object asks the world for it
+//! ([`crate::Solver::gather`]); nothing else ever assembles it.
 //!
-//! * **Gathered** (the historical default) — every rank ships its
-//!   elimination records to rank 0, which assembles a global
-//!   [`Factorization`](crate::Factorization) and serves every later
-//!   solve locally. Simple, but rank 0 holds O(N) records: the gather is
-//!   an API artifact outside Algorithm 2's analysis, and it forfeits the
-//!   paper's O(N/p) per-rank memory bound the moment the build returns.
-//! * **Resident** ([`serve`]) — the rank world *stays alive*: records
-//!   remain on the ranks that produced them, the dense top factorization
-//!   is spread by block columns over the ranks active at the top level,
-//!   rank 0 keeps the routing metadata, and repeated
-//!   `solve`/`solve_mat` calls run Algorithm 2's upward/downward passes
-//!   in place over a request/response command loop
-//!   (`srsf_runtime::world::WorldHandle`). This is the paper's serving
-//!   deployment: the cheap solve phase — O(sqrt(N/p)) words moved per
-//!   rank per solve — amortized over many right-hand sides, with the
-//!   per-rank memory bound intact.
-//!
-//! Select with [`crate::SolverBuilder::resident`]. Both modes run on
-//! either runtime backend — ranks as threads
+//! The world runs on either runtime backend — ranks as threads
 //! ([`Transport::InProc`](srsf_runtime::Transport)) or as real OS
 //! processes over TCP sockets
-//! ([`Transport::Tcp`](srsf_runtime::Transport)) — and both are
+//! ([`Transport::Tcp`](srsf_runtime::Transport)) — and is
 //! backend-agnostic: the same code, solutions, and counters either way.
 //!
 //! This module holds the pieces the two halves share: the geometry of
@@ -38,7 +29,6 @@
 mod factorize;
 mod serve;
 
-pub(crate) use factorize::dist_factorize_with_tree;
 pub use serve::ResidentService;
 pub(crate) use serve::{dist_factorize_resident, restore_resident_service};
 
@@ -105,12 +95,12 @@ pub(crate) fn owner_of_point(
 /// The sub-color bits mirror the order `run_phase` actually eliminates a
 /// rank's phase boxes in (four `BoxColoring::Four` rounds, merged in box
 /// order within each round), so sorting records by key reproduces the
-/// elimination order bit-exactly — the contract both the gathered
-/// factorization and the resident serve state rely on. Cross-rank records
-/// sharing a `(level, phase)` always sit at box distance >= 2 (interior
-/// boxes of different ranks, or boundary boxes of same-colored ranks), so
-/// their relative order only fixes the floating-point summation order of
-/// shared Schur targets, which the key makes deterministic.
+/// elimination order bit-exactly — the contract the serve state and a
+/// gathered factorization rely on. Cross-rank records sharing a `(level,
+/// phase)` always sit at box distance >= 2 (interior boxes of different
+/// ranks, or boundary boxes of same-colored ranks), so their relative
+/// order only fixes the floating-point summation order of shared Schur
+/// targets, which the key makes deterministic.
 pub(crate) fn order_key(leaf: u8, level: u8, phase: u8, color: u8, b: &BoxId) -> u64 {
     (((leaf - level) as u64) << 46)
         | ((phase as u64) << 42)
@@ -154,8 +144,8 @@ pub(crate) struct RankState<T> {
 /// it applies in the top solve and its place in the chain of owners the
 /// solve's panel travels along (see [`serve`]). The factor phase leaves
 /// the whole top on rank 0 — a chain of one, which is also all a general
-/// (unsymmetric) top ever is; the resident build then deals the block
-/// columns out.
+/// (unsymmetric) top ever is; the build then deals the block columns
+/// out.
 pub(crate) struct TopShare<T> {
     /// Point ids of the top block's rows, in matrix order: on the head
     /// of the chain (rank 0), which gathers the values into the panel and

@@ -1,4 +1,4 @@
-//! The resident serving mode: keep the rank world alive and serve
+//! The distributed driver's serving: keep the rank world alive and serve
 //! repeated solves in place.
 //!
 //! After [`factor_phase`](super::factorize::factor_phase) completes, each
@@ -26,8 +26,8 @@
 //! then (records + top) / p rather than records / p + top on rank 0. A
 //! rank whose records already weigh more than the level gets no columns
 //! and is not part of the chain; a general (unsymmetric) top, whose LU
-//! has no independent block columns, stays whole on rank 0, as does the
-//! top of a gathered build: a chain of one owner, run by the same code.
+//! has no independent block columns, stays whole on rank 0: a chain of
+//! one owner, run by the same code.
 //!
 //! **Hop order.** The top solve of `X A⁻ᵀ` is a forward and a backward
 //! sweep over block columns, each step touching its own column's blocks
@@ -44,9 +44,11 @@
 //! `srsf-verify` model `top_chain_token_makes_two_p_minus_one_hops`
 //! explores its interleavings with the value gather and the replies.
 //!
-//! **Bit-exactness.** The resident solve reproduces the gathered
-//! [`Factorization::apply_inverse_mat`](crate::Factorization) sweep *bit
-//! for bit* (asserted in `tests/resident_serve.rs`): per-rank records are
+//! **Bit-exactness.** The resident solve reproduces the serial
+//! [`Factorization::apply_inverse_mat`] sweep of the same factorization
+//! gathered onto one rank *bit for bit* (asserted against
+//! [`ResidentService::gather`] in `tests/resident_serve.rs`): per-rank
+//! records are
 //! applied in global elimination-order (the sorted order key), and the
 //! neighbor delta shipped for a remote point is the very column of the
 //! `X_R · ENᵀ` product the serial merge would subtract — not an
@@ -69,8 +71,16 @@
 //! as uncounted service frames ([`RankCtx::send_service`]). The one-off
 //! dealing out of the top's block columns is counted traffic, sent after
 //! the factor-phase counters were snapshotted: those
-//! ([`ResidentService::comm`]) are Algorithm 2's and equal in both
-//! serving modes, and the scatter shows in a traced build's spans.
+//! ([`ResidentService::comm`]) are Algorithm 2's, and the scatter shows in
+//! a traced build's spans.
+//!
+//! **Gather.** [`ResidentService::gather`] assembles the factorization as
+//! one local object on demand — the bit-reference of the equivalence
+//! tests and the way to [`Factorization::save`] one file. Every worker
+//! replies with its snapshot (the checkpoint codec) on an uncounted
+//! service frame; rank 0 sorts the records into elimination order and
+//! re-joins the top's block columns in chain order. The ranks keep their
+//! state and the service serves on.
 //!
 //! **Shutdown.** Tag-based and Drop-safe: [`ResidentService::shutdown`]
 //! broadcasts a shutdown command and joins the workers through
@@ -99,12 +109,13 @@ use super::{
 };
 use crate::elimination::FactorError;
 use crate::error::SrsfError;
-use crate::sequential::domain_for;
+use crate::sequential::{domain_for, Factorization};
 use crate::solve::{
     downward_parts, frame_of, merge_downward, merge_upward, upward_parts, RecordPanels, RhsBlock,
 };
 use crate::stats::FactorStats;
-use crate::wire::put_ids;
+use crate::top::TopFactor;
+use crate::wire::{decode_rank_snapshot, encode_rank_snapshot, put_ids};
 use crate::FactorOpts;
 use srsf_geometry::point::Point;
 use srsf_geometry::procgrid::ProcessGrid;
@@ -112,10 +123,11 @@ use srsf_geometry::tree::{BoxId, QuadTree};
 use srsf_kernels::kernel::Kernel;
 use srsf_linalg::panel::panel_rows;
 use srsf_linalg::{Mat, Scalar};
-use srsf_runtime::codec::{ByteReader, ByteWriter, Wire};
+use srsf_runtime::codec::{ByteReader, ByteWriter, Bytes, CodecError, Wire};
 use srsf_runtime::tags::{
     self, tag, KIND_SOLVE_REQ, KIND_SOLVE_UP, KIND_SOLVE_VAL, TAG_SERVE_CKPT, TAG_SERVE_CMD,
-    TAG_SERVE_READY, TAG_SERVE_RHS, TAG_SERVE_SOL, TAG_SERVE_STATS, TAG_SERVE_TRACE,
+    TAG_SERVE_GATHER, TAG_SERVE_READY, TAG_SERVE_RHS, TAG_SERVE_SOL, TAG_SERVE_STATS,
+    TAG_SERVE_TRACE,
 };
 use srsf_runtime::world::{RankCtx, World, WorldHandle};
 use srsf_runtime::{CommStats, MetricsRegistry, RecvError, TraceReport, Transport, WorldStats};
@@ -135,6 +147,8 @@ const CMD_PROBE: u64 = 2;
 /// Reply with a `TAG_SERVE_TRACE` span-report drain (`srsf-trace` ring
 /// buffers; empty when tracing is off).
 const CMD_TRACE: u64 = 3;
+/// Reply with a `TAG_SERVE_GATHER` rank snapshot.
+const CMD_GATHER: u64 = 4;
 
 /// What every rank needs at serve time beyond its [`ServeState`]. Owned
 /// (not borrowed) so the in-process backend's serve threads can outlive
@@ -167,8 +181,9 @@ type IdsByRank = Vec<(usize, Vec<u32>)>;
 pub(crate) struct ServeState<T> {
     /// The factor-phase output, its `records` sorted by order key — the
     /// global elimination order restricted to this rank, which is what
-    /// makes the resident sweeps bit-identical to the gathered serial
-    /// sweep. Its `act_end` and `fold_ids` route the fold exchanges.
+    /// makes the resident sweeps bit-identical to the serial sweep of the
+    /// gathered factorization. Its `act_end` and `fold_ids` route the fold
+    /// exchanges.
     state: RankState<T>,
     /// Record index range of each `(level, phase)` round — contiguous
     /// because `records` is key-sorted.
@@ -304,12 +319,6 @@ impl<T: Scalar> ServeState<T> {
         }
     }
 
-    /// Back to the factor-phase output (records now key-sorted): what the
-    /// gathered driver ships to rank 0 once its in-world solve is done.
-    pub(super) fn into_rank_state(self) -> (RankState<T>, RankTop<T>) {
-        (self.state, self.top)
-    }
-
     /// Record index range of one `(level, phase)` round.
     fn round_range(&self, level: u8, phase: u8) -> std::ops::Range<usize> {
         self.rounds.get(&(level, phase)).cloned().unwrap_or(0..0)
@@ -334,16 +343,14 @@ type DeltaBatch<'a, T> = Vec<(&'a [u32], Mat<T>)>;
 /// protocol-refreshed points are ever read, so a rank may start from its
 /// slab or from the whole right-hand side). On return, rank 0's `x` holds
 /// the full solution; worker copies are discarded by the caller. The
-/// resident service runs it per request, the gathered driver once, in
-/// the factorization world, for `build_with_solution`.
+/// service runs it once per request.
 ///
 /// Note on working memory: residency keeps the *factor* (record) memory
-/// at O(N/p) per rank — the paper's bound, and what this mode exists
-/// for — but the per-solve working block is allocated full-width for
-/// global point addressing, O(N·nrhs) scratch per rank per solve (freed
-/// at solve end; same shape the gathered rank-0 sweep uses). Shrinking
-/// it to owned+halo width needs a rank-local remap of every record
-/// index — a follow-up, not a correctness issue.
+/// at O(N/p) per rank — the paper's bound — but the per-solve working
+/// block is allocated full-width for global point addressing, O(N·nrhs)
+/// scratch per rank per solve (freed at solve end; the shape a serial
+/// sweep uses). Shrinking it to owned+halo width needs a rank-local remap
+/// of every record index — a follow-up, not a correctness issue.
 ///
 /// `rank0_owned` is rank 0's cached per-rank slab row map (None on
 /// workers).
@@ -352,7 +359,7 @@ type DeltaBatch<'a, T> = Vec<(&'a [u32], Mat<T>)>;
 /// variant, so a rank that dies (or a link that goes down) mid-solve
 /// surfaces here as a typed [`RecvError`] within the receive timeout —
 /// the caller (rank 0's service, a worker's serve loop) abandons the
-/// solve instead of hanging; the gathered driver re-raises it as a panic.
+/// solve instead of hanging.
 pub(super) fn solve_resident_mat<T: Scalar>(
     ctx: &mut RankCtx,
     grid: &ProcessGrid,
@@ -718,37 +725,82 @@ fn fold_down_mat<T: Scalar>(
     Ok(())
 }
 
-/// The worker-rank serve loop: report the factorization outcome, then
-/// answer solve / probe commands until a shutdown command — or until the
-/// session is torn down around us (rank 0's handle dropped), which the
-/// idle wait reports as `None` and we treat as an implicit shutdown.
-fn serve_rank<T: Scalar>(
+/// What a worker reports to rank 0 as it enters its serve loop: its
+/// record count, its resident bytes, its factor statistics and the
+/// counters of its factor phase. It travels as `Result<Ready, E>`, `E`
+/// saying why the rank has nothing to serve: a [`FactorError`] after a
+/// build (`TAG_SERVE_READY`), a message after a snapshot load
+/// (`TAG_SERVE_CKPT`).
+struct Ready {
+    records: usize,
+    bytes: usize,
+    stats: FactorStats,
+    comm: CommStats,
+}
+
+impl Wire for Ready {
+    fn encode(&self, w: &mut ByteWriter) {
+        w.put_u64(self.records as u64);
+        w.put_u64(self.bytes as u64);
+        self.stats.encode(w);
+        self.comm.encode(w);
+    }
+    fn decode(r: &mut ByteReader) -> Result<Self, CodecError> {
+        Ok(Ready {
+            records: r.try_get_u64()? as usize,
+            bytes: r.try_get_u64()? as usize,
+            stats: FactorStats::decode(r)?,
+            comm: CommStats::decode(r)?,
+        })
+    }
+}
+
+/// Decode worker `src`'s report; one that does not decode fails the
+/// rank, naming the frame.
+fn decode_ready<E: Wire>(
+    src: usize,
+    name: &str,
+    payload: Bytes,
+) -> Result<Result<Ready, E>, SrsfError> {
+    Result::<Ready, E>::from_bytes(payload).map_err(|e| SrsfError::RankFailed {
+        rank: src,
+        step: format!("malformed {name} frame: {e}"),
+    })
+}
+
+/// A worker rank: report the outcome of its build or restore to rank 0
+/// under `tag`, then — if it has something to serve — answer commands
+/// until a shutdown command, or until the session is torn down around us
+/// (rank 0's handle dropped), which the idle wait reports as `None` and
+/// we treat as an implicit shutdown.
+fn serve_rank<T: Scalar, E: Wire>(
     ctx: &mut RankCtx,
     geo: &ResidentGeo,
-    outcome: Result<ServeState<T>, FactorError>,
-    factor_comm: CommStats,
+    tag: u32,
+    outcome: Result<ServeState<T>, E>,
+    comm: CommStats,
 ) {
-    let me = ctx.rank();
-    debug_assert_ne!(me, 0, "rank 0 is the service side, not a serve loop");
-    let mut w = ByteWriter::new();
-    match &outcome {
+    debug_assert_ne!(
+        ctx.rank(),
+        0,
+        "rank 0 is the service side, not a serve loop"
+    );
+    let (ready, st) = match outcome {
         Ok(st) => {
-            w.put_u64(1);
-            w.put_u64(st.state.records.len() as u64);
-            w.put_u64(st.bytes);
-            st.state.stats.encode(&mut w);
-            factor_comm.encode(&mut w);
+            let ready = Ready {
+                records: st.state.records.len(),
+                bytes: st.bytes as usize,
+                stats: st.state.stats.clone(),
+                comm,
+            };
+            (Ok(ready), Some(st))
         }
-        Err(e) => {
-            w.put_u64(0);
-            e.encode(&mut w);
-        }
-    }
-    ctx.send_service(0, TAG_SERVE_READY, w.finish());
-    let Ok(st) = outcome else {
-        return;
+        Err(e) => (Err(e), None),
     };
-    serve_loop(ctx, geo, &st);
+    ctx.send_service(0, tag, Result::<Ready, E>::to_bytes(&ready));
+    if let Some(st) = st {
+        serve_loop(ctx, geo, &st);
+    }
 }
 
 /// The shared worker command loop, entered once a rank's serve state
@@ -796,6 +848,13 @@ fn serve_loop<T: Scalar>(ctx: &mut RankCtx, geo: &ResidentGeo, st: &ServeState<T
                 srsf_trace::take_report(me).encode(&mut w);
                 ctx.send_service(0, TAG_SERVE_TRACE, w.finish());
             }
+            CMD_GATHER => {
+                ctx.send_service(
+                    0,
+                    TAG_SERVE_GATHER,
+                    encode_rank_snapshot(&st.state, &st.top),
+                );
+            }
             // INVARIANT: deliberate — an unknown opcode means a protocol-version
             // mismatch between driver and rank; dying loudly beats misinterpreting
             op => panic!("rank {me}: unknown serve opcode {op}"),
@@ -835,17 +894,19 @@ struct ServiceInner<T> {
 }
 
 /// A live resident solve service: the distributed factorization left in
-/// place on its rank world, served through rank 0. Owned by
-/// [`crate::Solver`] when the builder's residency mode is on.
+/// place on its rank world, served through rank 0. What
+/// [`crate::Solver`] holds for [`crate::Driver::Distributed`].
 pub struct ResidentService<T> {
     inner: Mutex<ServiceInner<T>>,
     n: usize,
     p: usize,
-    top_size: usize,
     stats: FactorStats,
     comm: WorldStats,
     per_rank_records: Vec<usize>,
     per_rank_bytes: Vec<usize>,
+    /// Whether the ranks record spans (the build's
+    /// [`FactorOpts::trace`]); restored services never do.
+    traced: bool,
     /// The session's serve-metrics registry, shared with its
     /// [`WorldHandle`] — kept here so snapshots outlive shutdown.
     metrics: Arc<MetricsRegistry>,
@@ -859,7 +920,7 @@ impl<T: Scalar> ResidentService<T> {
 
     /// Size of the dense top block.
     pub fn top_size(&self) -> usize {
-        self.top_size
+        self.stats.top_size
     }
 
     /// Merged factorization statistics (global rank table; rank-0
@@ -896,9 +957,13 @@ impl<T: Scalar> ResidentService<T> {
     /// per-rank reports, rank order. Broadcasts the trace command to the
     /// workers and collects their `TAG_SERVE_TRACE` replies — uncounted
     /// service frames, so the probe never perturbs the §IV counters.
-    /// Returns only rank 0's report when the service is poisoned or
-    /// already shut down (the workers may be gone).
+    /// Empty, with no round trip, when the build was not traced; only
+    /// rank 0's report when the service is poisoned or already shut down
+    /// (the workers may be gone).
     pub fn trace_reports(&self) -> Vec<TraceReport> {
+        if !self.traced {
+            return Vec::new();
+        }
         // INVARIANT: lock poisoning requires a panicked driver call, which
         // already surfaced to the caller
         let inner = &mut *self.inner.lock().expect("resident service poisoned");
@@ -927,11 +992,91 @@ impl<T: Scalar> ResidentService<T> {
         reports
     }
 
+    /// Assemble the factorization as one local object on rank 0: every
+    /// worker replies to a gather command with its snapshot (the
+    /// checkpoint codec) on an uncounted `TAG_SERVE_GATHER` frame, so the
+    /// §IV counters do not move; rank 0 sorts the records into
+    /// elimination order and re-joins the top's block columns in chain
+    /// order ([`srsf_linalg::Ldlt::append`]). Its solves are the
+    /// service's, bit for bit; the ranks keep their state and the service
+    /// serves on.
+    ///
+    /// A poisoned service returns its failure and a shut-down one
+    /// [`SrsfError::ServiceShutDown`]; a rank that dies mid-gather
+    /// poisons the service as a failed solve does.
+    pub fn gather(&self) -> Result<Factorization<T>, SrsfError> {
+        // INVARIANT: lock poisoning requires a panicked driver call, which
+        // already surfaced to the caller
+        let inner = &mut *self.inner.lock().expect("resident service poisoned");
+        if let Some(e) = &inner.poisoned {
+            return Err(e.clone());
+        }
+        let handle = inner.handle.as_mut().ok_or(SrsfError::ServiceShutDown)?;
+        for dst in 1..self.p {
+            let mut w = ByteWriter::new();
+            w.put_u64(CMD_GATHER);
+            handle.ctx().send_service(dst, TAG_SERVE_CMD, w.finish());
+        }
+        let mut frames = vec![encode_rank_snapshot(&inner.st.state, &inner.st.top)];
+        for src in 1..self.p {
+            match handle.ctx().try_recv(src, TAG_SERVE_GATHER) {
+                Ok(frame) => frames.push(frame),
+                Err(e) => {
+                    let err = recv_to_srsf(&e);
+                    inner.poisoned = Some(err.clone());
+                    return Err(err);
+                }
+            }
+        }
+        let (mut records, mut shares) = (Vec::new(), Vec::new());
+        for (rank, frame) in frames.into_iter().enumerate() {
+            let (state, top) =
+                decode_rank_snapshot::<T>(frame).map_err(|e| SrsfError::RankFailed {
+                    rank,
+                    step: format!("malformed GATHER frame: {e}"),
+                })?;
+            records.extend(state.records);
+            shares.extend(top);
+        }
+        records.sort_by_key(|(key, _)| *key);
+        // Chain order is column order; rank 0, the head, sorts first.
+        shares.sort_by_key(|share| share.cols.col_span().start);
+        let broken = || SrsfError::RankFailed {
+            rank: 0,
+            step: "GATHER: the top's block columns do not join up".to_string(),
+        };
+        let mut shares = shares.into_iter();
+        let Some(TopShare { idx, mut cols, .. }) = shares.next() else {
+            return Err(broken());
+        };
+        for share in shares {
+            match (&mut cols, share.cols) {
+                (TopFactor::Symmetric(head), TopFactor::Symmetric(tail))
+                    if head.cols().end == tail.cols().start =>
+                {
+                    head.append(tail)
+                }
+                _ => return Err(broken()),
+            }
+        }
+        if !cols.is_whole() {
+            return Err(broken());
+        }
+        let records = records.into_iter().map(|(_, rec)| rec).collect();
+        Ok(Factorization::from_parts(
+            self.n,
+            records,
+            idx,
+            cols,
+            self.stats.clone(),
+        ))
+    }
+
     /// Solve `A X = B` on the resident world: scatter B's rows by leaf
     /// ownership (as columns of the RHS-major block each rank sweeps), run
     /// the distributed blocked solve in place, gather the solution rows.
-    /// Bit-identical to the gathered factorization's
-    /// [`crate::Factorization::solve_mat`].
+    /// Bit-identical to [`Factorization::solve_mat`] of
+    /// [`ResidentService::gather`].
     ///
     /// Panics if a rank fails mid-solve; use
     /// [`ResidentService::try_solve_mat`] to observe that as a typed
@@ -1054,33 +1199,21 @@ impl<T: Scalar> ResidentService<T> {
     pub fn shutdown(&self) -> Option<WorldStats> {
         // INVARIANT: poisoning requires a panicked driver call, which already
         // surfaced to the caller
-        let mut inner = self.inner.lock().expect("resident service poisoned");
-        Self::shutdown_locked(&mut inner)
-    }
-
-    fn shutdown_locked(inner: &mut ServiceInner<T>) -> Option<WorldStats> {
-        shutdown_inner(inner)
+        shutdown_inner(&mut self.inner.lock().expect("resident service poisoned"))
     }
 }
 
 /// Shut a service's session down, taking its handle. When the service is
-/// poisoned the cooperative round would panic — a crashed worker's join
+/// poisoned the cooperative join would panic — a crashed worker's join
 /// re-raises its panic payload out of [`WorldHandle::finish`] — and the
 /// failure already surfaced to the caller as the typed error, so the
 /// degraded world goes through the quiet [`WorldHandle::reap`] path
-/// instead: broadcast the shutdown to whoever still listens, swallow the
-/// dead rank, report best-effort counters. Shutdown and Drop of a
-/// degraded world stay clean — no second panic.
+/// instead: swallow the dead rank, report best-effort counters. Shutdown
+/// and Drop of a degraded world stay clean — no second panic.
 fn shutdown_inner<T>(inner: &mut ServiceInner<T>) -> Option<WorldStats> {
     let mut handle = inner.handle.take()?;
     if inner.poisoned.is_some() {
-        for dst in 1..handle.size() {
-            if handle.worker_live(dst) {
-                let mut w = ByteWriter::new();
-                w.put_u64(CMD_SHUTDOWN);
-                handle.ctx().send_service(dst, TAG_SERVE_CMD, w.finish());
-            }
-        }
+        broadcast_shutdown(&mut handle);
         return Some(handle.reap());
     }
     Some(shutdown_session(handle))
@@ -1091,6 +1224,11 @@ fn shutdown_inner<T>(inner: &mut ServiceInner<T>) -> Option<WorldStats> {
 /// independent — shared by the service's explicit shutdown, its Drop,
 /// and the build-failure path.
 fn shutdown_session(mut handle: WorldHandle) -> WorldStats {
+    broadcast_shutdown(&mut handle);
+    handle.finish()
+}
+
+fn broadcast_shutdown(handle: &mut WorldHandle) {
     for dst in 1..handle.size() {
         if handle.worker_live(dst) {
             let mut w = ByteWriter::new();
@@ -1098,7 +1236,6 @@ fn shutdown_session(mut handle: WorldHandle) -> WorldStats {
             handle.ctx().send_service(dst, TAG_SERVE_CMD, w.finish());
         }
     }
-    handle.finish()
 }
 
 impl<T> Drop for ResidentService<T> {
@@ -1117,10 +1254,7 @@ impl<T> Drop for ResidentService<T> {
 
 /// Build the resident service: run the distributed factorization on a
 /// persistent rank world, leave every rank's records in place, and hand
-/// back the live service. On any rank's factorization error the live
-/// ranks are shut down first and the first error is returned; a rank
-/// that dies before reporting surfaces as
-/// [`SrsfError::RankFailed`] — the survivors are still shut down.
+/// back the live service ([`start_service`]).
 pub(crate) fn dist_factorize_resident<K: Kernel>(
     kernel: &K,
     pts: &[Point],
@@ -1130,12 +1264,11 @@ pub(crate) fn dist_factorize_resident<K: Kernel>(
 ) -> Result<ResidentService<K::Elem>, SrsfError> {
     let leaf = tree.leaf_level();
     let lmin = (opts.min_compress_level as u8).min(leaf);
-    let p = grid.p();
     let geo = Arc::new(ResidentGeo {
         n: pts.len(),
         grid: *grid,
     });
-    let world = World::new(p)
+    let world = World::new(grid.p())
         .transport(opts.transport)
         .with_recv_timeout(opts.recv_timeout);
 
@@ -1146,9 +1279,9 @@ pub(crate) fn dist_factorize_resident<K: Kernel>(
         srsf_trace::set_enabled(opts.trace);
         let me = ctx.rank();
         let out = factor_phase(ctx, kernel, pts, tree, grid, opts, leaf, lmin);
-        // The factor-phase counters are Algorithm 2's and the same in both
-        // serving modes; dealing the top out is residency's own one-off
-        // traffic and shows in the cumulative counters (`comm_probe`).
+        // The factor-phase counters are Algorithm 2's; dealing the top out
+        // is the service's own one-off traffic and shows in the cumulative
+        // counters (`comm_probe`).
         let factor_comm = ctx.stats();
         let out = scatter_top(ctx, grid, lmin.min(leaf), out).map(|(state, top)| {
             write_rank_checkpoint(me, &state, &top, pts, grid, opts);
@@ -1157,98 +1290,100 @@ pub(crate) fn dist_factorize_resident<K: Kernel>(
         (out, factor_comm)
     };
     let serve_geo = geo.clone();
-    let serve = move |ctx: &mut RankCtx, s: FactorOut<K::Elem>| {
-        serve_rank(ctx, &serve_geo, s.0, s.1);
+    let serve = move |ctx: &mut RankCtx, (out, comm): FactorOut<K::Elem>| {
+        serve_rank(ctx, &serve_geo, TAG_SERVE_READY, out, comm);
     };
-    let ((my_out, my_comm), mut handle) = world.run_resident(factor, serve);
+    let (mine, handle) = world.run_resident(factor, serve);
+    start_service(
+        handle,
+        (TAG_SERVE_READY, "READY"),
+        mine,
+        |_, e: FactorError| e.into(),
+        geo,
+        tree,
+        opts.trace,
+    )
+}
 
-    // Collect every worker's READY frame: factorization outcome plus its
-    // residency numbers (record count, bytes, rank table, counters).
-    let mut per_rank_records = vec![0usize; p];
-    let mut per_rank_bytes = vec![0usize; p];
-    let mut comm = WorldStats {
-        per_rank: vec![CommStats::default(); p],
-    };
-    comm.per_rank[0] = my_comm;
-    let mut worker_stats: Vec<FactorStats> = Vec::with_capacity(p - 1);
-    let mut first_err: Option<SrsfError> = None;
+/// Rank 0's side of a world coming up, after a build or a restore:
+/// collect every worker's [`Ready`] report under `tag` (`name` in
+/// diagnostics), merge the rank table, store peak and compression
+/// counters into rank 0's stats (timings stay rank 0's), and hand back the
+/// serving service. A rank that failed its build or load is `fail(rank,
+/// why)` — a worker's failure reported before rank 0's own; a worker that
+/// dies before reporting, or whose report does not decode, is
+/// [`SrsfError::RankFailed`]. Either way the ranks that did reach their
+/// serve loops get their shutdown round first.
+fn start_service<T: Scalar, E: Wire>(
+    mut handle: WorldHandle,
+    (tag, name): (u32, &str),
+    (mine, my_comm): (Result<ServeState<T>, E>, CommStats),
+    fail: impl Fn(usize, E) -> SrsfError,
+    geo: Arc<ResidentGeo>,
+    tree: &QuadTree,
+    traced: bool,
+) -> Result<ResidentService<T>, SrsfError> {
+    let p = geo.grid.p();
+    let mut reports = Vec::with_capacity(p - 1);
+    let mut first_err = None;
     for src in 1..p {
         // A worker that dies before reporting (crash, cut link) must not
-        // hang the build: the bounded receive converts it to a typed
-        // failure and the survivors still get their shutdown round.
-        let payload = match handle.ctx().try_recv(src, TAG_SERVE_READY) {
-            Ok(payload) => payload,
+        // hang the start: the bounded receive makes it a typed failure.
+        let report = match handle.ctx().try_recv(src, tag) {
+            Ok(payload) => decode_ready::<E>(src, name, payload),
+            Err(e) => Err(recv_to_srsf(&e)),
+        };
+        match report {
+            Ok(Ok(ready)) => reports.push(ready),
+            Ok(Err(e)) => {
+                first_err.get_or_insert(fail(src, e));
+            }
             Err(e) => {
                 let _ = shutdown_session(handle);
-                return Err(recv_to_srsf(&e));
+                return Err(e);
             }
-        };
-        let mut r = ByteReader::new(payload);
-        // INVARIANT: this frame was encoded by a peer rank under the matching tag
-        // and the transport delivers whole messages, so decode cannot truncate
-        if r.get_u64() == 1 {
-            // INVARIANT: this frame was encoded by a peer rank under the matching tag
-            // and the transport delivers whole messages, so decode cannot truncate
-            per_rank_records[src] = r.get_u64() as usize;
-            // INVARIANT: this frame was encoded by a peer rank under the matching tag
-            // and the transport delivers whole messages, so decode cannot truncate
-            per_rank_bytes[src] = r.get_u64() as usize;
-            let fstats = FactorStats::decode(&mut r)
-                // INVARIANT: ready frames come from our own encoder; a malformed one
-                // is a peer bug worth dying loudly on
-                .unwrap_or_else(|e| panic!("rank {src} ready frame: {e}"));
-            comm.per_rank[src] =
-            // INVARIANT: same trusted ready-frame argument as above
-                CommStats::decode(&mut r).unwrap_or_else(|e| panic!("rank {src} ready frame: {e}"));
-            worker_stats.push(fstats);
-        } else {
-            let e = FactorError::decode(&mut r)
-                // INVARIANT: same trusted ready-frame argument as above
-                .unwrap_or_else(|e| panic!("rank {src} ready frame: {e}"));
-            first_err.get_or_insert(e.into());
         }
     }
-
-    let st = match (my_out, first_err) {
-        (Ok(st), None) => st,
-        (my, err) => {
-            // Shut down the ranks that did reach their serve loops, then
-            // report the failure.
+    let st = match (first_err, mine.map_err(|e| fail(0, e))) {
+        (None, Ok(st)) => st,
+        (Some(e), _) | (None, Err(e)) => {
             let _ = shutdown_session(handle);
-            // INVARIANT: this branch is only reached when some rank reported a
-            // failure, so at least one error exists
-            return Err(err.unwrap_or_else(|| my.err().expect("some rank failed").into()));
+            return Err(e);
         }
     };
 
-    per_rank_records[0] = st.state.records.len();
-    per_rank_bytes[0] = st.bytes as usize;
-    // Merge the global rank table (the gathered path rebuilds the same
-    // table from the shipped records); timings stay rank 0's.
     let mut stats = st.state.stats.clone();
-    for ws in &worker_stats {
-        for (&level, &(count, sum)) in &ws.ranks {
+    let mut per_rank_records = vec![st.state.records.len()];
+    let mut per_rank_bytes = vec![st.bytes as usize];
+    let mut comm = WorldStats {
+        per_rank: vec![my_comm],
+    };
+    for r in reports {
+        per_rank_records.push(r.records);
+        per_rank_bytes.push(r.bytes);
+        comm.per_rank.push(r.comm);
+        for (&level, &(count, sum)) in &r.stats.ranks {
             let e = stats.ranks.entry(level).or_insert((0, 0));
             e.0 += count;
             e.1 += sum;
         }
-        stats.peak_store_bytes = stats.peak_store_bytes.max(ws.peak_store_bytes);
-        stats.compression.absorb(&ws.compression);
+        stats.peak_store_bytes = stats.peak_store_bytes.max(r.stats.peak_store_bytes);
+        stats.compression.absorb(&r.stats.compression);
     }
     stats.top_size = st.top.as_ref().map_or(0, |share| share.idx.len());
     stats.record_bytes = per_rank_bytes.iter().sum();
 
-    let owned: Vec<Vec<u32>> = (0..p).map(|r| owned_leaf_ids(tree, grid, r)).collect();
+    let owned = (0..p).map(|r| owned_leaf_ids(tree, &geo.grid, r)).collect();
     let metrics = handle.metrics();
     metrics.set_resident_bytes(&per_rank_bytes);
     Ok(ResidentService {
-        n: pts.len(),
+        n: geo.n,
         p,
-        top_size: stats.top_size,
         stats,
         comm,
         per_rank_records,
         per_rank_bytes,
+        traced,
         metrics,
         inner: Mutex::new(ServiceInner {
             handle: Some(handle),
@@ -1258,36 +1393,6 @@ pub(crate) fn dist_factorize_resident<K: Kernel>(
             poisoned: None,
         }),
     })
-}
-
-/// A restored worker: report the snapshot-load outcome over
-/// `TAG_SERVE_CKPT` (ok flag, record count, resident bytes, stats — or
-/// the error string), then enter the shared serve loop.
-fn serve_rank_restored<T: Scalar>(
-    ctx: &mut RankCtx,
-    geo: &ResidentGeo,
-    outcome: Result<ServeState<T>, String>,
-) {
-    let me = ctx.rank();
-    debug_assert_ne!(me, 0, "rank 0 is the service side, not a serve loop");
-    let mut w = ByteWriter::new();
-    match &outcome {
-        Ok(st) => {
-            w.put_u64(1);
-            w.put_u64(st.state.records.len() as u64);
-            w.put_u64(st.bytes);
-            st.state.stats.encode(&mut w);
-        }
-        Err(msg) => {
-            w.put_u64(0);
-            msg.encode(&mut w);
-        }
-    }
-    ctx.send_service(0, TAG_SERVE_CKPT, w.finish());
-    let Ok(st) = outcome else {
-        return;
-    };
-    serve_loop(ctx, geo, &st);
 }
 
 /// Rebuild a resident service from the per-rank snapshots a prior
@@ -1303,10 +1408,7 @@ pub(crate) fn restore_resident_service<T: Scalar>(
     dir: &Path,
     transport: Transport,
 ) -> Result<(ResidentService<T>, ProcessGrid), SrsfError> {
-    use crate::wire::{
-        decode_rank_snapshot, geometry_hash, rank_ckpt_name, read_container, read_manifest,
-        scalar_tag,
-    };
+    use crate::wire::{geometry_hash, rank_ckpt_name, read_container, read_manifest, scalar_tag};
     let manifest = read_manifest(dir)?;
     let reject = |reason: String| -> SrsfError {
         SrsfError::Checkpoint {
@@ -1336,12 +1438,11 @@ pub(crate) fn restore_resident_service<T: Scalar>(
     }
     let grid = ProcessGrid::try_new(manifest.p)
         .ok_or_else(|| reject(format!("rank count {} is not a power of four", manifest.p)))?;
-    let p = grid.p();
     let tree = QuadTree::build(pts, domain_for(pts), manifest.leaf_size);
     let leaf = tree.leaf_level();
     let lmin = (manifest.min_compress_level as u8).min(leaf);
     let geo = Arc::new(ResidentGeo { n: pts.len(), grid });
-    let world = World::new(p).transport(transport);
+    let world = World::new(grid.p()).transport(transport);
 
     let factor = |ctx: &mut RankCtx| -> Result<ServeState<T>, String> {
         let me = ctx.rank();
@@ -1351,7 +1452,7 @@ pub(crate) fn restore_resident_service<T: Scalar>(
             decode_rank_snapshot::<T>(payload).map_err(|e| format!("{}: {e}", path.display()))?;
         // A chain link is a rank of this world other than the holder.
         let links = top.iter().flat_map(|share| [share.prev, share.next]);
-        if links.flatten().any(|r| r >= p || r == me) {
+        if links.flatten().any(|r| r >= grid.p() || r == me) {
             return Err(format!(
                 "{}: top share links outside the world",
                 path.display()
@@ -1361,97 +1462,56 @@ pub(crate) fn restore_resident_service<T: Scalar>(
             state, top, &tree, pts, &grid, leaf, lmin, me,
         ))
     };
+    // The restored session's counters start at zero: factorization
+    // traffic happened in the original session, not this one.
     let serve_geo = geo.clone();
     let serve = move |ctx: &mut RankCtx, s: Result<ServeState<T>, String>| {
-        serve_rank_restored(ctx, &serve_geo, s);
+        serve_rank(ctx, &serve_geo, TAG_SERVE_CKPT, s, CommStats::default());
     };
-    let (my_out, mut handle) = world.run_resident(factor, serve);
-
-    // Collect every worker's snapshot-load report, exactly as the build
-    // path collects READY frames — bounded receives, typed failures.
-    let mut per_rank_records = vec![0usize; p];
-    let mut per_rank_bytes = vec![0usize; p];
-    let mut worker_stats: Vec<FactorStats> = Vec::with_capacity(p - 1);
-    let mut first_err: Option<SrsfError> = None;
-    for src in 1..p {
-        let payload = match handle.ctx().try_recv(src, TAG_SERVE_CKPT) {
-            Ok(payload) => payload,
-            Err(e) => {
-                let _ = shutdown_session(handle);
-                return Err(recv_to_srsf(&e));
-            }
-        };
-        let mut r = ByteReader::new(payload);
-        // INVARIANT: this frame was encoded by a peer rank under the matching tag
-        // and the transport delivers whole messages, so decode cannot truncate
-        if r.get_u64() == 1 {
-            // INVARIANT: same trusted restore-frame argument as above
-            per_rank_records[src] = r.get_u64() as usize;
-            // INVARIANT: same trusted restore-frame argument as above
-            per_rank_bytes[src] = r.get_u64() as usize;
-            let fstats = FactorStats::decode(&mut r)
-                // INVARIANT: same trusted restore-frame argument as above
-                .unwrap_or_else(|e| panic!("rank {src} restore frame: {e}"));
-            worker_stats.push(fstats);
-        } else {
-            let msg = String::decode(&mut r)
-                // INVARIANT: same trusted restore-frame argument as above
-                .unwrap_or_else(|e| panic!("rank {src} restore frame: {e}"));
-            first_err.get_or_insert(reject(format!("rank {src}: {msg}")));
-        }
-    }
-
-    let st = match (my_out, first_err) {
-        (Ok(st), None) => st,
-        (my, err) => {
-            let _ = shutdown_session(handle);
-            // INVARIANT: this branch is only reached when some rank reported a
-            // failure, so at least one error exists
-            return Err(
-                err.unwrap_or_else(|| reject(my.err().expect("some rank failed to restore")))
-            );
-        }
-    };
-
-    per_rank_records[0] = st.state.records.len();
-    per_rank_bytes[0] = st.bytes as usize;
-    // Merge the global rank table, exactly as the build path does.
-    let mut stats = st.state.stats.clone();
-    for ws in &worker_stats {
-        for (&level, &(count, sum)) in &ws.ranks {
-            let e = stats.ranks.entry(level).or_insert((0, 0));
-            e.0 += count;
-            e.1 += sum;
-        }
-        stats.peak_store_bytes = stats.peak_store_bytes.max(ws.peak_store_bytes);
-        stats.compression.absorb(&ws.compression);
-    }
-    stats.top_size = st.top.as_ref().map_or(0, |share| share.idx.len());
-    stats.record_bytes = per_rank_bytes.iter().sum();
-
-    let owned: Vec<Vec<u32>> = (0..p).map(|r| owned_leaf_ids(&tree, &grid, r)).collect();
-    let metrics = handle.metrics();
-    metrics.set_resident_bytes(&per_rank_bytes);
-    let svc = ResidentService {
-        n: pts.len(),
-        p,
-        top_size: stats.top_size,
-        stats,
-        // The restored session's counters start at zero: factorization
-        // traffic happened in the original session, not this one.
-        comm: WorldStats {
-            per_rank: vec![CommStats::default(); p],
-        },
-        per_rank_records,
-        per_rank_bytes,
-        metrics,
-        inner: Mutex::new(ServiceInner {
-            handle: Some(handle),
-            st,
-            geo,
-            owned,
-            poisoned: None,
-        }),
-    };
+    let (mine, handle) = world.run_resident(factor, serve);
+    let svc = start_service(
+        handle,
+        (TAG_SERVE_CKPT, "CKPT"),
+        (mine, CommStats::default()),
+        |src, msg: String| reject(format!("rank {src}: {msg}")),
+        geo,
+        &tree,
+        false,
+    )?;
     Ok((svc, grid))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A READY frame cut short anywhere is the sending rank's typed
+    /// failure, naming the frame — never a panic on rank 0.
+    #[test]
+    fn truncated_ready_frame_is_a_typed_failure() {
+        let ready: Result<Ready, FactorError> = Ok(Ready {
+            records: 12,
+            bytes: 3456,
+            stats: FactorStats::new(1024, 3),
+            comm: CommStats::default(),
+        });
+        let frame = ready.to_bytes();
+        let back = decode_ready::<FactorError>(2, "READY", frame.clone()).expect("whole frame");
+        assert!(matches!(
+            back,
+            Ok(Ready {
+                records: 12,
+                bytes: 3456,
+                ..
+            })
+        ));
+        for cut in [0, 8, frame.len() / 2, frame.len() - 1] {
+            match decode_ready::<FactorError>(2, "READY", frame[..cut].to_vec()) {
+                Err(SrsfError::RankFailed { rank: 2, step }) => {
+                    assert!(step.starts_with("malformed READY frame: "), "{step}")
+                }
+                other => panic!("cut {cut}: expected RankFailed, got {:?}", other.err()),
+            }
+        }
+    }
 }

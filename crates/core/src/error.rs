@@ -31,7 +31,9 @@ pub enum SrsfError {
     /// message names what to use instead. Raised rather than silently
     /// ignoring the option: `rank_threads` is distributed-only, and the
     /// sequential and colored drivers point at `Driver::colored(threads)`
-    /// and the colored driver's own `threads`.
+    /// and the colored driver's own `threads`; `Solver::gather` is
+    /// distributed-only too, and the distributed driver refuses
+    /// `resident(false)`, pointing at `Solver::gather`.
     UnsupportedOption {
         /// The option that was set.
         option: &'static str,
@@ -92,6 +94,10 @@ pub enum SrsfError {
         /// panic message).
         step: String,
     },
+    /// The resident rank world was already shut down
+    /// ([`crate::Solver::shutdown`]), so its ranks can no longer be asked
+    /// for their part of the factorization.
+    ServiceShutDown,
     /// An on-disk checkpoint could not be written, or failed validation
     /// (bad magic/version, truncation, CRC mismatch) before any decode
     /// allocation.
@@ -150,6 +156,7 @@ impl core::fmt::Display for SrsfError {
             SrsfError::RankFailed { rank, step } => {
                 write!(f, "rank {rank} failed during {step}")
             }
+            SrsfError::ServiceShutDown => write!(f, "the resident rank world was shut down"),
             SrsfError::Checkpoint { path, reason } => {
                 write!(f, "checkpoint {path}: {reason}")
             }

@@ -141,14 +141,6 @@ pub struct FactorOpts {
     /// per-rank message/word counters are identical across backends; the
     /// other drivers ignore this knob.
     pub transport: Transport,
-    /// Residency mode for the distributed driver (default: off). When
-    /// on, the rank world stays alive after factorization and serves
-    /// every solve in place — records stay on their owning ranks and
-    /// rank 0 never assembles the global record set. Off, all records
-    /// are gathered onto rank 0 and solves run locally there. See
-    /// [`solver::SolverBuilder::resident`]; the other drivers ignore
-    /// this knob.
-    pub resident: bool,
     /// Checkpoint directory for the distributed driver (default: none).
     /// When set, every rank writes a versioned, CRC-checked snapshot of
     /// its factorization state (`rank_{r}.ckpt`) the moment the factor
@@ -191,7 +183,6 @@ impl Default for FactorOpts {
             min_compress_level: 3,
             rank_threads: 1,
             transport: Transport::InProc,
-            resident: false,
             checkpoint_dir: None,
             recv_timeout: std::time::Duration::from_secs(120),
             trace: false,
@@ -252,14 +243,6 @@ impl FactorOpts {
     /// Set the message transport for the distributed driver.
     pub fn with_transport(mut self, transport: Transport) -> Self {
         self.transport = transport;
-        self
-    }
-
-    /// Set the distributed driver's residency mode (keep the rank world
-    /// alive and serve solves in place; see
-    /// [`solver::SolverBuilder::resident`]).
-    pub fn with_resident(mut self, resident: bool) -> Self {
-        self.resident = resident;
         self
     }
 

@@ -17,9 +17,8 @@
 //!   right-hand sides at once; the caller's `n x nrhs` block is
 //!   transposed on entry and on exit.
 //! * **A rank's share of either** (`distributed::serve`) — the resident
-//!   service and the gathered driver's in-world solve run the same four
-//!   record kernels and [`solve_top`] on each rank's block, with the
-//!   exchange of remote points between them.
+//!   service runs the same four record kernels and [`solve_top`] on each
+//!   rank's block, with the exchange of remote points between them.
 //!
 //! A record gathers its `R`/`S`/`N` points — one `nrhs`-long copy per
 //! index — into panels that a serial sweep allocates once

@@ -28,9 +28,7 @@
 //! `memory_bytes`) and `LinOp` — so it plugs into the Krylov methods of
 //! `srsf-iterative` as a preconditioner unchanged.
 
-use crate::distributed::{
-    dist_factorize_resident, dist_factorize_with_tree, restore_resident_service, ResidentService,
-};
+use crate::distributed::{dist_factorize_resident, restore_resident_service, ResidentService};
 use crate::error::SrsfError;
 use crate::sequential::{domain_for, factorize_in_rounds, factorize_with_tree, Factorization};
 use crate::stats::FactorStats;
@@ -161,15 +159,14 @@ impl<T: Scalar> Factorized<T> for Factorization<T> {
 
 /// How a built solver serves its solves.
 enum SolverBackend<T> {
-    /// A factorization object local to the calling thread — the
-    /// sequential and colored drivers always, and the distributed driver
-    /// in its (default) gather mode, where rank 0 assembled the global
-    /// record set. Boxed so the enum stays pointer-sized either way.
+    /// A factorization object local to the calling thread: the sequential
+    /// and colored drivers. Boxed so the enum stays pointer-sized either
+    /// way.
     Local(Box<Factorization<T>>),
-    /// A live resident rank world ([`SolverBuilder::resident`]): records
-    /// stay on their owning ranks and every solve runs Algorithm 2's
-    /// solve phase in place. Boxed: the service (mutex + session handle +
-    /// rank-0 state) dwarfs the `Local` variant.
+    /// A live resident rank world: the distributed driver. Records stay
+    /// on their owning ranks and every solve runs Algorithm 2's solve
+    /// phase in place. Boxed: the service (mutex + session handle + rank-0
+    /// state) dwarfs the `Local` variant.
     Resident(Box<ResidentService<T>>),
 }
 
@@ -181,14 +178,6 @@ enum SolverBackend<T> {
 pub struct Solver<T> {
     backend: SolverBackend<T>,
     driver: Driver,
-    comm: Option<WorldStats>,
-    /// Resident factor bytes per rank ([`Driver::Distributed`] only —
-    /// what each rank holds when records stay in place).
-    per_rank_bytes: Option<Vec<usize>>,
-    /// Per-rank span reports from a traced gathered build
-    /// ([`SolverBuilder::trace`]); empty when tracing was off or the
-    /// backend is resident (resident reports are drained on demand).
-    traces: Vec<TraceReport>,
 }
 
 /// `Ok` if a right-hand side of `got` rows fits a problem of size `n`.
@@ -214,6 +203,7 @@ impl<T: Scalar> Solver<T> {
             pts,
             opts: FactorOpts::default(),
             driver: Driver::Sequential,
+            resident: true,
         }
     }
 
@@ -225,9 +215,9 @@ impl<T: Scalar> Solver<T> {
         }
     }
 
-    /// Solve `A x = b`. In residency mode the solve runs on the live rank
-    /// world (records applied where they live); otherwise on the local
-    /// factorization object.
+    /// Solve `A x = b`. Under the distributed driver the solve runs on the
+    /// live rank world (records applied where they live); otherwise on the
+    /// local factorization object.
     ///
     /// Panics if a resident rank fails mid-solve; use
     /// [`Solver::try_solve`] to observe that as a typed
@@ -242,12 +232,12 @@ impl<T: Scalar> Solver<T> {
     /// Fallible [`Solver::solve`]. A right-hand side of the wrong
     /// length is [`SrsfError::RhsLength`] (where the infallible
     /// [`Solver::solve`] panics); beyond that, local backends cannot
-    /// fail. In residency mode a rank that dies (or a link that goes
-    /// down) mid-solve surfaces as [`SrsfError::RankFailed`] within the
-    /// receive timeout — no hang, no abort — and later solves fail fast
-    /// with the same error. The degraded solver still shuts down (or
-    /// drops) cleanly, and [`Solver::restore_resident`] can rebuild a
-    /// fresh world from checkpoints.
+    /// fail. Under the distributed driver a rank that dies (or a link
+    /// that goes down) mid-solve surfaces as [`SrsfError::RankFailed`]
+    /// within the receive timeout — no hang, no abort — and later solves
+    /// fail fast with the same error. The degraded solver still shuts
+    /// down (or drops) cleanly, and [`Solver::restore_resident`] can
+    /// rebuild a fresh world from checkpoints.
     pub fn try_solve(&self, b: &[T]) -> Result<Vec<T>, SrsfError> {
         match &self.backend {
             SolverBackend::Local(f) => {
@@ -285,14 +275,9 @@ impl<T: Scalar> Solver<T> {
         transport: Transport,
     ) -> Result<Solver<T>, SrsfError> {
         let (svc, grid) = restore_resident_service::<T>(pts, dir.as_ref(), transport)?;
-        let comm = svc.comm().clone();
-        let bytes = svc.bytes_per_rank().to_vec();
         Ok(Solver {
             backend: SolverBackend::Resident(Box::new(svc)),
             driver: Driver::Distributed { grid },
-            comm: Some(comm),
-            per_rank_bytes: Some(bytes),
-            traces: Vec::new(),
         })
     }
 
@@ -305,8 +290,9 @@ impl<T: Scalar> Solver<T> {
     }
 
     /// Solve `A X = B` for every column of `b` at once (one sweep over
-    /// the records instead of `nrhs`). In residency mode the column block
-    /// is scattered by row ownership and swept in place on the rank world.
+    /// the records instead of `nrhs`). Under the distributed driver the
+    /// column block is scattered by row ownership and swept in place on
+    /// the rank world.
     pub fn solve_mat(&self, b: &Mat<T>) -> Mat<T> {
         match &self.backend {
             SolverBackend::Local(f) => f.solve_mat(b),
@@ -326,7 +312,7 @@ impl<T: Scalar> Solver<T> {
     /// `(level, color)` stamps; bit-identical to
     /// [`Solver::apply_inverse_mat`] for any thread count. Whole color
     /// rounds run concurrently when the factorization came from the
-    /// colored driver. In residency mode the solve is already
+    /// colored driver. Under the distributed driver the solve is already
     /// rank-parallel — the thread count is ignored and the resident sweep
     /// runs instead.
     pub fn apply_inverse_mat_threaded(&self, b: &mut Mat<T>, n_threads: usize) {
@@ -345,9 +331,9 @@ impl<T: Scalar> Solver<T> {
         }
     }
 
-    /// Factorization statistics (ranks per level, timings, memory). In
-    /// residency mode the rank table is merged from every rank's records
-    /// in place; timings are rank 0's.
+    /// Factorization statistics (ranks per level, timings, memory). Under
+    /// the distributed driver the rank table is merged from every rank's
+    /// records in place; timings are rank 0's.
     pub fn stats(&self) -> &FactorStats {
         match &self.backend {
             SolverBackend::Local(f) => f.stats(),
@@ -357,12 +343,11 @@ impl<T: Scalar> Solver<T> {
 
     /// Approximate memory footprint of the factorization in bytes.
     ///
-    /// This is the *global* footprint: the rank-0 object in gather mode,
-    /// the sum over ranks in residency mode. For the distributed driver
-    /// the serving-relevant number is usually
+    /// This is the *global* footprint: under the distributed driver the
+    /// sum over ranks, which is the `memory_bytes` of [`Solver::gather`]'s
+    /// factorization. There the serving-relevant number is usually
     /// [`Solver::memory_bytes_max_rank`] — the paper's O(N/p) per-rank
-    /// bound is about the largest single rank, which residency preserves
-    /// and the gather path concentrates onto rank 0.
+    /// bound is about the largest single rank.
     pub fn memory_bytes(&self) -> usize {
         match &self.backend {
             SolverBackend::Local(f) => f.memory_bytes(),
@@ -371,25 +356,24 @@ impl<T: Scalar> Solver<T> {
     }
 
     /// Peak resident factor bytes over ranks ([`Driver::Distributed`]
-    /// only): what the most loaded rank holds when records stay in place
-    /// and the top's block columns are dealt out. In gather mode this
-    /// reports what the ranks held at the end of the factor sweep, *before*
-    /// shipping their records to rank 0 — the dense top still whole on
-    /// rank 0.
+    /// only): what the most loaded rank holds — its records plus its block
+    /// columns of the top.
     pub fn memory_bytes_max_rank(&self) -> Option<usize> {
-        self.per_rank_bytes
-            .as_ref()
+        self.memory_bytes_per_rank()
             .map(|v| v.iter().copied().max().unwrap_or(0))
     }
 
     /// Resident factor bytes per rank ([`Driver::Distributed`] only);
     /// see [`Solver::memory_bytes_max_rank`].
     pub fn memory_bytes_per_rank(&self) -> Option<&[usize]> {
-        self.per_rank_bytes.as_deref()
+        match &self.backend {
+            SolverBackend::Local(_) => None,
+            SolverBackend::Resident(s) => Some(s.bytes_per_rank()),
+        }
     }
 
-    /// Number of per-box elimination records (global count; in residency
-    /// mode the records themselves are never assembled in one place).
+    /// Number of per-box elimination records (global count; under the
+    /// distributed driver the records themselves stay on their ranks).
     pub fn n_records(&self) -> usize {
         match &self.backend {
             SolverBackend::Local(f) => f.n_records(),
@@ -397,8 +381,9 @@ impl<T: Scalar> Solver<T> {
         }
     }
 
-    /// Elimination records resident on each rank (residency mode only) —
-    /// the probe asserting rank 0 never holds the global record set.
+    /// Elimination records resident on each rank ([`Driver::Distributed`]
+    /// only) — the probe asserting rank 0 never holds the global record
+    /// set.
     pub fn records_per_rank(&self) -> Option<&[usize]> {
         match &self.backend {
             SolverBackend::Local(_) => None,
@@ -427,12 +412,15 @@ impl<T: Scalar> Solver<T> {
     /// Per-rank communication counters of the factorization phase
     /// ([`Driver::Distributed`] only).
     pub fn comm_stats(&self) -> Option<&WorldStats> {
-        self.comm.as_ref()
+        match &self.backend {
+            SolverBackend::Local(_) => None,
+            SolverBackend::Resident(s) => Some(s.comm()),
+        }
     }
 
     /// Snapshot every rank's *cumulative* communication counters
-    /// (residency mode only). Two snapshots bracketing `k` solves give
-    /// exact per-solve message/word counts — how
+    /// ([`Driver::Distributed`] only). Two snapshots bracketing `k`
+    /// solves give exact per-solve message/word counts — how
     /// `comm_counts --solve-reps` measures the §IV solve-phase bound.
     pub fn resident_comm_probe(&self) -> Option<WorldStats> {
         match &self.backend {
@@ -441,8 +429,8 @@ impl<T: Scalar> Solver<T> {
         }
     }
 
-    /// Snapshot the serve metrics (residency mode only): per-solve
-    /// latency histogram, served/failed counters, and per-rank
+    /// Snapshot the serve metrics ([`Driver::Distributed`] only):
+    /// per-solve latency histogram, served/failed counters, and per-rank
     /// resident-memory gauges — the registry behind
     /// `WorldHandle::metrics` in the runtime.
     pub fn metrics(&self) -> Option<MetricsSnapshot> {
@@ -453,23 +441,23 @@ impl<T: Scalar> Solver<T> {
     }
 
     /// Per-rank span reports of a traced run ([`SolverBuilder::trace`];
-    /// empty when tracing was off). Gathered builds return the reports
-    /// collected with the rank results; resident solvers *drain* every
-    /// rank's live ring buffers on each call (factorization spans the
-    /// first time, spans of the solves since on later calls). Feed the
-    /// reports to `srsf_trace::export::chrome_trace_json` /
-    /// `profile_table` for Perfetto JSON or a plain-text profile.
+    /// empty when tracing was off). Each call *drains* every rank's live
+    /// ring buffers (factorization spans the first time, spans of the
+    /// solves since on later calls). Feed the reports to
+    /// `srsf_trace::export::chrome_trace_json` / `profile_table` for
+    /// Perfetto JSON or a plain-text profile.
     pub fn trace_reports(&self) -> Vec<TraceReport> {
         match &self.backend {
-            SolverBackend::Local(_) => self.traces.clone(),
+            SolverBackend::Local(_) => Vec::new(),
             SolverBackend::Resident(s) => s.trace_reports(),
         }
     }
 
     /// Shut the resident rank world down (broadcast the shutdown command,
     /// join the workers) and return the session's final per-rank
-    /// counters. `None` for non-resident solvers or if already shut down;
-    /// dropping the solver shuts the world down implicitly.
+    /// counters. `None` for the sequential and colored drivers or if
+    /// already shut down; dropping the solver shuts the world down
+    /// implicitly.
     pub fn shutdown(&self) -> Option<WorldStats> {
         match &self.backend {
             SolverBackend::Local(_) => None,
@@ -477,8 +465,32 @@ impl<T: Scalar> Solver<T> {
         }
     }
 
+    /// Assemble the distributed driver's factorization as one local
+    /// object: every rank sends its records and its block columns of the
+    /// top to rank 0 over the serve loop (uncounted frames; the §IV
+    /// counters do not move), and the world serves on. The result solves
+    /// to the service's bits and [`Factorization::save`]s to one file.
+    /// A poisoned or shut-down world returns its typed error; the
+    /// sequential and colored drivers, whose factorization is already
+    /// local, return [`SrsfError::UnsupportedOption`] pointing at
+    /// [`Solver::factorization`].
+    pub fn gather(&self) -> Result<Factorization<T>, SrsfError> {
+        match &self.backend {
+            SolverBackend::Resident(s) => s.gather(),
+            SolverBackend::Local(_) => Err(SrsfError::UnsupportedOption {
+                option: "gather",
+                driver: match self.driver {
+                    Driver::Colored { .. } => "colored",
+                    _ => "sequential",
+                },
+                instead: "`Solver::factorization()`",
+            }),
+        }
+    }
+
     /// Borrow the underlying factorization object, if one exists locally
-    /// (`None` in residency mode — the records live on their ranks).
+    /// (`None` under the distributed driver — the records live on their
+    /// ranks; [`Solver::gather`] assembles a copy).
     pub fn try_factorization(&self) -> Option<&Factorization<T>> {
         match &self.backend {
             SolverBackend::Local(f) => Some(f),
@@ -490,27 +502,28 @@ impl<T: Scalar> Solver<T> {
     ///
     /// # Panics
     ///
-    /// Panics in residency mode, where no global factorization object is
-    /// ever assembled; use [`Solver::try_factorization`] to branch.
+    /// Panics under the distributed driver, whose factorization stays on
+    /// its ranks; use [`Solver::try_factorization`] to branch, or
+    /// [`Solver::gather`] for a local copy.
     pub fn factorization(&self) -> &Factorization<T> {
         self.try_factorization()
             // INVARIANT: deliberate — documented panicking accessor;
             // try_factorization is the fallible path
-            .expect("a resident solver has no gathered factorization object")
+            .expect("a distributed solver's factorization stays on its ranks; use gather()")
     }
 
     /// Consume the solver, yielding the underlying factorization.
     ///
     /// # Panics
     ///
-    /// Panics in residency mode; see [`Solver::factorization`].
+    /// Panics under the distributed driver; see [`Solver::factorization`].
     pub fn into_factorization(self) -> Factorization<T> {
         match self.backend {
             SolverBackend::Local(f) => *f,
             SolverBackend::Resident(_) => {
                 // INVARIANT: deliberate — documented panicking accessor;
                 // try_factorization is the fallible path
-                panic!("a resident solver has no gathered factorization object")
+                panic!("a distributed solver's factorization stays on its ranks; use gather()")
             }
         }
     }
@@ -560,8 +573,6 @@ impl<T: Scalar> LinOp<T> for Solver<T> {
 /// side (returned by [`SolverBuilder::build_with_solution`]).
 pub type Solved<T> = (Solver<T>, Vec<T>);
 
-type MaybeSolved<T> = (Solver<T>, Option<Vec<T>>);
-
 /// Configures and builds a [`Solver`]; created by [`Solver::builder`].
 #[derive(Clone, Debug)]
 pub struct SolverBuilder<'a, K: Kernel> {
@@ -569,6 +580,9 @@ pub struct SolverBuilder<'a, K: Kernel> {
     pts: &'a [Point],
     opts: FactorOpts,
     driver: Driver,
+    /// `false` after [`SolverBuilder::resident`]`(false)`, which `build`
+    /// refuses.
+    resident: bool,
 }
 
 impl<'a, K: Kernel> SolverBuilder<'a, K> {
@@ -635,25 +649,15 @@ impl<'a, K: Kernel> SolverBuilder<'a, K> {
         self
     }
 
-    /// Residency mode for [`Driver::Distributed`] (default: off). When
-    /// on, `build` returns a solver backed by a **live resident rank
-    /// world**: elimination records stay on the ranks that produced them,
-    /// the dense top factorization is spread by block columns over the
-    /// ranks active at the top level (rank 0 keeps the routing metadata —
-    /// it never assembles the global record set), and every
-    /// [`Solver::solve`]/[`Solver::solve_mat`] runs Algorithm 2's solve
-    /// phase in place over a request/response command loop. This is the
-    /// serving deployment of the paper: O(N/p) factor memory per rank and
-    /// O(sqrt(N/p)) words moved per rank per solve, amortized over
-    /// arbitrarily many right-hand sides. Results are bit-identical to
-    /// the gather path's local solves on both transports.
-    ///
-    /// The world shuts down when the solver is dropped (or explicitly via
-    /// [`Solver::shutdown`]). Off, the driver falls back to gathering all
-    /// records onto rank 0 after factorization. Ignored by the other
-    /// drivers.
+    /// Compatibility shim: the distributed driver is always resident.
+    /// `true` changes nothing; `false` — the retired mode that gathered
+    /// every record onto rank 0 — makes `build` return
+    /// [`SrsfError::UnsupportedOption`] pointing at [`Solver::gather`].
+    /// It retires with ROADMAP item 2's `[benchmark]` revision, whose
+    /// harness is its last caller.
+    #[doc(hidden)]
     pub fn resident(mut self, resident: bool) -> Self {
-        self.opts = self.opts.with_resident(resident);
+        self.resident = resident;
         self
     }
 
@@ -676,8 +680,7 @@ impl<'a, K: Kernel> SolverBuilder<'a, K> {
     /// Tracing is observation-only: a traced run is bit-identical to an
     /// untraced one in solutions and §IV message/word counters (the
     /// recorder never sends anything during the algorithm; reports move
-    /// as uncounted result/service frames). Ignored by the other
-    /// drivers.
+    /// as uncounted service frames). Ignored by the other drivers.
     pub fn trace(mut self, trace: bool) -> Self {
         self.opts = self.opts.with_trace(trace);
         self
@@ -712,33 +715,12 @@ impl<'a, K: Kernel> SolverBuilder<'a, K> {
 
     /// Validate the configuration and run the selected driver.
     pub fn build(self) -> Result<Solver<K::Elem>, SrsfError> {
-        let (solver, _) = self.build_inner(None)?;
-        Ok(solver)
-    }
-
-    /// Build and additionally solve one right-hand side.
-    ///
-    /// For [`Driver::Distributed`] the solve runs *inside* the rank world
-    /// (Algorithm 2's upward/downward passes with neighbor-only traffic,
-    /// the resident service's protocol at one right-hand side) and gives
-    /// the bits [`Solver::solve`] gives afterwards; the other drivers
-    /// solve locally after factoring. [`Solver::comm_stats`] holds the
-    /// factorization-phase counters only — they are snapshotted before
-    /// this solve; per-solve traffic is what
-    /// [`Solver::resident_comm_probe`] measures on a resident solver.
-    pub fn build_with_solution(self, rhs: &[K::Elem]) -> Result<Solved<K::Elem>, SrsfError> {
-        check_rhs(self.pts.len(), rhs.len())?;
-        let (solver, x) = self.build_inner(Some(rhs))?;
-        // INVARIANT: build_inner(Some(rhs)) always produces a solution
-        Ok((solver, x.expect("solution requested")))
-    }
-
-    fn build_inner(self, rhs: Option<&[K::Elem]>) -> Result<MaybeSolved<K::Elem>, SrsfError> {
         let Self {
             kernel,
             pts,
             opts,
             driver,
+            resident,
         } = self;
         if pts.is_empty() {
             return Err(SrsfError::EmptyPointSet);
@@ -763,7 +745,7 @@ impl<'a, K: Kernel> SolverBuilder<'a, K> {
             });
         }
         let tree = QuadTree::build(pts, domain_for(pts), opts.leaf_size);
-        let (backend, comm, x, per_rank_bytes, traces) = match driver {
+        let backend = match driver {
             Driver::Sequential | Driver::Colored { .. } => {
                 let fact = match driver {
                     Driver::Colored { scheme, threads } => {
@@ -782,16 +764,16 @@ impl<'a, K: Kernel> SolverBuilder<'a, K> {
                     }
                     _ => factorize_with_tree(kernel, pts, &tree, &opts)?,
                 };
-                let x = rhs.map(|b| fact.solve(b));
-                (
-                    SolverBackend::Local(Box::new(fact)),
-                    None,
-                    x,
-                    None,
-                    Vec::new(),
-                )
+                SolverBackend::Local(Box::new(fact))
             }
             Driver::Distributed { grid } => {
+                if !resident {
+                    return Err(SrsfError::UnsupportedOption {
+                        option: "resident(false)",
+                        driver: "distributed",
+                        instead: "`Solver::gather()`",
+                    });
+                }
                 if opts.rank_threads == 0 {
                     return Err(SrsfError::InvalidThreadCount);
                 }
@@ -806,47 +788,26 @@ impl<'a, K: Kernel> SolverBuilder<'a, K> {
                         leaf_boxes: 1usize << (2 * leaf),
                     });
                 }
-                if opts.resident {
-                    let svc = catch_rank_failure(|| {
-                        dist_factorize_resident(kernel, pts, &tree, &grid, &opts)
-                    })??;
-                    let comm = svc.comm().clone();
-                    let bytes = svc.bytes_per_rank().to_vec();
-                    let x = match rhs {
-                        Some(b) => Some(svc.try_solve(b)?),
-                        None => None,
-                    };
-                    (
-                        SolverBackend::Resident(Box::new(svc)),
-                        Some(comm),
-                        x,
-                        Some(bytes),
-                        Vec::new(),
-                    )
-                } else {
-                    let b = catch_rank_failure(|| {
-                        dist_factorize_with_tree(kernel, pts, &tree, &grid, &opts, rhs)
-                    })??;
-                    (
-                        SolverBackend::Local(Box::new(b.fact)),
-                        Some(b.stats),
-                        b.x,
-                        Some(b.per_rank_bytes),
-                        b.traces,
-                    )
-                }
+                let svc = catch_rank_failure(|| {
+                    dist_factorize_resident(kernel, pts, &tree, &grid, &opts)
+                })??;
+                SolverBackend::Resident(Box::new(svc))
             }
         };
-        Ok((
-            Solver {
-                backend,
-                driver,
-                comm,
-                per_rank_bytes,
-                traces,
-            },
-            x,
-        ))
+        Ok(Solver { backend, driver })
+    }
+
+    /// Build, then solve one right-hand side: [`SolverBuilder::build`]
+    /// followed by [`Solver::try_solve`]. For [`Driver::Distributed`]
+    /// that solve is one request to the live rank world; a rank failure
+    /// during it is the typed error. [`Solver::comm_stats`] holds the
+    /// factorization-phase counters only; per-solve traffic is what
+    /// [`Solver::resident_comm_probe`] measures.
+    pub fn build_with_solution(self, rhs: &[K::Elem]) -> Result<Solved<K::Elem>, SrsfError> {
+        check_rhs(self.pts.len(), rhs.len())?;
+        let solver = self.build()?;
+        let x = solver.try_solve(rhs)?;
+        Ok((solver, x))
     }
 }
 

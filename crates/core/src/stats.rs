@@ -51,7 +51,9 @@ pub struct FactorStats {
     pub top_s: f64,
     /// Total wall time of the factorization.
     pub total_s: f64,
-    /// Wall time of the (distributed) solve, when one was run.
+    /// Always 0: no driver times a solve while it builds (time
+    /// [`crate::Solver::solve`] instead). Kept for the checkpoint layout;
+    /// it goes with the next container version.
     pub solve_s: f64,
     /// Size of the final dense top block.
     pub top_size: usize,

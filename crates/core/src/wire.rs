@@ -1,12 +1,10 @@
 //! [`Wire`] encodings for the factorization types that cross a process
-//! boundary on the TCP transport.
+//! boundary: the serve loop's frames (a worker's outcome report, its
+//! snapshot for a gather), the top's block columns, and the checkpoint
+//! container on disk.
 //!
-//! Worker ranks return `Result<(CommStats, Option<(Factorization, ...)>),
-//! FactorError>` from `World::run`; on the TCP backend that value is
-//! serialized back to rank 0 as a result frame, so everything in it needs
-//! a total, bounds-checked decode (a corrupted frame must surface as a
-//! [`CodecError`], not a panic). The same encodings also serve the
-//! record-gather messages inside the distributed factorization itself.
+//! Everything here has a total, bounds-checked decode: a corrupted frame
+//! or file must surface as a [`CodecError`], not a panic.
 
 use crate::distributed::{RankState, RankTop, TopShare};
 use crate::elimination::{BoxElimination, FactorError};
@@ -53,23 +51,6 @@ pub(crate) fn try_get_ids(r: &mut ByteReader) -> Result<Vec<u32>, CodecError> {
     let mut ids = Vec::with_capacity(slots.len());
     ids.extend(slots.iter().map(|&v| v as u32));
     Ok(ids)
-}
-
-/// Wire wrapper for a scalar vector (e.g. a distributed solution).
-///
-/// `Vec<T: Scalar>` cannot take the generic `Vec<T: Wire>` container
-/// encoding without overlapping impls (`f64` is both), so the rank
-/// results that carry a solution wrap it in this newtype, which encodes
-/// as a plain length-prefixed scalar slice.
-pub struct ScalarVec<T>(pub Vec<T>);
-
-impl<T: Scalar> Wire for ScalarVec<T> {
-    fn encode(&self, w: &mut ByteWriter) {
-        w.put_scalar_slice(&self.0);
-    }
-    fn decode(r: &mut ByteReader) -> Result<Self, CodecError> {
-        Ok(ScalarVec(r.try_get_scalar_slice()?))
-    }
 }
 
 impl Wire for FactorError {
@@ -185,9 +166,8 @@ impl<T: Scalar> Wire for BoxElimination<T> {
     }
 }
 
-/// The live compression counters, shared by [`FactorStats`] and the
-/// distributed record gather. `fft_block_applies` is always 0 and stays
-/// off the wire.
+/// The live compression counters, carried inside [`FactorStats`].
+/// `fft_block_applies` is always 0 and stays off the wire.
 impl Wire for CompressionTelemetry {
     fn encode(&self, w: &mut ByteWriter) {
         w.put_u64(self.sketch_retries);

@@ -79,7 +79,8 @@ fn assert_identical<T: Scalar>(label: &str, (f_a, x_a): &Built<T>, (f_b, x_b): &
         );
     }
     let rhs = random_vector::<T>(x_a.len(), 23);
-    for (a, b) in f_a.solve(&rhs).iter().zip(f_b.solve(&rhs).iter()) {
+    let (g_a, g_b) = (f_a.gather().expect("gather"), f_b.gather().expect("gather"));
+    for (a, b) in g_a.solve(&rhs).iter().zip(g_b.solve(&rhs).iter()) {
         assert_eq!(a.re(), b.re(), "{label}: gathered records differ");
         assert_eq!(a.im(), b.im(), "{label}: gathered records differ");
     }

@@ -63,7 +63,6 @@ fn resident(
         .opts(opts())
         .driver(Driver::distributed(p))
         .transport(transport)
-        .resident(true)
         .build()
         .expect("resident build")
 }
@@ -215,6 +214,11 @@ fn crash_mid_solve_is_typed_bounded_and_droppable_inproc() {
     let t1 = Instant::now();
     let err2 = solver.try_solve(&b).expect_err("poisoned service");
     assert_eq!(err2, err, "poisoned service must repeat the failure");
+    assert_eq!(
+        solver.gather().map(|_| ()),
+        Err(err.clone()),
+        "a poisoned service cannot gather"
+    );
     assert!(
         t1.elapsed() < Duration::from_secs(1),
         "fail-fast took {:?}",
@@ -227,13 +231,13 @@ fn crash_mid_solve_is_typed_bounded_and_droppable_inproc() {
     let _ = again.solve(&b);
 }
 
-/// The gathered build's in-world solve runs the service's protocol, so
-/// it owes the same failure contract: the factor phase is barrier-free,
-/// the crash at barrier 1 fires at the in-world solve's first level
-/// barrier, and `build_with_solution` returns the typed error within the
-/// receive timeout — no hang, no stray panic.
+/// `build_with_solution` is a build and then one served solve, so it owes
+/// the service's failure contract: the factor phase is barrier-free, the
+/// crash at barrier 1 fires at the solve's first level barrier, and the
+/// call returns the typed error within the receive timeout — no hang, no
+/// stray panic.
 #[test]
-fn crash_in_the_gathered_in_world_solve_fails_the_build_typed() {
+fn crash_in_the_build_time_solve_fails_build_with_solution_typed() {
     let grid = UnitGrid::new(32);
     let kernel = LaplaceKernel::new(&grid);
     let pts = grid.points();
@@ -316,7 +320,6 @@ fn cut_link_fails_the_build_typed_and_bounded() {
         .opts(opts())
         .driver(Driver::distributed(4))
         .transport(Transport::InProc.with_faults(plan))
-        .resident(true)
         .build()
     else {
         panic!("a cut world cannot factor");
@@ -344,7 +347,6 @@ fn checkpoint_restore_serves_bit_identical_solutions() {
     let original = Solver::builder(&kernel, &pts)
         .opts(opts())
         .driver(Driver::distributed(4))
-        .resident(true)
         .checkpoint_dir(&dir)
         .build()
         .expect("checkpointed build");
@@ -355,7 +357,15 @@ fn checkpoint_restore_serves_bit_identical_solutions() {
         .expect("per-rank records")
         .to_vec();
     let bytes = original.memory_bytes_per_rank().expect("bytes").to_vec();
+    // The gathered blocked sweep is the bit-reference for resident
+    // solves; its one-column case references restored vector solves too.
+    let gathered = original.gather().expect("gather");
     original.shutdown().expect("shutdown");
+    assert_eq!(
+        original.gather().map(|_| ()),
+        Err(SrsfError::ServiceShutDown),
+        "a shut-down service cannot gather"
+    );
 
     let restored = Solver::restore_resident(&pts, &dir, Transport::InProc).expect("restore");
     assert!(restored.is_resident());
@@ -375,10 +385,11 @@ fn checkpoint_restore_serves_bit_identical_solutions() {
         assert_mat_bits(&got, &want, &format!("restored solve rep={rep}"));
     }
     let bv = random_vector::<f64>(pts.len(), 31);
-    let want_v = original_reference_vector(&kernel, &pts, &bv);
+    let want_v = gathered.solve_mat(&Mat::from_vec(bv.len(), 1, bv.clone()));
     let got_v = restored.try_solve(&bv).expect("restored vector solve");
     assert_eq!(
-        got_v, want_v,
+        got_v,
+        want_v.as_slice(),
         "restored vector solve differs from gathered sweep"
     );
     restored.shutdown().expect("restored shutdown");
@@ -394,22 +405,6 @@ fn checkpoint_restore_serves_bit_identical_solutions() {
         matches!(err, SrsfError::Checkpoint { .. }),
         "expected Checkpoint error, got {err}"
     );
-}
-
-/// The gathered blocked sweep is the bit-reference for resident solves;
-/// its one-column case references restored vector solves too.
-fn original_reference_vector(
-    kernel: &LaplaceKernel,
-    pts: &[srsf_geometry::point::Point],
-    b: &[f64],
-) -> Vec<f64> {
-    let gathered = Solver::builder(kernel, pts)
-        .opts(opts())
-        .driver(Driver::distributed(4))
-        .build()
-        .expect("gathered build");
-    let x = gathered.solve_mat(&Mat::from_vec(b.len(), 1, b.to_vec()));
-    x.as_slice().to_vec()
 }
 
 /// The chaos acceptance: a TCP resident world with per-rank checkpoints
@@ -434,7 +429,6 @@ fn tcp_crash_then_restore_from_checkpoint() {
         .opts(opts())
         .driver(Driver::distributed(4))
         .transport(Transport::Tcp.with_faults(plan))
-        .resident(true)
         .checkpoint_dir(&dir)
         .build()
         .expect("factor phase is barrier-free; the crash fires mid-solve");

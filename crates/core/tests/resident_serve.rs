@@ -1,27 +1,26 @@
-//! Resident-vs-gathered equivalence: a solver built with
-//! `.resident(true)` must serve repeated `solve`/`solve_mat` calls from
-//! the live rank world with **bit-identical** results to the gathered
-//! factorization's local blocked sweeps, while rank 0 never assembles the
-//! global record set.
+//! Resident-vs-gathered equivalence: the distributed driver serves
+//! repeated `solve`/`solve_mat` calls from the live rank world with
+//! **bit-identical** results to the local blocked sweeps of its own
+//! factorization gathered onto rank 0 (`Solver::gather`), while rank 0
+//! never holds the global record set between gathers.
 //!
 //! Bit-reference note: the acceptance reference is the *serial blocked
 //! sweep* (`Factorization::solve_mat`) of the same distributed
 //! factorization — the path residency replaces. (The sequential *driver*
 //! eliminates boxes in a different order, so its records differ in bits
-//! from any distributed factorization — gathered or resident — by
-//! construction; equivalence to it is asserted in the accuracy class, as
-//! the existing distributed tests do.) The resident vector `solve` is the
-//! one-column case of the blocked sweep and is compared against exactly
-//! that.
+//! from any distributed factorization by construction; equivalence to it
+//! is asserted in the accuracy class, as the existing distributed tests
+//! do.) The resident vector `solve` is the one-column case of the blocked
+//! sweep and is compared against exactly that.
 
-use srsf_core::{Driver, FactorOpts, Solver, SrsfError};
+use srsf_core::{Driver, FactorOpts, Factorization, Solver, SrsfError, TopFactor};
 use srsf_geometry::grid::UnitGrid;
 use srsf_kernels::helmholtz::HelmholtzKernel;
 use srsf_kernels::kernel::Kernel;
 use srsf_kernels::laplace::LaplaceKernel;
 use srsf_kernels::util::random_vector;
 use srsf_linalg::{c64, Mat, Scalar};
-use srsf_runtime::{set_tcp_child_args, Transport};
+use srsf_runtime::{set_tcp_child_args, Transport, WorldStats};
 
 mod common;
 use common::HideSymmetry;
@@ -47,8 +46,9 @@ fn assert_mat_bits<T: Scalar>(a: &Mat<T>, b: &Mat<T>, what: &str) {
     }
 }
 
-/// Factor once in both modes, then serve repeated solves from the
-/// resident world and compare against the gathered object's local sweeps.
+/// Factor once, gather the factorization onto rank 0, then serve repeated
+/// solves from the resident world and compare against the gathered
+/// object's local sweeps.
 fn assert_resident_equivalent<K: Kernel>(
     kernel: &K,
     pts: &[srsf_geometry::point::Point],
@@ -59,16 +59,20 @@ fn assert_resident_equivalent<K: Kernel>(
         .opts(opts())
         .driver(Driver::distributed(p))
         .transport(transport)
-        .resident(true)
         .build()
         .expect("resident build");
-    let gathered = Solver::builder(kernel, pts)
-        .opts(opts())
-        .driver(Driver::distributed(p))
-        .build()
-        .expect("gathered build");
+    let counts = |w: WorldStats| -> Vec<(u64, u64)> {
+        w.per_rank
+            .iter()
+            .map(|r| (r.msgs_sent, r.words_sent))
+            .collect()
+    };
+    let before = counts(resident.resident_comm_probe().expect("probe"));
+    let gathered: Factorization<K::Elem> = resident.gather().expect("gather");
+    let after = counts(resident.resident_comm_probe().expect("probe"));
+    assert_eq!(before, after, "p={p}: the gather moved the §IV counters");
 
-    // The residency probe: rank 0 never assembles the global record set.
+    // The residency probe: rank 0 never holds the global record set.
     let per_rank = resident
         .records_per_rank()
         .expect("resident solver reports per-rank records")
@@ -104,20 +108,15 @@ fn assert_resident_equivalent<K: Kernel>(
             max_rank,
             gathered.memory_bytes()
         );
-        // The top's block columns left rank 0 for the other ranks, and
-        // dealing them out added no byte.
-        let spread = resident.memory_bytes_per_rank().expect("per-rank bytes");
-        let on_rank0 = gathered.memory_bytes_per_rank().expect("per-rank bytes");
-        assert_eq!(
-            spread.iter().sum::<usize>(),
-            on_rank0.iter().sum::<usize>(),
-            "p={p}: sum of per-rank bytes"
-        );
-        assert!(
-            spread[0] < on_rank0[0] && spread.iter().zip(on_rank0).skip(1).all(|(s, g)| s >= g),
-            "p={p}: the top did not leave rank 0: {spread:?} vs {on_rank0:?}"
-        );
     }
+    // Gathering moves every byte the ranks hold and adds none.
+    let spread = resident.memory_bytes_per_rank().expect("per-rank bytes");
+    assert_eq!(
+        spread.iter().sum::<usize>(),
+        gathered.memory_bytes(),
+        "p={p}: sum of per-rank bytes vs the gathered footprint"
+    );
+    assert_eq!(resident.memory_bytes(), gathered.memory_bytes());
     assert_eq!(resident.n_records(), gathered.n_records());
     assert_eq!(resident.top_size(), gathered.top_size());
     assert_eq!(
@@ -125,17 +124,11 @@ fn assert_resident_equivalent<K: Kernel>(
         gathered.stats().rank_table(),
         "p={p}: merged rank table"
     );
-    // Factorization-phase counters are mode-independent: residency
-    // changes where records live, not what Algorithm 2 ships.
-    let rc = resident.comm_stats().expect("resident comm");
-    let gc = gathered.comm_stats().expect("gathered comm");
-    for rank in 0..p {
-        assert_eq!(
-            (rc.per_rank[rank].msgs_sent, rc.per_rank[rank].words_sent),
-            (gc.per_rank[rank].msgs_sent, gc.per_rank[rank].words_sent),
-            "p={p}: rank {rank} factorization counters differ across modes"
-        );
-    }
+    assert_eq!(
+        resident.stats().compression,
+        gathered.stats().compression,
+        "p={p}: compression counters"
+    );
 
     // Factor once, serve repeatedly: blocked multi-RHS ...
     for nrhs in [1usize, 3, 7, 16, 64] {
@@ -164,10 +157,15 @@ fn assert_resident_equivalent<K: Kernel>(
         }
     }
 
-    // Explicit shutdown returns the session counters once.
+    // Explicit shutdown returns the session counters once; the ranks
+    // are gone, so a gather after it is a typed error.
     let final_stats = resident.shutdown().expect("first shutdown");
     assert_eq!(final_stats.per_rank.len(), p);
     assert!(resident.shutdown().is_none(), "shutdown is idempotent");
+    assert_eq!(
+        resident.gather().map(|_| ()),
+        Err(SrsfError::ServiceShutDown)
+    );
 }
 
 #[test]
@@ -211,7 +209,6 @@ fn assert_wrong_height_is_an_error_not_a_poison(p: usize) {
     let resident = Solver::builder(&kernel, &pts)
         .opts(opts())
         .driver(Driver::distributed(p))
-        .resident(true)
         .build()
         .expect("resident build");
     let b = random_mat::<f64>(pts.len(), 3, 7);
@@ -263,7 +260,6 @@ fn resident_tcp_matches_inproc_and_gathered_p4_nrhs16() {
         .opts(opts())
         .driver(Driver::distributed(4))
         .transport(Transport::Tcp)
-        .resident(true)
         .build()
         .expect("tcp resident build");
 
@@ -297,16 +293,10 @@ fn resident_tcp_matches_inproc_and_gathered_p4_nrhs16() {
     let inproc = Solver::builder(&kernel, &pts)
         .opts(opts())
         .driver(Driver::distributed(4))
-        .resident(true)
         .build()
         .expect("inproc resident build");
-    let gathered = Solver::builder(&kernel, &pts)
-        .opts(opts())
-        .driver(Driver::distributed(4))
-        .build()
-        .expect("gathered build");
     let x_in = inproc.solve_mat(&b);
-    let x_gat = gathered.solve_mat(&b);
+    let x_gat = inproc.gather().expect("gather").solve_mat(&b);
     assert_mat_bits(&x_tcp_1, &x_in, "tcp vs inproc resident");
     assert_mat_bits(&x_tcp_1, &x_gat, "tcp resident vs gathered sweep");
 
@@ -327,8 +317,8 @@ fn resident_tcp_matches_inproc_and_gathered_p4_nrhs16() {
         );
     }
 
-    // Tag-based shutdown: clean on both; drop (inproc/gathered) is
-    // exercised implicitly at scope exit.
+    // Tag-based shutdown: clean on both; drop (inproc) is exercised
+    // implicitly at scope exit.
     let stats = tcp.shutdown().expect("tcp shutdown");
     assert_eq!(stats.per_rank.len(), 4);
 }
@@ -344,7 +334,6 @@ fn dropping_a_resident_solver_shuts_the_world_down() {
     let solver = Solver::builder(&kernel, &pts)
         .opts(opts())
         .driver(Driver::distributed(4))
-        .resident(true)
         .build()
         .expect("resident build");
     let b = random_vector::<f64>(pts.len(), 5);
@@ -355,7 +344,6 @@ fn dropping_a_resident_solver_shuts_the_world_down() {
     let again = Solver::builder(&kernel, &pts)
         .opts(opts())
         .driver(Driver::distributed(4))
-        .resident(true)
         .build()
         .expect("second resident build");
     let _ = again.solve(&b);
@@ -371,7 +359,6 @@ fn resident_build_with_solution_matches_serving() {
     let (solver, x) = Solver::builder(&kernel, &pts)
         .opts(opts())
         .driver(Driver::distributed(4))
-        .resident(true)
         .build_with_solution(&b)
         .expect("resident build+solve");
     let again = solver.solve(&b);
@@ -420,38 +407,29 @@ resident_tcp_case!(resident_tcp_matches_gathered_helmholtz_p16, helmholtz, 16);
 /// Per-rank factor bytes at the paper's scale: with the top's block
 /// columns dealt out the heaviest rank is within 1.25x of the lightest at
 /// p = 4 and 1.6x at p = 16 (it was 2.06x and 5.73x with the top on
-/// rank 0), and not a byte is added: the sum is the gathered build's.
+/// rank 0), and not a byte is added: the sum is the gathered
+/// factorization's footprint.
 #[test]
 fn top_block_columns_level_the_per_rank_bytes() {
     let grid = UnitGrid::new(128);
     let kernel = LaplaceKernel::new(&grid);
     let pts = grid.points();
     for (p, bound) in [(4, 1.25), (16, 1.6)] {
-        let build = |resident: bool| {
-            Solver::builder(&kernel, &pts)
-                .tol(1e-6)
-                .driver(Driver::distributed(p))
-                .resident(resident)
-                .build()
-                .expect("build")
-        };
-        let spread = build(true).memory_bytes_per_rank().expect("bytes").to_vec();
-        let on_rank0 = build(false)
-            .memory_bytes_per_rank()
-            .expect("bytes")
-            .to_vec();
-        let ratio = |v: &[usize]| {
-            *v.iter().max().expect("ranks") as f64 / *v.iter().min().expect("ranks") as f64
-        };
+        let solver = Solver::builder(&kernel, &pts)
+            .tol(1e-6)
+            .driver(Driver::distributed(p))
+            .build()
+            .expect("build");
+        let spread = solver.memory_bytes_per_rank().expect("bytes");
+        let ratio = *spread.iter().max().expect("ranks") as f64
+            / *spread.iter().min().expect("ranks") as f64;
         assert!(
-            ratio(&spread) <= bound,
-            "p={p}: max/min {:.3} > {bound} ({spread:?})",
-            ratio(&spread)
+            ratio <= bound,
+            "p={p}: max/min {ratio:.3} > {bound} ({spread:?})"
         );
-        assert!(ratio(&on_rank0) > bound, "p={p}: nothing to level");
         assert_eq!(
             spread.iter().sum::<usize>(),
-            on_rank0.iter().sum::<usize>(),
+            solver.gather().expect("gather").memory_bytes(),
             "p={p}: sum of per-rank bytes"
         );
     }
@@ -459,24 +437,22 @@ fn top_block_columns_level_the_per_rank_bytes() {
 
 /// A general (unsymmetric-mode) top is never split: the chain has one
 /// owner, rank 0, and the resident world still solves to contract and to
-/// the gathered build's bits.
+/// the gathered factorization's bits.
 #[test]
 fn general_top_stays_on_one_owner_and_solves_to_contract() {
     let grid = UnitGrid::new(32);
     let kernel = HideSymmetry(LaplaceKernel::new(&grid));
     let pts = grid.points();
-    let build = |resident: bool| {
-        Solver::builder(&kernel, &pts)
-            .opts(opts())
-            .driver(Driver::distributed(4))
-            .resident(resident)
-            .build()
-            .expect("build")
-    };
-    let (resident, gathered) = (build(true), build(false));
-    assert_eq!(
-        resident.memory_bytes_per_rank().expect("bytes"),
-        gathered.memory_bytes_per_rank().expect("bytes"),
+    let resident = Solver::builder(&kernel, &pts)
+        .opts(opts())
+        .driver(Driver::distributed(4))
+        .build()
+        .expect("build");
+    let gathered = resident.gather().expect("gather");
+    let top = gathered.top_factor();
+    assert!(matches!(top, TopFactor::General(_)));
+    assert!(
+        resident.memory_bytes_per_rank().expect("bytes")[0] > top.heap_bytes(),
         "a general top stays where it was factored"
     );
     let b = random_mat::<f64>(pts.len(), 3, 4000);

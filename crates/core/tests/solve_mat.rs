@@ -103,25 +103,20 @@ fn assert_batch_invariant<T: Scalar, K: Kernel<Elem = T>>(kernel: &K, pts: &[Poi
     let n = pts.len();
     let col = random_vector::<T>(n, 5);
     let builds = [
-        (Driver::Sequential, false),
-        (
-            Driver::Colored {
-                scheme: ColorScheme::Four,
-                threads: 2,
-            },
-            false,
-        ),
-        (Driver::distributed(4), false),
-        (Driver::distributed(4), true),
+        Driver::Sequential,
+        Driver::Colored {
+            scheme: ColorScheme::Four,
+            threads: 2,
+        },
+        Driver::distributed(4),
     ];
-    for (driver, resident) in builds {
+    for driver in builds {
         let f = Solver::builder(kernel, pts)
             .opts(opts())
             .driver(driver)
-            .resident(resident)
             .build()
             .unwrap();
-        let what = format!("{driver:?}, resident {resident}");
+        let what = format!("{driver:?}");
         let alone = f.solve_mat(&Mat::from_vec(n, 1, col.clone()));
         // The vector solve is the one-column block, under every driver.
         assert_eq!(f.solve(&col), alone.col(0), "{what}: solve(&b)");

@@ -262,3 +262,52 @@ fn mismatched_threading_knobs_are_typed_errors() {
         .build()
         .is_ok());
 }
+
+/// The distributed driver has one mode: it serves from its rank world.
+/// The retired gathered mode is a typed error naming `Solver::gather`,
+/// and `gather` itself is the distributed driver's alone — the local
+/// drivers' factorization already is one object.
+#[test]
+fn gathered_mode_is_retired_for_gather() {
+    let grid = UnitGrid::new(8);
+    let kernel = LaplaceKernel::new(&grid);
+    let pts = grid.points();
+    let err = Solver::builder(&kernel, &pts)
+        .driver(Driver::distributed(1))
+        .resident(false)
+        .build()
+        .unwrap_err();
+    assert_eq!(
+        err,
+        SrsfError::UnsupportedOption {
+            option: "resident(false)",
+            driver: "distributed",
+            instead: "`Solver::gather()`",
+        }
+    );
+    let served = Solver::builder(&kernel, &pts)
+        .driver(Driver::distributed(1))
+        .resident(true)
+        .build()
+        .unwrap();
+    let gathered = served.gather().unwrap();
+    assert_eq!(gathered.n(), 64);
+
+    for (driver, name) in [
+        (Driver::Sequential, "sequential"),
+        (Driver::colored(2), "colored"),
+    ] {
+        let local = Solver::builder(&kernel, &pts)
+            .driver(driver)
+            .build()
+            .unwrap();
+        assert_eq!(
+            local.gather().map(|_| ()),
+            Err(SrsfError::UnsupportedOption {
+                option: "gather",
+                driver: name,
+                instead: "`Solver::factorization()`",
+            })
+        );
+    }
+}

@@ -96,9 +96,18 @@ fn assert_modes_agree<K: Kernel + Clone>(kernel: K, pts: &[Point], what: &str) {
         // NB) / 2` entries against the `top^2` of an LU of that size,
         // plus pivots either way. (The two modes sketch different stacks,
         // so their skeletons and top sizes may differ by a few.)
+        // The distributed driver's factorization lives on its ranks.
+        let local = |f: &Solver<K::Elem>| f.gather().ok();
+        let (g_sym, g_gen) = (local(&f_sym), local(&f_gen));
         let (top_sym, top_gen) = (
-            f_sym.factorization().top_factor(),
-            f_gen.factorization().top_factor(),
+            g_sym
+                .as_ref()
+                .unwrap_or_else(|| f_sym.factorization())
+                .top_factor(),
+            g_gen
+                .as_ref()
+                .unwrap_or_else(|| f_gen.factorization())
+                .top_factor(),
         );
         assert!(
             matches!(top_sym, TopFactor::Symmetric(_)),

@@ -81,11 +81,9 @@ fn assert_equivalent<K: Kernel>(kernel: &K, pts: &[srsf_geometry::point::Point],
         );
     }
     // The gathered records are semantically identical too: local applies
-    // of both factorizations agree bit for bit. (The in-world distributed
-    // solve above may differ from a *local* apply by summation order —
-    // that is solve-path variance, not transport variance.)
-    let loc_tcp = f_tcp.solve(&b);
-    let loc_in = f_in.solve(&b);
+    // of both factorizations agree bit for bit.
+    let loc_tcp = f_tcp.gather().expect("tcp gather").solve(&b);
+    let loc_in = f_in.gather().expect("inproc gather").solve(&b);
     for (a, b) in loc_tcp.iter().zip(loc_in.iter()) {
         assert_eq!(a.re(), b.re(), "p={p}: gathered records differ");
         assert_eq!(a.im(), b.im(), "p={p}: gathered records differ");

@@ -1,6 +1,7 @@
 //! Fuzz + property tests for the factorization [`Wire`] encodings in
 //! `srsf_core::wire` — the frames that cross a process boundary on the
-//! TCP transport (worker result frames, record gathers).
+//! TCP transport (serve-loop reports and gather replies) and the
+//! checkpoint files on disk.
 //!
 //! Mirrors `crates/runtime/tests/codec_fuzz.rs`: every decoder must be
 //! *total* over adversarial bytes (random streams, truncations,
@@ -10,7 +11,6 @@
 
 use srsf_core::elimination::{BoxElimination, FactorError};
 use srsf_core::sequential::Factorization;
-use srsf_core::wire::ScalarVec;
 use srsf_core::{Driver, FactorOpts, FactorStats, Solver, TopFactor, Transport};
 use srsf_geometry::grid::UnitGrid;
 use srsf_geometry::tree::BoxId;
@@ -298,14 +298,6 @@ fn gen_factorization_frame_form(rng: &mut Rng, symmetric_top: bool) -> Vec<u8> {
 // ---- totality ----------------------------------------------------------
 
 #[test]
-fn scalar_vec_decode_is_total() {
-    fuzz_type::<ScalarVec<f64>>("ScalarVec<f64>", 71, |r| {
-        let n = r.below(6);
-        ScalarVec((0..n).map(|_| r.finite_f64()).collect::<Vec<f64>>()).to_bytes()
-    });
-}
-
-#[test]
 fn factor_error_decode_is_total() {
     fuzz_type::<FactorError>("FactorError", 72, |r| gen_error(r).to_bytes());
 }
@@ -355,14 +347,14 @@ fn ldlt_decode_is_total() {
     });
 }
 
-/// Worker result frames are `Result<(CommStats-ish payload), FactorError>`
-/// shaped at the transport layer; here the inner error path must stay
-/// total too when nested in the generic containers.
+/// A worker's serve-loop report is `Result<payload, FactorError>`; the
+/// inner error path must stay total too when nested in the generic
+/// containers.
 #[test]
 fn nested_result_frames_are_total() {
-    fuzz_type::<Result<ScalarVec<f64>, FactorError>>("Result<ScalarVec,FactorError>", 77, |r| {
-        let v: Result<ScalarVec<f64>, FactorError> = if r.next() & 1 == 0 {
-            Ok(ScalarVec((0..r.below(5)).map(|_| r.finite_f64()).collect()))
+    fuzz_type::<Result<Vec<f64>, FactorError>>("Result<Vec<f64>,FactorError>", 77, |r| {
+        let v: Result<Vec<f64>, FactorError> = if r.next() & 1 == 0 {
+            Ok((0..r.below(5)).map(|_| r.finite_f64()).collect())
         } else {
             Err(gen_error(r))
         };
@@ -738,16 +730,6 @@ fn trace_report_round_trip_bytes() {
     }
 }
 
-#[test]
-fn scalar_vec_round_trip() {
-    let mut rng = Rng::new(86);
-    for _ in 0..iters(256, 8) {
-        let v: Vec<f64> = (0..rng.below(9)).map(|_| rng.finite_f64()).collect();
-        let back = ScalarVec::<f64>::from_bytes(ScalarVec(v.clone()).to_bytes()).expect("decode");
-        assert_eq!(back.0, v);
-    }
-}
-
 // ---- checkpoint container ----------------------------------------------
 
 fn ckpt_path(name: &str) -> std::path::PathBuf {
@@ -910,9 +892,10 @@ fn small_opts() -> FactorOpts {
 
 /// The capacity-based footprint of a factorization does not depend on
 /// whether its blocks were computed in place or decoded from a frame: a
-/// checkpoint save/load returns the same `memory_bytes`, and the rank-0
-/// gather of a distributed build (records and the top arrive over the
-/// wire) reports what the ranks held resident. Both top forms.
+/// checkpoint save/load returns the same `memory_bytes`, and the gather
+/// of a distributed build (records and the top arrive over the wire)
+/// reports what the ranks hold resident — and saves and loads to the
+/// same bytes. Both top forms.
 fn assert_decoded_footprint_matches<K: Kernel>(kernel: &K, grid: &UnitGrid, symmetric: bool) {
     let pts = grid.points();
     let f = common::factorize(kernel, &pts, &small_opts()).expect("factorization");
@@ -922,19 +905,25 @@ fn assert_decoded_footprint_matches<K: Kernel>(kernel: &K, grid: &UnitGrid, symm
     let back = Factorization::<K::Elem>::load(&path).expect("load");
     assert_eq!(back.memory_bytes(), f.memory_bytes(), "save/load footprint");
 
-    let build = |resident: bool| {
-        Solver::builder(kernel, &pts)
-            .opts(small_opts())
-            .driver(Driver::distributed(4))
-            .resident(resident)
-            .build()
-            .expect("distributed build")
-    };
-    let (gathered, resident) = (build(false), build(true));
+    let resident = Solver::builder(kernel, &pts)
+        .opts(small_opts())
+        .driver(Driver::distributed(4))
+        .build()
+        .expect("distributed build");
+    let gathered = resident.gather().expect("gather");
     assert_eq!(
         gathered.memory_bytes(),
         resident.memory_bytes(),
         "gathered footprint vs the ranks' resident total"
+    );
+    let path = ckpt_path(&format!("wire_fuzz_gathered_{symmetric}.ckpt"));
+    gathered
+        .save(&path)
+        .expect("save the gathered factorization");
+    let back = Factorization::<K::Elem>::load(&path).expect("load");
+    assert!(
+        back.to_bytes() == gathered.to_bytes(),
+        "gathered save/load round trip"
     );
 }
 
@@ -966,7 +955,6 @@ fn helmholtz_resident_restore_solves_bit_identically() {
     let live = Solver::builder(&kernel, &pts)
         .opts(small_opts())
         .driver(Driver::distributed(4))
-        .resident(true)
         .checkpoint_dir(&dir)
         .build()
         .expect("checkpointed build");

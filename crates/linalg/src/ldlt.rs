@@ -344,6 +344,18 @@ impl<T: Scalar> Ldlt<T> {
         }
     }
 
+    /// Move the block columns of `tail`, which must start where the held
+    /// range ends, onto the end of `self`: the inverse of
+    /// [`Ldlt::split_off`]. No block is copied.
+    pub fn append(&mut self, mut tail: Self) {
+        assert!(
+            tail.n == self.n && tail.first == self.cols().end,
+            "appended block columns do not continue the held range"
+        );
+        self.diag.append(&mut tail.diag);
+        self.sub.append(&mut tail.sub);
+    }
+
     /// `(first column, width)` of every block column held.
     pub(crate) fn block_cols(
         &self,

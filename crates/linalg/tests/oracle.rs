@@ -731,8 +731,14 @@ fn range_cuts(n_cols: usize) -> Vec<Vec<usize>> {
 
 /// Dealing the block columns out changes no bit and no byte: the chain
 /// over any contiguous ranges equals `Ldlt::solve_panel` on the whole,
-/// and the ranges' footprints add up to the whole's.
+/// the ranges' footprints add up to the whole's, and appending them back
+/// together in chain order gives the whole again.
 fn ldlt_split_oracle<T: TestScalar>(seed: u64) {
+    let same = |got: &Mat<T>, want: &Mat<T>| {
+        got.as_slice().iter().zip(want.as_slice()).all(|(a, b)| {
+            (a.re().to_bits(), a.im().to_bits()) == (b.re().to_bits(), b.im().to_bits())
+        })
+    };
     for (i, &n) in [63, 64, 65, 200, 1677].iter().enumerate() {
         let mut rng = Rng::new(seed + i as u64);
         let f = rand_ldlt::<T>(n, &mut rng);
@@ -760,10 +766,21 @@ fn ldlt_split_oracle<T: TestScalar>(seed: u64) {
                 .all(|w| w[0].cols().end == w[1].cols().start));
             for (x, want) in &panels {
                 let got = chain_solve(&owners, x.clone());
-                let same = got.as_slice().iter().zip(want.as_slice()).all(|(a, b)| {
-                    (a.re().to_bits(), a.im().to_bits()) == (b.re().to_bits(), b.im().to_bits())
-                });
-                assert!(same, "n {n}, cuts {cuts:?}, h {}: bits", x.nrows());
+                assert!(
+                    same(&got, want),
+                    "n {n}, cuts {cuts:?}, h {}: bits",
+                    x.nrows()
+                );
+            }
+            let mut owners = owners.into_iter();
+            let mut whole = owners.next().expect("the head range");
+            owners.for_each(|tail| whole.append(tail));
+            assert!(whole.is_whole(), "n {n}, cuts {cuts:?}: re-joined range");
+            assert_eq!(whole.heap_bytes(), f.heap_bytes(), "n {n}, cuts {cuts:?}");
+            for (x, want) in &panels {
+                let mut got = x.clone();
+                whole.solve_panel(&mut got);
+                assert!(same(&got, want), "n {n}, cuts {cuts:?}: re-joined bits");
             }
         }
     }

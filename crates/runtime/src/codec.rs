@@ -587,18 +587,6 @@ impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
     }
 }
 
-impl<A: Wire, B: Wire, C: Wire, D: Wire> Wire for (A, B, C, D) {
-    fn encode(&self, w: &mut ByteWriter) {
-        self.0.encode(w);
-        self.1.encode(w);
-        self.2.encode(w);
-        self.3.encode(w);
-    }
-    fn decode(r: &mut ByteReader) -> Result<Self, CodecError> {
-        Ok((A::decode(r)?, B::decode(r)?, C::decode(r)?, D::decode(r)?))
-    }
-}
-
 impl<T: Scalar> Wire for Mat<T> {
     fn encode(&self, w: &mut ByteWriter) {
         w.put_mat(self);

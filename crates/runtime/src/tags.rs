@@ -35,8 +35,6 @@ pub const KIND_FOLD: u32 = 1;
 pub const KIND_ACT_REFRESH: u32 = 2;
 /// Remaining active blocks gathered on rank 0 for the top factorization.
 pub const KIND_TOP: u32 = 3;
-/// Elimination records gathered on rank 0 into the `Factorization`.
-pub const KIND_RECORDS: u32 = 4;
 /// Upward-pass solve deltas on remotely-owned entries.
 pub const KIND_SOLVE_UP: u32 = 5;
 /// Downward-pass request for remotely-owned solution values.
@@ -80,13 +78,18 @@ pub const TAG_SERVE_CKPT: u32 = SERVE_BASE + 7;
 /// serve frame, which is what keeps traced runs bit-identical to
 /// untraced ones in the §IV counters.
 pub const TAG_SERVE_TRACE: u32 = SERVE_BASE + 8;
+/// Worker → rank 0: the rank's snapshot (records, routing, its share of
+/// the top) — the reply to the serve loop's gather command, from which
+/// rank 0 assembles a local factorization on demand. Uncounted like every
+/// serve frame.
+pub const TAG_SERVE_GATHER: u32 = SERVE_BASE + 9;
 
 /// `true` for tags in the resident serve-session range. Serve frames are
 /// the service *envelope* (command dispatch, RHS/solution slabs, stats
 /// probes) rather than Algorithm 2 traffic, and are exempt from the §IV
 /// data counters — see [`crate::world::RankCtx::send_service`].
 pub fn is_serve(tag: u32) -> bool {
-    (SERVE_BASE..SERVE_BASE + 9).contains(&tag)
+    (SERVE_BASE..SERVE_BASE + 10).contains(&tag)
 }
 
 /// Compose a data tag from its `(level, phase, kind)` coordinates.
@@ -112,7 +115,6 @@ pub fn kind_name(kind: u32) -> &'static str {
         KIND_FOLD => "FOLD",
         KIND_ACT_REFRESH => "ACT_REFRESH",
         KIND_TOP => "TOP",
-        KIND_RECORDS => "RECORDS",
         KIND_SOLVE_UP => "SOLVE_UP",
         KIND_SOLVE_REQ => "SOLVE_REQ",
         KIND_SOLVE_VAL => "SOLVE_VAL",
@@ -158,6 +160,7 @@ pub fn describe(t: u32) -> String {
             6 => "PONG (health reply)",
             7 => "CKPT (snapshot restore outcome)",
             8 => "TRACE (span/metrics report)",
+            9 => "GATHER (rank snapshot reply)",
             _ => "RESERVED",
         };
         return format!("resident serve {name}");
@@ -208,6 +211,7 @@ mod tests {
         assert!(describe(TAG_SERVE_PONG).contains("PONG"));
         assert!(describe(TAG_SERVE_CKPT).contains("CKPT"));
         assert!(describe(TAG_SERVE_TRACE).contains("TRACE"));
+        assert!(describe(TAG_SERVE_GATHER).contains("GATHER"));
         for t in [
             TAG_SERVE_READY,
             TAG_SERVE_CMD,
@@ -218,6 +222,7 @@ mod tests {
             TAG_SERVE_PONG,
             TAG_SERVE_CKPT,
             TAG_SERVE_TRACE,
+            TAG_SERVE_GATHER,
         ] {
             assert!(is_serve(t) && !is_control(t));
         }

@@ -135,9 +135,9 @@ fn distributed_build_with_solution_matches_gathered_solve() {
     // Same accuracy class; both within tolerance of each other's solution.
     let rel = srsf::linalg::vecops::rel_diff(&xd, &xs);
     assert!(rel < 1e-4, "dist vs seq solutions differ by {rel:.2e}");
-    // The distributed in-world solve and the gathered factorization's
+    // The distributed served solve and the gathered factorization's
     // local solve are the same sweep: same bits.
-    assert_eq!(xd, fd.solve(&b));
+    assert_eq!(xd, fd.gather().unwrap().solve(&b));
 }
 
 #[test]
