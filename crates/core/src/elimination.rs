@@ -25,8 +25,8 @@ use srsf_geometry::procgrid::BoxColoring;
 use srsf_geometry::tree::{BoxId, QuadTree};
 use srsf_kernels::kernel::Kernel;
 use srsf_linalg::gemm::{
-    adjoint_matmul_acc, adjoint_matmul_sub, gemm_acc_block, matmul, matmul_acc, matmul_sub,
-    transpose_matmul_acc,
+    adjoint_matmul_acc, adjoint_matmul_sub, gemm_acc_block, gemm_acc_to_blocks, is_packed, matmul,
+    matmul_sub, transpose_matmul_acc,
 };
 use srsf_linalg::{Lu, Mat, Scalar};
 
@@ -328,33 +328,53 @@ pub fn eliminate_box<K: Kernel>(
     }
 
     // Schur deltas for neighbor pairs: delta(n_j, n_k) = -EN_j FN_k, the
-    // sign riding the GEMM's alpha. Symmetric mode forms and emits only
-    // the block lower triangle `k <= j`, one strip per block row:
-    // `near_field` lists the neighbors in row-major order, so these are
-    // the stored keys.
-    let mut full = Mat::<T<K>>::zeros(n_total, n_total);
-    if sym {
-        for (&r0, &h) in offs.iter().zip(&nbr_sizes) {
-            let w = r0 + h;
-            gemm_acc_block(
-                &mut full,
-                (r0, 0, h, w),
-                -T::<K>::ONE,
-                &en,
-                (r0, 0, h, n_r),
-                &f_n,
-                (0, 0, n_r, w),
-            );
-        }
-    } else {
-        matmul_acc(&mut full, -T::<K>::ONE, &en, &f_n);
-    }
+    // sign riding the GEMM's alpha. Each block row j (a strip) is written
+    // straight into exact-size blocks; no `n_total²` scratch is zeroed,
+    // filled and cut. Symmetric mode forms and emits only the block lower
+    // triangle `k <= j`: `near_field` lists the neighbors in row-major
+    // order, so these are the stored keys. A strip packs its rows of EN
+    // once for all its blocks when the product its blocks replace is
+    // packed — the strip `h_j x (offs_j + h_j)` in symmetric mode, the
+    // whole `n_total x n_total` otherwise — and runs the jki kernel block
+    // by block when it is not, so every entry keeps the bits of that one
+    // product (the rule `srsf_linalg::gemm` states).
     let mut deltas = Vec::with_capacity(nbrs.len() * nbrs.len());
     for (j, nj) in nbrs.iter().enumerate() {
+        let (r0, h) = (offs[j], nbr_sizes[j]);
         let n_cols = if sym { j + 1 } else { nbrs.len() };
-        for (k, nk) in nbrs.iter().enumerate().take(n_cols) {
+        let mut blocks: Vec<Mat<T<K>>> = nbr_sizes[..n_cols]
+            .iter()
+            .map(|&w| Mat::zeros(h, w))
+            .collect();
+        let strip = (r0, 0, h, n_r);
+        let packed = if sym {
+            is_packed(h, r0 + h, n_r)
+        } else {
+            is_packed(n_total, n_total, n_r)
+        };
+        if packed {
+            let mut dests: Vec<_> = blocks
+                .iter_mut()
+                .zip(&offs)
+                .map(|(d, &c0)| (d, 0, c0))
+                .collect();
+            gemm_acc_to_blocks(-T::<K>::ONE, &en, strip, &f_n, &mut dests);
+        } else {
+            for (d, &c0) in blocks.iter_mut().zip(&offs) {
+                let w = d.ncols();
+                gemm_acc_block(
+                    d,
+                    (0, 0, h, w),
+                    -T::<K>::ONE,
+                    &en,
+                    strip,
+                    &f_n,
+                    (0, c0, n_r, w),
+                );
+            }
+        }
+        for ((k, nk), mut d) in nbrs.iter().enumerate().zip(blocks) {
             debug_assert!(store.is_canonical(nj, nk));
-            let mut d = full.block(offs[j], offs[k], nbr_sizes[j], nbr_sizes[k]);
             if sym && j == k {
                 d.mirror_upper();
             }
@@ -439,25 +459,28 @@ mod tests {
     use super::*;
     use crate::levels::merge_to_parent;
     use crate::store::tests::HideSymmetry;
+    use srsf_geometry::grid::scattered_points;
     use srsf_geometry::grid::UnitGrid;
-    use srsf_geometry::point::BBox;
+    use srsf_geometry::point::{BBox, Point};
     use srsf_kernels::helmholtz::HelmholtzKernel;
     use srsf_kernels::laplace::LaplaceKernel;
 
-    /// Eliminate the two finest levels of the `grid` problem with a merge
-    /// in between, checking `per_level` on the store after each level's
+    /// Eliminate the two finest levels of the problem on `pts` (leaves of
+    /// `leaf_size` points on average) with a merge in between, handing
+    /// every output to `per_output` with the active sets it was computed
+    /// against and checking `per_level` on the store after each level's
     /// eliminations and after the merge. Returns the peak block count.
     fn sweep_two_levels<K: Kernel>(
         kernel: &K,
-        grid: &UnitGrid,
+        pts: &[Point],
+        leaf_size: usize,
         mut per_level: impl FnMut(&BlockStore<'_, K>, &ActiveSets),
-        mut per_record: impl FnMut(&BoxElimination<K::Elem>),
+        mut per_output: impl FnMut(&ActiveSets, &BoxId, &EliminationOutput<K::Elem>),
     ) -> usize {
-        let pts = grid.points();
-        let tree = QuadTree::build(&pts, BBox::UNIT, 16);
+        let tree = QuadTree::build(pts, BBox::UNIT, leaf_size);
         let opts = FactorOpts::default();
-        let ctx = CompressionCtx::new(kernel, &pts, &tree, &opts);
-        let mut store = BlockStore::new(kernel, &pts);
+        let ctx = CompressionCtx::new(kernel, pts, &tree, &opts);
+        let mut store = BlockStore::new(kernel, pts);
         let mut act = ActiveSets::new();
         let leaf = tree.leaf_level();
         for id in tree.boxes_at_level(leaf) {
@@ -467,10 +490,8 @@ mod tests {
         for level in [leaf, leaf - 1] {
             for b in tree.boxes_at_level(level) {
                 let out = eliminate_box(&store, &act, &tree, &b, &opts, &ctx).unwrap();
-                if let Some(rec) = &out.record {
-                    per_record(rec);
-                    n_records += 1;
-                }
+                per_output(&act, &b, &out);
+                n_records += out.record.is_some() as usize;
                 apply_output(&mut store, &mut act, &b, &out, &ctx);
             }
             blocks_peak = blocks_peak.max(store.n_blocks());
@@ -492,9 +513,11 @@ mod tests {
     /// peaks at about half the blocks of the same kernel with its
     /// symmetry hidden.
     fn assert_symmetric_store_is_one_sided<K: Kernel + Clone>(kernel: &K, grid: &UnitGrid) {
+        let pts = grid.points();
         let blocks_sym = sweep_two_levels(
             kernel,
-            grid,
+            &pts,
+            16,
             |store, act| {
                 assert!(store.symmetric());
                 for ((a, b), m) in store.stored_pairs() {
@@ -503,13 +526,17 @@ mod tests {
                     assert_eq!(store.get(b, a, act), m.transpose(), "pair {a:?},{b:?}");
                 }
             },
-            |rec| assert!(rec.is_symmetric() && rec.fs.is_none()),
+            |_, _, out| {
+                let rec = out.record.as_ref();
+                assert!(rec.is_none_or(|rec| rec.is_symmetric() && rec.fs.is_none()));
+            },
         );
         let blocks_gen = sweep_two_levels(
             &HideSymmetry(kernel.clone()),
-            grid,
+            &pts,
+            16,
             |store, _| assert!(!store.symmetric()),
-            |rec| assert!(!rec.is_symmetric()),
+            |_, _, out| assert!(out.record.as_ref().is_none_or(|rec| !rec.is_symmetric())),
         );
         assert!(
             blocks_sym as f64 <= 0.55 * blocks_gen as f64,
@@ -524,5 +551,122 @@ mod tests {
         // Complex symmetric: a conjugate slipped into the served
         // direction or into a diagonal block would show.
         assert_symmetric_store_is_one_sided(&HelmholtzKernel::new(&grid, 40.0), &grid);
+    }
+
+    /// The Schur deltas of a record as they were formed before they were
+    /// written straight into their blocks: `-EN FN` into an `n_total²`
+    /// scratch — the lower block strips one product each in symmetric
+    /// mode, the whole square as one product otherwise — cut into blocks.
+    fn deltas_by_full_product<T: Scalar>(rec: &BoxElimination<T>, sizes: &[usize]) -> Vec<Mat<T>> {
+        let sym = rec.is_symmetric();
+        let f_n = rec.fnb.clone().unwrap_or_else(|| {
+            let mut g = rec.en.clone();
+            rec.lu.solve_panel(&mut g);
+            g.transpose()
+        });
+        let (rows, n_r) = (rec.en.nrows(), rec.en.ncols());
+        let offs: Vec<usize> = (0..sizes.len()).map(|j| sizes[..j].iter().sum()).collect();
+        let mut full = Mat::zeros(rows, rows);
+        if sym {
+            for (&r0, &h) in offs.iter().zip(sizes) {
+                let (strip, w) = ((r0, 0, h, n_r), r0 + h);
+                gemm_acc_block(
+                    &mut full,
+                    (r0, 0, h, w),
+                    -T::ONE,
+                    &rec.en,
+                    strip,
+                    &f_n,
+                    (0, 0, n_r, w),
+                );
+            }
+        } else {
+            srsf_linalg::gemm::matmul_acc(&mut full, -T::ONE, &rec.en, &f_n);
+        }
+        let mut deltas = Vec::new();
+        for j in 0..sizes.len() {
+            for k in 0..if sym { j + 1 } else { sizes.len() } {
+                let mut d = full.block(offs[j], offs[k], sizes[j], sizes[k]);
+                if sym && j == k {
+                    d.mirror_upper();
+                }
+                deltas.push(d);
+            }
+        }
+        deltas
+    }
+
+    /// Sweeps `kernel` and its symmetry-hidden twin, checking every box's
+    /// deltas bitwise against [`deltas_by_full_product`]. Returns, per
+    /// mode, the strips that took the packed path and those of them with
+    /// a block under 12 columns (one the packed path never takes alone).
+    fn assert_deltas_match_full_product<K: Kernel + Clone>(
+        kernel: &K,
+        pts: &[Point],
+        leaf_size: usize,
+    ) -> [(usize, usize); 2] {
+        fn check<K: Kernel>(kernel: &K, pts: &[Point], leaf_size: usize) -> (usize, usize) {
+            let (mut packed, mut narrow) = (0, 0);
+            sweep_two_levels(
+                kernel,
+                pts,
+                leaf_size,
+                |_, _| {},
+                |act, b, out| {
+                    let Some(rec) = &out.record else { return };
+                    let sizes: Vec<usize> = near_field(b)
+                        .iter()
+                        .map(|n| act.get(n).len())
+                        .filter(|&w| w > 0)
+                        .collect();
+                    let want = deltas_by_full_product(rec, &sizes);
+                    assert_eq!(out.deltas.len(), want.len());
+                    for ((nj, nk, got), want) in out.deltas.iter().zip(&want) {
+                        assert!(got == want, "delta ({nj:?}, {nk:?}) of {b:?}");
+                    }
+                    let (n_total, n_r) = (rec.en.nrows(), rec.en.ncols());
+                    for (j, &h) in sizes.iter().enumerate() {
+                        let (blocks, strip_packed) = if rec.is_symmetric() {
+                            let w = sizes[..=j].iter().sum();
+                            (&sizes[..=j], is_packed(h, w, n_r))
+                        } else {
+                            (&sizes[..], is_packed(n_total, n_total, n_r))
+                        };
+                        packed += strip_packed as usize;
+                        narrow += (strip_packed && blocks.iter().any(|&w| w < 12)) as usize;
+                    }
+                },
+            );
+            (packed, narrow)
+        }
+        [
+            check(kernel, pts, leaf_size),
+            check(&HideSymmetry(kernel.clone()), pts, leaf_size),
+        ]
+    }
+
+    #[test]
+    fn schur_deltas_are_bitwise_the_full_product_on_a_grid() {
+        let grid = UnitGrid::new(32);
+        let counts =
+            assert_deltas_match_full_product(&LaplaceKernel::new(&grid), &grid.points(), 64);
+        assert!(counts.iter().all(|&(packed, _)| packed > 0), "{counts:?}");
+    }
+
+    /// Scattered points in a checkerboard of 90- and 6-point leaves, so
+    /// every packed strip of a crowded box carries blocks of a few
+    /// columns.
+    #[test]
+    fn schur_deltas_are_bitwise_the_full_product_on_uneven_leaves() {
+        let mut pts = Vec::new();
+        for cell in 0..16 {
+            let (cx, cy) = ((cell % 4) as f64, (cell / 4) as f64);
+            let count = if cell % 2 == (cell / 4) % 2 { 90 } else { 6 };
+            let cell_pts = scattered_points(count, 29 + cell as u64).into_iter();
+            pts.extend(cell_pts.map(|p| Point::new((cx + p.x) / 4.0, (cy + p.y) / 4.0)));
+        }
+        let kernel = LaplaceKernel::with_params(1.0 / pts.len() as f64, 1.0);
+        let counts = assert_deltas_match_full_product(&kernel, &pts, 64);
+        assert!(counts.iter().all(|&(_, narrow)| narrow > 0), "{counts:?}");
     }
 }

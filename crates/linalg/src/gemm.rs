@@ -11,6 +11,27 @@
 //! is tested against. Every product runs on the calling thread: the
 //! drivers parallelize across boxes and ranks, never inside one product.
 //!
+//! # Three entries
+//!
+//! The plain product ([`matmul_acc`], [`gemm_acc_block`] on sub-blocks),
+//! the flipped one (`A^H B`, `A^T B`, packed straight from `A`'s
+//! columns), and one left operand into many blocks,
+//! [`gemm_acc_to_blocks`]: `C_d += alpha * A[rows_d, :] * B[:, cols_d]`
+//! for a list of destination matrices `C_d`. It packs `A` once per depth
+//! block and each destination's columns of `B` once, and writes each
+//! product into its own block — the Schur deltas of a neighbor strip, the
+//! diagonal blocks and sub-panels of the packed top's trailing update —
+//! where the plain product would fill a scratch square to be cut, or
+//! pack the same rows of `A` once per block. Each entry gets exactly the
+//! packed path's arithmetic (one fused multiply-add chain per depth
+//! block, one `alpha * acc` add per tile), so a destination has the bits
+//! one [`gemm_acc_block`] of it has *when that call is packed*. The rule
+//! a caller keeps bits with: a product goes through the new entry
+//! exactly when the call it replaces took the packed path
+//! ([`is_packed`], the dispatch's own test), and through
+//! [`gemm_acc_block`] otherwise. Destinations start on a tile row (a
+//! multiple of 16 rows is one on every build).
+//!
 //! # The register tile
 //!
 //! There is one micro-kernel, and it works on *real lanes*: a packed panel
@@ -255,6 +276,25 @@ pub fn gemm_acc_block<T: Scalar>(
     );
 }
 
+/// `C += alpha * A[ablk][a_row.., :] * B[:, b_col..]` for every
+/// destination `(C, a_row, b_col)`, the shape of `C` setting the rows and
+/// columns taken (`B` is `ablk`'s width deep): one left operand into many
+/// blocks, `A[ablk]` packed once per depth block and each destination's
+/// columns of `B` once. Each destination gets the bits one packed
+/// [`gemm_acc_block`] of it would; the module comment states the rule
+/// that keeps a caller's bits. `a_row` must be a multiple of the tile's
+/// row count (any multiple of 16 is, on every build); a misaligned or
+/// out-of-range destination panics.
+pub fn gemm_acc_to_blocks<T: Scalar>(
+    alpha: T,
+    a: &Mat<T>,
+    ablk: BlockSpec,
+    b: &Mat<T>,
+    dests: &mut [(&mut Mat<T>, usize, usize)],
+) {
+    gemm_to_blocks_tile::<T, { TILE.0 }, { TILE.1 }>(alpha, View::sub(a, ablk), View::of(b), dests);
+}
+
 /// `C += alpha * A * B`, reference jki kernel: for each output column `j`,
 /// accumulate rank-1 updates `alpha * b[l,j] * A[:,l]`; both the read of
 /// `A[:,l]` and the update of `C[:,j]` are contiguous. Serves small
@@ -397,16 +437,23 @@ pub fn matmul_adjoint_naive<T: Scalar>(a: &Mat<T>, b: &Mat<T>) -> Mat<T> {
 // Dispatch
 // ---------------------------------------------------------------------------
 
+/// `true` when the plain product `C += alpha * A * B` of an `m x n`
+/// result at depth `k` takes the packed path ([`matmul_acc`],
+/// [`gemm_acc_block`]); otherwise it runs the jki kernel. A caller of
+/// [`gemm_acc_to_blocks`] asks it of the product its destinations replace.
+pub fn is_packed(m: usize, n: usize, k: usize) -> bool {
+    m * n * k >= PACK_MIN_FLOPS
+        && m >= BLOCK_MIN_ROWS
+        && n >= BLOCK_MIN_COLS
+        && k >= BLOCK_MIN_DEPTH
+}
+
 fn gemm_dispatch<T: Scalar>(c: ViewMut<'_, T>, alpha: T, a: View<'_, T>, b: View<'_, T>) {
     let (m, n, k) = (c.rows, c.cols, a.cols);
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    if m * n * k >= PACK_MIN_FLOPS
-        && m >= BLOCK_MIN_ROWS
-        && n >= BLOCK_MIN_COLS
-        && k >= BLOCK_MIN_DEPTH
-    {
+    if is_packed(m, n, k) {
         gemm_blocked(c, alpha, a, b, LeftOp::Plain);
     } else {
         gemm_naive(c, alpha, a, b);
@@ -494,10 +541,8 @@ fn gemm_blocked_tile<T: Scalar, const ML: usize, const NL: usize>(
     b: View<'_, T>,
     op: LeftOp,
 ) {
-    let (mr, nr) = (ML / lanes::<T>(), NL / lanes::<T>());
     const { assert!(MC.is_multiple_of(ML) && NC.is_multiple_of(NL)) };
-    let (m, n, k, ld) = (c.rows, c.cols, b.rows, c.ld);
-    let mut acc = [[0.0; ML]; NL];
+    let (m, n, k) = (c.rows, c.cols, b.rows);
     PACK.with_borrow_mut(|(apack, bpack)| {
         for jc in (0..n).step_by(NC) {
             let nc = NC.min(n - jc);
@@ -507,17 +552,88 @@ fn gemm_blocked_tile<T: Scalar, const ML: usize, const NL: usize>(
                 for ic in (0..m).step_by(MC) {
                     let mc = MC.min(m - ic);
                     pack_a::<T, ML>(a, ic, pc, mc, kc, op, apack);
-                    let bpanels = bpack.chunks_exact(kc * NL).take(nc.div_ceil(nr));
-                    for (q, bpanel) in bpanels.enumerate() {
-                        let j0 = jc + q * nr;
-                        let jcols = nr.min(jc + nc - j0);
-                        let apanels = apack.chunks_exact(kc * ML).take(mc.div_ceil(mr));
-                        for (p, apanel) in apanels.enumerate() {
-                            let i0 = ic + p * mr;
-                            let irows = mr.min(ic + mc - i0);
-                            micro_kernel(apanel, bpanel, &mut acc);
-                            add_tile(&acc, alpha, c.tile_mut(i0, j0), ld, irows, jcols);
-                        }
+                    packed_block::<T, ML, NL>(apack, bpack, kc, (ic, mc), (jc, nc), alpha, &mut c);
+                }
+            }
+        }
+    });
+}
+
+/// `C[ic.., jc..] += alpha * A * B` on an `mc x nc` block whose operands
+/// are packed: `apack` starts with the `mc` rows' micro-panels, `bpack`
+/// with the `nc` columns', both `kc` deep. One micro-kernel call and one
+/// tile update per pair of panels, `B` panels outermost.
+fn packed_block<T: Scalar, const ML: usize, const NL: usize>(
+    apack: &[f64],
+    bpack: &[f64],
+    kc: usize,
+    (ic, mc): (usize, usize),
+    (jc, nc): (usize, usize),
+    alpha: T,
+    c: &mut ViewMut<'_, T>,
+) {
+    let (mr, nr) = (ML / lanes::<T>(), NL / lanes::<T>());
+    let mut acc = [[0.0; ML]; NL];
+    let bpanels = bpack.chunks_exact(kc * NL).take(nc.div_ceil(nr));
+    for (q, bpanel) in bpanels.enumerate() {
+        let j0 = jc + q * nr;
+        let jcols = nr.min(jc + nc - j0);
+        let apanels = apack.chunks_exact(kc * ML).take(mc.div_ceil(mr));
+        for (p, apanel) in apanels.enumerate() {
+            let i0 = ic + p * mr;
+            let irows = mr.min(ic + mc - i0);
+            micro_kernel(apanel, bpanel, &mut acc);
+            let ld = c.ld;
+            add_tile(&acc, alpha, c.tile_mut(i0, j0), ld, irows, jcols);
+        }
+    }
+}
+
+/// [`gemm_acc_to_blocks`] on an `ML x NL` tile of real lanes.
+fn gemm_to_blocks_tile<T: Scalar, const ML: usize, const NL: usize>(
+    alpha: T,
+    a: View<'_, T>,
+    b: View<'_, T>,
+    dests: &mut [(&mut Mat<T>, usize, usize)],
+) {
+    let mr = ML / lanes::<T>();
+    let (m, k) = (a.rows, a.cols);
+    assert_eq!(b.rows, k, "gemm to blocks: inner dimension mismatch");
+    for (c, a_row, b_col) in dests.iter() {
+        assert!(
+            a_row.is_multiple_of(mr),
+            "gemm to blocks: row offset {a_row} is not a multiple of the {mr}-row tile"
+        );
+        assert!(
+            a_row + c.nrows() <= m && b_col + c.ncols() <= b.cols,
+            "gemm to blocks: destination outside the operands"
+        );
+    }
+    if dests.is_empty() {
+        return;
+    }
+    PACK.with_borrow_mut(|(apack, bpack)| {
+        for pc in (0..k).step_by(KC) {
+            let kc = KC.min(k - pc);
+            pack_a::<T, ML>(a, 0, pc, m, kc, LeftOp::Plain, apack);
+            for (c, a_row, b_col) in dests.iter_mut() {
+                let (rows, cols) = (c.nrows(), c.ncols());
+                let mut cv = ViewMut::sub(c, (0, 0, rows, cols));
+                for jc in (0..cols).step_by(NC) {
+                    let nc = NC.min(cols - jc);
+                    pack_b::<T, NL>(b, pc, *b_col + jc, kc, nc, bpack);
+                    for ic in (0..rows).step_by(MC) {
+                        let mc = MC.min(rows - ic);
+                        let a0 = (*a_row + ic) / mr * kc * ML;
+                        packed_block::<T, ML, NL>(
+                            &apack[a0..],
+                            bpack,
+                            kc,
+                            (ic, mc),
+                            (jc, nc),
+                            alpha,
+                            &mut cv,
+                        );
                     }
                 }
             }
@@ -808,6 +924,163 @@ mod tests {
         let alpha = c64::new(0.7, -0.3);
         tile_oracle::<c64, 16, 12>(alpha);
         tile_oracle::<c64, 8, 6>(alpha);
+    }
+
+    /// The products of one left operand into many blocks against one
+    /// packed product per destination on the same tile, bit for bit:
+    /// ragged rows and columns, depth across `KC`, row offsets at tile
+    /// multiples, blocks ending inside a row panel, empty blocks.
+    fn to_blocks_oracle<T: Scalar, const ML: usize, const NL: usize>(alpha: T) {
+        let mr = ML / lanes::<T>();
+        let (m, n) = (6 * mr + 5, 70);
+        // (rows, cols, a_row, b_col)
+        let shapes = [
+            (m, n, 0, 0),
+            (mr + 3, 13, 0, 0),
+            (2 * mr, 1, mr, 5),
+            (3 * mr + 1, 29, 2 * mr, 41),
+            (5, 30, 6 * mr, 40),
+            (0, 7, 2 * mr, 3),
+            (4 * mr, 0, 0, n),
+        ];
+        for (s, k) in [17, 64, 300].into_iter().enumerate() {
+            let seed = 100 * s as u64;
+            let a = noise::<T>(m + 3, k + 2, seed + 1);
+            let b = noise::<T>(k, n, seed + 2);
+            let c0: Vec<Mat<T>> = (shapes.iter().enumerate())
+                .map(|(i, &(r, c, _, _))| noise::<T>(r, c, seed + 10 + i as u64))
+                .collect();
+            let mut got = c0.clone();
+            let mut dests: Vec<_> = (got.iter_mut().zip(&shapes))
+                .map(|(c, &(_, _, a_row, b_col))| (c, a_row, b_col))
+                .collect();
+            let ablk = View::sub(&a, (2, 1, m, k));
+            gemm_to_blocks_tile::<T, ML, NL>(alpha, ablk, View::of(&b), &mut dests);
+            for ((want, got), &(r, c, a_row, b_col)) in c0.into_iter().zip(&got).zip(&shapes) {
+                let mut want = want;
+                gemm_blocked_tile::<T, ML, NL>(
+                    ViewMut::sub(&mut want, (0, 0, r, c)),
+                    alpha,
+                    View::sub(&a, (2 + a_row, 1, r, k)),
+                    View::sub(&b, (0, b_col, k, c)),
+                    LeftOp::Plain,
+                );
+                let what =
+                    format!("{ML}x{NL} tile, depth {k}, {r}x{c} block at ({a_row}, {b_col})");
+                assert_eq!(got.as_slice(), want.as_slice(), "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn products_into_blocks_match_one_product_per_block_on_both_tables() {
+        to_blocks_oracle::<f64, 16, 12>(-0.75);
+        to_blocks_oracle::<f64, 8, 6>(-0.75);
+        let alpha = c64::new(0.7, -0.3);
+        to_blocks_oracle::<c64, 16, 12>(alpha);
+        to_blocks_oracle::<c64, 8, 6>(alpha);
+    }
+
+    /// The public entry on this build's tile against `gemm_acc_block` on
+    /// destinations whose own products are packed.
+    #[test]
+    fn gemm_acc_to_blocks_matches_gemm_acc_block_where_packed() {
+        fn check<T: Scalar>(alpha: T) {
+            let (m, k, n) = (80, 64, 90);
+            let a = noise::<T>(m, k, 7);
+            let b = noise::<T>(k, n, 8);
+            let shapes = [(16, 12, 0, 0), (64, 40, 16, 50), (17, 90, 48, 0)];
+            let c0: Vec<Mat<T>> = (shapes.iter().enumerate())
+                .map(|(i, &(r, c, _, _))| noise::<T>(r, c, 9 + i as u64))
+                .collect();
+            let mut got = c0.clone();
+            let mut dests: Vec<_> = (got.iter_mut().zip(&shapes))
+                .map(|(c, &(_, _, a_row, b_col))| (c, a_row, b_col))
+                .collect();
+            gemm_acc_to_blocks(alpha, &a, (0, 0, m, k), &b, &mut dests);
+            for ((mut want, got), &(r, c, a_row, b_col)) in c0.into_iter().zip(&got).zip(&shapes) {
+                assert!(is_packed(r, c, k));
+                gemm_acc_block(
+                    &mut want,
+                    (0, 0, r, c),
+                    alpha,
+                    &a,
+                    (a_row, 0, r, k),
+                    &b,
+                    (0, b_col, k, c),
+                );
+                assert_eq!(
+                    got.as_slice(),
+                    want.as_slice(),
+                    "{r}x{c} block at ({a_row}, {b_col})"
+                );
+            }
+        }
+        check::<f64>(-1.0);
+        check::<c64>(c64::new(-1.0, 0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "not a multiple")]
+    fn misaligned_block_panics() {
+        let (a, b) = (noise::<f64>(40, 20, 1), noise::<f64>(20, 20, 2));
+        let mut c = Mat::zeros(4, 4);
+        gemm_acc_to_blocks(1.0, &a, (0, 0, 40, 20), &b, &mut [(&mut c, 3, 0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the operands")]
+    fn out_of_range_block_panics() {
+        let (a, b) = (noise::<f64>(40, 20, 1), noise::<f64>(20, 20, 2));
+        let mut c = Mat::zeros(4, 8);
+        gemm_acc_to_blocks(1.0, &a, (0, 0, 40, 20), &b, &mut [(&mut c, 0, 16)]);
+    }
+
+    /// `is_packed` is the dispatch's test: `gemm_acc_block` gives the
+    /// packed product's bits exactly where it says so, the jki kernel's
+    /// elsewhere, across the edges of every threshold.
+    #[test]
+    fn is_packed_is_the_dispatch_rule() {
+        fn check<T: Scalar>(alpha: T) {
+            let (mut seen, mut differ) = ([0; 2], 0);
+            for m in [1, 3, 4, 5, 16, 40] {
+                for n in [1, 11, 12, 13, 40] {
+                    for k in [1, 15, 16, 17, 64] {
+                        let a = noise::<T>(m, k, 1);
+                        let b = noise::<T>(k, n, 2);
+                        let c0 = noise::<T>(m, n, 3);
+                        let (mut got, mut packed, mut naive) = (c0.clone(), c0.clone(), c0);
+                        let full = (0, 0, m, n);
+                        gemm_acc_block(&mut got, full, alpha, &a, (0, 0, m, k), &b, (0, 0, k, n));
+                        gemm_blocked(
+                            ViewMut::sub(&mut packed, full),
+                            alpha,
+                            View::of(&a),
+                            View::of(&b),
+                            LeftOp::Plain,
+                        );
+                        gemm_naive(
+                            ViewMut::sub(&mut naive, full),
+                            alpha,
+                            View::of(&a),
+                            View::of(&b),
+                        );
+                        let p = is_packed(m, n, k);
+                        let want = if p { &packed } else { &naive };
+                        assert_eq!(got.as_slice(), want.as_slice(), "{m}x{n}x{k}, packed {p}");
+                        seen[p as usize] += 1;
+                        differ += (packed != naive) as usize;
+                    }
+                }
+            }
+            // Both rules taken, and the two kernels told apart.
+            assert!(
+                seen[0] > 0 && seen[1] > 0 && differ > seen[1] / 2,
+                "{seen:?}, {differ}"
+            );
+        }
+        check::<f64>(-0.75);
+        check::<c64>(c64::new(0.7, -0.3));
     }
 
     /// The public sub-block entry point on whichever tile this build

@@ -13,7 +13,11 @@
 //! `L₂₁ = A₂₁ D⁻¹` solved against that block; and the trailing update
 //! `A₂₂ -= L₂₁ (D L₂₁ᵀ)` applied to the lower panels only — `n³/3` flops
 //! against the `2n³/3` of a general LU, half the bytes, and the `n x n`
-//! square never exists.
+//! square never exists. The update is one left operand into many blocks:
+//! `L₂₁` is packed once per step and each later block column's diagonal
+//! block and sub-panel take their rows of it straight from the pack
+//! ([`crate::gemm::gemm_acc_to_blocks`]), with the bits of one product
+//! per block.
 //!
 //! Confining the pivot search to a diagonal block gives up the
 //! unconditional stability of a Bunch–Kaufman factorization, so the
@@ -23,7 +27,7 @@
 //! and the second-kind operators this solver factors never take that
 //! path.
 
-use crate::gemm::{gemm_acc_block, transpose_matmul_acc};
+use crate::gemm::{gemm_acc_block, gemm_acc_to_blocks, is_packed, transpose_matmul_acc};
 use crate::lu::Lu;
 use crate::mat::Mat;
 use crate::scalar::Scalar;
@@ -200,6 +204,46 @@ pub struct Ldlt<T> {
     sub: Vec<Mat<T>>,
 }
 
+/// `A₂₂ -= L₂₁ Wᵀ` on the block columns `cols` after the step that ends
+/// at column `k1`, lower block triangle only: the diagonal block of the
+/// block column at `j0` takes rows `j0 - k1 ..` of `L₂₁` and its
+/// sub-panel the rows below. Those offsets are multiples of [`NB`], so
+/// the products the packed path takes share one packed `L₂₁`
+/// ([`gemm_acc_to_blocks`]); one [`is_packed`] rejects (a block column
+/// under 12 wide, a sub-panel under 4 rows) runs on its own. Either way
+/// every block gets the bits of its own `gemm_acc_block` call.
+fn trailing_update<T: Scalar>(
+    k1: usize,
+    cols: &[(usize, usize)],
+    l21: &Mat<T>,
+    wt: &Mat<T>,
+    dblocks: &mut [Mat<T>],
+    sub: &mut [Mat<T>],
+) {
+    let (m, nb) = (l21.nrows(), l21.ncols());
+    let mut packed = Vec::with_capacity(2 * cols.len());
+    for (&(j0, nbj), (d, s)) in cols.iter().zip(dblocks.iter_mut().zip(sub.iter_mut())) {
+        let off = j0 - k1;
+        for (c, a_row) in [(d, off), (s, off + nbj)] {
+            let rows = c.nrows();
+            if is_packed(rows, nbj, nb) {
+                packed.push((c, a_row, off));
+            } else {
+                gemm_acc_block(
+                    c,
+                    (0, 0, rows, nbj),
+                    -T::ONE,
+                    l21,
+                    (a_row, 0, rows, nb),
+                    wt,
+                    (0, off, nb, nbj),
+                );
+            }
+        }
+    }
+    gemm_acc_to_blocks(-T::ONE, l21, (0, 0, m, nb), wt, &mut packed);
+}
+
 impl<T: Scalar> Ldlt<T> {
     /// Factor the symmetric matrix held in `a`.
     pub fn factor(a: SymPanels<T>) -> Result<Self, LdltBreakdown> {
@@ -221,40 +265,28 @@ impl<T: Scalar> Ldlt<T> {
                 let mut l21 = core::mem::replace(&mut sub[k], Mat::zeros(0, 0));
                 let wt = l21.transpose();
                 lu.solve_panel(&mut l21);
-                // A NaN (from a vanishing pivot) sticks, where `f64::max`
-                // would drop it.
-                let max_l = l21.as_slice().iter().map(|v| v.abs()).fold(0.0, |m, a| {
+                // Squared moduli against the squared bound: no `hypot` per
+                // complex entry. A NaN (from a vanishing pivot) sticks,
+                // where `f64::max` would drop it.
+                let max_sq = l21.as_slice().iter().map(|v| v.abs_sq()).fold(0.0, |m, a| {
                     if a > m || a.is_nan() {
                         a
                     } else {
                         m
                     }
                 });
-                if max_l.is_nan() || max_l > GROWTH_BOUND {
+                if max_sq.is_nan() || max_sq > GROWTH_BOUND * GROWTH_BOUND {
+                    let max_l = max_sq.sqrt();
                     return Err(LdltBreakdown::Growth { step: k0, max_l });
                 }
-                // A₂₂ -= L₂₁ Wᵀ, lower block triangle only.
-                for (j, &(j0, nbj)) in cols.iter().enumerate().skip(k + 1) {
-                    let (off, j1) = (j0 - k1, j0 + nbj);
-                    gemm_acc_block(
-                        &mut dblocks[j],
-                        (0, 0, nbj, nbj),
-                        -T::ONE,
-                        &l21,
-                        (off, 0, nbj, nb),
-                        &wt,
-                        (0, off, nb, nbj),
-                    );
-                    gemm_acc_block(
-                        &mut sub[j],
-                        (0, 0, n - j1, nbj),
-                        -T::ONE,
-                        &l21,
-                        (off + nbj, 0, n - j1, nb),
-                        &wt,
-                        (0, off, nb, nbj),
-                    );
-                }
+                trailing_update(
+                    k1,
+                    &cols[k + 1..],
+                    &l21,
+                    &wt,
+                    &mut dblocks[k + 1..],
+                    &mut sub[k + 1..],
+                );
                 sub[k] = l21;
             }
             diag.push(lu);
@@ -413,5 +445,110 @@ impl<T: Scalar> Ldlt<T> {
     pub fn heap_bytes(&self) -> usize {
         self.diag.iter().map(Lu::heap_bytes).sum::<usize>()
             + self.sub.iter().map(Mat::heap_bytes).sum::<usize>()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::c64;
+
+    /// A symmetric (plain transpose, also for `c64`) matrix with a
+    /// dominant diagonal, entries from a fixed stream.
+    fn symmetric<T: Scalar>(n: usize, seed: u64) -> Mat<T> {
+        let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+        };
+        let mut a = Mat::zeros(n, n);
+        for j in 0..n {
+            for i in j..n {
+                let v = T::from_re_im(next(), next());
+                a[(i, j)] = v;
+                a[(j, i)] = v;
+            }
+            a[(j, j)] += T::from_f64(n as f64);
+        }
+        a
+    }
+
+    /// [`Ldlt::factor`] with its trailing update as it was before the
+    /// packed `L₂₁` was shared: two products per later block column.
+    fn factor_per_block_column<T: Scalar>(a: SymPanels<T>) -> Ldlt<T> {
+        let SymPanels {
+            n,
+            diag: mut dblocks,
+            mut sub,
+        } = a;
+        let cols: Vec<(usize, usize)> = block_cols(n).collect();
+        let mut diag = Vec::new();
+        for (k, &(k0, nb)) in cols.iter().enumerate() {
+            let lu = Lu::factor(core::mem::replace(&mut dblocks[k], Mat::zeros(0, 0))).unwrap();
+            let k1 = k0 + nb;
+            if k1 < n {
+                let mut l21 = core::mem::replace(&mut sub[k], Mat::zeros(0, 0));
+                let wt = l21.transpose();
+                lu.solve_panel(&mut l21);
+                for (j, &(j0, nbj)) in cols.iter().enumerate().skip(k + 1) {
+                    let (off, j1) = (j0 - k1, j0 + nbj);
+                    let (rhs, alpha) = ((0, off, nb, nbj), -T::ONE);
+                    let d = (off, 0, nbj, nb);
+                    gemm_acc_block(&mut dblocks[j], (0, 0, nbj, nbj), alpha, &l21, d, &wt, rhs);
+                    let s = (off + nbj, 0, n - j1, nb);
+                    gemm_acc_block(&mut sub[j], (0, 0, n - j1, nbj), alpha, &l21, s, &wt, rhs);
+                }
+                sub[k] = l21;
+            }
+            diag.push(lu);
+        }
+        Ldlt::from_parts(n, diag, sub).unwrap()
+    }
+
+    /// The shared packed `L₂₁` leaves every bit of the factors as the
+    /// per-block-column products had them: at 75 the last block column
+    /// is 11 wide and at 129 the last sub-panel has one row, so both
+    /// sizes send some products down the jki route.
+    fn check_bitwise<T: Scalar>(seed: u64) {
+        for n in [1, 63, 64, 65, 75, 129, 199] {
+            let a = symmetric::<T>(n, seed + n as u64);
+            let got = Ldlt::factor(SymPanels::from_lower(&a)).unwrap();
+            let want = factor_per_block_column(SymPanels::from_lower(&a));
+            for (g, w) in got.diag_blocks().iter().zip(want.diag_blocks()) {
+                assert_eq!(g.piv, w.piv, "n = {n}");
+                assert_eq!(g.lu.as_slice(), w.lu.as_slice(), "n = {n}");
+            }
+            assert_eq!(got.sub_panels(), want.sub_panels(), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn factor_is_bitwise_the_per_block_column_update() {
+        check_bitwise::<f64>(1);
+        check_bitwise::<c64>(2);
+    }
+
+    /// The growth check bounds the modulus of a complex `L₂₁` entry, not
+    /// its parts: `600 + 800.0001i` breaks down with `|l|` reported,
+    /// `600 + 799.9999i` does not.
+    #[test]
+    fn growth_bound_is_on_the_complex_modulus() {
+        let n = NB + 1;
+        for (im, breaks) in [(800.0001, true), (799.9999, false)] {
+            let l = c64::new(600.0, im);
+            let mut a = Mat::<c64>::identity(n);
+            a[(NB, 0)] = l;
+            a[(0, NB)] = l;
+            match Ldlt::factor(SymPanels::from_lower(&a)) {
+                Err(LdltBreakdown::Growth { step: 0, max_l }) => {
+                    assert!(breaks && max_l > GROWTH_BOUND, "{max_l}");
+                    assert!((max_l - l.abs()).abs() <= 1e-12 * max_l);
+                }
+                Ok(_) => assert!(!breaks),
+                other => panic!("{other:?}"),
+            }
+        }
     }
 }
