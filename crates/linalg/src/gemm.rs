@@ -572,7 +572,7 @@ fn packed_block<T: Scalar, const ML: usize, const NL: usize>(
     alpha: T,
     c: &mut ViewMut<'_, T>,
 ) {
-    let (mr, nr) = (ML / lanes::<T>(), NL / lanes::<T>());
+    let (mr, nr, ld) = (ML / lanes::<T>(), NL / lanes::<T>(), c.ld);
     let mut acc = [[0.0; ML]; NL];
     let bpanels = bpack.chunks_exact(kc * NL).take(nc.div_ceil(nr));
     for (q, bpanel) in bpanels.enumerate() {
@@ -583,7 +583,6 @@ fn packed_block<T: Scalar, const ML: usize, const NL: usize>(
             let i0 = ic + p * mr;
             let irows = mr.min(ic + mc - i0);
             micro_kernel(apanel, bpanel, &mut acc);
-            let ld = c.ld;
             add_tile(&acc, alpha, c.tile_mut(i0, j0), ld, irows, jcols);
         }
     }
