@@ -43,7 +43,7 @@ use srsf_verify::sync::OnceLock;
 /// skeleton rank, which varies widely across a level, and static chunking
 /// left threads idle at the tail of every round.
 ///
-/// Shared with the distributed driver, whose per-rank sub-color rounds
+/// Shared with the distributed driver, whose per-rank wave rounds
 /// (`FactorOpts::rank_threads`) run the same snapshot/merge schedule over
 /// a rank's phase boxes.
 pub(crate) fn eliminate_color_round<K: Kernel>(

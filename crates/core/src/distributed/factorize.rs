@@ -19,15 +19,20 @@
 //! Each phase of 1–2 is *hybrid-parallel and overlapped* rather than
 //! bulk-synchronous:
 //!
-//! * A rank's phase boxes eliminate in four box-color sub-rounds on the
-//!   work-stealing pool shared with the colored driver
-//!   ([`FactorOpts::rank_threads`] workers), merged in fixed box order —
-//!   so records, update frames and counters are bit-identical for every
-//!   thread count.
+//! * A rank's phase boxes eliminate in knight-move wavefronts
+//!   ([`waves`]): box `(ix, iy)` in wave `2·iy + ix`, waves in increasing
+//!   order, each on the work-stealing pool shared with the colored driver
+//!   ([`FactorOpts::rank_threads`] workers) and merged in row-major box
+//!   order — so records, update frames and counters are bit-identical for
+//!   every thread count. Every box sees exactly the eliminated neighbors
+//!   it has in Algorithm 1's row-major sweep, so it costs what it costs
+//!   there, and a rank holds one wave's outputs at a time (at most
+//!   `⌈s/2⌉` of an `s × s` block). Waves are narrow, so on small per-rank
+//!   grids the pool has few boxes to share.
 //! * A neighbor's `KIND_PHASE_UPDATE` frame is posted *eagerly*, the
 //!   moment the last box that neighbor tracks retires from the merge
 //!   (per-neighbor completion counters over the phase's box set) — not at
-//!   phase end — and the fabric is pumped between sub-rounds so incoming
+//!   phase end — and the fabric is pumped between waves so incoming
 //!   frames land in the matching queue while local boxes still eliminate.
 //! * There is **no barrier** anywhere in the level sweep: the tag scheme
 //!   (`tag = level*64 + phase*8 + kind`) makes every frame of the sweep
@@ -61,19 +66,19 @@ use crate::skeletonize::CompressionCtx;
 use crate::stats::FactorStats;
 use crate::store::{ActiveSets, BlockStore};
 use crate::top::{factor_top, TopFactor};
-use crate::wire::{put_box, put_ids};
+use crate::wire::{put_box, put_ids, try_get_box, try_get_ids};
 use crate::FactorOpts;
 use srsf_geometry::neighbors::near_field;
 use srsf_geometry::point::Point;
-use srsf_geometry::procgrid::{BoxColoring, ProcessGrid};
+use srsf_geometry::procgrid::ProcessGrid;
 use srsf_geometry::tree::{BoxId, QuadTree};
 use srsf_kernels::kernel::Kernel;
 use srsf_linalg::{Mat, Scalar};
-use srsf_runtime::codec::{ByteReader, ByteWriter, Wire};
+use srsf_runtime::codec::{ByteReader, ByteWriter, CodecError, Wire};
 // The tag scheme (`tag = level * 64 + phase * 8 + kind`) lives in the
 // runtime next to the transports, so a receive timeout on either backend
 // can decode the step it was waiting on; see `srsf_runtime::tags`.
-use srsf_runtime::tags::{tag, KIND_ACT_REFRESH, KIND_FOLD, KIND_PHASE_UPDATE, KIND_TOP};
+use srsf_runtime::tags::{describe, tag, KIND_ACT_REFRESH, KIND_FOLD, KIND_PHASE_UPDATE, KIND_TOP};
 use srsf_runtime::world::RankCtx;
 use std::collections::{HashMap, HashSet};
 
@@ -121,25 +126,24 @@ fn encode_update<T: Scalar>(
 }
 
 /// Apply one received box update, mirroring `apply_output`'s order.
+/// Decodes through the `try_*` readers: a frame that does not decode is
+/// the `Err`, never a panic (what it had already applied stays applied;
+/// the build fails with it).
 fn decode_and_apply_update<K: Kernel>(
     r: &mut ByteReader,
     store: &mut BlockStore<'_, K>,
     act: &mut ActiveSets,
-) {
-    let b = get_box(r);
-    let skel_positions: Vec<usize> = get_ids(r).into_iter().map(|v| v as usize).collect();
-    let skel_ids = get_ids(r);
+) -> Result<(), CodecError> {
+    let b = try_get_box(r)?;
+    let skel_positions: Vec<usize> = try_get_ids(r)?.into_iter().map(|v| v as usize).collect();
+    let skel_ids = try_get_ids(r)?;
     let was_eliminated = skel_ids.len() != act.get(&b).len();
-    // INVARIANT: this frame was encoded by a peer rank under the matching tag
-    // and the transport delivers whole messages, so decode cannot truncate
-    let n_replaced = r.get_u64() as usize;
-    let mut replaced = Vec::with_capacity(n_replaced);
+    let n_replaced = r.try_get_u64()?;
+    let mut replaced = Vec::new();
     for _ in 0..n_replaced {
-        let x = get_box(r);
-        let y = get_box(r);
-        // INVARIANT: this frame was encoded by a peer rank under the matching tag
-        // and the transport delivers whole messages, so decode cannot truncate
-        replaced.push((x, y, r.get_mat::<K::Elem>()));
+        let x = try_get_box(r)?;
+        let y = try_get_box(r)?;
+        replaced.push((x, y, r.try_get_mat::<K::Elem>()?));
     }
     if was_eliminated {
         store.shrink_box(&b, &skel_positions, &replaced);
@@ -148,17 +152,55 @@ fn decode_and_apply_update<K: Kernel>(
         store.insert(x, y, m);
     }
     act.set(b, skel_ids);
-    // INVARIANT: this frame was encoded by a peer rank under the matching tag
-    // and the transport delivers whole messages, so decode cannot truncate
-    let n_deltas = r.get_u64() as usize;
+    let n_deltas = r.try_get_u64()?;
     for _ in 0..n_deltas {
-        let x = get_box(r);
-        let y = get_box(r);
-        // INVARIANT: this frame was encoded by a peer rank under the matching tag
-        // and the transport delivers whole messages, so decode cannot truncate
-        let m: Mat<K::Elem> = r.get_mat();
+        let x = try_get_box(r)?;
+        let y = try_get_box(r)?;
+        let m: Mat<K::Elem> = r.try_get_mat()?;
         store.add_delta(x, y, &m, act);
     }
+    Ok(())
+}
+
+/// Decode a neighbor's `KIND_PHASE_UPDATE` frame and apply its box
+/// updates in order; a frame that does not decode is
+/// [`FactorError::MalformedFrame`] naming the sender and the step.
+fn apply_phase_update<K: Kernel>(
+    payload: Vec<u8>,
+    src: usize,
+    t: u32,
+    store: &mut BlockStore<'_, K>,
+    act: &mut ActiveSets,
+) -> Result<(), FactorError> {
+    let mut r = ByteReader::new(payload);
+    let decoded = r.try_get_u64().and_then(|n_updates| {
+        (0..n_updates).try_for_each(|_| decode_and_apply_update(&mut r, store, act))
+    });
+    decoded.map_err(|e| FactorError::MalformedFrame {
+        rank: src,
+        step: format!("{}: malformed frame: {e}", describe(t)),
+    })
+}
+
+/// The knight-move wavefronts of a phase's boxes, in elimination order:
+/// box `(ix, iy)` sits in wave `t = 2·iy + ix` of its level, waves run in
+/// increasing `t`, and a wave's boxes in row-major order.
+///
+/// Boxes of one wave are at box distance >= 2 (a row apart means two
+/// columns apart), so a wave is a valid snapshot round (§V-C). A box's
+/// row-major-earlier neighbors — left (`t - 1`), up-right (`t - 1`), up
+/// (`t - 2`), up-left (`t - 3`) — all sit in earlier waves and its later
+/// ones in later waves, so every box is eliminated against exactly the
+/// neighbors Algorithm 1's row-major sweep has already eliminated. An
+/// `s × s` block takes `3s - 2` waves of at most `⌈s/2⌉` boxes each.
+pub(crate) fn waves(boxes: &[BoxId]) -> Vec<(u32, Vec<BoxId>)> {
+    let wave = |b: &BoxId| 2 * b.iy + b.ix;
+    let mut sorted = boxes.to_vec();
+    sorted.sort_unstable_by_key(|b| (wave(b), b.flat()));
+    sorted
+        .chunk_by(|a, b| wave(a) == wave(b))
+        .map(|w| (wave(&w[0]), w.to_vec()))
+        .collect()
 }
 
 /// A rank's factorization-phase output: its records and routing state,
@@ -475,22 +517,26 @@ pub(super) fn scatter_top<T: Scalar>(
     Ok((state, Some(mine)))
 }
 
-/// Eliminate `boxes` (phase `phase` of `level`) in four box-color
-/// sub-rounds on the per-rank thread pool, posting each neighbor's update
-/// frame the moment its last tracked box retires, then apply the
-/// neighbors' updates. Every active rank calls this each phase (possibly
-/// with no boxes) so the message pattern stays globally consistent.
+/// Eliminate `boxes` (phase `phase` of `level`) in knight-move wave
+/// rounds ([`waves`]) on the per-rank thread pool, posting each
+/// neighbor's update frame the moment its last tracked box retires, then
+/// apply the neighbors' updates. Every active rank calls this each phase
+/// (possibly with no boxes) so the message pattern stays globally
+/// consistent.
 ///
-/// Determinism: same-color boxes sit at box distance >= 2 and never read
-/// each other's writes (the colored driver's §V-C argument), so each
-/// sub-round snapshot-computes on [`eliminate_color_round`]'s
-/// work-stealing pool and merges in fixed box order — records, frames and
-/// counters are bit-identical for every `rank_threads` value and both
-/// transports. Overlap: a neighbor's frame goes out as soon as the last
-/// box it tracks is merged (its per-box encodings depend only on that
-/// box's own output and active set, which later merges never touch), and
-/// the fabric is pumped between sub-rounds so early frames are already in
-/// the matching queue when the blocking receives run.
+/// Determinism: same-wave boxes sit at box distance >= 2 and never read
+/// each other's writes (the colored driver's §V-C argument), so each wave
+/// snapshot-computes on [`eliminate_color_round`]'s work-stealing pool
+/// and merges in row-major box order — records, frames and counters are
+/// bit-identical for every `rank_threads` value and both transports.
+/// Cost and memory: a box's row-major-earlier neighbors are all in
+/// earlier waves, so it is eliminated at Algorithm 1's cost, and only one
+/// wave's outputs are alive at a time. Overlap: a neighbor's frame goes
+/// out as soon as the last box it tracks is merged (its per-box encodings
+/// depend only on that box's own output and active set, which later
+/// merges never touch), and the fabric is pumped between waves so early
+/// frames are already in the matching queue when the blocking receives
+/// run.
 #[allow(clippy::too_many_arguments)]
 fn run_phase<K: Kernel>(
     ctx: &mut RankCtx,
@@ -533,28 +579,22 @@ fn run_phase<K: Kernel>(
         }
     }
 
-    let scheme = BoxColoring::Four;
-    for color in 0..scheme.count() {
-        let cboxes: Vec<BoxId> = boxes
-            .iter()
-            .filter(|b| scheme.color(b) == color)
-            .copied()
-            .collect();
+    for (wave, wboxes) in waves(boxes) {
         let outputs = {
             let _sp = srsf_trace::span!(
                 srsf_trace::Cat::Compute,
-                "eliminate level {level} phase {phase} sub-round {color}"
+                "eliminate level {level} phase {phase} wave {wave}"
             );
             ctx.compute(|| {
-                eliminate_color_round(store, act, tree, &cboxes, opts, cctx, opts.rank_threads)
+                eliminate_color_round(store, act, tree, &wboxes, opts, cctx, opts.rank_threads)
             })?
         };
         // Deterministic merge in box order; eager sends fire from here.
         let merge_sp = srsf_trace::span!(
             srsf_trace::Cat::Compute,
-            "merge level {level} phase {phase} sub-round {color}"
+            "merge level {level} phase {phase} wave {wave}"
         );
-        for (b, out) in cboxes.iter().zip(outputs) {
+        for (b, out) in wboxes.iter().zip(outputs) {
             ctx.compute(|| apply_output(store, act, b, &out, cctx));
             state.stats.compression.absorb(&out.compression);
             // Post-apply skeleton ids: later merges never touch `act(b)`
@@ -586,27 +626,22 @@ fn run_phase<K: Kernel>(
             // The frames read the output's blocks; the record moves out last.
             if let Some(rec) = out.record {
                 state.stats.add_rank(level, rec.skel.len());
-                let key = order_key(state.stats.leaf_level, level, phase, color, b);
+                let key = order_key(state.stats.leaf_level, level, phase, wave, b);
                 state.records.push((key, rec));
             }
         }
         drop(merge_sp);
-        // Pump the fabric between sub-rounds: frames that already arrived
-        // move into the matching queue while the next round eliminates.
+        // Pump the fabric between waves: frames that already arrived
+        // move into the matching queue while the next wave eliminates.
         ctx.progress();
     }
 
     // Apply the neighbors' updates (tag-matched; frames that arrived
     // early were buffered by the matching queue or the drains above).
+    let t = tag(level, phase, KIND_PHASE_UPDATE);
     for &src in &neighbors {
-        let payload = ctx.recv(src, tag(level, phase, KIND_PHASE_UPDATE));
-        let mut r = ByteReader::new(payload);
-        // INVARIANT: this frame was encoded by a peer rank under the matching tag
-        // and the transport delivers whole messages, so decode cannot truncate
-        let n_updates = r.get_u64();
-        for _ in 0..n_updates {
-            decode_and_apply_update(&mut r, store, act);
-        }
+        let payload = ctx.recv(src, t);
+        apply_phase_update(payload, src, t, store, act)?;
     }
     Ok(())
 }
@@ -877,7 +912,181 @@ fn gather_top<K: Kernel>(
 
 #[cfg(test)]
 mod tests {
-    use super::level_ranges;
+    use super::*;
+    use crate::elimination::eliminate_box;
+    use crate::sequential::{domain_for, factorize_in_rounds, Factorization};
+    use crate::{Driver, Solver, SrsfError};
+    use srsf_geometry::grid::UnitGrid;
+    use srsf_geometry::neighbors::near_field;
+    use srsf_kernels::helmholtz::HelmholtzKernel;
+    use srsf_kernels::laplace::LaplaceKernel;
+    use srsf_kernels::util::random_vector;
+
+    /// Check the wave schedule of one box set: the waves partition it in
+    /// increasing wave order, row-major within a wave; same-wave boxes are
+    /// pairwise at box distance >= 2; and a box's neighbors in the set sit
+    /// in earlier waves exactly when they come earlier in row-major order.
+    /// Returns `(waves, widest wave)`.
+    fn check_waves(set: &[BoxId], label: &str) -> (usize, usize) {
+        let ws = waves(set);
+        let row_major = |b: &BoxId| (b.iy, b.ix);
+        let mut seen: HashMap<BoxId, u32> = HashMap::new();
+        for (k, (t, w)) in ws.iter().enumerate() {
+            assert!(k == 0 || ws[k - 1].0 < *t, "{label}: waves out of order");
+            assert!(w.windows(2).all(|p| row_major(&p[0]) < row_major(&p[1])));
+            for (i, a) in w.iter().enumerate() {
+                assert_eq!(2 * a.iy + a.ix, *t, "{label}: {a:?} in wave {t}");
+                for c in &w[i + 1..] {
+                    let d = a.ix.abs_diff(c.ix).max(a.iy.abs_diff(c.iy));
+                    assert!(d >= 2, "{label}: {a:?} and {c:?} share wave {t}");
+                }
+                assert!(seen.insert(*a, *t).is_none(), "{label}: {a:?} twice");
+            }
+        }
+        assert_eq!(seen.len(), set.len(), "{label}: boxes lost");
+        for b in set {
+            for n in near_field(b).iter().filter(|n| seen.contains_key(n)) {
+                let earlier = row_major(n) < row_major(b);
+                assert_eq!(seen[n] < seen[b], earlier, "{label}: {n:?} vs {b:?}");
+            }
+        }
+        let widest = ws.iter().map(|(_, w)| w.len()).max().unwrap_or(0);
+        (ws.len(), widest)
+    }
+
+    #[test]
+    fn wave_schedule_is_conflict_free_row_major_and_narrow() {
+        for p in [1usize, 4, 16] {
+            let grid = ProcessGrid::new(p);
+            for level in 2..=6u8 {
+                for rank in grid.active_ranks(level) {
+                    let label = format!("p {p}, level {level}, rank {rank}");
+                    let (interior, ring) = grid.classify_level(rank, level);
+                    let block = [interior.as_slice(), &ring].concat();
+                    check_waves(&ring, &format!("{label}, boundary"));
+                    // The rank's whole block and its interior are
+                    // rectangles; `w × h` takes `2h + w - 2` waves of at
+                    // most `⌈w/2⌉` boxes (`3s - 2` and `⌈s/2⌉` for s × s).
+                    for (set, what) in [(&block, "block"), (&interior, "interior")] {
+                        if set.is_empty() {
+                            continue;
+                        }
+                        let label = format!("{label}, {what}");
+                        let w = 1 + set.iter().map(|b| b.ix).max().unwrap()
+                            - set.iter().map(|b| b.ix).min().unwrap();
+                        let h = 1 + set.iter().map(|b| b.iy).max().unwrap()
+                            - set.iter().map(|b| b.iy).min().unwrap();
+                        assert_eq!(set.len() as u32, w * h, "{label}: not a rectangle");
+                        let (n, widest) = check_waves(set, &label);
+                        assert_eq!(n as u32, 2 * h + w - 2, "{label}: waves");
+                        assert!(widest as u32 <= w.div_ceil(2), "{label}: wave of {widest}");
+                    }
+                    let s = 1u32 << level;
+                    let side = s / grid.effective_q(level);
+                    assert_eq!(block.len() as u32, side * side);
+                }
+            }
+        }
+    }
+
+    /// Records with the schedule's colour stamp cleared, as bytes.
+    fn record_bytes<T: Scalar>(f: &Factorization<T>) -> Vec<Vec<u8>> {
+        f.records
+            .iter()
+            .map(|r| {
+                let mut r = r.clone();
+                r.color = 0;
+                r.to_bytes()
+            })
+            .collect()
+    }
+
+    /// A one-rank world runs its whole level as one interior phase in
+    /// wave rounds, so it is the shared-memory level loop over the same
+    /// rounds, bit for bit: records, top and solution.
+    fn check_single_rank_world<K: Kernel>(kernel: &K, pts: &[Point], label: &str) {
+        let opts = FactorOpts::default()
+            .with_tol(1e-8)
+            .with_leaf_size(16)
+            .with_min_compress_level(2);
+        let tree = QuadTree::build(pts, domain_for(pts), opts.leaf_size);
+        let want = factorize_in_rounds(kernel, pts, &tree, &opts, 1, |level| {
+            let boxes: Vec<BoxId> = tree.boxes_at_level(level).collect();
+            waves(&boxes).into_iter().map(|(_, w)| (0, w)).collect()
+        })
+        .expect("wave rounds");
+        let got = Solver::builder(kernel, pts)
+            .opts(opts)
+            .driver(Driver::distributed(1))
+            .build()
+            .expect("one-rank world")
+            .gather()
+            .expect("gather");
+        assert_eq!(record_bytes(&got), record_bytes(&want), "{label}: records");
+        assert_eq!(got.top_idx, want.top_idx, "{label}: top rows");
+        assert!(got.top.to_bytes() == want.top.to_bytes(), "{label}: top");
+        let b = random_vector::<K::Elem>(pts.len(), 5);
+        assert!(got.solve(&b) == want.solve(&b), "{label}: solution bits");
+    }
+
+    #[test]
+    fn single_rank_world_is_the_level_loop_over_wave_rounds() {
+        let grid = UnitGrid::new(32);
+        let pts = grid.points();
+        check_single_rank_world(&LaplaceKernel::new(&grid), &pts, "Laplace");
+        check_single_rank_world(&HelmholtzKernel::new(&grid, 10.0), &pts, "Helmholtz");
+    }
+
+    #[test]
+    fn truncated_phase_update_frame_is_a_typed_failure() {
+        // One real update frame: box (1, 1) of a 4-rank level-2 grid,
+        // eliminated and encoded for rank 1, which tracks it.
+        let ugrid = UnitGrid::new(16);
+        let kernel = LaplaceKernel::new(&ugrid);
+        let pts = ugrid.points();
+        let opts = FactorOpts::default().with_leaf_size(16);
+        let tree = QuadTree::build(&pts, domain_for(&pts), opts.leaf_size);
+        let grid = ProcessGrid::new(4);
+        let cctx = CompressionCtx::new(&kernel, &pts, &tree, &opts);
+        let fresh = || {
+            let mut act = ActiveSets::new();
+            for id in tree.boxes_at_level(2) {
+                act.set(id, tree.leaf_points(&id).to_vec());
+            }
+            (BlockStore::new(&kernel, &pts), act)
+        };
+        let b = BoxId {
+            level: 2,
+            ix: 1,
+            iy: 1,
+        };
+        let (mut store, mut act) = fresh();
+        let out = eliminate_box(&store, &act, &tree, &b, &opts, &cctx).expect("eliminate");
+        apply_output(&mut store, &mut act, &b, &out, &cctx);
+        let mut w = ByteWriter::new();
+        w.put_u64(1);
+        encode_update(&mut w, &b, &out, act.get(&b), 1, &grid);
+        let frame = w.finish();
+        let skel = act.get(&b).to_vec();
+        let t = tag(2, 0, KIND_PHASE_UPDATE);
+
+        let (mut store, mut act) = fresh();
+        apply_phase_update(frame.clone(), 0, t, &mut store, &mut act).expect("whole frame");
+        assert_eq!(act.get(&b), skel, "the whole frame carries the skeleton");
+        for len in 0..frame.len() {
+            let (mut store, mut act) = fresh();
+            let err = apply_phase_update(frame[..len].to_vec(), 0, t, &mut store, &mut act)
+                .expect_err("a truncated frame must not decode");
+            let FactorError::MalformedFrame { rank: 0, ref step } = err else {
+                panic!("{len} bytes: {err}");
+            };
+            assert!(step.contains("PHASE_UPDATE"), "{step}");
+            assert!(matches!(
+                SrsfError::from(err),
+                SrsfError::RankFailed { rank: 0, .. }
+            ));
+        }
+    }
 
     /// Per-owner totals after dealing `cols` out by `bounds`.
     fn totals(loads: &[usize], cols: &[usize], bounds: &[usize]) -> Vec<usize> {

@@ -89,29 +89,50 @@ pub(crate) fn owner_of_point(
     grid.owner(&BoxId { level, ix, iy })
 }
 
+/// Deepest level an [`order_key`] can hold: the row-major box index
+/// takes `2·level` bits.
+const KEY_MAX_LEVEL: u8 = 13;
+/// Bit offsets of the key's fields, low to high: box index, wave,
+/// phase, level.
+const KEY_WAVE_SHIFT: u32 = 2 * KEY_MAX_LEVEL as u32;
+const KEY_PHASE_SHIFT: u32 = KEY_WAVE_SHIFT + 16;
+const KEY_LEVEL_SHIFT: u32 = KEY_PHASE_SHIFT + 4;
+
 /// Global elimination-order key: level sweep, then phase, then the
-/// phase's sub-color round, then row-major within the round.
+/// phase's wave, then row-major within the wave.
 ///
-/// The sub-color bits mirror the order `run_phase` actually eliminates a
-/// rank's phase boxes in (four `BoxColoring::Four` rounds, merged in box
-/// order within each round), so sorting records by key reproduces the
+/// The wave field mirrors the order `run_phase` actually eliminates a
+/// rank's phase boxes in (knight-move wavefronts `2·iy + ix`, merged in
+/// box order within each wave), so sorting records by key reproduces the
 /// elimination order bit-exactly — the contract the serve state and a
 /// gathered factorization rely on. Cross-rank records sharing a `(level,
 /// phase)` always sit at box distance >= 2 (interior boxes of different
 /// ranks, or boundary boxes of same-colored ranks), so their relative
 /// order only fixes the floating-point summation order of shared Schur
 /// targets, which the key makes deterministic.
-pub(crate) fn order_key(leaf: u8, level: u8, phase: u8, color: u8, b: &BoxId) -> u64 {
-    (((leaf - level) as u64) << 46)
-        | ((phase as u64) << 42)
-        | ((color as u64) << 40)
+///
+/// # Panics
+///
+/// If a field overflows its bits: `level` deeper than 13, `phase` above
+/// 15 or `wave` above `u16::MAX` (a level-13 wave is at most 24 573).
+pub(crate) fn order_key(leaf: u8, level: u8, phase: u8, wave: u32, b: &BoxId) -> u64 {
+    assert!(
+        leaf <= KEY_MAX_LEVEL && level <= leaf && phase < 16 && wave <= u16::MAX as u32,
+        "order key out of range: leaf {leaf}, level {level}, phase {phase}, wave {wave}"
+    );
+    (((leaf - level) as u64) << KEY_LEVEL_SHIFT)
+        | ((phase as u64) << KEY_PHASE_SHIFT)
+        | ((wave as u64) << KEY_WAVE_SHIFT)
         | b.flat() as u64
 }
 
 /// Recover the `(level, phase)` coordinates an [`order_key`] was built
 /// from.
 pub(crate) fn key_level_phase(leaf: u8, key: u64) -> (u8, u8) {
-    (leaf - ((key >> 46) as u8), ((key >> 42) & 0xF) as u8)
+    (
+        leaf - ((key >> KEY_LEVEL_SHIFT) as u8),
+        ((key >> KEY_PHASE_SHIFT) & 0xF) as u8,
+    )
 }
 
 /// All point ids inside the leaf boxes `rank` owns, concatenated in
@@ -176,37 +197,61 @@ mod tests {
 
     #[test]
     fn order_key_round_trips_level_and_phase() {
-        let leaf = 5u8;
-        for level in 3..=leaf {
-            for phase in 0..=4u8 {
-                for color in 0..4u8 {
-                    let b = BoxId {
-                        level,
-                        ix: 3,
-                        iy: 1,
-                    };
-                    let key = order_key(leaf, level, phase, color, &b);
-                    assert_eq!(key_level_phase(leaf, key), (level, phase));
+        for leaf in [5u8, 13] {
+            for level in leaf - 2..=leaf {
+                let s = 1u32 << level;
+                let corners = [(0, 0), (3, 1), (s - 1, 0), (0, s - 1), (s - 1, s - 1)];
+                for phase in 0..=4u8 {
+                    for (ix, iy) in corners {
+                        let b = BoxId { level, ix, iy };
+                        let key = order_key(leaf, level, phase, 2 * iy + ix, &b);
+                        assert_eq!(key_level_phase(leaf, key), (level, phase));
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn order_key_sorts_level_then_phase_then_color_then_row_major() {
-        let leaf = 5u8;
+    fn order_key_sorts_level_then_phase_then_wave_then_row_major() {
         let b = |level, ix, iy| BoxId { level, ix, iy };
-        // Finer level first, then phase, then sub-color round, then
-        // row-major within the round.
-        let seq = [
-            order_key(leaf, 5, 0, 0, &b(5, 0, 0)),
-            order_key(leaf, 5, 0, 0, &b(5, 2, 0)),
-            order_key(leaf, 5, 0, 1, &b(5, 1, 0)),
-            order_key(leaf, 5, 1, 0, &b(5, 0, 0)),
-            order_key(leaf, 4, 0, 0, &b(4, 0, 0)),
-        ];
-        let mut sorted = seq;
-        sorted.sort_unstable();
-        assert_eq!(seq, sorted);
+        let key = |leaf, level, phase, x: &BoxId| order_key(leaf, level, phase, 2 * x.iy + x.ix, x);
+        // Finer level first, then phase, then wave, then row-major
+        // within the wave — also at the deepest level, where the box
+        // index and the wave fill their fields.
+        for leaf in [5u8, 13] {
+            let s = (1u32 << leaf) - 1;
+            let seq = [
+                key(leaf, leaf, 0, &b(leaf, 0, 0)),
+                key(leaf, leaf, 0, &b(leaf, 2, 0)),
+                key(leaf, leaf, 0, &b(leaf, 0, 1)),
+                key(leaf, leaf, 0, &b(leaf, 3, 0)),
+                key(leaf, leaf, 0, &b(leaf, s, s - 1)),
+                key(leaf, leaf, 0, &b(leaf, s - 2, s)),
+                key(leaf, leaf, 0, &b(leaf, s, s)),
+                key(leaf, leaf, 1, &b(leaf, 0, 0)),
+                key(leaf, leaf, 4, &b(leaf, s, s)),
+                key(leaf, leaf - 1, 0, &b(leaf - 1, 0, 0)),
+            ];
+            let mut sorted = seq;
+            sorted.sort_unstable();
+            assert_eq!(seq, sorted, "leaf {leaf}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "order key out of range")]
+    fn order_key_rejects_a_level_past_its_field() {
+        order_key(
+            14,
+            14,
+            0,
+            0,
+            &BoxId {
+                level: 14,
+                ix: 0,
+                iy: 0,
+            },
+        );
     }
 }

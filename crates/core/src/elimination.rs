@@ -138,6 +138,15 @@ pub enum FactorError {
         /// Elimination step at which the pivoted LU broke down.
         step: usize,
     },
+    /// A distributed rank received a frame from `rank` that did not
+    /// decode; the build is abandoned and surfaces as
+    /// [`SrsfError::RankFailed`](crate::SrsfError::RankFailed).
+    MalformedFrame {
+        /// The rank that sent the frame.
+        rank: usize,
+        /// The protocol step and the decode failure.
+        step: String,
+    },
 }
 
 impl core::fmt::Display for FactorError {
@@ -152,6 +161,7 @@ impl core::fmt::Display for FactorError {
                     "singular dense top block ({size} x {size}, pivot breakdown at step {step})"
                 )
             }
+            FactorError::MalformedFrame { rank, step } => write!(f, "rank {rank}: {step}"),
         }
     }
 }

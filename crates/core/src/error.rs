@@ -171,6 +171,7 @@ impl From<FactorError> for SrsfError {
         match e {
             FactorError::SingularDiagonal { box_id } => SrsfError::SingularDiagonal { box_id },
             FactorError::SingularTop { size, step } => SrsfError::SingularTop { size, step },
+            FactorError::MalformedFrame { rank, step } => SrsfError::RankFailed { rank, step },
         }
     }
 }

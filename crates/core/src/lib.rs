@@ -125,10 +125,12 @@ pub struct FactorOpts {
     pub min_compress_level: usize,
     /// Worker threads each *distributed* rank uses for its per-phase box
     /// eliminations (`1` = serial, the default). Every rank runs its
-    /// phase boxes in four sub-color rounds on a work-stealing pool and
+    /// phase boxes in knight-move wave rounds on a work-stealing pool and
     /// merges in fixed box order, so the factorization is bit-identical
     /// for every value of this knob; see the module docs of
-    /// [`distributed`]. Rejected with [`SrsfError::UnsupportedOption`]
+    /// [`distributed`]. A wave holds at most `⌈s/2⌉` boxes of a rank's
+    /// `s × s` block, so on small per-rank grids the workers have few
+    /// boxes to share and the knob buys little. Rejected with [`SrsfError::UnsupportedOption`]
     /// by the sequential and colored drivers (the colored driver's
     /// lever is `Driver::Colored { threads, .. }`; the sequential one
     /// runs on one thread), and `0` is rejected with

@@ -624,10 +624,12 @@ impl<'a, K: Kernel> SolverBuilder<'a, K> {
 
     /// Worker threads each rank of [`Driver::Distributed`] uses for its
     /// per-phase box eliminations (`1` = serial, the default). The boxes
-    /// of a phase run in four sub-color rounds on a work-stealing pool
+    /// of a phase run in knight-move wave rounds on a work-stealing pool
     /// with a fixed merge order, so the factorization, the solution, and
     /// the communication counters are bit-identical for every thread
-    /// count — this knob only changes wall-clock time. Distributed-only:
+    /// count — this knob only changes wall-clock time. A wave is at most
+    /// `⌈s/2⌉` boxes of a rank's `s × s` block, so on small per-rank
+    /// grids there is little for the workers to share. Distributed-only:
     /// `build` rejects it under the sequential and colored drivers with
     /// [`SrsfError::UnsupportedOption`], and `0` with
     /// [`SrsfError::InvalidThreadCount`].

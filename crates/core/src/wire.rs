@@ -64,6 +64,11 @@ impl Wire for FactorError {
                 w.put_u64(1);
                 w.put_u64(*size as u64);
                 w.put_u64(*step as u64);
+            }
+            FactorError::MalformedFrame { rank, step } => {
+                w.put_u64(2);
+                w.put_u64(*rank as u64);
+                step.encode(w);
             } // `FactorError` is non_exhaustive for downstream crates; new
               // in-crate variants must be added here to cross the wire.
         }
@@ -77,6 +82,10 @@ impl Wire for FactorError {
             1 => Ok(FactorError::SingularTop {
                 size: r.try_get_u64()? as usize,
                 step: r.try_get_u64()? as usize,
+            }),
+            2 => Ok(FactorError::MalformedFrame {
+                rank: r.try_get_u64()? as usize,
+                step: String::decode(r)?,
             }),
             _ => Err(CodecError::Invalid {
                 what: "FactorError discriminant",
@@ -357,7 +366,9 @@ const CKPT_MAGIC: &[u8; 8] = b"SRSFCKP1";
 /// rank snapshot its share of the top (range and chain links).
 /// v7: `FactorStats` carries three compression counters (the FFT-route
 /// counter left the wire).
-const CKPT_VERSION: u64 = 7;
+/// v8: a record's order key carries its wave index (16 bits) where it
+/// carried a 2-bit colour sub-round.
+const CKPT_VERSION: u64 = 8;
 /// Header length in bytes.
 const CKPT_HEADER: usize = 40;
 /// Scalar tag of the scalar-independent manifest file.

@@ -154,18 +154,19 @@ fn dist_helmholtz_complex_path() {
 }
 
 #[test]
-fn single_rank_world_matches_colored_schedule() {
-    // A rank eliminates its phase boxes in four box-color sub-rounds
-    // (that is what makes `rank_threads` bit-deterministic), so a 1-rank
-    // world runs the colored driver's schedule, not the sequential
-    // row-major sweep — the drivers still agree at the compression
-    // tolerance (see solver_api::driver_equivalence_on_one_laplace_problem),
-    // but the near-machine-precision reference is the colored driver.
+fn single_rank_world_matches_sequential_within_tolerance() {
+    // A rank eliminates its phase boxes in knight-move wavefronts, so a
+    // 1-rank world sums its Schur updates in another order than the
+    // sequential row-major sweep, but eliminates every box against the
+    // same neighbors: the two agree at the compression tolerance. (The
+    // bit-for-bit reference, the shared level loop over the same wave
+    // rounds, is a crate-internal test in `distributed::factorize`.)
     let grid = UnitGrid::new(16);
     let kernel = LaplaceKernel::new(&grid);
     let pts = grid.points();
+    let tol = 1e-8;
     let o = FactorOpts::default()
-        .with_tol(1e-8)
+        .with_tol(tol)
         .with_leaf_size(16)
         .with_min_compress_level(2);
     let f = Solver::builder(&kernel, &pts)
@@ -173,16 +174,16 @@ fn single_rank_world_matches_colored_schedule() {
         .driver(Driver::distributed(1))
         .build()
         .unwrap();
-    let fc = Solver::builder(&kernel, &pts)
+    let fs = Solver::builder(&kernel, &pts)
         .opts(o)
-        .driver(Driver::colored(1))
+        .driver(Driver::Sequential)
         .build()
         .unwrap();
     let b = random_vector::<f64>(256, 9);
-    let diff = srsf_linalg::vecops::rel_diff(&f.solve(&b), &fc.solve(&b));
+    let diff = srsf_linalg::vecops::rel_diff(&f.solve(&b), &fs.solve(&b));
     assert!(
-        diff < 1e-12,
-        "p=1 must match the colored driver: {diff:.3e}"
+        diff < 1e2 * tol,
+        "p=1 must match the sequential driver: {diff:.3e}"
     );
     // No point-to-point traffic on a single rank.
     assert_eq!(f.comm_stats().unwrap().total_msgs(), 0);

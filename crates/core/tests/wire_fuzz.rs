@@ -195,15 +195,18 @@ fn gen_stats(rng: &mut Rng) -> FactorStats {
 }
 
 fn gen_error(rng: &mut Rng) -> FactorError {
-    if rng.next() & 1 == 0 {
-        FactorError::SingularDiagonal {
+    match rng.below(3) {
+        0 => FactorError::SingularDiagonal {
             box_id: gen_box_id(rng),
-        }
-    } else {
-        FactorError::SingularTop {
+        },
+        1 => FactorError::SingularTop {
             size: rng.below(1 << 16),
             step: rng.below(1 << 16),
-        }
+        },
+        _ => FactorError::MalformedFrame {
+            rank: rng.below(1 << 8),
+            step: format!("malformed frame {}", rng.below(1 << 16)),
+        },
     }
 }
 
@@ -390,6 +393,10 @@ fn factor_error_round_trip() {
                 FactorError::SingularTop { size: s1, step: t1 },
                 FactorError::SingularTop { size: s2, step: t2 },
             ) => assert_eq!((s1, t1), (s2, t2)),
+            (
+                FactorError::MalformedFrame { rank: r1, step: t1 },
+                FactorError::MalformedFrame { rank: r2, step: t2 },
+            ) => assert_eq!((r1, t1), (r2, t2)),
             _ => panic!("variant changed across the wire"),
         }
     }

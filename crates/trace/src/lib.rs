@@ -54,14 +54,15 @@ use std::time::Instant;
 /// Spans each recorded thread can hold before the ring wraps; wrapped
 /// (overwritten) spans are tallied in [`TraceReport::dropped`] rather
 /// than silently lost. Sized for a full factorization sweep: spans are
-/// per phase/color round and per message wait, not per box.
+/// per phase, per elimination wave and per message wait, not per box.
 pub const RING_CAP: usize = 8192;
 
 /// Span category — the coarse row grouping of the profile table.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum Cat {
-    /// A factorization level × phase × color sub-round.
+    /// A factorization phase: a level's interior phase, one of its
+    /// rank-colour rounds or its transition, or the top.
     Phase = 0,
     /// Rank-local numerical work (skeletonization / elimination / merge).
     Compute = 1,

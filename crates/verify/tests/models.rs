@@ -432,50 +432,69 @@ fn delta_merge_order_is_schedule_independent() {
 
 // ---------------------------------------------------------------------------
 // Subsystem 6: the per-neighbor eager-send completion counter of the
-// distributed run_phase. A rank's phase boxes are filled by the
-// work-stealing pool, then merged in fixed box order; a neighbor's update
-// frame is posted the moment the last box that neighbor tracks retires
-// from the merge — exactly once, never before, and carrying post-merge
-// values only.
+// distributed run_phase. A rank's phase boxes eliminate in wave
+// sub-rounds: each round is filled by the work-stealing pool (a round of
+// one box runs on the calling thread, as `eliminate_color_round` does),
+// then merged in fixed box order; a neighbor's update frame is posted the
+// moment the last box that neighbor tracks retires from the merge —
+// exactly once, never before, and carrying post-merge values only. The
+// counter spans the whole phase, not one round.
 // ---------------------------------------------------------------------------
 
-const BOXES: usize = 4;
-/// Boxes the modeled neighbor tracks (its halo); the frame must list
+/// The phase's boxes, cut into its sub-rounds in elimination order.
+const ROUNDS: [&[usize]; 3] = [&[0, 1], &[2], &[3, 4]];
+/// Boxes the modeled neighbor tracks (its halo), spread over the first
+/// and last rounds while the middle one tracks none; the frame must list
 /// exactly these, with their post-merge values, in merge order.
-const TRACKED: [usize; 2] = [1, 3];
+const TRACKED: [usize; 2] = [1, 4];
 
-/// One phase of the eager-send protocol: pool fill (worker + main, as the
-/// rank pool does), deterministic merge, completion-counter send, with
-/// the neighbor receiving concurrently. `shorted_counter` seeds the bug
-/// the detects test looks for: a counter that undercounts the halo by
-/// one, posting the frame before the last tracked box retires.
-fn eager_send_round(shorted_counter: bool) -> (Vec<u64>, Vec<(usize, u64)>) {
-    let slots: Arc<Vec<OnceLock<u64>>> = Arc::new((0..BOXES).map(|_| OnceLock::new()).collect());
-    let next = Arc::new(AtomicUsize::new(0));
-    let w = {
-        let (slots, next) = (slots.clone(), next.clone());
-        thread::spawn(move || loop {
+/// One round's pool fill: a worker and the calling thread claim boxes
+/// off a shared counter, each publishing through its slot.
+fn fill_round(boxes: &'static [usize]) -> Vec<u64> {
+    let slots: Arc<Vec<OnceLock<u64>>> =
+        Arc::new((0..boxes.len()).map(|_| OnceLock::new()).collect());
+    let claim = move |slots: &[OnceLock<u64>], i: usize| {
+        slots[i]
+            .set(boxes[i] as u64 * 10 + 1)
+            .expect("box claimed twice");
+    };
+    if boxes.len() > 1 {
+        let next = Arc::new(AtomicUsize::new(0));
+        let w = {
+            let (slots, next) = (slots.clone(), next.clone());
+            thread::spawn(move || loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= boxes.len() {
+                    break;
+                }
+                claim(&slots, i);
+            })
+        };
+        loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= BOXES {
+            if i >= boxes.len() {
                 break;
             }
-            slots[i].set(i as u64 * 10 + 1).expect("box claimed twice");
-        })
-    };
-    loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        if i >= BOXES {
-            break;
+            claim(&slots, i);
         }
-        slots[i].set(i as u64 * 10 + 1).expect("box claimed twice");
+        w.join().unwrap();
+    } else {
+        (0..boxes.len()).for_each(|i| claim(&slots, i));
     }
-    w.join().unwrap();
+    slots.iter().map(|s| *s.get().expect("box lost")).collect()
+}
 
+/// One phase of the eager-send protocol: per sub-round, pool fill then
+/// deterministic merge with the completion-counter send, while the
+/// neighbor receives concurrently. `shorted_counter` seeds the bug the
+/// detects test looks for: a counter that undercounts the halo by one,
+/// posting the frame before the last tracked box retires.
+fn eager_send_round(shorted_counter: bool) -> (Vec<u64>, Vec<(usize, u64)>) {
     // The tracking neighbor, receiving concurrently with the merge.
     let (tx, rx) = mpsc::channel::<Vec<(usize, u64)>>();
     let neighbor = thread::spawn(move || rx.recv().expect("neighbor got no frame"));
 
-    // Fixed-order merge with the per-neighbor completion counter.
+    // The counter is seeded once per phase, over every round's boxes.
     let mut remaining = if shorted_counter {
         TRACKED.len() - 1
     } else {
@@ -484,17 +503,20 @@ fn eager_send_round(shorted_counter: bool) -> (Vec<u64>, Vec<(usize, u64)>) {
     let mut frame: Vec<(usize, u64)> = Vec::new();
     let mut merged: Vec<u64> = Vec::new();
     let mut sends = 0usize;
-    for i in 0..BOXES {
-        // "apply_output": the merged value differs from the raw slot, so a
-        // frame built from unretired boxes is distinguishable.
-        let v = *slots[i].get().expect("box lost") * 2;
-        merged.push(v);
-        if TRACKED.contains(&i) {
-            frame.push((i, v));
-            remaining = remaining.wrapping_sub(1);
-            if remaining == 0 {
-                sends += 1;
-                tx.send(frame.clone()).unwrap();
+    for boxes in ROUNDS {
+        let filled = fill_round(boxes);
+        for (&i, raw) in boxes.iter().zip(filled) {
+            // "apply_output": the merged value differs from the raw slot,
+            // so a frame built from unretired boxes is distinguishable.
+            let v = raw * 2;
+            merged.push(v);
+            if TRACKED.contains(&i) {
+                frame.push((i, v));
+                remaining = remaining.wrapping_sub(1);
+                if remaining == 0 {
+                    sends += 1;
+                    tx.send(frame.clone()).unwrap();
+                }
             }
         }
     }
@@ -517,10 +539,11 @@ fn eager_send_posts_once_after_last_halo_box() {
         .preemption_bound(3)
         .max_schedules(50_000)
         .check(|| eager_send_round(false));
-    // The fill/merge/recv space is small enough to enumerate outright —
-    // stronger than any schedule-count floor.
+    // The fill/merge/recv space of three rounds (two pooled) is small
+    // enough to enumerate outright (1409 schedules) — stronger than any
+    // schedule-count floor.
     assert!(
-        report.exhausted && report.schedules >= 32,
+        report.exhausted && report.schedules >= 1000,
         "explored {} (exhausted: {})",
         report.schedules,
         report.exhausted
