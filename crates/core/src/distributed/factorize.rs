@@ -162,9 +162,23 @@ fn decode_and_apply_update<K: Kernel>(
     Ok(())
 }
 
+/// Decode a whole frame from `src` received under tag `t` with `decode`;
+/// a frame that does not decode is [`FactorError::MalformedFrame`]
+/// naming the sender and the step.
+fn decode_frame<V>(
+    payload: Vec<u8>,
+    src: usize,
+    t: u32,
+    decode: impl FnOnce(&mut ByteReader) -> Result<V, CodecError>,
+) -> Result<V, FactorError> {
+    decode(&mut ByteReader::new(payload)).map_err(|e| FactorError::MalformedFrame {
+        rank: src,
+        step: format!("{}: malformed frame: {e}", describe(t)),
+    })
+}
+
 /// Decode a neighbor's `KIND_PHASE_UPDATE` frame and apply its box
-/// updates in order; a frame that does not decode is
-/// [`FactorError::MalformedFrame`] naming the sender and the step.
+/// updates in order.
 fn apply_phase_update<K: Kernel>(
     payload: Vec<u8>,
     src: usize,
@@ -172,13 +186,68 @@ fn apply_phase_update<K: Kernel>(
     store: &mut BlockStore<'_, K>,
     act: &mut ActiveSets,
 ) -> Result<(), FactorError> {
-    let mut r = ByteReader::new(payload);
-    let decoded = r.try_get_u64().and_then(|n_updates| {
-        (0..n_updates).try_for_each(|_| decode_and_apply_update(&mut r, store, act))
-    });
-    decoded.map_err(|e| FactorError::MalformedFrame {
-        rank: src,
-        step: format!("{}: malformed frame: {e}", describe(t)),
+    decode_frame(payload, src, t, |r| {
+        let n_updates = r.try_get_u64()?;
+        (0..n_updates).try_for_each(|_| decode_and_apply_update(r, store, act))
+    })
+}
+
+/// Rank `me`'s top-level frame for [`gather_top`]: its owned active
+/// sets, then the stored pairs whose row box it owns (authoritative,
+/// deduped; a symmetric store holds the lower block triangle, which is
+/// all `factor_top` reads).
+fn encode_top_gather<K: Kernel>(
+    store: &BlockStore<'_, K>,
+    act: &ActiveSets,
+    tree: &QuadTree,
+    grid: &ProcessGrid,
+    me: usize,
+    top_level: u8,
+) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    let owned: Vec<BoxId> = tree
+        .boxes_at_level(top_level)
+        .filter(|b| grid.owner(b) == me)
+        .collect();
+    w.put_u64(owned.len() as u64);
+    for b in &owned {
+        put_box(&mut w, b);
+        put_ids(&mut w, act.get(b));
+    }
+    let pairs: Vec<_> = store
+        .stored_pairs()
+        .filter(|((a, _), _)| a.level == top_level && grid.owner(a) == me)
+        .collect();
+    w.put_u64(pairs.len() as u64);
+    for ((a, b), m) in pairs {
+        put_box(&mut w, a);
+        put_box(&mut w, b);
+        w.put_mat(m);
+    }
+    w.finish()
+}
+
+/// Decode a rank's top-level frame for [`gather_top`] — its owned active
+/// sets, then the stored pairs whose row box it owns — into `act` and
+/// `store` (what decoded before a failure stays applied; the build fails
+/// with it).
+fn apply_top_gather<K: Kernel>(
+    payload: Vec<u8>,
+    src: usize,
+    t: u32,
+    store: &mut BlockStore<'_, K>,
+    act: &mut ActiveSets,
+) -> Result<(), FactorError> {
+    decode_frame(payload, src, t, |r| {
+        for _ in 0..r.try_get_u64()? {
+            let b = try_get_box(r)?;
+            act.set(b, try_get_ids(r)?);
+        }
+        for _ in 0..r.try_get_u64()? {
+            let (a, b) = (try_get_box(r)?, try_get_box(r)?);
+            store.insert(a, b, r.try_get_mat()?);
+        }
+        Ok(())
     })
 }
 
@@ -455,29 +524,30 @@ pub(super) fn scatter_top<T: Scalar>(
         let mut w = ByteWriter::new();
         w.put_u64(resident_bytes(state, &None));
         ctx.send(0, t, w.finish());
-        let mut r = ByteReader::new(ctx.recv(0, t));
-        // INVARIANT: this frame was encoded by rank 0 under the matching tag and
-        // the transport delivers whole messages, so decode cannot truncate
-        let share = Option::<TopShare<T>>::decode(&mut r)
-            .unwrap_or_else(|e| panic!("malformed top share frame: {e}"));
+        let share = decode_frame(ctx.recv(0, t), 0, t, Option::<TopShare<T>>::decode)?;
         return out.map(|(state, _)| (state, share));
     }
-    let peer_loads: Vec<usize> = peers
+    // Every report is received, whatever the outcome, so that every peer
+    // gets its answer below.
+    let peer_loads: Vec<Result<usize, FactorError>> = peers
         .iter()
-        // INVARIANT: same trusted-frame argument, for the one-word report
-        .map(|&src| ByteReader::new(ctx.recv(src, t)).get_u64() as usize)
+        .map(|&src| decode_frame(ctx.recv(src, t), src, t, |r| Ok(r.try_get_u64()? as usize)))
         .collect();
-    let Ok((state, Some(mine))) = out else {
+    let out = match peer_loads.into_iter().collect::<Result<Vec<usize>, _>>() {
+        Ok(loads) => out.map(|ok| (ok, loads)),
+        Err(e) => out.and(Err(e)),
+    };
+    let Ok(((state, Some(mine)), peer_loads)) = out else {
         for &dst in &peers {
             ctx.send(dst, t, None::<TopShare<T>>.to_bytes());
         }
-        return out;
+        return out.map(|(ok, _)| ok);
     };
     let TopShare { idx, mut cols, .. } = mine;
     let col_bytes: Vec<usize> = match &cols {
         TopFactor::General(_) => Vec::new(),
         TopFactor::Symmetric(ldlt) => ldlt
-            .diag_blocks()
+            .diag_inverses()
             .iter()
             .zip(ldlt.sub_panels())
             .map(|(d, s)| d.heap_bytes() + s.heap_bytes())
@@ -845,61 +915,18 @@ fn gather_top<K: Kernel>(
 ) -> Result<RankTop<K::Elem>, FactorError> {
     let me = ctx.rank();
     let active = grid.active_ranks(top_level);
+    let t = tag(top_level, 6, KIND_TOP);
     if me != 0 {
         if active.contains(&me) {
-            let mut w = ByteWriter::new();
-            // Owned active sets.
-            let owned: Vec<(BoxId, Vec<u32>)> = tree
-                .boxes_at_level(top_level)
-                .filter(|b| grid.owner(b) == me)
-                .map(|b| (b, act.get(&b).to_vec()))
-                .collect();
-            w.put_u64(owned.len() as u64);
-            for (b, ids) in &owned {
-                put_box(&mut w, b);
-                put_ids(&mut w, ids);
-            }
-            // Stored pairs whose row box I own (authoritative, deduped;
-            // a symmetric store holds the lower block triangle, which is
-            // all `factor_top` reads).
-            let pairs: Vec<_> = store
-                .stored_pairs()
-                .filter(|((a, _), _)| a.level == top_level && grid.owner(a) == me)
-                .collect();
-            w.put_u64(pairs.len() as u64);
-            for ((a, b), m) in pairs {
-                put_box(&mut w, a);
-                put_box(&mut w, b);
-                w.put_mat(m);
-            }
+            let frame = encode_top_gather(store, act, tree, grid, me, top_level);
             // Rank 0 has the level now; nothing reads this copy again.
             store.drop_level(top_level);
-            ctx.send(0, tag(top_level, 6, KIND_TOP), w.finish());
+            ctx.send(0, t, frame);
         }
         return Ok(None);
     }
     for &src in active.iter().filter(|&&r| r != 0) {
-        let payload = ctx.recv(src, tag(top_level, 6, KIND_TOP));
-        let mut r = ByteReader::new(payload);
-        // INVARIANT: this frame was encoded by a peer rank under the matching tag
-        // and the transport delivers whole messages, so decode cannot truncate
-        let n_acts = r.get_u64();
-        for _ in 0..n_acts {
-            let b = get_box(&mut r);
-            let ids = get_ids(&mut r);
-            act.set(b, ids);
-        }
-        // INVARIANT: this frame was encoded by a peer rank under the matching tag
-        // and the transport delivers whole messages, so decode cannot truncate
-        let n_pairs = r.get_u64();
-        for _ in 0..n_pairs {
-            let a = get_box(&mut r);
-            let b = get_box(&mut r);
-            // INVARIANT: this frame was encoded by a peer rank under the matching tag
-            // and the transport delivers whole messages, so decode cannot truncate
-            let m: Mat<K::Elem> = r.get_mat();
-            store.insert(a, b, m);
-        }
+        apply_top_gather(ctx.recv(src, t), src, t, store, act)?;
     }
     let (idx, cols) = factor_top(store, act, tree, top_level, cctx)?;
     Ok(Some(TopShare {
@@ -1085,6 +1112,100 @@ mod tests {
                 SrsfError::from(err),
                 SrsfError::RankFailed { rank: 0, .. }
             ));
+        }
+    }
+
+    /// The top's two hand-over frames decode through the `try_*`
+    /// readers: a rank's top-level gather frame and a rank's share of the
+    /// factored top, each cut at every length, are typed failures naming
+    /// the sender.
+    #[test]
+    fn truncated_top_frames_are_typed_failures() {
+        let ugrid = UnitGrid::new(16);
+        let kernel = LaplaceKernel::new(&ugrid);
+        let pts = ugrid.points();
+        let opts = FactorOpts::default()
+            .with_leaf_size(16)
+            .with_min_compress_level(2);
+        let tree = QuadTree::build(&pts, domain_for(&pts), opts.leaf_size);
+        let grid = ProcessGrid::new(4);
+        let cctx = CompressionCtx::new(&kernel, &pts, &tree, &opts);
+        let fresh = || {
+            let mut act = ActiveSets::new();
+            for id in tree.boxes_at_level(2) {
+                act.set(id, tree.leaf_points(&id).to_vec());
+            }
+            (BlockStore::new(&kernel, &pts), act)
+        };
+        let typed = |err: FactorError, src: usize, len: usize| {
+            let FactorError::MalformedFrame { rank, ref step } = err else {
+                panic!("{len} bytes: {err}");
+            };
+            assert!(rank == src && step.contains("TOP"), "{len} bytes: {step}");
+            assert!(matches!(
+                SrsfError::from(err),
+                SrsfError::RankFailed { rank, .. } if rank == src
+            ));
+        };
+
+        // Rank 1's gather frame, after it eliminated one of its boxes.
+        let b = BoxId {
+            level: 2,
+            ix: 2,
+            iy: 1,
+        };
+        assert_eq!(grid.owner(&b), 1);
+        let (mut store, mut act) = fresh();
+        let out = eliminate_box(&store, &act, &tree, &b, &opts, &cctx).expect("eliminate");
+        apply_output(&mut store, &mut act, &b, &out, &cctx);
+        let frame = encode_top_gather(&store, &act, &tree, &grid, 1, 2);
+        let t = tag(2, 6, KIND_TOP);
+        let (mut store0, mut act0) = fresh();
+        apply_top_gather(frame.clone(), 1, t, &mut store0, &mut act0).expect("whole frame");
+        assert_eq!(
+            act0.get(&b),
+            act.get(&b),
+            "the whole frame carries the skeleton"
+        );
+        assert!(
+            store0.contains(&b, &b),
+            "the whole frame carries the blocks"
+        );
+        for len in 0..frame.len() {
+            let (mut store0, mut act0) = fresh();
+            let err = apply_top_gather(frame[..len].to_vec(), 1, t, &mut store0, &mut act0)
+                .expect_err("a truncated frame must not decode");
+            typed(err, 1, len);
+        }
+
+        // The share rank 0 deals out: the last block column of a factored
+        // top.
+        let f = factorize_in_rounds(&kernel, &pts, &tree, &opts, 1, |level| {
+            let boxes: Vec<BoxId> = tree.boxes_at_level(level).collect();
+            waves(&boxes).into_iter().map(|(_, w)| (0, w)).collect()
+        })
+        .expect("factor");
+        let TopFactor::Symmetric(mut ldlt) = f.top else {
+            panic!("a Laplace top is packed");
+        };
+        let last = ldlt.cols().end - 1;
+        let share = TopShare {
+            idx: Vec::new(),
+            cols: TopFactor::Symmetric(ldlt.split_off(last)),
+            prev: Some(0),
+            next: None,
+        };
+        let frame = Some(share).to_bytes();
+        let t = tag(2, 7, KIND_TOP);
+        let back = decode_frame(frame.clone(), 0, t, Option::<TopShare<f64>>::decode);
+        assert!(back.expect("whole frame").to_bytes() == frame);
+        for len in 0..frame.len() {
+            let Err(err) =
+                decode_frame(frame[..len].to_vec(), 0, t, Option::<TopShare<f64>>::decode)
+            else {
+                panic!("{len} bytes: a truncated frame must not decode");
+            };
+            typed(err, 0, len);
         }
     }
 

@@ -26,22 +26,23 @@ use srsf_geometry::tree::{BoxId, QuadTree};
 use srsf_kernels::kernel::Kernel;
 use srsf_linalg::gemm::{
     adjoint_matmul_acc, adjoint_matmul_sub, gemm_acc_block, gemm_acc_to_blocks, is_packed, matmul,
-    matmul_sub, transpose_matmul_acc,
+    matmul_sub, transpose_matmul, transpose_matmul_acc,
 };
 use srsf_linalg::{Lu, Mat, Scalar};
 
 /// Per-box factorization record: the pieces of `V = L S^* P^T` and
 /// `W = P S U` (Eq. 10) needed to apply the inverse.
 ///
-/// A record comes in two forms, chosen by [`BlockStore::symmetric`] at
-/// factorization time. The *general* form keeps both sides of every
-/// coupling (`es`/`en` on the left of `X_RR^{-1}`, `fs`/`fnb` on the
-/// right). The *symmetric* form (symmetric kernels, real or complex)
-/// keeps only the unsolved left couplings — the right ones are their
-/// plain transposes, because such a kernel is sparsified with `T^T` — so
-/// `fs` and `fnb` are `None` and the record is about a third smaller;
-/// the solve sweep then applies the full `X_RR^{-1}` where the general
-/// one applies half of it (see `crate::solve`).
+/// The diagonal block is held as its explicit inverse transpose
+/// `X_RR^{-T}`, and every coupling unsolved, so the solve sweep applies a
+/// record by panel products alone (see `crate::solve`). A record comes
+/// in two forms, chosen by [`BlockStore::symmetric`] at factorization
+/// time. The *general* form keeps both sides of every coupling (`es`/`en`
+/// on the left of `X_RR^{-1}`, `fs`/`fnb` on the right). The *symmetric*
+/// form (symmetric kernels, real or complex) keeps only the left ones —
+/// the right ones are their plain transposes, because such a kernel is
+/// sparsified with `T^T` — so `fs` and `fnb` are `None` and the record
+/// is about a third smaller.
 #[derive(Clone, Debug)]
 pub struct BoxElimination<T> {
     /// The eliminated box.
@@ -64,18 +65,17 @@ pub struct BoxElimination<T> {
     pub nbr: Vec<u32>,
     /// Interpolation matrix `T` (`|S| x |R|`).
     pub t: Mat<T>,
-    /// LU of the sparsified diagonal block `X_RR`.
-    pub lu: Lu<T>,
-    /// Skeleton coupling (`|S| x |R|`): `X_SR U^{-1}` in a general
-    /// record, the unsolved `X_SR` in a symmetric one.
+    /// `X_RR^{-T}` (`|R| x |R|`), the inverse transpose of the
+    /// sparsified diagonal block, formed from its pivoted LU.
+    pub inv_t: Mat<T>,
+    /// Skeleton coupling `X_SR` (`|S| x |R|`).
     pub es: Mat<T>,
-    /// Neighbor coupling (`|N| x |R|`): `X_NR U^{-1}` in a general
-    /// record, the unsolved `X_NR` in a symmetric one.
+    /// Neighbor coupling `X_NR` (`|N| x |R|`).
     pub en: Mat<T>,
-    /// `L^{-1} P X_RS` (`|R| x |S|`). `None` in a symmetric record, where
+    /// `X_RS` (`|R| x |S|`). `None` in a symmetric record, where
     /// `X_RS = X_SR^T` and the solve derives the term from `es`.
     pub fs: Option<Mat<T>>,
-    /// `L^{-1} P X_RN` (`|R| x |N|`). `None` in a symmetric record, where
+    /// `X_RN` (`|R| x |N|`). `None` in a symmetric record, where
     /// `X_RN = X_NR^T` and the solve derives the term from `en`.
     pub fnb: Option<Mat<T>>,
 }
@@ -89,7 +89,7 @@ impl<T: Scalar> BoxElimination<T> {
     /// Approximate heap footprint in bytes.
     pub fn heap_bytes(&self) -> usize {
         self.t.heap_bytes()
-            + self.lu.heap_bytes()
+            + self.inv_t.heap_bytes()
             + self.es.heap_bytes()
             + self.en.heap_bytes()
             + self.fs.as_ref().map_or(0, Mat::heap_bytes)
@@ -257,23 +257,21 @@ pub fn eliminate_box<K: Kernel>(
     let mut x_nr = a_nr;
     matmul_sub(&mut x_nr, &a_ns, &t); // X_NR = A_NR - A_NS T
 
-    // Factor the redundant diagonal block.
-    let lu = Lu::factor(x_rr).map_err(|_| FactorError::SingularDiagonal { box_id: *b })?;
+    // Invert the redundant diagonal block through its pivoted LU, which
+    // is dropped: the record and the right factors below need only
+    // `X_RR^{-T}`.
+    let inv_t = Lu::factor(x_rr)
+        .map_err(|_| FactorError::SingularDiagonal { box_id: *b })?
+        .into_inverse_t();
 
     // Left and right coupling factors: every Schur update below is a
-    // product `E · F` with `E = [ES; EN]` and `F = [FS, FN]`.
-    let (es, en, f_s, f_n, a_sn) = if sym {
-        // X_RS = X_SR^T and X_RN = X_NR^T, so the couplings stay unsolved
-        // (ES = X_SR, EN = X_NR) and the whole X_RR^{-1} goes on the right
-        // factors, which the record does not keep: F = G^T with
-        // G = X X_RR^{-T}, one panel solve over all rows of X at once.
-        let right_factor = |x: &Mat<T<K>>| {
-            let mut g = x.clone();
-            lu.solve_panel(&mut g);
-            g.transpose()
-        };
-        let (f_s, f_n) = (right_factor(&x_sr), right_factor(&x_nr));
-        (x_sr, x_nr, f_s, f_n, None)
+    // product `E · F` with `E = [ES; EN] = [X_SR; X_NR]` and
+    // `F = [FS, FN] = X_RR^{-1} [X_RS, X_RN]`, one GEMM each; only the
+    // unsolved couplings go into the record.
+    let (f_s, f_n, a_sn, right) = if sym {
+        // X_RS = X_SR^T and X_RN = X_NR^T, so F = (X X_RR^{-T})^T.
+        let right_factor = |x: &Mat<T<K>>| matmul(x, &inv_t).transpose();
+        (right_factor(&x_sr), right_factor(&x_nr), None, None)
     } else {
         // Stacked A_{B,N}, gathered on its own.
         let mut a_bn = Mat::<T<K>>::zeros(a_b.len(), n_total);
@@ -289,20 +287,14 @@ pub fn eliminate_box<K: Kernel>(
         adjoint_matmul_sub(&mut x_rs, &t, &a_ss);
         let mut x_rn = a_bn.select_rows(&red_positions);
         adjoint_matmul_sub(&mut x_rn, &t, &a_sn);
-        // ES = X_SR U^{-1}, EN = X_NR U^{-1},
-        // FS = L^{-1} P X_RS, FN = L^{-1} P X_RN — the latter two as
-        // panel solves on the transposes.
-        let mut es = x_sr;
-        lu.solve_upper_right(&mut es);
-        let mut en = x_nr;
-        lu.solve_upper_right(&mut en);
-        let forward = |x: &Mat<T<K>>| {
-            let mut g = x.transpose();
-            lu.forward_panel(&mut g);
-            g.transpose()
-        };
-        (es, en, forward(&x_rs), forward(&x_rn), Some(a_sn))
+        // F = (X_RR^{-T})^T X_R·.
+        let (f_s, f_n) = (
+            transpose_matmul(&inv_t, &x_rs),
+            transpose_matmul(&inv_t, &x_rn),
+        );
+        (f_s, f_n, Some(a_sn), Some((x_rs, x_rn)))
     };
+    let (es, en) = (x_sr, x_nr);
 
     // Replacement blocks (post-Schur) for pairs involving B.
     let mut replaced = Vec::with_capacity(1 + nbrs.len() * if sym { 1 } else { 2 });
@@ -399,6 +391,7 @@ pub fn eliminate_box<K: Kernel>(
     for n in &nbrs {
         nbr.extend_from_slice(act.get(n));
     }
+    let (fs, fnb) = right.unzip();
     let record = BoxElimination {
         box_id: *b,
         level: b.level,
@@ -407,11 +400,11 @@ pub fn eliminate_box<K: Kernel>(
         skel: skel_positions.iter().map(|&p| a_b[p]).collect(),
         nbr,
         t,
-        lu,
+        inv_t,
         es,
         en,
-        fs: (!sym).then_some(f_s),
-        fnb: (!sym).then_some(f_n),
+        fs,
+        fnb,
     };
 
     Ok(EliminationOutput {
@@ -567,13 +560,14 @@ mod tests {
     /// written straight into their blocks: `-EN FN` into an `n_total²`
     /// scratch — the lower block strips one product each in symmetric
     /// mode, the whole square as one product otherwise — cut into blocks.
+    /// `FN = X_RR^{-1} X_RN` is re-formed from the record's inverse as
+    /// elimination forms it.
     fn deltas_by_full_product<T: Scalar>(rec: &BoxElimination<T>, sizes: &[usize]) -> Vec<Mat<T>> {
         let sym = rec.is_symmetric();
-        let f_n = rec.fnb.clone().unwrap_or_else(|| {
-            let mut g = rec.en.clone();
-            rec.lu.solve_panel(&mut g);
-            g.transpose()
-        });
+        let f_n = match &rec.fnb {
+            Some(x_rn) => transpose_matmul(&rec.inv_t, x_rn),
+            None => matmul(&rec.en, &rec.inv_t).transpose(),
+        };
         let (rows, n_r) = (rec.en.nrows(), rec.en.ncols());
         let offs: Vec<usize> = (0..sizes.len()).map(|j| sizes[..j].iter().sum()).collect();
         let mut full = Mat::zeros(rows, rows);

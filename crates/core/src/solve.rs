@@ -26,13 +26,14 @@
 //! (`srsf_linalg::panel::panel_rows`; exactly 1 for one right-hand
 //! side). The padding lives in those panels only: the block itself, and
 //! every wire frame the ranks cut from it, keeps exactly `nrhs` rows.
-//! Every product is then `panel * M` or `panel * M^T` and `X_RR^{-1}` a
-//! right-sided `X (LU)^{-T}`, with the right-hand sides in the register
-//! tile and `T`/`ES`/`EN`/`LU` streamed in place, once
-//! (`srsf_linalg::panel`). No kernel combines two rows of a panel and
-//! none chooses its arithmetic by `nrhs`, so the lanes are independent:
-//! a right-hand side is solved to the same bits alone, in any batch,
-//! and at any position in it.
+//! Every step is then a product `panel * M` or `panel * M^T` — `X_RR^{-1}`
+//! too, which a record holds as its explicit inverse transpose — with the
+//! right-hand sides in the register tile and `T`/`ES`/`EN`/`X_RR^{-T}`
+//! streamed in place, once (`srsf_linalg::panel`); no triangular solve
+//! is left in a record's application. No kernel combines two rows of a
+//! panel and none chooses its arithmetic by `nrhs`, so the lanes are
+//! independent: a right-hand side is solved to the same bits alone, in
+//! any batch, and at any position in it.
 //!
 //! **Color-scheduled over threads** (`n_threads > 1`) — records carry a
 //! `(level, color)` stamp from factorization time; contiguous same-stamp
@@ -57,34 +58,28 @@ use srsf_verify::sync::atomic::{AtomicUsize, Ordering};
 use srsf_verify::sync::{Barrier, Mutex, RwLock};
 
 // The four record kernels below are the only readers of a record's
-// coupling fields, and the only place its two forms differ. A general
-// record splits `X_RR^{-1} = U^{-1} · L^{-1} P` between the sweeps:
+// coupling fields. Both forms hold the couplings unsolved
+// (`ES = X_SR`, `EN = X_NR`) and `X_RR^{-1}` as an explicit inverse, and
+// apply the whole of it in each sweep:
 //
-//   up:   b_R := L^{-1} P (b_R - T^H b_S);  b_S -= ES b_R;  b_N -= EN b_R
-//   down: b_R := U^{-1} (b_R - FS b_S - FN b_N);            b_S -= T b_R
+//   up:   b_R := X_RR^{-1} (b_R - T' b_S);  b_S -= ES b_R;  b_N -= EN b_R
+//   down: b_R -= X_RR^{-1} (FS b_S + FN b_N);               b_S -= T b_R
 //
-// with `ES = X_SR U^{-1}`, `FS = L^{-1} P X_RS` (same for `N`). A
-// symmetric record stores `ES = X_SR`, `EN = X_NR` unsolved and no `F`
-// (`X_RS = ES^T`, `X_RN = EN^T`), so each sweep applies the whole inverse:
-//
-//   up:   b_R := X_RR^{-1} (b_R - T^T b_S);  b_S -= ES b_R;  b_N -= EN b_R
-//   down: b_R -= X_RR^{-1} (ES^T b_S + EN^T b_N);            b_S -= T b_R
-//
-// `T^T` against `T^H` is the whole rule: a symmetric kernel (`A = A^T`,
-// real or complex) is sparsified by the congruence `S^T A S`, because the
-// column ID `A_{F,R} ~ A_{F,S} T` then gives `A_{R,F} ~ T^T A_{S,F}` with
-// no conjugate and every Schur update stays transpose-symmetric; any
-// other kernel needs the two-sided `S^H A S`. A symmetric record
-// therefore never conjugates, a general one conjugates `T` only, and for
-// real entries the two flavours are the same bits.
-//
-// Between the sweeps `b_R` is private to its record (redundant rows are
-// never read by another record or the top solve), so the two forms may
-// park different intermediates there.
+// with `FS = X_RS`, `FN = X_RN`: held as such by a general record, and
+// `ES^T`, `EN^T` in a symmetric one, which holds no `F`. `T' = T^T` for
+// a symmetric record and `T^H` for a general one is the whole rule: a
+// symmetric kernel (`A = A^T`, real or complex) is sparsified by the
+// congruence `S^T A S`, because the column ID `A_{F,R} ~ A_{F,S} T` then
+// gives `A_{R,F} ~ T^T A_{S,F}` with no conjugate and every Schur update
+// stays transpose-symmetric; any other kernel needs the two-sided
+// `S^H A S`. A symmetric record therefore never conjugates, a general one
+// conjugates `T` only, and for real entries the two flavours are the
+// same bits.
 //
 // The formulas are written for one right-hand side as a column `b`; the
 // kernels hold the right-hand sides as the rows of `X` and apply the
-// transposes (`X_R := (X_R - X_S conj(T)) P^T L^{-T}`, …).
+// transposes — `X_R := (X_R - X_S conj(T)) X_RR^{-T}`, … — each one
+// `panel_mul_acc` or `panel_mul_t_acc` against a block of the record.
 
 /// The sweep's working block, RHS-major: `nrhs x n`, column `i`
 /// holding point `i`'s value for every right-hand side. A type of its
@@ -158,7 +153,8 @@ pub(crate) fn frame_of<T: Scalar>(panel: &Mat<T>, pos: &[u32], nrhs: usize) -> M
 /// The panels one record application works in: after
 /// [`upward_parts`] the updated `X_R`, `X_S` and the additive neighbor
 /// delta `X_R EN^T`; after [`downward_parts`] the updated `X_R`, `X_S`.
-/// A serial sweep keeps one set for all its records.
+/// `v` holds the operand of the `X_RR^{-T}` product. A serial sweep keeps
+/// one set for all its records.
 pub(crate) struct RecordPanels<T> {
     pub(crate) r: Mat<T>,
     pub(crate) s: Mat<T>,
@@ -187,17 +183,12 @@ pub(crate) fn upward_parts<T: Scalar>(
     x: &RhsBlock<T>,
     w: &mut RecordPanels<T>,
 ) {
-    x.gather(&rec.redundant, &mut w.r);
+    x.gather(&rec.redundant, &mut w.v);
     x.gather(&rec.skel, &mut w.s);
-    // X_R := (X_R - X_S conj(T)) P^T L^{-T} (general)
-    //     or (X_R - X_S T) X_RR^{-T}        (symmetric)
-    if rec.is_symmetric() {
-        panel_mul_acc(&mut w.r, -T::ONE, &w.s, &rec.t, false);
-        rec.lu.solve_panel(&mut w.r);
-    } else {
-        panel_mul_acc(&mut w.r, -T::ONE, &w.s, &rec.t, true);
-        rec.lu.forward_panel(&mut w.r);
-    }
+    // X_R := (X_R - X_S T') X_RR^{-T}, T' = conj(T) in a general record.
+    panel_mul_acc(&mut w.v, -T::ONE, &w.s, &rec.t, !rec.is_symmetric());
+    w.r.reset_zeros(w.v.nrows(), w.v.ncols());
+    panel_mul_acc(&mut w.r, T::ONE, &w.v, &rec.inv_t, false);
     // X_S -= X_R ES^T ; the neighbor delta X_R EN^T is left for the merge.
     panel_mul_t_acc(&mut w.s, -T::ONE, &w.r, &rec.es);
     w.n.reset_zeros(w.r.nrows(), rec.nbr.len());
@@ -227,19 +218,17 @@ pub(crate) fn downward_parts<T: Scalar>(
     x.gather(&rec.redundant, &mut w.r);
     x.gather(&rec.skel, &mut w.s);
     x.gather(&rec.nbr, &mut w.n);
+    // X_R -= (X_S FS^T + X_N FN^T) X_RR^{-T}, with FS^T = ES (FN^T = EN)
+    // in a symmetric record.
+    w.v.reset_zeros(w.r.nrows(), w.r.ncols());
     if let (Some(fs), Some(fnb)) = (&rec.fs, &rec.fnb) {
-        // X_R := (X_R - X_S FS^T - X_N FN^T) U^{-T}
-        panel_mul_t_acc(&mut w.r, -T::ONE, &w.s, fs);
-        panel_mul_t_acc(&mut w.r, -T::ONE, &w.n, fnb);
-        rec.lu.backward_panel(&mut w.r);
+        panel_mul_t_acc(&mut w.v, T::ONE, &w.s, fs);
+        panel_mul_t_acc(&mut w.v, T::ONE, &w.n, fnb);
     } else {
-        // X_R -= (X_S ES + X_N EN) X_RR^{-T}
-        w.v.reset_zeros(w.r.nrows(), w.r.ncols());
         panel_mul_acc(&mut w.v, T::ONE, &w.s, &rec.es, false);
         panel_mul_acc(&mut w.v, T::ONE, &w.n, &rec.en, false);
-        rec.lu.solve_panel(&mut w.v);
-        w.r.axpy(-T::ONE, &w.v);
     }
+    panel_mul_acc(&mut w.r, -T::ONE, &w.v, &rec.inv_t, false);
     // X_S -= X_R T^T
     panel_mul_t_acc(&mut w.s, -T::ONE, &w.r, &rec.t);
 }

@@ -34,10 +34,12 @@ use srsf_linalg::{Ldlt, Lu, Mat, Scalar, SymPanels};
 /// forward sweep is `L⁻¹P`, its backward sweep `U⁻¹`.
 #[derive(Clone, Debug)]
 pub enum TopFactor<T> {
-    /// Partially pivoted LU of the full square.
+    /// Partially pivoted LU of the full square, applied by triangular
+    /// sweeps.
     General(Lu<T>),
     /// Packed block `L D Lᵀ` of the lower block triangle (symmetric
-    /// kernels).
+    /// kernels), its diagonal blocks held as explicit inverses so that
+    /// both sweeps are panel products only.
     Symmetric(Ldlt<T>),
 }
 

@@ -14,7 +14,7 @@ use crate::stats::{CompressionTelemetry, FactorStats};
 use crate::top::TopFactor;
 use srsf_geometry::point::Point;
 use srsf_geometry::tree::BoxId;
-use srsf_linalg::{Lu, Mat, Scalar};
+use srsf_linalg::{Mat, Scalar};
 use srsf_runtime::codec::{crc64, ByteReader, ByteWriter, CodecError, Wire};
 use std::collections::HashMap;
 use std::path::Path;
@@ -104,7 +104,7 @@ impl<T: Scalar> Wire for BoxElimination<T> {
         put_ids(w, &self.skel);
         put_ids(w, &self.nbr);
         w.put_mat(&self.t);
-        self.lu.encode(w);
+        w.put_mat(&self.inv_t);
         w.put_mat(&self.es);
         w.put_mat(&self.en);
         // Presence flag of the right couplings: 1 = general record (`fs`
@@ -126,7 +126,7 @@ impl<T: Scalar> Wire for BoxElimination<T> {
         let skel = try_get_ids(r)?;
         let nbr = try_get_ids(r)?;
         let t = r.try_get_mat()?;
-        let lu: Lu<T> = Wire::decode(r)?;
+        let inv_t = r.try_get_mat()?;
         let es = r.try_get_mat()?;
         let en = r.try_get_mat()?;
         let flag_at = r.position();
@@ -147,7 +147,7 @@ impl<T: Scalar> Wire for BoxElimination<T> {
         let (nr, ns, nn) = (redundant.len(), skel.len(), nbr.len());
         let shape = |m: &Mat<T>, rows: usize, cols: usize| m.nrows() == rows && m.ncols() == cols;
         let consistent = shape(&t, ns, nr)
-            && lu.dim() == nr
+            && shape(&inv_t, nr, nr)
             && shape(&es, ns, nr)
             && shape(&en, nn, nr)
             && fs.as_ref().is_none_or(|m| shape(m, nr, ns))
@@ -166,7 +166,7 @@ impl<T: Scalar> Wire for BoxElimination<T> {
             skel,
             nbr,
             t,
-            lu,
+            inv_t,
             es,
             en,
             fs,
@@ -207,7 +207,6 @@ impl Wire for FactorStats {
         w.put_f64(self.merge_s);
         w.put_f64(self.top_s);
         w.put_f64(self.total_s);
-        w.put_f64(self.solve_s);
         w.put_u64(self.top_size as u64);
         w.put_u64(self.record_bytes as u64);
         w.put_u64(self.peak_store_bytes as u64);
@@ -236,7 +235,6 @@ impl Wire for FactorStats {
         stats.merge_s = r.try_get_f64()?;
         stats.top_s = r.try_get_f64()?;
         stats.total_s = r.try_get_f64()?;
-        stats.solve_s = r.try_get_f64()?;
         stats.top_size = r.try_get_u64()? as usize;
         stats.record_bytes = r.try_get_u64()? as usize;
         stats.peak_store_bytes = r.try_get_u64()? as usize;
@@ -247,8 +245,9 @@ impl Wire for FactorStats {
 
 /// A form tag (0 = general LU, 1 = packed `L D Lᵀ`, all of its block
 /// columns or a range of them) ahead of the factors. Either form's
-/// decoder pins every LU's pivots to its dimension and to their own rows
-/// (`Lu::is_well_formed`), so a solve cannot index out of bounds on a
+/// decoder pins every block to the shape its position needs — and the
+/// LU's pivots to its dimension and to their own rows
+/// (`Lu::is_well_formed`) — so a solve cannot index out of bounds on a
 /// frame that passed the CRC.
 impl<T: Scalar> Wire for TopFactor<T> {
     fn encode(&self, w: &mut ByteWriter) {
@@ -368,7 +367,11 @@ const CKPT_MAGIC: &[u8; 8] = b"SRSFCKP1";
 /// counter left the wire).
 /// v8: a record's order key carries its wave index (16 bits) where it
 /// carried a 2-bit colour sub-round.
-const CKPT_VERSION: u64 = 8;
+/// v9: a record carries `X_RR^{-T}` where it carried the LU of `X_RR`
+/// (and a general record its couplings unsolved), a packed `L D Lᵀ` block
+/// column `D_k^{-T}` where it carried the LU of `D_k`, and `FactorStats`
+/// no longer carries the always-zero `solve_s`.
+const CKPT_VERSION: u64 = 9;
 /// Header length in bytes.
 const CKPT_HEADER: usize = 40;
 /// Scalar tag of the scalar-independent manifest file.
@@ -619,7 +622,7 @@ pub(crate) fn decode_rank_snapshot<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use srsf_linalg::c64;
+    use srsf_linalg::{c64, Lu};
 
     fn sample_record<T: Scalar>(v: T) -> BoxElimination<T> {
         BoxElimination {
@@ -634,10 +637,7 @@ mod tests {
             skel: vec![3],
             nbr: vec![4, 5, 6],
             t: Mat::from_fn(1, 2, |_, _| v),
-            lu: Lu {
-                lu: Mat::from_fn(2, 2, |i, j| if i == j { v } else { T::ZERO }),
-                piv: vec![0, 1],
-            },
+            inv_t: Mat::from_fn(2, 2, |i, j| if i == j { v.recip() } else { T::ZERO }),
             es: Mat::from_fn(1, 2, |_, _| v),
             en: Mat::from_fn(3, 2, |_, _| v),
             fs: Some(Mat::from_fn(2, 1, |_, _| v)),
@@ -696,13 +696,14 @@ mod tests {
     fn rank_snapshot_carries_the_top_share() {
         use srsf_linalg::ldlt::NB;
         let n = NB + 3;
+        let inv = |d: usize| Mat::from_fn(d, d, |i, j| if i == j { 0.5 } else { 0.0625 });
         let lu = |d: usize| Lu {
             lu: Mat::from_fn(d, d, |i, j| if i == j { 2.0 } else { 0.25 }),
             piv: (0..d).collect(),
         };
         let mut head = srsf_linalg::Ldlt::from_parts(
             n,
-            vec![lu(NB), lu(3)],
+            vec![inv(NB), inv(3)],
             vec![Mat::from_fn(3, NB, |i, j| (i + j) as f64), Mat::zeros(0, 3)],
         )
         .expect("consistent shapes");

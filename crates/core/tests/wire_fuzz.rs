@@ -148,10 +148,7 @@ fn gen_record_form<T: Scalar>(
         Mat::from_vec(m, n, vals)
     };
     let t = mat(rng, ns, nr);
-    let lu = Lu {
-        lu: mat(rng, nr, nr),
-        piv: rng.pivots(nr),
-    };
+    let inv_t = mat(rng, nr, nr);
     BoxElimination {
         box_id: gen_box_id(rng),
         level: rng.below(12) as u8,
@@ -164,7 +161,7 @@ fn gen_record_form<T: Scalar>(
         fs: (!symmetric).then(|| mat(rng, nr, ns)),
         fnb: (!symmetric).then(|| mat(rng, nr, nn)),
         t,
-        lu,
+        inv_t,
     }
 }
 
@@ -184,7 +181,6 @@ fn gen_stats(rng: &mut Rng) -> FactorStats {
     s.merge_s = rng.finite_f64();
     s.top_s = rng.finite_f64();
     s.total_s = rng.finite_f64();
-    s.solve_s = rng.finite_f64();
     s.top_size = rng.below(1 << 16);
     s.record_bytes = rng.below(1 << 30);
     s.peak_store_bytes = rng.below(1 << 30);
@@ -240,8 +236,8 @@ fn gen_histogram(rng: &mut Rng) -> Histogram {
     h
 }
 
-/// A shape-consistent packed `L D Lᵀ` of dimension `n`: one (pivoted
-/// diagonal block, sub-diagonal panel) pair per `NB`-wide block column.
+/// A shape-consistent packed `L D Lᵀ` of dimension `n`: one (diagonal
+/// block inverse, sub-diagonal panel) pair per `NB`-wide block column.
 fn gen_ldlt<T: Scalar>(rng: &mut Rng, n: usize, v: impl Fn(&mut Rng) -> T) -> Ldlt<T> {
     let mat = |rng: &mut Rng, m: usize, n: usize| {
         let vals: Vec<T> = (0..m * n).map(|_| v(rng)).collect();
@@ -250,10 +246,7 @@ fn gen_ldlt<T: Scalar>(rng: &mut Rng, n: usize, v: impl Fn(&mut Rng) -> T) -> Ld
     let (mut diag, mut sub) = (Vec::new(), Vec::new());
     for k0 in (0..n).step_by(NB) {
         let nb = NB.min(n - k0);
-        diag.push(Lu {
-            lu: mat(rng, nb, nb),
-            piv: rng.pivots(nb),
-        });
+        diag.push(mat(rng, nb, nb));
         sub.push(mat(rng, n - k0 - nb, nb));
     }
     Ldlt::from_parts(n, diag, sub).expect("consistent shapes")
@@ -424,7 +417,7 @@ fn record_forms_round_trip<T: Scalar>(seed: u64, v: impl Fn(&mut Rng) -> T + Cop
         assert_eq!(back.is_symmetric(), symmetric);
         assert_eq!((&back.fs, &back.fnb), (&rec.fs, &rec.fnb));
         assert_eq!((&back.t, &back.es, &back.en), (&rec.t, &rec.es, &rec.en));
-        assert_eq!((&back.lu.lu, &back.lu.piv), (&rec.lu.lu, &rec.lu.piv));
+        assert_eq!(back.inv_t, rec.inv_t);
         assert_eq!(
             (&back.redundant, &back.skel, &back.nbr),
             (&rec.redundant, &rec.skel, &rec.nbr)
@@ -489,23 +482,13 @@ fn record_inconsistent_shape_is_codec_error() {
         };
         bend("t rows", &|r| r.t = grow(&r.t));
         bend("t cols", &|r| r.t = widen(&r.t));
-        bend("lu not |R| x |R|", &|r| r.lu.lu = grow(&r.lu.lu));
-        bend("piv length", &|r| r.lu.piv.push(0));
+        bend("inv_t rows", &|r| r.inv_t = grow(&r.inv_t));
+        bend("inv_t cols", &|r| r.inv_t = widen(&r.inv_t));
         bend("es rows", &|r| r.es = grow(&r.es));
         bend("en cols", &|r| r.en = widen(&r.en));
         bend("redundant list", &|r| r.redundant.push(1));
         bend("skel list", &|r| r.skel.push(1));
         bend("nbr list", &|r| r.nbr.push(1));
-        if !good.redundant.is_empty() {
-            bend("piv entry out of range", &|r| {
-                r.lu.piv[0] = r.redundant.len()
-            });
-        }
-        if good.redundant.len() >= 2 {
-            bend("piv entry above its row", &|r| {
-                *r.lu.piv.last_mut().unwrap() = 0
-            });
-        }
         if !good.is_symmetric() {
             bend("fs rows", &|r| r.fs = r.fs.as_ref().map(grow));
             bend("fnb cols", &|r| r.fnb = r.fnb.as_ref().map(widen));
@@ -529,9 +512,7 @@ fn ldlt_round_trip_and_shape_rejection() {
         let back = Ldlt::<c64>::from_bytes(bytes.clone()).expect("decode");
         assert_eq!(back.dim(), n);
         assert_eq!(back.sub_panels(), f.sub_panels());
-        for (a, b) in back.diag_blocks().iter().zip(f.diag_blocks()) {
-            assert_eq!((&a.lu, &a.piv), (&b.lu, &b.piv));
-        }
+        assert_eq!(back.diag_inverses(), f.diag_inverses());
         assert_eq!(back.to_bytes(), bytes);
         assert_eq!(back.heap_bytes(), f.heap_bytes(), "n={n}: decoded capacity");
     }
@@ -543,18 +524,15 @@ fn ldlt_round_trip_and_shape_rejection() {
         decode_total::<Ldlt<f64>>("Ldlt<f64>", &bytes),
         Err(CodecError::Invalid { .. })
     ));
-    // A pivot outside its diagonal block, and one above its own row.
+    // A diagonal block one row or one column short of its block column.
     let good = gen_ldlt(&mut rng, 4, Rng::finite_f64);
-    for piv in [vec![0, 1, 2, 4], vec![0, 1, 2, 0]] {
+    let d = &good.diag_inverses()[0];
+    for short in [d.block(0, 0, 3, 4), d.block(0, 0, 4, 3)] {
         let mut w = ByteWriter::new();
         w.put_u64(4);
         w.put_u64(0);
         w.put_u64(1);
-        Lu {
-            lu: good.diag_blocks()[0].lu.clone(),
-            piv,
-        }
-        .encode(&mut w);
+        w.put_mat(&short);
         w.put_mat(&good.sub_panels()[0]);
         assert!(matches!(
             decode_total::<Ldlt<f64>>("Ldlt<f64>", &w.finish()),
@@ -566,8 +544,8 @@ fn ldlt_round_trip_and_shape_rejection() {
 /// A range of the packed top's block columns — what a rank of the
 /// resident world holds and its snapshot carries — survives the wire by
 /// value, byte for byte; a truncated frame, a range outside the matrix's
-/// block columns, panels of another column's height and an ill-formed
-/// diagonal block all fail to decode.
+/// block columns, panels of another column's height and a diagonal block of the
+/// wrong shape all fail to decode.
 #[test]
 fn ldlt_column_range_round_trip_and_rejection() {
     let mut rng = Rng::new(101);
@@ -623,14 +601,12 @@ fn ldlt_column_range_round_trip_and_rejection() {
         decode_total::<Factorization<f64>>("Factorization<f64>", &w.finish()),
         Err(CodecError::Invalid { .. })
     ));
-    // A pivot above its row in the range's first diagonal block.
+    // The range's first diagonal block one row short.
     let mut w = ByteWriter::new();
     for word in [n, 1, 1] {
         w.put_u64(word as u64);
     }
-    let mut d = mid.diag_blocks()[0].clone();
-    d.piv[NB - 1] = 0;
-    d.encode(&mut w);
+    w.put_mat(&mid.diag_inverses()[0].block(0, 0, NB - 1, NB));
     w.put_mat(&mid.sub_panels()[0]);
     assert!(matches!(
         decode_total::<Ldlt<f64>>("Ldlt range", &w.finish()),

@@ -9,11 +9,15 @@
 //! the `(n - k1) x nb` panel below it, `n (n + NB) / 2` entries in
 //! total), and [`Ldlt::factor`] overwrites it right-looking with
 //! `A = L D Lᵀ`: `D` block diagonal, each block factored by the
-//! partially pivoted [`Lu`]; `L` unit block lower triangular, its panel
-//! `L₂₁ = A₂₁ D⁻¹` solved against that block; and the trailing update
-//! `A₂₂ -= L₂₁ (D L₂₁ᵀ)` applied to the lower panels only — `n³/3` flops
-//! against the `2n³/3` of a general LU, half the bytes, and the `n x n`
-//! square never exists. The update is one left operand into many blocks:
+//! partially pivoted [`Lu`] and kept as its explicit inverse transpose
+//! `D_k⁻ᵀ` ([`Lu::into_inverse_t`]; the LU itself is dropped); `L` unit block
+//! lower triangular, its panel `L₂₁ = A₂₁ D_k⁻ᵀ` one GEMM against that
+//! inverse; and the trailing update `A₂₂ -= L₂₁ (D L₂₁ᵀ)` applied to the
+//! lower panels only — `n³/3` flops against the `2n³/3` of a general LU,
+//! half the bytes, and the `n x n` square never exists. The solve then
+//! applies every diagonal block as a panel product (`crate::panel`),
+//! with no triangular sweep left in it. The update is one left operand
+//! into many blocks:
 //! `L₂₁` is packed once per step and each later block column's diagonal
 //! block and sub-panel take their rows of it straight from the pack
 //! ([`crate::gemm::gemm_acc_to_blocks`]), with the bits of one product
@@ -30,6 +34,7 @@
 use crate::gemm::{gemm_acc_block, gemm_acc_to_blocks, is_packed, transpose_matmul_acc};
 use crate::lu::Lu;
 use crate::mat::Mat;
+use crate::panel::panel_mul_acc;
 use crate::scalar::Scalar;
 
 /// Width of a block column.
@@ -185,8 +190,8 @@ impl<T: Scalar> SymPanels<T> {
 }
 
 /// Packed factors `A = L D Lᵀ` of a symmetric matrix (see the module
-/// docs): per block column the pivoted LU of its diagonal block `D_k` and
-/// the panel `L[k1.., k0..k1]` below it.
+/// docs): per block column the inverse transpose `D_k⁻ᵀ` of its diagonal
+/// block and the panel `L[k1.., k0..k1]` below it.
 ///
 /// A value holds a contiguous range of the block columns — all of them
 /// as [`Ldlt::factor`] returns it. The panel solve touches only the
@@ -200,7 +205,8 @@ pub struct Ldlt<T> {
     n: usize,
     /// Index of the first block column held.
     first: usize,
-    diag: Vec<Lu<T>>,
+    /// `D_k⁻ᵀ` per block column held.
+    diag: Vec<Mat<T>>,
     sub: Vec<Mat<T>>,
 }
 
@@ -256,15 +262,19 @@ impl<T: Scalar> Ldlt<T> {
         let mut diag = Vec::with_capacity(cols.len());
         for (k, &(k0, nb)) in cols.iter().enumerate() {
             let dk = core::mem::replace(&mut dblocks[k], Mat::zeros(0, 0));
-            let lu = Lu::factor(dk).map_err(|e| LdltBreakdown::ZeroPivot { step: k0 + e.step })?;
+            let dinv_t = Lu::factor(dk)
+                .map_err(|e| LdltBreakdown::ZeroPivot { step: k0 + e.step })?
+                .into_inverse_t();
             let k1 = k0 + nb;
             if k1 < n {
                 // W = A₂₁ as assembled and updated so far, kept transposed
                 // as the update's right operand; L₂₁ = W D⁻ᵀ — D is
-                // symmetric — is a panel solve on W where it lies.
+                // symmetric — is one product with the inverse, from `Wᵀ`
+                // into `W`'s own storage.
                 let mut l21 = core::mem::replace(&mut sub[k], Mat::zeros(0, 0));
                 let wt = l21.transpose();
-                lu.solve_panel(&mut l21);
+                l21.as_mut_slice().fill(T::ZERO);
+                transpose_matmul_acc(&mut l21, T::ONE, &wt, &dinv_t);
                 // Squared moduli against the squared bound: no `hypot` per
                 // complex entry. A NaN (from a vanishing pivot) sticks,
                 // where `f64::max` would drop it.
@@ -289,7 +299,7 @@ impl<T: Scalar> Ldlt<T> {
                 );
                 sub[k] = l21;
             }
-            diag.push(lu);
+            diag.push(dinv_t);
         }
         Ok(Self {
             n,
@@ -301,20 +311,19 @@ impl<T: Scalar> Ldlt<T> {
 
     /// Rebuild all block columns from decoded parts:
     /// [`Ldlt::from_col_parts`] for the whole range.
-    pub fn from_parts(n: usize, diag: Vec<Lu<T>>, sub: Vec<Mat<T>>) -> Option<Self> {
+    pub fn from_parts(n: usize, diag: Vec<Mat<T>>, sub: Vec<Mat<T>>) -> Option<Self> {
         Self::from_col_parts(n, 0, diag, sub).filter(Self::is_whole)
     }
 
     /// Rebuild the block columns `first .. first + diag.len()` of an
     /// `n x n` factorization from decoded parts; `None` unless the range
-    /// lies inside the matrix, every block has exactly the shape
-    /// [`Ldlt::factor`] produces there and every diagonal block is a
-    /// well-formed LU ([`Lu::is_well_formed`]: pivots inside the block
-    /// and at or below their row, so a solve cannot index out of bounds).
+    /// lies inside the matrix and every block has exactly the shape
+    /// [`Ldlt::factor`] produces there (`diag` the `nb x nb` inverses
+    /// `D_k⁻ᵀ`), so a solve cannot index out of bounds.
     pub fn from_col_parts(
         n: usize,
         first: usize,
-        diag: Vec<Lu<T>>,
+        diag: Vec<Mat<T>>,
         sub: Vec<Mat<T>>,
     ) -> Option<Self> {
         let ok = diag.len() == sub.len()
@@ -325,8 +334,7 @@ impl<T: Scalar> Ldlt<T> {
                 .skip(first)
                 .zip(diag.iter().zip(&sub))
                 .all(|((k0, nb), (d, s))| {
-                    d.dim() == nb
-                        && d.is_well_formed()
+                    (d.nrows(), d.ncols()) == (nb, nb)
                         && (s.nrows(), s.ncols()) == (n - k0 - nb, nb)
                 });
         ok.then_some(Self {
@@ -395,8 +403,9 @@ impl<T: Scalar> Ldlt<T> {
         block_cols(self.n).skip(self.first).take(self.diag.len())
     }
 
-    /// The factored diagonal blocks `D_k`, one per block column held.
-    pub fn diag_blocks(&self) -> &[Lu<T>] {
+    /// The inverse transposes `D_k⁻ᵀ` of the diagonal blocks, one per
+    /// block column held.
+    pub fn diag_inverses(&self) -> &[Mat<T>] {
         &self.diag
     }
 
@@ -414,9 +423,9 @@ impl<T: Scalar> Ldlt<T> {
         if nrhs == 0 {
             return;
         }
-        for ((k0, nb), (lu, l21)) in block_cols(n).zip(self.diag.iter().zip(&self.sub)) {
+        for ((k0, nb), (dinv_t, l21)) in block_cols(n).zip(self.diag.iter().zip(&self.sub)) {
             let k1 = k0 + nb;
-            let mut bk = b.block(k0, 0, nb, nrhs);
+            let bk = b.block(k0, 0, nb, nrhs);
             gemm_acc_block(
                 b,
                 (k1, 0, n - k1, nrhs),
@@ -426,8 +435,10 @@ impl<T: Scalar> Ldlt<T> {
                 &bk,
                 (0, 0, nb, nrhs),
             );
-            lu.solve_mat(&mut bk);
-            b.set_block(k0, 0, &bk);
+            // B_k := D_k⁻¹ B_k, as the panel product (B_kᵀ D_k⁻ᵀ)ᵀ.
+            let mut y = Mat::zeros(nrhs, nb);
+            panel_mul_acc(&mut y, T::ONE, &bk.transpose(), dinv_t, false);
+            b.set_block(k0, 0, &y.transpose());
         }
         for ((k0, nb), l21) in block_cols(n).zip(&self.sub).rev() {
             let k1 = k0 + nb;
@@ -443,7 +454,7 @@ impl<T: Scalar> Ldlt<T> {
 
     /// Approximate heap footprint in bytes of the block columns held.
     pub fn heap_bytes(&self) -> usize {
-        self.diag.iter().map(Lu::heap_bytes).sum::<usize>()
+        self.diag.iter().map(Mat::heap_bytes).sum::<usize>()
             + self.sub.iter().map(Mat::heap_bytes).sum::<usize>()
     }
 }
@@ -452,6 +463,7 @@ impl<T: Scalar> Ldlt<T> {
 mod tests {
     use super::*;
     use crate::c64;
+    use crate::gemm::transpose_matmul;
 
     /// A symmetric (plain transpose, also for `c64`) matrix with a
     /// dominant diagonal, entries from a fixed stream.
@@ -486,12 +498,12 @@ mod tests {
         let cols: Vec<(usize, usize)> = block_cols(n).collect();
         let mut diag = Vec::new();
         for (k, &(k0, nb)) in cols.iter().enumerate() {
-            let lu = Lu::factor(core::mem::replace(&mut dblocks[k], Mat::zeros(0, 0))).unwrap();
+            let dk = core::mem::replace(&mut dblocks[k], Mat::zeros(0, 0));
+            let dinv_t = Lu::factor(dk).unwrap().into_inverse_t();
             let k1 = k0 + nb;
             if k1 < n {
-                let mut l21 = core::mem::replace(&mut sub[k], Mat::zeros(0, 0));
-                let wt = l21.transpose();
-                lu.solve_panel(&mut l21);
+                let wt = core::mem::replace(&mut sub[k], Mat::zeros(0, 0)).transpose();
+                let l21 = transpose_matmul(&wt, &dinv_t);
                 for (j, &(j0, nbj)) in cols.iter().enumerate().skip(k + 1) {
                     let (off, j1) = (j0 - k1, j0 + nbj);
                     let (rhs, alpha) = ((0, off, nb, nbj), -T::ONE);
@@ -502,7 +514,7 @@ mod tests {
                 }
                 sub[k] = l21;
             }
-            diag.push(lu);
+            diag.push(dinv_t);
         }
         Ldlt::from_parts(n, diag, sub).unwrap()
     }
@@ -516,10 +528,7 @@ mod tests {
             let a = symmetric::<T>(n, seed + n as u64);
             let got = Ldlt::factor(SymPanels::from_lower(&a)).unwrap();
             let want = factor_per_block_column(SymPanels::from_lower(&a));
-            for (g, w) in got.diag_blocks().iter().zip(want.diag_blocks()) {
-                assert_eq!(g.piv, w.piv, "n = {n}");
-                assert_eq!(g.lu.as_slice(), w.lu.as_slice(), "n = {n}");
-            }
+            assert_eq!(got.diag_inverses(), want.diag_inverses(), "n = {n}");
             assert_eq!(got.sub_panels(), want.sub_panels(), "n = {n}");
         }
     }

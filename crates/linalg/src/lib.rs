@@ -9,8 +9,9 @@
 //! * partially pivoted LU ([`lu`]) and triangular solves ([`triangular`]),
 //! * a packed block `L D Lᵀ` of a symmetric matrix ([`ldlt`]),
 //! * the RHS-major panel kernels of the blocked solve sweep ([`panel`]):
-//!   `panel · M`, `panel · Mᵀ` and the right-sided triangular solves, with
-//!   the right-hand sides in the register tile and `M` streamed unpacked,
+//!   `panel · M` and `panel · Mᵀ` (plus the right-sided triangular solves
+//!   of the general top and of inverse formation), with the right-hand
+//!   sides in the register tile and `M` streamed unpacked,
 //! * Householder QR and greedy column-pivoted QR ([`qr`]),
 //! * the interpolative decomposition ([`id`]) used for skeletonization,
 //! * BLAS-1 style vector helpers ([`vecops`]).

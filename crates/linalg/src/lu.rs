@@ -231,11 +231,6 @@ impl<T: Scalar> Lu<T> {
         solve_upper_mat(&self.lu, false, b);
     }
 
-    /// `B := B U^{-1}` from the right, used to build `X_SR U^{-1}`.
-    pub fn solve_upper_right(&self, b: &mut Mat<T>) {
-        crate::triangular::solve_upper_right_mat(b, &self.lu, false);
-    }
-
     /// Approximate heap footprint in bytes.
     pub fn heap_bytes(&self) -> usize {
         self.lu.heap_bytes() + self.piv.capacity() * core::mem::size_of::<usize>()
@@ -298,26 +293,6 @@ mod tests {
         let mut direct = b;
         lu.solve_mat(&mut direct);
         assert_eq!(via_halves, direct);
-    }
-
-    #[test]
-    fn right_solve_matches_inverse() {
-        let a = test_matrix(5);
-        let lu = Lu::factor(a.clone()).unwrap();
-        // Compute A^{-1} column by column.
-        let mut inv = Mat::identity(5);
-        lu.solve_mat(&mut inv);
-        // B U^{-1} where U from packed factors.
-        let b = Mat::from_fn(3, 5, |i, j| (i + j) as f64 * 0.5 - 1.0);
-        let mut upper = Mat::zeros(5, 5);
-        for j in 0..5 {
-            for i in 0..=j {
-                upper[(i, j)] = lu.lu[(i, j)];
-            }
-        }
-        let mut got = matmul(&b, &upper);
-        lu.solve_upper_right(&mut got);
-        assert!(max_abs_diff(&got, &b) < 1e-10);
     }
 
     #[test]

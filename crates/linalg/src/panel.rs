@@ -7,9 +7,9 @@
 //! `h` the number of right-hand sides rounded up by [`panel_rows`]; the
 //! padding rows are zero and stay zero, because no kernel here ever
 //! combines two rows of a panel. For the same reason any other height
-//! works too: the factorization solves its `|N| x |R|` couplings as
-//! panels as they are, and the rows below the last whole tile go one at
-//! a time, each with the bits it would have in a padded panel.
+//! works too: [`Lu::into_inverse_t`] solves an identity as a panel of its own
+//! height, and the rows below the last whole tile go one at a time, each
+//! with the bits it would have in a padded panel.
 //!
 //! Every product of the sweep is then `panel * M` or `panel * M^T` with
 //! the panel on the left, which puts the right-hand sides — not the
@@ -25,21 +25,55 @@
 //!   the strip's output columns in registers (`tile_dot`);
 //! * `panel * M^T` keeps the strip's *panel* columns in registers and
 //!   walks the strip of `M` as the output dimension, each output column
-//!   taking a rank-four update (`tile_update`).
+//!   taking a rank-`W` update (`tile_update`).
 //!
 //! There is no packing, no allocation and no size threshold, so the
 //! sequence of fused multiply-adds that produces one entry depends on the
 //! shapes of the operands alone: a right-hand side gets the same bits
-//! whatever the batch it travels in and wherever it sits in it.
+//! whatever the batch it travels in and wherever it sits in it. Nor does
+//! the strip width enter an entry's arithmetic, so both builds below give
+//! the same bits. Entry `(i, j)` is, with `fma(a, b, c) = a * b + c`
+//! rounded once and a complex number times a real one taken part by
+//! part:
 //!
-//! The triangular solves are right-looking sweeps of the second kernel:
-//! `X (L U)^{-T}` finishes four panel columns against the small
+//! * `panel_mul_acc`: `s = 0`, `s = fma(P[i, l], re M[l, j], s)` for
+//!   `l = 0, 1, …`, the same chain `t` over `im M[l, j]`, then
+//!   `C[i, j] += alpha * (s + i t)` (`s - i t` under `conj`);
+//! * `panel_mul_t_acc`: `c = C[i, j]` and `p_l = alpha * P[i, l]`, then
+//!   `c = fma(p_l, M[j, l], c)` for `l = 0, 1, …` — for complex scalars
+//!   the depth in pairs (an odd last one alone), each pair adding
+//!   `p_l * re M[j, l]` for both of its `l` before `(i p_l) * im M[j, l]`.
+//!
+//! The strips are sized by the register file. A narrower tile takes a
+//! wider strip, so that a panel of one to four right-hand sides is not
+//! left waiting on the latency of a few accumulators; real 16-row tiles
+//! take the widest strips the vector registers hold (`WIDE`); complex
+//! update strips are two columns on every build, because their pass
+//! order is part of an entry's bits. Real 16-row tiles, and the rate of
+//! one in-cache product at the solve sweep's median record shape (a
+//! `16 x 349` panel against a `349 x 41` `EN`, `panel_mul*/f64_16x349x41`
+//! in `crates/bench`; medians of three runs on a shared 2-core AVX-512
+//! host):
+//!
+//! | build | dot strip | update strip | `panel * M` | `panel * M^T` |
+//! |-------|-----------|--------------|-------------|---------------|
+//! | wide (`srsf_wide_vectors` + AVX-512) | 12: 24 of 32 `zmm` | 8: 16 of 32 | 9.1 µs, 50 GFLOP/s (14.4 µs with 4) | 12.5 µs, 37 GFLOP/s (13.2 µs with 4) |
+//! | narrow (`x86-64-v3`) | 4: 16 of 16 `ymm` | 4: 16 of 16 | 25 µs, 18 GFLOP/s | 18 µs, 25 GFLOP/s |
+//!
+//! The solve sweep itself runs nothing else: every small diagonal block
+//! it meets — a record's `X_RR`, a block `D_k` of the packed top — is
+//! held as its explicit inverse transpose and applied as a `panel * M`.
+//! The right-sided triangular solves below serve the two factors that
+//! are still held as LU: the general top ([`Lu::forward_panel`],
+//! [`Lu::backward_panel`]) and the formation of those inverses
+//! ([`Lu::into_inverse_t`]). They are right-looking sweeps of the update
+//! form: `X (L U)^{-T}` finishes four panel columns against the small
 //! triangle on the diagonal — the only scalar code — and subtracts their
 //! rank-four update from the columns still to come.
-//! [`Ldlt::solve_panel`] needs nothing else: a block column of the packed
-//! top is a record with `EN = L21`, and since a sweep touches one block
-//! column at a time it runs over any contiguous range of them
-//! ([`Ldlt::forward_cols`], [`Ldlt::backward_cols`]).
+//! [`Ldlt::solve_panel`] is two sweeps over the block columns: a block
+//! column of the packed top is a record with `EN = L21`, and since a
+//! sweep touches one block column at a time it runs over any contiguous
+//! range of them ([`Ldlt::forward_cols`], [`Ldlt::backward_cols`]).
 
 use crate::ldlt::Ldlt;
 use crate::lu::Lu;
@@ -48,6 +82,15 @@ use crate::scalar::Scalar;
 
 /// Adjacent columns of `M` a kernel reads together.
 const STRIP: usize = 4;
+
+/// Dot and update strip widths of a real 16-row tile: 24 and 16 of the
+/// 32 512-bit registers for accumulators and panel columns where the
+/// build has them (the condition `crate::gemm`'s tile table uses), the
+/// narrow build's `STRIP` elsewhere.
+#[cfg(all(srsf_wide_vectors, target_feature = "avx512f"))]
+const WIDE: (usize, usize) = (12, 8);
+#[cfg(not(all(srsf_wide_vectors, target_feature = "avx512f")))]
+const WIDE: (usize, usize) = (STRIP, STRIP);
 
 /// Height of the panels that carry `nrhs` right-hand sides: `nrhs`
 /// rounded up to the smallest register tile of the scalar type (4 `f64`,
@@ -232,10 +275,7 @@ fn mul_acc<T: Scalar, const CONJ: bool>(h: usize, c: &mut [T], alpha: T, p: &[T]
     let md = m.as_slice();
     for_each_tile!(T, h, |i0, MR| {
         let mut j = 0;
-        // Strips of `$w` columns while they fit. A shorter tile takes a
-        // wider strip — sixteen vector accumulators whatever the tile —
-        // so that a panel of one to four right-hand sides is not left
-        // waiting on the latency of a single strip's four.
+        // Strips of `$w` columns while they fit (module docs).
         macro_rules! strips {
             ($w:expr) => {
                 while $w > 0 && n - j >= $w {
@@ -251,6 +291,9 @@ fn mul_acc<T: Scalar, const CONJ: bool>(h: usize, c: &mut [T], alpha: T, p: &[T]
             strips!(8 * STRIP / MR);
             strips!(4 * STRIP / MR);
         } else {
+            if MR == 16 {
+                strips!(WIDE.0);
+            }
             strips!(16 * STRIP / MR);
             strips!(8 * STRIP / MR);
         }
@@ -291,6 +334,9 @@ fn mul_t_acc<T: Scalar>(
         // (A complex strip holds `P` and `i P` in registers, so it is
         // half as wide.)
         if !T::IS_COMPLEX {
+            if MR == 16 {
+                strips!(WIDE.1);
+            }
             strips!(STRIP);
         }
         strips!(STRIP / 2);
@@ -446,13 +492,25 @@ impl<T: Scalar> Lu<T> {
     /// `(A^{-1} B)^T` with one right-hand side per panel row.
     pub fn solve_panel(&self, x: &mut Mat<T>) {
         assert_eq!(x.ncols(), self.dim(), "panel width != LU dimension");
-        self.solve_panel_slice(x.nrows(), x.as_mut_slice());
+        let h = x.nrows();
+        permute_cols(h, x.as_mut_slice(), &self.piv);
+        solve_unit_lower_t(h, x.as_mut_slice(), &self.lu);
+        solve_upper_t(h, x.as_mut_slice(), &self.lu);
     }
 
-    fn solve_panel_slice(&self, h: usize, x: &mut [T]) {
-        permute_cols(h, x, &self.piv);
-        solve_unit_lower_t(h, x, &self.lu);
-        solve_upper_t(h, x, &self.lu);
+    /// The explicit `A^{-T}`: [`Lu::solve_panel`] on the identity, so
+    /// row `i` is the solution of `A y = e_i`. A panel times it is
+    /// `X A^{-T}`, the product the solve sweep applies a diagonal block
+    /// by. The result takes over the factors' storage — the buffer of the
+    /// matrix that was factored — so that a caller replacing a factored
+    /// block by its inverse keeps the block's allocation and frees only
+    /// the scratch.
+    pub fn into_inverse_t(self) -> Mat<T> {
+        let mut x = Mat::identity(self.dim());
+        self.solve_panel(&mut x);
+        let mut inv = self.lu;
+        inv.as_mut_slice().copy_from_slice(x.as_slice());
+        inv
     }
 }
 
@@ -468,8 +526,8 @@ impl<T: Scalar> Ldlt<T> {
     /// The forward sweep of the block columns held, first to last, on the
     /// panel columns from the first one held to the end
     /// (`h x (dim - col_span().start)`): block column `k` updates the
-    /// panel columns below it, `X_below -= X_k L21^T`, and is solved
-    /// against its diagonal block. The columns before the range must have
+    /// panel columns below it, `X_below -= X_k L21^T`, and is then
+    /// replaced by `X_k D_k^{-T}`. The columns before the range must have
     /// been swept already; on return those of the range are finished for
     /// this pass and the rest is what the next range starts from.
     pub fn forward_cols(&self, x: &mut Mat<T>) {
@@ -480,13 +538,17 @@ impl<T: Scalar> Ldlt<T> {
             "panel width != trailing dimension"
         );
         let x = x.as_mut_slice();
-        let cols = self.diag_blocks().iter().zip(self.sub_panels());
-        for ((k0, nb), (lu, l21)) in self.block_cols().zip(cols) {
+        let mut y = Vec::new();
+        let cols = self.diag_inverses().iter().zip(self.sub_panels());
+        for ((k0, nb), (dinv_t, l21)) in self.block_cols().zip(cols) {
             let (head, below) = x.split_at_mut((k0 + nb - c0) * h);
             let xk = &mut head[(k0 - c0) * h..];
             let shape = (l21.nrows(), nb);
             mul_t_acc(h, below, -T::ONE, xk, (l21.as_slice(), l21.nrows()), shape);
-            lu.solve_panel_slice(h, xk);
+            y.clear();
+            y.resize(h * nb, T::ZERO);
+            mul_acc::<T, false>(h, &mut y, T::ONE, xk, dinv_t);
+            xk.copy_from_slice(&y);
         }
     }
 
@@ -505,5 +567,141 @@ impl<T: Scalar> Ldlt<T> {
             let (head, below) = x.split_at_mut((k0 + nb - c0) * h);
             mul_acc::<T, false>(h, &mut head[(k0 - c0) * h..], -T::ONE, below, l21);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::c64;
+
+    /// Entries from a fixed stream, all distinct, so that a chain summed
+    /// in another order shows in the bits.
+    fn fill<T: Scalar>(m: usize, n: usize, seed: u64) -> Mat<T> {
+        let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+        };
+        Mat::from_fn(m, n, |_, _| T::from_re_im(next(), next()))
+    }
+
+    /// `c + fma(pv, s, c)` part by part: the one multiply-add.
+    fn axpy<T: Scalar>(c: T, pv: T, s: f64) -> T {
+        T::from_re_im(pv.re().mul_add(s, c.re()), pv.im().mul_add(s, c.im()))
+    }
+
+    /// `i v`, or `-i v` with `neg`.
+    fn times_i<T: Scalar>(v: T, neg: bool) -> T {
+        if neg {
+            T::from_re_im(v.im(), -v.re())
+        } else {
+            T::from_re_im(-v.im(), v.re())
+        }
+    }
+
+    /// Entry `(i, j)` of `C + alpha P M` (`conj`: `P conj(M)`) as the
+    /// module docs state it: the chains `s` over `re M` and `t` over
+    /// `im M` from zero, then `C + alpha (s ± i t)`.
+    fn dot_entry<T: Scalar>(
+        c: T,
+        alpha: T,
+        p: &Mat<T>,
+        m: &Mat<T>,
+        (i, j): (usize, usize),
+        conj: bool,
+    ) -> T {
+        let (mut s, mut t) = (T::ZERO, T::ZERO);
+        for l in 0..m.nrows() {
+            s = axpy(s, p[(i, l)], m[(l, j)].re());
+            t = axpy(t, p[(i, l)], m[(l, j)].im());
+        }
+        if T::IS_COMPLEX {
+            s += times_i(t, conj);
+        }
+        c + alpha * s
+    }
+
+    /// Entry `(i, j)` of `C + alpha P M^T` as the module docs state it:
+    /// one chain from `C` over `alpha P[i, l]`, for complex scalars in
+    /// pairs of `l` with the real parts of `M` before the imaginary ones.
+    fn update_entry<T: Scalar>(
+        c: T,
+        alpha: T,
+        p: &Mat<T>,
+        m: &Mat<T>,
+        (i, j): (usize, usize),
+    ) -> T {
+        let k = p.ncols();
+        let mut c = c;
+        for l0 in (0..k).step_by(2) {
+            let pair = l0..(l0 + 2).min(k);
+            if !T::IS_COMPLEX {
+                for l in pair {
+                    c = axpy(c, alpha * p[(i, l)], m[(j, l)].re());
+                }
+                continue;
+            }
+            for l in pair.clone() {
+                c = axpy(c, alpha * p[(i, l)], m[(j, l)].re());
+            }
+            for l in pair {
+                c = axpy(c, times_i(alpha * p[(i, l)], false), m[(j, l)].im());
+            }
+        }
+        c
+    }
+
+    fn assert_bits<T: Scalar>(got: &Mat<T>, want: &Mat<T>, what: &str) {
+        for (g, w) in got.as_slice().iter().zip(want.as_slice()) {
+            let bits = |v: &T| (v.re().to_bits(), v.im().to_bits());
+            assert_eq!(bits(g), bits(w), "{what}");
+        }
+    }
+
+    /// Every entry of both products is its documented chain, at panel
+    /// heights that take every tile and the one-row tail, and at depths
+    /// and widths that are no multiple of any strip (> 1) — so the strip
+    /// widths, which differ between builds, never enter a bit.
+    fn check_chains<T: Scalar>(alphas: [T; 2]) {
+        let mut seed = 1;
+        for h in [1, 3, 4, 8, 16, 17, 33] {
+            for (k, n) in [(1, 1), (7, 13), (13, 7), (23, 41), (41, 23), (53, 3)] {
+                for alpha in alphas {
+                    seed += 4;
+                    let p = fill::<T>(h, k, seed);
+                    let c0 = fill::<T>(h, n, seed + 1);
+                    let what = |form: &str| format!("{form}: h {h}, k {k}, n {n}, alpha {alpha:?}");
+                    let m = fill::<T>(k, n, seed + 2);
+                    for conj in [false, true] {
+                        let mut got = c0.clone();
+                        panel_mul_acc(&mut got, alpha, &p, &m, conj);
+                        let conj = conj && T::IS_COMPLEX;
+                        let want = Mat::from_fn(h, n, |i, j| {
+                            dot_entry(c0[(i, j)], alpha, &p, &m, (i, j), conj)
+                        });
+                        assert_bits(&got, &want, &what(if conj { "P conj(M)" } else { "P M" }));
+                    }
+                    let m = fill::<T>(n, k, seed + 3);
+                    let mut got = c0.clone();
+                    panel_mul_t_acc(&mut got, alpha, &p, &m);
+                    let want =
+                        Mat::from_fn(h, n, |i, j| update_entry(c0[(i, j)], alpha, &p, &m, (i, j)));
+                    assert_bits(&got, &want, &what("P M^T"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn panel_products_are_the_documented_chains_f64() {
+        check_chains::<f64>([-1.0, 0.75]);
+    }
+
+    #[test]
+    fn panel_products_are_the_documented_chains_c64() {
+        check_chains::<c64>([-c64::ONE, c64::new(0.5, -1.25)]);
     }
 }

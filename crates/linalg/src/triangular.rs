@@ -1,9 +1,8 @@
 //! Triangular solves (TRSM/TRSV equivalents).
 //!
-//! The elimination step of the factorization needs all four orientations:
-//! `L^{-1} B` and `U^{-1} B` for building the coupling matrices, and
-//! `B U^{-1}` / `B L^{-1}` for the Schur factors multiplied from the right.
-//! The matrix variants are blocked: the triangle is cut into `NB x NB`
+//! `L^{-1} B` and `U^{-1} B`: the LU's own panel step and its
+//! column-major solves. (The solve sweep's right-sided `X (LU)^{-T}` is
+//! RHS-major, in [`crate::panel`].) The matrix variants are blocked: the triangle is cut into `NB x NB`
 //! diagonal blocks that are solved with the level-2 kernels, and the bulk
 //! of the work — propagating each solved block into the remaining rows or
 //! columns — rides the cache-blocked GEMM ([`crate::gemm`]). The
@@ -140,135 +139,6 @@ pub fn solve_upper_mat_unblocked<T: Scalar>(u: &Mat<T>, unit_diag: bool, b: &mut
     }
 }
 
-/// In-place `B := B U^{-1}` (upper triangular from the right, blocked).
-///
-/// Column block `J` of the result depends on result blocks `< J`:
-/// `X[:, J] = (B[:, J] - X[:, <J] U[<J, J]) U[J,J]^{-1}`.
-pub fn solve_upper_right_mat<T: Scalar>(b: &mut Mat<T>, u: &Mat<T>, unit_diag: bool) {
-    let n = u.nrows();
-    assert_eq!(u.ncols(), n);
-    assert_eq!(b.ncols(), n);
-    if n <= NB || b.nrows() == 0 {
-        return solve_upper_right_mat_unblocked(b, u, unit_diag);
-    }
-    let m = b.nrows();
-    let mut j0 = 0;
-    while j0 < n {
-        let nb = NB.min(n - j0);
-        // B[:, j0..j0+nb] -= X[:, ..j0] * U[..j0, j0..j0+nb].
-        if j0 > 0 {
-            let solved = b.block(0, 0, m, j0);
-            gemm_acc_block(
-                b,
-                (0, j0, m, nb),
-                -T::ONE,
-                &solved,
-                (0, 0, m, j0),
-                u,
-                (0, j0, j0, nb),
-            );
-        }
-        // Diagonal right-solve on the block.
-        let u11 = u.block(j0, j0, nb, nb);
-        let mut b1 = b.block(0, j0, m, nb);
-        solve_upper_right_mat_unblocked(&mut b1, &u11, unit_diag);
-        b.set_block(0, j0, &b1);
-        j0 += nb;
-    }
-}
-
-/// In-place `B := B L^{-1}` (lower triangular from the right, blocked).
-pub fn solve_lower_right_mat<T: Scalar>(b: &mut Mat<T>, l: &Mat<T>, unit_diag: bool) {
-    let n = l.nrows();
-    assert_eq!(l.ncols(), n);
-    assert_eq!(b.ncols(), n);
-    if n <= NB || b.nrows() == 0 {
-        return solve_lower_right_mat_unblocked(b, l, unit_diag);
-    }
-    let m = b.nrows();
-    let mut jend = n;
-    while jend > 0 {
-        let nb = NB.min(jend);
-        let j0 = jend - nb;
-        // B[:, j0..jend] -= X[:, jend..] * L[jend.., j0..jend].
-        if jend < n {
-            let solved = b.block(0, jend, m, n - jend);
-            gemm_acc_block(
-                b,
-                (0, j0, m, nb),
-                -T::ONE,
-                &solved,
-                (0, 0, m, n - jend),
-                l,
-                (jend, j0, n - jend, nb),
-            );
-        }
-        let l11 = l.block(j0, j0, nb, nb);
-        let mut b1 = b.block(0, j0, m, nb);
-        solve_lower_right_mat_unblocked(&mut b1, &l11, unit_diag);
-        b.set_block(0, j0, &b1);
-        jend = j0;
-    }
-}
-
-/// Reference form of [`solve_upper_right_mat`] (test oracle and
-/// diagonal-block kernel).
-#[doc(hidden)]
-pub fn solve_upper_right_mat_unblocked<T: Scalar>(b: &mut Mat<T>, u: &Mat<T>, unit_diag: bool) {
-    let n = u.nrows();
-    assert_eq!(u.ncols(), n);
-    assert_eq!(b.ncols(), n);
-    let m = b.nrows();
-    for j in 0..n {
-        let ucol: Vec<T> = u.col(j).to_vec();
-        for l in 0..j {
-            let s = ucol[l];
-            if s == T::ZERO {
-                continue;
-            }
-            let (xl, xj) = b.cols_mut_pair(l, j);
-            for i in 0..m {
-                xj[i] -= xl[i] * s;
-            }
-        }
-        if !unit_diag {
-            let d = ucol[j];
-            for v in b.col_mut(j) {
-                *v /= d;
-            }
-        }
-    }
-}
-
-/// Reference form of [`solve_lower_right_mat`] (test oracle and
-/// diagonal-block kernel).
-#[doc(hidden)]
-pub fn solve_lower_right_mat_unblocked<T: Scalar>(b: &mut Mat<T>, l: &Mat<T>, unit_diag: bool) {
-    let n = l.nrows();
-    assert_eq!(l.ncols(), n);
-    assert_eq!(b.ncols(), n);
-    let m = b.nrows();
-    for j in (0..n).rev() {
-        let lcol: Vec<T> = l.col(j).to_vec();
-        for k in (j + 1)..n {
-            let s = lcol[k];
-            if s == T::ZERO {
-                continue;
-            }
-            let (xk, xj) = b.cols_mut_pair(k, j);
-            for i in 0..m {
-                xj[i] -= xk[i] * s;
-            }
-        }
-        if !unit_diag {
-            let d = lcol[j];
-            for v in b.col_mut(j) {
-                *v /= d;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -364,60 +234,6 @@ mod tests {
             let scale = crate::norms::fro_norm(&c_ref).max(1.0);
             assert!(max_abs_diff(&c_blocked, &c_ref) < 1e-12 * scale);
         }
-    }
-
-    #[test]
-    fn blocked_right_solves_match_unblocked() {
-        let n = 150;
-        let l = lower(n);
-        let u = upper(n);
-        let b0 = Mat::from_fn(29, n, |i, j| ((i * 11 + j * 3) % 17) as f64 * 0.2 - 1.5);
-        for unit in [false, true] {
-            let mut b_blocked = b0.clone();
-            let mut b_ref = b0.clone();
-            solve_upper_right_mat(&mut b_blocked, &u, unit);
-            solve_upper_right_mat_unblocked(&mut b_ref, &u, unit);
-            let scale = crate::norms::fro_norm(&b_ref).max(1.0);
-            assert!(max_abs_diff(&b_blocked, &b_ref) < 1e-12 * scale);
-
-            let mut c_blocked = b0.clone();
-            let mut c_ref = b0.clone();
-            solve_lower_right_mat(&mut c_blocked, &l, unit);
-            solve_lower_right_mat_unblocked(&mut c_ref, &l, unit);
-            let scale = crate::norms::fro_norm(&c_ref).max(1.0);
-            assert!(max_abs_diff(&c_blocked, &c_ref) < 1e-12 * scale);
-        }
-    }
-
-    #[test]
-    fn matrix_right_solves() {
-        let u = upper(4);
-        let x = Mat::from_fn(3, 4, |i, j| (2 * i + j) as f64 * 0.25 - 1.0);
-        let mut b = matmul(&x, &u);
-        solve_upper_right_mat(&mut b, &u, false);
-        assert!(max_abs_diff(&b, &x) < 1e-12);
-
-        let l = lower(4);
-        let mut b2 = matmul(&x, &l);
-        solve_lower_right_mat(&mut b2, &l, false);
-        assert!(max_abs_diff(&b2, &x) < 1e-12);
-    }
-
-    #[test]
-    fn right_solves_unit_diag() {
-        let mut u = upper(4);
-        let mut l = lower(4);
-        for i in 0..4 {
-            u[(i, i)] = 1.0;
-            l[(i, i)] = 1.0;
-        }
-        let x = Mat::from_fn(2, 4, |i, j| (i * 4 + j) as f64 * 0.1);
-        let mut b = matmul(&x, &u);
-        solve_upper_right_mat(&mut b, &u, true);
-        assert!(max_abs_diff(&b, &x) < 1e-12);
-        let mut b2 = matmul(&x, &l);
-        solve_lower_right_mat(&mut b2, &l, true);
-        assert!(max_abs_diff(&b2, &x) < 1e-12);
     }
 
     #[test]

@@ -15,9 +15,7 @@ use srsf_linalg::qr::{
     cpqr, cpqr_naive, form_q, form_q_naive, householder_qr, householder_qr_naive,
 };
 use srsf_linalg::triangular::{
-    solve_lower_mat, solve_lower_mat_unblocked, solve_lower_right_mat,
-    solve_lower_right_mat_unblocked, solve_upper_mat, solve_upper_mat_unblocked,
-    solve_upper_right_mat, solve_upper_right_mat_unblocked,
+    solve_lower_mat, solve_lower_mat_unblocked, solve_upper_mat, solve_upper_mat_unblocked,
 };
 use srsf_linalg::{c64, Ldlt, LdltBreakdown, Lu, Mat, Scalar, SymPanels};
 
@@ -406,19 +404,12 @@ fn ldlt_dense_factors<T: Scalar>(f: &Ldlt<T>) -> (Mat<T>, Mat<T>) {
     let n = f.dim();
     let (mut l, mut d) = (Mat::identity(n), Mat::zeros(n, n));
     let mut k0 = 0;
-    for (lu, l21) in f.diag_blocks().iter().zip(f.sub_panels()) {
-        let nb = lu.dim();
-        // D_k = P⁻¹ (L_k U_k): undo the row swaps last to first.
-        let lk = Mat::from_fn(nb, nb, |i, j| match i.cmp(&j) {
-            std::cmp::Ordering::Greater => lu.lu[(i, j)],
-            std::cmp::Ordering::Equal => T::ONE,
-            std::cmp::Ordering::Less => T::ZERO,
-        });
-        let uk = Mat::from_fn(nb, nb, |i, j| if i <= j { lu.lu[(i, j)] } else { T::ZERO });
-        let mut dk = matmul(&lk, &uk);
-        for (k, &r) in lu.piv.iter().enumerate().rev() {
-            dk.swap_rows(k, r);
-        }
+    for (dinv_t, l21) in f.diag_inverses().iter().zip(f.sub_panels()) {
+        let nb = dinv_t.nrows();
+        // D_k = (D_k⁻ᵀ)⁻ᵀ.
+        let dk = Lu::factor(dinv_t.clone())
+            .expect("invertible")
+            .into_inverse_t();
         d.set_block(k0, k0, &dk);
         l.set_block(k0 + nb, k0, l21);
         k0 += nb;
@@ -449,8 +440,9 @@ fn ldlt_oracle<T: TestScalar>(seed: u64) {
         let (l, d) = ldlt_dense_factors(&f);
         let ldlt = matmul(&matmul(&l, &d), &l.transpose());
         assert_close(&ldlt, &a, "L D Lᵀ reconstruction");
-        // Entry-wise too: `L₂₁ = W D⁻ᵀ` comes out of a panel solve on the
-        // sub-diagonal panel where it lies, ragged last block included.
+        // Entry-wise too: `L₂₁ = W D⁻ᵀ` comes out of one product of the
+        // sub-diagonal panel with the explicit inverse, ragged last block
+        // included.
         let err = max_abs_diff(&ldlt, &a);
         assert!(err <= 1e-13 * n as f64, "n={n}: |L D Lᵀ - A| = {err:.3e}");
 
@@ -673,19 +665,18 @@ fn panel_ldlt_solve_matches_column_major_c64() {
 
 /// A shape-consistent packed `L D Lᵀ` with random, well-scaled blocks —
 /// what the sweeps see, without the cost of factoring a matrix that
-/// large in a debug build: diagonally dominant LU blocks with pivots that
-/// swap, panels small enough that nothing grows.
+/// large in a debug build: diagonally dominant diagonal inverses, panels
+/// small enough that nothing grows.
 fn rand_ldlt<T: TestScalar>(n: usize, rng: &mut Rng) -> Ldlt<T> {
     let (mut diag, mut sub) = (Vec::new(), Vec::new());
     for k0 in (0..n).step_by(NB) {
         let nb = NB.min(n - k0);
-        let mut lu = rand_mat::<T>(nb, nb, rng);
-        lu.scale_assign(T::from_f64(1.0 / nb as f64));
+        let mut dinv_t = rand_mat::<T>(nb, nb, rng);
+        dinv_t.scale_assign(T::from_f64(1.0 / nb as f64));
         for i in 0..nb {
-            lu[(i, i)] += T::from_f64(2.0);
+            dinv_t[(i, i)] += T::from_f64(2.0);
         }
-        let piv = (0..nb).map(|k| k + (7 * k + 3) % (nb - k)).collect();
-        diag.push(Lu { lu, piv });
+        diag.push(dinv_t);
         let mut l21 = rand_mat::<T>(n - k0 - nb, nb, rng);
         l21.scale_assign(T::from_f64(1.0 / n as f64));
         sub.push(l21);
@@ -911,7 +902,6 @@ fn triangular_oracle<T: TestScalar>(seed: u64) {
         }
         let u = l.adjoint();
         let b0 = rand_mat::<T>(n, nrhs, &mut rng);
-        let r0 = rand_mat::<T>(nrhs, n, &mut rng);
         for unit in [false, true] {
             let mut x = b0.clone();
             let mut x_ref = b0.clone();
@@ -924,18 +914,6 @@ fn triangular_oracle<T: TestScalar>(seed: u64) {
             solve_upper_mat(&u, unit, &mut y);
             solve_upper_mat_unblocked(&u, unit, &mut y_ref);
             assert_close(&y, &y_ref, "solve_upper_mat");
-
-            let mut w = r0.clone();
-            let mut w_ref = r0.clone();
-            solve_upper_right_mat(&mut w, &u, unit);
-            solve_upper_right_mat_unblocked(&mut w_ref, &u, unit);
-            assert_close(&w, &w_ref, "solve_upper_right_mat");
-
-            let mut z = r0.clone();
-            let mut z_ref = r0.clone();
-            solve_lower_right_mat(&mut z, &l, unit);
-            solve_lower_right_mat_unblocked(&mut z_ref, &l, unit);
-            assert_close(&z, &z_ref, "solve_lower_right_mat");
         }
     }
 }

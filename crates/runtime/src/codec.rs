@@ -602,9 +602,8 @@ impl<T: Scalar> Wire for srsf_linalg::Lu<T> {
         w.put_u64_slice(&self.piv.iter().map(|&v| v as u64).collect::<Vec<_>>());
     }
     /// Fails on factors no factorization produces — not square, or a
-    /// pivot outside `k..dim` — so that no decoded LU, on its own or
-    /// inside a record, a top factor or an `L D Lᵀ` block, can make a
-    /// later solve swap out of bounds.
+    /// pivot outside `k..dim` — so that no decoded LU, on its own or as a
+    /// general top factor, can make a later solve swap out of bounds.
     fn decode(r: &mut ByteReader) -> Result<Self, CodecError> {
         let at = r.position();
         let lu = r.try_get_mat()?;
@@ -626,31 +625,30 @@ impl<T: Scalar> Wire for srsf_linalg::Lu<T> {
 
 /// The block columns held (all of them, or a rank's range of a
 /// distributed top): matrix dimension, first block column, count, then
-/// one (diagonal block, panel) pair per column.
+/// one (diagonal block inverse `D_k⁻ᵀ`, panel) pair per column.
 impl<T: Scalar> Wire for srsf_linalg::Ldlt<T> {
     fn encode(&self, w: &mut ByteWriter) {
         w.put_u64(self.dim() as u64);
         w.put_u64(self.cols().start as u64);
         w.put_u64(self.cols().len() as u64);
-        for (d, s) in self.diag_blocks().iter().zip(self.sub_panels()) {
-            d.encode(w);
+        for (d, s) in self.diag_inverses().iter().zip(self.sub_panels()) {
+            w.put_mat(d);
             w.put_mat(s);
         }
     }
-    /// Fails unless the range lies inside the matrix's block columns,
-    /// every panel has the height `n - k1` of its column and every
-    /// diagonal block is a well-formed LU.
+    /// Fails unless the range lies inside the matrix's block columns and
+    /// every block has the shape of its column: `nb x nb` on the
+    /// diagonal, height `n - k1` below it.
     fn decode(r: &mut ByteReader) -> Result<Self, CodecError> {
         let at = r.position();
         let n = r.try_get_u64()?;
         let first = r.try_get_u64()?;
-        // Each pair encodes at least its four dimension words and a
-        // pivot count.
+        // Each pair encodes at least its four dimension words.
         let n_cols = r.try_get_u64()?;
-        let n_cols = r.check_len(n_cols, 40)?;
+        let n_cols = r.check_len(n_cols, 32)?;
         let (mut diag, mut sub) = (Vec::with_capacity(n_cols), Vec::with_capacity(n_cols));
         for _ in 0..n_cols {
-            diag.push(srsf_linalg::Lu::decode(r)?);
+            diag.push(r.try_get_mat()?);
             sub.push(r.try_get_mat()?);
         }
         usize::try_from(first)
