@@ -529,14 +529,12 @@ pub(super) fn scatter_top<T: Scalar>(
     }
     // Every report is received, whatever the outcome, so that every peer
     // gets its answer below.
-    let peer_loads: Vec<Result<usize, FactorError>> = peers
+    let reports: Vec<Result<usize, FactorError>> = peers
         .iter()
         .map(|&src| decode_frame(ctx.recv(src, t), src, t, |r| Ok(r.try_get_u64()? as usize)))
         .collect();
-    let out = match peer_loads.into_iter().collect::<Result<Vec<usize>, _>>() {
-        Ok(loads) => out.map(|ok| (ok, loads)),
-        Err(e) => out.and(Err(e)),
-    };
+    let peer_loads: Result<Vec<usize>, _> = reports.into_iter().collect();
+    let out = out.and_then(|ok| peer_loads.map(|loads| (ok, loads)));
     let Ok(((state, Some(mine)), peer_loads)) = out else {
         for &dst in &peers {
             ctx.send(dst, t, None::<TopShare<T>>.to_bytes());
