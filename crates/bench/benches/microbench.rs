@@ -15,7 +15,6 @@
 use srsf_core::{Compression, Driver, FactorOpts, Solver, Transport};
 use srsf_fft::fft::Fft;
 use srsf_geometry::grid::UnitGrid;
-use srsf_geometry::procgrid::BoxColoring;
 use srsf_kernels::assemble::assemble_block;
 use srsf_kernels::fast_op::FastKernelOp;
 use srsf_kernels::helmholtz::HelmholtzKernel;
@@ -716,18 +715,9 @@ fn main() {
             last
         });
 
-        // --- Color-scheduled threaded apply ------------------------------
-        // The colored (distance-3 Nine) factorization stamps whole color
-        // rounds, which the threaded apply runs concurrently.
-        let fc = Solver::builder(&kernel, &pts)
-            .tol(1e-6)
-            .leaf_size(64)
-            .driver(Driver::Colored {
-                scheme: BoxColoring::Nine,
-                threads: 4,
-            })
-            .build()
-            .unwrap();
+        // --- Wave-scheduled threaded apply -------------------------------
+        // The sequential factor stores each elimination wave's records
+        // contiguously; the threaded apply runs a wave concurrently.
         let bm16 = {
             let mut m = Mat::zeros(grid.n(), 16);
             for j in 0..16 {
@@ -736,10 +726,10 @@ fn main() {
             }
             m
         };
-        for threads in [1usize, 4] {
+        for threads in [1usize, 2, 4] {
             h.bench(&format!("solve_mat/threaded_nrhs16_{threads}t"), || {
                 let mut x = bm16.clone();
-                fc.apply_inverse_mat_threaded(&mut x, threads);
+                f.apply_inverse_mat_threaded(&mut x, threads);
                 x
             });
         }

@@ -1,9 +1,8 @@
 //! Ablations over the solver's design choices: proxy radius,
-//! proxy point count, leaf size, and the box-coloring scheme.
+//! proxy point count and leaf size.
 
 use srsf_bench::rule;
-use srsf_core::colored::ColorScheme;
-use srsf_core::{Driver, FactorOpts, Solver};
+use srsf_core::{FactorOpts, Solver};
 use srsf_geometry::grid::UnitGrid;
 use srsf_kernels::fast_op::FastKernelOp;
 use srsf_kernels::laplace::LaplaceKernel;
@@ -67,26 +66,5 @@ fn main() {
         let opts = FactorOpts::default().with_tol(1e-6).with_leaf_size(leaf);
         let (t, r, k) = run(&opts, side);
         println!("{:>8} {:>10.3} {:>10.2e} {:>10.1}", leaf, t, r, k);
-    }
-
-    println!("\nD. box-coloring scheme (shared-memory driver, 2 threads)");
-    println!("{:>8} {:>10} {:>10}", "colors", "tfact[s]", "relres");
-    rule(32);
-    let grid = UnitGrid::new(side);
-    let kernel = LaplaceKernel::new(&grid);
-    let pts = grid.points();
-    let fast = FastKernelOp::laplace(&kernel, &grid);
-    let b = random_vector::<f64>(grid.n(), 5);
-    for (name, scheme) in [("4", ColorScheme::Four), ("9", ColorScheme::Nine)] {
-        let opts = FactorOpts::default().with_tol(1e-6);
-        let t = Instant::now();
-        let f = Solver::builder(&kernel, &pts)
-            .opts(opts)
-            .driver(Driver::Colored { scheme, threads: 2 })
-            .build()
-            .unwrap();
-        let tf = t.elapsed().as_secs_f64();
-        let r = srsf_linalg::relative_residual(&fast, &f.solve(&b), &b);
-        println!("{:>8} {:>10.3} {:>10.2e}", name, tf, r);
     }
 }

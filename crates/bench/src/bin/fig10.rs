@@ -1,9 +1,8 @@
-//! Figure 10 — factorization-time series of the shared-memory box-colored
+//! Figure 10 — factorization-time series of the shared-memory wave-scheduled
 //! reference vs the distributed process-colored solver, across core counts
 //! (the plot form of Table VI).
 
 use srsf_bench::rule;
-use srsf_core::colored::ColorScheme;
 use srsf_core::{Driver, FactorOpts, Solver};
 use srsf_geometry::grid::UnitGrid;
 use srsf_geometry::procgrid::ProcessGrid;
@@ -15,7 +14,7 @@ fn main() {
     let grid = UnitGrid::new(side);
     let kernel = HelmholtzKernel::new(&grid, 25.0);
     let pts = grid.points();
-    println!("Figure 10 reproduction: tfact vs cores, shared (box-colored) vs distributed");
+    println!("Figure 10 reproduction: tfact vs cores, shared (wave-scheduled) vs distributed");
     println!("Helmholtz kappa = 25, N = {side}^2");
     for eps in [1e-3, 1e-6] {
         let opts = FactorOpts::default().with_tol(eps).with_leaf_size(64);
@@ -26,10 +25,7 @@ fn main() {
             let t0 = Instant::now();
             let _ = Solver::builder(&kernel, &pts)
                 .opts(opts.clone())
-                .driver(Driver::Colored {
-                    scheme: ColorScheme::Four,
-                    threads: p,
-                })
+                .driver(Driver::colored(p))
                 .build()
                 .unwrap();
             let shared = t0.elapsed().as_secs_f64();

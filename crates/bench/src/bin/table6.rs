@@ -1,4 +1,4 @@
-//! Table VI / Figure 10 — shared-memory box-colored solver (the paper's
+//! Table VI / Figure 10 — shared-memory wave-scheduled solver (the paper's
 //! C++/OpenMP reference) vs the distributed process-colored solver, across
 //! compression tolerances, on one "node".
 //!
@@ -6,7 +6,6 @@
 //! comparison isolates the parallel schedule, exactly as in the paper.
 
 use srsf_bench::rule;
-use srsf_core::colored::ColorScheme;
 use srsf_core::{Driver, FactorOpts, Solver};
 use srsf_geometry::grid::UnitGrid;
 use srsf_geometry::procgrid::ProcessGrid;
@@ -27,7 +26,7 @@ fn main() {
     let fast = FastKernelOp::helmholtz(&kernel, &grid);
     let b = random_vector::<c64>(grid.n(), 99);
 
-    println!("Table VI reproduction: box-colored (shared-memory ref) vs process-colored");
+    println!("Table VI reproduction: wave-scheduled (shared-memory ref) vs process-colored");
     println!("(distributed), Helmholtz kappa = 25, N = {side}^2");
     println!(
         "{:>9} {:>3} | {:>10} {:>10} {:>10} | {:>10} {:>10} {:>10} {:>4}",
@@ -49,10 +48,7 @@ fn main() {
             let t0 = Instant::now();
             let fsh = Solver::builder(&kernel, &pts)
                 .opts(opts.clone())
-                .driver(Driver::Colored {
-                    scheme: ColorScheme::Four,
-                    threads: p,
-                })
+                .driver(Driver::colored(p))
                 .build()
                 .unwrap();
             let sh_fact = t0.elapsed().as_secs_f64();

@@ -1,32 +1,24 @@
-//! The shared-memory box-colored parallel driver (Section V-C).
+//! The shared-memory threaded driver (Section V-C) and the one
+//! elimination schedule every driver runs.
 //!
-//! This is the paper's C++/OpenMP *reference* solver, reimplemented: all
-//! boxes of a level are graph-colored so that neighbors get different
-//! colors, and boxes of one color are processed concurrently. Two schemes
-//! are provided:
+//! The paper's C++/OpenMP reference colours the boxes of a level and
+//! processes same-colour boxes concurrently. Here the concurrent rounds
+//! are distance-3 *waves* ([`waves`]): box `(ix, iy)` goes in wave
+//! `3·iy + ix`. Boxes of one wave sit at box distance >= 3, so none reads
+//! what another writes — its blocks, its Schur targets, and the distance-2
+//! ring M(B) that `skeletonize` compresses against. Every pair within
+//! distance 2 keeps its row-major order. A wave eliminated against one
+//! snapshot of the store and merged in row-major order is therefore
+//! Algorithm 1's row-major sweep bit for bit, at every thread count.
 //!
-//! * [`BoxColoring::Four`] — the paper's scheme. Same-color boxes can sit
-//!   at box distance 2 and then share Schur-update *targets* (pairs between
-//!   their common neighbors). The driver therefore runs each color as a
-//!   snapshot-read compute phase followed by a deterministic sequential
-//!   merge; because same-color boxes never read what another same-color
-//!   box writes (distance-2 analysis of Section III) and the shared writes
-//!   are additive, this reproduces a sequential elimination order exactly
-//!   (up to floating-point commutation of the additions, which the merge
-//!   keeps in fixed box order — so results are bit-deterministic for any
-//!   thread count).
-//! * [`BoxColoring::Nine`] — distance-3 coloring: all writes disjoint,
-//!   lock-free by construction; used as an ablation.
-//!
-//! The level loop is the sequential driver's (`crate::sequential`), cut
-//! into one round per color; this module holds the schemes and the
-//! worker pool that eliminates a round.
+//! The level loop is the sequential driver's (`crate::sequential`); the
+//! distributed driver runs each rank's phases on the same waves. This
+//! module holds the schedule and the worker pool that eliminates a wave.
 
 use crate::elimination::{eliminate_box, EliminationOutput, FactorError};
 use crate::skeletonize::CompressionCtx;
 use crate::store::{ActiveSets, BlockStore};
 use crate::FactorOpts;
-pub use srsf_geometry::procgrid::BoxColoring as ColorScheme;
 use srsf_geometry::tree::{BoxId, QuadTree};
 use srsf_kernels::kernel::Kernel;
 // Sync primitives come through the srsf-verify shims: identical to
@@ -35,18 +27,41 @@ use srsf_kernels::kernel::Kernel;
 use srsf_verify::sync::atomic::{AtomicUsize, Ordering};
 use srsf_verify::sync::OnceLock;
 
-/// Snapshot-compute the eliminations of one color round across threads,
+/// The wave of box `(ix, iy)`: `3·iy + ix`.
+pub(crate) fn wave_of(b: &BoxId) -> u32 {
+    3 * b.iy + b.ix
+}
+
+/// The elimination schedule of a set of boxes of one level: box
+/// `(ix, iy)` in wave `t = 3·iy + ix`, waves in increasing `t`, a wave's
+/// boxes in row-major order.
+///
+/// Two boxes of one wave are a row apart only if they are three columns
+/// apart, so same-wave boxes are at box distance >= 3 and a wave is a
+/// valid snapshot round. For two boxes within distance 2, the one earlier
+/// in row-major order has the smaller `t`, so every such pair keeps
+/// Algorithm 1's order. A `w × h` rectangle with `w >= 3` takes
+/// `3h + w - 3` waves of at most `⌈w/3⌉` boxes each.
+pub(crate) fn waves(boxes: &[BoxId]) -> Vec<(u32, Vec<BoxId>)> {
+    let mut sorted = boxes.to_vec();
+    sorted.sort_unstable_by_key(|b| (wave_of(b), b.flat()));
+    sorted
+        .chunk_by(|a, b| wave_of(a) == wave_of(b))
+        .map(|w| (wave_of(&w[0]), w.to_vec()))
+        .collect()
+}
+
+/// Snapshot-compute the eliminations of one wave across threads,
 /// preserving the input box order in the output.
 ///
 /// Boxes are handed out through a shared atomic index (pull
 /// work-stealing) rather than fixed chunks: per-box cost tracks the
 /// skeleton rank, which varies widely across a level, and static chunking
-/// left threads idle at the tail of every round.
+/// left threads idle at the tail of every wave.
 ///
-/// Shared with the distributed driver, whose per-rank wave rounds
-/// (`FactorOpts::rank_threads`) run the same snapshot/merge schedule over
-/// a rank's phase boxes.
-pub(crate) fn eliminate_color_round<K: Kernel>(
+/// Shared by the level loop ([`crate::sequential`]) and the distributed
+/// driver's per-rank phases (`FactorOpts::rank_threads`).
+pub(crate) fn eliminate_wave<K: Kernel>(
     store: &BlockStore<'_, K>,
     act: &ActiveSets,
     tree: &QuadTree,
@@ -81,8 +96,8 @@ pub(crate) fn eliminate_color_round<K: Kernel>(
     });
     slots
         .into_iter()
-        // INVARIANT: the per-color barrier guarantees every slot in a finished
-        // color was written exactly once
+        // INVARIANT: the scope joins every worker, and the claim index hands
+        // each slot to exactly one of them
         .map(|s| s.into_inner().expect("missing elimination output"))
         .collect()
 }

@@ -19,16 +19,18 @@
 //! Each phase of 1–2 is *hybrid-parallel and overlapped* rather than
 //! bulk-synchronous:
 //!
-//! * A rank's phase boxes eliminate in knight-move wavefronts
-//!   ([`waves`]): box `(ix, iy)` in wave `2·iy + ix`, waves in increasing
-//!   order, each on the work-stealing pool shared with the colored driver
-//!   ([`FactorOpts::rank_threads`] workers) and merged in row-major box
-//!   order — so records, update frames and counters are bit-identical for
-//!   every thread count. Every box sees exactly the eliminated neighbors
-//!   it has in Algorithm 1's row-major sweep, so it costs what it costs
-//!   there, and a rank holds one wave's outputs at a time (at most
-//!   `⌈s/2⌉` of an `s × s` block). Waves are narrow, so on small per-rank
-//!   grids the pool has few boxes to share.
+//! * A rank's phase boxes eliminate in distance-3 waves
+//!   ([`waves`]): box `(ix, iy)` in wave `3·iy + ix`, waves in increasing
+//!   order, each on the work-stealing pool shared with the shared-memory
+//!   drivers ([`FactorOpts::rank_threads`] workers) and merged in
+//!   row-major box order — so records, update frames and counters are
+//!   bit-identical for every thread count. Same-wave boxes are >= 3
+//!   apart and every pair within distance 2 keeps its row-major order, so
+//!   within a phase each box is eliminated exactly as in Algorithm 1's
+//!   row-major sweep, and a one-rank world (one interior phase per level)
+//!   *is* Algorithm 1, bit for bit. A rank holds one wave's outputs at a
+//!   time (at most `⌈s/3⌉` of an `s × s` block). Waves are narrow, so on
+//!   small per-rank grids the pool has few boxes to share.
 //! * A neighbor's `KIND_PHASE_UPDATE` frame is posted *eagerly*, the
 //!   moment the last box that neighbor tracks retires from the merge
 //!   (per-neighbor completion counters over the phase's box set) — not at
@@ -56,10 +58,8 @@
 //! and the dealing out of its block columns ([`scatter_top`]); every rank
 //! then keeps what it produced and serves from it ([`super::serve`]).
 
-use super::{
-    box_near_region, get_box, get_ids, order_key, region_of, RankState, RankTop, TopShare,
-};
-use crate::colored::eliminate_color_round;
+use super::{box_near_region, order_key, region_of, RankState, RankTop, TopShare};
+use crate::colored::{eliminate_wave, waves};
 use crate::elimination::{apply_output, EliminationOutput, FactorError};
 use crate::levels::assemble_parent_block;
 use crate::skeletonize::CompressionCtx;
@@ -251,27 +251,6 @@ fn apply_top_gather<K: Kernel>(
     })
 }
 
-/// The knight-move wavefronts of a phase's boxes, in elimination order:
-/// box `(ix, iy)` sits in wave `t = 2·iy + ix` of its level, waves run in
-/// increasing `t`, and a wave's boxes in row-major order.
-///
-/// Boxes of one wave are at box distance >= 2 (a row apart means two
-/// columns apart), so a wave is a valid snapshot round (§V-C). A box's
-/// row-major-earlier neighbors — left (`t - 1`), up-right (`t - 1`), up
-/// (`t - 2`), up-left (`t - 3`) — all sit in earlier waves and its later
-/// ones in later waves, so every box is eliminated against exactly the
-/// neighbors Algorithm 1's row-major sweep has already eliminated. An
-/// `s × s` block takes `3s - 2` waves of at most `⌈s/2⌉` boxes each.
-pub(crate) fn waves(boxes: &[BoxId]) -> Vec<(u32, Vec<BoxId>)> {
-    let wave = |b: &BoxId| 2 * b.iy + b.ix;
-    let mut sorted = boxes.to_vec();
-    sorted.sort_unstable_by_key(|b| (wave(b), b.flat()));
-    sorted
-        .chunk_by(|a, b| wave(a) == wave(b))
-        .map(|w| (wave(&w[0]), w.to_vec()))
-        .collect()
-}
-
 /// A rank's factorization-phase output: its records and routing state,
 /// plus (rank 0 only) the dense top factorization, whole.
 pub(crate) type FactorPhaseOutcome<T> = Result<(RankState<T>, RankTop<T>), FactorError>;
@@ -366,7 +345,7 @@ pub(crate) fn factor_phase<K: Kernel>(
             }
             {
                 let _sp = srsf_trace::span!(srsf_trace::Cat::Phase, "level {level} transition");
-                level_transition(ctx, grid, tree, &mut store, &mut act, level, &mut state);
+                level_transition(ctx, grid, tree, &mut store, &mut act, level, &mut state)?;
             }
             level -= 1;
         }
@@ -585,26 +564,23 @@ pub(super) fn scatter_top<T: Scalar>(
     Ok((state, Some(mine)))
 }
 
-/// Eliminate `boxes` (phase `phase` of `level`) in knight-move wave
-/// rounds ([`waves`]) on the per-rank thread pool, posting each
-/// neighbor's update frame the moment its last tracked box retires, then
-/// apply the neighbors' updates. Every active rank calls this each phase
-/// (possibly with no boxes) so the message pattern stays globally
-/// consistent.
+/// Eliminate `boxes` (phase `phase` of `level`) in distance-3 waves
+/// ([`waves`]) on the per-rank thread pool, posting each neighbor's
+/// update frame the moment its last tracked box retires, then apply the
+/// neighbors' updates. Every active rank calls this each phase (possibly
+/// with no boxes) so the message pattern stays globally consistent.
 ///
-/// Determinism: same-wave boxes sit at box distance >= 2 and never read
-/// each other's writes (the colored driver's §V-C argument), so each wave
-/// snapshot-computes on [`eliminate_color_round`]'s work-stealing pool
-/// and merges in row-major box order — records, frames and counters are
-/// bit-identical for every `rank_threads` value and both transports.
-/// Cost and memory: a box's row-major-earlier neighbors are all in
-/// earlier waves, so it is eliminated at Algorithm 1's cost, and only one
-/// wave's outputs are alive at a time. Overlap: a neighbor's frame goes
-/// out as soon as the last box it tracks is merged (its per-box encodings
-/// depend only on that box's own output and active set, which later
-/// merges never touch), and the fabric is pumped between waves so early
-/// frames are already in the matching queue when the blocking receives
-/// run.
+/// Determinism: same-wave boxes sit at box distance >= 3 and never read
+/// each other's writes, so each wave snapshot-computes on
+/// [`eliminate_wave`]'s work-stealing pool and merges in row-major box
+/// order — records, frames and counters are bit-identical for every
+/// `rank_threads` value and both transports, and equal to the row-major
+/// sweep of the phase's boxes. Only one wave's outputs are alive at a
+/// time. Overlap: a neighbor's frame goes out as soon as the last box it
+/// tracks is merged (its per-box encodings depend only on that box's own
+/// output and active set, which later merges never touch), and the fabric
+/// is pumped between waves so early frames are already in the matching
+/// queue when the blocking receives run.
 #[allow(clippy::too_many_arguments)]
 fn run_phase<K: Kernel>(
     ctx: &mut RankCtx,
@@ -654,7 +630,7 @@ fn run_phase<K: Kernel>(
                 "eliminate level {level} phase {phase} wave {wave}"
             );
             ctx.compute(|| {
-                eliminate_color_round(store, act, tree, &wboxes, opts, cctx, opts.rank_threads)
+                eliminate_wave(store, act, tree, &wboxes, opts, cctx, opts.rank_threads)
             })?
         };
         // Deterministic merge in box order; eager sends fire from here.
@@ -715,7 +691,8 @@ fn run_phase<K: Kernel>(
 }
 
 /// Level transition: fold shipments, parent-block materialization, child
-/// cleanup, and the parent active-set halo refresh.
+/// cleanup, and the parent active-set halo refresh. A received frame that
+/// does not decode is [`FactorError::MalformedFrame`].
 fn level_transition<K: Kernel>(
     ctx: &mut RankCtx,
     grid: &ProcessGrid,
@@ -724,7 +701,7 @@ fn level_transition<K: Kernel>(
     act: &mut ActiveSets,
     child_level: u8,
     state: &mut RankState<K::Elem>,
-) {
+) -> Result<(), FactorError> {
     let me = ctx.rank();
     let parent_level = child_level - 1;
     let child_active = grid.is_active(me, child_level);
@@ -733,7 +710,7 @@ fn level_transition<K: Kernel>(
 
     if fold && child_active {
         // The corner rank of my 2x2 group at the parent level.
-        let (x0, y0, x1, y1) = region_of(grid, me, child_level);
+        let (x0, y0, _, _) = region_of(grid, me, child_level);
         let my_first_parent = BoxId {
             level: parent_level,
             ix: (x0 / 2) as u32,
@@ -741,80 +718,23 @@ fn level_transition<K: Kernel>(
         };
         let corner = grid.owner(&my_first_parent);
         if corner != me {
-            // Ship the stored child-level blocks this rank is an
-            // authority for (it owns one side, so it received every
-            // update to them) plus all known child active sets to the
-            // corner, then retire. Pairs between two foreign boxes only
-            // carry this rank's own Schur contributions; shipping them
-            // would overwrite the complete copy the corner holds or gets
-            // from their owner.
-            let mut w = ByteWriter::new();
-            let pairs: Vec<_> = store
-                .stored_pairs()
-                .filter(|((a, b), _)| {
-                    a.level == child_level && (grid.owner(a) == me || grid.owner(b) == me)
-                })
-                .collect();
-            w.put_u64(pairs.len() as u64);
-            for ((a, b), m) in pairs {
-                put_box(&mut w, a);
-                put_box(&mut w, b);
-                w.put_mat(m);
-            }
-            // Active sets go the same way: only those this rank was kept
-            // current on — boxes within distance 2 of its region, the
-            // ones every eliminating neighbor sends it updates for. At
-            // the leaf level `act` also still holds the initial, full
-            // sets of every farther box; shipping those would overwrite
-            // the shrunken sets the corner (or another member) tracks.
-            let my_region = (x0, y0, x1, y1);
-            let acts: Vec<(BoxId, Vec<u32>)> = tree
-                .boxes_at_level(child_level)
-                .filter(|b| box_near_region(b, my_region, 2))
-                .map(|b| (b, act.get(&b).to_vec()))
-                .collect();
-            w.put_u64(acts.len() as u64);
-            for (b, ids) in &acts {
-                put_box(&mut w, b);
-                put_ids(&mut w, ids);
-            }
-            // Also ship the ids this rank still owns (for the solve's fold
-            // value exchange).
+            // Ship what the corner needs of this rank's level (see
+            // `encode_fold`), then retire.
             let owned_ids: Vec<u32> = state
                 .act_end
                 .get(&child_level)
                 .map(|v| v.iter().flat_map(|(_, ids)| ids.iter().copied()).collect())
                 .unwrap_or_default();
-            put_ids(&mut w, &owned_ids);
-            ctx.send(corner, tag(child_level, 5, KIND_FOLD), w.finish());
+            let frame = encode_fold(store, act, tree, grid, me, child_level, &owned_ids);
+            ctx.send(corner, tag(child_level, 5, KIND_FOLD), frame);
         } else {
             // Receive from the three retiring members of my group.
             let stride = grid.q() / grid.effective_q(child_level);
             let (cx, cy) = grid.coords_of(me);
             for (dx, dy) in [(1u32, 0u32), (0, 1), (1, 1)] {
                 let member = grid.rank_of(cx + dx * stride, cy + dy * stride);
-                let payload = ctx.recv(member, tag(child_level, 5, KIND_FOLD));
-                let mut r = ByteReader::new(payload);
-                // INVARIANT: this frame was encoded by a peer rank under the matching tag
-                // and the transport delivers whole messages, so decode cannot truncate
-                let n_pairs = r.get_u64();
-                for _ in 0..n_pairs {
-                    let a = get_box(&mut r);
-                    let b = get_box(&mut r);
-                    // INVARIANT: this frame was encoded by a peer rank under the matching tag
-                    // and the transport delivers whole messages, so decode cannot truncate
-                    let m: Mat<K::Elem> = r.get_mat();
-                    store.insert(a, b, m);
-                }
-                // INVARIANT: this frame was encoded by a peer rank under the matching tag
-                // and the transport delivers whole messages, so decode cannot truncate
-                let n_acts = r.get_u64();
-                for _ in 0..n_acts {
-                    let b = get_box(&mut r);
-                    let ids = get_ids(&mut r);
-                    act.set(b, ids);
-                }
-                let fold_ids = get_ids(&mut r);
+                let t = tag(child_level, 5, KIND_FOLD);
+                let fold_ids = apply_fold(ctx.recv(member, t), member, t, store, act)?;
                 state.fold_ids.insert((child_level, member), fold_ids);
             }
         }
@@ -865,31 +785,12 @@ fn level_transition<K: Kernel>(
         // Halo refresh: authoritative parent active sets to adjacent ranks.
         let neighbors = grid.neighbor_ranks(me, parent_level);
         for &dst in &neighbors {
-            let region = region_of(grid, dst, parent_level);
-            let entries: Vec<(BoxId, Vec<u32>)> = my_parents
-                .iter()
-                .filter(|p| box_near_region(p, region, 2))
-                .map(|p| (*p, act.get(p).to_vec()))
-                .collect();
-            let mut w = ByteWriter::new();
-            w.put_u64(entries.len() as u64);
-            for (b, ids) in &entries {
-                put_box(&mut w, b);
-                put_ids(&mut w, ids);
-            }
-            ctx.send(dst, tag(parent_level, 6, KIND_ACT_REFRESH), w.finish());
+            let frame = encode_act_refresh(act, &my_parents, region_of(grid, dst, parent_level));
+            ctx.send(dst, tag(parent_level, 6, KIND_ACT_REFRESH), frame);
         }
         for &src in &neighbors {
-            let payload = ctx.recv(src, tag(parent_level, 6, KIND_ACT_REFRESH));
-            let mut r = ByteReader::new(payload);
-            // INVARIANT: this frame was encoded by a peer rank under the matching tag
-            // and the transport delivers whole messages, so decode cannot truncate
-            let n = r.get_u64();
-            for _ in 0..n {
-                let b = get_box(&mut r);
-                let ids = get_ids(&mut r);
-                act.set(b, ids);
-            }
+            let t = tag(parent_level, 6, KIND_ACT_REFRESH);
+            apply_act_refresh(ctx.recv(src, t), src, t, act)?;
         }
     } else {
         // Retired ranks drop their child-level data.
@@ -899,6 +800,116 @@ fn level_transition<K: Kernel>(
     // No trailing barrier: the fold and halo-refresh frames above carry
     // level-unique tags, so the parent level's receives match them
     // without a rendezvous.
+    Ok(())
+}
+
+/// A retiring rank's `KIND_FOLD` frame for the corner of its group:
+/// the stored child-level blocks it is an authority for (it owns one
+/// side, so it received every update to them), the child active sets it
+/// was kept current on, and the ids it still owns.
+///
+/// Pairs between two foreign boxes only carry this rank's own Schur
+/// contributions; shipping them would overwrite the complete copy the
+/// corner holds or gets from their owner. Likewise only the active sets
+/// of boxes within distance 2 of its region go — the ones every
+/// eliminating neighbor sends it updates for. At the leaf level `act`
+/// also still holds the initial, full sets of every farther box; shipping
+/// those would overwrite the shrunken sets the corner (or another member)
+/// tracks. The owned ids feed the solve's fold value exchange.
+fn encode_fold<K: Kernel>(
+    store: &BlockStore<'_, K>,
+    act: &ActiveSets,
+    tree: &QuadTree,
+    grid: &ProcessGrid,
+    me: usize,
+    child_level: u8,
+    owned_ids: &[u32],
+) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    let pairs: Vec<_> = store
+        .stored_pairs()
+        .filter(|((a, b), _)| {
+            a.level == child_level && (grid.owner(a) == me || grid.owner(b) == me)
+        })
+        .collect();
+    w.put_u64(pairs.len() as u64);
+    for ((a, b), m) in pairs {
+        put_box(&mut w, a);
+        put_box(&mut w, b);
+        w.put_mat(m);
+    }
+    let my_region = region_of(grid, me, child_level);
+    let acts: Vec<BoxId> = tree
+        .boxes_at_level(child_level)
+        .filter(|b| box_near_region(b, my_region, 2))
+        .collect();
+    w.put_u64(acts.len() as u64);
+    for b in &acts {
+        put_box(&mut w, b);
+        put_ids(&mut w, act.get(b));
+    }
+    put_ids(&mut w, owned_ids);
+    w.finish()
+}
+
+/// Decode a retiring member's [`encode_fold`] frame into `store` and
+/// `act` and return the ids it still owns (what decoded before a failure
+/// stays applied; the build fails with it).
+fn apply_fold<K: Kernel>(
+    payload: Vec<u8>,
+    src: usize,
+    t: u32,
+    store: &mut BlockStore<'_, K>,
+    act: &mut ActiveSets,
+) -> Result<Vec<u32>, FactorError> {
+    decode_frame(payload, src, t, |r| {
+        for _ in 0..r.try_get_u64()? {
+            let (a, b) = (try_get_box(r)?, try_get_box(r)?);
+            store.insert(a, b, r.try_get_mat()?);
+        }
+        for _ in 0..r.try_get_u64()? {
+            let b = try_get_box(r)?;
+            act.set(b, try_get_ids(r)?);
+        }
+        try_get_ids(r)
+    })
+}
+
+/// The `KIND_ACT_REFRESH` frame for a neighbor whose parent-level region
+/// is `region`: the authoritative active sets of this rank's parents
+/// within distance 2 of it.
+fn encode_act_refresh(
+    act: &ActiveSets,
+    my_parents: &[BoxId],
+    region: (i64, i64, i64, i64),
+) -> Vec<u8> {
+    let near: Vec<&BoxId> = my_parents
+        .iter()
+        .filter(|p| box_near_region(p, region, 2))
+        .collect();
+    let mut w = ByteWriter::new();
+    w.put_u64(near.len() as u64);
+    for p in near {
+        put_box(&mut w, p);
+        put_ids(&mut w, act.get(p));
+    }
+    w.finish()
+}
+
+/// Decode a neighbor's [`encode_act_refresh`] frame into `act`.
+fn apply_act_refresh(
+    payload: Vec<u8>,
+    src: usize,
+    t: u32,
+    act: &mut ActiveSets,
+) -> Result<(), FactorError> {
+    decode_frame(payload, src, t, |r| {
+        for _ in 0..r.try_get_u64()? {
+            let b = try_get_box(r)?;
+            act.set(b, try_get_ids(r)?);
+        }
+        Ok(())
+    })
 }
 
 /// Gather the remaining active blocks on rank 0 and factor the top.
@@ -939,19 +950,18 @@ fn gather_top<K: Kernel>(
 mod tests {
     use super::*;
     use crate::elimination::eliminate_box;
-    use crate::sequential::{domain_for, factorize_in_rounds, Factorization};
+    use crate::sequential::{domain_for, factorize_with_tree, Factorization};
     use crate::{Driver, Solver, SrsfError};
     use srsf_geometry::grid::UnitGrid;
-    use srsf_geometry::neighbors::near_field;
     use srsf_kernels::helmholtz::HelmholtzKernel;
     use srsf_kernels::laplace::LaplaceKernel;
     use srsf_kernels::util::random_vector;
 
     /// Check the wave schedule of one box set: the waves partition it in
     /// increasing wave order, row-major within a wave; same-wave boxes are
-    /// pairwise at box distance >= 2; and a box's neighbors in the set sit
-    /// in earlier waves exactly when they come earlier in row-major order.
-    /// Returns `(waves, widest wave)`.
+    /// pairwise at box distance >= 3; and of every pair within distance 2
+    /// the row-major-earlier box sits in the earlier wave. Returns
+    /// `(waves, widest wave)`.
     fn check_waves(set: &[BoxId], label: &str) -> (usize, usize) {
         let ws = waves(set);
         let row_major = |b: &BoxId| (b.iy, b.ix);
@@ -960,25 +970,55 @@ mod tests {
             assert!(k == 0 || ws[k - 1].0 < *t, "{label}: waves out of order");
             assert!(w.windows(2).all(|p| row_major(&p[0]) < row_major(&p[1])));
             for (i, a) in w.iter().enumerate() {
-                assert_eq!(2 * a.iy + a.ix, *t, "{label}: {a:?} in wave {t}");
+                assert_eq!(3 * a.iy + a.ix, *t, "{label}: {a:?} in wave {t}");
                 for c in &w[i + 1..] {
                     let d = a.ix.abs_diff(c.ix).max(a.iy.abs_diff(c.iy));
-                    assert!(d >= 2, "{label}: {a:?} and {c:?} share wave {t}");
+                    assert!(d >= 3, "{label}: {a:?} and {c:?} share wave {t}");
                 }
                 assert!(seen.insert(*a, *t).is_none(), "{label}: {a:?} twice");
             }
         }
         assert_eq!(seen.len(), set.len(), "{label}: boxes lost");
-        for b in set {
-            for n in near_field(b).iter().filter(|n| seen.contains_key(n)) {
-                let earlier = row_major(n) < row_major(b);
-                assert_eq!(seen[n] < seen[b], earlier, "{label}: {n:?} vs {b:?}");
+        for a in set {
+            for (dx, dy) in (-2..=2).flat_map(|dy| (-2..=2).map(move |dx| (dx, dy))) {
+                let c = match (a.ix.checked_add_signed(dx), a.iy.checked_add_signed(dy)) {
+                    (Some(ix), Some(iy)) => BoxId { ix, iy, ..*a },
+                    _ => continue,
+                };
+                if let Some(tc) = seen.get(&c).filter(|_| c != *a) {
+                    let earlier = row_major(a) < row_major(&c);
+                    assert_eq!(seen[a] < *tc, earlier, "{label}: {a:?} vs {c:?}");
+                }
             }
         }
         let widest = ws.iter().map(|(_, w)| w.len()).max().unwrap_or(0);
         (ws.len(), widest)
     }
 
+    /// Every `w × h` rectangle up to 16 × 16, at a few offsets: same-wave
+    /// boxes are >= 3 apart, pairs within distance 2 keep row-major order,
+    /// and it takes `3h + w - 3` waves (`w >= 3`; narrower rectangles put
+    /// every box in its own wave) of at most `⌈w/3⌉` boxes.
+    #[test]
+    fn waves_keep_algorithm_1_order_on_every_rectangle() {
+        for (x0, y0) in [(0u32, 0u32), (1, 0), (2, 5)] {
+            for w in 1..=16u32 {
+                for h in 1..=16u32 {
+                    let set: Vec<BoxId> = (y0..y0 + h)
+                        .flat_map(|iy| (x0..x0 + w).map(move |ix| BoxId { level: 6, ix, iy }))
+                        .collect();
+                    let label = format!("{w} x {h} at ({x0}, {y0})");
+                    let (n, widest) = check_waves(&set, &label);
+                    let want = if w >= 3 { 3 * h + w - 3 } else { w * h };
+                    assert_eq!(n as u32, want, "{label}: waves");
+                    assert!(widest as u32 <= w.div_ceil(3), "{label}: wave of {widest}");
+                }
+            }
+        }
+    }
+
+    /// The distributed phases' box sets: interior rectangles, boundary
+    /// rings and whole rank blocks of p ∈ {1, 4, 16} at levels 2–6.
     #[test]
     fn wave_schedule_is_conflict_free_row_major_and_narrow() {
         for p in [1usize, 4, 16] {
@@ -989,57 +1029,27 @@ mod tests {
                     let (interior, ring) = grid.classify_level(rank, level);
                     let block = [interior.as_slice(), &ring].concat();
                     check_waves(&ring, &format!("{label}, boundary"));
-                    // The rank's whole block and its interior are
-                    // rectangles; `w × h` takes `2h + w - 2` waves of at
-                    // most `⌈w/2⌉` boxes (`3s - 2` and `⌈s/2⌉` for s × s).
-                    for (set, what) in [(&block, "block"), (&interior, "interior")] {
-                        if set.is_empty() {
-                            continue;
-                        }
-                        let label = format!("{label}, {what}");
-                        let w = 1 + set.iter().map(|b| b.ix).max().unwrap()
-                            - set.iter().map(|b| b.ix).min().unwrap();
-                        let h = 1 + set.iter().map(|b| b.iy).max().unwrap()
-                            - set.iter().map(|b| b.iy).min().unwrap();
-                        assert_eq!(set.len() as u32, w * h, "{label}: not a rectangle");
-                        let (n, widest) = check_waves(set, &label);
-                        assert_eq!(n as u32, 2 * h + w - 2, "{label}: waves");
-                        assert!(widest as u32 <= w.div_ceil(2), "{label}: wave of {widest}");
-                    }
-                    let s = 1u32 << level;
-                    let side = s / grid.effective_q(level);
-                    assert_eq!(block.len() as u32, side * side);
+                    check_waves(&interior, &format!("{label}, interior"));
+                    let (n, widest) = check_waves(&block, &format!("{label}, block"));
+                    let s = (1u32 << level) / grid.effective_q(level);
+                    assert_eq!(block.len() as u32, s * s, "{label}: block");
+                    assert_eq!(n as u32, if s >= 3 { 4 * s - 3 } else { s * s });
+                    assert!(widest as u32 <= s.div_ceil(3), "{label}: wave of {widest}");
                 }
             }
         }
     }
 
-    /// Records with the schedule's colour stamp cleared, as bytes.
-    fn record_bytes<T: Scalar>(f: &Factorization<T>) -> Vec<Vec<u8>> {
-        f.records
-            .iter()
-            .map(|r| {
-                let mut r = r.clone();
-                r.color = 0;
-                r.to_bytes()
-            })
-            .collect()
-    }
-
     /// A one-rank world runs its whole level as one interior phase in
-    /// wave rounds, so it is the shared-memory level loop over the same
-    /// rounds, bit for bit: records, top and solution.
+    /// waves, so it is the shared-memory level loop, bit for bit:
+    /// records in order, top and solution.
     fn check_single_rank_world<K: Kernel>(kernel: &K, pts: &[Point], label: &str) {
         let opts = FactorOpts::default()
             .with_tol(1e-8)
             .with_leaf_size(16)
             .with_min_compress_level(2);
         let tree = QuadTree::build(pts, domain_for(pts), opts.leaf_size);
-        let want = factorize_in_rounds(kernel, pts, &tree, &opts, 1, |level| {
-            let boxes: Vec<BoxId> = tree.boxes_at_level(level).collect();
-            waves(&boxes).into_iter().map(|(_, w)| (0, w)).collect()
-        })
-        .expect("wave rounds");
+        let want = factorize_with_tree(kernel, pts, &tree, &opts).expect("level loop");
         let got = Solver::builder(kernel, pts)
             .opts(opts)
             .driver(Driver::distributed(1))
@@ -1047,7 +1057,10 @@ mod tests {
             .expect("one-rank world")
             .gather()
             .expect("gather");
-        assert_eq!(record_bytes(&got), record_bytes(&want), "{label}: records");
+        let bytes = |f: &Factorization<K::Elem>| -> Vec<Vec<u8>> {
+            f.records.iter().map(Wire::to_bytes).collect()
+        };
+        assert_eq!(bytes(&got), bytes(&want), "{label}: records");
         assert_eq!(got.top_idx, want.top_idx, "{label}: top rows");
         assert!(got.top.to_bytes() == want.top.to_bytes(), "{label}: top");
         let b = random_vector::<K::Elem>(pts.len(), 5);
@@ -1110,6 +1123,92 @@ mod tests {
                 SrsfError::from(err),
                 SrsfError::RankFailed { rank: 0, .. }
             ));
+        }
+    }
+
+    /// The level transition's two frames decode through the `try_*`
+    /// readers: a retiring member's fold frame and a neighbor's
+    /// active-set refresh, each cut at every length, are typed failures
+    /// naming the sender.
+    #[test]
+    fn truncated_transition_frames_are_typed_failures() {
+        let ugrid = UnitGrid::new(16);
+        let kernel = LaplaceKernel::new(&ugrid);
+        let pts = ugrid.points();
+        let opts = FactorOpts::default().with_leaf_size(16);
+        let tree = QuadTree::build(&pts, domain_for(&pts), opts.leaf_size);
+        let grid = ProcessGrid::new(4);
+        let cctx = CompressionCtx::new(&kernel, &pts, &tree, &opts);
+        let fresh = || {
+            let mut act = ActiveSets::new();
+            for id in tree.boxes_at_level(2) {
+                act.set(id, tree.leaf_points(&id).to_vec());
+            }
+            (BlockStore::new(&kernel, &pts), act)
+        };
+        let typed = |err: FactorError, kind: &str, len: usize| {
+            let FactorError::MalformedFrame { rank: 1, ref step } = err else {
+                panic!("{len} bytes: {err}");
+            };
+            assert!(step.contains(kind), "{len} bytes: {step}");
+            assert!(matches!(
+                SrsfError::from(err),
+                SrsfError::RankFailed { rank: 1, .. }
+            ));
+        };
+
+        // Rank 1 after eliminating one of its level-2 boxes: it folds
+        // onto rank 0 at level 1.
+        let b = BoxId {
+            level: 2,
+            ix: 2,
+            iy: 1,
+        };
+        assert_eq!(grid.owner(&b), 1);
+        let (mut store, mut act) = fresh();
+        let out = eliminate_box(&store, &act, &tree, &b, &opts, &cctx).expect("eliminate");
+        apply_output(&mut store, &mut act, &b, &out, &cctx);
+        let owned = act.get(&b).to_vec();
+        let frame = encode_fold(&store, &act, &tree, &grid, 1, 2, &owned);
+        let t = tag(2, 5, KIND_FOLD);
+        let (mut store0, mut act0) = fresh();
+        let ids = apply_fold(frame.clone(), 1, t, &mut store0, &mut act0).expect("whole frame");
+        assert_eq!(ids, owned, "the whole frame carries the owned ids");
+        assert_eq!(
+            act0.get(&b),
+            act.get(&b),
+            "the whole frame carries the skeleton"
+        );
+        assert!(
+            store0.contains(&b, &b),
+            "the whole frame carries the blocks"
+        );
+        for len in 0..frame.len() {
+            let (mut store0, mut act0) = fresh();
+            let err = apply_fold(frame[..len].to_vec(), 1, t, &mut store0, &mut act0)
+                .expect_err("a truncated frame must not decode");
+            typed(err, "FOLD", len);
+        }
+
+        // Rank 1's refresh for rank 0: the active sets of its boxes.
+        let mine: Vec<BoxId> = tree
+            .boxes_at_level(2)
+            .filter(|p| grid.owner(p) == 1)
+            .collect();
+        let frame = encode_act_refresh(&act, &mine, region_of(&grid, 0, 2));
+        let t = tag(2, 6, KIND_ACT_REFRESH);
+        let (_, mut act0) = fresh();
+        apply_act_refresh(frame.clone(), 1, t, &mut act0).expect("whole frame");
+        assert_eq!(
+            act0.get(&b),
+            act.get(&b),
+            "the whole frame carries the skeleton"
+        );
+        for len in 0..frame.len() {
+            let (_, mut act0) = fresh();
+            let err = apply_act_refresh(frame[..len].to_vec(), 1, t, &mut act0)
+                .expect_err("a truncated frame must not decode");
+            typed(err, "ACT_REFRESH", len);
         }
     }
 
@@ -1178,11 +1277,7 @@ mod tests {
 
         // The share rank 0 deals out: the last block column of a factored
         // top.
-        let f = factorize_in_rounds(&kernel, &pts, &tree, &opts, 1, |level| {
-            let boxes: Vec<BoxId> = tree.boxes_at_level(level).collect();
-            waves(&boxes).into_iter().map(|(_, w)| (0, w)).collect()
-        })
-        .expect("factor");
+        let f = factorize_with_tree(&kernel, &pts, &tree, &opts).expect("factor");
         let TopFactor::Symmetric(mut ldlt) = f.top else {
             panic!("a Laplace top is packed");
         };

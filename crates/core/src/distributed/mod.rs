@@ -35,21 +35,16 @@ pub(crate) use serve::{dist_factorize_resident, restore_resident_service};
 use crate::elimination::BoxElimination;
 use crate::stats::FactorStats;
 use crate::top::TopFactor;
-use crate::wire::{try_get_box, try_get_ids};
+use crate::wire::try_get_ids;
 use srsf_geometry::point::Point;
 use srsf_geometry::procgrid::ProcessGrid;
 use srsf_geometry::tree::{BoxId, QuadTree};
 use srsf_runtime::codec::ByteReader;
 use std::collections::HashMap;
 
-pub(crate) fn get_box(r: &mut ByteReader) -> BoxId {
-    // INVARIANT: deliberate — these frames come from our own encoder over a
-    // reliable transport; try_get_box is the path for untrusted bytes
-    try_get_box(r).unwrap_or_else(|e| panic!("{e}"))
-}
-
 pub(crate) fn get_ids(r: &mut ByteReader) -> Vec<u32> {
-    // INVARIANT: deliberate — same trusted-frame argument as get_box above
+    // INVARIANT: deliberate — these frames come from our own encoder over a
+    // reliable transport; try_get_ids is the path for untrusted bytes
     try_get_ids(r).unwrap_or_else(|e| panic!("{e}"))
 }
 
@@ -102,10 +97,10 @@ const KEY_LEVEL_SHIFT: u32 = KEY_PHASE_SHIFT + 4;
 /// phase's wave, then row-major within the wave.
 ///
 /// The wave field mirrors the order `run_phase` actually eliminates a
-/// rank's phase boxes in (knight-move wavefronts `2·iy + ix`, merged in
-/// box order within each wave), so sorting records by key reproduces the
-/// elimination order bit-exactly — the contract the serve state and a
-/// gathered factorization rely on. Cross-rank records sharing a `(level,
+/// rank's phase boxes in (distance-3 waves `3·iy + ix`, merged in box
+/// order within each wave; see [`crate::colored::waves`]), so sorting
+/// records by key reproduces the elimination order bit-exactly — the
+/// contract the serve state and a gathered factorization rely on. Cross-rank records sharing a `(level,
 /// phase)` always sit at box distance >= 2 (interior boxes of different
 /// ranks, or boundary boxes of same-colored ranks), so their relative
 /// order only fixes the floating-point summation order of shared Schur
@@ -114,7 +109,8 @@ const KEY_LEVEL_SHIFT: u32 = KEY_PHASE_SHIFT + 4;
 /// # Panics
 ///
 /// If a field overflows its bits: `level` deeper than 13, `phase` above
-/// 15 or `wave` above `u16::MAX` (a level-13 wave is at most 24 573).
+/// 15 or `wave` above `u16::MAX` (a level-13 wave is at most
+/// `4 · 8191 = 32 764`).
 pub(crate) fn order_key(leaf: u8, level: u8, phase: u8, wave: u32, b: &BoxId) -> u64 {
     assert!(
         leaf <= KEY_MAX_LEVEL && level <= leaf && phase < 16 && wave <= u16::MAX as u32,
@@ -194,6 +190,7 @@ pub(crate) type RankTop<T> = Option<TopShare<T>>;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::colored::wave_of;
 
     #[test]
     fn order_key_round_trips_level_and_phase() {
@@ -204,7 +201,7 @@ mod tests {
                 for phase in 0..=4u8 {
                     for (ix, iy) in corners {
                         let b = BoxId { level, ix, iy };
-                        let key = order_key(leaf, level, phase, 2 * iy + ix, &b);
+                        let key = order_key(leaf, level, phase, wave_of(&b), &b);
                         assert_eq!(key_level_phase(leaf, key), (level, phase));
                     }
                 }
@@ -215,7 +212,7 @@ mod tests {
     #[test]
     fn order_key_sorts_level_then_phase_then_wave_then_row_major() {
         let b = |level, ix, iy| BoxId { level, ix, iy };
-        let key = |leaf, level, phase, x: &BoxId| order_key(leaf, level, phase, 2 * x.iy + x.ix, x);
+        let key = |leaf, level, phase, x: &BoxId| order_key(leaf, level, phase, wave_of(x), x);
         // Finer level first, then phase, then wave, then row-major
         // within the wave — also at the deepest level, where the box
         // index and the wave fill their fields.
@@ -224,10 +221,11 @@ mod tests {
             let seq = [
                 key(leaf, leaf, 0, &b(leaf, 0, 0)),
                 key(leaf, leaf, 0, &b(leaf, 2, 0)),
-                key(leaf, leaf, 0, &b(leaf, 0, 1)),
                 key(leaf, leaf, 0, &b(leaf, 3, 0)),
+                key(leaf, leaf, 0, &b(leaf, 0, 1)),
+                key(leaf, leaf, 0, &b(leaf, 4, 0)),
                 key(leaf, leaf, 0, &b(leaf, s, s - 1)),
-                key(leaf, leaf, 0, &b(leaf, s - 2, s)),
+                key(leaf, leaf, 0, &b(leaf, s - 3, s)),
                 key(leaf, leaf, 0, &b(leaf, s, s)),
                 key(leaf, leaf, 1, &b(leaf, 0, 0)),
                 key(leaf, leaf, 4, &b(leaf, s, s)),
@@ -237,6 +235,9 @@ mod tests {
             sorted.sort_unstable();
             assert_eq!(seq, sorted, "leaf {leaf}");
         }
+        // `(s, s)` above is the largest wave there is: at level 13 it
+        // is 32 764, which still sorts below the next phase.
+        assert_eq!(wave_of(&b(13, 8191, 8191)), 32_764);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! confined to `B` and its near field `N(B)` (Remark 2). This module
 //! computes the elimination *record* (everything the solve phase needs)
 //! and the set of block updates, without mutating the store — the three
-//! drivers (sequential, box-colored, distributed) share it and differ only
+//! drivers (sequential, threaded, distributed) share it and differ only
 //! in how they schedule the updates.
 //!
 //! For a symmetric kernel the elimination is one-sided end to end: only
@@ -21,7 +21,6 @@ use crate::skeletonize::{skeletonize, CompressionCtx};
 use crate::store::{ActiveSets, BlockStore};
 use crate::{CompressionTelemetry, FactorOpts};
 use srsf_geometry::neighbors::near_field;
-use srsf_geometry::procgrid::BoxColoring;
 use srsf_geometry::tree::{BoxId, QuadTree};
 use srsf_kernels::kernel::Kernel;
 use srsf_linalg::gemm::{
@@ -47,15 +46,8 @@ use srsf_linalg::{Lu, Mat, Scalar};
 pub struct BoxElimination<T> {
     /// The eliminated box.
     pub box_id: BoxId,
-    /// Tree level of the box, stamped for the solve-phase scheduler.
+    /// Tree level of the box (`box_id.level`).
     pub level: u8,
-    /// Schedule color stamped at factorization time: the paper's
-    /// geometric four-coloring by default, restamped by the colored
-    /// driver with its own scheme. Contiguous same-`(level, color)` runs
-    /// of records are what the threaded apply processes concurrently —
-    /// same-color boxes sit at box distance >= 2, so their records read
-    /// disjoint entries and overlap only in additive neighbor updates.
-    pub color: u8,
     /// Global point ids of the redundant DOFs (eliminated here).
     pub redundant: Vec<u32>,
     /// Global point ids of the skeleton DOFs (stay active).
@@ -395,7 +387,6 @@ pub fn eliminate_box<K: Kernel>(
     let record = BoxElimination {
         box_id: *b,
         level: b.level,
-        color: BoxColoring::Four.color(b),
         redundant: red_positions.iter().map(|&p| a_b[p]).collect(),
         skel: skel_positions.iter().map(|&p| a_b[p]).collect(),
         nbr,

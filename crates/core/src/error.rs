@@ -30,8 +30,8 @@ pub enum SrsfError {
     /// An option was set that the selected driver does not support; the
     /// message names what to use instead. Raised rather than silently
     /// ignoring the option: `rank_threads` is distributed-only, and the
-    /// sequential and colored drivers point at `Driver::colored(threads)`
-    /// and the colored driver's own `threads`; `Solver::gather` is
+    /// sequential and colored drivers both point at
+    /// `Driver::colored(threads)`; `Solver::gather` is
     /// distributed-only too, and the distributed driver refuses
     /// `resident(false)`, pointing at `Solver::gather`.
     UnsupportedOption {
@@ -49,8 +49,9 @@ pub enum SrsfError {
         p: usize,
     },
     /// The process grid has more ranks than the quad-tree can feed: every
-    /// rank must own at least a 2 x 2 block of leaf boxes (Section III-B's
-    /// same-color-independence requirement).
+    /// rank must own at least a 2 x 2 block of leaf boxes, so that ranks
+    /// of one process colour stay more than two boxes apart (Section
+    /// III-B).
     GridTooLarge {
         /// Ranks in the process grid.
         p: usize,

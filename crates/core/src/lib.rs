@@ -11,10 +11,11 @@
 //!
 //! * [`sequential`] — Algorithm 1: a level-by-level, box-by-box sweep.
 //! * [`colored`] — the shared-memory reference of Section V-C (the paper's
-//!   C++/OpenMP comparison): all boxes of a level are graph-colored and
-//!   same-color boxes are processed concurrently, with snapshot reads and
-//!   additive merge of Schur updates (provably order-equivalent). It runs
-//!   the sequential driver's level loop, cut into one round per color.
+//!   C++/OpenMP comparison) and the one elimination schedule: each level
+//!   is cut into distance-3 waves whose boxes are processed concurrently
+//!   against a snapshot and merged in row-major order, which is
+//!   Algorithm 1 bit for bit. It runs the sequential driver's level loop
+//!   on more threads.
 //! * [`distributed`] — Algorithm 2, the contribution: leaf boxes are block
 //!   partitioned over a process grid; *interior* boxes factor with zero
 //!   communication, *boundary* boxes in four process-color rounds with
@@ -125,15 +126,15 @@ pub struct FactorOpts {
     pub min_compress_level: usize,
     /// Worker threads each *distributed* rank uses for its per-phase box
     /// eliminations (`1` = serial, the default). Every rank runs its
-    /// phase boxes in knight-move wave rounds on a work-stealing pool and
-    /// merges in fixed box order, so the factorization is bit-identical
-    /// for every value of this knob; see the module docs of
-    /// [`distributed`]. A wave holds at most `⌈s/2⌉` boxes of a rank's
-    /// `s × s` block, so on small per-rank grids the workers have few
-    /// boxes to share and the knob buys little. Rejected with [`SrsfError::UnsupportedOption`]
-    /// by the sequential and colored drivers (the colored driver's
-    /// lever is `Driver::Colored { threads, .. }`; the sequential one
-    /// runs on one thread), and `0` is rejected with
+    /// phase boxes in distance-3 waves on a work-stealing pool and merges
+    /// in fixed box order, so the factorization is bit-identical for
+    /// every value of this knob; see the module docs of [`distributed`].
+    /// A wave holds at most `⌈s/3⌉` boxes of a rank's `s × s` block, so
+    /// on small per-rank grids the workers have few boxes to share and
+    /// the knob buys little. Rejected with
+    /// [`SrsfError::UnsupportedOption`] by the sequential and colored
+    /// drivers (the colored driver's lever is `Driver::colored(threads)`;
+    /// the sequential one runs on one thread), and `0` is rejected with
     /// [`SrsfError::InvalidThreadCount`].
     pub rank_threads: usize,
     /// Message transport for the distributed driver:

@@ -8,11 +8,11 @@
 //! `A^{-1}` as the composition Eq. (12) of per-box operators plus the top
 //! solve.
 //!
-//! The level loop here is also the box-colored driver's (§V-C): the two
-//! differ only in how `factorize_in_rounds` cuts a level's boxes into
-//! rounds — one box per round here, one colour per round there.
+//! The level loop here is also the threaded driver's (§V-C): both
+//! eliminate a level in distance-3 waves ([`crate::colored::waves`]), on
+//! one thread here and on `threads` there, to the same bits.
 
-use crate::colored::eliminate_color_round;
+use crate::colored::{eliminate_wave, waves};
 use crate::elimination::{apply_output, BoxElimination, FactorError};
 use crate::levels::merge_to_parent;
 use crate::skeletonize::CompressionCtx;
@@ -22,7 +22,6 @@ use crate::store::{ActiveSets, BlockStore};
 use crate::top::{factor_top, TopFactor};
 use crate::FactorOpts;
 use srsf_geometry::point::{BBox, Point};
-use srsf_geometry::procgrid::BoxColoring;
 use srsf_geometry::tree::{BoxId, QuadTree};
 use srsf_kernels::kernel::Kernel;
 use srsf_linalg::{LinOp, Mat, Scalar};
@@ -75,11 +74,11 @@ impl<T: Scalar> Factorization<T> {
         solve::solve_mat(self, b, 1)
     }
 
-    /// Blocked apply scheduled over `n_threads` workers by the records'
-    /// `(level, color)` stamps; bit-identical to
-    /// [`Factorization::apply_inverse_mat`] for any thread count. Runs of
-    /// same-color records (whole rounds for a colored-driver
-    /// factorization) compute concurrently and merge in record order.
+    /// Blocked apply over `n_threads` workers, bit-identical to
+    /// [`Factorization::apply_inverse_mat`] for any thread count: the
+    /// records of one elimination wave (same level, same `3·iy + ix`)
+    /// are stored contiguously and compute concurrently, then merge in
+    /// record order.
     pub fn apply_inverse_mat_threaded(&self, b: &mut Mat<T>, n_threads: usize) {
         *b = solve::solve_mat(self, b, n_threads);
     }
@@ -165,42 +164,29 @@ pub fn domain_for(pts: &[Point]) -> BBox {
     }
 }
 
-/// One round of a level: the boxes eliminated against one snapshot of the
-/// store, in merge order, and the colour their records are stamped with.
-pub(crate) type Round = (u8, Vec<BoxId>);
-
-/// Algorithm 1 against a caller-provided tree: every box its own round,
-/// in row-major order, on one thread — eliminate, then apply, box by box.
-/// A record keeps the stamp
-/// [`eliminate_box`](crate::elimination::eliminate_box) gives it, the
-/// box's four-colouring.
+/// Algorithm 1 against a caller-provided tree: the level loop on one
+/// thread.
 pub fn factorize_with_tree<K: Kernel>(
     kernel: &K,
     pts: &[Point],
     tree: &QuadTree,
     opts: &FactorOpts,
 ) -> Result<Factorization<K::Elem>, FactorError> {
-    factorize_in_rounds(kernel, pts, tree, opts, 1, |level| {
-        tree.boxes_at_level(level)
-            .map(|b| (BoxColoring::Four.color(&b), vec![b]))
-            .collect()
-    })
+    factorize_in_rounds(kernel, pts, tree, opts, 1)
 }
 
-/// The shared-memory level sweep, parameterised by how `rounds` cuts a
-/// level's boxes into rounds. Each round is eliminated on `threads`
-/// workers against one snapshot of the store
-/// ([`eliminate_color_round`]), then merged in box order; its records
-/// take the round's colour. Same-round boxes must not read what another
-/// one writes — singleton rounds trivially, colour rounds by the §V-C
-/// distance argument ([`crate::colored`]).
+/// The shared-memory level sweep. Each level is cut into [`waves`]; a
+/// wave is eliminated on `threads` workers against one snapshot of the
+/// store ([`eliminate_wave`]), then merged in row-major order, and its
+/// records are stored in that order. Same-wave boxes are >= 3 apart, so
+/// none reads what another writes, and the result is Algorithm 1's
+/// row-major sweep bit for bit whatever `threads` is.
 pub(crate) fn factorize_in_rounds<K: Kernel>(
     kernel: &K,
     pts: &[Point],
     tree: &QuadTree,
     opts: &FactorOpts,
     threads: usize,
-    rounds: impl Fn(u8) -> Vec<Round>,
 ) -> Result<Factorization<K::Elem>, FactorError> {
     let t_total = Instant::now();
     let n = pts.len();
@@ -219,17 +205,16 @@ pub(crate) fn factorize_in_rounds<K: Kernel>(
         let mut level = leaf;
         loop {
             let t0 = Instant::now();
-            for (color, boxes) in rounds(level) {
-                let outputs =
-                    eliminate_color_round(&store, &act, tree, &boxes, opts, &ctx, threads)?;
+            let level_boxes: Vec<BoxId> = tree.boxes_at_level(level).collect();
+            for (_, boxes) in waves(&level_boxes) {
+                let outputs = eliminate_wave(&store, &act, tree, &boxes, opts, &ctx, threads)?;
                 for (b, out) in boxes.iter().zip(outputs) {
                     if let Some(rec) = &out.record {
                         stats.add_rank(level, rec.skel.len());
                     }
                     stats.compression.absorb(&out.compression);
                     apply_output(&mut store, &mut act, b, &out, &ctx);
-                    if let Some(mut rec) = out.record {
-                        rec.color = color;
+                    if let Some(rec) = out.record {
                         records.push(rec);
                     }
                 }
@@ -265,10 +250,12 @@ mod tests {
     use srsf_kernels::helmholtz::HelmholtzKernel;
     use srsf_kernels::laplace::LaplaceKernel;
     use srsf_kernels::util::random_vector;
+    use srsf_runtime::codec::Wire;
+    use std::collections::HashMap;
 
     /// Algorithm 1 as the sequential driver spelled it before it shared
     /// the level loop: eliminate, then apply, box by box in row-major
-    /// order, records keeping `eliminate_box`'s stamp.
+    /// order.
     fn reference<K: Kernel>(
         kernel: &K,
         pts: &[Point],
@@ -316,15 +303,22 @@ mod tests {
         let tree = QuadTree::build(pts, domain_for(pts), opts.leaf_size);
         let want = reference(kernel, pts, &tree, &opts);
         let got = factorize_with_tree(kernel, pts, &tree, &opts).expect("factorize");
-        let stamps = |f: &Factorization<K::Elem>| -> Vec<_> {
-            f.records
-                .iter()
-                .map(|r| (r.box_id, r.level, r.color))
-                .collect()
-        };
+        // Records are stored in wave order; each box's record is the
+        // reference's, byte for byte.
+        let by_box: HashMap<BoxId, Vec<u8>> = want
+            .records
+            .iter()
+            .map(|r| (r.box_id, r.to_bytes()))
+            .collect();
         assert_eq!(got.n_records(), want.n_records(), "{label}: records");
         assert_eq!(got.stats.ranks, want.stats.ranks, "{label}: ranks");
-        assert_eq!(stamps(&got), stamps(&want), "{label}: colour stamps");
+        for r in &got.records {
+            assert!(
+                by_box.get(&r.box_id) == Some(&r.to_bytes()),
+                "{label}: record of {:?}",
+                r.box_id
+            );
+        }
         let b = random_vector::<K::Elem>(pts.len(), 7);
         assert!(got.solve(&b) == want.solve(&b), "{label}: solution bits");
     }

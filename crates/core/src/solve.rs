@@ -35,16 +35,16 @@
 //! independent: a right-hand side is solved to the same bits alone, in
 //! any batch, and at any position in it.
 //!
-//! **Color-scheduled over threads** (`n_threads > 1`) — records carry a
-//! `(level, color)` stamp from factorization time; contiguous same-stamp
-//! runs are applied concurrently under `std::thread::scope`. With the
-//! distance-3 `Nine` coloring all record writes are disjoint by
-//! construction; the distance-2 `Four` scheme additionally shares
-//! additive neighbor updates. Both run the same snapshot-read compute
-//! phase followed by a fixed-order merge (mirroring
-//! `eliminate_color_round`), so the result is bit-identical to the
-//! serial sweep for any thread count.
+//! **Wave-scheduled over threads** (`n_threads > 1`) — a factorization
+//! stores the records of one elimination wave (same level, same
+//! `3·iy + ix`: [`crate::colored::waves`]) contiguously, and contiguous
+//! same-wave runs are applied concurrently under `std::thread::scope`.
+//! Same-wave boxes are >= 3 apart, so their records touch disjoint
+//! entries. The run computes against a snapshot and merges in record
+//! order (mirroring `eliminate_wave`), so the result is bit-identical to
+//! the serial sweep for any thread count.
 
+use crate::colored::wave_of;
 use crate::elimination::BoxElimination;
 use crate::sequential::Factorization;
 use crate::top::TopFactor;
@@ -257,7 +257,7 @@ pub(crate) fn solve_top<T: Scalar>(
 }
 
 /// The sweep: upward pass, dense top solve, downward pass. With
-/// `n_threads > 1` the two record passes are color-scheduled
+/// `n_threads > 1` the two record passes are wave-scheduled
 /// ([`threaded_pass`]); the result is bit-identical for any `n_threads`.
 fn sweep<T: Scalar>(f: &Factorization<T>, x: &mut RhsBlock<T>, n_threads: usize) {
     assert!(n_threads >= 1, "need at least one worker thread");
@@ -286,7 +286,7 @@ pub(crate) fn apply_inverse<T: Scalar>(f: &Factorization<T>, b: &mut [T], n_thre
 
 /// One substitution pass over all records, upward in elimination order
 /// or downward in its reverse: serial with one set of panels, or
-/// color-scheduled over `n_threads` workers.
+/// wave-scheduled over `n_threads` workers.
 fn record_pass<T: Scalar>(
     records: &[BoxElimination<T>],
     x: &mut RhsBlock<T>,
@@ -294,7 +294,7 @@ fn record_pass<T: Scalar>(
     downward: bool,
 ) {
     if n_threads > 1 {
-        return threaded_pass(records, &color_groups(records), x, n_threads, downward);
+        return threaded_pass(records, &wave_groups(records), x, n_threads, downward);
     }
     let mut w = RecordPanels::new();
     if downward {
@@ -311,31 +311,30 @@ fn record_pass<T: Scalar>(
 }
 
 // ---------------------------------------------------------------------------
-// Color-scheduled threaded application
+// Wave-scheduled threaded application
 // ---------------------------------------------------------------------------
 
-/// Maximal contiguous runs of records sharing a `(level, color)` stamp.
+/// Maximal contiguous runs of records of one elimination wave: equal
+/// `(level, 3·iy + ix)` of their boxes.
 ///
-/// Only *contiguous* runs are grouped: reordering records across stamps
+/// Only *contiguous* runs are grouped: reordering records across runs
 /// would change the elimination order the factorization was built for.
-/// The colored driver emits whole color rounds back-to-back, so its runs
-/// span entire rounds; sequential/distributed record streams degrade to
-/// short runs and lose parallelism but never correctness.
-fn color_groups<T>(records: &[BoxElimination<T>]) -> Vec<Range<usize>> {
-    let mut groups = Vec::new();
+/// Every shared-memory driver stores whole waves back-to-back; a
+/// distributed factor gathered from several ranks interleaves them and
+/// yields shorter runs, which lose parallelism but never correctness.
+fn wave_groups<T>(records: &[BoxElimination<T>]) -> Vec<Range<usize>> {
+    let key = |r: &BoxElimination<T>| (r.box_id.level, wave_of(&r.box_id));
     let mut start = 0;
-    for i in 1..=records.len() {
-        let split = i == records.len()
-            || (records[i - 1].level, records[i - 1].color) != (records[i].level, records[i].color);
-        if split {
-            groups.push(start..i);
-            start = i;
-        }
-    }
-    groups
+    records
+        .chunk_by(|a, b| key(a) == key(b))
+        .map(|run| {
+            start += run.len();
+            start - run.len()..start
+        })
+        .collect()
 }
 
-/// One threaded substitution pass (upward or downward) over the color
+/// One threaded substitution pass (upward or downward) over the wave
 /// groups.
 ///
 /// The worker pool is spawned **once** per pass and synchronized with a

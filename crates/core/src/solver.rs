@@ -2,7 +2,7 @@
 //!
 //! The paper's point is that a single strong-recursive-skeletonization
 //! factorization admits three execution strategies — sequential (Alg. 1),
-//! shared-memory box-colored (§V-C), and distributed process-colored
+//! shared-memory threaded (§V-C), and distributed process-colored
 //! (Alg. 2). This module exposes them behind one entry point:
 //!
 //! ```
@@ -30,11 +30,11 @@
 
 use crate::distributed::{dist_factorize_resident, restore_resident_service, ResidentService};
 use crate::error::SrsfError;
-use crate::sequential::{domain_for, factorize_in_rounds, factorize_with_tree, Factorization};
+use crate::sequential::{domain_for, factorize_in_rounds, Factorization};
 use crate::stats::FactorStats;
 use crate::FactorOpts;
 use srsf_geometry::point::Point;
-use srsf_geometry::procgrid::{BoxColoring, ProcessGrid};
+use srsf_geometry::procgrid::ProcessGrid;
 use srsf_geometry::tree::QuadTree;
 use srsf_kernels::kernel::Kernel;
 use srsf_linalg::{LinOp, Mat, Scalar};
@@ -45,11 +45,11 @@ use srsf_runtime::{MetricsSnapshot, TraceReport, Transport, WorldStats};
 pub enum Driver {
     /// Algorithm 1: a level-by-level, box-by-box sequential sweep.
     Sequential,
-    /// The shared-memory box-colored schedule of Section V-C.
+    /// The shared-memory threaded schedule of Section V-C: Algorithm 1's
+    /// level loop with each distance-3 wave of boxes eliminated on
+    /// `threads` workers — the same bits as [`Driver::Sequential`].
     Colored {
-        /// Box coloring scheme (the paper's reference uses four colors).
-        scheme: BoxColoring,
-        /// Worker threads per color round (must be at least 1).
+        /// Worker threads per wave (must be at least 1).
         threads: usize,
     },
     /// Algorithm 2: leaf boxes block-partitioned over a process grid,
@@ -63,12 +63,9 @@ pub enum Driver {
 }
 
 impl Driver {
-    /// The box-colored driver with the paper's four-color scheme.
+    /// The shared-memory driver on `threads` workers.
     pub fn colored(threads: usize) -> Self {
-        Driver::Colored {
-            scheme: BoxColoring::Four,
-            threads,
-        }
+        Driver::Colored { threads }
     }
 
     /// The distributed driver on a `p`-rank process grid.
@@ -308,11 +305,10 @@ impl<T: Scalar> Solver<T> {
         }
     }
 
-    /// Blocked apply scheduled over `n_threads` workers by the records'
-    /// `(level, color)` stamps; bit-identical to
-    /// [`Solver::apply_inverse_mat`] for any thread count. Whole color
-    /// rounds run concurrently when the factorization came from the
-    /// colored driver. Under the distributed driver the solve is already
+    /// Blocked apply over `n_threads` workers, one elimination wave at a
+    /// time (see [`Factorization::apply_inverse_mat_threaded`]);
+    /// bit-identical to [`Solver::apply_inverse_mat`] for any thread
+    /// count. Under the distributed driver the solve is already
     /// rank-parallel — the thread count is ignored and the resident sweep
     /// runs instead.
     pub fn apply_inverse_mat_threaded(&self, b: &mut Mat<T>, n_threads: usize) {
@@ -624,11 +620,11 @@ impl<'a, K: Kernel> SolverBuilder<'a, K> {
 
     /// Worker threads each rank of [`Driver::Distributed`] uses for its
     /// per-phase box eliminations (`1` = serial, the default). The boxes
-    /// of a phase run in knight-move wave rounds on a work-stealing pool
+    /// of a phase run in distance-3 wave rounds on a work-stealing pool
     /// with a fixed merge order, so the factorization, the solution, and
     /// the communication counters are bit-identical for every thread
     /// count — this knob only changes wall-clock time. A wave is at most
-    /// `⌈s/2⌉` boxes of a rank's `s × s` block, so on small per-rank
+    /// `⌈s/3⌉` boxes of a rank's `s × s` block, so on small per-rank
     /// grids there is little for the workers to share. Distributed-only:
     /// `build` rejects it under the sequential and colored drivers with
     /// [`SrsfError::UnsupportedOption`], and `0` with
@@ -736,36 +732,26 @@ impl<'a, K: Kernel> SolverBuilder<'a, K> {
         // The threading lever is the driver's own; reject `rank_threads`
         // elsewhere instead of silently ignoring it.
         if opts.rank_threads != 1 && !matches!(driver, Driver::Distributed { .. }) {
-            let (driver, instead) = match driver {
-                Driver::Colored { .. } => ("colored", "`Driver::Colored { threads, .. }`"),
-                _ => ("sequential", "`Driver::colored(threads)`"),
-            };
             return Err(SrsfError::UnsupportedOption {
                 option: "rank_threads",
-                driver,
-                instead,
+                driver: match driver {
+                    Driver::Colored { .. } => "colored",
+                    _ => "sequential",
+                },
+                instead: "`Driver::colored(threads)`",
             });
         }
         let tree = QuadTree::build(pts, domain_for(pts), opts.leaf_size);
         let backend = match driver {
             Driver::Sequential | Driver::Colored { .. } => {
-                let fact = match driver {
-                    Driver::Colored { scheme, threads } => {
-                        if threads == 0 {
-                            return Err(SrsfError::InvalidThreadCount);
-                        }
-                        // One round per colour (§V-C), on `threads` workers.
-                        factorize_in_rounds(kernel, pts, &tree, &opts, threads, |level| {
-                            (0..scheme.count())
-                                .map(|color| {
-                                    let boxes = tree.boxes_at_level(level);
-                                    (color, boxes.filter(|b| scheme.color(b) == color).collect())
-                                })
-                                .collect()
-                        })?
-                    }
-                    _ => factorize_with_tree(kernel, pts, &tree, &opts)?,
+                let threads = match driver {
+                    Driver::Colored { threads } => threads,
+                    _ => 1,
                 };
+                if threads == 0 {
+                    return Err(SrsfError::InvalidThreadCount);
+                }
+                let fact = factorize_in_rounds(kernel, pts, &tree, &opts, threads)?;
                 SolverBackend::Local(Box::new(fact))
             }
             Driver::Distributed { grid } => {

@@ -98,8 +98,7 @@ impl Wire for FactorError {
 impl<T: Scalar> Wire for BoxElimination<T> {
     fn encode(&self, w: &mut ByteWriter) {
         put_box(w, &self.box_id);
-        // (level, color) scheduling stamp for the threaded solve apply.
-        w.put_u64(((self.level as u64) << 8) | self.color as u64);
+        w.put_u64(self.level as u64);
         put_ids(w, &self.redundant);
         put_ids(w, &self.skel);
         put_ids(w, &self.nbr);
@@ -121,7 +120,7 @@ impl<T: Scalar> Wire for BoxElimination<T> {
     fn decode(r: &mut ByteReader) -> Result<Self, CodecError> {
         let at = r.position();
         let box_id = try_get_box(r)?;
-        let stamp = r.try_get_u64()?;
+        let level = r.try_get_u64()? as u8;
         let redundant = try_get_ids(r)?;
         let skel = try_get_ids(r)?;
         let nbr = try_get_ids(r)?;
@@ -160,8 +159,7 @@ impl<T: Scalar> Wire for BoxElimination<T> {
         }
         Ok(BoxElimination {
             box_id,
-            level: (stamp >> 8) as u8,
-            color: (stamp & 0xFF) as u8,
+            level,
             redundant,
             skel,
             nbr,
@@ -371,7 +369,9 @@ const CKPT_MAGIC: &[u8; 8] = b"SRSFCKP1";
 /// (and a general record its couplings unsolved), a packed `L D Lᵀ` block
 /// column `D_k^{-T}` where it carried the LU of `D_k`, and `FactorStats`
 /// no longer carries the always-zero `solve_s`.
-const CKPT_VERSION: u64 = 9;
+/// v10: a record's schedule word carries its level alone (the colour
+/// stamp is gone), and its order key's wave is `3·iy + ix`.
+const CKPT_VERSION: u64 = 10;
 /// Header length in bytes.
 const CKPT_HEADER: usize = 40;
 /// Scalar tag of the scalar-independent manifest file.
@@ -632,7 +632,6 @@ mod tests {
                 iy: 6,
             },
             level: 3,
-            color: 2,
             redundant: vec![1, 2],
             skel: vec![3],
             nbr: vec![4, 5, 6],
@@ -650,7 +649,7 @@ mod tests {
         let rec = sample_record(1.5f64);
         let back = BoxElimination::<f64>::from_bytes(rec.to_bytes()).unwrap();
         assert_eq!(back.box_id, rec.box_id);
-        assert_eq!((back.level, back.color), (3, 2));
+        assert_eq!(back.level, 3);
         assert_eq!(back.nbr, rec.nbr);
         assert_eq!(back.en, rec.en);
         let rec = sample_record(c64::new(0.5, -2.0));

@@ -1,6 +1,6 @@
 //! Bit-identity of the hybrid-parallel distributed driver: the
 //! `rank_threads` knob must change wall-clock time and nothing else.
-//! Every rank eliminates its phase boxes in knight-move wave rounds
+//! Every rank eliminates its phase boxes in distance-3 wave rounds
 //! with snapshot reads and a fixed merge order, so the factorization
 //! records, the solutions, and the per-rank communication counters are
 //! identical bits for every thread count — on both transports.

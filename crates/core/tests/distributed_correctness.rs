@@ -155,12 +155,9 @@ fn dist_helmholtz_complex_path() {
 
 #[test]
 fn single_rank_world_matches_sequential_within_tolerance() {
-    // A rank eliminates its phase boxes in knight-move wavefronts, so a
-    // 1-rank world sums its Schur updates in another order than the
-    // sequential row-major sweep, but eliminates every box against the
-    // same neighbors: the two agree at the compression tolerance. (The
-    // bit-for-bit reference, the shared level loop over the same wave
-    // rounds, is a crate-internal test in `distributed::factorize`.)
+    // A one-rank world eliminates each level as one interior phase in
+    // distance-3 waves, which is the sequential row-major sweep bit for
+    // bit (see `tests/one_schedule.rs` for records, top and counters).
     let grid = UnitGrid::new(16);
     let kernel = LaplaceKernel::new(&grid);
     let pts = grid.points();
@@ -180,10 +177,9 @@ fn single_rank_world_matches_sequential_within_tolerance() {
         .build()
         .unwrap();
     let b = random_vector::<f64>(256, 9);
-    let diff = srsf_linalg::vecops::rel_diff(&f.solve(&b), &fs.solve(&b));
     assert!(
-        diff < 1e2 * tol,
-        "p=1 must match the sequential driver: {diff:.3e}"
+        f.solve(&b) == fs.solve(&b),
+        "p=1 must match the sequential driver bit for bit"
     );
     // No point-to-point traffic on a single rank.
     assert_eq!(f.comm_stats().unwrap().total_msgs(), 0);

@@ -1,11 +1,10 @@
-//! The one solve sweep at every width and the color-scheduled threaded
+//! The one solve sweep at every width and the wave-scheduled threaded
 //! apply: `solve_mat` must agree column-for-column, bit for bit, with
 //! repeated single `solve` calls across scalar types and all three
 //! drivers, a column's solution must not depend on the batch it is solved
 //! in, and the threaded apply must be bit-identical to the serial apply
 //! for any thread count.
 
-use srsf_core::colored::ColorScheme;
 use srsf_core::{Driver, FactorOpts, Factorized, Solver, SrsfError};
 use srsf_geometry::grid::UnitGrid;
 use srsf_geometry::point::Point;
@@ -32,14 +31,8 @@ fn rhs_mat<T: Scalar>(n: usize, nrhs: usize, seed: u64) -> Mat<T> {
 fn drivers() -> Vec<Driver> {
     vec![
         Driver::Sequential,
-        Driver::Colored {
-            scheme: ColorScheme::Four,
-            threads: 2,
-        },
-        Driver::Colored {
-            scheme: ColorScheme::Nine,
-            threads: 3,
-        },
+        Driver::colored(2),
+        Driver::colored(3),
         Driver::distributed(4),
     ]
 }
@@ -104,10 +97,7 @@ fn assert_batch_invariant<T: Scalar, K: Kernel<Elem = T>>(kernel: &K, pts: &[Poi
     let col = random_vector::<T>(n, 5);
     let builds = [
         Driver::Sequential,
-        Driver::Colored {
-            scheme: ColorScheme::Four,
-            threads: 2,
-        },
+        Driver::colored(2),
         Driver::distributed(4),
     ];
     for driver in builds {
@@ -168,19 +158,8 @@ fn threaded_apply_bit_identical_to_serial() {
     let grid = UnitGrid::new(32);
     let kernel = LaplaceKernel::new(&grid);
     let pts = grid.points();
-    // All stamp layouts: color rounds (Four and Nine) and the
-    // sequential driver's row-major stream (short runs, still exact).
-    let builds = vec![
-        Driver::Sequential,
-        Driver::Colored {
-            scheme: ColorScheme::Four,
-            threads: 2,
-        },
-        Driver::Colored {
-            scheme: ColorScheme::Nine,
-            threads: 2,
-        },
-    ];
+    // Both shared-memory drivers: records stored in whole waves.
+    let builds = vec![Driver::Sequential, Driver::colored(2)];
     for driver in builds {
         let f = Solver::builder(&kernel, &pts)
             .opts(opts())

@@ -83,10 +83,7 @@ fn zero_threads_is_an_error() {
     let kernel = LaplaceKernel::new(&grid);
     let pts = grid.points();
     let err = Solver::builder(&kernel, &pts)
-        .driver(Driver::Colored {
-            scheme: srsf_core::colored::ColorScheme::Four,
-            threads: 0,
-        })
+        .driver(Driver::Colored { threads: 0 })
         .build()
         .unwrap_err();
     assert_eq!(err, SrsfError::InvalidThreadCount);
@@ -225,11 +222,7 @@ fn mismatched_threading_knobs_are_typed_errors() {
             "sequential",
             "`Driver::colored(threads)`",
         ),
-        (
-            Driver::colored(2),
-            "colored",
-            "`Driver::Colored { threads, .. }`",
-        ),
+        (Driver::colored(2), "colored", "`Driver::colored(threads)`"),
     ] {
         let err = Solver::builder(&kernel, &pts)
             .driver(driver)

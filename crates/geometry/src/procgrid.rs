@@ -177,37 +177,6 @@ impl ProcessGrid {
     }
 }
 
-/// Coloring schemes for *boxes* (the shared-memory reference of Section
-/// V-C colors boxes, not ranks).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BoxColoring {
-    /// 4 colors; adjacent boxes differ (the paper's reference scheme).
-    /// Same-color boxes can be at distance 2, so concurrent Schur updates
-    /// to shared neighbor pairs must be merged additively.
-    Four,
-    /// 9 colors; same-color boxes are at distance >= 3, making all writes
-    /// disjoint (lock-free ablation variant).
-    Nine,
-}
-
-impl BoxColoring {
-    /// Number of colors.
-    pub fn count(&self) -> u8 {
-        match self {
-            BoxColoring::Four => 4,
-            BoxColoring::Nine => 9,
-        }
-    }
-
-    /// Color of a box.
-    pub fn color(&self, b: &BoxId) -> u8 {
-        match self {
-            BoxColoring::Four => ((b.ix % 2) + 2 * (b.iy % 2)) as u8,
-            BoxColoring::Nine => ((b.ix % 3) + 3 * (b.iy % 3)) as u8,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -361,46 +330,6 @@ mod tests {
                 assert!(ns.len() <= 8);
                 for n in &ns {
                     assert!(g.neighbor_ranks(*n, level).contains(&r));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn box_colorings() {
-        let four = BoxColoring::Four;
-        let nine = BoxColoring::Nine;
-        assert_eq!(four.count(), 4);
-        assert_eq!(nine.count(), 9);
-        // Four: neighbors differ.
-        let b = BoxId {
-            level: 4,
-            ix: 5,
-            iy: 9,
-        };
-        for n in near_field(&b) {
-            assert_ne!(four.color(&b), four.color(&n));
-        }
-        // Nine: same color implies distance >= 3.
-        let s = 9u32;
-        for iy1 in 0..s {
-            for ix1 in 0..s {
-                let a = BoxId {
-                    level: 4,
-                    ix: ix1,
-                    iy: iy1,
-                };
-                for iy2 in 0..s {
-                    for ix2 in 0..s {
-                        let c = BoxId {
-                            level: 4,
-                            ix: ix2,
-                            iy: iy2,
-                        };
-                        if a != c && nine.color(&a) == nine.color(&c) {
-                            assert!(a.chebyshev(&c) >= 3);
-                        }
-                    }
                 }
             }
         }

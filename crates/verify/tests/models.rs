@@ -359,7 +359,7 @@ fn work_stealing_claims_each_chunk_once() {
             for w in workers {
                 w.join().unwrap();
             }
-            // Deterministic row-major merge, as eliminate_color_round does.
+            // Deterministic row-major merge, as eliminate_wave does.
             slots
                 .iter()
                 .map(|s| *s.get().expect("chunk lost"))
@@ -434,7 +434,7 @@ fn delta_merge_order_is_schedule_independent() {
 // Subsystem 6: the per-neighbor eager-send completion counter of the
 // distributed run_phase. A rank's phase boxes eliminate in wave
 // sub-rounds: each round is filled by the work-stealing pool (a round of
-// one box runs on the calling thread, as `eliminate_color_round` does),
+// one box runs on the calling thread, as `eliminate_wave` does),
 // then merged in fixed box order; a neighbor's update frame is posted the
 // moment the last box that neighbor tracks retires from the merge —
 // exactly once, never before, and carrying post-merge values only. The

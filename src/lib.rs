@@ -21,7 +21,7 @@
 //!   explicit messages, communication counters, α–β network model.
 //! * [`core`] — the factorization itself, behind the unified
 //!   [`Solver`](prelude::Solver) builder: sequential, shared-memory
-//!   box-colored, and distributed-memory process-colored drivers.
+//!   threaded, and distributed-memory process-colored drivers.
 //! * [`iterative`] — CG / preconditioned CG / GMRES for the accuracy and
 //!   iteration-count experiments; preconditioned by anything implementing
 //!   [`Factorized`](prelude::Factorized).
@@ -81,9 +81,9 @@ pub use srsf_trace as trace;
 /// Convenient glob-import surface for examples and downstream users.
 pub mod prelude {
     pub use srsf_core::{
-        colored::ColorScheme, sequential::Factorization, solver::SolverBuilder, stats::FactorStats,
-        BaseTransport, Compression, CompressionTelemetry, Driver, FactorOpts, Factorized,
-        FaultPlan, RankHealth, Solver, SrsfError, Transport,
+        sequential::Factorization, solver::SolverBuilder, stats::FactorStats, BaseTransport,
+        Compression, CompressionTelemetry, Driver, FactorOpts, Factorized, FaultPlan, RankHealth,
+        Solver, SrsfError, Transport,
     };
     pub use srsf_geometry::{grid::UnitGrid, point::Point, procgrid::ProcessGrid, tree::QuadTree};
     pub use srsf_iterative::{
