@@ -598,9 +598,11 @@ fn main() {
     let top_f64 = top_factor_cases::<f64>(&mut h, "f64_1651", 1651);
     let top_c64 = top_factor_cases::<c64>(&mut h, "c64_1251", 1251);
     // The median record of the same two factorizations, one register
-    // tile of right-hand sides each.
+    // tile of right-hand sides each, and the benchmark's 16-column block
+    // for `c64` (two of its tiles).
     panel_cases::<f64>(&mut h, "f64", 16, (349, 41), &top_f64);
     panel_cases::<c64>(&mut h, "c64", 8, (332, 45), &top_c64);
+    panel_cases::<c64>(&mut h, "c64", 16, (332, 45), &top_c64);
     // The set-up side of the same kernel: a box's neighbor coupling
     // `X_NR X_RR^{-T}` (laplace_grid, upper levels), and the sketch block
     // that multiplies one ring block of a leaf box.
@@ -733,6 +735,25 @@ fn main() {
                 x
             });
         }
+    }
+
+    // The complex block solve of helmholtz_grid's case: the sweep the
+    // `c64` panel kernels carry.
+    {
+        let grid = UnitGrid::new(64);
+        let kernel = HelmholtzKernel::new(&grid, 25.0);
+        let pts = grid.points();
+        let f = Solver::builder(&kernel, &pts)
+            .tol(1e-6)
+            .leaf_size(64)
+            .build()
+            .unwrap();
+        let mut bm = Mat::zeros(grid.n(), 16);
+        for j in 0..16 {
+            bm.col_mut(j)
+                .copy_from_slice(&random_vector::<c64>(grid.n(), 300 + j as u64));
+        }
+        h.bench("solve_mat/helmholtz_4096_nrhs16", || f.solve_mat(&bm));
     }
 
     {

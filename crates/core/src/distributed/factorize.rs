@@ -165,7 +165,7 @@ fn decode_and_apply_update<K: Kernel>(
 /// Decode a whole frame from `src` received under tag `t` with `decode`;
 /// a frame that does not decode is [`FactorError::MalformedFrame`]
 /// naming the sender and the step.
-fn decode_frame<V>(
+pub(super) fn decode_frame<V>(
     payload: Vec<u8>,
     src: usize,
     t: u32,

@@ -35,18 +35,10 @@ pub(crate) use serve::{dist_factorize_resident, restore_resident_service};
 use crate::elimination::BoxElimination;
 use crate::stats::FactorStats;
 use crate::top::TopFactor;
-use crate::wire::try_get_ids;
 use srsf_geometry::point::Point;
 use srsf_geometry::procgrid::ProcessGrid;
 use srsf_geometry::tree::{BoxId, QuadTree};
-use srsf_runtime::codec::ByteReader;
 use std::collections::HashMap;
-
-pub(crate) fn get_ids(r: &mut ByteReader) -> Vec<u32> {
-    // INVARIANT: deliberate — these frames come from our own encoder over a
-    // reliable transport; try_get_ids is the path for untrusted bytes
-    try_get_ids(r).unwrap_or_else(|e| panic!("{e}"))
-}
 
 /// Inclusive box-coordinate bounds of a rank's block at a level.
 pub(crate) fn region_of(grid: &ProcessGrid, rank: usize, level: u8) -> (i64, i64, i64, i64) {

@@ -102,10 +102,11 @@
 //! snapshots — no kernel evaluations, no re-factorization — and restored
 //! solves are bit-identical to the original service's.
 
-use super::factorize::{factor_phase, resident_bytes, scatter_top, write_rank_checkpoint};
+use super::factorize::{
+    decode_frame, factor_phase, resident_bytes, scatter_top, write_rank_checkpoint,
+};
 use super::{
-    get_ids, key_level_phase, owned_leaf_ids, owner_of_point, region_of, RankState, RankTop,
-    TopShare,
+    key_level_phase, owned_leaf_ids, owner_of_point, region_of, RankState, RankTop, TopShare,
 };
 use crate::elimination::FactorError;
 use crate::error::SrsfError;
@@ -115,7 +116,7 @@ use crate::solve::{
 };
 use crate::stats::FactorStats;
 use crate::top::TopFactor;
-use crate::wire::{decode_rank_snapshot, encode_rank_snapshot, put_ids};
+use crate::wire::{decode_rank_snapshot, encode_rank_snapshot, put_ids, try_get_ids};
 use crate::FactorOpts;
 use srsf_geometry::point::Point;
 use srsf_geometry::procgrid::ProcessGrid;
@@ -125,12 +126,12 @@ use srsf_linalg::panel::panel_rows;
 use srsf_linalg::{Mat, Scalar};
 use srsf_runtime::codec::{ByteReader, ByteWriter, Bytes, CodecError, Wire};
 use srsf_runtime::tags::{
-    self, tag, KIND_SOLVE_REQ, KIND_SOLVE_UP, KIND_SOLVE_VAL, TAG_SERVE_CKPT, TAG_SERVE_CMD,
+    tag, KIND_SOLVE_REQ, KIND_SOLVE_UP, KIND_SOLVE_VAL, TAG_SERVE_CKPT, TAG_SERVE_CMD,
     TAG_SERVE_GATHER, TAG_SERVE_READY, TAG_SERVE_RHS, TAG_SERVE_SOL, TAG_SERVE_STATS,
     TAG_SERVE_TRACE,
 };
 use srsf_runtime::world::{RankCtx, World, WorldHandle};
-use srsf_runtime::{CommStats, MetricsRegistry, RecvError, TraceReport, Transport, WorldStats};
+use srsf_runtime::{CommStats, MetricsRegistry, TraceReport, Transport, WorldStats};
 use std::collections::HashMap;
 use std::path::Path;
 // Sync primitives come through the srsf-verify shims: identical to
@@ -338,6 +339,87 @@ impl<T: Scalar> ServeState<T> {
 /// matching columns of the `X_R ENᵀ` product)`.
 type DeltaBatch<'a, T> = Vec<(&'a [u32], Mat<T>)>;
 
+/// A `KIND_SOLVE_UP` frame: the count of a rank's delta batches, then
+/// each batch's ids and columns.
+fn encode_deltas<T: Scalar>(entries: &DeltaBatch<'_, T>) -> Bytes {
+    let mut w = ByteWriter::new();
+    w.put_u64(entries.len() as u64);
+    for (ids, rows) in entries {
+        put_ids(&mut w, ids);
+        w.put_mat(rows);
+    }
+    w.finish()
+}
+
+/// Decode a frame's `nrhs x cols` block of values; any other shape is
+/// malformed.
+fn try_get_rows<T: Scalar>(
+    r: &mut ByteReader,
+    (nrhs, cols): (usize, usize),
+) -> Result<Mat<T>, CodecError> {
+    let at = r.position();
+    let rows: Mat<T> = r.try_get_mat()?;
+    if (rows.nrows(), rows.ncols()) != (nrhs, cols) {
+        return Err(CodecError::Invalid {
+            what: "solve frame value block shape",
+            at,
+        });
+    }
+    Ok(rows)
+}
+
+/// Decode the ids of points of an `n`-point working block; an id past
+/// its end is malformed.
+fn try_get_points(r: &mut ByteReader, n: usize) -> Result<Vec<u32>, CodecError> {
+    let at = r.position();
+    let ids = try_get_ids(r)?;
+    if ids.iter().any(|&i| i as usize >= n) {
+        return Err(CodecError::Invalid {
+            what: "solve frame point id",
+            at,
+        });
+    }
+    Ok(ids)
+}
+
+/// Point ids and their values, as a solve frame carries them.
+type Cols<T> = (Vec<u32>, Mat<T>);
+
+/// Decode point ids and their values for the `nrhs x n` working block of
+/// `dims`: points of the block, and `nrhs x ids.len()` values.
+fn try_get_cols<T: Scalar>(
+    r: &mut ByteReader,
+    (nrhs, n): (usize, usize),
+) -> Result<Cols<T>, CodecError> {
+    let ids = try_get_points(r, n)?;
+    let rows = try_get_rows(r, (nrhs, ids.len()))?;
+    Ok((ids, rows))
+}
+
+/// Decode a `KIND_SOLVE_UP` frame ([`encode_deltas`]) for the working
+/// block of `dims`.
+fn try_get_deltas<T: Scalar>(
+    r: &mut ByteReader,
+    dims: (usize, usize),
+) -> Result<Vec<Cols<T>>, CodecError> {
+    (0..r.try_get_u64()?)
+        .map(|_| try_get_cols(r, dims))
+        .collect()
+}
+
+/// Receive the frame from `src` under tag `t` and decode it with
+/// `decode`: a lost peer and a frame that does not decode are both the
+/// sender's [`SrsfError::RankFailed`].
+fn recv_frame<V>(
+    ctx: &mut RankCtx,
+    src: usize,
+    t: u32,
+    decode: impl FnOnce(&mut ByteReader) -> Result<V, CodecError>,
+) -> Result<V, SrsfError> {
+    let payload = ctx.try_recv(src, t)?;
+    Ok(decode_frame(payload, src, t, decode)?)
+}
+
 /// The SPMD distributed solve: every rank (rank 0 included) runs this over
 /// its full-width working block `x` (`nrhs x n`; only owned and
 /// protocol-refreshed points are ever read, so a rank may start from its
@@ -356,20 +438,23 @@ type DeltaBatch<'a, T> = Vec<(&'a [u32], Mat<T>)>;
 /// workers).
 ///
 /// Fallible by design: every receive and barrier is the bounded-timeout
-/// variant, so a rank that dies (or a link that goes down) mid-solve
-/// surfaces here as a typed [`RecvError`] within the receive timeout —
-/// the caller (rank 0's service, a worker's serve loop) abandons the
-/// solve instead of hanging.
+/// variant and every frame decodes through the bounds-checked readers, so
+/// a rank that dies (or a link that goes down) mid-solve, and a frame
+/// that does not decode, surface here as a typed
+/// [`SrsfError::RankFailed`] naming the sender — the caller (rank 0's
+/// service, a worker's serve loop) abandons the solve instead of hanging
+/// or panicking.
 pub(super) fn solve_resident_mat<T: Scalar>(
     ctx: &mut RankCtx,
     grid: &ProcessGrid,
     st: &ServeState<T>,
     x: &mut RhsBlock<T>,
     rank0_owned: Option<&[Vec<u32>]>,
-) -> Result<(), RecvError> {
+) -> Result<(), SrsfError> {
     let me = ctx.rank();
     let levels: Vec<u8> = (st.lmin..=st.leaf).rev().collect();
     let mut panels = RecordPanels::new();
+    let dims = (x.nrhs(), x.n());
 
     // ---- Upward pass -----------------------------------------------------
     for &level in &levels {
@@ -396,27 +481,13 @@ pub(super) fn solve_resident_mat<T: Scalar>(
                     }
                     merge_upward(rec, x, &panels);
                 }
+                let t = tag(level, phase, KIND_SOLVE_UP);
                 for &dst in &neighbors {
                     let entries = outgoing.remove(&dst).unwrap_or_default();
-                    let mut w = ByteWriter::new();
-                    w.put_u64(entries.len() as u64);
-                    for (ids, rows) in &entries {
-                        put_ids(&mut w, ids);
-                        w.put_mat(rows);
-                    }
-                    ctx.send(dst, tag(level, phase, KIND_SOLVE_UP), w.finish());
+                    ctx.send(dst, t, encode_deltas(&entries));
                 }
                 for &src in &neighbors {
-                    let payload = ctx.try_recv(src, tag(level, phase, KIND_SOLVE_UP))?;
-                    let mut r = ByteReader::new(payload);
-                    // INVARIANT: this frame was encoded by a peer rank under the matching tag
-                    // and the transport delivers whole messages, so decode cannot truncate
-                    let n = r.get_u64();
-                    for _ in 0..n {
-                        let ids = get_ids(&mut r);
-                        // INVARIANT: this frame was encoded by a peer rank under the matching tag
-                        // and the transport delivers whole messages, so decode cannot truncate
-                        let rows: Mat<T> = r.get_mat();
+                    for (ids, rows) in recv_frame(ctx, src, t, |r| try_get_deltas(r, dims))? {
                         x.scatter_sub(&ids, &rows);
                     }
                 }
@@ -434,12 +505,8 @@ pub(super) fn solve_resident_mat<T: Scalar>(
     let active_top = grid.active_ranks(st.top_level);
     if me == 0 {
         for &src in active_top.iter().filter(|&&r| r != 0) {
-            let payload = ctx.try_recv(src, tag(st.top_level, 6, KIND_SOLVE_VAL))?;
-            let mut r = ByteReader::new(payload);
-            let ids = get_ids(&mut r);
-            // INVARIANT: this frame was encoded by a peer rank under the matching tag
-            // and the transport delivers whole messages, so decode cannot truncate
-            let rows: Mat<T> = r.get_mat();
+            let t = tag(st.top_level, 6, KIND_SOLVE_VAL);
+            let (ids, rows) = recv_frame(ctx, src, t, |r| try_get_cols(r, dims))?;
             x.scatter(&ids, &rows);
         }
     } else if active_top.contains(&me) {
@@ -462,12 +529,8 @@ pub(super) fn solve_resident_mat<T: Scalar>(
             ctx.send(*dst, tag(st.top_level, 7, KIND_SOLVE_VAL), w.finish());
         }
     } else if active_top.contains(&me) {
-        let payload = ctx.try_recv(0, tag(st.top_level, 7, KIND_SOLVE_VAL))?;
-        let mut r = ByteReader::new(payload);
-        let ids = get_ids(&mut r);
-        // INVARIANT: this frame was encoded by a peer rank under the matching tag
-        // and the transport delivers whole messages, so decode cannot truncate
-        let rows: Mat<T> = r.get_mat();
+        let t = tag(st.top_level, 7, KIND_SOLVE_VAL);
+        let (ids, rows) = recv_frame(ctx, 0, t, |r| try_get_cols(r, dims))?;
         x.scatter(&ids, &rows);
     }
     ctx.try_barrier()?;
@@ -499,20 +562,16 @@ pub(super) fn solve_resident_mat<T: Scalar>(
                     ctx.send(dst, tag(level, phase, KIND_SOLVE_REQ), w.finish());
                 }
                 for &src in &neighbors {
-                    let payload = ctx.try_recv(src, tag(level, phase, KIND_SOLVE_REQ))?;
-                    let ids = get_ids(&mut ByteReader::new(payload));
+                    let t = tag(level, phase, KIND_SOLVE_REQ);
+                    let ids = recv_frame(ctx, src, t, |r| try_get_points(r, dims.1))?;
                     let mut w = ByteWriter::new();
                     put_ids(&mut w, &ids);
                     w.put_mat(&x.frame(&ids));
                     ctx.send(src, tag(level, phase, KIND_SOLVE_VAL), w.finish());
                 }
                 for &src in &neighbors {
-                    let payload = ctx.try_recv(src, tag(level, phase, KIND_SOLVE_VAL))?;
-                    let mut r = ByteReader::new(payload);
-                    let ids = get_ids(&mut r);
-                    // INVARIANT: this frame was encoded by a peer rank under the matching tag
-                    // and the transport delivers whole messages, so decode cannot truncate
-                    let rows: Mat<T> = r.get_mat();
+                    let t = tag(level, phase, KIND_SOLVE_VAL);
+                    let (ids, rows) = recv_frame(ctx, src, t, |r| try_get_cols(r, dims))?;
                     x.scatter(&ids, &rows);
                 }
                 // Apply my records of this round in reverse global order.
@@ -532,10 +591,8 @@ pub(super) fn solve_resident_mat<T: Scalar>(
         // INVARIANT: the driver passes rank 0 its slab row map on entry
         let owned = rank0_owned.expect("rank 0 passes its slab row map");
         for src in 1..grid.p() {
-            let payload = ctx.try_recv(src, TAG_SERVE_SOL)?;
-            // INVARIANT: this frame was encoded by a peer rank under the matching tag
-            // and the transport delivers whole messages, so decode cannot truncate
-            let rows: Mat<T> = ByteReader::new(payload).get_mat();
+            let shape = (dims.0, owned[src].len());
+            let rows = recv_frame(ctx, src, TAG_SERVE_SOL, |r| try_get_rows(r, shape))?;
             x.scatter(&owned[src], &rows);
         }
     } else {
@@ -562,7 +619,7 @@ fn top_chain_step<T: Scalar>(
     share: &TopShare<T>,
     x: &mut RhsBlock<T>,
     panel: &mut Mat<T>,
-) -> Result<(), RecvError> {
+) -> Result<(), SrsfError> {
     let span = share.cols.col_span();
     let width = share.cols.dim() - span.start;
     let (fwd, bwd) = (
@@ -575,14 +632,7 @@ fn top_chain_step<T: Scalar>(
     match share.prev {
         None => x.gather(&share.idx, panel),
         Some(prev) => {
-            // INVARIANT: this frame was encoded by a peer rank under the matching tag
-            // and the transport delivers whole messages, so decode cannot truncate
-            let rows: Mat<T> = ByteReader::new(ctx.try_recv(prev, fwd)?).get_mat();
-            assert_eq!(
-                (rows.nrows(), rows.ncols()),
-                (x.nrhs(), width),
-                "top panel frame shape"
-            );
+            let rows = recv_frame(ctx, prev, fwd, |r| try_get_rows(r, (x.nrhs(), width)))?;
             rows.gather_cols_into(&all, panel_rows::<T>(x.nrhs()), panel);
         }
     }
@@ -599,13 +649,8 @@ fn top_chain_step<T: Scalar>(
         let mut w = ByteWriter::new();
         w.put_mat(&frame_of(panel, rest, x.nrhs()));
         ctx.send(next, fwd, w.finish());
-        // INVARIANT: same trusted-frame argument as above
-        let rows: Mat<T> = ByteReader::new(ctx.try_recv(next, bwd)?).get_mat();
-        assert_eq!(
-            (rows.nrows(), rows.ncols()),
-            (x.nrhs(), rest.len()),
-            "top panel frame shape"
-        );
+        let shape = (x.nrhs(), rest.len());
+        let rows = recv_frame(ctx, next, bwd, |r| try_get_rows(r, shape))?;
         for (&j, k) in rest.iter().zip(0..) {
             panel.col_mut(j as usize)[..rows.nrows()].copy_from_slice(rows.col(k));
         }
@@ -637,8 +682,9 @@ fn fold_up_mat<T: Scalar>(
     st: &ServeState<T>,
     child_level: u8,
     x: &mut RhsBlock<T>,
-) -> Result<(), RecvError> {
+) -> Result<(), SrsfError> {
     let me = ctx.rank();
+    let dims = (x.nrhs(), x.n());
     let parent_level = child_level - 1;
     if grid.effective_q(parent_level) >= grid.effective_q(child_level)
         || !grid.is_active(me, child_level)
@@ -662,12 +708,8 @@ fn fold_up_mat<T: Scalar>(
         let (cx, cy) = grid.coords_of(me);
         for (dx, dy) in [(1u32, 0u32), (0, 1), (1, 1)] {
             let member = grid.rank_of(cx + dx * stride, cy + dy * stride);
-            let payload = ctx.try_recv(member, tag(child_level, 5, KIND_SOLVE_VAL))?;
-            let mut r = ByteReader::new(payload);
-            let ids = get_ids(&mut r);
-            // INVARIANT: this frame was encoded by a peer rank under the matching tag
-            // and the transport delivers whole messages, so decode cannot truncate
-            let rows: Mat<T> = r.get_mat();
+            let t = tag(child_level, 5, KIND_SOLVE_VAL);
+            let (ids, rows) = recv_frame(ctx, member, t, |r| try_get_cols(r, dims))?;
             x.scatter(&ids, &rows);
         }
     }
@@ -682,8 +724,9 @@ fn fold_down_mat<T: Scalar>(
     st: &ServeState<T>,
     child_level: u8,
     x: &mut RhsBlock<T>,
-) -> Result<(), RecvError> {
+) -> Result<(), SrsfError> {
     let me = ctx.rank();
+    let dims = (x.nrhs(), x.n());
     let parent_level = child_level - 1;
     if grid.effective_q(parent_level) >= grid.effective_q(child_level)
         || !grid.is_active(me, child_level)
@@ -697,13 +740,9 @@ fn fold_down_mat<T: Scalar>(
         iy: (y0 / 2) as u32,
     });
     if corner != me {
-        let payload = ctx.try_recv(corner, tag(child_level, 6, KIND_SOLVE_VAL))?;
-        let mut r = ByteReader::new(payload);
-        let ids = get_ids(&mut r);
+        let t = tag(child_level, 6, KIND_SOLVE_VAL);
+        let (ids, rows) = recv_frame(ctx, corner, t, |r| try_get_cols(r, dims))?;
         debug_assert_eq!(ids, st.owned_act_ids(child_level));
-        // INVARIANT: this frame was encoded by a peer rank under the matching tag
-        // and the transport delivers whole messages, so decode cannot truncate
-        let rows: Mat<T> = r.get_mat();
         x.scatter(&ids, &rows);
     } else {
         let stride = grid.q() / grid.effective_q(child_level);
@@ -804,80 +843,73 @@ fn serve_rank<T: Scalar, E: Wire>(
 }
 
 /// The shared worker command loop, entered once a rank's serve state
-/// exists (freshly factorized or restored from a snapshot). A
-/// [`RecvError`] during a solve — a peer died or a link went down — makes
-/// the worker log the typed failure and leave the loop (graceful
+/// exists (freshly factorized or restored from a snapshot). A typed
+/// failure — a peer died or a link went down during a solve, or a frame
+/// did not decode — makes the worker log it and leave the loop (graceful
 /// degradation): the rank exits cleanly, rank 0 observes the same
 /// failure on its side of the protocol, and nothing hangs.
 fn serve_loop<T: Scalar>(ctx: &mut RankCtx, geo: &ResidentGeo, st: &ServeState<T>) {
     let me = ctx.rank();
     while let Some(cmd) = ctx.recv_service_idle(0, TAG_SERVE_CMD) {
-        let mut r = ByteReader::new(cmd);
-        // INVARIANT: this frame was encoded by a peer rank under the matching tag
-        // and the transport delivers whole messages, so decode cannot truncate
-        match r.get_u64() {
-            CMD_SHUTDOWN => break,
-            CMD_SOLVE => {
-                // INVARIANT: this frame was encoded by a peer rank under the matching tag
-                // and the transport delivers whole messages, so decode cannot truncate
-                let nrhs = r.get_u64() as usize;
-                let slab: Mat<T> = match ctx.try_recv(0, TAG_SERVE_RHS) {
-                    // INVARIANT: this frame was encoded by a peer rank under the
-                    // matching tag and arrives whole, so decode cannot truncate
-                    Ok(payload) => ByteReader::new(payload).get_mat(),
-                    Err(e) => {
-                        eprintln!("srsf-core: rank {me} abandoning resident serve: {e}");
-                        return;
-                    }
-                };
-                assert_eq!(slab.nrows(), nrhs, "rank {me}: RHS slab shape mismatch");
-                let mut x = RhsBlock::zeros(nrhs, geo.n);
-                x.scatter(&st.owned_leaf_ids, &slab);
-                if let Err(e) = solve_resident_mat(ctx, &geo.grid, st, &mut x, None) {
-                    eprintln!("srsf-core: rank {me} abandoning resident serve: {e}");
-                    return;
-                }
+        match serve_command(ctx, geo, st, cmd) {
+            Ok(true) => {}
+            Ok(false) => break,
+            Err(e) => {
+                eprintln!("srsf-core: rank {me} abandoning resident serve: {e}");
+                break;
             }
-            CMD_PROBE => {
-                let mut w = ByteWriter::new();
-                ctx.stats().encode(&mut w);
-                ctx.send_service(0, TAG_SERVE_STATS, w.finish());
-            }
-            CMD_TRACE => {
-                let mut w = ByteWriter::new();
-                srsf_trace::take_report(me).encode(&mut w);
-                ctx.send_service(0, TAG_SERVE_TRACE, w.finish());
-            }
-            CMD_GATHER => {
-                ctx.send_service(
-                    0,
-                    TAG_SERVE_GATHER,
-                    encode_rank_snapshot(&st.state, &st.top),
-                );
-            }
-            // INVARIANT: deliberate — an unknown opcode means a protocol-version
-            // mismatch between driver and rank; dying loudly beats misinterpreting
-            op => panic!("rank {me}: unknown serve opcode {op}"),
         }
     }
 }
 
-/// Map a transport-level receive failure to the public typed error: the
-/// peer we were waiting on is the failed rank; the tag names the
-/// protocol step it died in.
-fn recv_to_srsf(e: &RecvError) -> SrsfError {
-    match e {
-        RecvError::Timeout { src, tag, .. } | RecvError::Disconnected { src, tag, .. } => {
-            SrsfError::RankFailed {
-                rank: *src,
-                step: tags::describe(*tag),
-            }
+/// Carry out one command of rank 0's; `false` on shutdown.
+fn serve_command<T: Scalar>(
+    ctx: &mut RankCtx,
+    geo: &ResidentGeo,
+    st: &ServeState<T>,
+    cmd: Bytes,
+) -> Result<bool, SrsfError> {
+    let me = ctx.rank();
+    let (op, nrhs) = decode_frame(cmd, 0, TAG_SERVE_CMD, |r| {
+        let at = r.position();
+        match r.try_get_u64()? {
+            CMD_SOLVE => Ok((CMD_SOLVE, r.try_get_u64()? as usize)),
+            op @ (CMD_SHUTDOWN | CMD_PROBE | CMD_TRACE | CMD_GATHER) => Ok((op, 0)),
+            _ => Err(CodecError::Invalid {
+                what: "serve opcode",
+                at,
+            }),
         }
-        RecvError::PeerPanicked { src, message, .. } => SrsfError::RankFailed {
-            rank: *src,
-            step: format!("peer panic: {message}"),
-        },
+    })?;
+    match op {
+        CMD_SHUTDOWN => return Ok(false),
+        CMD_SOLVE => {
+            let shape = (nrhs, st.owned_leaf_ids.len());
+            let slab = recv_frame(ctx, 0, TAG_SERVE_RHS, |r| try_get_rows(r, shape))?;
+            let mut x = RhsBlock::zeros(nrhs, geo.n);
+            x.scatter(&st.owned_leaf_ids, &slab);
+            solve_resident_mat(ctx, &geo.grid, st, &mut x, None)?;
+        }
+        CMD_PROBE => {
+            let mut w = ByteWriter::new();
+            ctx.stats().encode(&mut w);
+            ctx.send_service(0, TAG_SERVE_STATS, w.finish());
+        }
+        CMD_TRACE => {
+            let mut w = ByteWriter::new();
+            srsf_trace::take_report(me).encode(&mut w);
+            ctx.send_service(0, TAG_SERVE_TRACE, w.finish());
+        }
+        // `CMD_GATHER`, the one opcode the decode leaves.
+        _ => {
+            ctx.send_service(
+                0,
+                TAG_SERVE_GATHER,
+                encode_rank_snapshot(&st.state, &st.top),
+            );
+        }
     }
+    Ok(true)
 }
 
 struct ServiceInner<T> {
@@ -1022,7 +1054,7 @@ impl<T: Scalar> ResidentService<T> {
             match handle.ctx().try_recv(src, TAG_SERVE_GATHER) {
                 Ok(frame) => frames.push(frame),
                 Err(e) => {
-                    let err = recv_to_srsf(&e);
+                    let err = SrsfError::from(e);
                     inner.poisoned = Some(err.clone());
                     return Err(err);
                 }
@@ -1135,11 +1167,10 @@ impl<T: Scalar> ResidentService<T> {
             &mut x,
             Some(&inner.owned),
         ) {
-            let err = recv_to_srsf(&e);
-            inner.poisoned = Some(err.clone());
+            inner.poisoned = Some(e.clone());
             self.metrics
                 .observe_solve(t_solve.elapsed().as_nanos() as u64, false);
-            return Err(err);
+            return Err(e);
         }
         self.metrics
             .observe_solve(t_solve.elapsed().as_nanos() as u64, true);
@@ -1331,7 +1362,7 @@ fn start_service<T: Scalar, E: Wire>(
         // hang the start: the bounded receive makes it a typed failure.
         let report = match handle.ctx().try_recv(src, tag) {
             Ok(payload) => decode_ready::<E>(src, name, payload),
-            Err(e) => Err(recv_to_srsf(&e)),
+            Err(e) => Err(e.into()),
         };
         match report {
             Ok(Ok(ready)) => reports.push(ready),
@@ -1484,6 +1515,64 @@ pub(crate) fn restore_resident_service<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sequential::factorize_with_tree;
+    use srsf_geometry::grid::UnitGrid;
+    use srsf_kernels::helmholtz::HelmholtzKernel;
+    use srsf_kernels::util::random_vector;
+    use srsf_linalg::c64;
+    use srsf_runtime::tags::KIND_SOLVE_UP;
+
+    /// A `KIND_SOLVE_UP` frame — two records' neighbor deltas from the
+    /// upward pass of a real factorization — decodes whole to what was
+    /// sent and, cut at every length, is the sending rank's typed
+    /// failure naming the step, never a panic.
+    #[test]
+    fn truncated_solve_up_frame_is_a_typed_failure() {
+        let grid = UnitGrid::new(16);
+        let kernel = HelmholtzKernel::new(&grid, 6.0);
+        let pts = grid.points();
+        let opts = FactorOpts::default().with_leaf_size(16);
+        let tree = QuadTree::build(&pts, domain_for(&pts), opts.leaf_size);
+        let f = factorize_with_tree(&kernel, &pts, &tree, &opts).expect("factor");
+        let nrhs = 3;
+        let b = Mat::from_fn(grid.n(), nrhs, |i, j| {
+            random_vector::<c64>(grid.n(), 7 + j as u64)[i]
+        });
+        let x = RhsBlock::from_cols(&b);
+        let mut panels = RecordPanels::new();
+        let mut deltas = Vec::new();
+        for rec in &f.records[..2] {
+            upward_parts(rec, &x, &mut panels);
+            let pos: Vec<u32> = (0..rec.nbr.len() as u32).step_by(2).collect();
+            let ids: Vec<u32> = pos.iter().map(|&k| rec.nbr[k as usize]).collect();
+            deltas.push((ids, frame_of(&panels.n, &pos, nrhs)));
+        }
+        assert!(
+            deltas.iter().all(|(ids, _)| !ids.is_empty()),
+            "records with neighbors"
+        );
+        let entries: DeltaBatch<'_, c64> = deltas
+            .iter()
+            .map(|(ids, rows)| (ids.as_slice(), rows.clone()))
+            .collect();
+        let frame = encode_deltas(&entries);
+        let (t, dims) = (tag(2, 3, KIND_SOLVE_UP), (nrhs, grid.n()));
+        let back = decode_frame(frame.clone(), 1, t, |r| try_get_deltas::<c64>(r, dims));
+        assert!(back.expect("whole frame") == deltas);
+        for len in 0..frame.len() {
+            let Err(err) = decode_frame(frame[..len].to_vec(), 1, t, |r| {
+                try_get_deltas::<c64>(r, dims)
+            }) else {
+                panic!("{len} bytes: a truncated frame must not decode");
+            };
+            match SrsfError::from(err) {
+                SrsfError::RankFailed { rank: 1, step } => {
+                    assert!(step.contains("SOLVE_UP"), "{len} bytes: {step}")
+                }
+                other => panic!("{len} bytes: expected RankFailed, got {other:?}"),
+            }
+        }
+    }
 
     /// A READY frame cut short anywhere is the sending rank's typed
     /// failure, naming the frame — never a panic on rank 0.

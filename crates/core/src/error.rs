@@ -7,6 +7,7 @@
 
 use crate::elimination::FactorError;
 use srsf_geometry::tree::BoxId;
+use srsf_runtime::{tags, RecvError};
 
 /// Errors raised by the factorization drivers and the [`crate::Solver`]
 /// builder.
@@ -173,6 +174,25 @@ impl From<FactorError> for SrsfError {
             FactorError::SingularDiagonal { box_id } => SrsfError::SingularDiagonal { box_id },
             FactorError::SingularTop { size, step } => SrsfError::SingularTop { size, step },
             FactorError::MalformedFrame { rank, step } => SrsfError::RankFailed { rank, step },
+        }
+    }
+}
+
+/// A transport-level receive failure: the peer waited on is the failed
+/// rank, and the tag names the protocol step it died in.
+impl From<RecvError> for SrsfError {
+    fn from(e: RecvError) -> Self {
+        match e {
+            RecvError::Timeout { src, tag, .. } | RecvError::Disconnected { src, tag, .. } => {
+                SrsfError::RankFailed {
+                    rank: src,
+                    step: tags::describe(tag),
+                }
+            }
+            RecvError::PeerPanicked { src, message, .. } => SrsfError::RankFailed {
+                rank: src,
+                step: format!("peer panic: {message}"),
+            },
         }
     }
 }

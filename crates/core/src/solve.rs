@@ -120,6 +120,11 @@ impl<T: Scalar> RhsBlock<T> {
         self.0.nrows()
     }
 
+    /// Number of points.
+    pub(crate) fn n(&self) -> usize {
+        self.0.ncols()
+    }
+
     /// Gather points `idx` into `panel`, zero-padded to the tile height.
     pub(crate) fn gather(&self, idx: &[u32], panel: &mut Mat<T>) {
         self.0

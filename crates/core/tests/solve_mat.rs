@@ -128,7 +128,6 @@ fn assert_batch_invariant<T: Scalar, K: Kernel<Elem = T>>(kernel: &K, pts: &[Poi
 fn solve_mat_is_batch_invariant() {
     let grid = UnitGrid::new(32);
     assert_batch_invariant::<f64, _>(&LaplaceKernel::new(&grid), &grid.points());
-    let grid = UnitGrid::new(16);
     assert_batch_invariant::<c64, _>(&HelmholtzKernel::new(&grid, 12.0), &grid.points());
 }
 

@@ -41,24 +41,28 @@
 //!   `C[i, j] += alpha * (s + i t)` (`s - i t` under `conj`);
 //! * `panel_mul_t_acc`: `c = C[i, j]` and `p_l = alpha * P[i, l]`, then
 //!   `c = fma(p_l, M[j, l], c)` for `l = 0, 1, …` — for complex scalars
-//!   the depth in pairs (an odd last one alone), each pair adding
-//!   `p_l * re M[j, l]` for both of its `l` before `(i p_l) * im M[j, l]`.
+//!   `c = fma(p_l, re M[j, l], c)`, then `c = fma(i p_l, im M[j, l], c)`
+//!   at each `l`.
 //!
 //! The strips are sized by the register file. A narrower tile takes a
 //! wider strip, so that a panel of one to four right-hand sides is not
 //! left waiting on the latency of a few accumulators; real 16-row tiles
-//! take the widest strips the vector registers hold (`WIDE`); complex
-//! update strips are two columns on every build, because their pass
-//! order is part of an entry's bits. Real 16-row tiles, and the rate of
-//! one in-cache product at the solve sweep's median record shape (a
-//! `16 x 349` panel against a `349 x 41` `EN`, `panel_mul*/f64_16x349x41`
-//! in `crates/bench`; medians of three runs on a shared 2-core AVX-512
-//! host):
+//! take the widest strips the vector registers hold (`WIDE`), and complex
+//! 8-row tiles — as many `f64`s — half of them, since a complex dot strip
+//! keeps both chains `s` and `t` and a complex update strip both `P` and
+//! `i P` in registers. The big tiles, and the rate of one in-cache
+//! product at the solve sweep's median record shapes (a `16 x 349` real
+//! panel against a `349 x 41` `EN`, an `8 x 332` complex one against a
+//! `332 x 45` one: `panel_mul*/f64_16x349x41`, `panel_mul*/c64_8x332x45`
+//! in `crates/bench`, a complex multiply-add counted as 8 flops; medians
+//! of three runs on a shared 2-core AVX-512 host):
 //!
-//! | build | dot strip | update strip | `panel * M` | `panel * M^T` |
-//! |-------|-----------|--------------|-------------|---------------|
-//! | wide (`srsf_wide_vectors` + AVX-512) | 12: 24 of 32 `zmm` | 8: 16 of 32 | 9.1 µs, 50 GFLOP/s (14.4 µs with 4) | 12.5 µs, 37 GFLOP/s (13.2 µs with 4) |
-//! | narrow (`x86-64-v3`) | 4: 16 of 16 `ymm` | 4: 16 of 16 | 25 µs, 18 GFLOP/s | 18 µs, 25 GFLOP/s |
+//! | build | tile | dot strip | update strip | `panel * M` | `panel * M^T` |
+//! |-------|------|-----------|--------------|-------------|---------------|
+//! | wide (`srsf_wide_vectors` + AVX-512) | `f64` 16 | 12: 24 of 32 `zmm` | 8: 16 of 32 | 9.1 µs, 50 GFLOP/s (14.4 µs with 4) | 12.5 µs, 37 GFLOP/s (13.2 µs with 4) |
+//! | | `c64` 8 | 6: 24 of 32 | 4: 16 of 32 | 13.3 µs, 72 GFLOP/s (25.7 µs, 37 GFLOP/s in two passes of 4) | 14.3 µs, 67 GFLOP/s (21.4 µs, 45 GFLOP/s with 2) |
+//! | narrow (`x86-64-v3`) | `f64` 16 | 4: 16 of 16 `ymm` | 4: 16 of 16 | 25 µs, 18 GFLOP/s | 18 µs, 25 GFLOP/s |
+//! | | `c64` 8 | 2: 16 of 16 | 2: 16 of 16 | 63 µs, 15 GFLOP/s (57 µs in two passes of 4) | 40 µs, 24 GFLOP/s (the same) |
 //!
 //! The solve sweep itself runs nothing else: every small diagonal block
 //! it meets — a record's `X_RR`, a block `D_k` of the packed top — is
@@ -86,7 +90,7 @@ const STRIP: usize = 4;
 /// Dot and update strip widths of a real 16-row tile: 24 and 16 of the
 /// 32 512-bit registers for accumulators and panel columns where the
 /// build has them (the condition `crate::gemm`'s tile table uses), the
-/// narrow build's `STRIP` elsewhere.
+/// narrow build's `STRIP` elsewhere. A complex 8-row tile takes half.
 #[cfg(all(srsf_wide_vectors, target_feature = "avx512f"))]
 const WIDE: (usize, usize) = (12, 8);
 #[cfg(not(all(srsf_wide_vectors, target_feature = "avx512f")))]
@@ -186,8 +190,8 @@ fn times_i<T: Scalar, const MR: usize>(v: [T; MR], neg: bool) -> [T; MR] {
 /// Dot form, one tile of `panel * M`: `sum_l P[i, l] * M[l, j]` for the
 /// `MR` panel rows starting at `p[0]` (leading dimension `h`) and the `W`
 /// adjacent columns of `M` starting at `m[0]`, over `l < k` (`CONJ`:
-/// `conj(M)`). Complex scalars take one pass over the strip for the real
-/// parts of `M` and one for the imaginary parts.
+/// `conj(M)`). Complex scalars carry the chains over the real (`s`) and
+/// the imaginary (`t`) parts of `M` side by side in one pass.
 #[inline(always)]
 fn tile_dot<T: Scalar, const MR: usize, const W: usize, const CONJ: bool>(
     p: &[T],
@@ -196,26 +200,25 @@ fn tile_dot<T: Scalar, const MR: usize, const W: usize, const CONJ: bool>(
     k: usize,
 ) -> [[T; MR]; W] {
     let cols: [&[T]; W] = core::array::from_fn(|j| &m[j * k..(j + 1) * k]);
-    let pass = |imag: bool| {
-        let mut acc = [[T::ZERO; MR]; W];
-        for (l, pv) in p.windows(MR).step_by(h).take(k).enumerate() {
-            for j in 0..W {
-                let s = cols[j][l];
-                axpy_tile(&mut acc[j], pv, if imag { s.im() } else { s.re() });
+    let mut s = [[T::ZERO; MR]; W];
+    let mut t = [[T::ZERO; MR]; W];
+    for (l, pv) in p.windows(MR).step_by(h).take(k).enumerate() {
+        for j in 0..W {
+            let v = cols[j][l];
+            axpy_tile(&mut s[j], pv, v.re());
+            if T::IS_COMPLEX {
+                axpy_tile(&mut t[j], pv, v.im());
             }
         }
-        acc
-    };
-    let mut acc = pass(false);
+    }
     if T::IS_COMPLEX {
-        let by_im = pass(true);
         for j in 0..W {
-            for (a, b) in acc[j].iter_mut().zip(times_i(by_im[j], CONJ)) {
+            for (a, b) in s[j].iter_mut().zip(times_i(t[j], CONJ)) {
                 *a += b;
             }
         }
     }
-    acc
+    s
 }
 
 /// `c[i0.., j] += alpha * acc[j]` for the `W` panel columns at `c[0]`.
@@ -252,11 +255,10 @@ fn tile_update<T: Scalar, const MR: usize, const W: usize>(
         let ct = &mut col[i0..i0 + MR];
         let mut acc: [T; MR] = core::array::from_fn(|i| ct[i]);
         for l in 0..W {
-            axpy_tile(&mut acc, &pt[l], cols[l][j].re());
-        }
-        if T::IS_COMPLEX {
-            for l in 0..W {
-                axpy_tile(&mut acc, &ipt[l], cols[l][j].im());
+            let v = cols[l][j];
+            axpy_tile(&mut acc, &pt[l], v.re());
+            if T::IS_COMPLEX {
+                axpy_tile(&mut acc, &ipt[l], v.im());
             }
         }
         ct.copy_from_slice(&acc);
@@ -288,8 +290,14 @@ fn mul_acc<T: Scalar, const CONJ: bool>(h: usize, c: &mut [T], alpha: T, p: &[T]
         if MR == 1 {
             strips!(2 * STRIP);
         } else if T::IS_COMPLEX {
-            strips!(8 * STRIP / MR);
+            // A complex tile holds the `f64`s of a real one twice its
+            // height, and its pass keeps two accumulators live: half the
+            // real strip.
+            if MR == 8 {
+                strips!(WIDE.0 / 2);
+            }
             strips!(4 * STRIP / MR);
+            strips!(2 * STRIP / MR);
         } else {
             if MR == 16 {
                 strips!(WIDE.0);
@@ -333,7 +341,11 @@ fn mul_t_acc<T: Scalar>(
         }
         // (A complex strip holds `P` and `i P` in registers, so it is
         // half as wide.)
-        if !T::IS_COMPLEX {
+        if T::IS_COMPLEX {
+            if MR == 8 {
+                strips!(WIDE.1 / 2);
+            }
+        } else {
             if MR == 16 {
                 strips!(WIDE.1);
             }
@@ -625,8 +637,8 @@ mod tests {
     }
 
     /// Entry `(i, j)` of `C + alpha P M^T` as the module docs state it:
-    /// one chain from `C` over `alpha P[i, l]`, for complex scalars in
-    /// pairs of `l` with the real parts of `M` before the imaginary ones.
+    /// one chain from `C` over `p_l = alpha P[i, l]`, for complex scalars
+    /// `p_l re M[j, l]` then `(i p_l) im M[j, l]` at each `l`.
     fn update_entry<T: Scalar>(
         c: T,
         alpha: T,
@@ -634,21 +646,12 @@ mod tests {
         m: &Mat<T>,
         (i, j): (usize, usize),
     ) -> T {
-        let k = p.ncols();
         let mut c = c;
-        for l0 in (0..k).step_by(2) {
-            let pair = l0..(l0 + 2).min(k);
-            if !T::IS_COMPLEX {
-                for l in pair {
-                    c = axpy(c, alpha * p[(i, l)], m[(j, l)].re());
-                }
-                continue;
-            }
-            for l in pair.clone() {
-                c = axpy(c, alpha * p[(i, l)], m[(j, l)].re());
-            }
-            for l in pair {
-                c = axpy(c, times_i(alpha * p[(i, l)], false), m[(j, l)].im());
+        for l in 0..p.ncols() {
+            let pl = alpha * p[(i, l)];
+            c = axpy(c, pl, m[(j, l)].re());
+            if T::IS_COMPLEX {
+                c = axpy(c, times_i(pl, false), m[(j, l)].im());
             }
         }
         c

@@ -858,33 +858,58 @@ fn sym_panels_assemble_from_unaligned_lower_blocks() {
 
 /// Without pivoting across blocks some nonsingular symmetric matrices
 /// cannot be factored: the factorization must say so, not return a wrong
-/// answer.
-#[test]
-fn ldlt_reports_breakdown() {
-    let mut rng = Rng::new(35);
+/// answer. The saddle `[[0, B], [Bᵀ, 0]]` sits at `at`, behind a
+/// well-conditioned leading block coupled to its second half only, so the
+/// block columns before `at` factor and update the trailing matrix while
+/// its diagonal block at `at` stays zero. General LU factors every one of
+/// these matrices.
+fn ldlt_breakdown_at<T: TestScalar>(at: usize, seed: u64) {
+    let mut rng = Rng::new(seed);
     let m = NB + 9;
-    let mut b = rand_mat::<f64>(m, m, &mut rng);
+    let mut b = rand_mat::<T>(m, m, &mut rng);
     for d in 0..m {
-        b[(d, d)] += m as f64;
+        b[(d, d)] += T::from_f64(m as f64);
     }
-    // [[0, B], [Bᵀ, 0]]: nonsingular, but the leading block is zero.
-    let mut a = Mat::zeros(2 * m, 2 * m);
-    a.set_block(m, 0, &b.transpose());
-    a.set_block(0, m, &b);
+    let mut a = Mat::zeros(at + 2 * m, at + 2 * m);
+    if at > 0 {
+        let e = rand_mat::<T>(m, at, &mut rng);
+        a.set_block(0, 0, &rand_symmetric::<T>(at, &mut rng));
+        a.set_block(at + m, 0, &e);
+        a.set_block(0, at + m, &e.transpose());
+    }
+    a.set_block(at + m, at, &b.transpose());
+    a.set_block(at, at + m, &b);
     assert!(Lu::factor(a.clone()).is_ok());
     assert_eq!(
         Ldlt::factor(SymPanels::from_lower(&a)).err(),
-        Some(LdltBreakdown::ZeroPivot { step: 0 })
+        Some(LdltBreakdown::ZeroPivot { step: at })
     );
-    // A tiny leading block instead of a zero one: factorable in exact
+    // A tiny diagonal block instead of a zero one: factorable in exact
     // arithmetic, hopeless in floating point.
     for d in 0..m {
-        a[(d, d)] = 1e-9;
+        a[(at + d, at + d)] = T::from_f64(1e-9);
     }
+    assert!(Lu::factor(a.clone()).is_ok());
     match Ldlt::factor(SymPanels::from_lower(&a)) {
-        Err(LdltBreakdown::Growth { step: 0, max_l }) => assert!(max_l > 1e3),
-        other => panic!("expected a growth breakdown, got {other:?}"),
+        Err(LdltBreakdown::Growth { step, max_l }) if step == at => assert!(max_l > 1e3),
+        other => panic!("expected a growth breakdown at {at}, got {:?}", other.err()),
     }
+}
+
+#[test]
+fn ldlt_reports_breakdown() {
+    ldlt_breakdown_at::<f64>(0, 35);
+}
+
+#[test]
+fn ldlt_reports_breakdown_c64() {
+    ldlt_breakdown_at::<c64>(0, 36);
+}
+
+#[test]
+fn ldlt_reports_breakdown_in_a_later_block_column() {
+    ldlt_breakdown_at::<f64>(2 * NB, 37);
+    ldlt_breakdown_at::<c64>(2 * NB, 38);
 }
 
 fn triangular_oracle<T: TestScalar>(seed: u64) {
