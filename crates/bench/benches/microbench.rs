@@ -716,25 +716,6 @@ fn main() {
             }
             last
         });
-
-        // --- Wave-scheduled threaded apply -------------------------------
-        // The sequential factor stores each elimination wave's records
-        // contiguously; the threaded apply runs a wave concurrently.
-        let bm16 = {
-            let mut m = Mat::zeros(grid.n(), 16);
-            for j in 0..16 {
-                m.col_mut(j)
-                    .copy_from_slice(&random_vector::<f64>(grid.n(), 200 + j as u64));
-            }
-            m
-        };
-        for threads in [1usize, 2, 4] {
-            h.bench(&format!("solve_mat/threaded_nrhs16_{threads}t"), || {
-                let mut x = bm16.clone();
-                f.apply_inverse_mat_threaded(&mut x, threads);
-                x
-            });
-        }
     }
 
     // The complex block solve of helmholtz_grid's case: the sweep the

@@ -8,7 +8,7 @@
 //! metadata (ownership maps, fold ids, per-level active sets), and ranks
 //! `1..p` park in a request/response command loop ([`serve_rank`]) driven
 //! by rank 0 through a live [`WorldHandle`]. Every
-//! [`ResidentService::solve_mat`] then runs Algorithm 2's solve phase —
+//! [`ResidentService::try_solve_mat`] then runs Algorithm 2's solve phase —
 //! upward pass with neighbor delta exchange, dense top solve along the
 //! owner chain, downward pass with request/reply value refresh — as one
 //! SPMD function executed by all ranks over the existing `KIND_SOLVE_*`
@@ -45,7 +45,7 @@
 //! explores its interleavings with the value gather and the replies.
 //!
 //! **Bit-exactness.** The resident solve reproduces the serial
-//! [`Factorization::apply_inverse_mat`] sweep of the same factorization
+//! [`Factorization::solve_mat`] sweep of the same factorization
 //! gathered onto one rank *bit for bit* (asserted against
 //! [`ResidentService::gather`] in `tests/resident_serve.rs`): per-rank
 //! records are
@@ -1110,17 +1110,7 @@ impl<T: Scalar> ResidentService<T> {
     /// Bit-identical to [`Factorization::solve_mat`] of
     /// [`ResidentService::gather`].
     ///
-    /// Panics if a rank fails mid-solve; use
-    /// [`ResidentService::try_solve_mat`] to observe that as a typed
-    /// [`SrsfError::RankFailed`] instead.
-    pub fn solve_mat(&self, b: &Mat<T>) -> Mat<T> {
-        // INVARIANT: deliberate — the panicking convenience wrapper over
-        // try_solve_mat, for callers with no degradation path
-        self.try_solve_mat(b).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`ResidentService::solve_mat`]: a rank that dies (or a
-    /// link that goes down) mid-solve surfaces as
+    /// A rank that dies (or a link that goes down) mid-solve surfaces as
     /// [`SrsfError::RankFailed`] within the receive timeout — no hang,
     /// no abort — and the service is poisoned: the world is
     /// desynchronized, so every later solve returns the same error
@@ -1178,16 +1168,7 @@ impl<T: Scalar> ResidentService<T> {
     }
 
     /// Solve `A x = b` (single right-hand side) on the resident world:
-    /// the one-column case of [`ResidentService::solve_mat`]. Panics on
-    /// rank failure; see [`ResidentService::try_solve`].
-    pub fn solve(&self, b: &[T]) -> Vec<T> {
-        // INVARIANT: deliberate — the panicking convenience wrapper over
-        // try_solve, for callers with no degradation path
-        self.try_solve(b).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`ResidentService::solve`]: the one-column case of
-    /// [`ResidentService::try_solve_mat`].
+    /// the one-column case of [`ResidentService::try_solve_mat`].
     pub fn try_solve(&self, b: &[T]) -> Result<Vec<T>, SrsfError> {
         let m = Mat::from_vec(b.len(), 1, b.to_vec());
         Ok(self.try_solve_mat(&m)?.as_slice().to_vec())

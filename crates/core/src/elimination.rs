@@ -46,8 +46,6 @@ use srsf_linalg::{Lu, Mat, Scalar};
 pub struct BoxElimination<T> {
     /// The eliminated box.
     pub box_id: BoxId,
-    /// Tree level of the box (`box_id.level`).
-    pub level: u8,
     /// Global point ids of the redundant DOFs (eliminated here).
     pub redundant: Vec<u32>,
     /// Global point ids of the skeleton DOFs (stay active).
@@ -386,7 +384,6 @@ pub fn eliminate_box<K: Kernel>(
     let (fs, fnb) = right.unzip();
     let record = BoxElimination {
         box_id: *b,
-        level: b.level,
         redundant: red_positions.iter().map(|&p| a_b[p]).collect(),
         skel: skel_positions.iter().map(|&p| a_b[p]).collect(),
         nbr,

@@ -1,9 +1,10 @@
 //! The unified error type for the factorization drivers.
 //!
 //! Every public entry point returns [`SrsfError`] instead of panicking on
-//! bad input, so callers can distinguish configuration mistakes (empty
-//! point sets, nonsensical tolerances, oversized process grids) from
-//! numerical failures (a singular sparsified diagonal block).
+//! bad input, so callers can distinguish configuration mistakes (empty,
+//! non-finite or coincident points, nonsensical tolerances, oversized
+//! process grids) from numerical failures (a singular sparsified diagonal
+//! block).
 
 use crate::elimination::FactorError;
 use srsf_geometry::tree::BoxId;
@@ -16,6 +17,19 @@ use srsf_runtime::{tags, RecvError};
 pub enum SrsfError {
     /// The point set is empty — there is nothing to factor.
     EmptyPointSet,
+    /// A point has a NaN or infinite coordinate.
+    NonFinitePoint {
+        /// Index of the point in the input slice.
+        index: usize,
+    },
+    /// Two points coincide (`+0.0` and `-0.0` are one coordinate): their
+    /// kernel interaction is singular.
+    DuplicatePoint {
+        /// The lower of the two indices.
+        first: usize,
+        /// The higher of the two indices.
+        second: usize,
+    },
     /// The interpolative-decomposition tolerance must be positive and
     /// finite.
     InvalidTolerance {
@@ -115,6 +129,12 @@ impl core::fmt::Display for SrsfError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             SrsfError::EmptyPointSet => write!(f, "the point set is empty"),
+            SrsfError::NonFinitePoint { index } => {
+                write!(f, "point {index} has a non-finite coordinate")
+            }
+            SrsfError::DuplicatePoint { first, second } => {
+                write!(f, "points {first} and {second} coincide")
+            }
             SrsfError::InvalidTolerance { tol } => {
                 write!(f, "tolerance must be positive and finite, got {tol}")
             }

@@ -47,22 +47,11 @@ impl<T: Scalar> Factorization<T> {
         self.n
     }
 
-    /// Apply the approximate inverse in place: `b := A^{-1} b`.
-    pub fn apply_inverse(&self, b: &mut [T]) {
-        solve::apply_inverse(self, b, 1);
-    }
-
-    /// Solve `A x = b`.
+    /// Solve `A x = b`: the one-column [`Factorization::solve_mat`].
     pub fn solve(&self, b: &[T]) -> Vec<T> {
-        let mut x = b.to_vec();
-        self.apply_inverse(&mut x);
-        x
-    }
-
-    /// Apply the approximate inverse to an `n x nrhs` block of right-hand
-    /// sides in place: `B := A^{-1} B`; see [`Factorization::solve_mat`].
-    pub fn apply_inverse_mat(&self, b: &mut Mat<T>) {
-        *b = self.solve_mat(b);
+        self.solve_mat(&Mat::from_vec(b.len(), 1, b.to_vec()))
+            .as_slice()
+            .to_vec()
     }
 
     /// Solve `A X = B` for every column of `b` at once: one sweep of
@@ -71,22 +60,7 @@ impl<T: Scalar> Factorization<T> {
     /// columns are and wherever it sits among them, and they are the bits
     /// [`Factorization::solve`] gives for that column alone.
     pub fn solve_mat(&self, b: &Mat<T>) -> Mat<T> {
-        solve::solve_mat(self, b, 1)
-    }
-
-    /// Blocked apply over `n_threads` workers, bit-identical to
-    /// [`Factorization::apply_inverse_mat`] for any thread count: the
-    /// records of one elimination wave (same level, same `3·iy + ix`)
-    /// are stored contiguously and compute concurrently, then merge in
-    /// record order.
-    pub fn apply_inverse_mat_threaded(&self, b: &mut Mat<T>, n_threads: usize) {
-        *b = solve::solve_mat(self, b, n_threads);
-    }
-
-    /// Threaded apply of one right-hand side vector; see
-    /// [`Factorization::apply_inverse_mat_threaded`].
-    pub fn apply_inverse_threaded(&self, b: &mut [T], n_threads: usize) {
-        solve::apply_inverse(self, b, n_threads);
+        solve::solve_mat(self, b)
     }
 
     /// Factorization statistics (ranks per level, timings, memory).

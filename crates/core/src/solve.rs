@@ -10,18 +10,16 @@
 //! ([`RhsBlock`]: `nrhs x n`, one point's values for all right-hand
 //! sides contiguous) and every entry is a view of it:
 //!
-//! * **One vector** ([`apply_inverse`]) — a length-`n` slice *is* a
-//!   `1 x n` RHS-major block, so it is swept as it stands.
 //! * **A block of columns** ([`solve_mat`]) — the hot path of a served
 //!   deployment, where the factorization is amortized over many incident
 //!   right-hand sides at once; the caller's `n x nrhs` block is
-//!   transposed on entry and on exit.
-//! * **A rank's share of either** (`distributed::serve`) — the resident
+//!   transposed on entry and on exit. One vector is the one-column block.
+//! * **A rank's share of the block** (`distributed::serve`) — the resident
 //!   service runs the same four record kernels and [`solve_top`] on each
 //!   rank's block, with the exchange of remote points between them.
 //!
 //! A record gathers its `R`/`S`/`N` points — one `nrhs`-long copy per
-//! index — into panels that a serial sweep allocates once
+//! index — into panels that a sweep allocates once
 //! ([`RecordPanels`]), zero-padded to the register-tile height
 //! (`srsf_linalg::panel::panel_rows`; exactly 1 for one right-hand
 //! side). The padding lives in those panels only: the block itself, and
@@ -34,28 +32,12 @@
 //! panel and none chooses its arithmetic by `nrhs`, so the lanes are
 //! independent: a right-hand side is solved to the same bits alone, in
 //! any batch, and at any position in it.
-//!
-//! **Wave-scheduled over threads** (`n_threads > 1`) — a factorization
-//! stores the records of one elimination wave (same level, same
-//! `3·iy + ix`: [`crate::colored::waves`]) contiguously, and contiguous
-//! same-wave runs are applied concurrently under `std::thread::scope`.
-//! Same-wave boxes are >= 3 apart, so their records touch disjoint
-//! entries. The run computes against a snapshot and merges in record
-//! order (mirroring `eliminate_wave`), so the result is bit-identical to
-//! the serial sweep for any thread count.
 
-use crate::colored::wave_of;
 use crate::elimination::BoxElimination;
 use crate::sequential::Factorization;
 use crate::top::TopFactor;
 use srsf_linalg::panel::{panel_mul_acc, panel_mul_t_acc, panel_rows};
 use srsf_linalg::{Mat, Scalar};
-use std::ops::Range;
-// Sync primitives come through the srsf-verify shims: identical to
-// `std::sync` in a normal build, schedule-explored under
-// `--cfg srsf_model` (see crates/verify).
-use srsf_verify::sync::atomic::{AtomicUsize, Ordering};
-use srsf_verify::sync::{Barrier, Mutex, RwLock};
 
 // The four record kernels below are the only readers of a record's
 // coupling fields. Both forms hold the couplings unsolved
@@ -102,19 +84,6 @@ impl<T: Scalar> RhsBlock<T> {
         self.0.transpose()
     }
 
-    /// One right-hand side: the slice is the `1 x n` block.
-    pub(crate) fn from_row(b: &[T]) -> Self {
-        let mut x = Self::zeros(1, b.len());
-        x.0.as_mut_slice().copy_from_slice(b);
-        x
-    }
-
-    /// The block's values in storage order: the solution itself when
-    /// there is one right-hand side.
-    pub(crate) fn as_slice(&self) -> &[T] {
-        self.0.as_slice()
-    }
-
     /// Number of right-hand sides.
     pub(crate) fn nrhs(&self) -> usize {
         self.0.nrows()
@@ -158,7 +127,7 @@ pub(crate) fn frame_of<T: Scalar>(panel: &Mat<T>, pos: &[u32], nrhs: usize) -> M
 /// The panels one record application works in: after
 /// [`upward_parts`] the updated `X_R`, `X_S` and the additive neighbor
 /// delta `X_R EN^T`; after [`downward_parts`] the updated `X_R`, `X_S`.
-/// `v` holds the operand of the `X_RR^{-T}` product. A serial sweep keeps
+/// `v` holds the operand of the `X_RR^{-T}` product. The sweep keeps
 /// one set for all its records.
 pub(crate) struct RecordPanels<T> {
     pub(crate) r: Mat<T>,
@@ -179,7 +148,7 @@ impl<T: Scalar> RecordPanels<T> {
     }
 }
 
-/// The snapshot-read compute half of the upward record application:
+/// The compute half of the upward record application:
 /// leaves the updated `X_R` and `X_S` in `w.r`, `w.s` and the *additive*
 /// neighbor delta `X_R EN^T` in `w.n`, unapplied so callers can merge it
 /// in a fixed record order.
@@ -212,7 +181,7 @@ pub(crate) fn merge_upward<T: Scalar>(
     x.scatter_sub(&rec.nbr, &w.n);
 }
 
-/// The snapshot-read compute half of the downward record application:
+/// The compute half of the downward record application:
 /// leaves the updated `X_R`, `X_S` in `w.r`, `w.s`. Downward writes touch
 /// only the box's own points, so no delta is needed.
 pub(crate) fn downward_parts<T: Scalar>(
@@ -261,46 +230,25 @@ pub(crate) fn solve_top<T: Scalar>(
     x.scatter(top_idx, panel);
 }
 
-/// The sweep: upward pass, dense top solve, downward pass. With
-/// `n_threads > 1` the two record passes are wave-scheduled
-/// ([`threaded_pass`]); the result is bit-identical for any `n_threads`.
-fn sweep<T: Scalar>(f: &Factorization<T>, x: &mut RhsBlock<T>, n_threads: usize) {
-    assert!(n_threads >= 1, "need at least one worker thread");
-    record_pass(&f.records, x, n_threads, false);
+/// The sweep: upward pass, dense top solve, downward pass.
+fn sweep<T: Scalar>(f: &Factorization<T>, x: &mut RhsBlock<T>) {
+    record_pass(&f.records, x, false);
     solve_top(&f.top_idx, &f.top, x, &mut Mat::zeros(0, 0));
-    record_pass(&f.records, x, n_threads, true);
+    record_pass(&f.records, x, true);
 }
 
 /// Solve an `n x nrhs` block of right-hand sides: [`sweep`] on its
 /// RHS-major transpose.
-pub(crate) fn solve_mat<T: Scalar>(f: &Factorization<T>, b: &Mat<T>, n_threads: usize) -> Mat<T> {
+pub(crate) fn solve_mat<T: Scalar>(f: &Factorization<T>, b: &Mat<T>) -> Mat<T> {
     assert_eq!(b.nrows(), f.n, "right-hand side row count mismatch");
     let mut x = RhsBlock::from_cols(b);
-    sweep(f, &mut x, n_threads);
+    sweep(f, &mut x);
     x.into_cols()
 }
 
-/// Solve one right-hand side in place, `b := A^{-1} b`: [`sweep`] at
-/// `nrhs = 1`, the same bits as that column in any [`solve_mat`] block.
-pub(crate) fn apply_inverse<T: Scalar>(f: &Factorization<T>, b: &mut [T], n_threads: usize) {
-    assert_eq!(b.len(), f.n, "right-hand side length mismatch");
-    let mut x = RhsBlock::from_row(b);
-    sweep(f, &mut x, n_threads);
-    b.copy_from_slice(x.as_slice());
-}
-
-/// One substitution pass over all records, upward in elimination order
-/// or downward in its reverse: serial with one set of panels, or
-/// wave-scheduled over `n_threads` workers.
-fn record_pass<T: Scalar>(
-    records: &[BoxElimination<T>],
-    x: &mut RhsBlock<T>,
-    n_threads: usize,
-    downward: bool,
-) {
-    if n_threads > 1 {
-        return threaded_pass(records, &wave_groups(records), x, n_threads, downward);
-    }
+/// One substitution pass over all records with one set of panels,
+/// upward in elimination order or downward in its reverse.
+fn record_pass<T: Scalar>(records: &[BoxElimination<T>], x: &mut RhsBlock<T>, downward: bool) {
     let mut w = RecordPanels::new();
     if downward {
         for rec in records.iter().rev() {
@@ -313,128 +261,4 @@ fn record_pass<T: Scalar>(
             merge_upward(rec, x, &w);
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Wave-scheduled threaded application
-// ---------------------------------------------------------------------------
-
-/// Maximal contiguous runs of records of one elimination wave: equal
-/// `(level, 3·iy + ix)` of their boxes.
-///
-/// Only *contiguous* runs are grouped: reordering records across runs
-/// would change the elimination order the factorization was built for.
-/// Every shared-memory driver stores whole waves back-to-back; a
-/// distributed factor gathered from several ranks interleaves them and
-/// yields shorter runs, which lose parallelism but never correctness.
-fn wave_groups<T>(records: &[BoxElimination<T>]) -> Vec<Range<usize>> {
-    let key = |r: &BoxElimination<T>| (r.box_id.level, wave_of(&r.box_id));
-    let mut start = 0;
-    records
-        .chunk_by(|a, b| key(a) == key(b))
-        .map(|run| {
-            start += run.len();
-            start - run.len()..start
-        })
-        .collect()
-}
-
-/// One threaded substitution pass (upward or downward) over the wave
-/// groups.
-///
-/// The worker pool is spawned **once** per pass and synchronized with a
-/// [`Barrier`] between groups — respawning `thread::scope` per group
-/// costs more than a small group's compute. Per group, every worker
-/// pulls record indices from a shared atomic counter (work-stealing:
-/// per-box ranks vary widely), computes the record's panels against
-/// a read-locked snapshot of `x`, and parks at the barrier; one
-/// designated merger then write-locks `x` and applies the outputs in
-/// serial record order (reverse order within a group on the downward
-/// pass, mirroring the serial sweep), and a second barrier releases the
-/// pool into the next group.
-fn threaded_pass<T: Scalar>(
-    records: &[BoxElimination<T>],
-    groups: &[Range<usize>],
-    x: &mut RhsBlock<T>,
-    n_threads: usize,
-    downward: bool,
-) {
-    let slots: Vec<Mutex<Option<RecordPanels<T>>>> =
-        (0..records.len()).map(|_| Mutex::new(None)).collect();
-    let counters: Vec<AtomicUsize> = groups.iter().map(|_| AtomicUsize::new(0)).collect();
-    let barrier = Barrier::new(n_threads);
-    let lock = RwLock::new(std::mem::replace(x, RhsBlock::zeros(0, 0)));
-    let order: Vec<usize> = if downward {
-        (0..groups.len()).rev().collect()
-    } else {
-        (0..groups.len()).collect()
-    };
-
-    let worker = |is_merger: bool| {
-        for &gi in &order {
-            let g = &groups[gi];
-            {
-                // INVARIANT: poisoning requires a panicked worker, and that panic
-                // already propagates through the scope join
-                let snapshot = lock.read().expect("rhs lock poisoned");
-                loop {
-                    // Relaxed is enough: the counter only partitions record indices — the
-                    // per-record Mutex slots publish the data, and the group barrier orders
-                    // every write before the merger reads (modeled by
-                    // delta_merge_order_is_schedule_independent in crates/verify/tests/models.rs).
-                    let k = counters[gi].fetch_add(1, Ordering::Relaxed);
-                    if k >= g.len() {
-                        break;
-                    }
-                    let i = g.start + k;
-                    let mut out = RecordPanels::new();
-                    if downward {
-                        downward_parts(&records[i], &snapshot, &mut out);
-                    } else {
-                        upward_parts(&records[i], &snapshot, &mut out);
-                    }
-                    // INVARIANT: poisoning requires a panicked worker, whose panic
-                    // already propagates through the scope join
-                    *slots[i].lock().expect("slot poisoned") = Some(out);
-                }
-            }
-            barrier.wait();
-            if is_merger {
-                // INVARIANT: poisoning requires a panicked worker, whose panic
-                // already propagates through the scope join
-                let mut bm = lock.write().expect("rhs lock poisoned");
-                let idx: Vec<usize> = if downward {
-                    g.clone().rev().collect()
-                } else {
-                    g.clone().collect()
-                };
-                for i in idx {
-                    let out = slots[i]
-                        .lock()
-                        // INVARIANT: poisoning requires a panicked worker (propagated
-                        // at scope join)
-                        .expect("slot poisoned")
-                        .take()
-                        // INVARIANT: the barrier orders every record's slot write
-                        // before the merger's take
-                        .expect("missing record output");
-                    if downward {
-                        merge_downward(&records[i], &mut bm, &out);
-                    } else {
-                        merge_upward(&records[i], &mut bm, &out);
-                    }
-                }
-            }
-            barrier.wait();
-        }
-    };
-    std::thread::scope(|scope| {
-        for _ in 1..n_threads {
-            scope.spawn(|| worker(false));
-        }
-        worker(true);
-    });
-    // INVARIANT: all workers joined at scope end; poisoning would mean a panic
-    // that already propagated
-    *x = lock.into_inner().expect("rhs lock poisoned");
 }

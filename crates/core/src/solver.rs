@@ -24,7 +24,7 @@
 //! ```
 //!
 //! Whatever driver built it, the result is a [`Solver`] implementing the
-//! shared [`Factorized`] trait (`solve`, `apply_inverse`, `stats`,
+//! shared [`Factorized`] trait (`solve`, `solve_mat`, `stats`,
 //! `memory_bytes`) and `LinOp` — so it plugs into the Krylov methods of
 //! `srsf-iterative` as a preconditioner unchanged.
 
@@ -98,35 +98,14 @@ pub trait Factorized<T: Scalar>: Sync {
     /// Problem size `N`.
     fn n(&self) -> usize;
 
-    /// Apply the approximate inverse in place: `b := A^{-1} b`.
-    fn apply_inverse(&self, b: &mut [T]);
+    /// Solve `A X = B` for every column of an `n x nrhs` block at once.
+    fn solve_mat(&self, b: &Mat<T>) -> Mat<T>;
 
-    /// Solve `A x = b`.
+    /// Solve `A x = b`: the one-column [`Factorized::solve_mat`].
     fn solve(&self, b: &[T]) -> Vec<T> {
-        let mut x = b.to_vec();
-        self.apply_inverse(&mut x);
-        x
-    }
-
-    /// Apply the approximate inverse to every column of an `n x nrhs`
-    /// block in place: `B := A^{-1} B`.
-    ///
-    /// The default forwards column-by-column through
-    /// [`Factorized::apply_inverse`]; implementations with a level-3
-    /// solve path (notably [`crate::Factorization`]) override it with one
-    /// GEMM-driven sweep that amortizes the record traffic over all
-    /// columns.
-    fn apply_inverse_mat(&self, b: &mut Mat<T>) {
-        for j in 0..b.ncols() {
-            self.apply_inverse(b.col_mut(j));
-        }
-    }
-
-    /// Solve `A X = B` for every column of `b` at once.
-    fn solve_mat(&self, b: &Mat<T>) -> Mat<T> {
-        let mut x = b.clone();
-        self.apply_inverse_mat(&mut x);
-        x
+        self.solve_mat(&Mat::from_vec(b.len(), 1, b.to_vec()))
+            .as_slice()
+            .to_vec()
     }
 
     /// Factorization statistics (ranks per level, timings, memory).
@@ -140,11 +119,8 @@ impl<T: Scalar> Factorized<T> for Factorization<T> {
     fn n(&self) -> usize {
         Factorization::n(self)
     }
-    fn apply_inverse(&self, b: &mut [T]) {
-        Factorization::apply_inverse(self, b);
-    }
-    fn apply_inverse_mat(&self, b: &mut Mat<T>) {
-        Factorization::apply_inverse_mat(self, b);
+    fn solve_mat(&self, b: &Mat<T>) -> Mat<T> {
+        Factorization::solve_mat(self, b)
     }
     fn stats(&self) -> &FactorStats {
         Factorization::stats(self)
@@ -186,6 +162,31 @@ fn check_rhs(n: usize, got: usize) -> Result<(), SrsfError> {
     }
 }
 
+/// `Ok` if every point is finite and no two coincide: one sort of the
+/// `N` point ids by coordinate. Adding `0.0` maps `-0.0` to `+0.0`, so
+/// equal coordinates have equal bits.
+fn check_points(pts: &[Point]) -> Result<(), SrsfError> {
+    if let Some(index) = pts
+        .iter()
+        .position(|p| !(p.x.is_finite() && p.y.is_finite()))
+    {
+        return Err(SrsfError::NonFinitePoint { index });
+    }
+    let coords = |i: u32| {
+        let p = pts[i as usize];
+        ((p.x + 0.0).to_bits(), (p.y + 0.0).to_bits())
+    };
+    let mut ids: Vec<u32> = (0..pts.len() as u32).collect();
+    ids.sort_unstable_by_key(|&i| (coords(i), i));
+    match ids.windows(2).find(|w| coords(w[0]) == coords(w[1])) {
+        Some(w) => Err(SrsfError::DuplicatePoint {
+            first: w[0] as usize,
+            second: w[1] as usize,
+        }),
+        None => Ok(()),
+    }
+}
+
 impl<T: Scalar> Solver<T> {
     /// Start building a solver for the kernel matrix over `pts`.
     ///
@@ -216,14 +217,13 @@ impl<T: Scalar> Solver<T> {
     /// live rank world (records applied where they live); otherwise on the
     /// local factorization object.
     ///
-    /// Panics if a resident rank fails mid-solve; use
-    /// [`Solver::try_solve`] to observe that as a typed
-    /// [`SrsfError::RankFailed`] instead.
+    /// Panics where [`Solver::try_solve`] returns an error: a
+    /// right-hand side of the wrong length, or a resident rank that fails
+    /// mid-solve.
     pub fn solve(&self, b: &[T]) -> Vec<T> {
-        match &self.backend {
-            SolverBackend::Local(f) => f.solve(b),
-            SolverBackend::Resident(s) => s.solve(b),
-        }
+        // INVARIANT: deliberate — the panicking convenience form of
+        // try_solve, for callers with no degradation path
+        self.try_solve(b).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible [`Solver::solve`]. A right-hand side of the wrong
@@ -244,6 +244,17 @@ impl<T: Scalar> Solver<T> {
             // (The service checks the length itself.)
             SolverBackend::Resident(s) => s.try_solve(b),
         }
+    }
+
+    /// Solve `A X = B` for every column of `b` at once (one sweep over
+    /// the records instead of `nrhs`). Under the distributed driver the
+    /// column block is scattered by row ownership and swept in place on
+    /// the rank world. Panics where [`Solver::try_solve_mat`] returns an
+    /// error.
+    pub fn solve_mat(&self, b: &Mat<T>) -> Mat<T> {
+        // INVARIANT: deliberate — the panicking convenience form of
+        // try_solve_mat, for callers with no degradation path
+        self.try_solve_mat(b).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible [`Solver::solve_mat`]; see [`Solver::try_solve`].
@@ -276,55 +287,6 @@ impl<T: Scalar> Solver<T> {
             backend: SolverBackend::Resident(Box::new(svc)),
             driver: Driver::Distributed { grid },
         })
-    }
-
-    /// Apply the approximate inverse in place: `b := A^{-1} b`.
-    pub fn apply_inverse(&self, b: &mut [T]) {
-        match &self.backend {
-            SolverBackend::Local(f) => f.apply_inverse(b),
-            SolverBackend::Resident(s) => b.copy_from_slice(&s.solve(b)),
-        }
-    }
-
-    /// Solve `A X = B` for every column of `b` at once (one sweep over
-    /// the records instead of `nrhs`). Under the distributed driver the
-    /// column block is scattered by row ownership and swept in place on
-    /// the rank world.
-    pub fn solve_mat(&self, b: &Mat<T>) -> Mat<T> {
-        match &self.backend {
-            SolverBackend::Local(f) => f.solve_mat(b),
-            SolverBackend::Resident(s) => s.solve_mat(b),
-        }
-    }
-
-    /// Apply the approximate inverse to an `n x nrhs` block in place.
-    pub fn apply_inverse_mat(&self, b: &mut Mat<T>) {
-        match &self.backend {
-            SolverBackend::Local(f) => f.apply_inverse_mat(b),
-            SolverBackend::Resident(s) => *b = s.solve_mat(b),
-        }
-    }
-
-    /// Blocked apply over `n_threads` workers, one elimination wave at a
-    /// time (see [`Factorization::apply_inverse_mat_threaded`]);
-    /// bit-identical to [`Solver::apply_inverse_mat`] for any thread
-    /// count. Under the distributed driver the solve is already
-    /// rank-parallel — the thread count is ignored and the resident sweep
-    /// runs instead.
-    pub fn apply_inverse_mat_threaded(&self, b: &mut Mat<T>, n_threads: usize) {
-        match &self.backend {
-            SolverBackend::Local(f) => f.apply_inverse_mat_threaded(b, n_threads),
-            SolverBackend::Resident(s) => *b = s.solve_mat(b),
-        }
-    }
-
-    /// Threaded apply of one right-hand side vector; see
-    /// [`Solver::apply_inverse_mat_threaded`].
-    pub fn apply_inverse_threaded(&self, b: &mut [T], n_threads: usize) {
-        match &self.backend {
-            SolverBackend::Local(f) => f.apply_inverse_threaded(b, n_threads),
-            SolverBackend::Resident(s) => b.copy_from_slice(&s.solve(b)),
-        }
     }
 
     /// Factorization statistics (ranks per level, timings, memory). Under
@@ -540,11 +502,8 @@ impl<T: Scalar> Factorized<T> for Solver<T> {
     fn n(&self) -> usize {
         Solver::n(self)
     }
-    fn apply_inverse(&self, b: &mut [T]) {
-        Solver::apply_inverse(self, b);
-    }
-    fn apply_inverse_mat(&self, b: &mut Mat<T>) {
-        Solver::apply_inverse_mat(self, b);
+    fn solve_mat(&self, b: &Mat<T>) -> Mat<T> {
+        Solver::solve_mat(self, b)
     }
     fn stats(&self) -> &FactorStats {
         Solver::stats(self)
@@ -711,7 +670,8 @@ impl<'a, K: Kernel> SolverBuilder<'a, K> {
         &self.opts
     }
 
-    /// Validate the configuration and run the selected driver.
+    /// Validate the configuration and the points (finite, no two
+    /// coincident), then run the selected driver.
     pub fn build(self) -> Result<Solver<K::Elem>, SrsfError> {
         let Self {
             kernel,
@@ -723,6 +683,7 @@ impl<'a, K: Kernel> SolverBuilder<'a, K> {
         if pts.is_empty() {
             return Err(SrsfError::EmptyPointSet);
         }
+        check_points(pts)?;
         if !(opts.tol > 0.0 && opts.tol.is_finite()) {
             return Err(SrsfError::InvalidTolerance { tol: opts.tol });
         }

@@ -1,9 +1,8 @@
-//! The one solve sweep at every width and the wave-scheduled threaded
-//! apply: `solve_mat` must agree column-for-column, bit for bit, with
-//! repeated single `solve` calls across scalar types and all three
-//! drivers, a column's solution must not depend on the batch it is solved
-//! in, and the threaded apply must be bit-identical to the serial apply
-//! for any thread count.
+//! The one solve sweep at every width: `solve_mat` must agree
+//! column-for-column, bit for bit, with repeated single `solve` calls
+//! across scalar types and all three drivers, a column's solution must
+//! not depend on the batch it is solved in, and the `Factorized` trait
+//! object must answer with the solver's own bits.
 
 use srsf_core::{Driver, FactorOpts, Factorized, Solver, SrsfError};
 use srsf_geometry::grid::UnitGrid;
@@ -132,53 +131,36 @@ fn solve_mat_is_batch_invariant() {
 }
 
 #[test]
-fn trait_object_mat_solve_agrees_with_concrete() {
-    // The `Factorized` default (column-by-column) and the blocked
-    // override must agree to roundoff through the trait object.
+fn trait_object_solves_match_solver_bitwise() {
+    // `Factorized` is the surface the Krylov methods see: through the
+    // trait object, `solve_mat` and the one-column default `solve` must be
+    // the solver's own `try_solve_mat` / `try_solve` bit for bit, on the
+    // local and the resident backend alike.
     let grid = UnitGrid::new(16);
     let kernel = LaplaceKernel::new(&grid);
     let pts = grid.points();
-    let f = Solver::builder(&kernel, &pts).opts(opts()).build().unwrap();
     let b = rhs_mat::<f64>(pts.len(), 5, 3);
-    let via_trait = {
-        let d: &dyn Factorized<f64> = &f;
-        d.solve_mat(&b)
-    };
-    let concrete = f.factorization().solve_mat(&b);
-    for j in 0..5 {
-        for (p, q) in via_trait.col(j).iter().zip(concrete.col(j).iter()) {
-            assert!((p - q).abs() <= 1e-10 * q.abs().max(1.0));
-        }
-    }
-}
-
-#[test]
-fn threaded_apply_bit_identical_to_serial() {
-    let grid = UnitGrid::new(32);
-    let kernel = LaplaceKernel::new(&grid);
-    let pts = grid.points();
-    // Both shared-memory drivers: records stored in whole waves.
-    let builds = vec![Driver::Sequential, Driver::colored(2)];
-    for driver in builds {
+    for driver in [
+        Driver::Sequential,
+        Driver::colored(2),
+        Driver::distributed(4),
+    ] {
         let f = Solver::builder(&kernel, &pts)
             .opts(opts())
             .driver(driver)
             .build()
             .unwrap();
-        let b = rhs_mat::<f64>(pts.len(), 4, 99);
-        let mut serial = b.clone();
-        f.apply_inverse_mat(&mut serial);
-        for threads in [1usize, 2, 3, 8] {
-            let mut par = b.clone();
-            f.apply_inverse_mat_threaded(&mut par, threads);
-            assert_eq!(serial, par, "driver {driver:?}, {threads} threads");
+        let d: &dyn Factorized<f64> = &f;
+        assert!(
+            d.solve_mat(&b) == f.try_solve_mat(&b).unwrap(),
+            "{driver:?}: solve_mat"
+        );
+        for j in 0..b.ncols() {
+            assert!(
+                d.solve(b.col(j)) == f.try_solve(b.col(j)).unwrap(),
+                "{driver:?}: solve of column {j}"
+            );
         }
-        // Single-vector threaded wrapper matches the nrhs=1 blocked path.
-        let mut v1 = b.col(0).to_vec();
-        f.apply_inverse_threaded(&mut v1, 4);
-        let mut m1 = Mat::from_vec(pts.len(), 1, b.col(0).to_vec());
-        f.apply_inverse_mat(&mut m1);
-        assert_eq!(v1.as_slice(), m1.as_slice(), "driver {driver:?} vec path");
     }
 }
 

@@ -3,7 +3,9 @@
 
 use srsf_core::{Driver, FactorOpts, Factorized, Solver, SrsfError};
 use srsf_geometry::grid::UnitGrid;
+use srsf_geometry::point::Point;
 use srsf_geometry::procgrid::ProcessGrid;
+use srsf_kernels::helmholtz::HelmholtzKernel;
 use srsf_kernels::laplace::LaplaceKernel;
 use srsf_kernels::util::random_vector;
 use srsf_linalg::vecops::rel_diff;
@@ -47,6 +49,70 @@ fn empty_point_set_is_an_error_not_a_panic() {
     let kernel = LaplaceKernel::new(&grid);
     let err = Solver::builder(&kernel, &[]).build().unwrap_err();
     assert_eq!(err, SrsfError::EmptyPointSet);
+}
+
+#[test]
+fn invalid_points_are_typed_errors_not_panics() {
+    let grid = UnitGrid::new(32);
+    let laplace = LaplaceKernel::new(&grid);
+    let helmholtz = HelmholtzKernel::new(&grid, 10.0);
+    let mut dup = grid.points();
+    dup[500] = dup[37];
+    let mut nan = grid.points();
+    nan[700].y = f64::NAN;
+    let cases = [
+        (
+            &dup,
+            SrsfError::DuplicatePoint {
+                first: 37,
+                second: 500,
+            },
+        ),
+        (&nan, SrsfError::NonFinitePoint { index: 700 }),
+    ];
+    for driver in [Driver::Sequential, Driver::distributed(4)] {
+        for (pts, want) in &cases {
+            let build = |err: Result<(), SrsfError>, kernel: &str| {
+                assert_eq!(err.unwrap_err(), *want, "{kernel}, {driver:?}");
+            };
+            let opts = FactorOpts::default().with_tol(1e-6).with_leaf_size(16);
+            build(
+                Solver::builder(&laplace, pts)
+                    .opts(opts.clone())
+                    .driver(driver)
+                    .build()
+                    .map(drop),
+                "laplace",
+            );
+            build(
+                Solver::builder(&helmholtz, pts)
+                    .opts(opts)
+                    .driver(driver)
+                    .build()
+                    .map(drop),
+                "helmholtz",
+            );
+        }
+    }
+    // `+0.0` and `-0.0` are one coordinate; an infinity is not finite.
+    let mut signed = grid.points();
+    signed[3].x = 0.0;
+    signed[9] = Point {
+        x: -0.0,
+        ..signed[3]
+    };
+    let err = Solver::builder(&laplace, &signed).build().unwrap_err();
+    assert_eq!(
+        err,
+        SrsfError::DuplicatePoint {
+            first: 3,
+            second: 9
+        }
+    );
+    let mut inf = grid.points();
+    inf[0].x = f64::INFINITY;
+    let err = Solver::builder(&laplace, &inf).build().unwrap_err();
+    assert_eq!(err, SrsfError::NonFinitePoint { index: 0 });
 }
 
 #[test]

@@ -151,7 +151,6 @@ fn gen_record_form<T: Scalar>(
     let inv_t = mat(rng, nr, nr);
     BoxElimination {
         box_id: gen_box_id(rng),
-        level: rng.below(12) as u8,
         redundant: (0..nr).map(|_| rng.next() as u32).collect(),
         skel: (0..ns).map(|_| rng.next() as u32).collect(),
         nbr: (0..nn).map(|_| rng.next() as u32).collect(),

@@ -60,9 +60,9 @@ pub fn gmres_factorized<T: Scalar>(
 
 /// Preconditioned CG over a block of right-hand sides, advanced in
 /// lockstep so every iteration applies the preconditioner to all still
-/// unconverged columns with *one* blocked
-/// [`Factorized::apply_inverse_mat`] call — the level-3 solve path —
-/// instead of one vector solve per column per iteration.
+/// unconverged columns with *one* [`Factorized::solve_mat`] call — the
+/// level-3 solve path — instead of one vector solve per column per
+/// iteration.
 ///
 /// Each column runs an independent CG recurrence (its own `alpha`,
 /// `beta`, residual); columns that reach the tolerance or break down are
@@ -84,8 +84,7 @@ pub fn pcg_factorized_mat<T: Scalar>(
     let mut r = b.clone();
     // p starts as z_0 = M^{-1} r_0; later iterations rebuild p from the
     // batch preconditioner output directly.
-    let mut p = r.clone();
-    m.apply_inverse_mat(&mut p);
+    let mut p = m.solve_mat(&r);
     let mut rz: Vec<T> = (0..k).map(|j| dot(r.col(j), p.col(j))).collect();
     let bnorm: Vec<f64> = (0..k)
         .map(|j| nrm2(b.col(j)).max(f64::MIN_POSITIVE))
@@ -132,11 +131,11 @@ pub fn pcg_factorized_mat<T: Scalar>(
             break;
         }
         // One blocked preconditioner application for the whole batch.
-        let mut zb = Mat::<T>::zeros(n, batch.len());
+        let mut rb = Mat::<T>::zeros(n, batch.len());
         for (c, &j) in batch.iter().enumerate() {
-            zb.col_mut(c).copy_from_slice(r.col(j));
+            rb.col_mut(c).copy_from_slice(r.col(j));
         }
-        m.apply_inverse_mat(&mut zb);
+        let zb = m.solve_mat(&rb);
         for (c, &j) in batch.iter().enumerate() {
             let rz_new = dot(r.col(j), zb.col(c));
             let beta = rz_new / rz[j];
@@ -158,14 +157,16 @@ pub fn pcg_factorized_mat<T: Scalar>(
         .collect()
 }
 
-/// Right-preconditioned GMRES over a block of right-hand sides.
+/// Right-preconditioned GMRES over a block of right-hand sides, one
+/// column after another.
 ///
-/// Unlike CG, the Arnoldi process is inherently sequential per column —
-/// each Krylov basis vector depends on the previous one for *that*
-/// right-hand side — so the preconditioner cannot be batched across
-/// columns mid-iteration; this is the convenience form that solves the
-/// columns independently. For heavy multi-RHS traffic prefer the direct
-/// [`Factorized::solve_mat`], which is the blocked path end-to-end.
+/// The per-column loop is a choice, not a limit: Arnoldi step `j` of
+/// every column applies `M^{-1}` to that column's own `v_j`, so the
+/// columns could advance in lockstep with one [`Factorized::solve_mat`]
+/// per step, as [`pcg_factorized_mat`] does. Whether that pays is left
+/// to the accuracy–cost study of ROADMAP item 6. For heavy multi-RHS
+/// traffic prefer the direct [`Factorized::solve_mat`], which is the
+/// blocked path end-to-end.
 pub fn gmres_factorized_mat<T: Scalar>(
     a: &dyn LinOp<T>,
     m: &dyn Factorized<T>,
@@ -192,7 +193,9 @@ mod tests {
         fn n(&self) -> usize {
             self.n
         }
-        fn apply_inverse(&self, _b: &mut [f64]) {}
+        fn solve_mat(&self, b: &Mat<f64>) -> Mat<f64> {
+            b.clone()
+        }
         fn stats(&self) -> &FactorStats {
             &self.stats
         }

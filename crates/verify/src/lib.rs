@@ -5,7 +5,7 @@
 //!
 //! * [`sync`] / [`thread`] — drop-in replacements for the `std`
 //!   primitives the runtime and core crates use (`AtomicUsize`,
-//!   `Mutex`, `RwLock`, `Condvar`, `Barrier`, `mpsc`, `spawn`). In a
+//!   `Mutex`, `Condvar`, `OnceLock`, `mpsc`, `spawn`). In a
 //!   normal build they are plain re-exports of `std` and cost nothing.
 //!   Compiled with `RUSTFLAGS="--cfg srsf_model"` they route every
 //!   operation through a cooperative scheduler.
@@ -22,8 +22,8 @@
 //!
 //! The subsystem models under `tests/` mirror the concurrent cores of
 //! the solver (transport matching queue, timeout barrier, resident
-//! shutdown handshake, work-stealing claim, fixed-order delta merge, the
-//! resident top solve's owner chain) in a few dozen lines each, small
+//! shutdown handshake, work-stealing claim, eager-send counter, round
+//! transition, rank death, the resident top solve's owner chain) in a few dozen lines each, small
 //! enough to explore exhaustively.
 
 #![forbid(unsafe_code)]

@@ -5,7 +5,7 @@
 //! the same names resolve to scheduler-aware wrappers that route every
 //! operation through the cooperative model-checking scheduler (see
 //! [`crate::sched`]): each atomic access, lock acquisition, channel
-//! operation, or barrier arrival becomes a yield point where the
+//! or channel operation becomes a yield point where the
 //! explorer may switch threads.
 //!
 //! The wrappers keep `std` semantics on threads that are *not* part of
@@ -24,10 +24,7 @@
 pub use std::sync::{Arc, LockResult, OnceLock, PoisonError, TryLockError, TryLockResult};
 
 #[cfg(not(srsf_model))]
-pub use std::sync::{
-    Barrier, BarrierWaitResult, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard,
-    RwLockWriteGuard, WaitTimeoutResult,
-};
+pub use std::sync::{Condvar, Mutex, MutexGuard, WaitTimeoutResult};
 
 /// Atomic types (std re-export in normal builds).
 #[cfg(not(srsf_model))]
@@ -43,10 +40,7 @@ pub mod mpsc {
 }
 
 #[cfg(srsf_model)]
-pub use model::{
-    atomic, mpsc, Barrier, BarrierWaitResult, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard,
-    RwLockWriteGuard, WaitTimeoutResult,
-};
+pub use model::{atomic, mpsc, Condvar, Mutex, MutexGuard, WaitTimeoutResult};
 
 /// Scheduler-aware implementations used when compiled with
 /// `--cfg srsf_model`.
@@ -432,217 +426,6 @@ mod model {
         /// `true` if the wait ended by timing out rather than by a
         /// notification.
         pub fn timed_out(&self) -> bool {
-            self.0
-        }
-    }
-
-    /// Model-checked drop-in for [`std::sync::RwLock`] (readers
-    /// preferred: a reader only blocks while a writer holds the lock).
-    #[derive(Debug)]
-    pub struct RwLock<T> {
-        inner: std::sync::RwLock<T>,
-        key: usize,
-    }
-
-    impl<T> RwLock<T> {
-        /// Create a new reader-writer lock guarding `t`.
-        pub fn new(t: T) -> Self {
-            Self {
-                inner: std::sync::RwLock::new(t),
-                key: fresh_key(),
-            }
-        }
-
-        /// Acquire shared read access (yield point).
-        pub fn read(&self) -> LockResult<RwLockReadGuard<'_, T>> {
-            if let Some((exec, me)) = with_current(|e, me| (e.clone(), me)) {
-                loop {
-                    exec.yield_now(me);
-                    match self.inner.try_read() {
-                        Ok(g) => {
-                            return Ok(RwLockReadGuard {
-                                inner: Some(g),
-                                lock: self,
-                            })
-                        }
-                        Err(std::sync::TryLockError::Poisoned(p)) => {
-                            return Err(PoisonError::new(RwLockReadGuard {
-                                inner: Some(p.into_inner()),
-                                lock: self,
-                            }))
-                        }
-                        Err(std::sync::TryLockError::WouldBlock) => exec.block_on(me, self.key),
-                    }
-                }
-            } else {
-                match self.inner.read() {
-                    Ok(g) => Ok(RwLockReadGuard {
-                        inner: Some(g),
-                        lock: self,
-                    }),
-                    Err(p) => Err(PoisonError::new(RwLockReadGuard {
-                        inner: Some(p.into_inner()),
-                        lock: self,
-                    })),
-                }
-            }
-        }
-
-        /// Acquire exclusive write access (yield point).
-        pub fn write(&self) -> LockResult<RwLockWriteGuard<'_, T>> {
-            if let Some((exec, me)) = with_current(|e, me| (e.clone(), me)) {
-                loop {
-                    exec.yield_now(me);
-                    match self.inner.try_write() {
-                        Ok(g) => {
-                            return Ok(RwLockWriteGuard {
-                                inner: Some(g),
-                                lock: self,
-                            })
-                        }
-                        Err(std::sync::TryLockError::Poisoned(p)) => {
-                            return Err(PoisonError::new(RwLockWriteGuard {
-                                inner: Some(p.into_inner()),
-                                lock: self,
-                            }))
-                        }
-                        Err(std::sync::TryLockError::WouldBlock) => exec.block_on(me, self.key),
-                    }
-                }
-            } else {
-                match self.inner.write() {
-                    Ok(g) => Ok(RwLockWriteGuard {
-                        inner: Some(g),
-                        lock: self,
-                    }),
-                    Err(p) => Err(PoisonError::new(RwLockWriteGuard {
-                        inner: Some(p.into_inner()),
-                        lock: self,
-                    })),
-                }
-            }
-        }
-
-        /// Consume the lock and return the protected value.
-        pub fn into_inner(self) -> LockResult<T> {
-            self.inner.into_inner()
-        }
-    }
-
-    /// Shared guard from [`RwLock::read`]; wakes waiters on drop.
-    pub struct RwLockReadGuard<'a, T> {
-        inner: Option<std::sync::RwLockReadGuard<'a, T>>,
-        lock: &'a RwLock<T>,
-    }
-
-    impl<T> Deref for RwLockReadGuard<'_, T> {
-        type Target = T;
-        fn deref(&self) -> &T {
-            // INVARIANT: inner is Some for any live guard; only Drop takes it
-            self.inner.as_ref().expect("guard taken")
-        }
-    }
-
-    impl<T> Drop for RwLockReadGuard<'_, T> {
-        fn drop(&mut self) {
-            if let Some(g) = self.inner.take() {
-                drop(g);
-                let _ = with_current(|e, _| e.wake(self.lock.key));
-            }
-        }
-    }
-
-    /// Exclusive guard from [`RwLock::write`]; wakes waiters on drop.
-    pub struct RwLockWriteGuard<'a, T> {
-        inner: Option<std::sync::RwLockWriteGuard<'a, T>>,
-        lock: &'a RwLock<T>,
-    }
-
-    impl<T> Deref for RwLockWriteGuard<'_, T> {
-        type Target = T;
-        fn deref(&self) -> &T {
-            // INVARIANT: inner is Some for any live guard; only Drop takes it
-            self.inner.as_ref().expect("guard taken")
-        }
-    }
-
-    impl<T> DerefMut for RwLockWriteGuard<'_, T> {
-        fn deref_mut(&mut self) -> &mut T {
-            // INVARIANT: inner is Some for any live guard; only Drop takes it
-            self.inner.as_mut().expect("guard taken")
-        }
-    }
-
-    impl<T> Drop for RwLockWriteGuard<'_, T> {
-        fn drop(&mut self) {
-            if let Some(g) = self.inner.take() {
-                drop(g);
-                let _ = with_current(|e, _| e.wake(self.lock.key));
-            }
-        }
-    }
-
-    /// Model-checked drop-in for [`std::sync::Barrier`], implemented as
-    /// a generation counter on the scheduler's block/wake primitives.
-    #[derive(Debug)]
-    pub struct Barrier {
-        inner: std::sync::Barrier,
-        state: std::sync::Mutex<(usize, u64)>, // (arrived, generation)
-        n: usize,
-        key: usize,
-    }
-
-    impl Barrier {
-        /// A barrier for `n` threads.
-        pub fn new(n: usize) -> Self {
-            Self {
-                inner: std::sync::Barrier::new(n),
-                state: std::sync::Mutex::new((0, 0)),
-                n,
-                key: fresh_key(),
-            }
-        }
-
-        /// Arrive and wait for the other `n - 1` threads (yield point).
-        pub fn wait(&self) -> BarrierWaitResult {
-            if let Some((exec, me)) = with_current(|e, me| (e.clone(), me)) {
-                exec.yield_now(me);
-                let gen_at_arrival = {
-                    let mut s = self.state.lock().unwrap_or_else(|p| p.into_inner());
-                    s.0 += 1;
-                    if s.0 == self.n {
-                        s.0 = 0;
-                        s.1 += 1;
-                        drop(s);
-                        exec.wake(self.key);
-                        return BarrierWaitResult(true);
-                    }
-                    s.1
-                };
-                loop {
-                    {
-                        let s = self.state.lock().unwrap_or_else(|p| p.into_inner());
-                        if s.1 > gen_at_arrival {
-                            break;
-                        }
-                    }
-                    exec.block_on(me, self.key);
-                }
-                BarrierWaitResult(false)
-            } else {
-                BarrierWaitResult(self.inner.wait().is_leader())
-            }
-        }
-    }
-
-    /// Result of [`Barrier::wait`]: exactly one arriving thread is the
-    /// leader per generation.
-    #[derive(Debug, Clone, Copy)]
-    pub struct BarrierWaitResult(bool);
-
-    impl BarrierWaitResult {
-        /// `true` for the single thread that completed the barrier.
-        pub fn is_leader(&self) -> bool {
             self.0
         }
     }

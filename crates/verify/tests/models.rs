@@ -16,7 +16,7 @@
 #![cfg(srsf_model)]
 
 use srsf_verify::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use srsf_verify::sync::{mpsc, Arc, Barrier, Condvar, Mutex, OnceLock, RwLock};
+use srsf_verify::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
 use srsf_verify::{thread, Model};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
@@ -369,69 +369,7 @@ fn work_stealing_claims_each_chunk_once() {
 }
 
 // ---------------------------------------------------------------------------
-// Subsystem 5: the fixed-order delta merge of the blocked solve pass
-// (threaded_pass in solve.rs): workers snapshot the RHS through an
-// RwLock, park their delta in a Mutex slot, and a single merger applies
-// the slots in group order between two barriers. The fold below is
-// non-commutative, so any schedule-dependent merge order changes the
-// result and fails the cross-schedule equality check.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn delta_merge_order_is_schedule_independent() {
-    const N: usize = 3;
-    let report = Model::new()
-        .preemption_bound(3)
-        .max_schedules(50_000)
-        .check(|| {
-            let slots: Arc<Vec<Mutex<Option<u64>>>> =
-                Arc::new((0..N).map(|_| Mutex::new(None)).collect());
-            let shared = Arc::new(RwLock::new(1u64));
-            let barrier = Arc::new(Barrier::new(N));
-            let done = Arc::new(AtomicUsize::new(0));
-
-            let worker = |gi: usize,
-                          slots: Arc<Vec<Mutex<Option<u64>>>>,
-                          shared: Arc<RwLock<u64>>,
-                          barrier: Arc<Barrier>,
-                          done: Arc<AtomicUsize>| {
-                // Snapshot-read, compute a per-group delta, park it.
-                let base = *shared.read().unwrap();
-                *slots[gi].lock().unwrap() = Some(base + gi as u64);
-                done.fetch_add(1, Ordering::Relaxed);
-                barrier.wait();
-                if gi == 0 {
-                    // Sole merger: apply every slot in fixed group order.
-                    let mut b = shared.write().unwrap();
-                    for slot in slots.iter() {
-                        let d = slot.lock().unwrap().take().expect("slot filled");
-                        *b = *b * 3 + d; // non-commutative: order shows
-                    }
-                }
-                barrier.wait();
-                *shared.read().unwrap()
-            };
-
-            let handles: Vec<_> = (1..N)
-                .map(|gi| {
-                    let (s, sh, ba, d) =
-                        (slots.clone(), shared.clone(), barrier.clone(), done.clone());
-                    thread::spawn(move || worker(gi, s, sh, ba, d))
-                })
-                .collect();
-            let final0 = worker(0, slots, shared, barrier, done.clone());
-            let mut finals = vec![final0];
-            for h in handles {
-                finals.push(h.join().unwrap());
-            }
-            assert_eq!(done.load(Ordering::Relaxed), N);
-            finals // every thread sees the same fixed-order merge result
-        });
-    assert!(report.schedules >= 1000, "explored {}", report.schedules);
-}
-
-// ---------------------------------------------------------------------------
-// Subsystem 6: the per-neighbor eager-send completion counter of the
+// Subsystem 5: the per-neighbor eager-send completion counter of the
 // distributed run_phase. A rank's phase boxes eliminate in wave
 // sub-rounds: each round is filled by the work-stealing pool (a round of
 // one box runs on the calling thread, as `eliminate_wave` does),
@@ -551,7 +489,7 @@ fn eager_send_posts_once_after_last_halo_box() {
 }
 
 // ---------------------------------------------------------------------------
-// Subsystem 7: barrier-free round transition. With the inter-round
+// Subsystem 6: barrier-free round transition. With the inter-round
 // barrier gone from the factorization sweep, ordering rests on two
 // invariants: every rank posts a frame to every neighbor every round
 // (empty frames included), and tags are unique per round so the matching
@@ -612,7 +550,7 @@ fn barrier_free_rounds_need_no_rendezvous() {
 }
 
 // ---------------------------------------------------------------------------
-// Subsystem 8: rank death mid-phase. The fault-injected transport's
+// Subsystem 7: rank death mid-phase. The fault-injected transport's
 // crash path (FaultyTransport announce_death) posts a control frame to
 // every peer before the rank stops; the matching queue records the death
 // and fails any wait on the dead rank instead of blocking — but frames
@@ -797,7 +735,7 @@ fn rank_death_mid_phase_is_observed_by_all_live_ranks() {
 }
 
 // ---------------------------------------------------------------------------
-// Subsystem 9: the top solve's owner chain (core::distributed::serve).
+// Subsystem 8: the top solve's owner chain (core::distributed::serve).
 // The packed top's block columns live on a chain of owners; rank 0 gathers
 // every active rank's values, the panel makes p_top - 1 forward hops (each
 // owner applying its columns before passing the rest on), turns round at
