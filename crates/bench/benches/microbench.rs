@@ -12,7 +12,7 @@
 //! * `--json PATH` — additionally write the results as a JSON report
 //!   (schema documented in the README "Performance" section).
 
-use srsf_core::{Compression, Driver, FactorOpts, Solver, Transport};
+use srsf_core::{Driver, FactorOpts, Solver, Transport};
 use srsf_fft::fft::Fft;
 use srsf_geometry::grid::UnitGrid;
 use srsf_kernels::assemble::assemble_block;
@@ -423,39 +423,16 @@ fn main() {
         });
     }
 
-    // Hybrid parallelism: the same 4-rank in-process factorization with 1
-    // vs 4 worker threads per rank (`rank_threads`). The results are
-    // bit-identical by construction (see dist_threads.rs); the ratio of
-    // the two medians is the within-rank scaling the eager-send overlap
-    // buys — `bench-diff` prints it as `rank_threads 4t/1t`. On a
-    // single-core runner the 4t case instead measures pure scheduling
-    // overhead (snapshot slots + claim cursor), mirroring the colored
-    // driver's PR 3 baseline.
+    // Tracing overhead: the same 4-rank factorization with span recording
+    // off vs on. Disabled, every span site is one branch on a relaxed
+    // atomic; enabled, it is a clock pair plus a fixed-slot ring-buffer
+    // write (and the per-rank reports stay in the ring buffers until
+    // drained). A fixed iteration count keeps the two medians comparable;
+    // `bench-diff` prints the on/off ratio.
     {
         let grid = UnitGrid::new(64); // N = 4096
         let kernel = LaplaceKernel::new(&grid);
         let pts = grid.points();
-        for threads in [1usize, 4] {
-            h.bench(
-                &format!("dist_factorize/laplace_4096_p4_{threads}t"),
-                || {
-                    Solver::builder(&kernel, &pts)
-                        .tol(1e-6)
-                        .leaf_size(64)
-                        .driver(Driver::distributed(4))
-                        .rank_threads(threads)
-                        .build()
-                        .expect("threaded distributed factorization")
-                },
-            );
-        }
-
-        // Tracing overhead: the same 4-rank factorization with span
-        // recording off vs on. Disabled, every span site is one branch on
-        // a relaxed atomic; enabled, it is a clock pair plus a fixed-slot
-        // ring-buffer write (and the per-rank reports stay in the ring
-        // buffers until drained). A fixed iteration count keeps the two medians
-        // comparable; `bench-diff` prints the on/off ratio.
         let trace_iters = if quick { 3 } else { 7 };
         for (name, trace) in [
             ("trace_overhead/laplace_4096_off", false),
@@ -653,29 +630,6 @@ fn main() {
                 .build()
                 .unwrap()
         });
-    }
-
-    // The compression A/B at N = 4096: the default factorize case above
-    // runs whatever `Compression::default()` is; these two pin each path
-    // explicitly so bench-diff can report the sketched/cpqr ratio.
-    {
-        let grid = UnitGrid::new(64);
-        let kernel = LaplaceKernel::new(&grid);
-        let pts = grid.points();
-        for (name, compression) in [
-            ("factorize/laplace_4096_sketched", Compression::sketched()),
-            ("factorize/laplace_4096_cpqr", Compression::Cpqr),
-        ] {
-            h.bench(name, || {
-                Solver::builder(&kernel, &pts)
-                    .tol(1e-6)
-                    .leaf_size(64)
-                    .compression(compression)
-                    .driver(Driver::Sequential)
-                    .build()
-                    .unwrap()
-            });
-        }
     }
 
     {

@@ -102,39 +102,7 @@ fn main() -> ExitCode {
         }
     }
 
-    // Within-rank scaling of the hybrid distributed driver: 1-thread vs
-    // 4-thread medians of the same bit-identical factorization. >1 means
-    // the worker pool + eager-send overlap win wall-clock; on a
-    // single-core runner the ratio instead reports pure scheduling
-    // overhead, which is worth seeing in the log too.
     let median_of = |name: &str| cur.iter().find(|(n, _)| n == name).map(|(_, m)| *m);
-    if let (Some(t1), Some(t4)) = (
-        median_of("dist_factorize/laplace_4096_p4_1t"),
-        median_of("dist_factorize/laplace_4096_p4_4t"),
-    ) {
-        println!(
-            "\nrank_threads 4t/1t: {:.2}x ({} -> {})",
-            t1 / t4,
-            fmt_s(t1),
-            fmt_s(t4)
-        );
-    }
-
-    // Compression: sketched vs full-CPQR medians of the same sequential
-    // factorization, both from the *current* report. <1 would mean the
-    // randomized sketch-then-ID default lost to the deterministic path it
-    // replaced.
-    if let (Some(sk), Some(cp)) = (
-        median_of("factorize/laplace_4096_sketched"),
-        median_of("factorize/laplace_4096_cpqr"),
-    ) {
-        println!(
-            "factorize sketched vs cpqr: {:.2}x ({} -> {})",
-            cp / sk,
-            fmt_s(cp),
-            fmt_s(sk)
-        );
-    }
     // The dense top block both ways, at the repo benchmark's two top
     // shapes: packed LDL^T over general LU of the same symmetric matrix
     // (<1 = LDL^T faster). Printed, not gated — this box's run-to-run

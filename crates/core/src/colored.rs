@@ -12,8 +12,10 @@
 //! Algorithm 1's row-major sweep bit for bit, at every thread count.
 //!
 //! The level loop is the sequential driver's (`crate::sequential`); the
-//! distributed driver runs each rank's phases on the same waves. This
-//! module holds the schedule and the worker pool that eliminates a wave.
+//! distributed driver runs each rank's phases on the same waves, one
+//! thread per rank. This module holds the schedule and the worker pool
+//! that eliminates a wave; `Driver::colored(threads)` is the only build
+//! that gives the pool more than one worker.
 
 use crate::elimination::{eliminate_box, EliminationOutput, FactorError};
 use crate::skeletonize::CompressionCtx;
@@ -60,7 +62,7 @@ pub(crate) fn waves(boxes: &[BoxId]) -> Vec<(u32, Vec<BoxId>)> {
 /// left threads idle at the tail of every wave.
 ///
 /// Shared by the level loop ([`crate::sequential`]) and the distributed
-/// driver's per-rank phases (`FactorOpts::rank_threads`).
+/// driver's per-rank phases, which run it on one thread.
 pub(crate) fn eliminate_wave<K: Kernel>(
     store: &BlockStore<'_, K>,
     act: &ActiveSets,

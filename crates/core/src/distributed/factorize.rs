@@ -16,21 +16,17 @@
 //!    *fold* onto their corner rank, which inherits the group's blocks and
 //!    active sets (Section III-C).
 //!
-//! Each phase of 1–2 is *hybrid-parallel and overlapped* rather than
-//! bulk-synchronous:
+//! Each phase of 1–2 is *overlapped* rather than bulk-synchronous, and a
+//! rank is one thread: the parallelism is the `p` ranks, as in the paper.
 //!
 //! * A rank's phase boxes eliminate in distance-3 waves
 //!   ([`waves`]): box `(ix, iy)` in wave `3·iy + ix`, waves in increasing
-//!   order, each on the work-stealing pool shared with the shared-memory
-//!   drivers ([`FactorOpts::rank_threads`] workers) and merged in
-//!   row-major box order — so records, update frames and counters are
-//!   bit-identical for every thread count. Same-wave boxes are >= 3
+//!   order, each merged in row-major box order. Same-wave boxes are >= 3
 //!   apart and every pair within distance 2 keeps its row-major order, so
 //!   within a phase each box is eliminated exactly as in Algorithm 1's
 //!   row-major sweep, and a one-rank world (one interior phase per level)
 //!   *is* Algorithm 1, bit for bit. A rank holds one wave's outputs at a
-//!   time (at most `⌈s/3⌉` of an `s × s` block). Waves are narrow, so on
-//!   small per-rank grids the pool has few boxes to share.
+//!   time (at most `⌈s/3⌉` of an `s × s` block).
 //! * A neighbor's `KIND_PHASE_UPDATE` frame is posted *eagerly*, the
 //!   moment the last box that neighbor tracks retires from the merge
 //!   (per-neighbor completion counters over the phase's box set) — not at
@@ -295,6 +291,7 @@ pub(crate) fn factor_phase<K: Kernel>(
         let mut level = leaf;
         loop {
             if grid.is_active(me, level) {
+                let t_elim = std::time::Instant::now();
                 let (interior, boundary) = grid.classify_level(me, level);
                 {
                     let _sp = srsf_trace::span!(srsf_trace::Cat::Phase, "level {level} interior");
@@ -334,6 +331,7 @@ pub(crate) fn factor_phase<K: Kernel>(
                     .map(|b| (b, act.get(&b).to_vec()))
                     .collect();
                 state.act_end.insert(level, snapshot);
+                state.stats.eliminate_s += t_elim.elapsed().as_secs_f64();
             }
             // No barrier between phases or levels: every frame of the
             // sweep is unique per (src, tag) and the matching queue
@@ -345,7 +343,9 @@ pub(crate) fn factor_phase<K: Kernel>(
             }
             {
                 let _sp = srsf_trace::span!(srsf_trace::Cat::Phase, "level {level} transition");
+                let t_merge = std::time::Instant::now();
                 level_transition(ctx, grid, tree, &mut store, &mut act, level, &mut state)?;
+                state.stats.merge_s += t_merge.elapsed().as_secs_f64();
             }
             level -= 1;
         }
@@ -362,7 +362,10 @@ pub(crate) fn factor_phase<K: Kernel>(
     let top_level = if leaf >= lmin { lmin } else { leaf };
     let top = {
         let _sp = srsf_trace::span!(srsf_trace::Cat::Phase, "top gather+factor");
-        gather_top(ctx, grid, tree, &mut store, &mut act, top_level, &cctx)?
+        let t_top = std::time::Instant::now();
+        let top = gather_top(ctx, grid, tree, &mut store, &mut act, top_level, &cctx)?;
+        state.stats.top_s = t_top.elapsed().as_secs_f64();
+        top
     };
     state.stats.total_s = t_total.elapsed().as_secs_f64();
     Ok((state, top))
@@ -565,17 +568,16 @@ pub(super) fn scatter_top<T: Scalar>(
 }
 
 /// Eliminate `boxes` (phase `phase` of `level`) in distance-3 waves
-/// ([`waves`]) on the per-rank thread pool, posting each neighbor's
-/// update frame the moment its last tracked box retires, then apply the
+/// ([`waves`]) on the rank's own thread, posting each neighbor's update
+/// frame the moment its last tracked box retires, then apply the
 /// neighbors' updates. Every active rank calls this each phase (possibly
 /// with no boxes) so the message pattern stays globally consistent.
 ///
 /// Determinism: same-wave boxes sit at box distance >= 3 and never read
-/// each other's writes, so each wave snapshot-computes on
-/// [`eliminate_wave`]'s work-stealing pool and merges in row-major box
-/// order — records, frames and counters are bit-identical for every
-/// `rank_threads` value and both transports, and equal to the row-major
-/// sweep of the phase's boxes. Only one wave's outputs are alive at a
+/// each other's writes, so each wave snapshot-computes and merges in
+/// row-major box order — records, frames and counters are bit-identical
+/// over both transports, and equal to the row-major sweep of the phase's
+/// boxes. Only one wave's outputs are alive at a
 /// time. Overlap: a neighbor's frame goes out as soon as the last box it
 /// tracks is merged (its per-box encodings depend only on that box's own
 /// output and active set, which later merges never touch), and the fabric
@@ -629,9 +631,7 @@ fn run_phase<K: Kernel>(
                 srsf_trace::Cat::Compute,
                 "eliminate level {level} phase {phase} wave {wave}"
             );
-            ctx.compute(|| {
-                eliminate_wave(store, act, tree, &wboxes, opts, cctx, opts.rank_threads)
-            })?
+            ctx.compute(|| eliminate_wave(store, act, tree, &wboxes, opts, cctx, 1))?
         };
         // Deterministic merge in box order; eager sends fire from here.
         let merge_sp = srsf_trace::span!(
@@ -950,7 +950,7 @@ fn gather_top<K: Kernel>(
 mod tests {
     use super::*;
     use crate::elimination::eliminate_box;
-    use crate::sequential::{domain_for, factorize_with_tree, Factorization};
+    use crate::sequential::{domain_for, factorize_in_rounds, Factorization};
     use crate::{Driver, Solver, SrsfError};
     use srsf_geometry::grid::UnitGrid;
     use srsf_kernels::helmholtz::HelmholtzKernel;
@@ -1049,7 +1049,7 @@ mod tests {
             .with_leaf_size(16)
             .with_min_compress_level(2);
         let tree = QuadTree::build(pts, domain_for(pts), opts.leaf_size);
-        let want = factorize_with_tree(kernel, pts, &tree, &opts).expect("level loop");
+        let want = factorize_in_rounds(kernel, pts, &tree, &opts, 1).expect("level loop");
         let got = Solver::builder(kernel, pts)
             .opts(opts)
             .driver(Driver::distributed(1))
@@ -1277,7 +1277,7 @@ mod tests {
 
         // The share rank 0 deals out: the last block column of a factored
         // top.
-        let f = factorize_with_tree(&kernel, &pts, &tree, &opts).expect("factor");
+        let f = factorize_in_rounds(&kernel, &pts, &tree, &opts, 1).expect("factor");
         let TopFactor::Symmetric(mut ldlt) = f.top else {
             panic!("a Laplace top is packed");
         };

@@ -1496,7 +1496,7 @@ pub(crate) fn restore_resident_service<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sequential::factorize_with_tree;
+    use crate::sequential::factorize_in_rounds;
     use srsf_geometry::grid::UnitGrid;
     use srsf_kernels::helmholtz::HelmholtzKernel;
     use srsf_kernels::util::random_vector;
@@ -1514,7 +1514,7 @@ mod tests {
         let pts = grid.points();
         let opts = FactorOpts::default().with_leaf_size(16);
         let tree = QuadTree::build(&pts, domain_for(&pts), opts.leaf_size);
-        let f = factorize_with_tree(&kernel, &pts, &tree, &opts).expect("factor");
+        let f = factorize_in_rounds(&kernel, &pts, &tree, &opts, 1).expect("factor");
         let nrhs = 3;
         let b = Mat::from_fn(grid.n(), nrhs, |i, j| {
             random_vector::<c64>(grid.n(), 7 + j as u64)[i]

@@ -104,7 +104,7 @@ pub struct EliminationOutput<T> {
     /// the key the store holds it by (module docs) — on the owner and on
     /// every rank that receives these as a halo update.
     pub deltas: Vec<(BoxId, BoxId, Mat<T>)>,
-    /// Compression path taken by this box's skeletonization (zeroed for
+    /// The compression path taken by this box's skeletonization (zeroed for
     /// boxes that skipped it — empty active set).
     pub compression: CompressionTelemetry,
 }

@@ -38,17 +38,14 @@ pub enum SrsfError {
     },
     /// The leaf population target must be at least 1.
     InvalidLeafSize,
-    /// The selected driver needs at least one worker thread (the colored
-    /// driver's `threads`, or the distributed driver's
-    /// [`rank_threads`](crate::FactorOpts::rank_threads)).
+    /// The colored driver needs at least one worker thread
+    /// (`Driver::colored(threads)` with `threads >= 1`).
     InvalidThreadCount,
     /// An option was set that the selected driver does not support; the
     /// message names what to use instead. Raised rather than silently
-    /// ignoring the option: `rank_threads` is distributed-only, and the
-    /// sequential and colored drivers both point at
-    /// `Driver::colored(threads)`; `Solver::gather` is
-    /// distributed-only too, and the distributed driver refuses
-    /// `resident(false)`, pointing at `Solver::gather`.
+    /// ignoring the option: `Solver::gather` is distributed-only, and the
+    /// distributed driver refuses `resident(false)`, pointing at
+    /// `Solver::gather`.
     UnsupportedOption {
         /// The option that was set.
         option: &'static str,

@@ -15,11 +15,16 @@
 //!   is cut into distance-3 waves whose boxes are processed concurrently
 //!   against a snapshot and merged in row-major order, which is
 //!   Algorithm 1 bit for bit. It runs the sequential driver's level loop
-//!   on more threads.
+//!   on more threads; `Driver::colored(threads)` is the only thread count
+//!   a build takes.
 //! * [`distributed`] — Algorithm 2, the contribution: leaf boxes are block
 //!   partitioned over a process grid; *interior* boxes factor with zero
 //!   communication, *boundary* boxes in four process-color rounds with
 //!   neighbor-only update messages; ranks fold by 4 as the tree coarsens.
+//!   Each rank is one thread: the parallelism is the `p` ranks.
+//!
+//! Every driver skeletonizes with the same randomized sketch and its CPQR
+//! fallback ([`skeletonize`]); the compression path is not an option.
 //!
 //! Supporting modules: [`store`] (modified-interaction block store with
 //! kernel-on-miss), [`skeletonize`] (proxy ID), [`elimination`] (the strong
@@ -52,48 +57,6 @@ pub use srsf_runtime::{BaseTransport, FaultPlan, RankHealth, Transport};
 pub use stats::{CompressionTelemetry, FactorStats};
 pub use top::TopFactor;
 
-/// How per-box skeletonization compresses the proxy matrix.
-///
-/// The deterministic baseline runs a full column-pivoted QR on the tall
-/// proxy stack; the sketched path (the default) multiplies the stack by a
-/// small seeded Rademacher sketch and pivots on that, verifying the
-/// tolerance a-posteriori and falling back to the full CPQR when the
-/// sketch cannot certify it — see `srsf_linalg::rid` for the algorithm
-/// and `skeletonize` for the block-by-block assembly and the symbol-table
-/// leaf blocks.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum Compression {
-    /// Full deterministic CPQR interpolative decomposition (the PR 2
-    /// baseline path).
-    Cpqr,
-    /// Randomized sketch-then-ID with a-posteriori verification.
-    Sketched {
-        /// Extra sketch rows beyond the rank guess (default 10).
-        oversample: usize,
-        /// Base seed; mixed with `(kernel id, level, ix, iy)` per box so
-        /// skeletons are identical across drivers, thread counts, and
-        /// transports.
-        seed: u64,
-    },
-}
-
-impl Compression {
-    /// The default sketched configuration.
-    pub fn sketched() -> Self {
-        Compression::Sketched {
-            oversample: 10,
-            seed: 0x5253_5346_5249_4431, // ascii "RSSFRID1"
-        }
-    }
-}
-
-impl Default for Compression {
-    fn default() -> Self {
-        Compression::sketched()
-    }
-}
-
 /// Options controlling the factorization.
 ///
 /// Construct with [`FactorOpts::default`] (the paper's parameters) and
@@ -124,19 +87,6 @@ pub struct FactorOpts {
     /// remaining active DOFs above it are finished with a dense
     /// factorization — see [`top`]).
     pub min_compress_level: usize,
-    /// Worker threads each *distributed* rank uses for its per-phase box
-    /// eliminations (`1` = serial, the default). Every rank runs its
-    /// phase boxes in distance-3 waves on a work-stealing pool and merges
-    /// in fixed box order, so the factorization is bit-identical for
-    /// every value of this knob; see the module docs of [`distributed`].
-    /// A wave holds at most `⌈s/3⌉` boxes of a rank's `s × s` block, so
-    /// on small per-rank grids the workers have few boxes to share and
-    /// the knob buys little. Rejected with
-    /// [`SrsfError::UnsupportedOption`] by the sequential and colored
-    /// drivers (the colored driver's lever is `Driver::colored(threads)`;
-    /// the sequential one runs on one thread), and `0` is rejected with
-    /// [`SrsfError::InvalidThreadCount`].
-    pub rank_threads: usize,
     /// Message transport for the distributed driver:
     /// [`Transport::InProc`] runs ranks as threads of this process (the
     /// default); [`Transport::Tcp`] runs every rank as a spawned OS
@@ -167,12 +117,6 @@ pub struct FactorOpts {
     /// solutions and message/word counts. The other drivers ignore this
     /// knob.
     pub trace: bool,
-    /// Skeletonization compression path (default:
-    /// [`Compression::sketched`]). [`Compression::Cpqr`] restores the
-    /// deterministic full-CPQR baseline; both paths satisfy the same
-    /// far-field accuracy bound (the sketched path verifies it
-    /// a-posteriori per box and falls back to CPQR when it cannot).
-    pub compression: Compression,
 }
 
 impl Default for FactorOpts {
@@ -184,12 +128,10 @@ impl Default for FactorOpts {
             n_proxy_min: 64,
             proxy_osc_factor: 2.0,
             min_compress_level: 3,
-            rank_threads: 1,
             transport: Transport::InProc,
             checkpoint_dir: None,
             recv_timeout: std::time::Duration::from_secs(120),
             trace: false,
-            compression: Compression::default(),
         }
     }
 }
@@ -236,13 +178,6 @@ impl FactorOpts {
         self
     }
 
-    /// Set the per-rank elimination thread count for the distributed
-    /// driver (`1` = serial; results are bit-identical for any value).
-    pub fn with_rank_threads(mut self, threads: usize) -> Self {
-        self.rank_threads = threads;
-        self
-    }
-
     /// Set the message transport for the distributed driver.
     pub fn with_transport(mut self, transport: Transport) -> Self {
         self.transport = transport;
@@ -269,13 +204,6 @@ impl FactorOpts {
     /// to untraced ones in solutions and §IV counters.
     pub fn with_trace(mut self, trace: bool) -> Self {
         self.trace = trace;
-        self
-    }
-
-    /// Set the skeletonization compression path (sketched by default;
-    /// [`Compression::Cpqr`] restores the deterministic baseline).
-    pub fn with_compression(mut self, compression: Compression) -> Self {
-        self.compression = compression;
         self
     }
 }

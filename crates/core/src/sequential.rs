@@ -80,6 +80,8 @@ impl<T: Scalar> Factorization<T> {
 
     /// The factored dense top block; its variant tells which form the
     /// factorization took (`Symmetric` for symmetric kernels).
+    #[doc(hidden)]
+    // ORACLE: one_schedule, resident_serve, symmetric_mode, wire_fuzz
     pub fn top_factor(&self) -> &TopFactor<T> {
         &self.top
     }
@@ -136,17 +138,6 @@ pub fn domain_for(pts: &[Point]) -> BBox {
     } else {
         BBox::enclosing(pts)
     }
-}
-
-/// Algorithm 1 against a caller-provided tree: the level loop on one
-/// thread.
-pub fn factorize_with_tree<K: Kernel>(
-    kernel: &K,
-    pts: &[Point],
-    tree: &QuadTree,
-    opts: &FactorOpts,
-) -> Result<Factorization<K::Elem>, FactorError> {
-    factorize_in_rounds(kernel, pts, tree, opts, 1)
 }
 
 /// The shared-memory level sweep. Each level is cut into [`waves`]; a
@@ -276,7 +267,7 @@ mod tests {
             .with_min_compress_level(2);
         let tree = QuadTree::build(pts, domain_for(pts), opts.leaf_size);
         let want = reference(kernel, pts, &tree, &opts);
-        let got = factorize_with_tree(kernel, pts, &tree, &opts).expect("factorize");
+        let got = factorize_in_rounds(kernel, pts, &tree, &opts, 1).expect("factorize");
         // Records are stored in wave order; each box's record is the
         // reference's, byte for byte.
         let by_box: HashMap<BoxId, Vec<u8>> = want

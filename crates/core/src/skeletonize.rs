@@ -13,10 +13,10 @@
 //! set and interpolation matrix `T` valid for both row and column
 //! interactions (Eq. 6).
 //!
-//! # Randomized compression ([`crate::Compression::Sketched`], the default)
+//! # Randomized compression
 //!
 //! Rather than assembling the full tall stack and running CPQR to
-//! completion, the sketched path multiplies the stack by a seeded
+//! completion, [`skeletonize`] multiplies the stack by a seeded
 //! Rademacher sketch `Ω` and pivots on the small product `Y = Ω·A`.
 //! Because sketch entries are a pure function of `(seed, row, column)`
 //! (`srsf_linalg::rid`), `Y` accumulates **block by block** — one
@@ -76,7 +76,7 @@
 //! both.
 
 use crate::store::{ActiveSets, BlockStore};
-use crate::{Compression, CompressionTelemetry, FactorOpts};
+use crate::{CompressionTelemetry, FactorOpts};
 use srsf_geometry::grid::UnitGrid;
 use srsf_geometry::neighbors::dist2_ring;
 use srsf_geometry::point::Point;
@@ -160,7 +160,10 @@ impl SymbolTable {
 /// deterministic, so every rank derives the identical context) and
 /// shared by every `skeletonize` call.
 pub struct CompressionCtx {
-    compression: Compression,
+    /// Extra sketch rows beyond the rank guess.
+    oversample: usize,
+    /// Base sketch seed, mixed per box with `(kernel id, level, ix, iy)`.
+    seed: u64,
     /// Kernel identity mixed into every per-box sketch seed.
     seed_id: u64,
     /// Indexed by tree level `0..=leaf`.
@@ -196,14 +199,14 @@ impl CompressionCtx {
                 }
             })
             .collect();
-        let sketched = matches!(opts.compression, Compression::Sketched { .. });
-        let symbols = if sketched && kernel.is_translation_invariant() {
+        let symbols = if kernel.is_translation_invariant() {
             detect_unit_grid(pts).map(|side| build_symbol_table(kernel, pts, side))
         } else {
             None
         };
         Self {
-            compression: opts.compression,
+            oversample: 10,
+            seed: 0x5253_5346_5249_4431, // ascii "RSSFRID1"
             seed_id: kernel.seed_id(),
             geoms,
             leaf_level: leaf,
@@ -212,8 +215,8 @@ impl CompressionCtx {
     }
 
     /// Whether the symbol table was built (translation-invariant kernel
-    /// on a detected uniform grid under sketched compression). The name
-    /// predates the removal of the FFT route; the benchmark reads it.
+    /// on a detected uniform grid). The name predates the removal of the
+    /// FFT route; the benchmark reads it.
     pub fn has_leaf_fft(&self) -> bool {
         self.symbols.is_some()
     }
@@ -308,7 +311,8 @@ fn offset_pair(m: usize, dx: i64, dy: i64) -> (usize, usize) {
 }
 
 /// Assemble the proxy-compressed tall matrix whose column ID skeletonizes
-/// box `b` (the deterministic path, and the sketched path's fallback).
+/// box `b` (the sketch's fallback, and the deterministic oracle the tests
+/// hold it to).
 pub fn proxy_matrix<K: Kernel>(
     store: &BlockStore<'_, K>,
     act: &ActiveSets,
@@ -378,14 +382,6 @@ pub fn skeletonize<K: Kernel>(
     ctx: &CompressionCtx,
 ) -> (IdResult<K::Elem>, CompressionTelemetry) {
     let mut tel = CompressionTelemetry::default();
-    let (oversample, seed) = match ctx.compression {
-        Compression::Cpqr => {
-            let m = proxy_matrix(store, act, tree, b, opts, ctx);
-            return (interp_decomp(m, opts.tol, usize::MAX), tel);
-        }
-        Compression::Sketched { oversample, seed } => (oversample, seed),
-    };
-
     let nb = act.get(b).len();
     let ring: Vec<BoxId> = dist2_ring(b)
         .into_iter()
@@ -411,12 +407,12 @@ pub fn skeletonize<K: Kernel>(
     }
     .min(nb);
     let box_seed = derive_seed(
-        seed ^ ctx.seed_id,
+        ctx.seed ^ ctx.seed_id,
         b.level as u64,
         ((b.ix as u64) << 32) | b.iy as u64,
     );
 
-    let mut l = (guess + oversample).max(4);
+    let mut l = (guess + ctx.oversample).max(4);
     // The proxy block does not depend on the sketch size: evaluated on
     // the first attempt, shared by every retry.
     let mut proxy = None;
@@ -595,16 +591,6 @@ fn sketch_proxy<K: Kernel>(
     y
 }
 
-/// Convenience: the defining ID error `||A[:,R] - A[:,S] T||_max` against a
-/// freshly assembled proxy matrix (diagnostics and tests).
-pub fn id_error<T: Scalar>(a: &Mat<T>, id: &IdResult<T>) -> f64 {
-    let rows: Vec<usize> = (0..a.nrows()).collect();
-    let ar = a.select(&rows, &id.redundant);
-    let as_ = a.select(&rows, &id.skel);
-    let approx = srsf_linalg::gemm::matmul(&as_, &id.t);
-    srsf_linalg::norms::max_abs_diff(&ar, &approx)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -629,8 +615,21 @@ mod tests {
         act
     }
 
-    fn cpqr_opts() -> FactorOpts {
-        FactorOpts::default().with_compression(Compression::Cpqr)
+    /// The deterministic oracle: a full CPQR column ID of the proxy stack
+    /// (what the sketch falls back to).
+    fn cpqr_id<K: Kernel>(
+        store: &BlockStore<'_, K>,
+        act: &ActiveSets,
+        tree: &QuadTree,
+        b: &BoxId,
+        opts: &FactorOpts,
+        ctx: &CompressionCtx,
+    ) -> IdResult<K::Elem> {
+        interp_decomp(
+            proxy_matrix(store, act, tree, b, opts, ctx),
+            opts.tol,
+            usize::MAX,
+        )
     }
 
     #[test]
@@ -673,17 +672,14 @@ mod tests {
         let pts = grid.points();
         let store = BlockStore::new(&k, &pts);
         let act = leaf_actives(&grid, &tree);
-        let opts = FactorOpts {
-            tol: 1e-6,
-            ..cpqr_opts()
-        };
+        let opts = FactorOpts::default().with_tol(1e-6);
         let ctx = CompressionCtx::new(&k, &pts, &tree, &opts);
         let b = BoxId {
             level: tree.leaf_level(),
             ix: 1,
             iy: 1,
         };
-        let (id, _) = skeletonize(&store, &act, &tree, &b, &opts, &ctx);
+        let id = cpqr_id(&store, &act, &tree, &b, &opts, &ctx);
         assert_eq!(id.rank() + id.redundant.len(), 64);
         assert!(id.rank() < 50, "rank {} should compress", id.rank());
         assert!(id.rank() > 5, "rank {} suspiciously small", id.rank());
@@ -700,19 +696,22 @@ mod tests {
             ix: 2,
             iy: 1,
         };
-        let lo = FactorOpts {
-            tol: 1e-3,
-            ..cpqr_opts()
-        };
-        let hi = FactorOpts {
-            tol: 1e-9,
-            ..cpqr_opts()
-        };
-        let ctx_lo = CompressionCtx::new(&k, &pts, &tree, &lo);
-        let ctx_hi = CompressionCtx::new(&k, &pts, &tree, &hi);
-        let (loose, _) = skeletonize(&store, &act, &tree, &b, &lo, &ctx_lo);
-        let (tight, _) = skeletonize(&store, &act, &tree, &b, &hi, &ctx_hi);
+        let lo = FactorOpts::default().with_tol(1e-3);
+        let hi = FactorOpts::default().with_tol(1e-9);
+        let ctx = CompressionCtx::new(&k, &pts, &tree, &lo);
+        let loose = cpqr_id(&store, &act, &tree, &b, &lo, &ctx);
+        let tight = cpqr_id(&store, &act, &tree, &b, &hi, &ctx);
         assert!(tight.rank() > loose.rank());
+    }
+
+    /// Convenience: the defining ID error `||A[:,R] - A[:,S] T||_max` against a
+    /// freshly assembled proxy matrix .
+    fn id_error<T: Scalar>(a: &Mat<T>, id: &IdResult<T>) -> f64 {
+        let rows: Vec<usize> = (0..a.nrows()).collect();
+        let ar = a.select(&rows, &id.redundant);
+        let as_ = a.select(&rows, &id.skel);
+        let approx = srsf_linalg::gemm::matmul(&as_, &id.t);
+        srsf_linalg::norms::max_abs_diff(&ar, &approx)
     }
 
     /// Exact far-field block `A_{F,B}` for the accuracy assertions below.
@@ -757,10 +756,7 @@ mod tests {
         let pts = grid.points();
         let store = BlockStore::new(&k, &pts);
         let act = leaf_actives(&grid, &tree);
-        let opts = FactorOpts {
-            tol: 1e-8,
-            ..cpqr_opts()
-        };
+        let opts = FactorOpts::default().with_tol(1e-8);
         let ctx = CompressionCtx::new(&k, &pts, &tree, &opts);
         let lvl = tree.leaf_level();
         let b = BoxId {
@@ -768,8 +764,7 @@ mod tests {
             ix: 1,
             iy: 2,
         };
-        let (id, tel) = skeletonize(&store, &act, &tree, &b, &opts, &ctx);
-        assert_eq!(tel, CompressionTelemetry::default());
+        let id = cpqr_id(&store, &act, &tree, &b, &opts, &ctx);
         let afb = true_far_field(&store, &act, &tree, &b);
         assert_far_field_bound(&afb, &id, opts.tol, "CPQR");
     }
@@ -782,10 +777,7 @@ mod tests {
         let pts = grid.points();
         let store = BlockStore::new(&k, &pts);
         let act = leaf_actives(&grid, &tree);
-        let opts = FactorOpts {
-            tol: 1e-8,
-            ..FactorOpts::default().with_compression(Compression::sketched())
-        };
+        let opts = FactorOpts::default().with_tol(1e-8);
         let ctx = CompressionCtx::new(&k, &pts, &tree, &opts);
         let b = BoxId {
             level: tree.leaf_level(),
@@ -800,12 +792,7 @@ mod tests {
 
         // And the skeleton count agrees with the deterministic path to
         // within the oversampling slack.
-        let cp = FactorOpts {
-            tol: 1e-8,
-            ..cpqr_opts()
-        };
-        let ctx_cp = CompressionCtx::new(&k, &pts, &tree, &cp);
-        let (full, _) = skeletonize(&store, &act, &tree, &b, &cp, &ctx_cp);
+        let full = cpqr_id(&store, &act, &tree, &b, &opts, &ctx);
         assert!(
             id.rank() <= full.rank() + 6 && id.rank() + 6 >= full.rank(),
             "sketched rank {} vs deterministic {}",
@@ -835,15 +822,11 @@ mod tests {
             };
             let afb = true_far_field(&store, &act, tree, &b);
             assert!(afb.nrows() > 0, "{label}: empty far field");
-            let mut opts = FactorOpts::default().with_tol(tol);
+            let opts = FactorOpts::default().with_tol(tol);
             let mut ctx = CompressionCtx::new(k, &pts, tree, &opts);
             let (mut worst, mut tel, mut ranks) = (0.0f64, CompressionTelemetry::default(), 0);
             for seed in 0..SEEDS {
-                opts.compression = Compression::Sketched {
-                    oversample: 10,
-                    seed,
-                };
-                ctx.compression = opts.compression;
+                ctx.seed = seed;
                 let (id, t) = skeletonize(&store, &act, tree, &b, &opts, &ctx);
                 tel.absorb(&t);
                 ranks += id.rank();
@@ -889,15 +872,12 @@ mod tests {
             ix: 1,
             iy: 1,
         };
-        let cpqr = CompressionCtx::new(&k, &pts, &tree, &cpqr_opts());
-        let stack = proxy_matrix(&store, &act, &tree, &b, &cpqr_opts(), &cpqr).nrows();
+        let opts = FactorOpts::default();
+        let mut ctx = CompressionCtx::new(&k, &pts, &tree, &opts);
+        let stack = proxy_matrix(&store, &act, &tree, &b, &opts, &ctx).nrows();
         // First attempt `2 (guess + stack / 2 + RID_VERIFY_ROWS)`: past the
         // forward stack, short of twice it (guess = 16 here).
-        let opts = FactorOpts::default().with_compression(Compression::Sketched {
-            oversample: stack / 2,
-            seed: 1,
-        });
-        let ctx = CompressionCtx::new(&k, &pts, &tree, &opts);
+        (ctx.oversample, ctx.seed) = (stack / 2, 1);
         let (id, tel) = skeletonize(&store, &act, &tree, &b, &opts, &ctx);
         assert_eq!(
             tel,
@@ -906,12 +886,13 @@ mod tests {
                 ..CompressionTelemetry::default()
             }
         );
-        let (full, _) = skeletonize(&store, &act, &tree, &b, &cpqr_opts(), &cpqr);
+        let full = cpqr_id(&store, &act, &tree, &b, &opts, &ctx);
         assert_eq!((id.skel, id.redundant), (full.skel, full.redundant));
 
         let g = crate::store::tests::HideSymmetry(k.clone());
         let gstore = BlockStore::new(&g, &pts);
-        let gctx = CompressionCtx::new(&g, &pts, &tree, &opts);
+        let mut gctx = CompressionCtx::new(&g, &pts, &tree, &opts);
+        (gctx.oversample, gctx.seed) = (stack / 2, 1);
         let (_, gtel) = skeletonize(&gstore, &act, &tree, &b, &opts, &gctx);
         assert!(gtel.dense_block_applies > 0, "general kernel: {gtel:?}");
     }

@@ -3,7 +3,9 @@
 //! The paper's point is that a single strong-recursive-skeletonization
 //! factorization admits three execution strategies — sequential (Alg. 1),
 //! shared-memory threaded (§V-C), and distributed process-colored
-//! (Alg. 2). This module exposes them behind one entry point:
+//! (Alg. 2). This module exposes them behind one entry point, and the
+//! driver alone sets the parallelism: `threads` workers for
+//! [`Driver::Colored`], one thread per rank for [`Driver::Distributed`]:
 //!
 //! ```
 //! use srsf_core::{Driver, Solver};
@@ -363,6 +365,8 @@ impl<T: Scalar> Solver<T> {
     }
 
     /// `true` when this solver serves from a live resident rank world.
+    #[doc(hidden)]
+    // ORACLE: resident_serve, fault_matrix
     pub fn is_resident(&self) -> bool {
         matches!(self.backend, SolverBackend::Resident(_))
     }
@@ -449,6 +453,8 @@ impl<T: Scalar> Solver<T> {
     /// Borrow the underlying factorization object, if one exists locally
     /// (`None` under the distributed driver — the records live on their
     /// ranks; [`Solver::gather`] assembles a copy).
+    #[doc(hidden)]
+    // ORACLE: resident_serve
     pub fn try_factorization(&self) -> Option<&Factorization<T>> {
         match &self.backend {
             SolverBackend::Local(f) => Some(f),
@@ -475,6 +481,8 @@ impl<T: Scalar> Solver<T> {
     /// # Panics
     ///
     /// Panics under the distributed driver; see [`Solver::factorization`].
+    #[doc(hidden)]
+    // ORACLE: the core tests' `common::factorize` (sequential_correctness, wire_fuzz)
     pub fn into_factorization(self) -> Factorization<T> {
         match self.backend {
             SolverBackend::Local(f) => *f,
@@ -577,22 +585,6 @@ impl<'a, K: Kernel> SolverBuilder<'a, K> {
         self
     }
 
-    /// Worker threads each rank of [`Driver::Distributed`] uses for its
-    /// per-phase box eliminations (`1` = serial, the default). The boxes
-    /// of a phase run in distance-3 wave rounds on a work-stealing pool
-    /// with a fixed merge order, so the factorization, the solution, and
-    /// the communication counters are bit-identical for every thread
-    /// count — this knob only changes wall-clock time. A wave is at most
-    /// `⌈s/3⌉` boxes of a rank's `s × s` block, so on small per-rank
-    /// grids there is little for the workers to share. Distributed-only:
-    /// `build` rejects it under the sequential and colored drivers with
-    /// [`SrsfError::UnsupportedOption`], and `0` with
-    /// [`SrsfError::InvalidThreadCount`].
-    pub fn rank_threads(mut self, threads: usize) -> Self {
-        self.opts = self.opts.with_rank_threads(threads);
-        self
-    }
-
     /// Message transport for [`Driver::Distributed`]:
     /// [`Transport::InProc`] (default) runs ranks as threads of this
     /// process; [`Transport::Tcp`] runs every rank as a real OS process
@@ -643,16 +635,6 @@ impl<'a, K: Kernel> SolverBuilder<'a, K> {
         self
     }
 
-    /// Select the skeletonization compression path (default:
-    /// [`crate::Compression::sketched`]; [`crate::Compression::Cpqr`]
-    /// restores the deterministic full-CPQR baseline). Both paths meet
-    /// the same far-field accuracy bound — the sketched one verifies it
-    /// a-posteriori per box and falls back to CPQR when it cannot.
-    pub fn compression(mut self, compression: crate::Compression) -> Self {
-        self.opts = self.opts.with_compression(compression);
-        self
-    }
-
     /// Replace the whole option set at once.
     pub fn opts(mut self, opts: FactorOpts) -> Self {
         self.opts = opts;
@@ -663,11 +645,6 @@ impl<'a, K: Kernel> SolverBuilder<'a, K> {
     pub fn driver(mut self, driver: Driver) -> Self {
         self.driver = driver;
         self
-    }
-
-    /// The options as currently configured.
-    pub fn current_opts(&self) -> &FactorOpts {
-        &self.opts
     }
 
     /// Validate the configuration and the points (finite, no two
@@ -690,18 +667,6 @@ impl<'a, K: Kernel> SolverBuilder<'a, K> {
         if opts.leaf_size == 0 {
             return Err(SrsfError::InvalidLeafSize);
         }
-        // The threading lever is the driver's own; reject `rank_threads`
-        // elsewhere instead of silently ignoring it.
-        if opts.rank_threads != 1 && !matches!(driver, Driver::Distributed { .. }) {
-            return Err(SrsfError::UnsupportedOption {
-                option: "rank_threads",
-                driver: match driver {
-                    Driver::Colored { .. } => "colored",
-                    _ => "sequential",
-                },
-                instead: "`Driver::colored(threads)`",
-            });
-        }
         let tree = QuadTree::build(pts, domain_for(pts), opts.leaf_size);
         let backend = match driver {
             Driver::Sequential | Driver::Colored { .. } => {
@@ -722,9 +687,6 @@ impl<'a, K: Kernel> SolverBuilder<'a, K> {
                         driver: "distributed",
                         instead: "`Solver::gather()`",
                     });
-                }
-                if opts.rank_threads == 0 {
-                    return Err(SrsfError::InvalidThreadCount);
                 }
                 let leaf = tree.leaf_level();
                 // Every rank must own at least a 2x2 block of leaf boxes

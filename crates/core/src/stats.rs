@@ -20,8 +20,7 @@ pub struct CompressionTelemetry {
     /// `benchmark/tests/smoke.rs` read it; it is neither accumulated nor
     /// sent over the wire.
     pub fft_block_applies: u64,
-    /// Ring/proxy blocks applied to the sketch as dense GEMMs (always 0
-    /// under [`crate::Compression::Cpqr`], which forms no sketch).
+    /// Ring/proxy blocks applied to the sketch as dense GEMMs.
     pub dense_block_applies: u64,
 }
 
@@ -95,11 +94,6 @@ impl FactorStats {
             .map(|(l, (c, s))| (*l, *s as f64 / *c as f64))
             .collect()
     }
-
-    /// The paper's `tother` proxy: time not spent in per-box computation.
-    pub fn other_s(&self) -> f64 {
-        (self.total_s - self.eliminate_s - self.top_s).max(0.0)
-    }
 }
 
 #[cfg(test)]
@@ -117,16 +111,5 @@ mod tests {
         assert_eq!(s.avg_rank(2), None);
         let table = s.rank_table();
         assert_eq!(table, vec![(3, 40.0), (4, 15.0)]);
-    }
-
-    #[test]
-    fn other_time_nonnegative() {
-        let mut s = FactorStats::new(10, 2);
-        s.total_s = 5.0;
-        s.eliminate_s = 3.0;
-        s.top_s = 1.0;
-        assert!((s.other_s() - 1.0).abs() < 1e-15);
-        s.eliminate_s = 10.0;
-        assert_eq!(s.other_s(), 0.0);
     }
 }

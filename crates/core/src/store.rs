@@ -71,7 +71,8 @@ impl ActiveSets {
     }
 
     /// Total number of active indices across boxes at `level`.
-    pub fn total_at_level(&self, level: u8) -> usize {
+    #[cfg(test)]
+    pub(crate) fn total_at_level(&self, level: u8) -> usize {
         self.map
             .iter()
             .filter(|(k, _)| k.level == level)

@@ -67,7 +67,7 @@ fn dist_p16_with_fold_matches_accuracy() {
     assert_eq!(f.comm_stats().unwrap().per_rank.len(), 16);
 }
 
-/// Compression continues below the level where ranks fold onto their
+/// Skeletonization continues below the level where ranks fold onto their
 /// corner (`min_compress_level(1)`; the default stops above every fold):
 /// the corner must inherit each child block from a rank that owns one
 /// side of it — a member's copy of a pair between two foreign boxes holds

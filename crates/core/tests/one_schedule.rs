@@ -3,10 +3,9 @@
 //! Each level (and each distributed phase) is eliminated in distance-3
 //! waves: same-wave boxes never read what another writes, and every pair
 //! within distance 2 keeps its row-major order. So `Driver::Sequential`,
-//! `Driver::colored(k)` for any `k`, and a one-rank world at any
-//! `rank_threads` and over either transport build the same records in
-//! the same order, the same top, the same §IV counters and the same
-//! solution bits.
+//! `Driver::colored(k)` for any `k`, and a one-rank world over either
+//! transport build the same records in the same order, the same top, the
+//! same §IV counters and the same solution bits.
 //!
 //! Re-exec discipline (see `transport_equiv.rs`): a TCP test registers
 //! itself via `set_tcp_child_args` and runs its TCP build first.
@@ -54,16 +53,14 @@ fn fingerprint<K: Kernel>(
     kernel: &K,
     pts: &[Point],
     driver: Driver,
-    rank_threads: usize,
     transport: Transport,
 ) -> Fingerprint {
     let solver = Solver::builder(kernel, pts)
         .opts(opts())
         .driver(driver)
-        .rank_threads(rank_threads)
         .transport(transport)
         .build()
-        .unwrap_or_else(|e| panic!("{driver:?}, {rank_threads} rank threads: {e}"));
+        .unwrap_or_else(|e| panic!("{driver:?}: {e}"));
     let b = random_vector::<K::Elem>(pts.len(), 7);
     let solution = solver
         .solve(&b)
@@ -96,22 +93,18 @@ fn fingerprint<K: Kernel>(
 /// Every shared-memory driver and the in-process one-rank world against
 /// `Driver::Sequential`.
 fn assert_every_driver_is_sequential<K: Kernel>(kernel: &K, pts: &[Point], label: &str) {
-    let want = fingerprint(kernel, pts, Driver::Sequential, 1, Transport::InProc);
+    let want = fingerprint(kernel, pts, Driver::Sequential, Transport::InProc);
     assert!(!want.records.is_empty(), "{label}: nothing was eliminated");
-    let mut cases: Vec<(Driver, usize)> = [1, 2, 4].map(|k| (Driver::colored(k), 1)).to_vec();
-    cases.extend([1, 2].map(|k| (Driver::distributed(1), k)));
-    for (driver, rank_threads) in cases {
-        let mut got = fingerprint(kernel, pts, driver, rank_threads, Transport::InProc);
+    let mut cases = [1, 2, 4].map(Driver::colored).to_vec();
+    cases.push(Driver::distributed(1));
+    for driver in cases {
+        let mut got = fingerprint(kernel, pts, driver, Transport::InProc);
         if let Driver::Distributed { .. } = driver {
             // A one-rank world moves no §IV traffic, like the local drivers.
             assert_eq!(got.comm, [(0, 0)], "{label}: {driver:?} counters");
             got.comm.clear();
         }
-        assert_same(
-            &got,
-            &want,
-            &format!("{label}: {driver:?}, {rank_threads}t"),
-        );
+        assert_same(&got, &want, &format!("{label}: {driver:?}"));
     }
 }
 
@@ -145,8 +138,8 @@ fn every_driver_is_algorithm_1_bit_for_bit_helmholtz() {
     assert_every_driver_is_sequential(&helmholtz(&grid), &grid.points(), "Helmholtz");
 }
 
-/// A one-rank world over TCP at two rank threads, against the sequential
-/// driver; one TCP session per test function.
+/// A one-rank world over TCP against the sequential driver; one TCP
+/// session per test function.
 macro_rules! tcp_case {
     ($name:ident, $kernel:expr) => {
         #[test]
@@ -156,10 +149,10 @@ macro_rules! tcp_case {
             let kernel = $kernel(&grid);
             let pts = grid.points();
             // TCP first: spawned workers must exit inside this session.
-            let mut got = fingerprint(&kernel, &pts, Driver::distributed(1), 2, Transport::Tcp);
+            let mut got = fingerprint(&kernel, &pts, Driver::distributed(1), Transport::Tcp);
             assert_eq!(got.comm, [(0, 0)], "one-rank world counters");
             got.comm.clear();
-            let want = fingerprint(&kernel, &pts, Driver::Sequential, 1, Transport::InProc);
+            let want = fingerprint(&kernel, &pts, Driver::Sequential, Transport::InProc);
             assert_same(&got, &want, stringify!($name));
         }
     };

@@ -273,53 +273,35 @@ fn driver_equivalence_on_one_laplace_problem() {
     assert!(dd < 1e3 * tol, "distributed vs sequential: {dd:.3e}");
 }
 
-/// `rank_threads` is the distributed driver's threading lever; the local
-/// drivers reject it with a typed error naming their own lever instead of
-/// silently ignoring it.
+/// Every driver reports where its build time went: the elimination
+/// sweep, the level merges and the dense top each take time, and
+/// together they fit inside the build's wall time.
 #[test]
-fn mismatched_threading_knobs_are_typed_errors() {
-    let grid = UnitGrid::new(8);
+fn every_driver_reports_phase_times() {
+    let grid = UnitGrid::new(32);
     let kernel = LaplaceKernel::new(&grid);
     let pts = grid.points();
-
-    for (driver, name, lever) in [
-        (
-            Driver::Sequential,
-            "sequential",
-            "`Driver::colored(threads)`",
-        ),
-        (Driver::colored(2), "colored", "`Driver::colored(threads)`"),
+    for driver in [
+        Driver::Sequential,
+        Driver::colored(2),
+        Driver::distributed(4),
     ] {
-        let err = Solver::builder(&kernel, &pts)
+        // Leaves at level 3, compressed down to level 2: one merge.
+        let f = Solver::builder(&kernel, &pts)
+            .leaf_size(16)
+            .min_compress_level(2)
             .driver(driver)
-            .rank_threads(2)
             .build()
-            .unwrap_err();
-        match err {
-            SrsfError::UnsupportedOption {
-                option,
-                driver,
-                instead,
-            } => {
-                assert_eq!((option, driver, instead), ("rank_threads", name, lever));
-            }
-            other => panic!("expected UnsupportedOption for {name}, got {other:?}"),
-        }
+            .unwrap_or_else(|e| panic!("{driver:?}: {e}"));
+        let s = f.stats();
+        let phases = [s.eliminate_s, s.merge_s, s.top_s];
+        assert!(phases.iter().all(|&t| t > 0.0), "{driver:?}: {phases:?}");
+        assert!(
+            phases.iter().sum::<f64>() <= s.total_s,
+            "{driver:?}: {phases:?} vs total {}",
+            s.total_s
+        );
     }
-    // ... and the distributed driver needs at least one worker.
-    let err = Solver::builder(&kernel, &pts)
-        .driver(Driver::distributed(1))
-        .rank_threads(0)
-        .build()
-        .unwrap_err();
-    assert_eq!(err, SrsfError::InvalidThreadCount);
-
-    // The supported combination still builds.
-    assert!(Solver::builder(&kernel, &pts)
-        .driver(Driver::distributed(1))
-        .rank_threads(2)
-        .build()
-        .is_ok());
 }
 
 /// The distributed driver has one mode: it serves from its rank world.

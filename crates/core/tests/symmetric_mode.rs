@@ -25,7 +25,7 @@ use common::HideSymmetry;
 
 const TOL: f64 = 1e-6;
 
-/// Compression runs down to level 1 so the per-box records, not the
+/// Skeletonization runs down to level 1 so the per-box records, not the
 /// dense top block (which both modes hold alike), carry the footprint —
 /// as they do at the benchmark's sizes.
 fn opts() -> FactorOpts {

@@ -109,13 +109,6 @@ impl Toeplitz2D {
         }
     }
 
-    /// Real-symbol convenience: `y = A x` with real input/output.
-    pub fn apply_real(&self, x: &[f64]) -> Vec<f64> {
-        let mut y = vec![0.0; self.m * self.m];
-        self.apply_real_into(x, &mut y, &mut self.scratch());
-        y
-    }
-
     /// Shared circulant convolution: zero the embedding buffer, let the
     /// caller pack the top-left `m x m` corner, then FFT -> pointwise
     /// symbol multiply -> inverse FFT. Returns the buffer for extraction.
@@ -204,7 +197,8 @@ mod tests {
             .map(|i| ((i * 31) % 17) as f64 / 17.0 - 0.5)
             .collect();
         let top = Toeplitz2D::new(m, t);
-        let fast = top.apply_real(&x);
+        let mut fast = vec![0.0; m * m];
+        top.apply_real_into(&x, &mut fast, &mut top.scratch());
         let xc: Vec<c64> = x.iter().map(|&v| c64::new(v, 0.0)).collect();
         let want = dense_apply(m, &t, &xc);
         for (a, b) in fast.iter().zip(want.iter()) {

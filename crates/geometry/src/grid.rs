@@ -61,6 +61,8 @@ impl UnitGrid {
 /// Deterministic pseudo-uniform points in the unit square (xorshift; used
 /// by tests that need a non-grid distribution without pulling `rand` into
 /// the library).
+#[doc(hidden)]
+// ORACLE: scattered_points, symmetric_mode, column_contract
 pub fn scattered_points(n: usize, seed: u64) -> Vec<Point> {
     let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
     let mut next = move || {

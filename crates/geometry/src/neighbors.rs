@@ -41,11 +41,6 @@ pub fn within_dist2(b: &BoxId) -> Vec<BoxId> {
     ring(b, 1, 2)
 }
 
-/// `true` if the two same-level boxes are adjacent (distance 1).
-pub fn are_neighbors(a: &BoxId, b: &BoxId) -> bool {
-    a.chebyshev(b) == 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,12 +76,12 @@ mod tests {
     fn neighbor_relation_symmetric() {
         let a = id(5, 10, 12);
         for n in near_field(&a) {
-            assert!(are_neighbors(&a, &n));
+            assert_eq!(a.chebyshev(&n), 1);
             assert!(near_field(&n).contains(&a), "asymmetry with {n:?}");
         }
         for m in dist2_ring(&a) {
             assert!(dist2_ring(&m).contains(&a));
-            assert!(!are_neighbors(&a, &m));
+            assert_eq!(a.chebyshev(&m), 2);
         }
     }
 

@@ -148,7 +148,7 @@ impl ProcessGrid {
 
     /// `true` if the box's 1-ring crosses a rank boundary (a *boundary*
     /// box); interior boxes factor without communication.
-    pub fn is_boundary(&self, b: &BoxId) -> bool {
+    fn is_boundary(&self, b: &BoxId) -> bool {
         let me = self.owner(b);
         crate::neighbors::near_field(b)
             .iter()

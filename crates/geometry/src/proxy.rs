@@ -37,6 +37,8 @@ pub fn proxy_circle_from_unit(center: Point, radius: f64, unit: &[Point]) -> Vec
 }
 
 /// Equispaced points on the circle of given `center` and `radius`.
+#[doc(hidden)]
+// ORACLE: proxy_circle_from_unit's unit test, column_contract, symmetric_contract
 pub fn proxy_circle(center: Point, radius: f64, n: usize) -> Vec<Point> {
     proxy_circle_from_unit(center, radius, &unit_circle(n))
 }
@@ -48,16 +50,6 @@ pub fn proxy_circle(center: Point, radius: f64, n: usize) -> Vec<Point> {
 pub fn proxy_count(n_min: usize, osc_factor: f64, kappa: f64, radius: f64) -> usize {
     let osc = (osc_factor * kappa * radius).ceil() as usize + 32;
     n_min.max(osc)
-}
-
-/// Check that a circle of `radius` around a box of side `L` stays strictly
-/// inside the distance-2 ring: the ring's inner boundary is at distance
-/// `1.5 L` from the center (edge of the neighbor layer) and its outer
-/// boundary at `2.5 L` … `3.5 L` depending on direction; the paper's
-/// `2.5 L` radius fits within the diagonal extent `2.5·sqrt(2) ≈ 3.54 L`
-/// while staying outside the near field.
-pub fn radius_is_admissible(radius_factor: f64) -> bool {
-    radius_factor > 1.5 && radius_factor <= 2.5
 }
 
 #[cfg(test)]
@@ -108,13 +100,5 @@ mod tests {
         let n2 = proxy_count(64, 2.0, 200.0, 0.5);
         assert!(n1 >= 132);
         assert!(n2 >= 2 * n1 - 64 - 40);
-    }
-
-    #[test]
-    fn paper_radius_admissible() {
-        assert!(radius_is_admissible(2.5));
-        assert!(radius_is_admissible(2.0));
-        assert!(!radius_is_admissible(1.0)); // inside the near field
-        assert!(!radius_is_admissible(3.0)); // pokes past M in axis directions
     }
 }

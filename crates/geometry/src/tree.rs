@@ -101,13 +101,12 @@ pub struct QuadTree {
     levels: u8,
     /// Point indices per leaf box, indexed by the leaf's flat index.
     leaf_points: Vec<Vec<u32>>,
-    n_points: usize,
 }
 
 impl QuadTree {
     /// Build a tree over `points` inside `domain` with `levels`
     /// subdivisions (leaves at level `levels`).
-    pub fn with_levels(points: &[Point], domain: BBox, levels: u8) -> Self {
+    fn with_levels(points: &[Point], domain: BBox, levels: u8) -> Self {
         let s = 1usize << levels;
         let mut leaf_points = vec![Vec::new(); s * s];
         let inv = s as f64 / domain.side;
@@ -121,7 +120,6 @@ impl QuadTree {
             domain,
             levels,
             leaf_points,
-            n_points: points.len(),
         }
     }
 
@@ -142,11 +140,6 @@ impl QuadTree {
         self.levels
     }
 
-    /// Total number of points.
-    pub fn n_points(&self) -> usize {
-        self.n_points
-    }
-
     /// Domain box.
     pub fn domain(&self) -> BBox {
         self.domain
@@ -164,11 +157,6 @@ impl QuadTree {
         }
     }
 
-    /// Side length of boxes at `level`.
-    pub fn box_side(&self, level: u8) -> f64 {
-        self.domain.side / (1u64 << level) as f64
-    }
-
     /// Point indices owned by a **leaf** box.
     pub fn leaf_points(&self, id: &BoxId) -> &[u32] {
         assert_eq!(id.level, self.levels, "only leaves own points directly");
@@ -179,11 +167,6 @@ impl QuadTree {
     pub fn boxes_at_level(&self, level: u8) -> impl Iterator<Item = BoxId> + '_ {
         let s = 1u32 << level;
         (0..s).flat_map(move |iy| (0..s).map(move |ix| BoxId { level, ix, iy }))
-    }
-
-    /// Number of boxes at a level.
-    pub fn n_boxes(&self, level: u8) -> usize {
-        1usize << (2 * level)
     }
 }
 
@@ -283,11 +266,11 @@ mod tests {
         let pts = scattered_points(1000, 3);
         let tree = QuadTree::build(&pts, BBox::UNIT, 64);
         // average leaf population <= 64
-        let leaves = tree.n_boxes(tree.leaf_level());
+        let leaves = tree.boxes_at_level(tree.leaf_level()).count();
         assert!(pts.len() <= 64 * leaves);
         // and one level up would overflow
         if tree.leaf_level() > 0 {
-            assert!(pts.len() > 64 * tree.n_boxes(tree.leaf_level() - 1));
+            assert!(pts.len() > 64 * tree.boxes_at_level(tree.leaf_level() - 1).count());
         }
     }
 
@@ -313,7 +296,6 @@ mod tests {
             let cb = tree.bbox(&c);
             assert!(cb.lo.x >= pb.lo.x - 1e-15 && cb.lo.x + cb.side <= pb.lo.x + pb.side + 1e-12);
         }
-        assert_eq!(tree.box_side(3), 0.125);
     }
 
     #[test]
@@ -321,7 +303,6 @@ mod tests {
         let tree = QuadTree::with_levels(&[Point::new(0.1, 0.1)], BBox::UNIT, 2);
         let ids: Vec<BoxId> = tree.boxes_at_level(2).collect();
         assert_eq!(ids.len(), 16);
-        assert_eq!(tree.n_boxes(2), 16);
         // row-major: flat index equals position
         for (i, id) in ids.iter().enumerate() {
             assert_eq!(id.flat(), i);

@@ -16,6 +16,8 @@ pub fn assemble_block<K: Kernel>(
 }
 
 /// Assemble the full dense matrix. Quadratic memory — only for validation.
+#[doc(hidden)]
+// ORACLE: distributed_correctness, sequential_correctness, symmetric_mode, fast_op unit tests
 pub fn assemble_dense<K: Kernel>(kernel: &K, pts: &[Point]) -> Mat<K::Elem> {
     let idx: Vec<usize> = (0..pts.len()).collect();
     kernel.block(pts, &idx, &idx)

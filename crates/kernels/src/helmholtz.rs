@@ -46,7 +46,7 @@ impl HelmholtzKernel {
 
     /// Build with an arbitrary scattering potential `b` (values clamped to
     /// be positive so `sqrt` and the symmetrization stay well-defined).
-    pub fn with_potential(grid: &UnitGrid, kappa: f64, b: impl Fn(Point) -> f64) -> Self {
+    fn with_potential(grid: &UnitGrid, kappa: f64, b: impl Fn(Point) -> f64) -> Self {
         assert!(kappa > 0.0);
         let h = grid.h();
         let sqrt_b = (0..grid.n())

@@ -66,12 +66,6 @@ impl c64 {
         self.re * self.re + self.im * self.im
     }
 
-    /// Multiply by the imaginary unit (cheaper than a full multiply).
-    #[inline]
-    pub fn mul_i(self) -> Self {
-        Self::new(-self.im, self.re)
-    }
-
     /// Multiply by a real factor (inherent twin of [`Scalar::scale`], so
     /// call sites don't need the trait in scope).
     #[inline]
@@ -87,7 +81,7 @@ impl c64 {
 
     /// Principal square root.
     #[inline]
-    pub fn sqrt_c(self) -> Self {
+    fn sqrt_c(self) -> Self {
         // Kahan's branch-stable formulation.
         if self.re == 0.0 && self.im == 0.0 {
             return Self::ZERO;
@@ -351,12 +345,6 @@ mod tests {
             assert!(s.re >= -1e-15);
         }
         assert_eq!(c64::ZERO.sqrt_c(), c64::ZERO);
-    }
-
-    #[test]
-    fn mul_i_matches_full_multiply() {
-        let a = c64::new(1.25, -0.5);
-        assert_eq!(a.mul_i(), a * c64::I);
     }
 
     #[test]

@@ -300,6 +300,7 @@ pub fn gemm_acc_to_blocks<T: Scalar>(
 /// `A[:,l]` and the update of `C[:,j]` are contiguous. Serves small
 /// products and is the test oracle for the blocked path.
 #[doc(hidden)]
+// ORACLE: oracle.rs gemm_blocked_matches_naive_*, gemm unit tests
 pub fn matmul_acc_naive<T: Scalar>(c: &mut Mat<T>, alpha: T, a: &Mat<T>, b: &Mat<T>) {
     assert_eq!(a.ncols(), b.nrows(), "gemm: inner dimension mismatch");
     assert_eq!(c.nrows(), a.nrows(), "gemm: output rows mismatch");
@@ -349,11 +350,6 @@ pub fn transpose_matmul_acc<T: Scalar>(c: &mut Mat<T>, alpha: T, a: &Mat<T>, b: 
     flipped_matmul_acc(c, alpha, a, b, LeftOp::Transpose);
 }
 
-/// `C -= A^T * B`.
-pub fn transpose_matmul_sub<T: Scalar>(c: &mut Mat<T>, a: &Mat<T>, b: &Mat<T>) {
-    transpose_matmul_acc(c, -T::ONE, a, b);
-}
-
 /// `C += alpha * op(A) * B` with `op` the adjoint or the plain transpose
 /// of the stored `A`.
 fn flipped_matmul_acc<T: Scalar>(c: &mut Mat<T>, alpha: T, a: &Mat<T>, b: &Mat<T>, op: LeftOp) {
@@ -372,6 +368,7 @@ fn flipped_matmul_acc<T: Scalar>(c: &mut Mat<T>, alpha: T, a: &Mat<T>, b: &Mat<T
 /// Reference dot-product form of `C += alpha * A^H B`: both operands
 /// stream down columns.
 #[doc(hidden)]
+// ORACLE: oracle.rs packed_adjoint_gemm_matches_naive_*
 pub fn adjoint_matmul_acc_naive<T: Scalar>(c: &mut Mat<T>, alpha: T, a: &Mat<T>, b: &Mat<T>) {
     assert_eq!(a.nrows(), b.nrows(), "A^H B: row mismatch");
     flipped_matmul_acc_dot(c, alpha, a, b, true);
@@ -392,45 +389,6 @@ fn flipped_matmul_acc_dot<T: Scalar>(c: &mut Mat<T>, alpha: T, a: &Mat<T>, b: &M
             *cij += alpha * acc;
         }
     }
-}
-
-/// `C = A * B^H` (adjoint on the right). Large products go through a tiled
-/// explicit adjoint of `B` plus the blocked GEMM.
-pub fn matmul_adjoint<T: Scalar>(a: &Mat<T>, b: &Mat<T>) -> Mat<T> {
-    assert_eq!(a.ncols(), b.ncols(), "A B^H: inner mismatch");
-    let m = a.nrows();
-    let n = b.nrows();
-    let k = a.ncols();
-    if m * n * k >= PACK_MIN_FLOPS {
-        let bh = b.adjoint();
-        return matmul(a, &bh);
-    }
-    matmul_adjoint_naive(a, b)
-}
-
-/// Reference rank-1-update form of `A * B^H`.
-#[doc(hidden)]
-pub fn matmul_adjoint_naive<T: Scalar>(a: &Mat<T>, b: &Mat<T>) -> Mat<T> {
-    assert_eq!(a.ncols(), b.ncols(), "A B^H: inner mismatch");
-    let m = a.nrows();
-    let n = b.nrows();
-    let k = a.ncols();
-    let mut c = Mat::zeros(m, n);
-    for l in 0..k {
-        let acol = a.col(l);
-        let bcol = b.col(l);
-        for j in 0..n {
-            let s = bcol[j].conj();
-            if s == T::ZERO {
-                continue;
-            }
-            let ccol = c.col_mut(j);
-            for i in 0..m {
-                ccol[i] += acol[i] * s;
-            }
-        }
-    }
-    c
 }
 
 // ---------------------------------------------------------------------------
@@ -1119,7 +1077,7 @@ mod tests {
         let mut c = Mat::identity(3);
         matmul_acc(&mut c, 2.0, &a, &b);
         let mut expect = naive(&a, &b);
-        expect.scale_assign(2.0);
+        expect.as_mut_slice().iter_mut().for_each(|v| *v *= 2.0);
         expect.axpy(1.0, &Mat::identity(3));
         assert!(max_abs_diff(&c, &expect) < 1e-12);
 
@@ -1135,11 +1093,6 @@ mod tests {
         let c = adjoint_matmul(&a, &b);
         let expect = naive(&a.adjoint(), &b);
         assert!(max_abs_diff(&c, &expect) < 1e-12);
-
-        let w = Mat::from_fn(5, 3, |i, j| c64::new(i as f64 * 0.5, 1.0 - j as f64));
-        let d = matmul_adjoint(&b, &w);
-        let expect2 = naive(&b, &w.adjoint());
-        assert!(max_abs_diff(&d, &expect2) < 1e-12);
 
         let mut e = expect.clone();
         adjoint_matmul_sub(&mut e, &a, &b);
@@ -1159,13 +1112,6 @@ mod tests {
         adjoint_matmul_acc_naive(&mut small, c64::ONE, &a, &b);
         let scale = crate::norms::fro_norm(&small).max(1.0);
         assert!(max_abs_diff(&big, &small) < 1e-12 * scale);
-
-        let w = Mat::from_fn(130, 140, |i, j| c64::new((i + j) as f64 * 0.01, 1.0));
-        let ah = a.adjoint(); // 90x140
-        let r_big = matmul_adjoint(&ah, &w); // 90x130 result via blocked
-        let r_ref = matmul_adjoint_naive(&ah, &w);
-        let scale2 = crate::norms::fro_norm(&r_ref).max(1.0);
-        assert!(max_abs_diff(&r_big, &r_ref) < 1e-12 * scale2);
     }
 
     #[test]

@@ -174,6 +174,8 @@ impl<T: Scalar> SymPanels<T> {
 
     /// Pack the block lower triangle of a full symmetric matrix (the
     /// strict upper block triangle of `a` is not read).
+    #[doc(hidden)]
+    // ORACLE: oracle.rs ldlt_matches_lu_*, sym_panels_assemble_from_unaligned_lower_blocks
     pub fn from_lower(a: &Mat<T>) -> Self {
         let n = a.nrows();
         assert_eq!(a.ncols(), n, "SymPanels: square matrix required");

@@ -124,6 +124,7 @@ impl<T: Scalar> Lu<T> {
     /// Unblocked right-looking reference factorization (test oracle; also
     /// handles small matrices).
     #[doc(hidden)]
+    // ORACLE: oracle.rs lu_blocked_matches_unblocked_*
     pub fn factor_unblocked(mut a: Mat<T>) -> Result<Self, SingularError> {
         let n = a.nrows();
         assert_eq!(a.ncols(), n, "LU requires a square matrix");
@@ -187,14 +188,14 @@ impl<T: Scalar> Lu<T> {
     }
 
     /// Apply the row permutation `P` to a vector in place.
-    pub fn apply_piv_vec(&self, b: &mut [T]) {
+    fn apply_piv_vec(&self, b: &mut [T]) {
         for (k, &r) in self.piv.iter().enumerate() {
             b.swap(k, r);
         }
     }
 
     /// Apply `P` to every column of a matrix in place.
-    pub fn apply_piv_mat(&self, b: &mut Mat<T>) {
+    fn apply_piv_mat(&self, b: &mut Mat<T>) {
         for (k, &r) in self.piv.iter().enumerate() {
             if k != r {
                 b.swap_rows(k, r);
@@ -202,7 +203,10 @@ impl<T: Scalar> Lu<T> {
         }
     }
 
-    /// In-place solve `b := A^{-1} b`.
+    /// In-place solve `b := A^{-1} b`: the dense direct reference the
+    /// accuracy tests hold the iterative and skeletonized solves to.
+    #[doc(hidden)]
+    // ORACLE: sequential_correctness, scattered_points, cg and gmres unit tests
     pub fn solve_vec(&self, b: &mut [T]) {
         assert_eq!(b.len(), self.dim());
         self.apply_piv_vec(b);
@@ -219,6 +223,8 @@ impl<T: Scalar> Lu<T> {
     }
 
     /// `B := L^{-1} P B` — the forward half of [`Lu::solve_mat`].
+    #[doc(hidden)]
+    // ORACLE: oracle.rs panel_lu_solves_match_column_major_*
     pub fn forward_mat(&self, b: &mut Mat<T>) {
         assert_eq!(b.nrows(), self.dim());
         self.apply_piv_mat(b);
@@ -226,6 +232,8 @@ impl<T: Scalar> Lu<T> {
     }
 
     /// `B := U^{-1} B` — the backward half of [`Lu::solve_mat`].
+    #[doc(hidden)]
+    // ORACLE: oracle.rs panel_lu_solves_match_column_major_*
     pub fn backward_mat(&self, b: &mut Mat<T>) {
         assert_eq!(b.nrows(), self.dim());
         solve_upper_mat(&self.lu, false, b);

@@ -187,12 +187,14 @@ impl<T: Scalar> Mat<T> {
 
     /// Entry-wise reference transpose (test oracle for the tiled path).
     #[doc(hidden)]
+    // ORACLE: oracle.rs transpose_tiled_matches_naive
     pub fn transpose_naive(&self) -> Mat<T> {
         Mat::from_fn(self.ncols, self.nrows, |i, j| self[(j, i)])
     }
 
     /// Entry-wise reference adjoint (test oracle for the tiled path).
     #[doc(hidden)]
+    // ORACLE: oracle.rs transpose_tiled_matches_naive
     pub fn adjoint_naive(&self) -> Mat<T> {
         Mat::from_fn(self.ncols, self.nrows, |i, j| self[(j, i)].conj())
     }
@@ -320,33 +322,6 @@ impl<T: Scalar> Mat<T> {
         for (d, s) in self.data.iter_mut().zip(other.data.iter()) {
             *d += alpha * *s;
         }
-    }
-
-    /// Scale every entry by `alpha`.
-    pub fn scale_assign(&mut self, alpha: T) {
-        for d in self.data.iter_mut() {
-            *d *= alpha;
-        }
-    }
-
-    /// Stack vertically: `[self; bottom]`.
-    pub fn vstack(&self, bottom: &Mat<T>) -> Mat<T> {
-        assert_eq!(self.ncols, bottom.ncols, "vstack: column mismatch");
-        let mut out = Mat::zeros(self.nrows + bottom.nrows, self.ncols);
-        for j in 0..self.ncols {
-            out.col_mut(j)[..self.nrows].copy_from_slice(self.col(j));
-            out.col_mut(j)[self.nrows..].copy_from_slice(bottom.col(j));
-        }
-        out
-    }
-
-    /// Stack horizontally: `[self, right]`.
-    pub fn hstack(&self, right: &Mat<T>) -> Mat<T> {
-        assert_eq!(self.nrows, right.nrows, "hstack: row mismatch");
-        let mut data = Vec::with_capacity((self.ncols + right.ncols) * self.nrows);
-        data.extend_from_slice(&self.data);
-        data.extend_from_slice(&right.data);
-        Mat::from_vec(self.nrows, self.ncols + right.ncols, data)
     }
 
     /// Matrix-vector product `y = self * x`.
@@ -512,19 +487,6 @@ mod tests {
     }
 
     #[test]
-    fn stack_operations() {
-        let a = Mat::from_fn(2, 2, |i, j| (i + j) as f64);
-        let b = Mat::from_fn(1, 2, |_, j| (10 + j) as f64);
-        let v = a.vstack(&b);
-        assert_eq!(v.nrows(), 3);
-        assert_eq!(v[(2, 1)], 11.0);
-        let c = Mat::from_fn(2, 1, |i, _| (20 + i) as f64);
-        let h = a.hstack(&c);
-        assert_eq!(h.ncols(), 3);
-        assert_eq!(h[(1, 2)], 21.0);
-    }
-
-    #[test]
     fn matvec_variants() {
         let m = Mat::from_fn(2, 3, |i, j| (i * 3 + j + 1) as f64);
         let x = [1.0, 0.0, -1.0];
@@ -573,14 +535,12 @@ mod tests {
     }
 
     #[test]
-    fn axpy_and_scale() {
+    fn axpy() {
         let mut a = Mat::from_fn(2, 2, |i, j| (i + j) as f64);
         let b = Mat::identity(2);
         a.axpy(2.0, &b);
         assert_eq!(a[(0, 0)], 2.0);
         assert_eq!(a[(1, 1)], 4.0);
-        a.scale_assign(0.5);
-        assert_eq!(a[(1, 1)], 2.0);
     }
 
     #[test]

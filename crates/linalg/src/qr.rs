@@ -241,6 +241,7 @@ pub fn householder_qr<T: Scalar>(mut a: Mat<T>) -> (Mat<T>, Vec<T>) {
 
 /// Level-2 reference QR (test oracle for the blocked path).
 #[doc(hidden)]
+// ORACLE: oracle.rs qr_blocked_matches_naive_*
 pub fn householder_qr_naive<T: Scalar>(mut a: Mat<T>) -> (Mat<T>, Vec<T>) {
     let m = a.nrows();
     let n = a.ncols();
@@ -290,6 +291,7 @@ pub fn form_q<T: Scalar>(factors: &Mat<T>, tau: &[T], k: usize) -> Mat<T> {
 
 /// Level-2 reference `form_q` (test oracle for the blocked path).
 #[doc(hidden)]
+// ORACLE: oracle.rs qr_blocked_matches_naive_*
 pub fn form_q_naive<T: Scalar>(factors: &Mat<T>, tau: &[T], k: usize) -> Mat<T> {
     let m = factors.nrows();
     let mut q = Mat::zeros(m, k);
@@ -587,6 +589,7 @@ pub fn cpqr<T: Scalar>(mut a: Mat<T>, tol: f64, max_rank: usize) -> Cpqr<T> {
 /// unconditionally robust, making it the reference the blocked
 /// factorization is validated against.
 #[doc(hidden)]
+// ORACLE: oracle.rs cpqr_blocked_matches_naive_*, cpqr_truncated_residual_matches_naive
 pub fn cpqr_naive<T: Scalar>(mut a: Mat<T>, tol: f64, max_rank: usize) -> Cpqr<T> {
     let m = a.nrows();
     let n = a.ncols();

@@ -115,8 +115,8 @@ pub fn derive_seed(base: u64, a: u64, b: u64) -> u64 {
 /// 64` of the hash word for column group `c / 64`), so bulk generation in
 /// [`sketch_block`] pays one hash per 64 entries while random access stays
 /// O(1) and bitwise consistent with the bulk path.
-#[inline]
-pub fn sketch_sign(seed: u64, r: usize, c: usize) -> f64 {
+#[cfg(test)]
+fn sketch_sign(seed: u64, r: usize, c: usize) -> f64 {
     let word = mix(seed, r as u64, (c >> 6) as u64);
     if (word >> (c & 63)) & 1 == 0 {
         1.0

@@ -132,6 +132,7 @@ pub fn solve_lower_mat_unblocked<T: Scalar>(l: &Mat<T>, unit_diag: bool, b: &mut
 /// Per-column reference form of [`solve_upper_mat`] (test oracle; also the
 /// diagonal-block kernel of the blocked path).
 #[doc(hidden)]
+// ORACLE: oracle.rs triangular_blocked_matches_unblocked_*
 pub fn solve_upper_mat_unblocked<T: Scalar>(u: &Mat<T>, unit_diag: bool, b: &mut Mat<T>) {
     assert_eq!(u.nrows(), b.nrows());
     for j in 0..b.ncols() {

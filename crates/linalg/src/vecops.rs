@@ -62,6 +62,8 @@ pub fn max_abs<T: Scalar>(x: &[T]) -> f64 {
 }
 
 /// Relative l2 difference `||x - y|| / max(||y||, floor)`.
+#[doc(hidden)]
+// ORACLE: tests/integration.rs, solver_api, sequential_correctness, symmetric_mode
 pub fn rel_diff<T: Scalar>(x: &[T], y: &[T]) -> f64 {
     assert_eq!(x.len(), y.len());
     let num = x

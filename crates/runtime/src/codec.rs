@@ -120,7 +120,7 @@ impl ByteWriter {
     }
 
     /// Write a scalar (1 or 2 doubles).
-    pub fn put_scalar<T: Scalar>(&mut self, v: T) {
+    fn put_scalar<T: Scalar>(&mut self, v: T) {
         self.put_f64(v.re());
         if T::IS_COMPLEX {
             self.put_f64(v.im());
@@ -128,7 +128,7 @@ impl ByteWriter {
     }
 
     /// Write a length-prefixed run of raw bytes.
-    pub fn put_bytes(&mut self, v: &[u8]) {
+    fn put_bytes(&mut self, v: &[u8]) {
         self.put_u64(v.len() as u64);
         self.buf.extend_from_slice(v);
     }
@@ -138,14 +138,6 @@ impl ByteWriter {
         self.put_u64(v.len() as u64);
         for &x in v {
             self.put_u64(x);
-        }
-    }
-
-    /// Write a length-prefixed scalar slice.
-    pub fn put_scalar_slice<T: Scalar>(&mut self, v: &[T]) {
-        self.put_u64(v.len() as u64);
-        for &x in v {
-            self.put_scalar(x);
         }
     }
 
@@ -246,7 +238,7 @@ impl ByteReader {
     }
 
     /// Bounds-checked read of a scalar.
-    pub fn try_get_scalar<T: Scalar>(&mut self) -> Result<T, CodecError> {
+    fn try_get_scalar<T: Scalar>(&mut self) -> Result<T, CodecError> {
         let re = self.try_get_f64()?;
         let im = if T::IS_COMPLEX {
             self.try_get_f64()?
@@ -257,7 +249,7 @@ impl ByteReader {
     }
 
     /// Bounds-checked read of a length-prefixed run of raw bytes.
-    pub fn try_get_bytes(&mut self) -> Result<Vec<u8>, CodecError> {
+    fn try_get_bytes(&mut self) -> Result<Vec<u8>, CodecError> {
         let claimed = self.try_get_u64()?;
         let n = self.check_len(claimed, 1)?;
         let out = self.buf[self.pos..self.pos + n].to_vec();
@@ -288,13 +280,6 @@ impl ByteReader {
         }));
         self.pos += n * w;
         out
-    }
-
-    /// Bounds-checked read of a length-prefixed scalar slice.
-    pub fn try_get_scalar_slice<T: Scalar>(&mut self) -> Result<Vec<T>, CodecError> {
-        let claimed = self.try_get_u64()?;
-        let n = self.check_len(claimed, scalar_bytes::<T>())?;
-        Ok(self.take_scalars(n))
     }
 
     /// Bounds-checked read of a matrix. The claimed dimensions are
@@ -331,19 +316,6 @@ impl ByteReader {
         // INVARIANT: deliberate — this is the documented panicking variant;
         // untrusted bytes go through try_get_u64
         self.try_get_u64().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Read a double (panicking; see [`ByteReader::try_get_f64`]).
-    pub fn get_f64(&mut self) -> f64 {
-        // INVARIANT: deliberate — documented panicking variant of try_get_f64
-        self.try_get_f64().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Read a length-prefixed `u64` slice (panicking; see
-    /// [`ByteReader::try_get_u64_slice`]).
-    pub fn get_u64_slice(&mut self) -> Vec<u64> {
-        // INVARIANT: deliberate — documented panicking variant of try_get_u64_slice
-        self.try_get_u64_slice().unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Read a matrix (panicking; see [`ByteReader::try_get_mat`]).
@@ -704,8 +676,8 @@ mod tests {
         w.put_u64_slice(&[1, 2, 3]);
         let mut r = ByteReader::new(w.finish());
         assert_eq!(r.get_u64(), 42);
-        assert_eq!(r.get_f64(), -1.5);
-        assert_eq!(r.get_u64_slice(), vec![1, 2, 3]);
+        assert_eq!(r.try_get_f64(), Ok(-1.5));
+        assert_eq!(r.try_get_u64_slice(), Ok(vec![1, 2, 3]));
         assert_eq!(r.remaining(), 0);
     }
 
@@ -722,15 +694,11 @@ mod tests {
     #[test]
     fn round_trip_complex() {
         let m = Mat::from_fn(2, 4, |i, j| c64::new(i as f64, -(j as f64)));
-        let v = vec![c64::new(1.0, 2.0), c64::new(-3.0, 0.5)];
         let mut w = ByteWriter::new();
         w.put_mat(&m);
-        w.put_scalar_slice(&v);
         let mut r = ByteReader::new(w.finish());
         let back: Mat<c64> = r.get_mat();
-        let backv: Vec<c64> = r.try_get_scalar_slice().unwrap();
         assert_eq!(back, m);
-        assert_eq!(backv, v);
         assert_eq!(r.remaining(), 0);
     }
 

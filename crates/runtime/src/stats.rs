@@ -34,7 +34,7 @@ impl CommStats {
     }
 
     /// Modeled network time for this rank's traffic under `model`.
-    pub fn modeled_comm_s(&self, model: &NetworkModel) -> f64 {
+    fn modeled_comm_s(&self, model: &NetworkModel) -> f64 {
         model.cost(self.msgs_sent, self.words_sent)
     }
 }
@@ -159,6 +159,8 @@ impl WorldStats {
     }
 
     /// Total messages across ranks.
+    #[doc(hidden)]
+    // ORACLE: tcp_world, distributed_correctness, symmetric_mode
     pub fn total_msgs(&self) -> u64 {
         self.per_rank.iter().map(|r| r.msgs_sent).sum()
     }

@@ -109,7 +109,7 @@ pub fn is_control(tag: u32) -> bool {
 }
 
 /// Human name of a message kind.
-pub fn kind_name(kind: u32) -> &'static str {
+fn kind_name(kind: u32) -> &'static str {
     match kind {
         KIND_PHASE_UPDATE => "PHASE_UPDATE",
         KIND_FOLD => "FOLD",

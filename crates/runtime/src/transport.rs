@@ -268,16 +268,6 @@ impl FaultPlan {
         self.cut = Some((a, b, after));
         self
     }
-
-    /// `true` when no plan entry can alter delivery — such a plan is
-    /// bit-identical to no wrapper at all.
-    pub fn is_noop(&self) -> bool {
-        self.max_delay_us == 0
-            && self.drop_permille == 0
-            && self.dup_permille == 0
-            && self.crash.is_none()
-            && self.cut.is_none()
-    }
 }
 
 /// A received frame: source rank, tag, payload.
@@ -357,14 +347,6 @@ impl core::fmt::Display for RecvError {
                 write!(f, "rank {rank}: rank {src} panicked: {message}")
             }
         }
-    }
-}
-
-impl RecvError {
-    /// `true` when the peer is gone (link closed or panic relayed), as
-    /// opposed to a matching frame simply not having arrived yet.
-    pub fn is_fatal(&self) -> bool {
-        !matches!(self, RecvError::Timeout { .. })
     }
 }
 
@@ -1208,6 +1190,8 @@ pub(crate) fn worker_job() -> Option<&'static WorkerJob> {
 /// this to keep output on the launcher only (workers re-run `main` up to
 /// the `run` call and then exit inside it, so code *before* the call runs
 /// in every rank process).
+#[doc(hidden)]
+// ORACLE: tcp_world
 pub fn is_spawned_worker() -> bool {
     worker_job().is_some()
 }
@@ -1237,6 +1221,8 @@ pub(crate) fn next_session_seq() -> u64 {
 /// worker re-run the whole test suite: pass
 /// `vec!["<full_test_name>".into(), "--exact".into()]` so the worker
 /// re-runs only the test that spawned it.
+#[doc(hidden)]
+// ORACLE: every TCP test (tcp_world, transport_equiv, one_schedule, fault_matrix, ...)
 pub fn set_tcp_child_args(args: Option<Vec<String>>) {
     CHILD_ARGS.with(|c| *c.borrow_mut() = args);
 }

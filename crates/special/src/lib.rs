@@ -27,5 +27,5 @@ pub mod singular;
 pub use bessel::{hankel0_1, hankel0_1_slice, j0, j1, y0, y1};
 pub use gauss::GaussLegendre;
 pub use log::{ln, ln_slice};
-pub use quad::{adaptive_quad, dblquad};
+pub use quad::dblquad;
 pub use singular::{helmholtz_self_integral, laplace_log_self_integral};

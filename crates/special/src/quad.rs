@@ -66,7 +66,7 @@ fn adaptive_rec(
 }
 
 /// Adaptively integrate `f` over `[a, b]` to absolute tolerance `tol`.
-pub fn adaptive_quad(mut f: impl FnMut(f64) -> f64, a: f64, b: f64, tol: f64) -> (f64, QuadStats) {
+fn adaptive_quad(mut f: impl FnMut(f64) -> f64, a: f64, b: f64, tol: f64) -> (f64, QuadStats) {
     assert!(tol > 0.0, "tolerance must be positive");
     assert!(a.is_finite() && b.is_finite(), "bounds must be finite");
     let rule = GaussLegendre::new(10);

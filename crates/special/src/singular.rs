@@ -31,6 +31,8 @@ pub fn laplace_log_self_integral(h: f64) -> f64 {
 /// Same integral via adaptive `dblquad` over the four quadrants
 /// (singularity at a corner of each). Used to validate the closed form and
 /// to mirror the paper's `MultiQuad.jl` approach.
+#[doc(hidden)]
+// ORACLE: closed_form_matches_adaptive_quadrature
 pub fn laplace_log_self_integral_adaptive(h: f64, tol: f64) -> f64 {
     let a = 0.5 * h;
     let f = |x: f64, y: f64| {
@@ -88,6 +90,8 @@ pub fn helmholtz_self_integral(kappa: f64, h: f64) -> (f64, f64) {
 /// Brute-force adaptive version of [`helmholtz_self_integral`], quadrant by
 /// quadrant. Slow but direct; used in tests and available as the
 /// paper-faithful fallback.
+#[doc(hidden)]
+// ORACLE: helmholtz_diagonal_matches_adaptive
 pub fn helmholtz_self_integral_adaptive(kappa: f64, h: f64, tol: f64) -> (f64, f64) {
     let a = 0.5 * h;
     let re = |x: f64, y: f64| {

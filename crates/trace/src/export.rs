@@ -8,7 +8,7 @@
 //!   totals, then the per-rank compute vs comm-wait split with bytes
 //!   moved — the shape of the paper's phase-timing tables.
 
-use crate::{Cat, Span, TraceReport};
+use crate::{Cat, TraceReport};
 
 /// Escape a string for a JSON literal.
 fn esc(s: &str) -> String {
@@ -160,28 +160,29 @@ pub fn profile_table(reports: &[TraceReport]) -> String {
     out
 }
 
-/// Build a span literal for tests and fuzzing.
-pub fn span_for_test(
-    cat: Cat,
-    name: &str,
-    tid: u32,
-    start_ns: u64,
-    dur_ns: u64,
-    bytes: u64,
-) -> Span {
-    Span {
-        cat: cat as u8,
-        name: name.to_string(),
-        tid,
-        start_ns,
-        dur_ns,
-        bytes,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Span;
+
+    /// Build a span literal for the tests below.
+    fn span_for_test(
+        cat: Cat,
+        name: &str,
+        tid: u32,
+        start_ns: u64,
+        dur_ns: u64,
+        bytes: u64,
+    ) -> Span {
+        Span {
+            cat: cat as u8,
+            name: name.to_string(),
+            tid,
+            start_ns,
+            dur_ns,
+            bytes,
+        }
+    }
 
     fn sample() -> Vec<TraceReport> {
         vec![

@@ -50,7 +50,7 @@ impl Histogram {
 
     /// The bucket index a value lands in: 0 for 0, else
     /// `floor(log2(v)) + 1`, clamped to the last bucket.
-    pub fn bucket_of(v: u64) -> usize {
+    fn bucket_of(v: u64) -> usize {
         if v == 0 {
             0
         } else {
@@ -60,7 +60,7 @@ impl Histogram {
 
     /// Inclusive upper bound of bucket `i` (the value reported for
     /// quantiles that resolve to it).
-    pub fn bucket_bound(i: usize) -> u64 {
+    fn bucket_bound(i: usize) -> u64 {
         match i {
             0 => 0,
             _ if i >= HIST_BUCKETS - 1 => u64::MAX,

@@ -685,12 +685,16 @@ impl Model {
     /// Set the preemption bound (context switches away from a runnable
     /// thread per schedule). Bound 2–3 catches almost all real
     /// interleaving bugs; higher bounds grow the space combinatorially.
+    #[doc(hidden)]
+    // ORACLE: verify/tests/models.rs
     pub fn preemption_bound(mut self, b: usize) -> Self {
         self.preemption_bound = b;
         self
     }
 
     /// Cap the number of schedules explored.
+    #[doc(hidden)]
+    // ORACLE: verify/tests/models.rs
     pub fn max_schedules(mut self, n: usize) -> Self {
         self.max_schedules = n.max(1);
         self

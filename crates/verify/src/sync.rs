@@ -107,32 +107,6 @@ mod model {
                         self.inner.fetch_add(v, Ordering::SeqCst)
                     }
 
-                    /// Atomic subtract, returning the previous value
-                    /// (yield point).
-                    pub fn fetch_sub(&self, v: $ty, _order: Ordering) -> $ty {
-                        hook();
-                        self.inner.fetch_sub(v, Ordering::SeqCst)
-                    }
-
-                    /// Atomic maximum, returning the previous value
-                    /// (yield point).
-                    pub fn fetch_max(&self, v: $ty, _order: Ordering) -> $ty {
-                        hook();
-                        self.inner.fetch_max(v, Ordering::SeqCst)
-                    }
-
-                    /// Compare-and-exchange (yield point).
-                    pub fn compare_exchange(
-                        &self,
-                        current: $ty,
-                        new: $ty,
-                        _success: Ordering,
-                        _failure: Ordering,
-                    ) -> Result<$ty, $ty> {
-                        hook();
-                        self.inner
-                            .compare_exchange(current, new, Ordering::SeqCst, Ordering::SeqCst)
-                    }
 
                     /// Consume the atomic and return the value.
                     pub fn into_inner(self) -> $ty {
@@ -191,19 +165,6 @@ mod model {
             pub fn swap(&self, v: bool, _order: Ordering) -> bool {
                 hook();
                 self.inner.swap(v, Ordering::SeqCst)
-            }
-
-            /// Compare-and-exchange on the flag (yield point).
-            pub fn compare_exchange(
-                &self,
-                current: bool,
-                new: bool,
-                _success: Ordering,
-                _failure: Ordering,
-            ) -> Result<bool, bool> {
-                hook();
-                self.inner
-                    .compare_exchange(current, new, Ordering::SeqCst, Ordering::SeqCst)
             }
 
             /// Consume the atomic and return the value.
@@ -411,6 +372,8 @@ mod model {
         }
 
         /// Wake one waiter (the lowest-id blocked thread in a model).
+        #[doc(hidden)]
+        // ORACLE: verify/tests/models.rs
         pub fn notify_one(&self) {
             self.inner.notify_one();
             let _ = with_current(|e, _| e.wake_one(self.key));

@@ -87,7 +87,11 @@ fn parse_args() -> Args {
             }
             "--kappa" => args.kappa = value("--kappa").parse().expect("--kappa K"),
             "--side" => args.side = value("--side").parse().expect("--side N"),
-            "--p" => args.p = value("--p").parse().expect("--p N"),
+            "--p" => {
+                args.p = value("--p").parse().expect("--p N");
+                // Name a bad rank count here, not in the first build.
+                Driver::try_distributed(args.p).unwrap_or_else(|e| panic!("--p: {e}"));
+            }
             "--transport" => {
                 args.transport = value("--transport")
                     .parse()
@@ -199,7 +203,7 @@ fn run_chaos<K: Kernel>(kernel: &K, grid: &UnitGrid, p: usize, transport: Transp
     println!("restore: re-solve bit-identical to the fault-free gathered reference");
 }
 
-/// Compression observability: the per-level skeleton rank table (Fig. 9
+/// What the compression did: the per-level skeleton rank table (Fig. 9
 /// of the paper) plus the sketched path's counters — how often the
 /// a-posteriori check forced a retry or a CPQR fallback, and how many
 /// blocks the sketches applied.

@@ -82,8 +82,8 @@ pub use srsf_trace as trace;
 pub mod prelude {
     pub use srsf_core::{
         sequential::Factorization, solver::SolverBuilder, stats::FactorStats, BaseTransport,
-        Compression, CompressionTelemetry, Driver, FactorOpts, Factorized, FaultPlan, RankHealth,
-        Solver, SrsfError, Transport,
+        CompressionTelemetry, Driver, FactorOpts, Factorized, FaultPlan, RankHealth, Solver,
+        SrsfError, Transport,
     };
     pub use srsf_geometry::{grid::UnitGrid, point::Point, procgrid::ProcessGrid, tree::QuadTree};
     pub use srsf_iterative::{

@@ -25,12 +25,22 @@
 //!   internally consistent.
 //! * `forbid-unsafe` — every crate root carries
 //!   `#![forbid(unsafe_code)]`.
+//! * `pub-rent` — every `pub fn` of a library `src/` tree (outside
+//!   `#[cfg(test)]`; `src/bin/` is not library code) is named by non-test
+//!   code of another file — a library `src/` tree, `src/bin/`,
+//!   `examples/` or `benchmark/src/` — or by the facade's docs
+//!   (`src/lib.rs`) or `README.md`, or carries `#[doc(hidden)]` plus an
+//!   `// ORACLE: <test>` comment naming the test it serves. Code under
+//!   `tests/` and `benches/` is not a caller, and neither is a `pub use`
+//!   re-export. The match is by name, so a function shares its rent with
+//!   every other item of that name.
 //!
 //! The scanner is deliberately line-based and dependency-free: it strips
 //! strings and comments, skips `#[cfg(test)]` regions and doc comments,
 //! and never parses Rust properly — the rules are chosen so that this
 //! is enough.
 
+use std::collections::HashSet;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -83,6 +93,10 @@ const METRICS_FIELDS: &[&str] = &["solves_served", "solves_failed"];
 /// (every observation goes through `MetricsRegistry::observe_solve`).
 const METRICS_APPROVED: &[&str] = &["metrics.rs"];
 
+/// Trees outside the crates whose non-test code counts as a `pub-rent`
+/// caller.
+const CALLER_DIRS: &[&str] = &["examples", "benchmark/src"];
+
 /// Lint every workspace source tree under `root`. Returns all
 /// violations, sorted by file and line.
 pub fn lint_root(root: &Path) -> Result<Vec<Violation>, String> {
@@ -112,11 +126,29 @@ pub fn lint_root(root: &Path) -> Result<Vec<Violation>, String> {
     }
 
     let mut violations = Vec::new();
+    // `pub-rent` inputs: the library trees (xtask is a tool, not a
+    // library), their binaries, and the caller trees outside the crates.
+    let (mut library, mut callers) = (Vec::new(), Vec::new());
     for file in &files {
-        let content =
-            std::fs::read_to_string(file).map_err(|e| format!("{}: {e}", file.display()))?;
-        let rel = file.strip_prefix(root).unwrap_or(file).to_path_buf();
+        let (rel, content) = read_rel(root, file)?;
         violations.extend(lint_source(&rel, &content));
+        if rel.starts_with("xtask") {
+            continue;
+        }
+        if !rel.components().any(|c| c.as_os_str() == "bin") {
+            library.push((rel.clone(), content.clone()));
+        }
+        callers.push((rel, content));
+    }
+    for extra in CALLER_DIRS {
+        let dir = root.join(extra);
+        let mut extra_files = Vec::new();
+        if dir.is_dir() {
+            collect_rs(&dir, &mut extra_files)?;
+        }
+        for file in &extra_files {
+            callers.push(read_rel(root, file)?);
+        }
     }
     // Crate roots: the entry point of every source tree found above.
     for dir in &src_dirs {
@@ -130,6 +162,13 @@ pub fn lint_root(root: &Path) -> Result<Vec<Violation>, String> {
             }
         }
     }
+    let mut surface = String::new();
+    for doc in ["src/lib.rs", "README.md"] {
+        if let Ok(text) = std::fs::read_to_string(root.join(doc)) {
+            surface.push_str(&text);
+        }
+    }
+    violations.extend(check_pub_rent(&library, &callers, &surface));
     let tags = root.join("crates/runtime/src/tags.rs");
     if tags.is_file() {
         let content =
@@ -139,6 +178,15 @@ pub fn lint_root(root: &Path) -> Result<Vec<Violation>, String> {
     }
     violations.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     Ok(violations)
+}
+
+/// A file's path relative to `root` and its content.
+fn read_rel(root: &Path, file: &Path) -> Result<(PathBuf, String), String> {
+    let content = std::fs::read_to_string(file).map_err(|e| format!("{}: {e}", file.display()))?;
+    Ok((
+        file.strip_prefix(root).unwrap_or(file).to_path_buf(),
+        content,
+    ))
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
@@ -302,6 +350,116 @@ pub fn check_tags_described(path: &Path, content: &str) -> Vec<Violation> {
         }
     }
     out
+}
+
+/// The `pub-rent` rule: flag every `pub fn` of `library` that no other
+/// file of `callers` names in non-test code and `surface` (the facade's
+/// docs and the README) does not name, unless it is marked
+/// `#[doc(hidden)]` with an `// ORACLE:` comment. Both lists hold
+/// `(path, content)`; `library` is a subset of `callers`.
+pub fn check_pub_rent(
+    library: &[(PathBuf, String)],
+    callers: &[(PathBuf, String)],
+    surface: &str,
+) -> Vec<Violation> {
+    let named: Vec<(&PathBuf, HashSet<String>)> = callers
+        .iter()
+        .map(|(path, content)| (path, code_idents(content)))
+        .collect();
+    let surface: HashSet<&str> = idents(surface).collect();
+    let mut out = Vec::new();
+    for (path, content) in library {
+        let lines: Vec<&str> = content.lines().collect();
+        let cleaned: Vec<String> = lines.iter().map(|l| clean_line(l)).collect();
+        let in_test = test_region_mask(&cleaned);
+        for (i, clean) in cleaned.iter().enumerate() {
+            let Some(name) = (!in_test[i]).then(|| pub_fn_name(clean)).flatten() else {
+                continue;
+            };
+            let via_macro = format!("$crate::{name}");
+            let rented = surface.contains(name)
+                || named.iter().any(|(other, ids)| {
+                    (*other != path && ids.contains(name)) || ids.contains(&via_macro)
+                });
+            if rented || is_marked_oracle(&lines[..i]) {
+                continue;
+            }
+            out.push(Violation {
+                file: path.clone(),
+                line: i + 1,
+                rule: "pub-rent",
+                msg: format!(
+                    "`pub fn {name}` has no caller: no non-test code of another file, \
+                     the facade docs or the README names it. Delete it, make it \
+                     private, or mark a test oracle `#[doc(hidden)]` + `// ORACLE: <test>`"
+                ),
+            });
+        }
+    }
+    out
+}
+
+/// The name of the function a cleaned line declares `pub` (`pub fn`,
+/// `pub const fn`, ...). Restricted visibilities (`pub(crate)`) and
+/// macro-generated names (`$name`) are not public functions.
+fn pub_fn_name(clean: &str) -> Option<&str> {
+    let mut rest = clean.trim_start().strip_prefix("pub ")?;
+    for qualifier in ["const ", "async ", "unsafe "] {
+        rest = rest.strip_prefix(qualifier).unwrap_or(rest);
+    }
+    let rest = rest.strip_prefix("fn ")?;
+    let end = rest
+        .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .unwrap_or(rest.len());
+    (end > 0).then(|| &rest[..end])
+}
+
+/// `true` if the attribute and comment lines directly above a declaration
+/// hold both `#[doc(hidden)]` and an `ORACLE:` comment.
+fn is_marked_oracle(above: &[&str]) -> bool {
+    let head: Vec<&str> = above
+        .iter()
+        .rev()
+        .map(|l| l.trim_start())
+        .take_while(|l| l.starts_with("#[") || l.starts_with("//"))
+        .collect();
+    head.iter().any(|l| l.starts_with("#[doc(hidden)]"))
+        && head
+            .iter()
+            .any(|l| l.starts_with("//") && l.contains("ORACLE:"))
+}
+
+/// The identifiers a file's non-test code names, `pub use` re-exports
+/// excluded. A `$crate::` path in a macro body names its items for every
+/// file the macro expands in, so its segments are prefixed `$crate::`
+/// here for [`check_pub_rent`] to count from any file.
+fn code_idents(content: &str) -> HashSet<String> {
+    let cleaned: Vec<String> = content.lines().map(clean_line).collect();
+    let in_test = test_region_mask(&cleaned);
+    let mut in_reexport = false;
+    let mut out = HashSet::new();
+    for (clean, test) in cleaned.iter().zip(in_test) {
+        in_reexport |= clean.trim_start().starts_with("pub use ");
+        if in_reexport {
+            in_reexport = !clean.contains(';');
+        } else if !test {
+            out.extend(idents(clean).map(str::to_owned));
+            for (at, _) in clean.match_indices("$crate::") {
+                let path = &clean[at + "$crate::".len()..];
+                let end = path
+                    .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_' || c == ':'))
+                    .unwrap_or(path.len());
+                out.extend(idents(&path[..end]).map(|id| format!("$crate::{id}")));
+            }
+        }
+    }
+    out
+}
+
+/// The identifier-shaped words of `text`.
+fn idents(text: &str) -> impl Iterator<Item = &str> {
+    text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .filter(|w| w.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_'))
 }
 
 /// `true` if the line calls `.name(` or `.name::<`.
@@ -587,6 +745,55 @@ mod tests {
         let p = Path::new("crates/demo/src/lib.rs");
         assert_eq!(check_forbid_unsafe(p, "pub fn f() {}\n").len(), 1);
         assert!(check_forbid_unsafe(p, "#![forbid(unsafe_code)]\npub fn f() {}\n").is_empty());
+    }
+
+    fn rent(library: &str, others: &[(&str, &str)], surface: &str) -> Vec<String> {
+        let lib = (PathBuf::from("crates/demo/src/lib.rs"), library.to_string());
+        let mut callers = vec![lib.clone()];
+        callers.extend(
+            others
+                .iter()
+                .map(|(p, c)| (PathBuf::from(p), c.to_string())),
+        );
+        check_pub_rent(&[lib], &callers, surface)
+            .into_iter()
+            .map(|v| {
+                assert_eq!(v.rule, "pub-rent");
+                v.msg.split('`').nth(1).unwrap_or_default().to_string()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn pub_rent_flags_a_function_only_its_own_file_names() {
+        let lib = "pub fn a() -> u32 {\n    b()\n}\npub fn b() -> u32 {\n    1\n}\n\
+                   pub(crate) fn c() {}\n";
+        let main = ("examples/e.rs", "fn main() {\n    demo::a();\n}\n");
+        assert_eq!(rent(lib, &[main], ""), ["pub fn b"]);
+        // The facade docs or the README pay the rent too.
+        assert!(rent(lib, &[main], "//! call `b` first").is_empty());
+    }
+
+    #[test]
+    fn pub_rent_ignores_tests_reexports_and_comments() {
+        let lib = "pub fn a() {}\n";
+        let other = "pub use demo::a;\n// a()\n#[cfg(test)]\nmod tests {\n    fn t() {\n        \
+                     super::a();\n    }\n}\n";
+        assert_eq!(
+            rent(lib, &[("crates/x/src/lib.rs", other)], ""),
+            ["pub fn a"]
+        );
+        // A test-only function is not a public function to pay for.
+        let lib = "#[cfg(test)]\nmod tests {\n    pub fn helper() {}\n}\n";
+        assert!(rent(lib, &[], "").is_empty());
+    }
+
+    #[test]
+    fn pub_rent_accepts_marked_oracles_and_macro_paths() {
+        let lib = "#[doc(hidden)]\n// ORACLE: the blocked-path test\npub fn naive() {}\n\
+                   #[doc(hidden)]\npub fn hidden_only() {}\n\
+                   pub fn hook() {}\nmacro_rules! m {\n    () => {\n        $crate::hook()\n    };\n}\n";
+        assert_eq!(rent(lib, &[], ""), ["pub fn hidden_only"]);
     }
 
     #[test]
