@@ -427,8 +427,7 @@ fn main() {
     // off vs on. Disabled, every span site is one branch on a relaxed
     // atomic; enabled, it is a clock pair plus a fixed-slot ring-buffer
     // write (and the per-rank reports stay in the ring buffers until
-    // drained). A fixed iteration count keeps the two medians comparable;
-    // `bench-diff` prints the on/off ratio.
+    // drained). A fixed iteration count keeps the two medians comparable.
     {
         let grid = UnitGrid::new(64); // N = 4096
         let kernel = LaplaceKernel::new(&grid);

@@ -11,11 +11,11 @@
 //! snapshot of the store and merged in row-major order is therefore
 //! Algorithm 1's row-major sweep bit for bit, at every thread count.
 //!
-//! The level loop is the sequential driver's (`crate::sequential`); the
-//! distributed driver runs each rank's phases on the same waves, one
-//! thread per rank. This module holds the schedule and the worker pool
-//! that eliminates a wave; `Driver::colored(threads)` is the only build
-//! that gives the pool more than one worker.
+//! The level loop (`crate::sequential::sweep_levels`) is every driver's
+//! and the one caller of `eliminate_wave`; a distributed rank runs its
+//! phases through it on one thread. This module holds the schedule and
+//! the worker pool that eliminates a wave; `Driver::colored(threads)` is
+//! the only build that gives the pool more than one worker.
 
 use crate::elimination::{eliminate_box, EliminationOutput, FactorError};
 use crate::skeletonize::CompressionCtx;
@@ -61,8 +61,8 @@ pub(crate) fn waves(boxes: &[BoxId]) -> Vec<(u32, Vec<BoxId>)> {
 /// skeleton rank, which varies widely across a level, and static chunking
 /// left threads idle at the tail of every wave.
 ///
-/// Shared by the level loop ([`crate::sequential`]) and the distributed
-/// driver's per-rank phases, which run it on one thread.
+/// Called by the level loop ([`crate::sequential`]) only; a distributed
+/// rank's phases run it on one thread.
 pub(crate) fn eliminate_wave<K: Kernel>(
     store: &BlockStore<'_, K>,
     act: &ActiveSets,

@@ -16,22 +16,26 @@
 //!    *fold* onto their corner rank, which inherits the group's blocks and
 //!    active sets (Section III-C).
 //!
-//! Each phase of 1–2 is *overlapped* rather than bulk-synchronous, and a
-//! rank is one thread: the parallelism is the `p` ranks, as in the paper.
+//! A rank runs this as Algorithm 1's level loop
+//! ([`crate::sequential::sweep_levels`]) on its own thread — the
+//! parallelism is the `p` ranks, as in the paper — with [`RankHooks`]
+//! supplying the phases, the messages, the transition and the top. Each
+//! phase of 1–2 is *overlapped* rather than bulk-synchronous:
 //!
-//! * A rank's phase boxes eliminate in distance-3 waves
-//!   ([`waves`]): box `(ix, iy)` in wave `3·iy + ix`, waves in increasing
-//!   order, each merged in row-major box order. Same-wave boxes are >= 3
-//!   apart and every pair within distance 2 keeps its row-major order, so
-//!   within a phase each box is eliminated exactly as in Algorithm 1's
-//!   row-major sweep, and a one-rank world (one interior phase per level)
-//!   *is* Algorithm 1, bit for bit. A rank holds one wave's outputs at a
-//!   time (at most `⌈s/3⌉` of an `s × s` block).
-//! * A neighbor's `KIND_PHASE_UPDATE` frame is posted *eagerly*, the
-//!   moment the last box that neighbor tracks retires from the merge
-//!   (per-neighbor completion counters over the phase's box set) — not at
-//!   phase end — and the fabric is pumped between waves so incoming
-//!   frames land in the matching queue while local boxes still eliminate.
+//! * The loop eliminates a phase's boxes in distance-3 waves
+//!   (`crate::colored::waves`): box `(ix, iy)` in wave `3·iy + ix`, waves
+//!   in increasing order, each merged in row-major box order. Same-wave
+//!   boxes are >= 3 apart and every pair within distance 2 keeps its
+//!   row-major order, so within a phase each box is eliminated exactly as
+//!   in Algorithm 1's row-major sweep, and a one-rank world (one interior
+//!   phase per level) *is* Algorithm 1, bit for bit. A rank holds one
+//!   wave's outputs at a time (at most `⌈s/3⌉` of an `s × s` block).
+//! * The per-output hook posts a neighbor's `KIND_PHASE_UPDATE` frame
+//!   *eagerly*, the moment the last box that neighbor tracks retires from
+//!   the merge (per-neighbor completion counters over the phase's box
+//!   set) — not at phase end — and the pump hook moves incoming frames
+//!   into the matching queue between waves while local boxes still
+//!   eliminate; the end-of-phase hook receives and applies them.
 //! * There is **no barrier** anywhere in the level sweep: the tag scheme
 //!   (`tag = level*64 + phase*8 + kind`) makes every frame of the sweep
 //!   unique per `(src, tag)`, and the matching queue buffers frames that
@@ -54,17 +58,15 @@
 //! and the dealing out of its block columns ([`scatter_top`]); every rank
 //! then keeps what it produced and serves from it ([`super::serve`]).
 
-use super::{box_near_region, order_key, region_of, RankState, RankTop, TopShare};
-use crate::colored::{eliminate_wave, waves};
-use crate::elimination::{apply_output, EliminationOutput, FactorError};
-use crate::levels::assemble_parent_block;
+use super::{box_near_region, region_of, RankState, RankTop, TopShare};
+use crate::elimination::{EliminationOutput, FactorError};
+use crate::levels::merge_parents;
+use crate::sequential::{sweep_levels, LevelHooks, Top};
 use crate::skeletonize::CompressionCtx;
-use crate::stats::FactorStats;
 use crate::store::{ActiveSets, BlockStore};
 use crate::top::{factor_top, TopFactor};
 use crate::wire::{put_box, put_ids, try_get_box, try_get_ids};
 use crate::FactorOpts;
-use srsf_geometry::neighbors::near_field;
 use srsf_geometry::point::Point;
 use srsf_geometry::procgrid::ProcessGrid;
 use srsf_geometry::tree::{BoxId, QuadTree};
@@ -76,7 +78,7 @@ use srsf_runtime::codec::{ByteReader, ByteWriter, CodecError, Wire};
 // can decode the step it was waiting on; see `srsf_runtime::tags`.
 use srsf_runtime::tags::{describe, tag, KIND_ACT_REFRESH, KIND_FOLD, KIND_PHASE_UPDATE, KIND_TOP};
 use srsf_runtime::world::RankCtx;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Serialize one box's elimination side effects for a tracking rank:
 /// skeleton metadata always, block payloads filtered by the owner rule.
@@ -88,37 +90,24 @@ fn encode_update<T: Scalar>(
     dst_rank: usize,
     grid: &ProcessGrid,
 ) {
+    let positions: Vec<u32> = out.skel_positions.iter().map(|&p| p as u32).collect();
     put_box(w, b);
-    put_ids(
-        w,
-        &out.skel_positions
-            .iter()
-            .map(|&p| p as u32)
-            .collect::<Vec<_>>(),
-    );
+    put_ids(w, &positions);
     put_ids(w, skel_ids);
-    let tracked: Vec<&(BoxId, BoxId, Mat<T>)> = out
-        .replaced
-        .iter()
-        .filter(|(x, y, _)| grid.owner(x) == dst_rank || grid.owner(y) == dst_rank)
-        .collect();
-    w.put_u64(tracked.len() as u64);
-    for (x, y, m) in tracked {
-        put_box(w, x);
-        put_box(w, y);
-        w.put_mat(m);
-    }
-    let deltas: Vec<&(BoxId, BoxId, Mat<T>)> = out
-        .deltas
-        .iter()
-        .filter(|(x, y, _)| grid.owner(x) == dst_rank || grid.owner(y) == dst_rank)
-        .collect();
-    w.put_u64(deltas.len() as u64);
-    for (x, y, m) in deltas {
-        put_box(w, x);
-        put_box(w, y);
-        w.put_mat(m);
-    }
+    let tracked = |(x, y, _): &&(BoxId, BoxId, Mat<T>)| {
+        grid.owner(x) == dst_rank || grid.owner(y) == dst_rank
+    };
+    put_pairs(
+        w,
+        out.replaced
+            .iter()
+            .filter(tracked)
+            .map(|(x, y, m)| (x, y, m)),
+    );
+    put_pairs(
+        w,
+        out.deltas.iter().filter(tracked).map(|(x, y, m)| (x, y, m)),
+    );
 }
 
 /// Apply one received box update, mirroring `apply_output`'s order.
@@ -134,13 +123,7 @@ fn decode_and_apply_update<K: Kernel>(
     let skel_positions: Vec<usize> = try_get_ids(r)?.into_iter().map(|v| v as usize).collect();
     let skel_ids = try_get_ids(r)?;
     let was_eliminated = skel_ids.len() != act.get(&b).len();
-    let n_replaced = r.try_get_u64()?;
-    let mut replaced = Vec::new();
-    for _ in 0..n_replaced {
-        let x = try_get_box(r)?;
-        let y = try_get_box(r)?;
-        replaced.push((x, y, r.try_get_mat::<K::Elem>()?));
-    }
+    let replaced = try_get_pairs(r)?;
     if was_eliminated {
         store.shrink_box(&b, &skel_positions, &replaced);
     }
@@ -148,11 +131,7 @@ fn decode_and_apply_update<K: Kernel>(
         store.insert(x, y, m);
     }
     act.set(b, skel_ids);
-    let n_deltas = r.try_get_u64()?;
-    for _ in 0..n_deltas {
-        let x = try_get_box(r)?;
-        let y = try_get_box(r)?;
-        let m: Mat<K::Elem> = r.try_get_mat()?;
+    for (x, y, m) in try_get_pairs(r)? {
         store.add_delta(x, y, &m, act);
     }
     Ok(())
@@ -188,7 +167,46 @@ fn apply_phase_update<K: Kernel>(
     })
 }
 
-/// Rank `me`'s top-level frame for [`gather_top`]: its owned active
+/// The active sets of `boxes`, count first.
+fn put_acts(w: &mut ByteWriter, act: &ActiveSets, boxes: &[BoxId]) {
+    w.put_u64(boxes.len() as u64);
+    for b in boxes {
+        put_box(w, b);
+        put_ids(w, act.get(b));
+    }
+}
+
+/// Decode [`put_acts`] into `act`.
+fn apply_acts(r: &mut ByteReader, act: &mut ActiveSets) -> Result<(), CodecError> {
+    for _ in 0..r.try_get_u64()? {
+        let b = try_get_box(r)?;
+        act.set(b, try_get_ids(r)?);
+    }
+    Ok(())
+}
+
+/// Box pairs with their blocks, count first.
+fn put_pairs<'a, T: Scalar>(
+    w: &mut ByteWriter,
+    pairs: impl Iterator<Item = (&'a BoxId, &'a BoxId, &'a Mat<T>)>,
+) {
+    let pairs: Vec<_> = pairs.collect();
+    w.put_u64(pairs.len() as u64);
+    for (a, b, m) in pairs {
+        put_box(w, a);
+        put_box(w, b);
+        w.put_mat(m);
+    }
+}
+
+/// Decode [`put_pairs`].
+fn try_get_pairs<T: Scalar>(r: &mut ByteReader) -> Result<Vec<(BoxId, BoxId, Mat<T>)>, CodecError> {
+    (0..r.try_get_u64()?)
+        .map(|_| Ok((try_get_box(r)?, try_get_box(r)?, r.try_get_mat()?)))
+        .collect()
+}
+
+/// Rank `me`'s top-level frame for the top gather: its owned active
 /// sets, then the stored pairs whose row box it owns (authoritative,
 /// deduped; a symmetric store holds the lower block triangle, which is
 /// all `factor_top` reads).
@@ -205,25 +223,18 @@ fn encode_top_gather<K: Kernel>(
         .boxes_at_level(top_level)
         .filter(|b| grid.owner(b) == me)
         .collect();
-    w.put_u64(owned.len() as u64);
-    for b in &owned {
-        put_box(&mut w, b);
-        put_ids(&mut w, act.get(b));
-    }
-    let pairs: Vec<_> = store
-        .stored_pairs()
-        .filter(|((a, _), _)| a.level == top_level && grid.owner(a) == me)
-        .collect();
-    w.put_u64(pairs.len() as u64);
-    for ((a, b), m) in pairs {
-        put_box(&mut w, a);
-        put_box(&mut w, b);
-        w.put_mat(m);
-    }
+    put_acts(&mut w, act, &owned);
+    put_pairs(
+        &mut w,
+        store
+            .stored_pairs()
+            .filter(|((a, _), _)| a.level == top_level && grid.owner(a) == me)
+            .map(|((a, b), m)| (a, b, m)),
+    );
     w.finish()
 }
 
-/// Decode a rank's top-level frame for [`gather_top`] — its owned active
+/// Decode a rank's top-level frame for the top gather — its owned active
 /// sets, then the stored pairs whose row box it owns — into `act` and
 /// `store` (what decoded before a failure stays applied; the build fails
 /// with it).
@@ -235,13 +246,9 @@ fn apply_top_gather<K: Kernel>(
     act: &mut ActiveSets,
 ) -> Result<(), FactorError> {
     decode_frame(payload, src, t, |r| {
-        for _ in 0..r.try_get_u64()? {
-            let b = try_get_box(r)?;
-            act.set(b, try_get_ids(r)?);
-        }
-        for _ in 0..r.try_get_u64()? {
-            let (a, b) = (try_get_box(r)?, try_get_box(r)?);
-            store.insert(a, b, r.try_get_mat()?);
+        apply_acts(r, act)?;
+        for (a, b, m) in try_get_pairs(r)? {
+            store.insert(a, b, m);
         }
         Ok(())
     })
@@ -251,12 +258,10 @@ fn apply_top_gather<K: Kernel>(
 /// plus (rank 0 only) the dense top factorization, whole.
 pub(crate) type FactorPhaseOutcome<T> = Result<(RankState<T>, RankTop<T>), FactorError>;
 
-/// The factorization half of a rank's work: the level sweep (interior
-/// phase, four color rounds, level transitions with folds) and the top
-/// gather/factorization, leaving this rank's elimination records and
-/// solve-routing metadata in the returned [`RankState`], where they stay
-/// for the serve loop ([`super::serve`]).
-#[allow(clippy::too_many_arguments)]
+/// The factorization half of a rank's work: the level loop
+/// ([`sweep_levels`]) with this rank's [`RankHooks`], leaving its
+/// elimination records and solve-routing metadata in the returned
+/// [`RankState`], where they stay for the serve loop ([`super::serve`]).
 pub(crate) fn factor_phase<K: Kernel>(
     ctx: &mut RankCtx,
     kernel: &K,
@@ -264,110 +269,29 @@ pub(crate) fn factor_phase<K: Kernel>(
     tree: &QuadTree,
     grid: &ProcessGrid,
     opts: &FactorOpts,
-    leaf: u8,
-    lmin: u8,
 ) -> FactorPhaseOutcome<K::Elem> {
-    let me = ctx.rank();
-    let t_total = std::time::Instant::now();
-    let mut store = BlockStore::new(kernel, pts);
-    let mut act = ActiveSets::new();
-    // Leaf active sets derive from the replicated tree geometry: no
-    // communication needed to initialize the halo.
-    for id in tree.boxes_at_level(leaf) {
-        act.set(id, tree.leaf_points(&id).to_vec());
-    }
-    let mut state = RankState::<K::Elem> {
-        records: Vec::new(),
+    let mut hooks = RankHooks {
+        ctx,
+        grid,
         act_end: HashMap::new(),
         fold_ids: HashMap::new(),
-        stats: FactorStats::new(pts.len(), leaf),
+        tag: 0,
+        neighbors: Vec::new(),
+        pending: Vec::new(),
     };
-    // Deterministic construction: every rank derives the identical
-    // compression context (seeded sketches are a pure function of box
-    // coordinates), so no communication is needed to agree on skeletons.
-    let cctx = CompressionCtx::new(kernel, pts, tree, opts);
-
-    if leaf >= lmin && leaf >= 1 {
-        let mut level = leaf;
-        loop {
-            if grid.is_active(me, level) {
-                let t_elim = std::time::Instant::now();
-                let (interior, boundary) = grid.classify_level(me, level);
-                {
-                    let _sp = srsf_trace::span!(srsf_trace::Cat::Phase, "level {level} interior");
-                    run_phase(
-                        ctx, grid, tree, &mut store, &mut act, &interior, level, 0, opts, &cctx,
-                        &mut state,
-                    )?;
-                }
-                let my_color = grid.color(me, level);
-                for color in 0..4u8 {
-                    let mine = if color == my_color {
-                        boundary.clone()
-                    } else {
-                        Vec::new()
-                    };
-                    let _sp = srsf_trace::span!(
-                        srsf_trace::Cat::Phase,
-                        "level {level} color round {color}"
-                    );
-                    run_phase(
-                        ctx,
-                        grid,
-                        tree,
-                        &mut store,
-                        &mut act,
-                        &mine,
-                        level,
-                        1 + color,
-                        opts,
-                        &cctx,
-                        &mut state,
-                    )?;
-                }
-                let snapshot: Vec<(BoxId, Vec<u32>)> = tree
-                    .boxes_at_level(level)
-                    .filter(|b| grid.owner(b) == me)
-                    .map(|b| (b, act.get(&b).to_vec()))
-                    .collect();
-                state.act_end.insert(level, snapshot);
-                state.stats.eliminate_s += t_elim.elapsed().as_secs_f64();
-            }
-            // No barrier between phases or levels: every frame of the
-            // sweep is unique per (src, tag) and the matching queue
-            // buffers early arrivals, so tag matching alone orders the
-            // computation (ranks that finished a level early simply park
-            // in their next tag-matched receive).
-            if level == lmin {
-                break;
-            }
-            {
-                let _sp = srsf_trace::span!(srsf_trace::Cat::Phase, "level {level} transition");
-                let t_merge = std::time::Instant::now();
-                level_transition(ctx, grid, tree, &mut store, &mut act, level, &mut state)?;
-                state.stats.merge_s += t_merge.elapsed().as_secs_f64();
-            }
-            level -= 1;
-        }
-    } else {
-        let snapshot: Vec<(BoxId, Vec<u32>)> = tree
-            .boxes_at_level(leaf)
-            .filter(|b| grid.owner(b) == me)
-            .map(|b| (b, act.get(&b).to_vec()))
-            .collect();
-        state.act_end.insert(leaf, snapshot);
-    }
-
-    // Top gather and dense factorization on rank 0.
-    let top_level = if leaf >= lmin { lmin } else { leaf };
-    let top = {
-        let _sp = srsf_trace::span!(srsf_trace::Cat::Phase, "top gather+factor");
-        let t_top = std::time::Instant::now();
-        let top = gather_top(ctx, grid, tree, &mut store, &mut act, top_level, &cctx)?;
-        state.stats.top_s = t_top.elapsed().as_secs_f64();
-        top
+    let (records, stats, top) = sweep_levels(kernel, pts, tree, opts, 1, &mut hooks)?;
+    let state = RankState {
+        records,
+        act_end: hooks.act_end,
+        fold_ids: hooks.fold_ids,
+        stats,
     };
-    state.stats.total_s = t_total.elapsed().as_secs_f64();
+    let top = top.map(|(idx, cols)| TopShare {
+        idx,
+        cols,
+        prev: None,
+        next: None,
+    });
     Ok((state, top))
 }
 
@@ -567,240 +491,227 @@ pub(super) fn scatter_top<T: Scalar>(
     Ok((state, Some(mine)))
 }
 
-/// Eliminate `boxes` (phase `phase` of `level`) in distance-3 waves
-/// ([`waves`]) on the rank's own thread, posting each neighbor's update
-/// frame the moment its last tracked box retires, then apply the
-/// neighbors' updates. Every active rank calls this each phase (possibly
-/// with no boxes) so the message pattern stays globally consistent.
-///
-/// Determinism: same-wave boxes sit at box distance >= 3 and never read
-/// each other's writes, so each wave snapshot-computes and merges in
-/// row-major box order — records, frames and counters are bit-identical
-/// over both transports, and equal to the row-major sweep of the phase's
-/// boxes. Only one wave's outputs are alive at a
-/// time. Overlap: a neighbor's frame goes out as soon as the last box it
-/// tracks is merged (its per-box encodings depend only on that box's own
-/// output and active set, which later merges never touch), and the fabric
-/// is pumped between waves so early frames are already in the matching
-/// queue when the blocking receives run.
-#[allow(clippy::too_many_arguments)]
-fn run_phase<K: Kernel>(
-    ctx: &mut RankCtx,
-    grid: &ProcessGrid,
-    tree: &QuadTree,
-    store: &mut BlockStore<'_, K>,
-    act: &mut ActiveSets,
-    boxes: &[BoxId],
-    level: u8,
-    phase: u8,
-    opts: &FactorOpts,
-    cctx: &CompressionCtx,
-    state: &mut RankState<K::Elem>,
-) -> Result<(), FactorError> {
-    let me = ctx.rank();
-    let neighbors = grid.neighbor_ranks(me, level);
-    let regions: Vec<(usize, (i64, i64, i64, i64))> = neighbors
-        .iter()
-        .map(|&r| (r, region_of(grid, r, level)))
-        .collect();
+/// A rank's side of the level loop. Every active rank runs all five
+/// phases at every level, possibly with no boxes, so the message pattern
+/// stays globally consistent.
+struct RankHooks<'a> {
+    ctx: &'a mut RankCtx,
+    grid: &'a ProcessGrid,
+    /// [`RankState::act_end`] and [`RankState::fold_ids`].
+    act_end: HashMap<u8, Vec<(BoxId, Vec<u32>)>>,
+    fold_ids: HashMap<(u8, usize), Vec<u32>>,
+    /// The current phase's update tag and the neighbors it exchanges frames with.
+    tag: u32,
+    neighbors: Vec<usize>,
+    /// The current phase's frames still waiting on a box they track.
+    pending: Vec<PendingFrame>,
+}
 
-    // Per-neighbor eager-send state: how many of this phase's boxes the
-    // neighbor tracks (within distance 2 of its region) and the frame
-    // under construction. Neighbors tracking nothing get their empty
-    // frame immediately, before any elimination starts.
-    let mut remaining: HashMap<usize, usize> = HashMap::new();
-    let mut frames: HashMap<usize, ByteWriter> = HashMap::new();
-    for (r, region) in &regions {
-        let n = boxes
-            .iter()
-            .filter(|b| box_near_region(b, *region, 2))
-            .count();
-        let mut w = ByteWriter::new();
-        w.put_u64(n as u64);
-        if n == 0 {
-            ctx.send(*r, tag(level, phase, KIND_PHASE_UPDATE), w.finish());
-        } else {
-            remaining.insert(*r, n);
-            frames.insert(*r, w);
+/// A neighbor's update frame of the current phase, posted the moment the
+/// last of the `left` boxes it tracks is merged.
+struct PendingFrame {
+    rank: usize,
+    region: (i64, i64, i64, i64),
+    left: usize,
+    frame: ByteWriter,
+}
+
+impl<K: Kernel> LevelHooks<K> for RankHooks<'_> {
+    fn phases(&mut self, _tree: &QuadTree, level: u8) -> Vec<Vec<BoxId>> {
+        let me = self.ctx.rank();
+        if !self.grid.is_active(me, level) {
+            return Vec::new();
+        }
+        let (interior, boundary) = self.grid.classify_level(me, level);
+        let mut phases = vec![interior, Vec::new(), Vec::new(), Vec::new(), Vec::new()];
+        phases[1 + self.grid.color(me, level) as usize] = boundary;
+        phases
+    }
+
+    fn compute<R>(&mut self, f: impl FnOnce() -> R) -> R {
+        self.ctx.compute(f)
+    }
+
+    /// Neighbors tracking none of `boxes` get their empty frame now,
+    /// before any elimination starts.
+    fn begin_phase(&mut self, level: u8, phase: u8, boxes: &[BoxId]) {
+        self.tag = tag(level, phase, KIND_PHASE_UPDATE);
+        self.neighbors = self.grid.neighbor_ranks(self.ctx.rank(), level);
+        self.pending.clear();
+        for &rank in &self.neighbors {
+            let region = region_of(self.grid, rank, level);
+            let left = boxes
+                .iter()
+                .filter(|b| box_near_region(b, region, 2))
+                .count();
+            let mut frame = ByteWriter::new();
+            frame.put_u64(left as u64);
+            if left == 0 {
+                self.ctx.send(rank, self.tag, frame.finish());
+            } else {
+                self.pending.push(PendingFrame {
+                    rank,
+                    region,
+                    left,
+                    frame,
+                });
+            }
         }
     }
 
-    for (wave, wboxes) in waves(boxes) {
-        let outputs = {
-            let _sp = srsf_trace::span!(
-                srsf_trace::Cat::Compute,
-                "eliminate level {level} phase {phase} wave {wave}"
-            );
-            ctx.compute(|| eliminate_wave(store, act, tree, &wboxes, opts, cctx, 1))?
-        };
-        // Deterministic merge in box order; eager sends fire from here.
-        let merge_sp = srsf_trace::span!(
-            srsf_trace::Cat::Compute,
-            "merge level {level} phase {phase} wave {wave}"
-        );
-        for (b, out) in wboxes.iter().zip(outputs) {
-            ctx.compute(|| apply_output(store, act, b, &out, cctx));
-            state.stats.compression.absorb(&out.compression);
+    fn output(&mut self, act: &ActiveSets, b: &BoxId, out: &EliminationOutput<K::Elem>) {
+        let (ctx, grid, t) = (&mut *self.ctx, self.grid, self.tag);
+        self.pending.retain_mut(|p| {
+            if !box_near_region(b, p.region, 2) {
+                return true;
+            }
             // Post-apply skeleton ids: later merges never touch `act(b)`
             // (deltas land on the block store only), so encoding now is
             // byte-identical to encoding at phase end.
-            let skel_ids: Vec<u32> = match &out.record {
-                Some(rec) => rec.skel.clone(),
-                None => act.get(b).to_vec(),
+            encode_update(&mut p.frame, b, out, act.get(b), p.rank, grid);
+            p.left -= 1;
+            if p.left > 0 {
+                return true;
+            }
+            ctx.send(p.rank, t, std::mem::take(&mut p.frame).finish());
+            false
+        });
+    }
+
+    fn pump(&mut self) {
+        self.ctx.progress();
+    }
+
+    /// Apply the neighbors' updates, tag-matched: frames that arrived
+    /// early wait in the matching queue, so no barrier is needed.
+    fn end_phase(
+        &mut self,
+        store: &mut BlockStore<'_, K>,
+        act: &mut ActiveSets,
+    ) -> Result<(), FactorError> {
+        for &src in &self.neighbors {
+            apply_phase_update(self.ctx.recv(src, self.tag), src, self.tag, store, act)?;
+        }
+        Ok(())
+    }
+
+    fn end_level(&mut self, tree: &QuadTree, act: &ActiveSets, level: u8) {
+        let me = self.ctx.rank();
+        if self.grid.is_active(me, level) {
+            let owned = tree
+                .boxes_at_level(level)
+                .filter(|b| self.grid.owner(b) == me)
+                .map(|b| (b, act.get(&b).to_vec()))
+                .collect();
+            self.act_end.insert(level, owned);
+        }
+    }
+
+    /// Fold shipments, parent-block materialization, child cleanup, and
+    /// the parent active-set halo refresh. A received frame that does not
+    /// decode is [`FactorError::MalformedFrame`].
+    fn transition(
+        &mut self,
+        store: &mut BlockStore<'_, K>,
+        act: &mut ActiveSets,
+        tree: &QuadTree,
+        child_level: u8,
+    ) -> Result<(), FactorError> {
+        let (ctx, grid) = (&mut *self.ctx, self.grid);
+        let me = ctx.rank();
+        let parent_level = child_level - 1;
+        let fold = grid.effective_q(parent_level) < grid.effective_q(child_level);
+
+        if fold && grid.is_active(me, child_level) {
+            // The corner rank of my 2x2 group at the parent level.
+            let (x0, y0, _, _) = region_of(grid, me, child_level);
+            let my_first_parent = BoxId {
+                level: parent_level,
+                ix: (x0 / 2) as u32,
+                iy: (y0 / 2) as u32,
             };
-            for (r, region) in &regions {
-                if !box_near_region(b, *region, 2) {
-                    continue;
+            let corner = grid.owner(&my_first_parent);
+            let t = tag(child_level, 5, KIND_FOLD);
+            if corner != me {
+                // Ship what the corner needs of this rank's level (see
+                // `encode_fold`), then retire.
+                let owned_ids: Vec<u32> = self
+                    .act_end
+                    .get(&child_level)
+                    .map(|v| v.iter().flat_map(|(_, ids)| ids.iter().copied()).collect())
+                    .unwrap_or_default();
+                let frame = encode_fold(store, act, tree, grid, me, child_level, &owned_ids);
+                ctx.send(corner, t, frame);
+            } else {
+                // Receive from the three retiring members of my group.
+                let stride = grid.q() / grid.effective_q(child_level);
+                let (cx, cy) = grid.coords_of(me);
+                for (dx, dy) in [(1u32, 0u32), (0, 1), (1, 1)] {
+                    let member = grid.rank_of(cx + dx * stride, cy + dy * stride);
+                    let fold_ids = apply_fold(ctx.recv(member, t), member, t, store, act)?;
+                    self.fold_ids.insert((child_level, member), fold_ids);
                 }
-                // INVARIANT: `frames`/`remaining` were seeded with every
-                // neighbor tracking at least one box, and an entry is only
-                // removed when its counter hits zero
-                let w = frames.get_mut(r).expect("pending frame");
-                encode_update(w, b, &out, &skel_ids, *r, grid);
-                // INVARIANT: `remaining` is kept in lockstep with `frames`
-                let left = remaining.get_mut(r).expect("pending count");
-                *left -= 1;
-                if *left == 0 {
-                    remaining.remove(r);
-                    // INVARIANT: same seeding argument as `frames` above
-                    let w = frames.remove(r).expect("pending frame");
-                    ctx.send(*r, tag(level, phase, KIND_PHASE_UPDATE), w.finish());
-                }
-            }
-            // The frames read the output's blocks; the record moves out last.
-            if let Some(rec) = out.record {
-                state.stats.add_rank(level, rec.skel.len());
-                let key = order_key(state.stats.leaf_level, level, phase, wave, b);
-                state.records.push((key, rec));
             }
         }
-        drop(merge_sp);
-        // Pump the fabric between waves: frames that already arrived
-        // move into the matching queue while the next wave eliminates.
-        ctx.progress();
-    }
 
-    // Apply the neighbors' updates (tag-matched; frames that arrived
-    // early were buffered by the matching queue or the drains above).
-    let t = tag(level, phase, KIND_PHASE_UPDATE);
-    for &src in &neighbors {
-        let payload = ctx.recv(src, t);
-        apply_phase_update(payload, src, t, store, act)?;
-    }
-    Ok(())
-}
-
-/// Level transition: fold shipments, parent-block materialization, child
-/// cleanup, and the parent active-set halo refresh. A received frame that
-/// does not decode is [`FactorError::MalformedFrame`].
-fn level_transition<K: Kernel>(
-    ctx: &mut RankCtx,
-    grid: &ProcessGrid,
-    tree: &QuadTree,
-    store: &mut BlockStore<'_, K>,
-    act: &mut ActiveSets,
-    child_level: u8,
-    state: &mut RankState<K::Elem>,
-) -> Result<(), FactorError> {
-    let me = ctx.rank();
-    let parent_level = child_level - 1;
-    let child_active = grid.is_active(me, child_level);
-    let parent_active_rank = grid.is_active(me, parent_level);
-    let fold = grid.effective_q(parent_level) < grid.effective_q(child_level);
-
-    if fold && child_active {
-        // The corner rank of my 2x2 group at the parent level.
-        let (x0, y0, _, _) = region_of(grid, me, child_level);
-        let my_first_parent = BoxId {
-            level: parent_level,
-            ix: (x0 / 2) as u32,
-            iy: (y0 / 2) as u32,
-        };
-        let corner = grid.owner(&my_first_parent);
-        if corner != me {
-            // Ship what the corner needs of this rank's level (see
-            // `encode_fold`), then retire.
-            let owned_ids: Vec<u32> = state
-                .act_end
-                .get(&child_level)
-                .map(|v| v.iter().flat_map(|(_, ids)| ids.iter().copied()).collect())
-                .unwrap_or_default();
-            let frame = encode_fold(store, act, tree, grid, me, child_level, &owned_ids);
-            ctx.send(corner, tag(child_level, 5, KIND_FOLD), frame);
-        } else {
-            // Receive from the three retiring members of my group.
-            let stride = grid.q() / grid.effective_q(child_level);
-            let (cx, cy) = grid.coords_of(me);
-            for (dx, dy) in [(1u32, 0u32), (0, 1), (1, 1)] {
-                let member = grid.rank_of(cx + dx * stride, cy + dy * stride);
-                let t = tag(child_level, 5, KIND_FOLD);
-                let fold_ids = apply_fold(ctx.recv(member, t), member, t, store, act)?;
-                state.fold_ids.insert((child_level, member), fold_ids);
-            }
+        if !grid.is_active(me, parent_level) {
+            // A retired rank only drops its child-level data.
+            merge_parents(store, act, child_level, &[], &[]);
+            return Ok(());
         }
-    }
-
-    if parent_active_rank {
-        // Materialize parent pairs (P, Q) at distance <= 1 where I own one
-        // side, assembling from child data — in the direction(s) the
-        // store keeps.
-        let mut done: HashSet<(BoxId, BoxId)> = HashSet::new();
-        let mut to_insert = Vec::new();
-        let my_parents: Vec<BoxId> = tree
+        // Materialize the parent pairs where I own one side; relabel every
+        // parent whose children I know — conservatively, my parents and
+        // those of adjacent regions.
+        let mine: Vec<BoxId> = tree
             .boxes_at_level(parent_level)
             .filter(|p| grid.owner(p) == me)
             .collect();
-        for p in &my_parents {
-            let mut targets = vec![*p];
-            targets.extend(near_field(p));
-            for q in targets {
-                for (a, b) in [(*p, q), (q, *p)] {
-                    if !store.is_canonical(&a, &b) || !done.insert((a, b)) {
-                        continue;
-                    }
-                    let (blk, any) = assemble_parent_block(store, act, &a, &b);
-                    if any {
-                        to_insert.push((a, b, blk));
-                    }
-                }
-            }
-        }
-        // Parent active sets: every parent whose children I know —
-        // conservatively, my parents and those of adjacent regions.
-        let mut parent_acts = Vec::new();
         let my_region = region_of(grid, me, parent_level);
-        for p in tree.boxes_at_level(parent_level) {
-            if box_near_region(&p, my_region, 2) {
-                parent_acts.push((p, crate::levels::parent_active(act, &p)));
-            }
-        }
-        store.drop_level(child_level);
-        act.drop_level(child_level);
-        for (a, b, m) in to_insert {
-            store.insert(a, b, m);
-        }
-        for (p, ids) in parent_acts {
-            act.set(p, ids);
-        }
+        let known: Vec<BoxId> = tree
+            .boxes_at_level(parent_level)
+            .filter(|p| box_near_region(p, my_region, 2))
+            .collect();
+        merge_parents(store, act, child_level, &mine, &known);
         // Halo refresh: authoritative parent active sets to adjacent ranks.
         let neighbors = grid.neighbor_ranks(me, parent_level);
+        let t = tag(parent_level, 6, KIND_ACT_REFRESH);
         for &dst in &neighbors {
-            let frame = encode_act_refresh(act, &my_parents, region_of(grid, dst, parent_level));
-            ctx.send(dst, tag(parent_level, 6, KIND_ACT_REFRESH), frame);
+            let frame = encode_act_refresh(act, &mine, region_of(grid, dst, parent_level));
+            ctx.send(dst, t, frame);
         }
         for &src in &neighbors {
-            let t = tag(parent_level, 6, KIND_ACT_REFRESH);
             apply_act_refresh(ctx.recv(src, t), src, t, act)?;
         }
-    } else {
-        // Retired ranks drop their child-level data.
-        store.drop_level(child_level);
-        act.drop_level(child_level);
+        Ok(())
     }
-    // No trailing barrier: the fold and halo-refresh frames above carry
-    // level-unique tags, so the parent level's receives match them
-    // without a rendezvous.
-    Ok(())
+
+    /// Gather the remaining active blocks on rank 0 and factor the top there.
+    fn top(
+        &mut self,
+        store: &mut BlockStore<'_, K>,
+        act: &mut ActiveSets,
+        tree: &QuadTree,
+        top_level: u8,
+        cctx: &CompressionCtx,
+    ) -> Result<Top<K::Elem>, FactorError> {
+        let (ctx, grid) = (&mut *self.ctx, self.grid);
+        let me = ctx.rank();
+        let active = grid.active_ranks(top_level);
+        let t = tag(top_level, 6, KIND_TOP);
+        if me != 0 {
+            if active.contains(&me) {
+                let frame = encode_top_gather(store, act, tree, grid, me, top_level);
+                // Rank 0 has the level now; nothing reads this copy again.
+                store.drop_level(top_level);
+                ctx.send(0, t, frame);
+            }
+            return Ok(None);
+        }
+        for &src in active.iter().filter(|&&r| r != 0) {
+            apply_top_gather(ctx.recv(src, t), src, t, store, act)?;
+        }
+        factor_top(store, act, tree, top_level, cctx).map(Some)
+    }
 }
 
 /// A retiring rank's `KIND_FOLD` frame for the corner of its group:
@@ -826,28 +737,21 @@ fn encode_fold<K: Kernel>(
     owned_ids: &[u32],
 ) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    let pairs: Vec<_> = store
-        .stored_pairs()
-        .filter(|((a, b), _)| {
-            a.level == child_level && (grid.owner(a) == me || grid.owner(b) == me)
-        })
-        .collect();
-    w.put_u64(pairs.len() as u64);
-    for ((a, b), m) in pairs {
-        put_box(&mut w, a);
-        put_box(&mut w, b);
-        w.put_mat(m);
-    }
+    put_pairs(
+        &mut w,
+        store
+            .stored_pairs()
+            .filter(|((a, b), _)| {
+                a.level == child_level && (grid.owner(a) == me || grid.owner(b) == me)
+            })
+            .map(|((a, b), m)| (a, b, m)),
+    );
     let my_region = region_of(grid, me, child_level);
     let acts: Vec<BoxId> = tree
         .boxes_at_level(child_level)
         .filter(|b| box_near_region(b, my_region, 2))
         .collect();
-    w.put_u64(acts.len() as u64);
-    for b in &acts {
-        put_box(&mut w, b);
-        put_ids(&mut w, act.get(b));
-    }
+    put_acts(&mut w, act, &acts);
     put_ids(&mut w, owned_ids);
     w.finish()
 }
@@ -863,14 +767,10 @@ fn apply_fold<K: Kernel>(
     act: &mut ActiveSets,
 ) -> Result<Vec<u32>, FactorError> {
     decode_frame(payload, src, t, |r| {
-        for _ in 0..r.try_get_u64()? {
-            let (a, b) = (try_get_box(r)?, try_get_box(r)?);
-            store.insert(a, b, r.try_get_mat()?);
+        for (a, b, m) in try_get_pairs(r)? {
+            store.insert(a, b, m);
         }
-        for _ in 0..r.try_get_u64()? {
-            let b = try_get_box(r)?;
-            act.set(b, try_get_ids(r)?);
-        }
+        apply_acts(r, act)?;
         try_get_ids(r)
     })
 }
@@ -883,16 +783,13 @@ fn encode_act_refresh(
     my_parents: &[BoxId],
     region: (i64, i64, i64, i64),
 ) -> Vec<u8> {
-    let near: Vec<&BoxId> = my_parents
+    let near: Vec<BoxId> = my_parents
         .iter()
         .filter(|p| box_near_region(p, region, 2))
+        .copied()
         .collect();
     let mut w = ByteWriter::new();
-    w.put_u64(near.len() as u64);
-    for p in near {
-        put_box(&mut w, p);
-        put_ids(&mut w, act.get(p));
-    }
+    put_acts(&mut w, act, &near);
     w.finish()
 }
 
@@ -903,53 +800,14 @@ fn apply_act_refresh(
     t: u32,
     act: &mut ActiveSets,
 ) -> Result<(), FactorError> {
-    decode_frame(payload, src, t, |r| {
-        for _ in 0..r.try_get_u64()? {
-            let b = try_get_box(r)?;
-            act.set(b, try_get_ids(r)?);
-        }
-        Ok(())
-    })
-}
-
-/// Gather the remaining active blocks on rank 0 and factor the top.
-fn gather_top<K: Kernel>(
-    ctx: &mut RankCtx,
-    grid: &ProcessGrid,
-    tree: &QuadTree,
-    store: &mut BlockStore<'_, K>,
-    act: &mut ActiveSets,
-    top_level: u8,
-    cctx: &CompressionCtx,
-) -> Result<RankTop<K::Elem>, FactorError> {
-    let me = ctx.rank();
-    let active = grid.active_ranks(top_level);
-    let t = tag(top_level, 6, KIND_TOP);
-    if me != 0 {
-        if active.contains(&me) {
-            let frame = encode_top_gather(store, act, tree, grid, me, top_level);
-            // Rank 0 has the level now; nothing reads this copy again.
-            store.drop_level(top_level);
-            ctx.send(0, t, frame);
-        }
-        return Ok(None);
-    }
-    for &src in active.iter().filter(|&&r| r != 0) {
-        apply_top_gather(ctx.recv(src, t), src, t, store, act)?;
-    }
-    let (idx, cols) = factor_top(store, act, tree, top_level, cctx)?;
-    Ok(Some(TopShare {
-        idx,
-        cols,
-        prev: None,
-        next: None,
-    }))
+    decode_frame(payload, src, t, |r| apply_acts(r, act))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::elimination::eliminate_box;
+    use crate::colored::waves;
+    use crate::elimination::{apply_output, eliminate_box};
     use crate::sequential::{domain_for, factorize_in_rounds, Factorization};
     use crate::{Driver, Solver, SrsfError};
     use srsf_geometry::grid::UnitGrid;

@@ -88,11 +88,11 @@ const KEY_LEVEL_SHIFT: u32 = KEY_PHASE_SHIFT + 4;
 /// Global elimination-order key: level sweep, then phase, then the
 /// phase's wave, then row-major within the wave.
 ///
-/// The wave field mirrors the order `run_phase` actually eliminates a
-/// rank's phase boxes in (distance-3 waves `3·iy + ix`, merged in box
-/// order within each wave; see [`crate::colored::waves`]), so sorting
-/// records by key reproduces the elimination order bit-exactly — the
-/// contract the serve state and a gathered factorization rely on. Cross-rank records sharing a `(level,
+/// The wave field mirrors the order the level loop actually eliminates
+/// a phase's boxes in (distance-3 waves `3·iy + ix`, merged in box order
+/// within each wave; see [`crate::colored::waves`]), so sorting records
+/// by key reproduces the elimination order bit-exactly — the contract
+/// the serve state and a gathered factorization rely on. Cross-rank records sharing a `(level,
 /// phase)` always sit at box distance >= 2 (interior boxes of different
 /// ranks, or boundary boxes of same-colored ranks), so their relative
 /// order only fixes the floating-point summation order of shared Schur

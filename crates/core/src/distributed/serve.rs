@@ -1290,7 +1290,7 @@ pub(crate) fn dist_factorize_resident<K: Kernel>(
         // own process); storing `false` keeps untraced runs self-cleaning.
         srsf_trace::set_enabled(opts.trace);
         let me = ctx.rank();
-        let out = factor_phase(ctx, kernel, pts, tree, grid, opts, leaf, lmin);
+        let out = factor_phase(ctx, kernel, pts, tree, grid, opts);
         // The factor-phase counters are Algorithm 2's; dealing the top out
         // is the service's own one-off traffic and shows in the cumulative
         // counters (`comm_probe`).

@@ -14,10 +14,11 @@ use srsf_geometry::neighbors::near_field;
 use srsf_geometry::tree::{BoxId, QuadTree};
 use srsf_kernels::kernel::Kernel;
 use srsf_linalg::Mat;
+use std::collections::HashSet;
 
 /// Parent active set: children's surviving skeletons, concatenated in
 /// `children()` order (deterministic across all drivers).
-pub fn parent_active(act: &ActiveSets, parent: &BoxId) -> Vec<u32> {
+fn parent_active(act: &ActiveSets, parent: &BoxId) -> Vec<u32> {
     let mut out = Vec::new();
     for c in parent.children() {
         out.extend_from_slice(act.get(&c));
@@ -29,7 +30,7 @@ pub fn parent_active(act: &ActiveSets, parent: &BoxId) -> Vec<u32> {
 /// Returns `(block, any_child_modified)`; when no child sub-block was
 /// modified the block equals a pure kernel evaluation and need not be
 /// stored.
-pub fn assemble_parent_block<K: Kernel>(
+fn assemble_parent_block<K: Kernel>(
     store: &BlockStore<'_, K>,
     act: &ActiveSets,
     pa: &BoxId,
@@ -77,34 +78,46 @@ pub fn merge_to_parent<K: Kernel>(
     child_level: u8,
 ) {
     assert!(child_level >= 1);
-    let parent_level = child_level - 1;
-    // Parent active sets (children still present in `act`).
-    let parents: Vec<BoxId> = tree.boxes_at_level(parent_level).collect();
-    let parent_acts: Vec<Vec<u32>> = parents.iter().map(|p| parent_active(act, p)).collect();
-    // Materialize modified parent pairs at distance <= 1 — for a
-    // symmetric store only the direction it keeps.
+    let parents: Vec<BoxId> = tree.boxes_at_level(child_level - 1).collect();
+    merge_parents(store, act, child_level, &parents, &parents);
+}
+
+/// The transition as one rank sees it: materialize the modified parent
+/// pairs at distance <= 1 with a box of `materialize` on one side (in the
+/// direction(s) the store keeps), set the active sets of `relabel` from
+/// their children, and drop the child-level data.
+pub(crate) fn merge_parents<K: Kernel>(
+    store: &mut BlockStore<'_, K>,
+    act: &mut ActiveSets,
+    child_level: u8,
+    materialize: &[BoxId],
+    relabel: &[BoxId],
+) {
+    let mut done = HashSet::new();
     let mut to_insert = Vec::new();
-    for pa in &parents {
-        let mut targets = vec![*pa];
-        targets.extend(near_field(pa));
-        for pb in targets {
-            if !store.is_canonical(pa, &pb) {
-                continue;
-            }
-            let (blk, any) = assemble_parent_block(store, act, pa, &pb);
-            if any {
-                to_insert.push((*pa, pb, blk));
+    for p in materialize {
+        for q in std::iter::once(*p).chain(near_field(p)) {
+            for (a, b) in [(*p, q), (q, *p)] {
+                if !store.is_canonical(&a, &b) || !done.insert((a, b)) {
+                    continue;
+                }
+                let (blk, any) = assemble_parent_block(store, act, &a, &b);
+                if any {
+                    to_insert.push((a, b, blk));
+                }
             }
         }
     }
-    for (pa, pb, blk) in to_insert {
-        store.insert(pa, pb, blk);
-    }
-    for (p, a) in parents.into_iter().zip(parent_acts) {
-        act.set(p, a);
-    }
+    // Parent active sets, while the children are still present in `act`.
+    let parent_acts: Vec<Vec<u32>> = relabel.iter().map(|p| parent_active(act, p)).collect();
     store.drop_level(child_level);
     act.drop_level(child_level);
+    for (a, b, m) in to_insert {
+        store.insert(a, b, m);
+    }
+    for (p, ids) in relabel.iter().zip(parent_acts) {
+        act.set(*p, ids);
+    }
 }
 
 #[cfg(test)]

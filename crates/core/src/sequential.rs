@@ -8,12 +8,15 @@
 //! `A^{-1}` as the composition Eq. (12) of per-box operators plus the top
 //! solve.
 //!
-//! The level loop here is also the threaded driver's (§V-C): both
-//! eliminate a level in distance-3 waves ([`crate::colored::waves`]), on
-//! one thread here and on `threads` there, to the same bits.
+//! The level loop here (`sweep_levels`) is every driver's; what differs
+//! sits behind its hooks (`LevelHooks`). The sequential and threaded
+//! (§V-C) drivers take the defaults, on one thread or on `threads`, to the
+//! same bits; a distributed rank (Algorithm 2) cuts each level into an
+//! interior phase and four colour rounds and adds the messages.
 
 use crate::colored::{eliminate_wave, waves};
-use crate::elimination::{apply_output, BoxElimination, FactorError};
+use crate::distributed::order_key;
+use crate::elimination::{apply_output, BoxElimination, EliminationOutput, FactorError};
 use crate::levels::merge_to_parent;
 use crate::skeletonize::CompressionCtx;
 use crate::solve;
@@ -25,6 +28,7 @@ use srsf_geometry::point::{BBox, Point};
 use srsf_geometry::tree::{BoxId, QuadTree};
 use srsf_kernels::kernel::Kernel;
 use srsf_linalg::{LinOp, Mat, Scalar};
+use srsf_trace::{span, Cat};
 use std::time::Instant;
 
 /// The strong recursive skeletonization factorization of a kernel matrix.
@@ -140,12 +144,83 @@ pub fn domain_for(pts: &[Point]) -> BBox {
     }
 }
 
-/// The shared-memory level sweep. Each level is cut into [`waves`]; a
-/// wave is eliminated on `threads` workers against one snapshot of the
-/// store ([`eliminate_wave`]), then merged in row-major order, and its
-/// records are stored in that order. Same-wave boxes are >= 3 apart, so
-/// none reads what another writes, and the result is Algorithm 1's
-/// row-major sweep bit for bit whatever `threads` is.
+/// What a driver adds to the level loop ([`sweep_levels`]). The
+/// defaults are the shared-memory drivers': one phase of every box per
+/// level, no messages, [`merge_to_parent`] between levels and
+/// [`factor_top`] at the end.
+pub(crate) trait LevelHooks<K: Kernel> {
+    /// The box sets eliminated at `level`, one per phase in phase order:
+    /// phase 0 is the interior, phase `1 + c` colour round `c`.
+    fn phases(&mut self, tree: &QuadTree, level: u8) -> Vec<Vec<BoxId>> {
+        vec![tree.boxes_at_level(level).collect()]
+    }
+
+    /// Run the loop's local work `f`.
+    fn compute<R>(&mut self, f: impl FnOnce() -> R) -> R {
+        f()
+    }
+
+    /// Phase `phase` of `level` is about to eliminate `boxes`.
+    fn begin_phase(&mut self, _level: u8, _phase: u8, _boxes: &[BoxId]) {}
+
+    /// Box `b`'s output was applied; its record moves out after this.
+    fn output(&mut self, _act: &ActiveSets, _b: &BoxId, _out: &EliminationOutput<K::Elem>) {}
+
+    /// Between two waves of a phase.
+    fn pump(&mut self) {}
+
+    /// Every box of the current phase was applied.
+    fn end_phase(
+        &mut self,
+        _store: &mut BlockStore<'_, K>,
+        _act: &mut ActiveSets,
+    ) -> Result<(), FactorError> {
+        Ok(())
+    }
+
+    /// Every phase of `level` is done (also at an uncompressed leaf level).
+    fn end_level(&mut self, _tree: &QuadTree, _act: &ActiveSets, _level: u8) {}
+
+    /// Move from `child_level` to its parent level.
+    fn transition(
+        &mut self,
+        store: &mut BlockStore<'_, K>,
+        act: &mut ActiveSets,
+        tree: &QuadTree,
+        child_level: u8,
+    ) -> Result<(), FactorError> {
+        merge_to_parent(store, act, tree, child_level);
+        Ok(())
+    }
+
+    /// Factor the DOFs left active at `top_level` (`None` where the top
+    /// is factored elsewhere).
+    fn top(
+        &mut self,
+        store: &mut BlockStore<'_, K>,
+        act: &mut ActiveSets,
+        tree: &QuadTree,
+        top_level: u8,
+        ctx: &CompressionCtx,
+    ) -> Result<Top<K::Elem>, FactorError> {
+        factor_top(store, act, tree, top_level, ctx).map(Some)
+    }
+}
+
+/// The shared-memory drivers' hooks: all of them the defaults.
+struct Local;
+
+impl<K: Kernel> LevelHooks<K> for Local {}
+
+/// The top's ids in matrix order and its factor, where it is factored.
+pub(crate) type Top<T> = Option<(Vec<u32>, TopFactor<T>)>;
+
+/// What [`sweep_levels`] leaves: the records under their [`order_key`]s,
+/// in elimination order, the stats and the top.
+pub(crate) type Swept<T> = (Vec<(u64, BoxElimination<T>)>, FactorStats, Top<T>);
+
+/// The shared-memory drivers' factorization: [`sweep_levels`] with the
+/// default hooks on `threads` workers.
 pub(crate) fn factorize_in_rounds<K: Kernel>(
     kernel: &K,
     pts: &[Point],
@@ -153,57 +228,108 @@ pub(crate) fn factorize_in_rounds<K: Kernel>(
     opts: &FactorOpts,
     threads: usize,
 ) -> Result<Factorization<K::Elem>, FactorError> {
+    let (records, stats, top) = sweep_levels(kernel, pts, tree, opts, threads, &mut Local)?;
+    // INVARIANT: the default top hook always factors the top
+    let (top_idx, top) = top.expect("local top");
+    let records = records.into_iter().map(|(_, rec)| rec).collect();
+    Ok(Factorization::from_parts(
+        pts.len(),
+        records,
+        top_idx,
+        top,
+        stats,
+    ))
+}
+
+/// The level loop of every driver: it owns the store, the active sets,
+/// the compression context, the records and every [`FactorStats`] write.
+/// Each phase is cut into [`waves`]; a wave is eliminated on `threads`
+/// workers against one snapshot of the store ([`eliminate_wave`]), then
+/// merged in row-major order. Same-wave boxes are >= 3 apart, so none
+/// reads what another writes, and a phase is Algorithm 1's row-major
+/// sweep of its boxes bit for bit whatever `threads` is.
+pub(crate) fn sweep_levels<K: Kernel, H: LevelHooks<K>>(
+    kernel: &K,
+    pts: &[Point],
+    tree: &QuadTree,
+    opts: &FactorOpts,
+    threads: usize,
+    hooks: &mut H,
+) -> Result<Swept<K::Elem>, FactorError> {
     let t_total = Instant::now();
-    let n = pts.len();
     let leaf = tree.leaf_level();
-    let mut stats = FactorStats::new(n, leaf);
+    let mut stats = FactorStats::new(pts.len(), leaf);
     let mut store = BlockStore::new(kernel, pts);
     let mut act = ActiveSets::new();
+    // Leaf active sets derive from the replicated tree geometry.
     for id in tree.boxes_at_level(leaf) {
         act.set(id, tree.leaf_points(&id).to_vec());
     }
-
-    let lmin = (opts.min_compress_level as u8).min(leaf);
+    // Every rank derives the identical context (seeded sketches are a
+    // pure function of box coordinates), so skeletons need no agreement.
     let ctx = CompressionCtx::new(kernel, pts, tree, opts);
+    let lmin = (opts.min_compress_level as u8).min(leaf);
     let mut records = Vec::new();
-    if leaf >= lmin && leaf >= 1 {
-        let mut level = leaf;
-        loop {
-            let t0 = Instant::now();
-            let level_boxes: Vec<BoxId> = tree.boxes_at_level(level).collect();
-            for (_, boxes) in waves(&level_boxes) {
-                let outputs = eliminate_wave(&store, &act, tree, &boxes, opts, &ctx, threads)?;
+    let mut level = leaf;
+    loop {
+        let t0 = Instant::now();
+        // A one-box tree goes straight to the top.
+        let phases = (leaf >= 1).then(|| hooks.phases(tree, level));
+        for (phase, boxes) in (0u8..).zip(phases.unwrap_or_default()) {
+            let _sp = match phase.checked_sub(1) {
+                None => span!(Cat::Phase, "level {level} interior"),
+                Some(c) => span!(Cat::Phase, "level {level} color round {c}"),
+            };
+            hooks.begin_phase(level, phase, &boxes);
+            for (wave, boxes) in waves(&boxes) {
+                let outputs = {
+                    let _sp = span!(
+                        Cat::Compute,
+                        "eliminate level {level} phase {phase} wave {wave}"
+                    );
+                    hooks.compute(|| {
+                        eliminate_wave(&store, &act, tree, &boxes, opts, &ctx, threads)
+                    })?
+                };
+                let merge_sp = span!(
+                    Cat::Compute,
+                    "merge level {level} phase {phase} wave {wave}"
+                );
                 for (b, out) in boxes.iter().zip(outputs) {
-                    if let Some(rec) = &out.record {
-                        stats.add_rank(level, rec.skel.len());
-                    }
+                    hooks.compute(|| apply_output(&mut store, &mut act, b, &out, &ctx));
                     stats.compression.absorb(&out.compression);
-                    apply_output(&mut store, &mut act, b, &out, &ctx);
+                    hooks.output(&act, b, &out);
                     if let Some(rec) = out.record {
-                        records.push(rec);
+                        stats.add_rank(level, rec.skel.len());
+                        records.push((order_key(leaf, level, phase, wave, b), rec));
                     }
                 }
+                drop(merge_sp);
+                hooks.pump();
             }
-            stats.eliminate_s += t0.elapsed().as_secs_f64();
-            stats.peak_store_bytes = stats.peak_store_bytes.max(store.heap_bytes());
-            if level == lmin {
-                break;
-            }
-            let t1 = Instant::now();
-            merge_to_parent(&mut store, &mut act, tree, level);
-            stats.merge_s += t1.elapsed().as_secs_f64();
-            level -= 1;
+            hooks.end_phase(&mut store, &mut act)?;
         }
+        hooks.end_level(tree, &act, level);
+        stats.eliminate_s += t0.elapsed().as_secs_f64();
+        stats.peak_store_bytes = stats.peak_store_bytes.max(store.heap_bytes());
+        if level == lmin {
+            break;
+        }
+        let _sp = span!(Cat::Phase, "level {level} transition");
+        let t1 = Instant::now();
+        hooks.transition(&mut store, &mut act, tree, level)?;
+        stats.merge_s += t1.elapsed().as_secs_f64();
+        level -= 1;
     }
 
-    // Dense top factorization over the remaining active DOFs.
     let t2 = Instant::now();
-    let top_level = if leaf >= lmin { lmin } else { leaf };
-    let (top_idx, top) = factor_top(&store, &act, tree, top_level, &ctx)?;
+    let top = {
+        let _sp = span!(Cat::Phase, "top gather+factor");
+        hooks.top(&mut store, &mut act, tree, lmin, &ctx)?
+    };
     stats.top_s = t2.elapsed().as_secs_f64();
     stats.total_s = t_total.elapsed().as_secs_f64();
-
-    Ok(Factorization::from_parts(n, records, top_idx, top, stats))
+    Ok((records, stats, top))
 }
 
 #[cfg(test)]

@@ -35,6 +35,8 @@ struct Fingerprint {
     top: Vec<u8>,
     /// `FactorStats::ranks` and the compression counters.
     stats: (BTreeMap<u8, (usize, usize)>, CompressionTelemetry),
+    /// `FactorStats::peak_store_bytes`.
+    peak_store_bytes: usize,
     /// Per-rank `(msgs_sent, words_sent)`; empty for the local drivers.
     comm: Vec<(u64, u64)>,
     /// The solution's bits, `(re, im)` per entry.
@@ -85,6 +87,7 @@ fn fingerprint<K: Kernel>(
         records: record_bytes(f),
         top: f.top_factor().to_bytes(),
         stats: (f.stats().ranks.clone(), f.stats().compression),
+        peak_store_bytes: f.stats().peak_store_bytes,
         comm,
         solution,
     }
@@ -117,6 +120,10 @@ fn assert_same(got: &Fingerprint, want: &Fingerprint, label: &str) {
     assert_eq!(
         got.stats, want.stats,
         "{label}: ranks and compression counters"
+    );
+    assert_eq!(
+        got.peak_store_bytes, want.peak_store_bytes,
+        "{label}: peak store bytes"
     );
     assert_eq!(got.comm, want.comm, "{label}: counters");
     assert!(got.solution == want.solution, "{label}: solution bits");

@@ -275,7 +275,8 @@ fn driver_equivalence_on_one_laplace_problem() {
 
 /// Every driver reports where its build time went: the elimination
 /// sweep, the level merges and the dense top each take time, and
-/// together they fit inside the build's wall time.
+/// together they fit inside the build's wall time; and the block store's
+/// peak is measured.
 #[test]
 fn every_driver_reports_phase_times() {
     let grid = UnitGrid::new(32);
@@ -301,6 +302,7 @@ fn every_driver_reports_phase_times() {
             "{driver:?}: {phases:?} vs total {}",
             s.total_s
         );
+        assert!(s.peak_store_bytes > 0, "{driver:?}: peak store bytes");
     }
 }
 

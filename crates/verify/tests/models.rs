@@ -369,8 +369,8 @@ fn work_stealing_claims_each_chunk_once() {
 }
 
 // ---------------------------------------------------------------------------
-// Subsystem 5: the per-neighbor eager-send completion counter of the
-// distributed run_phase. A rank's phase boxes eliminate in wave
+// Subsystem 5: the per-neighbor eager-send completion counter of a
+// distributed rank's level-loop hooks. A rank's phase boxes eliminate in wave
 // sub-rounds: each round is filled by the work-stealing pool (a round of
 // one box runs on the calling thread, as `eliminate_wave` does),
 // then merged in fixed box order; a neighbor's update frame is posted the
@@ -878,8 +878,8 @@ fn detects_missing_empty_frame_as_deadlock() {
     // Remove the barrier AND the every-rank-sends-every-round invariant
     // and the sweep deadlocks: A skips its "empty" frame, so B parks in
     // a receive that can never match while A parks in B's join shadow.
-    // This is why run_phase posts a frame to every neighbor even when it
-    // eliminated nothing.
+    // This is why a rank's phase posts a frame to every neighbor even
+    // when it eliminated nothing.
     let msg = expect_failure(Model::new().preemption_bound(2), || {
         let (tx_to_a, rx_a) = mpsc::channel::<Frame>();
         let (tx_to_b, rx_b) = mpsc::channel::<Frame>();
