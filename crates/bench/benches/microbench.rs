@@ -21,12 +21,12 @@ use srsf_kernels::helmholtz::HelmholtzKernel;
 use srsf_kernels::laplace::LaplaceKernel;
 use srsf_kernels::util::random_vector;
 use srsf_linalg::gemm::matmul;
-use srsf_linalg::panel::{panel_mul_acc, panel_mul_t_acc, panel_rows};
+use srsf_linalg::panel::{panel_mul_acc, panel_mul_sym_acc, panel_mul_t_acc, panel_rows};
 use srsf_linalg::rid::sketch_block;
 use srsf_linalg::triangular::solve_upper_mat;
 use srsf_linalg::{
     c64, cpqr, householder_qr, interp_decomp, rand_interp_decomp, Ldlt, LinOp, Lu, Mat, Scalar,
-    SymPanels,
+    SymMat, SymPanels,
 };
 use srsf_special::bessel::{hankel0_1_slice, j0, y0};
 use srsf_special::log::ln_slice;
@@ -295,6 +295,26 @@ fn panel_cases<T: Scalar>(
             b
         });
     }
+}
+
+/// A symmetric record inverse `X_RR^{-1}` of order `r` applied to an
+/// `nrhs`-row panel both ways, with its rate (a complex multiply-add
+/// counted as 8 flops, as in `srsf_linalg::panel`): `panel_mul_sym/`
+/// from the packed triangle the record holds, `panel_mul/` from the
+/// mirrored square.
+fn sym_panel_pair<T: Scalar>(h: &mut Harness, scalar: &str, nrhs: usize, r: usize) {
+    let mut full = scalar_mat::<T>(r, r, 75);
+    full.mirror_upper();
+    let packed = SymMat::from_lower(&full);
+    let p = scalar_mat::<T>(panel_rows::<T>(nrhs), r, 77);
+    let mut c = Mat::zeros(p.nrows(), r);
+    let flops = (2 * p.nrows() * r * r) as f64 * if T::IS_COMPLEX { 4.0 } else { 1.0 };
+    h.bench_gflops(&format!("panel_mul_sym/{scalar}_{nrhs}x{r}"), flops, || {
+        panel_mul_sym_acc(&mut c, T::ONE, &p, &packed)
+    });
+    h.bench_gflops(&format!("panel_mul/{scalar}_{nrhs}x{r}x{r}"), flops, || {
+        panel_mul_acc(&mut c, T::ONE, &p, &full, false)
+    });
 }
 
 /// `X_RR^{-1}` on `rows` right-hand sides both ways: `panel_lu/` solves
@@ -579,6 +599,9 @@ fn main() {
     panel_cases::<f64>(&mut h, "f64", 16, (349, 41), &top_f64);
     panel_cases::<c64>(&mut h, "c64", 8, (332, 45), &top_c64);
     panel_cases::<c64>(&mut h, "c64", 16, (332, 45), &top_c64);
+    // The same factorizations' median symmetric record inverses.
+    sym_panel_pair::<f64>(&mut h, "f64", 16, 42);
+    sym_panel_pair::<c64>(&mut h, "c64", 8, 45);
     // The set-up side of the same kernel: a box's neighbor coupling
     // `X_NR X_RR^{-T}` (laplace_grid, upper levels), and the sketch block
     // that multiplies one ring block of a leaf box.

@@ -27,21 +27,23 @@ use srsf_linalg::gemm::{
     adjoint_matmul_acc, adjoint_matmul_sub, gemm_acc_block, gemm_acc_to_blocks, is_packed, matmul,
     matmul_sub, transpose_matmul, transpose_matmul_acc,
 };
-use srsf_linalg::{Lu, Mat, Scalar};
+use srsf_linalg::{Lu, Mat, Scalar, SymMat};
 
 /// Per-box factorization record: the pieces of `V = L S^* P^T` and
 /// `W = P S U` (Eq. 10) needed to apply the inverse.
 ///
-/// The diagonal block is held as its explicit inverse transpose
-/// `X_RR^{-T}`, and every coupling unsolved, so the solve sweep applies a
-/// record by panel products alone (see `crate::solve`). A record comes
-/// in two forms, chosen by [`BlockStore::symmetric`] at factorization
-/// time. The *general* form keeps both sides of every coupling (`es`/`en`
-/// on the left of `X_RR^{-1}`, `fs`/`fnb` on the right). The *symmetric*
-/// form (symmetric kernels, real or complex) keeps only the left ones —
-/// the right ones are their plain transposes, because such a kernel is
-/// sparsified with `T^T` — so `fs` and `fnb` are `None` and the record
-/// is about a third smaller.
+/// The diagonal block is held as its explicit inverse, and every
+/// coupling unsolved, so the solve sweep applies a record by panel
+/// products alone (see `crate::solve`). A record comes in two forms,
+/// chosen by [`BlockStore::symmetric`] at factorization time
+/// ([`RecordForm`]). The *general* form keeps `X_RR^{-T}` and both sides
+/// of every coupling (`es`/`en` on the left of `X_RR^{-1}`, `fs`/`fnb` on
+/// the right). The *symmetric* form (symmetric kernels, real or complex)
+/// keeps only the left ones — the right ones are their plain transposes,
+/// because such a kernel is sparsified with `T^T` — and `X_RR^{-1}`,
+/// which is then symmetric, as one packed triangle. With `T`, it holds
+/// `2|S||R| + |N||R| + |R|(|R| + 1)/2` entries where the general form
+/// holds `3|S||R| + 2|N||R| + |R|^2`.
 #[derive(Clone, Debug)]
 pub struct BoxElimination<T> {
     /// The eliminated box.
@@ -55,35 +57,54 @@ pub struct BoxElimination<T> {
     pub nbr: Vec<u32>,
     /// Interpolation matrix `T` (`|S| x |R|`).
     pub t: Mat<T>,
-    /// `X_RR^{-T}` (`|R| x |R|`), the inverse transpose of the
-    /// sparsified diagonal block, formed from its pivoted LU.
-    pub inv_t: Mat<T>,
     /// Skeleton coupling `X_SR` (`|S| x |R|`).
     pub es: Mat<T>,
     /// Neighbor coupling `X_NR` (`|N| x |R|`).
     pub en: Mat<T>,
-    /// `X_RS` (`|R| x |S|`). `None` in a symmetric record, where
-    /// `X_RS = X_SR^T` and the solve derives the term from `es`.
-    pub fs: Option<Mat<T>>,
-    /// `X_RN` (`|R| x |N|`). `None` in a symmetric record, where
-    /// `X_RN = X_NR^T` and the solve derives the term from `en`.
-    pub fnb: Option<Mat<T>>,
+    /// The inverse of the sparsified diagonal block `X_RR`, formed from
+    /// its pivoted LU, and what the form adds to the left couplings.
+    pub form: RecordForm<T>,
+}
+
+/// The parts of a [`BoxElimination`] that differ between its two forms.
+#[derive(Clone, Debug, PartialEq)]
+pub enum RecordForm<T> {
+    /// One-sided record of a symmetric kernel: `X_RR^{-1}`, made
+    /// symmetric bit for bit before its first use and held as one packed
+    /// triangle. The right couplings are `es^T` and `en^T`.
+    Symmetric {
+        /// `X_RR^{-1}` (order `|R|`).
+        inv: SymMat<T>,
+    },
+    /// Two-sided record of any other kernel.
+    General {
+        /// `X_RR^{-T}` (`|R| x |R|`).
+        inv_t: Mat<T>,
+        /// `X_RS` (`|R| x |S|`).
+        fs: Mat<T>,
+        /// `X_RN` (`|R| x |N|`).
+        fnb: Mat<T>,
+    },
 }
 
 impl<T: Scalar> BoxElimination<T> {
     /// `true` for the one-sided record form of a symmetric kernel.
     pub fn is_symmetric(&self) -> bool {
-        self.fnb.is_none()
+        matches!(self.form, RecordForm::Symmetric { .. })
     }
 
     /// Approximate heap footprint in bytes.
     pub fn heap_bytes(&self) -> usize {
+        let form = match &self.form {
+            RecordForm::Symmetric { inv } => inv.heap_bytes(),
+            RecordForm::General { inv_t, fs, fnb } => {
+                inv_t.heap_bytes() + fs.heap_bytes() + fnb.heap_bytes()
+            }
+        };
         self.t.heap_bytes()
-            + self.inv_t.heap_bytes()
             + self.es.heap_bytes()
             + self.en.heap_bytes()
-            + self.fs.as_ref().map_or(0, Mat::heap_bytes)
-            + self.fnb.as_ref().map_or(0, Mat::heap_bytes)
+            + form
             + (self.redundant.capacity() + self.skel.capacity() + self.nbr.capacity()) * 4
     }
 }
@@ -248,8 +269,8 @@ pub fn eliminate_box<K: Kernel>(
     matmul_sub(&mut x_nr, &a_ns, &t); // X_NR = A_NR - A_NS T
 
     // Invert the redundant diagonal block through its pivoted LU, which
-    // is dropped: the record and the right factors below need only
-    // `X_RR^{-T}`.
+    // is dropped: the record and the right factors below need only the
+    // inverse.
     let inv_t = Lu::factor(x_rr)
         .map_err(|_| FactorError::SingularDiagonal { box_id: *b })?
         .into_inverse_t();
@@ -258,10 +279,17 @@ pub fn eliminate_box<K: Kernel>(
     // product `E · F` with `E = [ES; EN] = [X_SR; X_NR]` and
     // `F = [FS, FN] = X_RR^{-1} [X_RS, X_RN]`, one GEMM each; only the
     // unsolved couplings go into the record.
-    let (f_s, f_n, a_sn, right) = if sym {
-        // X_RS = X_SR^T and X_RN = X_NR^T, so F = (X X_RR^{-T})^T.
-        let right_factor = |x: &Mat<T<K>>| matmul(x, &inv_t).transpose();
-        (right_factor(&x_sr), right_factor(&x_nr), None, None)
+    let (f_s, f_n, a_sn, form) = if sym {
+        // X_RR^{-1} = X_RR^{-T} is symmetric: one triangle of the
+        // computed inverse is mirrored onto the other, so the factors
+        // here and the solve apply the same matrix. X_RS = X_SR^T and
+        // X_RN = X_NR^T, so F = (X X_RR^{-1})^T.
+        let mut inv = inv_t;
+        inv.mirror_upper();
+        let right_factor = |x: &Mat<T<K>>| matmul(x, &inv).transpose();
+        let (f_s, f_n) = (right_factor(&x_sr), right_factor(&x_nr));
+        let inv = SymMat::from_lower(&inv);
+        (f_s, f_n, None, RecordForm::Symmetric { inv })
     } else {
         // Stacked A_{B,N}, gathered on its own.
         let mut a_bn = Mat::<T<K>>::zeros(a_b.len(), n_total);
@@ -282,7 +310,12 @@ pub fn eliminate_box<K: Kernel>(
             transpose_matmul(&inv_t, &x_rs),
             transpose_matmul(&inv_t, &x_rn),
         );
-        (f_s, f_n, Some(a_sn), Some((x_rs, x_rn)))
+        let form = RecordForm::General {
+            inv_t,
+            fs: x_rs,
+            fnb: x_rn,
+        };
+        (f_s, f_n, Some(a_sn), form)
     };
     let (es, en) = (x_sr, x_nr);
 
@@ -381,18 +414,15 @@ pub fn eliminate_box<K: Kernel>(
     for n in &nbrs {
         nbr.extend_from_slice(act.get(n));
     }
-    let (fs, fnb) = right.unzip();
     let record = BoxElimination {
         box_id: *b,
         redundant: red_positions.iter().map(|&p| a_b[p]).collect(),
         skel: skel_positions.iter().map(|&p| a_b[p]).collect(),
         nbr,
         t,
-        inv_t,
         es,
         en,
-        fs,
-        fnb,
+        form,
     };
 
     Ok(EliminationOutput {
@@ -519,7 +549,7 @@ mod tests {
             },
             |_, _, out| {
                 let rec = out.record.as_ref();
-                assert!(rec.is_none_or(|rec| rec.is_symmetric() && rec.fs.is_none()));
+                assert!(rec.is_none_or(BoxElimination::is_symmetric));
             },
         );
         let blocks_gen = sweep_two_levels(
@@ -552,9 +582,9 @@ mod tests {
     /// elimination forms it.
     fn deltas_by_full_product<T: Scalar>(rec: &BoxElimination<T>, sizes: &[usize]) -> Vec<Mat<T>> {
         let sym = rec.is_symmetric();
-        let f_n = match &rec.fnb {
-            Some(x_rn) => transpose_matmul(&rec.inv_t, x_rn),
-            None => matmul(&rec.en, &rec.inv_t).transpose(),
+        let f_n = match &rec.form {
+            RecordForm::General { inv_t, fnb, .. } => transpose_matmul(inv_t, fnb),
+            RecordForm::Symmetric { inv } => matmul(&rec.en, &inv.to_mat()).transpose(),
         };
         let (rows, n_r) = (rec.en.nrows(), rec.en.ncols());
         let offs: Vec<usize> = (0..sizes.len()).map(|j| sizes[..j].iter().sum()).collect();

@@ -25,24 +25,27 @@
 //! side). The padding lives in those panels only: the block itself, and
 //! every wire frame the ranks cut from it, keeps exactly `nrhs` rows.
 //! Every step is then a product `panel * M` or `panel * M^T` — `X_RR^{-1}`
-//! too, which a record holds as its explicit inverse transpose — with the
-//! right-hand sides in the register tile and `T`/`ES`/`EN`/`X_RR^{-T}`
-//! streamed in place, once (`srsf_linalg::panel`); no triangular solve
+//! too, which a record holds as an explicit inverse (a packed triangle in
+//! a symmetric record) — with the right-hand sides in the register tile
+//! and `T`/`ES`/`EN`/the inverse streamed in place, once
+//! (`srsf_linalg::panel`); no triangular solve
 //! is left in a record's application. No kernel combines two rows of a
 //! panel and none chooses its arithmetic by `nrhs`, so the lanes are
 //! independent: a right-hand side is solved to the same bits alone, in
 //! any batch, and at any position in it.
 
-use crate::elimination::BoxElimination;
+use crate::elimination::{BoxElimination, RecordForm};
 use crate::sequential::Factorization;
 use crate::top::TopFactor;
-use srsf_linalg::panel::{panel_mul_acc, panel_mul_t_acc, panel_rows};
+use srsf_linalg::panel::{panel_mul_acc, panel_mul_sym_acc, panel_mul_t_acc, panel_rows};
 use srsf_linalg::{Mat, Scalar};
 
 // The four record kernels below are the only readers of a record's
 // coupling fields. Both forms hold the couplings unsolved
-// (`ES = X_SR`, `EN = X_NR`) and `X_RR^{-1}` as an explicit inverse, and
-// apply the whole of it in each sweep:
+// (`ES = X_SR`, `EN = X_NR`) and `X_RR^{-1}` as an explicit inverse —
+// the transpose `X_RR^{-T}` in a general record, one packed triangle of
+// the symmetric `X_RR^{-1}` in a symmetric one — and apply the whole of
+// it in each sweep:
 //
 //   up:   b_R := X_RR^{-1} (b_R - T' b_S);  b_S -= ES b_R;  b_N -= EN b_R
 //   down: b_R -= X_RR^{-1} (FS b_S + FN b_N);               b_S -= T b_R
@@ -162,7 +165,7 @@ pub(crate) fn upward_parts<T: Scalar>(
     // X_R := (X_R - X_S T') X_RR^{-T}, T' = conj(T) in a general record.
     panel_mul_acc(&mut w.v, -T::ONE, &w.s, &rec.t, !rec.is_symmetric());
     w.r.reset_zeros(w.v.nrows(), w.v.ncols());
-    panel_mul_acc(&mut w.r, T::ONE, &w.v, &rec.inv_t, false);
+    mul_inverse_acc(rec, &mut w.r, T::ONE, &w.v);
     // X_S -= X_R ES^T ; the neighbor delta X_R EN^T is left for the merge.
     panel_mul_t_acc(&mut w.s, -T::ONE, &w.r, &rec.es);
     w.n.reset_zeros(w.r.nrows(), rec.nbr.len());
@@ -195,16 +198,24 @@ pub(crate) fn downward_parts<T: Scalar>(
     // X_R -= (X_S FS^T + X_N FN^T) X_RR^{-T}, with FS^T = ES (FN^T = EN)
     // in a symmetric record.
     w.v.reset_zeros(w.r.nrows(), w.r.ncols());
-    if let (Some(fs), Some(fnb)) = (&rec.fs, &rec.fnb) {
+    if let RecordForm::General { fs, fnb, .. } = &rec.form {
         panel_mul_t_acc(&mut w.v, T::ONE, &w.s, fs);
         panel_mul_t_acc(&mut w.v, T::ONE, &w.n, fnb);
     } else {
         panel_mul_acc(&mut w.v, T::ONE, &w.s, &rec.es, false);
         panel_mul_acc(&mut w.v, T::ONE, &w.n, &rec.en, false);
     }
-    panel_mul_acc(&mut w.r, -T::ONE, &w.v, &rec.inv_t, false);
+    mul_inverse_acc(rec, &mut w.r, -T::ONE, &w.v);
     // X_S -= X_R T^T
     panel_mul_t_acc(&mut w.s, -T::ONE, &w.r, &rec.t);
+}
+
+/// `C += alpha * P * X_RR^{-T}` for the record's inverse in either form.
+fn mul_inverse_acc<T: Scalar>(rec: &BoxElimination<T>, c: &mut Mat<T>, alpha: T, p: &Mat<T>) {
+    match &rec.form {
+        RecordForm::Symmetric { inv } => panel_mul_sym_acc(c, alpha, p, inv),
+        RecordForm::General { inv_t, .. } => panel_mul_acc(c, alpha, p, inv_t, false),
+    }
 }
 
 /// Merge half of the downward application.

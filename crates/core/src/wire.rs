@@ -7,7 +7,7 @@
 //! or file must surface as a [`CodecError`], not a panic.
 
 use crate::distributed::{RankState, RankTop, TopShare};
-use crate::elimination::{BoxElimination, FactorError};
+use crate::elimination::{BoxElimination, FactorError, RecordForm};
 use crate::error::SrsfError;
 use crate::sequential::Factorization;
 use crate::stats::{CompressionTelemetry, FactorStats};
@@ -95,6 +95,9 @@ impl Wire for FactorError {
     }
 }
 
+/// Box id, the three id lists, `T`, `ES` and `EN`, then a form flag:
+/// 0 = symmetric record, `X_RR^{-1}` packed follows; 1 = general record,
+/// `X_RR^{-T}`, `FS` and `FN` follow.
 impl<T: Scalar> Wire for BoxElimination<T> {
     fn encode(&self, w: &mut ByteWriter) {
         put_box(w, &self.box_id);
@@ -102,18 +105,19 @@ impl<T: Scalar> Wire for BoxElimination<T> {
         put_ids(w, &self.skel);
         put_ids(w, &self.nbr);
         w.put_mat(&self.t);
-        w.put_mat(&self.inv_t);
         w.put_mat(&self.es);
         w.put_mat(&self.en);
-        // Presence flag of the right couplings: 1 = general record (`fs`
-        // and `fnb` follow), 0 = symmetric record (neither is held).
-        match (&self.fs, &self.fnb) {
-            (Some(fs), Some(fnb)) => {
+        match &self.form {
+            RecordForm::Symmetric { inv } => {
+                w.put_u64(0);
+                w.put_sym(inv);
+            }
+            RecordForm::General { inv_t, fs, fnb } => {
                 w.put_u64(1);
+                w.put_mat(inv_t);
                 w.put_mat(fs);
                 w.put_mat(fnb);
             }
-            _ => w.put_u64(0),
         }
     }
     fn decode(r: &mut ByteReader) -> Result<Self, CodecError> {
@@ -123,16 +127,23 @@ impl<T: Scalar> Wire for BoxElimination<T> {
         let skel = try_get_ids(r)?;
         let nbr = try_get_ids(r)?;
         let t = r.try_get_mat()?;
-        let inv_t = r.try_get_mat()?;
         let es = r.try_get_mat()?;
         let en = r.try_get_mat()?;
         let flag_at = r.position();
-        let (fs, fnb) = match r.try_get_u64()? {
-            0 => (None, None),
-            1 => (Some(r.try_get_mat()?), Some(r.try_get_mat()?)),
+        let (nr, ns, nn) = (redundant.len(), skel.len(), nbr.len());
+        let form = match r.try_get_u64()? {
+            // The packed inverse's length is checked against |R| here.
+            0 => RecordForm::Symmetric {
+                inv: r.try_get_sym(nr)?,
+            },
+            1 => RecordForm::General {
+                inv_t: r.try_get_mat()?,
+                fs: r.try_get_mat()?,
+                fnb: r.try_get_mat()?,
+            },
             _ => {
                 return Err(CodecError::Invalid {
-                    what: "record coupling presence flag",
+                    what: "record form flag",
                     at: flag_at,
                 })
             }
@@ -141,14 +152,16 @@ impl<T: Scalar> Wire for BoxElimination<T> {
         // the id lists without re-checking, so every shape is pinned to
         // `(|R|, |S|, |N|)` here: a frame that passed the CRC but is
         // inconsistent must fail to decode, not panic a later solve.
-        let (nr, ns, nn) = (redundant.len(), skel.len(), nbr.len());
         let shape = |m: &Mat<T>, rows: usize, cols: usize| m.nrows() == rows && m.ncols() == cols;
         let consistent = shape(&t, ns, nr)
-            && shape(&inv_t, nr, nr)
             && shape(&es, ns, nr)
             && shape(&en, nn, nr)
-            && fs.as_ref().is_none_or(|m| shape(m, nr, ns))
-            && fnb.as_ref().is_none_or(|m| shape(m, nr, nn));
+            && match &form {
+                RecordForm::Symmetric { .. } => true,
+                RecordForm::General { inv_t, fs, fnb } => {
+                    shape(inv_t, nr, nr) && shape(fs, nr, ns) && shape(fnb, nr, nn)
+                }
+            };
         if !consistent {
             return Err(CodecError::Invalid {
                 what: "record block shape vs redundant/skel/nbr",
@@ -161,11 +174,9 @@ impl<T: Scalar> Wire for BoxElimination<T> {
             skel,
             nbr,
             t,
-            inv_t,
             es,
             en,
-            fs,
-            fnb,
+            form,
         })
     }
 }
@@ -369,7 +380,11 @@ const CKPT_MAGIC: &[u8; 8] = b"SRSFCKP1";
 /// v10: a record's schedule word carries its level alone (the colour
 /// stamp is gone), and its order key's wave is `3·iy + ix`.
 /// v11: a record drops its schedule word (the level is its box id's).
-const CKPT_VERSION: u64 = 11;
+/// v12: a symmetric record carries `X_RR^{-1}` as one packed triangle
+/// (length-prefixed, `|R|(|R|+1)/2` entries) after its form flag, which
+/// now precedes the inverse in both forms; a packed `L D Lᵀ` block
+/// column carries `D_k^{-1}` packed the same way.
+const CKPT_VERSION: u64 = 12;
 /// Header length in bytes.
 const CKPT_HEADER: usize = 40;
 /// Scalar tag of the scalar-independent manifest file.
@@ -633,11 +648,13 @@ mod tests {
             skel: vec![3],
             nbr: vec![4, 5, 6],
             t: Mat::from_fn(1, 2, |_, _| v),
-            inv_t: Mat::from_fn(2, 2, |i, j| if i == j { v.recip() } else { T::ZERO }),
             es: Mat::from_fn(1, 2, |_, _| v),
             en: Mat::from_fn(3, 2, |_, _| v),
-            fs: Some(Mat::from_fn(2, 1, |_, _| v)),
-            fnb: Some(Mat::from_fn(2, 3, |_, _| v)),
+            form: RecordForm::General {
+                inv_t: Mat::from_fn(2, 2, |i, j| if i == j { v.recip() } else { T::ZERO }),
+                fs: Mat::from_fn(2, 1, |_, _| v),
+                fnb: Mat::from_fn(2, 3, |_, _| v),
+            },
         }
     }
 
@@ -651,7 +668,7 @@ mod tests {
         assert_eq!(back.en, rec.en);
         let rec = sample_record(c64::new(0.5, -2.0));
         let back = BoxElimination::<c64>::from_bytes(rec.to_bytes()).unwrap();
-        assert_eq!(back.fnb, rec.fnb);
+        assert_eq!(back.form, rec.form);
     }
 
     #[test]
@@ -692,7 +709,10 @@ mod tests {
     fn rank_snapshot_carries_the_top_share() {
         use srsf_linalg::ldlt::NB;
         let n = NB + 3;
-        let inv = |d: usize| Mat::from_fn(d, d, |i, j| if i == j { 0.5 } else { 0.0625 });
+        let inv = |d: usize| {
+            let m = Mat::from_fn(d, d, |i, j| if i == j { 0.5 } else { 0.0625 });
+            srsf_linalg::SymMat::from_lower(&m)
+        };
         let lu = |d: usize| Lu {
             lu: Mat::from_fn(d, d, |i, j| if i == j { 2.0 } else { 0.25 }),
             piv: (0..d).collect(),

@@ -407,6 +407,16 @@ fn checkpoint_restore_serves_bit_identical_solutions() {
     );
 }
 
+/// [`opts`] with a 60 s receive timeout, for a crash the dying rank
+/// announces to its peers (`FaultyTransport::barrier` in srsf-runtime)
+/// rather than one a receive timer finds: the timeout lies above the
+/// 30 s detection bound the case asserts, so a pass shows that the
+/// announcement did the detecting, and a top factorization slowed by a
+/// loaded machine cannot outlast the timer and fail the build.
+fn announced_crash_opts() -> FactorOpts {
+    opts().with_recv_timeout(Duration::from_secs(60))
+}
+
 /// The chaos acceptance: a TCP resident world with per-rank checkpoints
 /// loses a worker mid-solve — the failure is typed and bounded, the
 /// degraded world drops cleanly, and `restore_resident` rebuilds a
@@ -426,7 +436,7 @@ fn tcp_crash_then_restore_from_checkpoint() {
     let pts = grid.points();
     let plan = FaultPlan::seeded(29).with_crash(2, 1);
     let doomed = Solver::builder(&kernel, &pts)
-        .opts(opts())
+        .opts(announced_crash_opts())
         .driver(Driver::distributed(4))
         .transport(Transport::Tcp.with_faults(plan))
         .checkpoint_dir(&dir)
@@ -453,7 +463,11 @@ fn tcp_crash_then_restore_from_checkpoint() {
     // factor completion, and match the fault-free reference bit for bit.
     let restored = Solver::restore_resident(&pts, &dir, Transport::InProc).expect("restore");
     let got = restored.try_solve_mat(&b).expect("restored solve");
-    let clean = resident(&kernel, &pts, 4, Transport::InProc);
+    let clean = Solver::builder(&kernel, &pts)
+        .opts(announced_crash_opts())
+        .driver(Driver::distributed(4))
+        .build()
+        .expect("fault-free build");
     let want = clean.solve_mat(&b);
     assert_mat_bits(&got, &want, "restored-after-crash vs fault-free");
 }

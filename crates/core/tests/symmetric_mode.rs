@@ -9,6 +9,7 @@
 //! third smaller — and its dense top block, a packed `L D Lᵀ` instead of
 //! an LU, about half.
 
+use srsf_core::elimination::BoxElimination;
 use srsf_core::{Driver, FactorOpts, Solver, TopFactor};
 use srsf_geometry::grid::{scattered_points, UnitGrid};
 use srsf_geometry::point::Point;
@@ -19,6 +20,7 @@ use srsf_kernels::util::random_vector;
 use srsf_linalg::ldlt::NB;
 use srsf_linalg::vecops::rel_diff;
 use srsf_linalg::{relative_residual, DenseOp};
+use srsf_runtime::codec::{ByteReader, Wire};
 
 mod common;
 use common::HideSymmetry;
@@ -218,6 +220,50 @@ fn helmholtz_symmetric_mode_agrees_with_general() {
 fn helmholtz_symmetric_block_solve_matches_vector_solve() {
     let grid = UnitGrid::new(32);
     assert_block_solve_matches_vector_solve(&HelmholtzKernel::new(&grid, 40.0), &grid.points());
+}
+
+/// A sequential symmetric factorization's `memory_bytes` is exactly the
+/// entry count of its layout: per record `T`, `ES` (`|S||R|` each), `EN`
+/// (`|N||R|`) and the packed `X_RR^{-1}` (`|R|(|R|+1)/2`), plus the
+/// three id lists at four bytes an id; then the packed top — per block
+/// column `D_k^{-1}` (`nb(nb+1)/2`) and the panel below it
+/// (`(top - k1) nb`) — and its index map. No buffer holds a spare slot.
+fn assert_footprint_is_the_packed_layout<K: Kernel>(kernel: &K, pts: &[Point]) {
+    let f = common::factorize(kernel, pts, &opts()).expect("factorization");
+    let mut r = ByteReader::new(f.to_bytes());
+    r.try_get_u64().expect("n");
+    let records = Vec::<BoxElimination<K::Elem>>::decode(&mut r).expect("records");
+    assert!(records.iter().all(BoxElimination::is_symmetric));
+    let (mut entries, mut ids) = (0, 0);
+    for rec in &records {
+        let (nr, ns, nn) = (rec.redundant.len(), rec.skel.len(), rec.nbr.len());
+        entries += 2 * ns * nr + nr * (nr + 1) / 2 + nn * nr;
+        ids += nr + ns + nn;
+    }
+    let TopFactor::Symmetric(top) = f.top_factor() else {
+        panic!("a symmetric kernel's top is the packed L D Lᵀ");
+    };
+    let n_top = top.dim();
+    for k0 in (0..n_top).step_by(NB) {
+        let nb = NB.min(n_top - k0);
+        entries += nb * (nb + 1) / 2 + (n_top - k0 - nb) * nb;
+    }
+    ids += f.top_size();
+    let elem = std::mem::size_of::<K::Elem>();
+    assert!(
+        records.len() > 10 && n_top > NB,
+        "{} records, top {n_top}",
+        records.len()
+    );
+    assert_eq!(f.memory_bytes(), entries * elem + ids * 4);
+}
+
+#[test]
+fn symmetric_footprint_is_the_packed_layout() {
+    let grid = UnitGrid::new(32);
+    assert_footprint_is_the_packed_layout(&LaplaceKernel::new(&grid), &grid.points());
+    let grid = UnitGrid::new(24);
+    assert_footprint_is_the_packed_layout(&HelmholtzKernel::new(&grid, 25.0), &grid.points());
 }
 
 /// A symmetric, well-conditioned kernel no block `L D Lᵀ` without

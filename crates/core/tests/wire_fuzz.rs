@@ -9,7 +9,7 @@
 //! an allocation from a corrupt length — and decode must invert encode.
 //! Miri-compatible; iteration counts shrink under the interpreter.
 
-use srsf_core::elimination::{BoxElimination, FactorError};
+use srsf_core::elimination::{BoxElimination, FactorError, RecordForm};
 use srsf_core::sequential::Factorization;
 use srsf_core::{Driver, FactorOpts, FactorStats, Solver, TopFactor, Transport};
 use srsf_geometry::grid::UnitGrid;
@@ -19,7 +19,7 @@ use srsf_kernels::kernel::Kernel;
 use srsf_kernels::laplace::LaplaceKernel;
 use srsf_kernels::util::random_vector;
 use srsf_linalg::ldlt::NB;
-use srsf_linalg::{c64, Ldlt, Lu, Mat, Scalar};
+use srsf_linalg::{c64, Ldlt, Lu, Mat, Scalar, SymMat};
 use srsf_runtime::codec::{ByteReader, ByteWriter, CodecError, Wire};
 use srsf_runtime::{Histogram, Span, TraceReport};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -148,7 +148,7 @@ fn gen_record_form<T: Scalar>(
         Mat::from_vec(m, n, vals)
     };
     let t = mat(rng, ns, nr);
-    let inv_t = mat(rng, nr, nr);
+    let inv = mat(rng, nr, nr);
     BoxElimination {
         box_id: gen_box_id(rng),
         redundant: (0..nr).map(|_| rng.next() as u32).collect(),
@@ -156,10 +156,18 @@ fn gen_record_form<T: Scalar>(
         nbr: (0..nn).map(|_| rng.next() as u32).collect(),
         es: mat(rng, ns, nr),
         en: mat(rng, nn, nr),
-        fs: (!symmetric).then(|| mat(rng, nr, ns)),
-        fnb: (!symmetric).then(|| mat(rng, nr, nn)),
+        form: if symmetric {
+            RecordForm::Symmetric {
+                inv: SymMat::from_lower(&inv),
+            }
+        } else {
+            RecordForm::General {
+                inv_t: inv,
+                fs: mat(rng, nr, ns),
+                fnb: mat(rng, nr, nn),
+            }
+        },
         t,
-        inv_t,
     }
 }
 
@@ -244,7 +252,7 @@ fn gen_ldlt<T: Scalar>(rng: &mut Rng, n: usize, v: impl Fn(&mut Rng) -> T) -> Ld
     let (mut diag, mut sub) = (Vec::new(), Vec::new());
     for k0 in (0..n).step_by(NB) {
         let nb = NB.min(n - k0);
-        diag.push(mat(rng, nb, nb));
+        diag.push(SymMat::from_lower(&mat(rng, nb, nb)));
         sub.push(mat(rng, n - k0 - nb, nb));
     }
     Ldlt::from_parts(n, diag, sub).expect("consistent shapes")
@@ -404,8 +412,9 @@ fn record_round_trip_bytes() {
 }
 
 /// Both record forms survive the wire by value, for real and complex
-/// entries alike: a symmetric record comes back with `fs`/`fnb` still
-/// absent, a general one with both intact.
+/// entries alike: a symmetric record comes back with its packed inverse
+/// and no right couplings, a general one with `X_RR^{-T}`, `fs` and
+/// `fnb` intact.
 fn record_forms_round_trip<T: Scalar>(seed: u64, v: impl Fn(&mut Rng) -> T + Copy) {
     let mut rng = Rng::new(seed);
     for i in 0..iters(128, 8) {
@@ -413,9 +422,9 @@ fn record_forms_round_trip<T: Scalar>(seed: u64, v: impl Fn(&mut Rng) -> T + Cop
         let rec = gen_record_form(&mut rng, v, symmetric);
         let back = BoxElimination::<T>::from_bytes(rec.to_bytes()).expect("decode");
         assert_eq!(back.is_symmetric(), symmetric);
-        assert_eq!((&back.fs, &back.fnb), (&rec.fs, &rec.fnb));
+        assert_eq!(back.form, rec.form);
         assert_eq!((&back.t, &back.es, &back.en), (&rec.t, &rec.es, &rec.en));
-        assert_eq!(back.inv_t, rec.inv_t);
+        assert_eq!(back.heap_bytes(), rec.heap_bytes());
         assert_eq!(
             (&back.redundant, &back.skel, &back.nbr),
             (&rec.redundant, &rec.skel, &rec.nbr)
@@ -437,23 +446,26 @@ fn expect_invalid(bytes: Vec<u8>, what: &str) {
     }
 }
 
-/// A presence flag other than 0/1 is rejected, and so is a symmetric
+/// A form flag other than 0/1 is rejected, and so is a symmetric
 /// frame relabelled as general (its `fs`/`fnb` payload is missing).
 #[test]
 fn record_bad_presence_flag_is_codec_error() {
     let mut rng = Rng::new(94);
     for _ in 0..iters(32, 4) {
-        // A symmetric record ends with its flag word.
-        let bytes = gen_record_form(&mut rng, Rng::finite_f64, true).to_bytes();
-        let flag_at = bytes.len() - 8;
-        assert_eq!(bytes[flag_at..], 0u64.to_le_bytes());
+        // A symmetric record ends with its flag word and the packed
+        // inverse: a length word and `|R|(|R|+1)/2` entries.
+        let rec = gen_record_form(&mut rng, Rng::finite_f64, true);
+        let bytes = rec.to_bytes();
+        let nr = rec.redundant.len();
+        let flag_at = bytes.len() - 16 - 8 * nr * (nr + 1) / 2;
+        assert_eq!(bytes[flag_at..flag_at + 8], 0u64.to_le_bytes());
         for flag in [2u64, 7, 1 << 32, u64::MAX] {
             let mut bent = bytes.clone();
-            bent[flag_at..].copy_from_slice(&flag.to_le_bytes());
+            bent[flag_at..flag_at + 8].copy_from_slice(&flag.to_le_bytes());
             expect_invalid(bent, &format!("presence flag {flag}"));
         }
         let mut bent = bytes.clone();
-        bent[flag_at..].copy_from_slice(&1u64.to_le_bytes());
+        bent[flag_at..flag_at + 8].copy_from_slice(&1u64.to_le_bytes());
         assert!(
             decode_total::<BoxElimination<f64>>("BoxElimination<f64>", &bent).is_err(),
             "flag 1 with no fs/fnb payload must not decode"
@@ -480,21 +492,95 @@ fn record_inconsistent_shape_is_codec_error() {
         };
         bend("t rows", &|r| r.t = grow(&r.t));
         bend("t cols", &|r| r.t = widen(&r.t));
-        bend("inv_t rows", &|r| r.inv_t = grow(&r.inv_t));
-        bend("inv_t cols", &|r| r.inv_t = widen(&r.inv_t));
         bend("es rows", &|r| r.es = grow(&r.es));
         bend("en cols", &|r| r.en = widen(&r.en));
         bend("redundant list", &|r| r.redundant.push(1));
         bend("skel list", &|r| r.skel.push(1));
         bend("nbr list", &|r| r.nbr.push(1));
+        let general = |f: fn(&mut Mat<f64>, &mut Mat<f64>, &mut Mat<f64>)| {
+            move |r: &mut BoxElimination<f64>| {
+                if let RecordForm::General { inv_t, fs, fnb } = &mut r.form {
+                    f(inv_t, fs, fnb);
+                }
+            }
+        };
         if !good.is_symmetric() {
-            bend("fs rows", &|r| r.fs = r.fs.as_ref().map(grow));
-            bend("fnb cols", &|r| r.fnb = r.fnb.as_ref().map(widen));
+            bend(
+                "inv_t rows",
+                &general(|m, _, _| *m = Mat::zeros(m.nrows() + 1, m.ncols())),
+            );
+            bend(
+                "inv_t cols",
+                &general(|m, _, _| *m = Mat::zeros(m.nrows(), m.ncols() + 1)),
+            );
+            bend(
+                "fs rows",
+                &general(|_, m, _| *m = Mat::zeros(m.nrows() + 1, m.ncols())),
+            );
+            bend(
+                "fnb cols",
+                &general(|_, _, m| *m = Mat::zeros(m.nrows(), m.ncols() + 1)),
+            );
         }
         for (what, rec) in cases {
             expect_invalid(rec.to_bytes(), what);
         }
+        if good.is_symmetric() {
+            for (what, bytes) in packed_inverse_bends(&good) {
+                expect_invalid(bytes, &what);
+            }
+        }
     }
+}
+
+/// A symmetric record's frame with its packed inverse (the frame's
+/// tail: a length word, then `|R|(|R|+1)/2` entries) bent to a length
+/// that is not `|R|(|R|+1)/2`: one entry short or long with the length
+/// word to match, the inverse of a record with one redundant point more
+/// or fewer, and a length word that disagrees with the entries behind it.
+fn packed_inverse_bends(rec: &BoxElimination<f64>) -> Vec<(String, Vec<u8>)> {
+    let bytes = rec.to_bytes();
+    let nr = rec.redundant.len();
+    let len = nr * (nr + 1) / 2;
+    let at = bytes.len() - 8 - 8 * len;
+    assert_eq!(bytes[at..at + 8], (len as u64).to_le_bytes());
+    let with = |new_len: usize, words: usize| {
+        let mut bent = bytes[..at].to_vec();
+        bent.extend_from_slice(&(new_len as u64).to_le_bytes());
+        bent.extend((0..words).flat_map(|i| (0.5 + i as f64).to_le_bytes()));
+        bent
+    };
+    let mut cases = vec![
+        (
+            format!("packed inverse one long ({nr})"),
+            with(len + 1, len + 1),
+        ),
+        (
+            format!("packed inverse of order {}", nr + 1),
+            with(len + nr + 1, len + nr + 1),
+        ),
+        (
+            format!("length word {} over {len} entries", len + 1),
+            with(len + 1, len),
+        ),
+    ];
+    if nr > 0 {
+        cases.push((
+            format!("packed inverse one short ({nr})"),
+            with(len - 1, len - 1),
+        ));
+        cases.push((
+            format!("packed inverse of order {}", nr - 1),
+            with(len - nr, len - nr),
+        ));
+    }
+    if nr > 1 {
+        cases.push((
+            format!("a full square of order {nr}"),
+            with(nr * nr, nr * nr),
+        ));
+    }
+    cases
 }
 
 /// The packed top factor survives the wire by value at one block column
@@ -522,20 +608,24 @@ fn ldlt_round_trip_and_shape_rejection() {
         decode_total::<Ldlt<f64>>("Ldlt<f64>", &bytes),
         Err(CodecError::Invalid { .. })
     ));
-    // A diagonal block one row or one column short of its block column.
+    // A packed diagonal inverse whose length is not `nb (nb + 1) / 2`:
+    // one entry short or long, of a block column one narrower or wider,
+    // or the full square.
     let good = gen_ldlt(&mut rng, 4, Rng::finite_f64);
-    let d = &good.diag_inverses()[0];
-    for short in [d.block(0, 0, 3, 4), d.block(0, 0, 4, 3)] {
+    for len in [9, 11, 6, 15, 16] {
         let mut w = ByteWriter::new();
         w.put_u64(4);
         w.put_u64(0);
         w.put_u64(1);
-        w.put_mat(&short);
+        w.put_u64_slice(&vec![0.5f64.to_bits(); len]);
         w.put_mat(&good.sub_panels()[0]);
-        assert!(matches!(
-            decode_total::<Ldlt<f64>>("Ldlt<f64>", &w.finish()),
-            Err(CodecError::Invalid { .. })
-        ));
+        assert!(
+            matches!(
+                decode_total::<Ldlt<f64>>("Ldlt<f64>", &w.finish()),
+                Err(CodecError::Invalid { .. })
+            ),
+            "packed inverse of {len} entries at order 4"
+        );
     }
 }
 
@@ -599,12 +689,12 @@ fn ldlt_column_range_round_trip_and_rejection() {
         decode_total::<Factorization<f64>>("Factorization<f64>", &w.finish()),
         Err(CodecError::Invalid { .. })
     ));
-    // The range's first diagonal block one row short.
+    // The range's first diagonal inverse packed at one order less.
     let mut w = ByteWriter::new();
     for word in [n, 1, 1] {
         w.put_u64(word as u64);
     }
-    w.put_mat(&mid.diag_inverses()[0].block(0, 0, NB - 1, NB));
+    w.put_u64_slice(&vec![0.5f64.to_bits(); NB * (NB - 1) / 2]);
     w.put_mat(&mid.sub_panels()[0]);
     assert!(matches!(
         decode_total::<Ldlt<f64>>("Ldlt range", &w.finish()),
@@ -834,9 +924,10 @@ fn checkpoint_container_rejects_corruption() {
     // The previous layouts (v2: no presence flag, unchecked shapes; v3:
     // no top form tag; v4: a per-record phase table in rank snapshots;
     // v5: an `L D Lᵀ` without its block-column range; v6: four
-    // compression counters in the stats) are refused by their version
-    // word, not misread.
-    for old in [2u64, 3, 4, 5, 6] {
+    // compression counters in the stats; v11: full-square inverses in
+    // symmetric records and the packed top) are refused by their
+    // version word, not misread.
+    for old in [2u64, 3, 4, 5, 6, 11] {
         let mut bent = bytes.clone();
         bent[8..16].copy_from_slice(&old.to_le_bytes());
         expect_rejected(&bent, &format!("version-{old} checkpoint"));

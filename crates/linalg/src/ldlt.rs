@@ -9,11 +9,15 @@
 //! the `(n - k1) x nb` panel below it, `n (n + NB) / 2` entries in
 //! total), and [`Ldlt::factor`] overwrites it right-looking with
 //! `A = L D Lᵀ`: `D` block diagonal, each block factored by the
-//! partially pivoted [`Lu`] and kept as its explicit inverse transpose
-//! `D_k⁻ᵀ` ([`Lu::into_inverse_t`]; the LU itself is dropped); `L` unit block
-//! lower triangular, its panel `L₂₁ = A₂₁ D_k⁻ᵀ` one GEMM against that
-//! inverse; and the trailing update `A₂₂ -= L₂₁ (D L₂₁ᵀ)` applied to the
-//! lower panels only — `n³/3` flops against the `2n³/3` of a general LU,
+//! partially pivoted [`Lu`] and kept as its explicit inverse `D_k⁻¹`
+//! ([`Lu::into_inverse_t`]; the LU itself is dropped) — symmetric, so
+//! one triangle is mirrored onto the other before its first use and the
+//! factors hold it as one packed triangle ([`SymMat`]), `n (n + NB) / 2`
+//! entries less the `nb (nb - 1) / 2` of each diagonal block's strict
+//! upper half; `L` unit block lower triangular, its panel
+//! `L₂₁ = A₂₁ D_k⁻¹` one GEMM against that inverse; and the trailing
+//! update `A₂₂ -= L₂₁ (D L₂₁ᵀ)` applied to the lower panels only —
+//! `n³/3` flops against the `2n³/3` of a general LU,
 //! half the bytes, and the `n x n` square never exists. The solve then
 //! applies every diagonal block as a panel product (`crate::panel`),
 //! with no triangular sweep left in it. The update is one left operand
@@ -34,8 +38,9 @@
 use crate::gemm::{gemm_acc_block, gemm_acc_to_blocks, is_packed, transpose_matmul_acc};
 use crate::lu::Lu;
 use crate::mat::Mat;
-use crate::panel::panel_mul_acc;
+use crate::panel::panel_mul_sym_acc;
 use crate::scalar::Scalar;
+use crate::sym::SymMat;
 
 /// Width of a block column.
 pub const NB: usize = 64;
@@ -192,8 +197,8 @@ impl<T: Scalar> SymPanels<T> {
 }
 
 /// Packed factors `A = L D Lᵀ` of a symmetric matrix (see the module
-/// docs): per block column the inverse transpose `D_k⁻ᵀ` of its diagonal
-/// block and the panel `L[k1.., k0..k1]` below it.
+/// docs): per block column the inverse `D_k⁻¹` of its diagonal block,
+/// packed, and the panel `L[k1.., k0..k1]` below it.
 ///
 /// A value holds a contiguous range of the block columns — all of them
 /// as [`Ldlt::factor`] returns it. The panel solve touches only the
@@ -207,8 +212,8 @@ pub struct Ldlt<T> {
     n: usize,
     /// Index of the first block column held.
     first: usize,
-    /// `D_k⁻ᵀ` per block column held.
-    diag: Vec<Mat<T>>,
+    /// `D_k⁻¹` per block column held.
+    diag: Vec<SymMat<T>>,
     sub: Vec<Mat<T>>,
 }
 
@@ -264,19 +269,22 @@ impl<T: Scalar> Ldlt<T> {
         let mut diag = Vec::with_capacity(cols.len());
         for (k, &(k0, nb)) in cols.iter().enumerate() {
             let dk = core::mem::replace(&mut dblocks[k], Mat::zeros(0, 0));
-            let dinv_t = Lu::factor(dk)
+            // D_k⁻¹ = (D_k⁻ᵀ)ᵀ, made symmetric bit for bit: every use
+            // below and in the solve applies this one matrix.
+            let mut dinv = Lu::factor(dk)
                 .map_err(|e| LdltBreakdown::ZeroPivot { step: k0 + e.step })?
                 .into_inverse_t();
+            dinv.mirror_upper();
             let k1 = k0 + nb;
             if k1 < n {
                 // W = A₂₁ as assembled and updated so far, kept transposed
-                // as the update's right operand; L₂₁ = W D⁻ᵀ — D is
-                // symmetric — is one product with the inverse, from `Wᵀ`
-                // into `W`'s own storage.
+                // as the update's right operand; L₂₁ = W D⁻¹ is one
+                // product with the inverse, from `Wᵀ` into `W`'s own
+                // storage.
                 let mut l21 = core::mem::replace(&mut sub[k], Mat::zeros(0, 0));
                 let wt = l21.transpose();
                 l21.as_mut_slice().fill(T::ZERO);
-                transpose_matmul_acc(&mut l21, T::ONE, &wt, &dinv_t);
+                transpose_matmul_acc(&mut l21, T::ONE, &wt, &dinv);
                 // Squared moduli against the squared bound: no `hypot` per
                 // complex entry. A NaN (from a vanishing pivot) sticks,
                 // where `f64::max` would drop it.
@@ -301,7 +309,7 @@ impl<T: Scalar> Ldlt<T> {
                 );
                 sub[k] = l21;
             }
-            diag.push(dinv_t);
+            diag.push(SymMat::from_lower(&dinv));
         }
         Ok(Self {
             n,
@@ -313,19 +321,19 @@ impl<T: Scalar> Ldlt<T> {
 
     /// Rebuild all block columns from decoded parts:
     /// [`Ldlt::from_col_parts`] for the whole range.
-    pub fn from_parts(n: usize, diag: Vec<Mat<T>>, sub: Vec<Mat<T>>) -> Option<Self> {
+    pub fn from_parts(n: usize, diag: Vec<SymMat<T>>, sub: Vec<Mat<T>>) -> Option<Self> {
         Self::from_col_parts(n, 0, diag, sub).filter(Self::is_whole)
     }
 
     /// Rebuild the block columns `first .. first + diag.len()` of an
     /// `n x n` factorization from decoded parts; `None` unless the range
     /// lies inside the matrix and every block has exactly the shape
-    /// [`Ldlt::factor`] produces there (`diag` the `nb x nb` inverses
-    /// `D_k⁻ᵀ`), so a solve cannot index out of bounds.
+    /// [`Ldlt::factor`] produces there (`diag` the inverses `D_k⁻¹` of
+    /// order `nb`), so a solve cannot index out of bounds.
     pub fn from_col_parts(
         n: usize,
         first: usize,
-        diag: Vec<Mat<T>>,
+        diag: Vec<SymMat<T>>,
         sub: Vec<Mat<T>>,
     ) -> Option<Self> {
         let ok = diag.len() == sub.len()
@@ -336,8 +344,7 @@ impl<T: Scalar> Ldlt<T> {
                 .skip(first)
                 .zip(diag.iter().zip(&sub))
                 .all(|((k0, nb), (d, s))| {
-                    (d.nrows(), d.ncols()) == (nb, nb)
-                        && (s.nrows(), s.ncols()) == (n - k0 - nb, nb)
+                    d.dim() == nb && (s.nrows(), s.ncols()) == (n - k0 - nb, nb)
                 });
         ok.then_some(Self {
             n,
@@ -405,9 +412,9 @@ impl<T: Scalar> Ldlt<T> {
         block_cols(self.n).skip(self.first).take(self.diag.len())
     }
 
-    /// The inverse transposes `D_k⁻ᵀ` of the diagonal blocks, one per
+    /// The inverses `D_k⁻¹` of the diagonal blocks, packed, one per
     /// block column held.
-    pub fn diag_inverses(&self) -> &[Mat<T>] {
+    pub fn diag_inverses(&self) -> &[SymMat<T>] {
         &self.diag
     }
 
@@ -425,7 +432,7 @@ impl<T: Scalar> Ldlt<T> {
         if nrhs == 0 {
             return;
         }
-        for ((k0, nb), (dinv_t, l21)) in block_cols(n).zip(self.diag.iter().zip(&self.sub)) {
+        for ((k0, nb), (dinv, l21)) in block_cols(n).zip(self.diag.iter().zip(&self.sub)) {
             let k1 = k0 + nb;
             let bk = b.block(k0, 0, nb, nrhs);
             gemm_acc_block(
@@ -437,9 +444,9 @@ impl<T: Scalar> Ldlt<T> {
                 &bk,
                 (0, 0, nb, nrhs),
             );
-            // B_k := D_k⁻¹ B_k, as the panel product (B_kᵀ D_k⁻ᵀ)ᵀ.
+            // B_k := D_k⁻¹ B_k, as the panel product (B_kᵀ D_k⁻¹)ᵀ.
             let mut y = Mat::zeros(nrhs, nb);
-            panel_mul_acc(&mut y, T::ONE, &bk.transpose(), dinv_t, false);
+            panel_mul_sym_acc(&mut y, T::ONE, &bk.transpose(), dinv);
             b.set_block(k0, 0, &y.transpose());
         }
         for ((k0, nb), l21) in block_cols(n).zip(&self.sub).rev() {
@@ -456,7 +463,7 @@ impl<T: Scalar> Ldlt<T> {
 
     /// Approximate heap footprint in bytes of the block columns held.
     pub fn heap_bytes(&self) -> usize {
-        self.diag.iter().map(Mat::heap_bytes).sum::<usize>()
+        self.diag.iter().map(SymMat::heap_bytes).sum::<usize>()
             + self.sub.iter().map(Mat::heap_bytes).sum::<usize>()
     }
 }
@@ -501,11 +508,12 @@ mod tests {
         let mut diag = Vec::new();
         for (k, &(k0, nb)) in cols.iter().enumerate() {
             let dk = core::mem::replace(&mut dblocks[k], Mat::zeros(0, 0));
-            let dinv_t = Lu::factor(dk).unwrap().into_inverse_t();
+            let mut dinv = Lu::factor(dk).unwrap().into_inverse_t();
+            dinv.mirror_upper();
             let k1 = k0 + nb;
             if k1 < n {
                 let wt = core::mem::replace(&mut sub[k], Mat::zeros(0, 0)).transpose();
-                let l21 = transpose_matmul(&wt, &dinv_t);
+                let l21 = transpose_matmul(&wt, &dinv);
                 for (j, &(j0, nbj)) in cols.iter().enumerate().skip(k + 1) {
                     let (off, j1) = (j0 - k1, j0 + nbj);
                     let (rhs, alpha) = ((0, off, nb, nbj), -T::ONE);
@@ -516,7 +524,7 @@ mod tests {
                 }
                 sub[k] = l21;
             }
-            diag.push(dinv_t);
+            diag.push(SymMat::from_lower(&dinv));
         }
         Ldlt::from_parts(n, diag, sub).unwrap()
     }

@@ -8,10 +8,12 @@
 //! * matrix multiplication (plain / adjoint variants) in [`gemm`],
 //! * partially pivoted LU ([`lu`]) and triangular solves ([`triangular`]),
 //! * a packed block `L D Lᵀ` of a symmetric matrix ([`ldlt`]),
+//! * a symmetric matrix held as one packed triangle ([`sym`]),
 //! * the RHS-major panel kernels of the blocked solve sweep ([`panel`]):
-//!   `panel · M` and `panel · Mᵀ` (plus the right-sided triangular solves
-//!   of the general top and of inverse formation), with the right-hand
-//!   sides in the register tile and `M` streamed unpacked,
+//!   `panel · M` and `panel · Mᵀ`, `M` dense or packed symmetric (plus
+//!   the right-sided triangular solves of the general top and of inverse
+//!   formation), with the right-hand sides in the register tile and `M`
+//!   streamed where it lies,
 //! * Householder QR and greedy column-pivoted QR ([`qr`]),
 //! * the interpolative decomposition ([`id`]) used for skeletonization,
 //! * BLAS-1 style vector helpers ([`vecops`]).
@@ -39,6 +41,7 @@ pub mod panel;
 pub mod qr;
 pub mod rid;
 pub mod scalar;
+pub mod sym;
 pub mod triangular;
 pub mod vecops;
 
@@ -51,3 +54,4 @@ pub use op::{relative_residual, DenseOp, LinOp};
 pub use qr::{cpqr, householder_qr, Cpqr};
 pub use rid::{rand_interp_decomp, RidTelemetry};
 pub use scalar::Scalar;
+pub use sym::SymMat;

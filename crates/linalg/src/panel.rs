@@ -42,7 +42,24 @@
 //! * `panel_mul_t_acc`: `c = C[i, j]` and `p_l = alpha * P[i, l]`, then
 //!   `c = fma(p_l, M[j, l], c)` for `l = 0, 1, …` — for complex scalars
 //!   `c = fma(p_l, re M[j, l], c)`, then `c = fma(i p_l, im M[j, l], c)`
-//!   at each `l`.
+//!   at each `l`;
+//! * `panel_mul_sym_acc`, `M` symmetric and held as its packed lower
+//!   columns ([`SymMat`]): the `panel_mul_acc` chains over the mirrored
+//!   square, `M[l, j]` read as `M[j, l]` above the diagonal — the bits
+//!   of `panel_mul_acc` on `M` held whole.
+//!
+//! The packed product runs the same dot strips. Column `j` of the
+//! square is, in `l` order, row `j` of the lower triangle up to the
+//! diagonal and then column `j` of it from the diagonal down, so a strip
+//! reads three runs: above its diagonal block, `W` adjacent entries of
+//! each earlier column (rows `j0 .. j0 + W`); the `W x W` diagonal block,
+//! copied once into a mirrored square; below it, its own columns, each
+//! streamed top to bottom. An entry off the diagonal blocks is read for
+//! both its places in the square, the second time from cache: the flops
+//! of the square from half its bytes. In cache, the copy of each strip's
+//! diagonal block and three loops in place of one cost it about 22 % of
+//! the square's rate on a real 16-row tile at the records' median order
+//! and 7 % on a complex 8-row one (table below).
 //!
 //! The strips are sized by the register file. A narrower tile takes a
 //! wider strip, so that a panel of one to four right-hand sides is not
@@ -54,19 +71,25 @@
 //! product at the solve sweep's median record shapes (a `16 x 349` real
 //! panel against a `349 x 41` `EN`, an `8 x 332` complex one against a
 //! `332 x 45` one: `panel_mul*/f64_16x349x41`, `panel_mul*/c64_8x332x45`
-//! in `crates/bench`, a complex multiply-add counted as 8 flops; medians
-//! of three runs on a shared 2-core AVX-512 host):
+//! in `crates/bench`, and a packed symmetric `X_RR^{-1}` of the median
+//! order against the same matrix square: `panel_mul_sym/f64_16x42` next
+//! to `panel_mul/f64_16x42x42`, `panel_mul_sym/c64_8x45` next to
+//! `panel_mul/c64_8x45x45`; a complex multiply-add counted as 8 flops;
+//! medians of three runs on a shared 2-core AVX-512 host):
 //!
 //! | build | tile | dot strip | update strip | `panel * M` | `panel * M^T` |
 //! |-------|------|-----------|--------------|-------------|---------------|
 //! | wide (`srsf_wide_vectors` + AVX-512) | `f64` 16 | 12: 24 of 32 `zmm` | 8: 16 of 32 | 9.1 µs, 50 GFLOP/s (14.4 µs with 4) | 12.5 µs, 37 GFLOP/s (13.2 µs with 4) |
 //! | | `c64` 8 | 6: 24 of 32 | 4: 16 of 32 | 13.3 µs, 72 GFLOP/s (25.7 µs, 37 GFLOP/s in two passes of 4) | 14.3 µs, 67 GFLOP/s (21.4 µs, 45 GFLOP/s with 2) |
+//! | | `f64` 16, `M` packed | 12 | — | 1.02 µs, 55 GFLOP/s (square: 0.80 µs, 71 GFLOP/s) | — |
+//! | | `c64` 8, `M` packed | 6 | — | 1.96 µs, 66 GFLOP/s (square: 1.82 µs, 71 GFLOP/s) | — |
 //! | narrow (`x86-64-v3`) | `f64` 16 | 4: 16 of 16 `ymm` | 4: 16 of 16 | 25 µs, 18 GFLOP/s | 18 µs, 25 GFLOP/s |
 //! | | `c64` 8 | 2: 16 of 16 | 2: 16 of 16 | 63 µs, 15 GFLOP/s (57 µs in two passes of 4) | 40 µs, 24 GFLOP/s (the same) |
 //!
 //! The solve sweep itself runs nothing else: every small diagonal block
 //! it meets — a record's `X_RR`, a block `D_k` of the packed top — is
-//! held as its explicit inverse transpose and applied as a `panel * M`.
+//! held as its explicit inverse transpose and applied as a `panel * M`,
+//! from one packed triangle where the block is symmetric.
 //! The right-sided triangular solves below serve the two factors that
 //! are still held as LU: the general top ([`Lu::forward_panel`],
 //! [`Lu::backward_panel`]) and the formation of those inverses
@@ -83,6 +106,7 @@ use crate::ldlt::Ldlt;
 use crate::lu::Lu;
 use crate::mat::Mat;
 use crate::scalar::Scalar;
+use crate::sym::{col_start, SymMat};
 
 /// Adjacent columns of `M` a kernel reads together.
 const STRIP: usize = 4;
@@ -187,21 +211,18 @@ fn times_i<T: Scalar, const MR: usize>(v: [T; MR], neg: bool) -> [T; MR] {
     })
 }
 
-/// Dot form, one tile of `panel * M`: `sum_l P[i, l] * M[l, j]` for the
-/// `MR` panel rows starting at `p[0]` (leading dimension `h`) and the `W`
-/// adjacent columns of `M` starting at `m[0]`, over `l < k` (`CONJ`:
-/// `conj(M)`). Complex scalars carry the chains over the real (`s`) and
-/// the imaginary (`t`) parts of `M` side by side in one pass.
+/// Dot form: `s[j] += sum_{l < k} P[i, l] * re M[l, j]` and `t[j]` the
+/// same over `im M[l, j]`, fused multiply-adds in `l` order, for the `MR`
+/// panel rows starting at `p[0]` (leading dimension `h`) and the `W`
+/// columns of `M` in `cols` (entry `l` of each is `M[l, j]`). Complex
+/// scalars carry the two chains side by side in one pass.
 #[inline(always)]
-fn tile_dot<T: Scalar, const MR: usize, const W: usize, const CONJ: bool>(
-    p: &[T],
-    h: usize,
-    m: &[T],
+fn dot_chains<T: Scalar, const MR: usize, const W: usize>(
+    (p, h): (&[T], usize),
+    cols: [&[T]; W],
     k: usize,
-) -> [[T; MR]; W] {
-    let cols: [&[T]; W] = core::array::from_fn(|j| &m[j * k..(j + 1) * k]);
-    let mut s = [[T::ZERO; MR]; W];
-    let mut t = [[T::ZERO; MR]; W];
+    (mut s, mut t): ([[T; MR]; W], [[T; MR]; W]),
+) -> ([[T; MR]; W], [[T; MR]; W]) {
     for (l, pv) in p.windows(MR).step_by(h).take(k).enumerate() {
         for j in 0..W {
             let v = cols[j][l];
@@ -211,6 +232,15 @@ fn tile_dot<T: Scalar, const MR: usize, const W: usize, const CONJ: bool>(
             }
         }
     }
+    (s, t)
+}
+
+/// The chains joined: `s + i t` (`s - i t` under `CONJ`).
+#[inline(always)]
+fn join_chains<T: Scalar, const MR: usize, const W: usize, const CONJ: bool>(
+    mut s: [[T; MR]; W],
+    t: [[T; MR]; W],
+) -> [[T; MR]; W] {
     if T::IS_COMPLEX {
         for j in 0..W {
             for (a, b) in s[j].iter_mut().zip(times_i(t[j], CONJ)) {
@@ -219,6 +249,23 @@ fn tile_dot<T: Scalar, const MR: usize, const W: usize, const CONJ: bool>(
         }
     }
     s
+}
+
+/// Dot form, one tile of `panel * M`: `sum_l P[i, l] * M[l, j]` for the
+/// `MR` panel rows starting at `p[0]` (leading dimension `h`) and the `W`
+/// adjacent columns of `M` starting at `m[0]`, over `l < k` (`CONJ`:
+/// `conj(M)`).
+#[inline(always)]
+fn tile_dot<T: Scalar, const MR: usize, const W: usize, const CONJ: bool>(
+    p: &[T],
+    h: usize,
+    m: &[T],
+    k: usize,
+) -> [[T; MR]; W] {
+    let cols: [&[T]; W] = core::array::from_fn(|j| &m[j * k..(j + 1) * k]);
+    let zero = [[T::ZERO; MR]; W];
+    let (s, t) = dot_chains((p, h), cols, k, (zero, zero));
+    join_chains::<T, MR, W, CONJ>(s, t)
 }
 
 /// `c[i0.., j] += alpha * acc[j]` for the `W` panel columns at `c[0]`.
@@ -265,6 +312,105 @@ fn tile_update<T: Scalar, const MR: usize, const W: usize>(
     }
 }
 
+/// Dot form, one tile of `panel * M` for a symmetric `M` of order `n`
+/// held packed (`md`): the `W` output columns from `j0`, each entry the
+/// one chain of [`tile_dot`] over the whole of column `j0 + q` of the
+/// mirrored square. Its three runs are read where the triangle holds
+/// them: above the strip, row `j0 + q` of every earlier column — a run
+/// of `W` adjacent entries per column; the strip's own `W x W` diagonal
+/// block, copied once into a square; below it, the strip's columns from
+/// row `j0 + W` down, each contiguous.
+#[inline(always)]
+fn tile_dot_sym<T: Scalar, const MR: usize, const W: usize>(
+    (p, h, i0): (&[T], usize, usize),
+    md: &[T],
+    (n, j0): (usize, usize),
+) -> [[T; MR]; W] {
+    let (mut s, mut t) = ([[T::ZERO; MR]; W], [[T::ZERO; MR]; W]);
+    // Rows j0 .. j0 + W of column l sit at `col_start(n, l) + j0 - l`.
+    let mut at = j0;
+    for (l, pv) in p[i0..].windows(MR).step_by(h).take(j0).enumerate() {
+        let row = &md[at..at + W];
+        for q in 0..W {
+            let v = row[q];
+            axpy_tile(&mut s[q], pv, v.re());
+            if T::IS_COMPLEX {
+                axpy_tile(&mut t[q], pv, v.im());
+            }
+        }
+        at += n - l - 1;
+    }
+    // `diag[q][l] = M[j0 + l, j0 + q]`: column `q`'s run from the
+    // diagonal down, then the mirror above it.
+    let mut diag = [[T::ZERO; W]; W];
+    for q in 0..W {
+        let start = col_start(n, j0 + q);
+        let run = &md[start..start + W - q];
+        for l in 0..W {
+            if l >= q {
+                diag[q][l] = run[l - q];
+                diag[l][q] = run[l - q];
+            }
+        }
+    }
+    let head: [&[T]; W] = core::array::from_fn(|q| &diag[q][..]);
+    (s, t) = dot_chains((&p[j0 * h + i0..], h), head, W, (s, t));
+    let below = n - j0 - W;
+    if below > 0 {
+        let tails: [&[T]; W] = core::array::from_fn(|q| {
+            let start = col_start(n, j0 + q) + W - q;
+            &md[start..start + below]
+        });
+        (s, t) = dot_chains((&p[(j0 + W) * h + i0..], h), tails, below, (s, t));
+    }
+    join_chains::<T, MR, W, false>(s, t)
+}
+
+/// Run `$body` while a strip `$width` wide fits in the `$n` output
+/// columns from `$j` on, with `$w` the width as a constant.
+macro_rules! strip_run {
+    ($width:expr, $n:expr, $j:ident, $w:ident, $body:expr) => {
+        while $width > 0 && $n - $j >= $width {
+            const $w: usize = $width;
+            $body;
+            $j += $width;
+        }
+    };
+}
+
+/// Run `$body` once per strip a dot-form pass of an `$mr`-row tile takes
+/// over `$n` output columns, left to right, with `$j` the strip's first
+/// column and `$w` its width as a constant: the widest strip the tile's
+/// registers hold while it fits, then narrower ones down to one column
+/// (module docs).
+macro_rules! for_each_dot_strip {
+    ($t:ty, $mr:ident, $n:expr, |$j:ident, $w:ident| $body:expr) => {{
+        let n: usize = $n;
+        let mut $j = 0;
+        if $mr == 1 {
+            strip_run!(2 * STRIP, n, $j, $w, $body);
+        } else if <$t>::IS_COMPLEX {
+            // A complex tile holds the `f64`s of a real one twice its
+            // height, and its pass keeps two accumulators live: half the
+            // real strip.
+            if $mr == 8 {
+                strip_run!(WIDE.0 / 2, n, $j, $w, $body);
+            }
+            strip_run!(4 * STRIP / $mr, n, $j, $w, $body);
+            strip_run!(2 * STRIP / $mr, n, $j, $w, $body);
+        } else {
+            if $mr == 16 {
+                strip_run!(WIDE.0, n, $j, $w, $body);
+            }
+            strip_run!(16 * STRIP / $mr, n, $j, $w, $body);
+            strip_run!(8 * STRIP / $mr, n, $j, $w, $body);
+        }
+        strip_run!(STRIP, n, $j, $w, $body);
+        strip_run!(STRIP / 2, n, $j, $w, $body);
+        strip_run!(1, n, $j, $w, $body);
+    }};
+}
+
 /// `C += alpha * P * M` on `h`-row panel storage: `p` is `h x m.nrows()`,
 /// `c` is `h x m.ncols()`.
 fn mul_acc<T: Scalar, const CONJ: bool>(h: usize, c: &mut [T], alpha: T, p: &[T], m: &Mat<T>) {
@@ -275,40 +421,26 @@ fn mul_acc<T: Scalar, const CONJ: bool>(h: usize, c: &mut [T], alpha: T, p: &[T]
         return;
     }
     let md = m.as_slice();
-    for_each_tile!(T, h, |i0, MR| {
-        let mut j = 0;
-        // Strips of `$w` columns while they fit (module docs).
-        macro_rules! strips {
-            ($w:expr) => {
-                while $w > 0 && n - j >= $w {
-                    let acc = tile_dot::<T, MR, { $w }, CONJ>(&p[i0..], h, &md[j * k..], k);
-                    add_tile((&mut c[j * h..], h, i0), alpha, acc);
-                    j += $w;
-                }
-            };
-        }
-        if MR == 1 {
-            strips!(2 * STRIP);
-        } else if T::IS_COMPLEX {
-            // A complex tile holds the `f64`s of a real one twice its
-            // height, and its pass keeps two accumulators live: half the
-            // real strip.
-            if MR == 8 {
-                strips!(WIDE.0 / 2);
-            }
-            strips!(4 * STRIP / MR);
-            strips!(2 * STRIP / MR);
-        } else {
-            if MR == 16 {
-                strips!(WIDE.0);
-            }
-            strips!(16 * STRIP / MR);
-            strips!(8 * STRIP / MR);
-        }
-        strips!(STRIP);
-        strips!(STRIP / 2);
-        strips!(1);
-    });
+    for_each_tile!(T, h, |i0, MR| for_each_dot_strip!(T, MR, n, |j, W| {
+        let acc = tile_dot::<T, MR, W, CONJ>(&p[i0..], h, &md[j * k..], k);
+        add_tile((&mut c[j * h..], h, i0), alpha, acc);
+    }));
+}
+
+/// `C += alpha * P * M` for a symmetric `M` held packed: `p` and `c` are
+/// both `h x m.dim()`.
+fn mul_sym_acc<T: Scalar>(h: usize, c: &mut [T], alpha: T, p: &[T], m: &SymMat<T>) {
+    let n = m.dim();
+    assert_eq!(p.len(), h * n, "panel * M: inner dimension mismatch");
+    assert_eq!(c.len(), h * n, "panel * M: output width mismatch");
+    if h == 0 || n == 0 {
+        return;
+    }
+    let md = m.as_slice();
+    for_each_tile!(T, h, |i0, MR| for_each_dot_strip!(T, MR, n, |j, W| {
+        let acc = tile_dot_sym::<T, MR, W>((p, h, i0), md, (n, j));
+        add_tile((&mut c[j * h..], h, i0), alpha, acc);
+    }));
 }
 
 /// `C += alpha * P * M[r0.., ..]^T` on `h`-row panel storage, with `M`
@@ -367,6 +499,15 @@ pub fn panel_mul_acc<T: Scalar>(c: &mut Mat<T>, alpha: T, p: &Mat<T>, m: &Mat<T>
     } else {
         mul_acc::<T, false>(h, c.as_mut_slice(), alpha, p.as_slice(), m);
     }
+}
+
+/// `C += alpha * P * M` for a symmetric `M` held as one packed triangle
+/// ([`SymMat`]): `P` and `C` are `h x n`, `M` is `n x n`. Every entry is
+/// the chain the module docs give, whatever the batch.
+pub fn panel_mul_sym_acc<T: Scalar>(c: &mut Mat<T>, alpha: T, p: &Mat<T>, m: &SymMat<T>) {
+    assert_eq!(c.nrows(), p.nrows(), "panel * M: panel heights differ");
+    let h = p.nrows();
+    mul_sym_acc(h, c.as_mut_slice(), alpha, p.as_slice(), m);
 }
 
 /// `C += alpha * P * M^T` (plain transpose): `P` is `h x k`, `M` is
@@ -539,7 +680,7 @@ impl<T: Scalar> Ldlt<T> {
     /// panel columns from the first one held to the end
     /// (`h x (dim - col_span().start)`): block column `k` updates the
     /// panel columns below it, `X_below -= X_k L21^T`, and is then
-    /// replaced by `X_k D_k^{-T}`. The columns before the range must have
+    /// replaced by `X_k D_k^{-1}`. The columns before the range must have
     /// been swept already; on return those of the range are finished for
     /// this pass and the rest is what the next range starts from.
     pub fn forward_cols(&self, x: &mut Mat<T>) {
@@ -552,14 +693,14 @@ impl<T: Scalar> Ldlt<T> {
         let x = x.as_mut_slice();
         let mut y = Vec::new();
         let cols = self.diag_inverses().iter().zip(self.sub_panels());
-        for ((k0, nb), (dinv_t, l21)) in self.block_cols().zip(cols) {
+        for ((k0, nb), (dinv, l21)) in self.block_cols().zip(cols) {
             let (head, below) = x.split_at_mut((k0 + nb - c0) * h);
             let xk = &mut head[(k0 - c0) * h..];
             let shape = (l21.nrows(), nb);
             mul_t_acc(h, below, -T::ONE, xk, (l21.as_slice(), l21.nrows()), shape);
             y.clear();
             y.resize(h * nb, T::ZERO);
-            mul_acc::<T, false>(h, &mut y, T::ONE, xk, dinv_t);
+            mul_sym_acc(h, &mut y, T::ONE, xk, dinv);
             xk.copy_from_slice(&y);
         }
     }
@@ -706,5 +847,83 @@ mod tests {
     #[test]
     fn panel_products_are_the_documented_chains_c64() {
         check_chains::<c64>([-c64::ONE, c64::new(0.5, -1.25)]);
+    }
+
+    /// A symmetric matrix (plain transpose) of order `n` and its packed
+    /// triangle.
+    fn sym_fill<T: Scalar>(n: usize, seed: u64) -> (Mat<T>, SymMat<T>) {
+        let mut m = fill::<T>(n, n, seed);
+        m.mirror_upper();
+        let packed = SymMat::from_lower(&m);
+        assert_eq!(packed.to_mat(), m);
+        (m, packed)
+    }
+
+    const SYM_HEIGHTS: [usize; 5] = [1, 2, 3, 8, 16];
+    const SYM_ORDERS: [usize; 6] = [1, 2, 5, 13, 42, 64];
+
+    /// `panel_mul_sym_acc` against its documented chain and against
+    /// `panel_mul_acc` on the mirrored square, bit for bit, at heights
+    /// that take every tile and orders that take every strip width and
+    /// remainder of both builds.
+    fn check_sym_chains<T: Scalar>(alphas: [T; 2]) {
+        let mut seed = 7;
+        for h in SYM_HEIGHTS {
+            for n in SYM_ORDERS {
+                for alpha in alphas {
+                    seed += 3;
+                    let (m, packed) = sym_fill::<T>(n, seed);
+                    let p = fill::<T>(h, n, seed + 1);
+                    let c0 = fill::<T>(h, n, seed + 2);
+                    let what = format!("P M, M symmetric: h {h}, n {n}, alpha {alpha:?}");
+                    let mut got = c0.clone();
+                    panel_mul_sym_acc(&mut got, alpha, &p, &packed);
+                    let want = Mat::from_fn(h, n, |i, j| {
+                        dot_entry(c0[(i, j)], alpha, &p, &m, (i, j), false)
+                    });
+                    assert_bits(&got, &want, &what);
+                    let mut full = c0.clone();
+                    panel_mul_acc(&mut full, alpha, &p, &m, false);
+                    assert_bits(&got, &full, &format!("{what}, against the square"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn panel_sym_product_is_the_documented_chain_f64() {
+        check_sym_chains::<f64>([-1.0, 0.75]);
+    }
+
+    #[test]
+    fn panel_sym_product_is_the_documented_chain_c64() {
+        check_sym_chains::<c64>([-c64::ONE, c64::new(0.5, -1.25)]);
+    }
+
+    /// One lane's bits do not depend on the batch: every row of a 16-row
+    /// panel comes out of `panel_mul_sym_acc` as it does in a batch of
+    /// any of the heights at either end of the panel, and alone.
+    fn check_sym_lanes<T: Scalar>(alpha: T) {
+        for n in SYM_ORDERS {
+            let (_, packed) = sym_fill::<T>(n, 100 + n as u64);
+            let p = fill::<T>(16, n, 200 + n as u64);
+            let c0 = fill::<T>(16, n, 300 + n as u64);
+            let mut all = c0.clone();
+            panel_mul_sym_acc(&mut all, alpha, &p, &packed);
+            for h in SYM_HEIGHTS {
+                for r0 in [0, 16 - h] {
+                    let mut part = c0.block(r0, 0, h, n);
+                    panel_mul_sym_acc(&mut part, alpha, &p.block(r0, 0, h, n), &packed);
+                    let what = format!("rows {r0}..{} of 16, n {n}", r0 + h);
+                    assert_bits(&part, &all.block(r0, 0, h, n), &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn panel_sym_product_lanes_are_batch_invariant() {
+        check_sym_lanes::<f64>(-1.0);
+        check_sym_lanes::<c64>(c64::new(0.5, -1.25));
     }
 }

@@ -16,7 +16,7 @@ use srsf_linalg::qr::{
 use srsf_linalg::triangular::{
     solve_lower_mat, solve_lower_mat_unblocked, solve_upper_mat, solve_upper_mat_unblocked,
 };
-use srsf_linalg::{c64, Ldlt, LdltBreakdown, Lu, Mat, Scalar, SymPanels};
+use srsf_linalg::{c64, Ldlt, LdltBreakdown, Lu, Mat, Scalar, SymMat, SymPanels};
 
 const TOL: f64 = 1e-12;
 
@@ -394,10 +394,10 @@ fn ldlt_dense_factors<T: Scalar>(f: &Ldlt<T>) -> (Mat<T>, Mat<T>) {
     let n = f.dim();
     let (mut l, mut d) = (Mat::identity(n), Mat::zeros(n, n));
     let mut k0 = 0;
-    for (dinv_t, l21) in f.diag_inverses().iter().zip(f.sub_panels()) {
-        let nb = dinv_t.nrows();
-        // D_k = (D_k⁻ᵀ)⁻ᵀ.
-        let dk = Lu::factor(dinv_t.clone())
+    for (dinv, l21) in f.diag_inverses().iter().zip(f.sub_panels()) {
+        let nb = dinv.dim();
+        // D_k = (D_k⁻¹)⁻¹, transposed — the same, as D_k is symmetric.
+        let dk = Lu::factor(dinv.to_mat())
             .expect("invertible")
             .into_inverse_t();
         d.set_block(k0, k0, &dk);
@@ -430,7 +430,7 @@ fn ldlt_oracle<T: TestScalar>(seed: u64) {
         let (l, d) = ldlt_dense_factors(&f);
         let ldlt = matmul(&matmul(&l, &d), &l.transpose());
         assert_close(&ldlt, &a, "L D Lᵀ reconstruction");
-        // Entry-wise too: `L₂₁ = W D⁻ᵀ` comes out of one product of the
+        // Entry-wise too: `L₂₁ = W D⁻¹` comes out of one product of the
         // sub-diagonal panel with the explicit inverse, ragged last block
         // included.
         let err = max_abs_diff(&ldlt, &a);
@@ -661,13 +661,13 @@ fn rand_ldlt<T: TestScalar>(n: usize, rng: &mut Rng) -> Ldlt<T> {
     let (mut diag, mut sub) = (Vec::new(), Vec::new());
     for k0 in (0..n).step_by(NB) {
         let nb = NB.min(n - k0);
-        let mut dinv_t = rand_mat::<T>(nb, nb, rng);
+        let mut dinv = rand_mat::<T>(nb, nb, rng);
         let s = T::from_f64(1.0 / nb as f64);
-        dinv_t.as_mut_slice().iter_mut().for_each(|v| *v *= s);
+        dinv.as_mut_slice().iter_mut().for_each(|v| *v *= s);
         for i in 0..nb {
-            dinv_t[(i, i)] += T::from_f64(2.0);
+            dinv[(i, i)] += T::from_f64(2.0);
         }
-        diag.push(dinv_t);
+        diag.push(SymMat::from_lower(&dinv));
         let mut l21 = rand_mat::<T>(n - k0 - nb, nb, rng);
         let s = T::from_f64(1.0 / n as f64);
         l21.as_mut_slice().iter_mut().for_each(|v| *v *= s);

@@ -27,7 +27,9 @@
 //! [`CommStats`](crate::stats::CommStats); `srsf-core` layers its
 //! factorization records on top.
 
-use srsf_linalg::{Mat, Scalar};
+use srsf_linalg::ldlt::NB;
+use srsf_linalg::sym::packed_len;
+use srsf_linalg::{Mat, Scalar, SymMat};
 
 /// A finished message payload (owned bytes).
 ///
@@ -145,6 +147,16 @@ impl ByteWriter {
     pub fn put_mat<T: Scalar>(&mut self, m: &Mat<T>) {
         self.put_u64(m.nrows() as u64);
         self.put_u64(m.ncols() as u64);
+        for &x in m.as_slice() {
+            self.put_scalar(x);
+        }
+    }
+
+    /// Write a packed symmetric matrix as its length-prefixed packed
+    /// lower columns; the order is the reader's to state
+    /// ([`ByteReader::try_get_sym`]).
+    pub fn put_sym<T: Scalar>(&mut self, m: &SymMat<T>) {
+        self.put_u64(m.as_slice().len() as u64);
         for &x in m.as_slice() {
             self.put_scalar(x);
         }
@@ -304,6 +316,22 @@ impl ByteReader {
         let n = self.check_len(total, scalar_bytes::<T>())?;
         let data = self.take_scalars(n);
         Ok(Mat::from_vec(nrows as usize, ncols as usize, data))
+    }
+
+    /// Bounds-checked read of a packed symmetric matrix of order `n`:
+    /// a length prefix other than `n (n + 1) / 2` is
+    /// [`CodecError::Invalid`], before anything is allocated.
+    pub fn try_get_sym<T: Scalar>(&mut self, n: usize) -> Result<SymMat<T>, CodecError> {
+        let invalid = CodecError::Invalid {
+            what: "packed symmetric length vs order",
+            at: self.pos,
+        };
+        let claimed = self.try_get_u64()?;
+        if packed_len(n).is_none_or(|len| claimed != len as u64) {
+            return Err(invalid);
+        }
+        let len = self.check_len(claimed, scalar_bytes::<T>())?;
+        SymMat::from_packed(n, self.take_scalars(len)).ok_or(invalid)
     }
 
     /// Read an unsigned 64-bit integer.
@@ -597,39 +625,45 @@ impl<T: Scalar> Wire for srsf_linalg::Lu<T> {
 
 /// The block columns held (all of them, or a rank's range of a
 /// distributed top): matrix dimension, first block column, count, then
-/// one (diagonal block inverse `D_k⁻ᵀ`, panel) pair per column.
+/// one (packed diagonal block inverse `D_k⁻¹`, panel) pair per column.
 impl<T: Scalar> Wire for srsf_linalg::Ldlt<T> {
     fn encode(&self, w: &mut ByteWriter) {
         w.put_u64(self.dim() as u64);
         w.put_u64(self.cols().start as u64);
         w.put_u64(self.cols().len() as u64);
         for (d, s) in self.diag_inverses().iter().zip(self.sub_panels()) {
-            w.put_mat(d);
+            w.put_sym(d);
             w.put_mat(s);
         }
     }
     /// Fails unless the range lies inside the matrix's block columns and
-    /// every block has the shape of its column: `nb x nb` on the
-    /// diagonal, height `n - k1` below it.
+    /// every block has the shape of its column: a packed inverse of order
+    /// `nb` on the diagonal, `nb` wide and `n - k1` high below it.
     fn decode(r: &mut ByteReader) -> Result<Self, CodecError> {
         let at = r.position();
         let n = r.try_get_u64()?;
         let first = r.try_get_u64()?;
-        // Each pair encodes at least its four dimension words.
+        // Each pair encodes at least its three length and dimension words.
         let n_cols = r.try_get_u64()?;
-        let n_cols = r.check_len(n_cols, 32)?;
+        let n_cols = r.check_len(n_cols, 24)?;
+        let invalid = CodecError::Invalid {
+            what: "LDLᵀ block columns vs dimension",
+            at,
+        };
+        // The range first, so each diagonal block's order is known
+        // before its length prefix is read.
+        let (Ok(n), Ok(first)) = (usize::try_from(n), usize::try_from(first)) else {
+            return Err(invalid);
+        };
+        if first.saturating_add(n_cols) > n.div_ceil(NB) {
+            return Err(invalid);
+        }
         let (mut diag, mut sub) = (Vec::with_capacity(n_cols), Vec::with_capacity(n_cols));
-        for _ in 0..n_cols {
-            diag.push(r.try_get_mat()?);
+        for k in first..first + n_cols {
+            diag.push(r.try_get_sym(NB.min(n - k * NB))?);
             sub.push(r.try_get_mat()?);
         }
-        usize::try_from(first)
-            .ok()
-            .and_then(|first| srsf_linalg::Ldlt::from_col_parts(n as usize, first, diag, sub))
-            .ok_or(CodecError::Invalid {
-                what: "LDLᵀ block columns vs dimension",
-                at,
-            })
+        srsf_linalg::Ldlt::from_col_parts(n, first, diag, sub).ok_or(invalid)
     }
 }
 
@@ -700,6 +734,36 @@ mod tests {
         let back: Mat<c64> = r.get_mat();
         assert_eq!(back, m);
         assert_eq!(r.remaining(), 0);
+    }
+
+    /// A packed symmetric matrix comes back at the order the reader
+    /// states; any other order — a length prefix that is not
+    /// `n (n + 1) / 2` — is `Invalid` before anything is allocated.
+    #[test]
+    fn packed_symmetric_round_trip_and_order_check() {
+        let mut a = Mat::from_fn(4, 4, |i, j| c64::new((i + 4 * j) as f64, -(j as f64)));
+        a.mirror_upper();
+        let m = SymMat::from_lower(&a);
+        let mut w = ByteWriter::new();
+        w.put_sym(&m);
+        let bytes = w.finish();
+        assert_eq!(bytes.len(), 8 + 10 * 16);
+        let back = ByteReader::new(bytes.clone())
+            .try_get_sym::<c64>(4)
+            .unwrap();
+        assert_eq!(back, m);
+        for order in [0, 3, 5, usize::MAX] {
+            assert!(matches!(
+                ByteReader::new(bytes.clone()).try_get_sym::<c64>(order),
+                Err(CodecError::Invalid { at: 0, .. })
+            ));
+        }
+        let mut short = bytes.clone();
+        short.truncate(bytes.len() - 1);
+        assert!(matches!(
+            ByteReader::new(short).try_get_sym::<c64>(4),
+            Err(CodecError::Oversized { .. })
+        ));
     }
 
     #[test]
