@@ -25,8 +25,8 @@ use srsf_linalg::panel::{panel_mul_acc, panel_mul_sym_acc, panel_mul_t_acc, pane
 use srsf_linalg::rid::sketch_block;
 use srsf_linalg::triangular::solve_upper_mat;
 use srsf_linalg::{
-    c64, cpqr, householder_qr, interp_decomp, rand_interp_decomp, Ldlt, LinOp, Lu, Mat, Scalar,
-    SymMat, SymPanels,
+    c64, cpqr, householder_qr, interp_decomp, rand_interp_decomp, Coupling, Ldlt, LinOp, Lu, Mat,
+    Scalar, SymMat, SymPanels,
 };
 use srsf_special::bessel::{hankel0_1_slice, j0, y0};
 use srsf_special::log::ln_slice;
@@ -253,7 +253,9 @@ fn top_factor_cases<T: Scalar>(h: &mut Harness, tag: &str, n: usize) -> Ldlt<T> 
 /// the column-major call it replaced at the same `nrhs`: `EN^T B_N` and
 /// `EN B_R` against `gemm/`, `X_RR^{-1}` against `lu_solve/`, the packed
 /// top against `ldlt_solve/` (which `top_factor_cases` has already
-/// recorded for `nrhs = 16`).
+/// recorded for `nrhs = 16`). The `_f32` cases run the two `EN` products
+/// on the coupling held in `f32`, as a factorization at a tolerance of at
+/// least `2^-21` holds it.
 fn panel_cases<T: Scalar>(
     h: &mut Harness,
     scalar: &str,
@@ -272,6 +274,13 @@ fn panel_cases<T: Scalar>(
     let mut d = Mat::zeros(hp, n);
     h.bench(&format!("panel_mul_t/{scalar}_{nrhs}x{n}x{r}"), || {
         panel_mul_t_acc(&mut d, T::ONE, &xr, &en)
+    });
+    let narrow = Coupling::new(en.clone(), true);
+    h.bench(&format!("panel_mul/{scalar}_{nrhs}x{n}x{r}_f32"), || {
+        panel_mul_acc(&mut v, T::ONE, &xn, &narrow, false)
+    });
+    h.bench(&format!("panel_mul_t/{scalar}_{nrhs}x{n}x{r}_f32"), || {
+        panel_mul_t_acc(&mut d, T::ONE, &xr, &narrow)
     });
     let br = mat(r, nrhs, 67);
     h.bench(&format!("gemm/{scalar}_{n}x{r}x{nrhs}"), || {

@@ -27,7 +27,7 @@ use srsf_linalg::gemm::{
     adjoint_matmul_acc, adjoint_matmul_sub, gemm_acc_block, gemm_acc_to_blocks, is_packed, matmul,
     matmul_sub, transpose_matmul, transpose_matmul_acc,
 };
-use srsf_linalg::{Lu, Mat, Scalar, SymMat};
+use srsf_linalg::{Coupling, Lu, Mat, Scalar, SymMat};
 
 /// Per-box factorization record: the pieces of `V = L S^* P^T` and
 /// `W = P S U` (Eq. 10) needed to apply the inverse.
@@ -43,7 +43,11 @@ use srsf_linalg::{Lu, Mat, Scalar, SymMat};
 /// because such a kernel is sparsified with `T^T` — and `X_RR^{-1}`,
 /// which is then symmetric, as one packed triangle. With `T`, it holds
 /// `2|S||R| + |N||R| + |R|(|R| + 1)/2` entries where the general form
-/// holds `3|S||R| + 2|N||R| + |R|^2`.
+/// holds `3|S||R| + 2|N||R| + |R|^2`. The neighbor couplings — `en`, and
+/// `fnb` of a general record — are [`Coupling`]s: a factorization at a
+/// tolerance of at least `2^-21` (`narrow_couplings`) rounds them to
+/// `f32` once the Schur update has used them, so their `|N||R|` entries
+/// (`2|N||R|` general) take half the bytes of the others.
 #[derive(Clone, Debug)]
 pub struct BoxElimination<T> {
     /// The eliminated box.
@@ -60,7 +64,7 @@ pub struct BoxElimination<T> {
     /// Skeleton coupling `X_SR` (`|S| x |R|`).
     pub es: Mat<T>,
     /// Neighbor coupling `X_NR` (`|N| x |R|`).
-    pub en: Mat<T>,
+    pub en: Coupling<T>,
     /// The inverse of the sparsified diagonal block `X_RR`, formed from
     /// its pivoted LU, and what the form adds to the left couplings.
     pub form: RecordForm<T>,
@@ -83,7 +87,7 @@ pub enum RecordForm<T> {
         /// `X_RS` (`|R| x |S|`).
         fs: Mat<T>,
         /// `X_RN` (`|R| x |N|`).
-        fnb: Mat<T>,
+        fnb: Coupling<T>,
     },
 }
 
@@ -107,6 +111,15 @@ impl<T: Scalar> BoxElimination<T> {
             + form
             + (self.redundant.capacity() + self.skel.capacity() + self.nbr.capacity()) * 4
     }
+}
+
+/// Whether a factorization at tolerance `tol` holds its neighbor
+/// couplings in `f32`: when the unit roundoff of `f32`, `2^-24`, is at
+/// most `tol / 8` — `tol >= 2^-21 ≈ 4.77e-7`. The rounding then stays
+/// eight times below the compression error the factorization already
+/// accepts.
+pub(crate) fn narrow_couplings(tol: f64) -> bool {
+    f64::from(f32::EPSILON) / 2.0 <= tol / 8.0
 }
 
 /// Everything produced by eliminating one box.
@@ -221,6 +234,7 @@ pub fn eliminate_box<K: Kernel>(
     // `(B, N)` side is a transpose of the `(N, B)` side and only one
     // coupling per direction is kept.
     let sym = store.symmetric();
+    let narrow = narrow_couplings(opts.tol);
 
     // Gather current blocks.
     let a_bb = store.get(b, b, act);
@@ -313,7 +327,7 @@ pub fn eliminate_box<K: Kernel>(
         let form = RecordForm::General {
             inv_t,
             fs: x_rs,
-            fnb: x_rn,
+            fnb: Coupling::new(x_rn, narrow),
         };
         (f_s, f_n, Some(a_sn), form)
     };
@@ -421,7 +435,9 @@ pub fn eliminate_box<K: Kernel>(
         nbr,
         t,
         es,
-        en,
+        // The Schur updates above used `EN` at full width; only the record
+        // is narrowed.
+        en: Coupling::new(en, narrow),
         form,
     };
 
@@ -487,19 +503,19 @@ mod tests {
     use srsf_kernels::laplace::LaplaceKernel;
 
     /// Eliminate the two finest levels of the problem on `pts` (leaves of
-    /// `leaf_size` points on average) with a merge in between, handing
-    /// every output to `per_output` with the active sets it was computed
-    /// against and checking `per_level` on the store after each level's
-    /// eliminations and after the merge. Returns the peak block count.
+    /// `leaf_size` points on average) at tolerance `tol` with a merge in
+    /// between, handing every output to `per_output` with the active sets
+    /// it was computed against and checking `per_level` on the store after
+    /// each level's eliminations and after the merge. Returns the peak
+    /// block count.
     fn sweep_two_levels<K: Kernel>(
         kernel: &K,
-        pts: &[Point],
-        leaf_size: usize,
+        (pts, leaf_size, tol): (&[Point], usize, f64),
         mut per_level: impl FnMut(&BlockStore<'_, K>, &ActiveSets),
         mut per_output: impl FnMut(&ActiveSets, &BoxId, &EliminationOutput<K::Elem>),
     ) -> usize {
         let tree = QuadTree::build(pts, BBox::UNIT, leaf_size);
-        let opts = FactorOpts::default();
+        let opts = FactorOpts::default().with_tol(tol);
         let ctx = CompressionCtx::new(kernel, pts, &tree, &opts);
         let mut store = BlockStore::new(kernel, pts);
         let mut act = ActiveSets::new();
@@ -535,10 +551,10 @@ mod tests {
     /// symmetry hidden.
     fn assert_symmetric_store_is_one_sided<K: Kernel + Clone>(kernel: &K, grid: &UnitGrid) {
         let pts = grid.points();
+        let tol = FactorOpts::default().tol;
         let blocks_sym = sweep_two_levels(
             kernel,
-            &pts,
-            16,
+            (&pts, 16, tol),
             |store, act| {
                 assert!(store.symmetric());
                 for ((a, b), m) in store.stored_pairs() {
@@ -554,8 +570,7 @@ mod tests {
         );
         let blocks_gen = sweep_two_levels(
             &HideSymmetry(kernel.clone()),
-            &pts,
-            16,
+            (&pts, 16, tol),
             |store, _| assert!(!store.symmetric()),
             |_, _, out| assert!(out.record.as_ref().is_none_or(|rec| !rec.is_symmetric())),
         );
@@ -579,14 +594,20 @@ mod tests {
     /// scratch — the lower block strips one product each in symmetric
     /// mode, the whole square as one product otherwise — cut into blocks.
     /// `FN = X_RR^{-1} X_RN` is re-formed from the record's inverse as
-    /// elimination forms it.
+    /// elimination forms it. The record must hold its couplings at full
+    /// width, as the deltas used them.
     fn deltas_by_full_product<T: Scalar>(rec: &BoxElimination<T>, sizes: &[usize]) -> Vec<Mat<T>> {
         let sym = rec.is_symmetric();
-        let f_n = match &rec.form {
-            RecordForm::General { inv_t, fnb, .. } => transpose_matmul(inv_t, fnb),
-            RecordForm::Symmetric { inv } => matmul(&rec.en, &inv.to_mat()).transpose(),
+        let wide = |m: &Coupling<T>| match m {
+            Coupling::Wide(m) => m.clone(),
+            Coupling::Narrow(_) => panic!("a narrow coupling has lost the bits the deltas used"),
         };
-        let (rows, n_r) = (rec.en.nrows(), rec.en.ncols());
+        let en = wide(&rec.en);
+        let f_n = match &rec.form {
+            RecordForm::General { inv_t, fnb, .. } => transpose_matmul(inv_t, &wide(fnb)),
+            RecordForm::Symmetric { inv } => matmul(&en, &inv.to_mat()).transpose(),
+        };
+        let (rows, n_r) = (en.nrows(), en.ncols());
         let offs: Vec<usize> = (0..sizes.len()).map(|j| sizes[..j].iter().sum()).collect();
         let mut full = Mat::zeros(rows, rows);
         if sym {
@@ -596,14 +617,14 @@ mod tests {
                     &mut full,
                     (r0, 0, h, w),
                     -T::ONE,
-                    &rec.en,
+                    &en,
                     strip,
                     &f_n,
                     (0, 0, n_r, w),
                 );
             }
         } else {
-            srsf_linalg::gemm::matmul_acc(&mut full, -T::ONE, &rec.en, &f_n);
+            srsf_linalg::gemm::matmul_acc(&mut full, -T::ONE, &en, &f_n);
         }
         let mut deltas = Vec::new();
         for j in 0..sizes.len() {
@@ -622,17 +643,18 @@ mod tests {
     /// deltas bitwise against [`deltas_by_full_product`]. Returns, per
     /// mode, the strips that took the packed path and those of them with
     /// a block under 12 columns (one the packed path never takes alone).
+    /// The sweep runs just below the tolerance at which records narrow
+    /// their couplings, so that each keeps the bits its deltas used.
     fn assert_deltas_match_full_product<K: Kernel + Clone>(
         kernel: &K,
         pts: &[Point],
         leaf_size: usize,
     ) -> [(usize, usize); 2] {
         fn check<K: Kernel>(kernel: &K, pts: &[Point], leaf_size: usize) -> (usize, usize) {
-            let (mut packed, mut narrow) = (0, 0);
+            let (mut packed, mut thin) = (0, 0);
             sweep_two_levels(
                 kernel,
-                pts,
-                leaf_size,
+                (pts, leaf_size, 4e-7),
                 |_, _| {},
                 |act, b, out| {
                     let Some(rec) = &out.record else { return };
@@ -655,11 +677,11 @@ mod tests {
                             (&sizes[..], is_packed(n_total, n_total, n_r))
                         };
                         packed += strip_packed as usize;
-                        narrow += (strip_packed && blocks.iter().any(|&w| w < 12)) as usize;
+                        thin += (strip_packed && blocks.iter().any(|&w| w < 12)) as usize;
                     }
                 },
             );
-            (packed, narrow)
+            (packed, thin)
         }
         [
             check(kernel, pts, leaf_size),
@@ -689,6 +711,19 @@ mod tests {
         }
         let kernel = LaplaceKernel::with_params(1.0 / pts.len() as f64, 1.0);
         let counts = assert_deltas_match_full_product(&kernel, &pts, 64);
-        assert!(counts.iter().all(|&(_, narrow)| narrow > 0), "{counts:?}");
+        assert!(counts.iter().all(|&(_, thin)| thin > 0), "{counts:?}");
+    }
+
+    /// The couplings narrow from `tol = 2^-21` up, where the unit
+    /// roundoff of `f32` is `tol / 8`, and not a step below it.
+    #[test]
+    fn couplings_narrow_from_two_to_the_minus_21() {
+        let switch = 2f64.powi(-21);
+        for tol in [switch, 5e-7, 1e-6, 1e-3] {
+            assert!(narrow_couplings(tol), "tol {tol:e}");
+        }
+        for tol in [switch * (1.0 - f64::EPSILON), 4e-7, 1e-9, 0.0] {
+            assert!(!narrow_couplings(tol), "tol {tol:e}");
+        }
     }
 }

@@ -51,7 +51,10 @@ use srsf_linalg::{Mat, Scalar};
 //   down: b_R -= X_RR^{-1} (FS b_S + FN b_N);               b_S -= T b_R
 //
 // with `FS = X_RS`, `FN = X_RN`: held as such by a general record, and
-// `ES^T`, `EN^T` in a symmetric one, which holds no `F`. `T' = T^T` for
+// `ES^T`, `EN^T` in a symmetric one, which holds no `F`. `EN` and `FN`
+// may be held in `f32` (`srsf_linalg::Coupling`); the panel products
+// widen them exactly as they stream them, so a narrow record applies the
+// widened matrix and the arithmetic is otherwise the same. `T' = T^T` for
 // a symmetric record and `T^H` for a general one is the whole rule: a
 // symmetric kernel (`A = A^T`, real or complex) is sparsified by the
 // congruence `S^T A S`, because the column ID `A_{F,R} ~ A_{F,S} T` then

@@ -52,7 +52,9 @@ pub struct FactorStats {
     pub total_s: f64,
     /// Size of the final dense top block.
     pub top_size: usize,
-    /// Approximate bytes held by the factorization records.
+    /// Heap bytes held by the factor: every record and the factored dense
+    /// top (summed over ranks under the distributed driver, which counts
+    /// each rank's share of the top and its index map too).
     pub record_bytes: usize,
     /// Peak bytes held by the modified-block store.
     pub peak_store_bytes: usize,

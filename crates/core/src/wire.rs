@@ -14,7 +14,7 @@ use crate::stats::{CompressionTelemetry, FactorStats};
 use crate::top::TopFactor;
 use srsf_geometry::point::Point;
 use srsf_geometry::tree::BoxId;
-use srsf_linalg::{Mat, Scalar};
+use srsf_linalg::{Coupling, Mat, Scalar};
 use srsf_runtime::codec::{crc64, ByteReader, ByteWriter, CodecError, Wire};
 use std::collections::HashMap;
 use std::path::Path;
@@ -97,7 +97,8 @@ impl Wire for FactorError {
 
 /// Box id, the three id lists, `T`, `ES` and `EN`, then a form flag:
 /// 0 = symmetric record, `X_RR^{-1}` packed follows; 1 = general record,
-/// `X_RR^{-T}`, `FS` and `FN` follow.
+/// `X_RR^{-T}`, `FS` and `FN` follow. `EN` and `FN` go as couplings, each
+/// with its width flag ([`ByteWriter::put_coupling`]).
 impl<T: Scalar> Wire for BoxElimination<T> {
     fn encode(&self, w: &mut ByteWriter) {
         put_box(w, &self.box_id);
@@ -106,7 +107,7 @@ impl<T: Scalar> Wire for BoxElimination<T> {
         put_ids(w, &self.nbr);
         w.put_mat(&self.t);
         w.put_mat(&self.es);
-        w.put_mat(&self.en);
+        w.put_coupling(&self.en);
         match &self.form {
             RecordForm::Symmetric { inv } => {
                 w.put_u64(0);
@@ -116,7 +117,7 @@ impl<T: Scalar> Wire for BoxElimination<T> {
                 w.put_u64(1);
                 w.put_mat(inv_t);
                 w.put_mat(fs);
-                w.put_mat(fnb);
+                w.put_coupling(fnb);
             }
         }
     }
@@ -128,7 +129,7 @@ impl<T: Scalar> Wire for BoxElimination<T> {
         let nbr = try_get_ids(r)?;
         let t = r.try_get_mat()?;
         let es = r.try_get_mat()?;
-        let en = r.try_get_mat()?;
+        let en = r.try_get_coupling()?;
         let flag_at = r.position();
         let (nr, ns, nn) = (redundant.len(), skel.len(), nbr.len());
         let form = match r.try_get_u64()? {
@@ -139,7 +140,7 @@ impl<T: Scalar> Wire for BoxElimination<T> {
             1 => RecordForm::General {
                 inv_t: r.try_get_mat()?,
                 fs: r.try_get_mat()?,
-                fnb: r.try_get_mat()?,
+                fnb: r.try_get_coupling()?,
             },
             _ => {
                 return Err(CodecError::Invalid {
@@ -153,13 +154,14 @@ impl<T: Scalar> Wire for BoxElimination<T> {
         // `(|R|, |S|, |N|)` here: a frame that passed the CRC but is
         // inconsistent must fail to decode, not panic a later solve.
         let shape = |m: &Mat<T>, rows: usize, cols: usize| m.nrows() == rows && m.ncols() == cols;
+        let coupling_shape = |m: &Coupling<T>, rows, cols| m.nrows() == rows && m.ncols() == cols;
         let consistent = shape(&t, ns, nr)
             && shape(&es, ns, nr)
-            && shape(&en, nn, nr)
+            && coupling_shape(&en, nn, nr)
             && match &form {
                 RecordForm::Symmetric { .. } => true,
                 RecordForm::General { inv_t, fs, fnb } => {
-                    shape(inv_t, nr, nr) && shape(fs, nr, ns) && shape(fnb, nr, nn)
+                    shape(inv_t, nr, nr) && shape(fs, nr, ns) && coupling_shape(fnb, nr, nn)
                 }
             };
         if !consistent {
@@ -384,7 +386,9 @@ const CKPT_MAGIC: &[u8; 8] = b"SRSFCKP1";
 /// (length-prefixed, `|R|(|R|+1)/2` entries) after its form flag, which
 /// now precedes the inverse in both forms; a packed `L D Lᵀ` block
 /// column carries `D_k^{-1}` packed the same way.
-const CKPT_VERSION: u64 = 12;
+/// v13: a record's `EN` (and a general record's `FN`) carries a width
+/// flag, and a narrow one its `f32` parts as length-prefixed bytes.
+const CKPT_VERSION: u64 = 13;
 /// Header length in bytes.
 const CKPT_HEADER: usize = 40;
 /// Scalar tag of the scalar-independent manifest file.
@@ -649,11 +653,11 @@ mod tests {
             nbr: vec![4, 5, 6],
             t: Mat::from_fn(1, 2, |_, _| v),
             es: Mat::from_fn(1, 2, |_, _| v),
-            en: Mat::from_fn(3, 2, |_, _| v),
+            en: Coupling::new(Mat::from_fn(3, 2, |_, _| v), false),
             form: RecordForm::General {
                 inv_t: Mat::from_fn(2, 2, |i, j| if i == j { v.recip() } else { T::ZERO }),
                 fs: Mat::from_fn(2, 1, |_, _| v),
-                fnb: Mat::from_fn(2, 3, |_, _| v),
+                fnb: Coupling::new(Mat::from_fn(2, 3, |_, _| v), true),
             },
         }
     }

@@ -227,17 +227,22 @@ fn helmholtz_symmetric_block_solve_matches_vector_solve() {
 /// (`|N||R|`) and the packed `X_RR^{-1}` (`|R|(|R|+1)/2`), plus the
 /// three id lists at four bytes an id; then the packed top — per block
 /// column `D_k^{-1}` (`nb(nb+1)/2`) and the panel below it
-/// (`(top - k1) nb`) — and its index map. No buffer holds a spare slot.
-fn assert_footprint_is_the_packed_layout<K: Kernel>(kernel: &K, pts: &[Point]) {
-    let f = common::factorize(kernel, pts, &opts()).expect("factorization");
+/// (`(top - k1) nb`) — and its index map. `EN` counts at its stored
+/// width: half an entry's bytes from `tol = 2^-21` up, where the records
+/// hold it in `f32`. No buffer holds a spare slot.
+fn assert_footprint_is_the_packed_layout<K: Kernel>(kernel: &K, pts: &[Point], tol: f64) {
+    let f = common::factorize(kernel, pts, &opts().with_tol(tol)).expect("factorization");
     let mut r = ByteReader::new(f.to_bytes());
     r.try_get_u64().expect("n");
     let records = Vec::<BoxElimination<K::Elem>>::decode(&mut r).expect("records");
     assert!(records.iter().all(BoxElimination::is_symmetric));
-    let (mut entries, mut ids) = (0, 0);
+    let narrow = tol >= 2f64.powi(-21);
+    assert!(records.iter().all(|rec| rec.en.is_narrow() == narrow));
+    let (mut entries, mut en_entries, mut ids) = (0, 0, 0);
     for rec in &records {
         let (nr, ns, nn) = (rec.redundant.len(), rec.skel.len(), rec.nbr.len());
-        entries += 2 * ns * nr + nr * (nr + 1) / 2 + nn * nr;
+        entries += 2 * ns * nr + nr * (nr + 1) / 2;
+        en_entries += nn * nr;
         ids += nr + ns + nn;
     }
     let TopFactor::Symmetric(top) = f.top_factor() else {
@@ -255,15 +260,22 @@ fn assert_footprint_is_the_packed_layout<K: Kernel>(kernel: &K, pts: &[Point]) {
         "{} records, top {n_top}",
         records.len()
     );
-    assert_eq!(f.memory_bytes(), entries * elem + ids * 4);
+    let en_bytes = en_entries * if narrow { elem / 2 } else { elem };
+    assert_eq!(f.memory_bytes(), entries * elem + en_bytes + ids * 4);
 }
 
+/// The layout on both sides of the coupling switch: `TOL` holds `EN` in
+/// `f32`, `4e-7` in full width.
 #[test]
 fn symmetric_footprint_is_the_packed_layout() {
-    let grid = UnitGrid::new(32);
-    assert_footprint_is_the_packed_layout(&LaplaceKernel::new(&grid), &grid.points());
-    let grid = UnitGrid::new(24);
-    assert_footprint_is_the_packed_layout(&HelmholtzKernel::new(&grid, 25.0), &grid.points());
+    for tol in [TOL, 4e-7] {
+        let grid = UnitGrid::new(32);
+        let laplace = LaplaceKernel::new(&grid);
+        assert_footprint_is_the_packed_layout(&laplace, &grid.points(), tol);
+        let grid = UnitGrid::new(24);
+        let helmholtz = HelmholtzKernel::new(&grid, 25.0);
+        assert_footprint_is_the_packed_layout(&helmholtz, &grid.points(), tol);
+    }
 }
 
 /// A symmetric, well-conditioned kernel no block `L D Lᵀ` without

@@ -19,7 +19,7 @@ use srsf_kernels::kernel::Kernel;
 use srsf_kernels::laplace::LaplaceKernel;
 use srsf_kernels::util::random_vector;
 use srsf_linalg::ldlt::NB;
-use srsf_linalg::{c64, Ldlt, Lu, Mat, Scalar, SymMat};
+use srsf_linalg::{c64, Coupling, Ldlt, Lu, Mat, Scalar, SymMat};
 use srsf_runtime::codec::{ByteReader, ByteWriter, CodecError, Wire};
 use srsf_runtime::{Histogram, Span, TraceReport};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -134,7 +134,8 @@ fn gen_box_id(rng: &mut Rng) -> BoxId {
 }
 
 /// A shape-consistent record in either form: `symmetric` drops the right
-/// couplings, as a symmetric kernel's factorization does.
+/// couplings, as a symmetric kernel's factorization does. The stream
+/// picks the couplings' width, as a factorization's tolerance does.
 fn gen_record_form<T: Scalar>(
     rng: &mut Rng,
     v: impl Fn(&mut Rng) -> T,
@@ -143,6 +144,7 @@ fn gen_record_form<T: Scalar>(
     let nr = rng.below(4);
     let ns = rng.below(4);
     let nn = rng.below(5);
+    let narrow = rng.next() & 1 == 0;
     let mat = |rng: &mut Rng, m: usize, n: usize| {
         let vals: Vec<T> = (0..m * n).map(|_| v(rng)).collect();
         Mat::from_vec(m, n, vals)
@@ -155,7 +157,7 @@ fn gen_record_form<T: Scalar>(
         skel: (0..ns).map(|_| rng.next() as u32).collect(),
         nbr: (0..nn).map(|_| rng.next() as u32).collect(),
         es: mat(rng, ns, nr),
-        en: mat(rng, nn, nr),
+        en: Coupling::new(mat(rng, nn, nr), narrow),
         form: if symmetric {
             RecordForm::Symmetric {
                 inv: SymMat::from_lower(&inv),
@@ -164,7 +166,7 @@ fn gen_record_form<T: Scalar>(
             RecordForm::General {
                 inv_t: inv,
                 fs: mat(rng, nr, ns),
-                fnb: mat(rng, nr, nn),
+                fnb: Coupling::new(mat(rng, nr, nn), narrow),
             }
         },
         t,
@@ -481,6 +483,8 @@ fn record_inconsistent_shape_is_codec_error() {
     let mut rng = Rng::new(95);
     let grow = |m: &Mat<f64>| Mat::<f64>::zeros(m.nrows() + 1, m.ncols());
     let widen = |m: &Mat<f64>| Mat::<f64>::zeros(m.nrows(), m.ncols() + 1);
+    let widen_coupling =
+        |m: &Coupling<f64>| Coupling::new(Mat::zeros(m.nrows(), m.ncols() + 1), m.is_narrow());
     for i in 0..iters(32, 4) {
         let good = gen_record_form(&mut rng, Rng::finite_f64, i % 2 == 0);
         BoxElimination::<f64>::from_bytes(good.to_bytes()).expect("consistent record decodes");
@@ -493,11 +497,11 @@ fn record_inconsistent_shape_is_codec_error() {
         bend("t rows", &|r| r.t = grow(&r.t));
         bend("t cols", &|r| r.t = widen(&r.t));
         bend("es rows", &|r| r.es = grow(&r.es));
-        bend("en cols", &|r| r.en = widen(&r.en));
+        bend("en cols", &|r| r.en = widen_coupling(&r.en));
         bend("redundant list", &|r| r.redundant.push(1));
         bend("skel list", &|r| r.skel.push(1));
         bend("nbr list", &|r| r.nbr.push(1));
-        let general = |f: fn(&mut Mat<f64>, &mut Mat<f64>, &mut Mat<f64>)| {
+        let general = |f: fn(&mut Mat<f64>, &mut Mat<f64>, &mut Coupling<f64>)| {
             move |r: &mut BoxElimination<f64>| {
                 if let RecordForm::General { inv_t, fs, fnb } = &mut r.form {
                     f(inv_t, fs, fnb);
@@ -519,11 +523,16 @@ fn record_inconsistent_shape_is_codec_error() {
             );
             bend(
                 "fnb cols",
-                &general(|_, _, m| *m = Mat::zeros(m.nrows(), m.ncols() + 1)),
+                &general(|_, _, m| {
+                    *m = Coupling::new(Mat::zeros(m.nrows(), m.ncols() + 1), m.is_narrow())
+                }),
             );
         }
         for (what, rec) in cases {
             expect_invalid(rec.to_bytes(), what);
+        }
+        for (what, bytes) in coupling_bends(&good) {
+            expect_invalid(bytes, &what);
         }
         if good.is_symmetric() {
             for (what, bytes) in packed_inverse_bends(&good) {
@@ -531,6 +540,57 @@ fn record_inconsistent_shape_is_codec_error() {
             }
         }
     }
+}
+
+/// A real record's frame with a coupling's width flag bent to a value
+/// other than 0 and 1, and with a narrow coupling's payload length word
+/// bent to other than `rows · cols · 4`: one part short or long, twice
+/// the length (the width of a complex payload), a stray byte, zero, and
+/// a length no frame could hold — each an `Invalid` before the reader
+/// sizes anything from it. `EN` sits behind the box id, the three id
+/// lists, `T` and `ES`; a general record's `FN` ends the frame.
+fn coupling_bends(rec: &BoxElimination<f64>) -> Vec<(String, Vec<u8>)> {
+    let bytes = rec.to_bytes();
+    let (nr, ns, nn) = (rec.redundant.len(), rec.skel.len(), rec.nbr.len());
+    let coupling_bytes = |m: &Coupling<f64>| {
+        let entries = m.nrows() * m.ncols();
+        24 + if m.is_narrow() {
+            8 + 4 * entries
+        } else {
+            8 * entries
+        }
+    };
+    let en_at = 8 + 3 * 8 + 8 * (nr + ns + nn) + 2 * (16 + 8 * ns * nr);
+    let mut at = vec![("en", en_at, &rec.en)];
+    if let RecordForm::General { fnb, .. } = &rec.form {
+        at.push(("fnb", bytes.len() - coupling_bytes(fnb), fnb));
+    }
+    let word = |bytes: &[u8], at: usize, v: u64| {
+        let mut bent = bytes.to_vec();
+        bent[at..at + 8].copy_from_slice(&v.to_le_bytes());
+        bent
+    };
+    let mut cases = Vec::new();
+    for (name, at, m) in at {
+        let flag = u64::from(m.is_narrow());
+        assert_eq!(bytes[at..at + 8], flag.to_le_bytes(), "{name} flag");
+        for bad in [2u64, 3, 1 << 32, u64::MAX] {
+            cases.push((format!("{name} width flag {bad}"), word(&bytes, at, bad)));
+        }
+        if m.is_narrow() {
+            let len = 4 * (m.nrows() * m.ncols()) as u64;
+            assert_eq!(bytes[at + 24..at + 32], len.to_le_bytes(), "{name} length");
+            let mut lens = vec![len + 4, 2 * len + 8, len + 1, u64::MAX];
+            if len > 0 {
+                lens.extend([len - 4, 2 * len, len - 1, 0]);
+            }
+            for bad in lens {
+                let what = format!("{name} payload of {bad} bytes for {len}");
+                cases.push((what, word(&bytes, at + 24, bad)));
+            }
+        }
+    }
+    cases
 }
 
 /// A symmetric record's frame with its packed inverse (the frame's
@@ -925,9 +985,9 @@ fn checkpoint_container_rejects_corruption() {
     // no top form tag; v4: a per-record phase table in rank snapshots;
     // v5: an `L D Lᵀ` without its block-column range; v6: four
     // compression counters in the stats; v11: full-square inverses in
-    // symmetric records and the packed top) are refused by their
-    // version word, not misread.
-    for old in [2u64, 3, 4, 5, 6, 11] {
+    // symmetric records and the packed top; v12: couplings without a
+    // width flag) are refused by their version word, not misread.
+    for old in [2u64, 3, 4, 5, 6, 11, 12] {
         let mut bent = bytes.clone();
         bent[8..16].copy_from_slice(&old.to_le_bytes());
         expect_rejected(&bent, &format!("version-{old} checkpoint"));

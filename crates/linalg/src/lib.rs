@@ -9,6 +9,7 @@
 //! * partially pivoted LU ([`lu`]) and triangular solves ([`triangular`]),
 //! * a packed block `L D Lᵀ` of a symmetric matrix ([`ldlt`]),
 //! * a symmetric matrix held as one packed triangle ([`sym`]),
+//! * a coupling block held in `f64` or rounded to `f32` ([`coupling`]),
 //! * the RHS-major panel kernels of the blocked solve sweep ([`panel`]):
 //!   `panel · M` and `panel · Mᵀ`, `M` dense or packed symmetric (plus
 //!   the right-sided triangular solves of the general top and of inverse
@@ -30,6 +31,7 @@
 #![forbid(unsafe_code)]
 
 pub mod complex;
+pub mod coupling;
 pub mod gemm;
 pub mod id;
 pub mod ldlt;
@@ -46,6 +48,7 @@ pub mod triangular;
 pub mod vecops;
 
 pub use complex::c64;
+pub use coupling::{Coupling, NarrowMat};
 pub use id::{interp_decomp, IdResult};
 pub use ldlt::{Ldlt, LdltBreakdown, SymPanels};
 pub use lu::Lu;

@@ -61,6 +61,20 @@
 //! the square's rate on a real 16-row tile at the records' median order
 //! and 7 % on a complex 8-row one (table below).
 //!
+//! `panel_mul_acc` and `panel_mul_t_acc` take `M` as a [`Mat`] or as a
+//! [`Coupling`] at either width ([`Operand`]). A coupling held in `f32`
+//! runs the same loops: before them, each strip is widened exactly into
+//! `f64` — `CHUNK` (64) entries of each of its columns at a time, into a
+//! buffer on the stack — along the dot form's depth and the update
+//! form's output columns, and a dot chain goes on over the next chunk
+//! where it stopped. Every entry is then the chain above over the
+//! widened matrix, bit for bit (`Coupling::to_mat`). The widening
+//! costs a copy per strip and chunk and halves the bytes read. In cache
+//! the copy is a loss (the `M` in `f32` rows below: `_f32` cases of
+//! `crates/bench`, one run each); only a set of couplings past the last
+//! level of cache gains (0.8–0.9× in a scratch probe over 4000 distinct
+//! real couplings, past this host's 300 MB L3).
+//!
 //! The strips are sized by the register file. A narrower tile takes a
 //! wider strip, so that a panel of one to four right-hand sides is not
 //! left waiting on the latency of a few accumulators; real 16-row tiles
@@ -83,6 +97,8 @@
 //! | | `c64` 8 | 6: 24 of 32 | 4: 16 of 32 | 13.3 µs, 72 GFLOP/s (25.7 µs, 37 GFLOP/s in two passes of 4) | 14.3 µs, 67 GFLOP/s (21.4 µs, 45 GFLOP/s with 2) |
 //! | | `f64` 16, `M` packed | 12 | — | 1.02 µs, 55 GFLOP/s (square: 0.80 µs, 71 GFLOP/s) | — |
 //! | | `c64` 8, `M` packed | 6 | — | 1.96 µs, 66 GFLOP/s (square: 1.82 µs, 71 GFLOP/s) | — |
+//! | | `f64` 16, `M` in `f32` | 12 | 8 | 9.0 µs (full width in the same run: 7.1 µs) | 10.4 µs (9.5 µs) |
+//! | | `c64` 8, `M` in `f32` | 6 | 4 | 32 µs (20 µs), fastest of 31 in a scratch probe | 36 µs (23 µs) |
 //! | narrow (`x86-64-v3`) | `f64` 16 | 4: 16 of 16 `ymm` | 4: 16 of 16 | 25 µs, 18 GFLOP/s | 18 µs, 25 GFLOP/s |
 //! | | `c64` 8 | 2: 16 of 16 | 2: 16 of 16 | 63 µs, 15 GFLOP/s (57 µs in two passes of 4) | 40 µs, 24 GFLOP/s (the same) |
 //!
@@ -102,6 +118,7 @@
 //! sweep touches one block column at a time it runs over any contiguous
 //! range of them ([`Ldlt::forward_cols`], [`Ldlt::backward_cols`]).
 
+use crate::coupling::{parts, widen, Coupling};
 use crate::ldlt::Ldlt;
 use crate::lu::Lu;
 use crate::mat::Mat;
@@ -110,6 +127,77 @@ use crate::sym::{col_start, SymMat};
 
 /// Adjacent columns of `M` a kernel reads together.
 const STRIP: usize = 4;
+
+/// Entries of each strip column a narrow `M` is widened by at a time.
+const CHUNK: usize = 64;
+
+/// A column-major `M` as the dense products read it: a [`Mat`], or a
+/// [`Coupling`] at either width (module docs).
+#[derive(Clone, Copy)]
+pub struct Operand<'a, T> {
+    nrows: usize,
+    ncols: usize,
+    src: Src<'a, T>,
+}
+
+/// Column-major entries from some entry on: held as `T`, or as `f32`
+/// parts ([`crate::coupling`]).
+#[derive(Clone, Copy)]
+enum Src<'a, T> {
+    Wide(&'a [T]),
+    Narrow(&'a [f32]),
+}
+
+impl<T: Scalar> Src<'_, T> {
+    /// The entries from entry `e` on.
+    #[inline(always)]
+    fn at(self, e: usize) -> Self {
+        match self {
+            Src::Wide(m) => Src::Wide(&m[e..]),
+            Src::Narrow(m) => Src::Narrow(&m[e * parts::<T>()..]),
+        }
+    }
+}
+
+impl<'a, T: Scalar> From<&'a Mat<T>> for Operand<'a, T> {
+    fn from(m: &'a Mat<T>) -> Self {
+        Self {
+            nrows: m.nrows(),
+            ncols: m.ncols(),
+            src: Src::Wide(m.as_slice()),
+        }
+    }
+}
+
+impl<'a, T: Scalar> From<&'a Coupling<T>> for Operand<'a, T> {
+    fn from(m: &'a Coupling<T>) -> Self {
+        match m {
+            Coupling::Wide(m) => m.into(),
+            Coupling::Narrow(m) => Self {
+                nrows: m.nrows(),
+                ncols: m.ncols(),
+                src: Src::Narrow(m.parts()),
+            },
+        }
+    }
+}
+
+/// `buf[q][..len] = ` entries `at + q * ld ..` of the narrow `m`, `len`
+/// of them, for each of the `W` columns `q` of a strip, widened.
+#[inline(always)]
+fn widen_chunk<'b, T: Scalar, const W: usize>(
+    buf: &'b mut [[T; CHUNK]; W],
+    m: &[f32],
+    (at, ld): (usize, usize),
+    len: usize,
+) -> [&'b [T]; W] {
+    let e = parts::<T>();
+    for (q, b) in buf.iter_mut().enumerate() {
+        let from = (at + q * ld) * e;
+        widen(&m[from..from + len * e], &mut b[..len]);
+    }
+    core::array::from_fn(|q| &buf[q][..len])
+}
 
 /// Dot and update strip widths of a real 16-row tile: 24 and 16 of the
 /// 32 512-bit registers for accumulators and panel columns where the
@@ -253,18 +341,33 @@ fn join_chains<T: Scalar, const MR: usize, const W: usize, const CONJ: bool>(
 
 /// Dot form, one tile of `panel * M`: `sum_l P[i, l] * M[l, j]` for the
 /// `MR` panel rows starting at `p[0]` (leading dimension `h`) and the `W`
-/// adjacent columns of `M` starting at `m[0]`, over `l < k` (`CONJ`:
-/// `conj(M)`).
+/// adjacent columns of `M` starting at `m`'s first entry, over `l < k`
+/// (`CONJ`: `conj(M)`). A narrow strip is widened `CHUNK` rows at a
+/// time, each chain going on over the next chunk where it stopped.
 #[inline(always)]
 fn tile_dot<T: Scalar, const MR: usize, const W: usize, const CONJ: bool>(
     p: &[T],
     h: usize,
-    m: &[T],
+    m: Src<'_, T>,
     k: usize,
 ) -> [[T; MR]; W] {
-    let cols: [&[T]; W] = core::array::from_fn(|j| &m[j * k..(j + 1) * k]);
     let zero = [[T::ZERO; MR]; W];
-    let (s, t) = dot_chains((p, h), cols, k, (zero, zero));
+    let (s, t) = match m {
+        Src::Wide(m) => {
+            let cols: [&[T]; W] = core::array::from_fn(|j| &m[j * k..(j + 1) * k]);
+            dot_chains((p, h), cols, k, (zero, zero))
+        }
+        Src::Narrow(m) => {
+            let mut buf = [[T::ZERO; CHUNK]; W];
+            let mut chains = (zero, zero);
+            for l0 in (0..k).step_by(CHUNK) {
+                let len = CHUNK.min(k - l0);
+                let cols = widen_chunk(&mut buf, m, (l0, k), len);
+                chains = dot_chains((&p[l0 * h..], h), cols, len, chains);
+            }
+            chains
+        }
+    };
     join_chains::<T, MR, W, CONJ>(s, t)
 }
 
@@ -285,19 +388,45 @@ fn add_tile<T: Scalar, const MR: usize, const W: usize>(
 /// Update form, one tile of `panel * M^T`:
 /// `c[i, j] += alpha * sum_{l < W} P[i, l] * M[j, l]` for the `MR` panel
 /// rows at `i0`, every output column `j < n`, and the `W` adjacent
-/// columns of `M` (`n` rows, leading dimension `ldm`) starting at `m[0]`.
-/// `p` starts at panel column `l = 0` of the strip, `c` is `h x n`.
+/// columns of `M` (`n` rows, leading dimension `ldm`) starting at `m`'s
+/// first entry. `p` starts at panel column `l = 0` of the strip, `c` is
+/// `h x n`. A narrow strip is widened `CHUNK` output columns at a time.
 #[inline(always)]
 fn tile_update<T: Scalar, const MR: usize, const W: usize>(
     (c, p, h, i0): (&mut [T], &[T], usize, usize),
     alpha: T,
-    (m, ldm): (&[T], usize),
+    (m, ldm): (Src<'_, T>, usize),
     n: usize,
 ) {
     let pt: [[T; MR]; W] =
         core::array::from_fn(|l| core::array::from_fn(|i| alpha * p[l * h + i0 + i]));
     let ipt = pt.map(|v| times_i(v, false));
-    let cols: [&[T]; W] = core::array::from_fn(|l| &m[l * ldm..l * ldm + n]);
+    match m {
+        Src::Wide(m) => {
+            let cols: [&[T]; W] = core::array::from_fn(|l| &m[l * ldm..l * ldm + n]);
+            update_cols((c, h, i0), (&pt, &ipt), cols, n);
+        }
+        Src::Narrow(m) => {
+            let mut buf = [[T::ZERO; CHUNK]; W];
+            for j0 in (0..n).step_by(CHUNK) {
+                let len = CHUNK.min(n - j0);
+                let cols = widen_chunk(&mut buf, m, (j0, ldm), len);
+                update_cols((&mut c[j0 * h..], h, i0), (&pt, &ipt), cols, len);
+            }
+        }
+    }
+}
+
+/// The output columns `j < n` of [`tile_update`]: column `j` of `c` (at
+/// rows `i0 .. i0 + MR`) takes the rank-`W` update of entry `j` of the
+/// strip columns `cols`, with `pt = alpha P` and `ipt = i pt`.
+#[inline(always)]
+fn update_cols<T: Scalar, const MR: usize, const W: usize>(
+    (c, h, i0): (&mut [T], usize, usize),
+    (pt, ipt): (&[[T; MR]; W], &[[T; MR]; W]),
+    cols: [&[T]; W],
+    n: usize,
+) {
     for (j, col) in c.chunks_exact_mut(h).take(n).enumerate() {
         let ct = &mut col[i0..i0 + MR];
         let mut acc: [T; MR] = core::array::from_fn(|i| ct[i]);
@@ -411,18 +540,23 @@ macro_rules! for_each_dot_strip {
     }};
 }
 
-/// `C += alpha * P * M` on `h`-row panel storage: `p` is `h x m.nrows()`,
-/// `c` is `h x m.ncols()`.
-fn mul_acc<T: Scalar, const CONJ: bool>(h: usize, c: &mut [T], alpha: T, p: &[T], m: &Mat<T>) {
-    let (k, n) = (m.nrows(), m.ncols());
+/// `C += alpha * P * M` on `h`-row panel storage: `p` is `h x m.nrows`,
+/// `c` is `h x m.ncols`.
+fn mul_acc<T: Scalar, const CONJ: bool>(
+    h: usize,
+    c: &mut [T],
+    alpha: T,
+    p: &[T],
+    m: Operand<'_, T>,
+) {
+    let (k, n) = (m.nrows, m.ncols);
     assert_eq!(p.len(), h * k, "panel * M: inner dimension mismatch");
     assert_eq!(c.len(), h * n, "panel * M: output width mismatch");
     if h == 0 || k == 0 {
         return;
     }
-    let md = m.as_slice();
     for_each_tile!(T, h, |i0, MR| for_each_dot_strip!(T, MR, n, |j, W| {
-        let acc = tile_dot::<T, MR, W, CONJ>(&p[i0..], h, &md[j * k..], k);
+        let acc = tile_dot::<T, MR, W, CONJ>(&p[i0..], h, m.src.at(j * k), k);
         add_tile((&mut c[j * h..], h, i0), alpha, acc);
     }));
 }
@@ -444,15 +578,15 @@ fn mul_sym_acc<T: Scalar>(h: usize, c: &mut [T], alpha: T, p: &[T], m: &SymMat<T
 }
 
 /// `C += alpha * P * M[r0.., ..]^T` on `h`-row panel storage, with `M`
-/// given as a column-major slice of leading dimension `ldm`: `p` is
+/// given as column-major entries of leading dimension `ldm`: `p` is
 /// `h x k`, `c` is `h x n`, the rows of `M` read are `r0 .. r0 + n` of
-/// columns `c0 .. c0 + k` (the slice starts at `M[r0, c0]`).
+/// columns `c0 .. c0 + k` (the entries start at `M[r0, c0]`).
 fn mul_t_acc<T: Scalar>(
     h: usize,
     c: &mut [T],
     alpha: T,
     p: &[T],
-    (m, ldm): (&[T], usize),
+    (m, ldm): (Src<'_, T>, usize),
     (n, k): (usize, usize),
 ) {
     assert_eq!(p.len(), h * k, "panel * M^T: inner dimension mismatch");
@@ -466,7 +600,7 @@ fn mul_t_acc<T: Scalar>(
             ($w:expr) => {
                 while k - l >= $w {
                     let io = (&mut *c, &p[l * h..], h, i0);
-                    tile_update::<T, MR, { $w }>(io, alpha, (&m[l * ldm..], ldm), n);
+                    tile_update::<T, MR, { $w }>(io, alpha, (m.at(l * ldm), ldm), n);
                     l += $w;
                 }
             };
@@ -489,11 +623,17 @@ fn mul_t_acc<T: Scalar>(
 }
 
 /// `C += alpha * P * M`, or `alpha * P * conj(M)` with `conj` set: `P` is
-/// `h x k`, `M` is `k x n`, `C` is `h x n`, `h` a panel height
-/// ([`panel_rows`]).
-pub fn panel_mul_acc<T: Scalar>(c: &mut Mat<T>, alpha: T, p: &Mat<T>, m: &Mat<T>, conj: bool) {
+/// `h x k`, `M` is `k x n` (a [`Mat`] or a [`Coupling`]), `C` is `h x n`,
+/// `h` a panel height ([`panel_rows`]).
+pub fn panel_mul_acc<'a, T: Scalar>(
+    c: &mut Mat<T>,
+    alpha: T,
+    p: &Mat<T>,
+    m: impl Into<Operand<'a, T>>,
+    conj: bool,
+) {
     assert_eq!(c.nrows(), p.nrows(), "panel * M: panel heights differ");
-    let h = p.nrows();
+    let (h, m) = (p.nrows(), m.into());
     if conj && T::IS_COMPLEX {
         mul_acc::<T, true>(h, c.as_mut_slice(), alpha, p.as_slice(), m);
     } else {
@@ -511,19 +651,17 @@ pub fn panel_mul_sym_acc<T: Scalar>(c: &mut Mat<T>, alpha: T, p: &Mat<T>, m: &Sy
 }
 
 /// `C += alpha * P * M^T` (plain transpose): `P` is `h x k`, `M` is
-/// `n x k`, `C` is `h x n`.
-pub fn panel_mul_t_acc<T: Scalar>(c: &mut Mat<T>, alpha: T, p: &Mat<T>, m: &Mat<T>) {
+/// `n x k` (a [`Mat`] or a [`Coupling`]), `C` is `h x n`.
+pub fn panel_mul_t_acc<'a, T: Scalar>(
+    c: &mut Mat<T>,
+    alpha: T,
+    p: &Mat<T>,
+    m: impl Into<Operand<'a, T>>,
+) {
     assert_eq!(c.nrows(), p.nrows(), "panel * M^T: panel heights differ");
-    let (h, n) = (p.nrows(), m.nrows());
-    let shape = (n, m.ncols());
-    mul_t_acc(
-        h,
-        c.as_mut_slice(),
-        alpha,
-        p.as_slice(),
-        (m.as_slice(), n),
-        shape,
-    );
+    let (h, m) = (p.nrows(), m.into());
+    let (n, k) = (m.nrows, m.ncols);
+    mul_t_acc(h, c.as_mut_slice(), alpha, p.as_slice(), (m.src, n), (n, k));
 }
 
 /// Solve the `w` panel columns at `x[0]` against the `w x w` triangle of
@@ -588,7 +726,7 @@ fn solve_unit_lower_t<T: Scalar>(h: usize, x: &mut [T], lu: &Mat<T>) {
             j0,
             w
         ));
-        let below = (&lu.as_slice()[j0 * r + j1..], r);
+        let below = (Src::Wide(&lu.as_slice()[j0 * r + j1..]), r);
         mul_t_acc(h, todo, -T::ONE, block, below, (r - j1, w));
     }
 }
@@ -608,7 +746,7 @@ fn solve_upper_t<T: Scalar>(h: usize, x: &mut [T], lu: &Mat<T>) {
             j0,
             w
         ));
-        let above = (&lu.as_slice()[j0 * r..], r);
+        let above = (Src::Wide(&lu.as_slice()[j0 * r..]), r);
         mul_t_acc(h, todo, -T::ONE, block, above, (j0, w));
     }
 }
@@ -697,7 +835,8 @@ impl<T: Scalar> Ldlt<T> {
             let (head, below) = x.split_at_mut((k0 + nb - c0) * h);
             let xk = &mut head[(k0 - c0) * h..];
             let shape = (l21.nrows(), nb);
-            mul_t_acc(h, below, -T::ONE, xk, (l21.as_slice(), l21.nrows()), shape);
+            let l21_t = (Src::Wide(l21.as_slice()), l21.nrows());
+            mul_t_acc(h, below, -T::ONE, xk, l21_t, shape);
             y.clear();
             y.resize(h * nb, T::ZERO);
             mul_sym_acc(h, &mut y, T::ONE, xk, dinv);
@@ -718,7 +857,7 @@ impl<T: Scalar> Ldlt<T> {
         let x = x.as_mut_slice();
         for ((k0, nb), l21) in self.block_cols().zip(self.sub_panels()).rev() {
             let (head, below) = x.split_at_mut((k0 + nb - c0) * h);
-            mul_acc::<T, false>(h, &mut head[(k0 - c0) * h..], -T::ONE, below, l21);
+            mul_acc::<T, false>(h, &mut head[(k0 - c0) * h..], -T::ONE, below, l21.into());
         }
     }
 }
@@ -919,6 +1058,55 @@ mod tests {
                 }
             }
         }
+    }
+
+    const NARROW_HEIGHTS: [usize; 5] = [1, 2, 3, 8, 16];
+    /// Depths (`panel * M`) and output widths (`panel * M^T`) that end
+    /// just before, on and just after a widening chunk, and inside the
+    /// third.
+    const NARROW_SIZES: [usize; 6] = [1, 7, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3];
+
+    /// Both products on a narrow `M` against the same products on its
+    /// widened copy, bit for bit: `M` is `a x b` with `a` straddling the
+    /// chunks the narrow strips are widened by — the dot form's depth and
+    /// the update form's output width — and `b` narrower and wider than
+    /// every strip of both builds.
+    fn check_narrow_products<T: Scalar>(alphas: [T; 2]) {
+        let mut seed = 11;
+        for h in NARROW_HEIGHTS {
+            for a in NARROW_SIZES {
+                for b in [3, 41] {
+                    for alpha in alphas {
+                        seed += 4;
+                        let m = Coupling::new(fill::<T>(a, b, seed), true);
+                        let wide = m.to_mat();
+                        let what = |form: &str| format!("{form}: h {h}, M {a} x {b}, {alpha:?}");
+                        let (p, c0) = (fill::<T>(h, a, seed + 1), fill::<T>(h, b, seed + 2));
+                        for conj in [false, true] {
+                            let (mut got, mut want) = (c0.clone(), c0.clone());
+                            panel_mul_acc(&mut got, alpha, &p, &m, conj);
+                            panel_mul_acc(&mut want, alpha, &p, &wide, conj);
+                            assert_bits(&got, &want, &what(&format!("P M, conj {conj}")));
+                        }
+                        let (p, c0) = (fill::<T>(h, b, seed + 3), fill::<T>(h, a, seed + 4));
+                        let (mut got, mut want) = (c0.clone(), c0.clone());
+                        panel_mul_t_acc(&mut got, alpha, &p, &m);
+                        panel_mul_t_acc(&mut want, alpha, &p, &wide);
+                        assert_bits(&got, &want, &what("P M^T"));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn panel_narrow_products_are_the_widened_products_f64() {
+        check_narrow_products::<f64>([-1.0, 0.75]);
+    }
+
+    #[test]
+    fn panel_narrow_products_are_the_widened_products_c64() {
+        check_narrow_products::<c64>([-c64::ONE, c64::new(0.5, -1.25)]);
     }
 
     #[test]

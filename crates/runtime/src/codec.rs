@@ -29,7 +29,7 @@
 
 use srsf_linalg::ldlt::NB;
 use srsf_linalg::sym::packed_len;
-use srsf_linalg::{Mat, Scalar, SymMat};
+use srsf_linalg::{Coupling, Mat, NarrowMat, Scalar, SymMat};
 
 /// A finished message payload (owned bytes).
 ///
@@ -159,6 +159,28 @@ impl ByteWriter {
         self.put_u64(m.as_slice().len() as u64);
         for &x in m.as_slice() {
             self.put_scalar(x);
+        }
+    }
+
+    /// Write a coupling block: a width flag (0 = `f64`, 1 = `f32`), then
+    /// a wide block as [`ByteWriter::put_mat`] does, a narrow one as
+    /// `(nrows, ncols)` and its `f32` parts as length-prefixed bytes
+    /// ([`ByteReader::try_get_coupling`]).
+    pub fn put_coupling<T: Scalar>(&mut self, m: &Coupling<T>) {
+        match m {
+            Coupling::Wide(m) => {
+                self.put_u64(0);
+                self.put_mat(m);
+            }
+            Coupling::Narrow(m) => {
+                self.put_u64(1);
+                self.put_u64(m.nrows() as u64);
+                self.put_u64(m.ncols() as u64);
+                self.put_u64((m.parts().len() * 4) as u64);
+                for &x in m.parts() {
+                    self.buf.extend_from_slice(&x.to_le_bytes());
+                }
+            }
         }
     }
 
@@ -294,11 +316,8 @@ impl ByteReader {
         out
     }
 
-    /// Bounds-checked read of a matrix. The claimed dimensions are
-    /// validated against the remaining payload before the backing buffer
-    /// is allocated, so a corrupted header cannot trigger an
-    /// attacker-sized allocation.
-    pub fn try_get_mat<T: Scalar>(&mut self) -> Result<Mat<T>, CodecError> {
+    /// Bounds-checked read of a matrix's `(nrows, ncols)` header.
+    fn try_get_dims(&mut self) -> Result<(u64, u64), CodecError> {
         let at = self.pos;
         let nrows = self.try_get_u64()?;
         let ncols = self.try_get_u64()?;
@@ -312,10 +331,59 @@ impl ByteReader {
                 at,
             });
         }
-        let total = nrows * ncols;
-        let n = self.check_len(total, scalar_bytes::<T>())?;
+        Ok((nrows, ncols))
+    }
+
+    /// Bounds-checked read of a matrix. The claimed dimensions are
+    /// validated against the remaining payload before the backing buffer
+    /// is allocated, so a corrupted header cannot trigger an
+    /// attacker-sized allocation.
+    pub fn try_get_mat<T: Scalar>(&mut self) -> Result<Mat<T>, CodecError> {
+        let (nrows, ncols) = self.try_get_dims()?;
+        let n = self.check_len(nrows * ncols, scalar_bytes::<T>())?;
         let data = self.take_scalars(n);
         Ok(Mat::from_vec(nrows as usize, ncols as usize, data))
+    }
+
+    /// Bounds-checked read of a coupling block
+    /// ([`ByteWriter::put_coupling`]): a width flag other than 0 or 1, or
+    /// a narrow payload of other than `nrows · ncols · 4` bytes (`· 8`
+    /// complex), is [`CodecError::Invalid`], before anything is
+    /// allocated.
+    pub fn try_get_coupling<T: Scalar>(&mut self) -> Result<Coupling<T>, CodecError> {
+        let at = self.pos;
+        match self.try_get_u64()? {
+            0 => Ok(Coupling::Wide(self.try_get_mat()?)),
+            1 => {
+                let (nrows, ncols) = self.try_get_dims()?;
+                let invalid = CodecError::Invalid {
+                    what: "narrow coupling length vs shape",
+                    at: self.pos,
+                };
+                let claimed = self.try_get_u64()?;
+                let entry_bytes = if T::IS_COMPLEX { 8 } else { 4 };
+                let want = nrows.checked_mul(ncols * entry_bytes);
+                if want != Some(claimed) {
+                    return Err(invalid);
+                }
+                let len = self.check_len(claimed, 1)?;
+                let bytes = &self.buf[self.pos..self.pos + len];
+                let mut parts = Vec::with_capacity(len / 4);
+                parts.extend(bytes.chunks_exact(4).map(|c| {
+                    let mut b = [0u8; 4];
+                    b.copy_from_slice(c);
+                    f32::from_le_bytes(b)
+                }));
+                self.pos += len;
+                NarrowMat::from_parts(nrows as usize, ncols as usize, parts)
+                    .map(Coupling::Narrow)
+                    .ok_or(invalid)
+            }
+            _ => Err(CodecError::Invalid {
+                what: "coupling width flag",
+                at,
+            }),
+        }
     }
 
     /// Bounds-checked read of a packed symmetric matrix of order `n`:
