@@ -58,7 +58,10 @@
 //! and the dealing out of its block columns ([`scatter_top`]); every rank
 //! then keeps what it produced and serves from it ([`super::serve`]).
 
-use super::{box_near_region, region_of, RankState, RankTop, TopShare};
+use super::{
+    box_near_region, owned_act_ids, recv_frame, region_of, ActEnd, Fold, RankState, RankTop,
+    TopShare,
+};
 use crate::elimination::{EliminationOutput, FactorError};
 use crate::levels::merge_parents;
 use crate::sequential::{sweep_levels, LevelHooks, Top};
@@ -76,7 +79,7 @@ use srsf_runtime::codec::{ByteReader, ByteWriter, CodecError, Wire};
 // The tag scheme (`tag = level * 64 + phase * 8 + kind`) lives in the
 // runtime next to the transports, so a receive timeout on either backend
 // can decode the step it was waiting on; see `srsf_runtime::tags`.
-use srsf_runtime::tags::{describe, tag, KIND_ACT_REFRESH, KIND_FOLD, KIND_PHASE_UPDATE, KIND_TOP};
+use srsf_runtime::tags::{tag, KIND_ACT_REFRESH, KIND_FOLD, KIND_PHASE_UPDATE, KIND_TOP};
 use srsf_runtime::world::RankCtx;
 use std::collections::HashMap;
 
@@ -137,34 +140,15 @@ fn decode_and_apply_update<K: Kernel>(
     Ok(())
 }
 
-/// Decode a whole frame from `src` received under tag `t` with `decode`;
-/// a frame that does not decode is [`FactorError::MalformedFrame`]
-/// naming the sender and the step.
-pub(super) fn decode_frame<V>(
-    payload: Vec<u8>,
-    src: usize,
-    t: u32,
-    decode: impl FnOnce(&mut ByteReader) -> Result<V, CodecError>,
-) -> Result<V, FactorError> {
-    decode(&mut ByteReader::new(payload)).map_err(|e| FactorError::MalformedFrame {
-        rank: src,
-        step: format!("{}: malformed frame: {e}", describe(t)),
-    })
-}
-
 /// Decode a neighbor's `KIND_PHASE_UPDATE` frame and apply its box
 /// updates in order.
 fn apply_phase_update<K: Kernel>(
-    payload: Vec<u8>,
-    src: usize,
-    t: u32,
+    r: &mut ByteReader,
     store: &mut BlockStore<'_, K>,
     act: &mut ActiveSets,
-) -> Result<(), FactorError> {
-    decode_frame(payload, src, t, |r| {
-        let n_updates = r.try_get_u64()?;
-        (0..n_updates).try_for_each(|_| decode_and_apply_update(r, store, act))
-    })
+) -> Result<(), CodecError> {
+    let n_updates = r.try_get_u64()?;
+    (0..n_updates).try_for_each(|_| decode_and_apply_update(r, store, act))
 }
 
 /// The active sets of `boxes`, count first.
@@ -239,19 +223,15 @@ fn encode_top_gather<K: Kernel>(
 /// `store` (what decoded before a failure stays applied; the build fails
 /// with it).
 fn apply_top_gather<K: Kernel>(
-    payload: Vec<u8>,
-    src: usize,
-    t: u32,
+    r: &mut ByteReader,
     store: &mut BlockStore<'_, K>,
     act: &mut ActiveSets,
-) -> Result<(), FactorError> {
-    decode_frame(payload, src, t, |r| {
-        apply_acts(r, act)?;
-        for (a, b, m) in try_get_pairs(r)? {
-            store.insert(a, b, m);
-        }
-        Ok(())
-    })
+) -> Result<(), CodecError> {
+    apply_acts(r, act)?;
+    for (a, b, m) in try_get_pairs(r)? {
+        store.insert(a, b, m);
+    }
+    Ok(())
 }
 
 /// A rank's factorization-phase output: its records and routing state,
@@ -430,14 +410,14 @@ pub(super) fn scatter_top<T: Scalar>(
         let mut w = ByteWriter::new();
         w.put_u64(resident_bytes(state, &None));
         ctx.send(0, t, w.finish());
-        let share = decode_frame(ctx.recv(0, t), 0, t, Option::<TopShare<T>>::decode)?;
+        let share = recv_frame(ctx, 0, t, Option::<TopShare<T>>::decode)?;
         return out.map(|(state, _)| (state, share));
     }
     // Every report is received, whatever the outcome, so that every peer
     // gets its answer below.
     let reports: Vec<Result<usize, FactorError>> = peers
         .iter()
-        .map(|&src| decode_frame(ctx.recv(src, t), src, t, |r| Ok(r.try_get_u64()? as usize)))
+        .map(|&src| recv_frame(ctx, src, t, |r| Ok(r.try_get_u64()? as usize)))
         .collect();
     let peer_loads: Result<Vec<usize>, _> = reports.into_iter().collect();
     let out = out.and_then(|ok| peer_loads.map(|loads| (ok, loads)));
@@ -498,7 +478,7 @@ struct RankHooks<'a> {
     ctx: &'a mut RankCtx,
     grid: &'a ProcessGrid,
     /// [`RankState::act_end`] and [`RankState::fold_ids`].
-    act_end: HashMap<u8, Vec<(BoxId, Vec<u32>)>>,
+    act_end: ActEnd,
     fold_ids: HashMap<(u8, usize), Vec<u32>>,
     /// The current phase's update tag and the neighbors it exchanges frames with.
     tag: u32,
@@ -590,7 +570,9 @@ impl<K: Kernel> LevelHooks<K> for RankHooks<'_> {
         act: &mut ActiveSets,
     ) -> Result<(), FactorError> {
         for &src in &self.neighbors {
-            apply_phase_update(self.ctx.recv(src, self.tag), src, self.tag, store, act)?;
+            recv_frame(self.ctx, src, self.tag, |r| {
+                apply_phase_update(r, store, act)
+            })?;
         }
         Ok(())
     }
@@ -608,8 +590,8 @@ impl<K: Kernel> LevelHooks<K> for RankHooks<'_> {
     }
 
     /// Fold shipments, parent-block materialization, child cleanup, and
-    /// the parent active-set halo refresh. A received frame that does not
-    /// decode is [`FactorError::MalformedFrame`].
+    /// the parent active-set halo refresh. A frame that is lost, late or
+    /// does not decode is [`FactorError::RankFailed`].
     fn transition(
         &mut self,
         store: &mut BlockStore<'_, K>,
@@ -620,38 +602,22 @@ impl<K: Kernel> LevelHooks<K> for RankHooks<'_> {
         let (ctx, grid) = (&mut *self.ctx, self.grid);
         let me = ctx.rank();
         let parent_level = child_level - 1;
-        let fold = grid.effective_q(parent_level) < grid.effective_q(child_level);
-
-        if fold && grid.is_active(me, child_level) {
-            // The corner rank of my 2x2 group at the parent level.
-            let (x0, y0, _, _) = region_of(grid, me, child_level);
-            let my_first_parent = BoxId {
-                level: parent_level,
-                ix: (x0 / 2) as u32,
-                iy: (y0 / 2) as u32,
-            };
-            let corner = grid.owner(&my_first_parent);
-            let t = tag(child_level, 5, KIND_FOLD);
-            if corner != me {
-                // Ship what the corner needs of this rank's level (see
-                // `encode_fold`), then retire.
-                let owned_ids: Vec<u32> = self
-                    .act_end
-                    .get(&child_level)
-                    .map(|v| v.iter().flat_map(|(_, ids)| ids.iter().copied()).collect())
-                    .unwrap_or_default();
+        let t = tag(child_level, 5, KIND_FOLD);
+        match Fold::of(grid, me, child_level) {
+            // Ship what the corner needs of this rank's level (see
+            // `encode_fold`), then retire.
+            Some(Fold::Member { corner }) => {
+                let owned_ids = owned_act_ids(&self.act_end, child_level);
                 let frame = encode_fold(store, act, tree, grid, me, child_level, &owned_ids);
                 ctx.send(corner, t, frame);
-            } else {
-                // Receive from the three retiring members of my group.
-                let stride = grid.q() / grid.effective_q(child_level);
-                let (cx, cy) = grid.coords_of(me);
-                for (dx, dy) in [(1u32, 0u32), (0, 1), (1, 1)] {
-                    let member = grid.rank_of(cx + dx * stride, cy + dy * stride);
-                    let fold_ids = apply_fold(ctx.recv(member, t), member, t, store, act)?;
+            }
+            Some(Fold::Corner { members }) => {
+                for member in members {
+                    let fold_ids = recv_frame(ctx, member, t, |r| apply_fold(r, store, act))?;
                     self.fold_ids.insert((child_level, member), fold_ids);
                 }
             }
+            None => {}
         }
 
         if !grid.is_active(me, parent_level) {
@@ -680,7 +646,7 @@ impl<K: Kernel> LevelHooks<K> for RankHooks<'_> {
             ctx.send(dst, t, frame);
         }
         for &src in &neighbors {
-            apply_act_refresh(ctx.recv(src, t), src, t, act)?;
+            recv_frame(ctx, src, t, |r| apply_acts(r, act))?;
         }
         Ok(())
     }
@@ -708,7 +674,7 @@ impl<K: Kernel> LevelHooks<K> for RankHooks<'_> {
             return Ok(None);
         }
         for &src in active.iter().filter(|&&r| r != 0) {
-            apply_top_gather(ctx.recv(src, t), src, t, store, act)?;
+            recv_frame(ctx, src, t, |r| apply_top_gather(r, store, act))?;
         }
         factor_top(store, act, tree, top_level, cctx).map(Some)
     }
@@ -760,19 +726,15 @@ fn encode_fold<K: Kernel>(
 /// `act` and return the ids it still owns (what decoded before a failure
 /// stays applied; the build fails with it).
 fn apply_fold<K: Kernel>(
-    payload: Vec<u8>,
-    src: usize,
-    t: u32,
+    r: &mut ByteReader,
     store: &mut BlockStore<'_, K>,
     act: &mut ActiveSets,
-) -> Result<Vec<u32>, FactorError> {
-    decode_frame(payload, src, t, |r| {
-        for (a, b, m) in try_get_pairs(r)? {
-            store.insert(a, b, m);
-        }
-        apply_acts(r, act)?;
-        try_get_ids(r)
-    })
+) -> Result<Vec<u32>, CodecError> {
+    for (a, b, m) in try_get_pairs(r)? {
+        store.insert(a, b, m);
+    }
+    apply_acts(r, act)?;
+    try_get_ids(r)
 }
 
 /// The `KIND_ACT_REFRESH` frame for a neighbor whose parent-level region
@@ -793,20 +755,11 @@ fn encode_act_refresh(
     w.finish()
 }
 
-/// Decode a neighbor's [`encode_act_refresh`] frame into `act`.
-fn apply_act_refresh(
-    payload: Vec<u8>,
-    src: usize,
-    t: u32,
-    act: &mut ActiveSets,
-) -> Result<(), FactorError> {
-    decode_frame(payload, src, t, |r| apply_acts(r, act))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::colored::waves;
+    use crate::distributed::decode_frame;
     use crate::elimination::{apply_output, eliminate_box};
     use crate::sequential::{domain_for, factorize_in_rounds, Factorization};
     use crate::{Driver, Solver, SrsfError};
@@ -967,13 +920,18 @@ mod tests {
         let t = tag(2, 0, KIND_PHASE_UPDATE);
 
         let (mut store, mut act) = fresh();
-        apply_phase_update(frame.clone(), 0, t, &mut store, &mut act).expect("whole frame");
+        decode_frame(frame.clone(), 0, t, |r| {
+            apply_phase_update(r, &mut store, &mut act)
+        })
+        .expect("whole frame");
         assert_eq!(act.get(&b), skel, "the whole frame carries the skeleton");
         for len in 0..frame.len() {
             let (mut store, mut act) = fresh();
-            let err = apply_phase_update(frame[..len].to_vec(), 0, t, &mut store, &mut act)
-                .expect_err("a truncated frame must not decode");
-            let FactorError::MalformedFrame { rank: 0, ref step } = err else {
+            let err = decode_frame(frame[..len].to_vec(), 0, t, |r| {
+                apply_phase_update(r, &mut store, &mut act)
+            })
+            .expect_err("a truncated frame must not decode");
+            let FactorError::RankFailed { rank: 0, ref step } = err else {
                 panic!("{len} bytes: {err}");
             };
             assert!(step.contains("PHASE_UPDATE"), "{step}");
@@ -1005,7 +963,7 @@ mod tests {
             (BlockStore::new(&kernel, &pts), act)
         };
         let typed = |err: FactorError, kind: &str, len: usize| {
-            let FactorError::MalformedFrame { rank: 1, ref step } = err else {
+            let FactorError::RankFailed { rank: 1, ref step } = err else {
                 panic!("{len} bytes: {err}");
             };
             assert!(step.contains(kind), "{len} bytes: {step}");
@@ -1030,7 +988,10 @@ mod tests {
         let frame = encode_fold(&store, &act, &tree, &grid, 1, 2, &owned);
         let t = tag(2, 5, KIND_FOLD);
         let (mut store0, mut act0) = fresh();
-        let ids = apply_fold(frame.clone(), 1, t, &mut store0, &mut act0).expect("whole frame");
+        let ids = decode_frame(frame.clone(), 1, t, |r| {
+            apply_fold(r, &mut store0, &mut act0)
+        })
+        .expect("whole frame");
         assert_eq!(ids, owned, "the whole frame carries the owned ids");
         assert_eq!(
             act0.get(&b),
@@ -1043,8 +1004,10 @@ mod tests {
         );
         for len in 0..frame.len() {
             let (mut store0, mut act0) = fresh();
-            let err = apply_fold(frame[..len].to_vec(), 1, t, &mut store0, &mut act0)
-                .expect_err("a truncated frame must not decode");
+            let err = decode_frame(frame[..len].to_vec(), 1, t, |r| {
+                apply_fold(r, &mut store0, &mut act0)
+            })
+            .expect_err("a truncated frame must not decode");
             typed(err, "FOLD", len);
         }
 
@@ -1056,7 +1019,7 @@ mod tests {
         let frame = encode_act_refresh(&act, &mine, region_of(&grid, 0, 2));
         let t = tag(2, 6, KIND_ACT_REFRESH);
         let (_, mut act0) = fresh();
-        apply_act_refresh(frame.clone(), 1, t, &mut act0).expect("whole frame");
+        decode_frame(frame.clone(), 1, t, |r| apply_acts(r, &mut act0)).expect("whole frame");
         assert_eq!(
             act0.get(&b),
             act.get(&b),
@@ -1064,7 +1027,7 @@ mod tests {
         );
         for len in 0..frame.len() {
             let (_, mut act0) = fresh();
-            let err = apply_act_refresh(frame[..len].to_vec(), 1, t, &mut act0)
+            let err = decode_frame(frame[..len].to_vec(), 1, t, |r| apply_acts(r, &mut act0))
                 .expect_err("a truncated frame must not decode");
             typed(err, "ACT_REFRESH", len);
         }
@@ -1093,7 +1056,7 @@ mod tests {
             (BlockStore::new(&kernel, &pts), act)
         };
         let typed = |err: FactorError, src: usize, len: usize| {
-            let FactorError::MalformedFrame { rank, ref step } = err else {
+            let FactorError::RankFailed { rank, ref step } = err else {
                 panic!("{len} bytes: {err}");
             };
             assert!(rank == src && step.contains("TOP"), "{len} bytes: {step}");
@@ -1116,7 +1079,10 @@ mod tests {
         let frame = encode_top_gather(&store, &act, &tree, &grid, 1, 2);
         let t = tag(2, 6, KIND_TOP);
         let (mut store0, mut act0) = fresh();
-        apply_top_gather(frame.clone(), 1, t, &mut store0, &mut act0).expect("whole frame");
+        decode_frame(frame.clone(), 1, t, |r| {
+            apply_top_gather(r, &mut store0, &mut act0)
+        })
+        .expect("whole frame");
         assert_eq!(
             act0.get(&b),
             act.get(&b),
@@ -1128,8 +1094,10 @@ mod tests {
         );
         for len in 0..frame.len() {
             let (mut store0, mut act0) = fresh();
-            let err = apply_top_gather(frame[..len].to_vec(), 1, t, &mut store0, &mut act0)
-                .expect_err("a truncated frame must not decode");
+            let err = decode_frame(frame[..len].to_vec(), 1, t, |r| {
+                apply_top_gather(r, &mut store0, &mut act0)
+            })
+            .expect_err("a truncated frame must not decode");
             typed(err, 1, len);
         }
 

@@ -23,8 +23,9 @@
 //! backend-agnostic: the same code, solutions, and counters either way.
 //!
 //! This module holds the pieces the two halves share: the geometry of
-//! rank regions, point ownership, the global elimination-order key, and
-//! the per-rank factorization state.
+//! rank regions, point ownership, the global elimination-order key, the
+//! per-rank factorization state, and the one receive ([`recv_frame`])
+//! every frame of the build and of the serve loop arrives through.
 
 mod factorize;
 mod serve;
@@ -32,13 +33,83 @@ mod serve;
 pub use serve::ResidentService;
 pub(crate) use serve::{dist_factorize_resident, restore_resident_service};
 
-use crate::elimination::BoxElimination;
+use crate::elimination::{BoxElimination, FactorError};
 use crate::stats::FactorStats;
 use crate::top::TopFactor;
 use srsf_geometry::point::Point;
 use srsf_geometry::procgrid::ProcessGrid;
 use srsf_geometry::tree::{BoxId, QuadTree};
+use srsf_runtime::codec::{ByteReader, CodecError};
+use srsf_runtime::tags::describe;
+use srsf_runtime::world::RankCtx;
 use std::collections::HashMap;
+
+/// Receive the frame from `src` under tag `t` and decode it with
+/// `decode`. A peer that is lost or late and a frame that does not
+/// decode are all [`FactorError::RankFailed`], naming the sender and the
+/// step.
+pub(crate) fn recv_frame<V>(
+    ctx: &mut RankCtx,
+    src: usize,
+    t: u32,
+    decode: impl FnOnce(&mut ByteReader) -> Result<V, CodecError>,
+) -> Result<V, FactorError> {
+    decode_frame(ctx.try_recv(src, t)?, src, t, decode)
+}
+
+/// Decode a whole frame from `src` received under tag `t` with `decode`;
+/// a frame that does not decode is [`FactorError::RankFailed`] naming the
+/// sender and the step.
+pub(crate) fn decode_frame<V>(
+    payload: Vec<u8>,
+    src: usize,
+    t: u32,
+    decode: impl FnOnce(&mut ByteReader) -> Result<V, CodecError>,
+) -> Result<V, FactorError> {
+    decode(&mut ByteReader::new(payload)).map_err(|e| FactorError::RankFailed {
+        rank: src,
+        step: format!("{}: malformed frame: {e}", describe(t)),
+    })
+}
+
+/// A level transition's fold group, seen from one rank: when the coarser
+/// level would leave the ranks of a 2x2 group with fewer than 2x2 boxes
+/// each, the group folds onto its corner rank (Section III-C).
+pub(crate) enum Fold {
+    /// This rank retires into `corner`.
+    Member { corner: usize },
+    /// This rank is the corner and absorbs the three other `members`.
+    Corner { members: [usize; 3] },
+}
+
+impl Fold {
+    /// This rank's part in the fold from `child_level` to its parent, or
+    /// `None` when that transition folds nothing or the rank is already
+    /// retired.
+    pub(crate) fn of(grid: &ProcessGrid, me: usize, child_level: u8) -> Option<Fold> {
+        let parent_level = child_level - 1;
+        if grid.effective_q(parent_level) >= grid.effective_q(child_level)
+            || !grid.is_active(me, child_level)
+        {
+            return None;
+        }
+        let (x0, y0, _, _) = region_of(grid, me, child_level);
+        let corner = grid.owner(&BoxId {
+            level: parent_level,
+            ix: (x0 / 2) as u32,
+            iy: (y0 / 2) as u32,
+        });
+        if corner != me {
+            return Some(Fold::Member { corner });
+        }
+        let stride = grid.q() / grid.effective_q(child_level);
+        let (cx, cy) = grid.coords_of(me);
+        let member = |dx: u32, dy: u32| grid.rank_of(cx + dx * stride, cy + dy * stride);
+        Some(Fold::Corner {
+            members: [member(1, 0), member(0, 1), member(1, 1)],
+        })
+    }
+}
 
 /// Inclusive box-coordinate bounds of a rank's block at a level.
 pub(crate) fn region_of(grid: &ProcessGrid, rank: usize, level: u8) -> (i64, i64, i64, i64) {
@@ -138,11 +209,24 @@ pub(crate) fn owned_leaf_ids(tree: &QuadTree, grid: &ProcessGrid, rank: usize) -
     ids
 }
 
+/// Post-elimination active sets of a rank's owned boxes, per level
+/// ([`RankState::act_end`]).
+pub(crate) type ActEnd = HashMap<u8, Vec<(BoxId, Vec<u32>)>>;
+
+/// Ids of the entries a rank owned at `level` after elimination, in box
+/// order.
+pub(crate) fn owned_act_ids(act_end: &ActEnd, level: u8) -> Vec<u32> {
+    act_end
+        .get(&level)
+        .map(|v| v.iter().flat_map(|(_, ids)| ids.iter().copied()).collect())
+        .unwrap_or_default()
+}
+
 /// Per-rank state shared between the factorization and solve passes.
 pub(crate) struct RankState<T> {
     pub(crate) records: Vec<(u64, BoxElimination<T>)>,
     /// Post-elimination active sets of *owned* boxes per level.
-    pub(crate) act_end: HashMap<u8, Vec<(BoxId, Vec<u32>)>>,
+    pub(crate) act_end: ActEnd,
     /// Fold bookkeeping for the solve: ids received from each retiring
     /// member at each fold level.
     pub(crate) fold_ids: HashMap<(u8, usize), Vec<u32>>,

@@ -90,9 +90,12 @@
 //! dies mid-solve surfaces as a typed
 //! [`SrsfError::RankFailed`](crate::SrsfError) naming the dead rank and
 //! the protocol step, on both transports, within the receive timeout —
-//! never a hang: live workers abandon the solve and exit their loops,
-//! rank 0 poisons the service so later calls fail fast with the same
-//! error, and Drop still reaps the session.
+//! never a hang: live workers abandon the solve and exit their loops
+//! (which their peers see at once), rank 0 poisons the service so later
+//! calls — solves, probes, trace drains, gathers — fail fast with the
+//! same error, and Drop still reaps the session. Every command round is
+//! one broadcast ([`broadcast`]) and one collect ([`collect`]) through
+//! the shared typed receive ([`recv_frame`]).
 //!
 //! **Checkpoint/restore.** When the factorization ran with
 //! [`FactorOpts::checkpoint_dir`](crate::FactorOpts) set, each rank
@@ -102,11 +105,10 @@
 //! snapshots — no kernel evaluations, no re-factorization — and restored
 //! solves are bit-identical to the original service's.
 
-use super::factorize::{
-    decode_frame, factor_phase, resident_bytes, scatter_top, write_rank_checkpoint,
-};
+use super::factorize::{factor_phase, resident_bytes, scatter_top, write_rank_checkpoint};
 use super::{
-    key_level_phase, owned_leaf_ids, owner_of_point, region_of, RankState, RankTop, TopShare,
+    decode_frame, key_level_phase, owned_act_ids, owned_leaf_ids, owner_of_point, recv_frame, Fold,
+    RankState, RankTop, TopShare,
 };
 use crate::elimination::FactorError;
 use crate::error::SrsfError;
@@ -120,7 +122,7 @@ use crate::wire::{decode_rank_snapshot, encode_rank_snapshot, put_ids, try_get_i
 use crate::FactorOpts;
 use srsf_geometry::point::Point;
 use srsf_geometry::procgrid::ProcessGrid;
-use srsf_geometry::tree::{BoxId, QuadTree};
+use srsf_geometry::tree::QuadTree;
 use srsf_kernels::kernel::Kernel;
 use srsf_linalg::panel::panel_rows;
 use srsf_linalg::{Mat, Scalar};
@@ -324,15 +326,6 @@ impl<T: Scalar> ServeState<T> {
     fn round_range(&self, level: u8, phase: u8) -> std::ops::Range<usize> {
         self.rounds.get(&(level, phase)).cloned().unwrap_or(0..0)
     }
-
-    /// Ids of the entries this rank owned at `level` after elimination.
-    fn owned_act_ids(&self, level: u8) -> Vec<u32> {
-        self.state
-            .act_end
-            .get(&level)
-            .map(|v| v.iter().flat_map(|(_, ids)| ids.iter().copied()).collect())
-            .unwrap_or_default()
-    }
 }
 
 /// Per-record neighbor-delta batches bound for one rank: `(point ids,
@@ -405,19 +398,6 @@ fn try_get_deltas<T: Scalar>(
     (0..r.try_get_u64()?)
         .map(|_| try_get_cols(r, dims))
         .collect()
-}
-
-/// Receive the frame from `src` under tag `t` and decode it with
-/// `decode`: a lost peer and a frame that does not decode are both the
-/// sender's [`SrsfError::RankFailed`].
-fn recv_frame<V>(
-    ctx: &mut RankCtx,
-    src: usize,
-    t: u32,
-    decode: impl FnOnce(&mut ByteReader) -> Result<V, CodecError>,
-) -> Result<V, SrsfError> {
-    let payload = ctx.try_recv(src, t)?;
-    Ok(decode_frame(payload, src, t, decode)?)
 }
 
 /// The SPMD distributed solve: every rank (rank 0 included) runs this over
@@ -510,11 +490,8 @@ pub(super) fn solve_resident_mat<T: Scalar>(
             x.scatter(&ids, &rows);
         }
     } else if active_top.contains(&me) {
-        let ids = st.owned_act_ids(st.top_level);
-        let mut w = ByteWriter::new();
-        put_ids(&mut w, &ids);
-        w.put_mat(&x.frame(&ids));
-        ctx.send(0, tag(st.top_level, 6, KIND_SOLVE_VAL), w.finish());
+        let ids = owned_act_ids(&st.state.act_end, st.top_level);
+        ctx.send(0, tag(st.top_level, 6, KIND_SOLVE_VAL), cols_frame(x, &ids));
     }
     // An owner takes its turn in the chain before it waits for rank 0's
     // reply: the reply leaves rank 0 only once the panel is back there.
@@ -523,10 +500,11 @@ pub(super) fn solve_resident_mat<T: Scalar>(
     }
     if me == 0 {
         for (dst, ids) in &st.top_reply {
-            let mut w = ByteWriter::new();
-            put_ids(&mut w, ids);
-            w.put_mat(&x.frame(ids));
-            ctx.send(*dst, tag(st.top_level, 7, KIND_SOLVE_VAL), w.finish());
+            ctx.send(
+                *dst,
+                tag(st.top_level, 7, KIND_SOLVE_VAL),
+                cols_frame(x, ids),
+            );
         }
     } else if active_top.contains(&me) {
         let t = tag(st.top_level, 7, KIND_SOLVE_VAL);
@@ -564,10 +542,7 @@ pub(super) fn solve_resident_mat<T: Scalar>(
                 for &src in &neighbors {
                     let t = tag(level, phase, KIND_SOLVE_REQ);
                     let ids = recv_frame(ctx, src, t, |r| try_get_points(r, dims.1))?;
-                    let mut w = ByteWriter::new();
-                    put_ids(&mut w, &ids);
-                    w.put_mat(&x.frame(&ids));
-                    ctx.send(src, tag(level, phase, KIND_SOLVE_VAL), w.finish());
+                    ctx.send(src, tag(level, phase, KIND_SOLVE_VAL), cols_frame(x, &ids));
                 }
                 for &src in &neighbors {
                     let t = tag(level, phase, KIND_SOLVE_VAL);
@@ -675,6 +650,15 @@ fn top_chain_step<T: Scalar>(
     Ok(())
 }
 
+/// The ids `ids` of the block `x` with their values, as a solve frame
+/// carries them.
+fn cols_frame<T: Scalar>(x: &RhsBlock<T>, ids: &[u32]) -> Bytes {
+    let mut w = ByteWriter::new();
+    put_ids(&mut w, ids);
+    w.put_mat(&x.frame(ids));
+    w.finish()
+}
+
 /// Upward fold: retiring ranks ship their surviving rows to the corner.
 fn fold_up_mat<T: Scalar>(
     ctx: &mut RankCtx,
@@ -683,35 +667,20 @@ fn fold_up_mat<T: Scalar>(
     child_level: u8,
     x: &mut RhsBlock<T>,
 ) -> Result<(), SrsfError> {
-    let me = ctx.rank();
-    let dims = (x.nrhs(), x.n());
-    let parent_level = child_level - 1;
-    if grid.effective_q(parent_level) >= grid.effective_q(child_level)
-        || !grid.is_active(me, child_level)
-    {
-        return Ok(());
-    }
-    let (x0, y0, _, _) = region_of(grid, me, child_level);
-    let corner = grid.owner(&BoxId {
-        level: parent_level,
-        ix: (x0 / 2) as u32,
-        iy: (y0 / 2) as u32,
-    });
-    if corner != me {
-        let ids = st.owned_act_ids(child_level);
-        let mut w = ByteWriter::new();
-        put_ids(&mut w, &ids);
-        w.put_mat(&x.frame(&ids));
-        ctx.send(corner, tag(child_level, 5, KIND_SOLVE_VAL), w.finish());
-    } else {
-        let stride = grid.q() / grid.effective_q(child_level);
-        let (cx, cy) = grid.coords_of(me);
-        for (dx, dy) in [(1u32, 0u32), (0, 1), (1, 1)] {
-            let member = grid.rank_of(cx + dx * stride, cy + dy * stride);
-            let t = tag(child_level, 5, KIND_SOLVE_VAL);
-            let (ids, rows) = recv_frame(ctx, member, t, |r| try_get_cols(r, dims))?;
-            x.scatter(&ids, &rows);
+    let t = tag(child_level, 5, KIND_SOLVE_VAL);
+    match Fold::of(grid, ctx.rank(), child_level) {
+        Some(Fold::Member { corner }) => {
+            let ids = owned_act_ids(&st.state.act_end, child_level);
+            ctx.send(corner, t, cols_frame(x, &ids));
         }
+        Some(Fold::Corner { members }) => {
+            let dims = (x.nrhs(), x.n());
+            for member in members {
+                let (ids, rows) = recv_frame(ctx, member, t, |r| try_get_cols(r, dims))?;
+                x.scatter(&ids, &rows);
+            }
+        }
+        None => {}
     }
     Ok(())
 }
@@ -725,41 +694,21 @@ fn fold_down_mat<T: Scalar>(
     child_level: u8,
     x: &mut RhsBlock<T>,
 ) -> Result<(), SrsfError> {
-    let me = ctx.rank();
-    let dims = (x.nrhs(), x.n());
-    let parent_level = child_level - 1;
-    if grid.effective_q(parent_level) >= grid.effective_q(child_level)
-        || !grid.is_active(me, child_level)
-    {
-        return Ok(());
-    }
-    let (x0, y0, _, _) = region_of(grid, me, child_level);
-    let corner = grid.owner(&BoxId {
-        level: parent_level,
-        ix: (x0 / 2) as u32,
-        iy: (y0 / 2) as u32,
-    });
-    if corner != me {
-        let t = tag(child_level, 6, KIND_SOLVE_VAL);
-        let (ids, rows) = recv_frame(ctx, corner, t, |r| try_get_cols(r, dims))?;
-        debug_assert_eq!(ids, st.owned_act_ids(child_level));
-        x.scatter(&ids, &rows);
-    } else {
-        let stride = grid.q() / grid.effective_q(child_level);
-        let (cx, cy) = grid.coords_of(me);
-        for (dx, dy) in [(1u32, 0u32), (0, 1), (1, 1)] {
-            let member = grid.rank_of(cx + dx * stride, cy + dy * stride);
-            let ids = st
-                .state
-                .fold_ids
-                .get(&(child_level, member))
-                .cloned()
-                .unwrap_or_default();
-            let mut w = ByteWriter::new();
-            put_ids(&mut w, &ids);
-            w.put_mat(&x.frame(&ids));
-            ctx.send(member, tag(child_level, 6, KIND_SOLVE_VAL), w.finish());
+    let t = tag(child_level, 6, KIND_SOLVE_VAL);
+    match Fold::of(grid, ctx.rank(), child_level) {
+        Some(Fold::Member { corner }) => {
+            let dims = (x.nrhs(), x.n());
+            let (ids, rows) = recv_frame(ctx, corner, t, |r| try_get_cols(r, dims))?;
+            debug_assert_eq!(ids, owned_act_ids(&st.state.act_end, child_level));
+            x.scatter(&ids, &rows);
         }
+        Some(Fold::Corner { members }) => {
+            for member in members {
+                let ids = st.state.fold_ids.get(&(child_level, member));
+                ctx.send(member, t, cols_frame(x, ids.map_or(&[], Vec::as_slice)));
+            }
+        }
+        None => {}
     }
     Ok(())
 }
@@ -792,19 +741,6 @@ impl Wire for Ready {
             comm: CommStats::decode(r)?,
         })
     }
-}
-
-/// Decode worker `src`'s report; one that does not decode fails the
-/// rank, naming the frame.
-fn decode_ready<E: Wire>(
-    src: usize,
-    name: &str,
-    payload: Bytes,
-) -> Result<Result<Ready, E>, SrsfError> {
-    Result::<Ready, E>::from_bytes(payload).map_err(|e| SrsfError::RankFailed {
-        rank: src,
-        step: format!("malformed {name} frame: {e}"),
-    })
 }
 
 /// A worker rank: report the outcome of its build or restore to rank 0
@@ -912,17 +848,94 @@ fn serve_command<T: Scalar>(
     Ok(true)
 }
 
-struct ServiceInner<T> {
+/// Rank 0's end of the resident world: the live handle, until shutdown,
+/// and the rank failure that poisoned it, if any.
+struct Session {
     /// `None` once the session has been shut down.
     handle: Option<WorldHandle>,
+    /// Set when a call observed a rank failure: the world is
+    /// desynchronized, so every later call fails fast with the same
+    /// error instead of timing out again. Shutdown/Drop still work.
+    poisoned: Option<SrsfError>,
+}
+
+impl Session {
+    /// The live world, or why there is none: the failure that poisoned
+    /// the session, or its shutdown.
+    fn live(&mut self) -> Result<&mut WorldHandle, SrsfError> {
+        if let Some(e) = &self.poisoned {
+            return Err(e.clone());
+        }
+        self.handle.as_mut().ok_or(SrsfError::ServiceShutDown)
+    }
+
+    /// Record a rank failure and hand it back.
+    fn poison(&mut self, e: impl Into<SrsfError>) -> SrsfError {
+        let e = e.into();
+        self.poisoned = Some(e.clone());
+        e
+    }
+
+    /// One command round: broadcast `cmd` and collect every worker's
+    /// reply under `tag`, decoded with `decode`. A worker that is lost,
+    /// late or replies with a frame that does not decode poisons the
+    /// session.
+    fn round<V>(
+        &mut self,
+        cmd: &[u64],
+        tag: u32,
+        decode: impl Fn(&mut ByteReader) -> Result<V, CodecError>,
+    ) -> Result<Vec<V>, SrsfError> {
+        let handle = self.live()?;
+        broadcast(handle, cmd);
+        collect(handle, tag, decode).map_err(|e| self.poison(e))
+    }
+
+    /// Shut the session down, taking its handle; `None` if it already
+    /// was. A poisoned world goes through [`reap_session`]: the
+    /// cooperative join would re-raise a crashed worker's panic out of
+    /// [`WorldHandle::finish`], and the failure already surfaced to the
+    /// caller as the typed error, so shutdown and Drop of a degraded
+    /// world stay clean.
+    fn shutdown(&mut self) -> Option<WorldStats> {
+        let handle = self.handle.take()?;
+        Some(match self.poisoned {
+            Some(_) => reap_session(handle),
+            None => shutdown_session(handle),
+        })
+    }
+}
+
+/// Send the command `cmd` (opcode first, then its arguments) to every
+/// worker still running its serve loop.
+fn broadcast(handle: &mut WorldHandle, cmd: &[u64]) {
+    for dst in 1..handle.size() {
+        if handle.worker_live(dst) {
+            let mut w = ByteWriter::new();
+            cmd.iter().for_each(|&word| w.put_u64(word));
+            handle.ctx().send_service(dst, TAG_SERVE_CMD, w.finish());
+        }
+    }
+}
+
+/// Every worker's reply under `tag`, in rank order, each decoded with
+/// `decode` (see [`recv_frame`]).
+fn collect<V>(
+    handle: &mut WorldHandle,
+    tag: u32,
+    decode: impl Fn(&mut ByteReader) -> Result<V, CodecError>,
+) -> Result<Vec<V>, FactorError> {
+    (1..handle.size())
+        .map(|src| recv_frame(handle.ctx(), src, tag, &decode))
+        .collect()
+}
+
+struct ServiceInner<T> {
+    session: Session,
     st: ServeState<T>,
     geo: Arc<ResidentGeo>,
     /// Per-rank slab row maps, cached for the scatter/gather envelope.
     owned: Vec<Vec<u32>>,
-    /// Set when a solve observed a rank failure: the world is
-    /// desynchronized, so every later call fails fast with the same
-    /// error instead of timing out again. Shutdown/Drop still work.
-    poisoned: Option<SrsfError>,
 }
 
 /// A live resident solve service: the distributed factorization left in
@@ -991,7 +1004,8 @@ impl<T: Scalar> ResidentService<T> {
     /// service frames, so the probe never perturbs the §IV counters.
     /// Empty, with no round trip, when the build was not traced; only
     /// rank 0's report when the service is poisoned or already shut down
-    /// (the workers may be gone).
+    /// (the workers may be gone), or when a worker fails to reply, which
+    /// poisons the service as a failed solve does.
     pub fn trace_reports(&self) -> Vec<TraceReport> {
         if !self.traced {
             return Vec::new();
@@ -1000,26 +1014,11 @@ impl<T: Scalar> ResidentService<T> {
         // already surfaced to the caller
         let inner = &mut *self.inner.lock().expect("resident service poisoned");
         let mut reports = vec![srsf_trace::take_report(0)];
-        if inner.poisoned.is_some() {
-            return reports;
-        }
-        let Some(handle) = inner.handle.as_mut() else {
-            return reports;
-        };
-        for dst in 1..self.p {
-            let mut w = ByteWriter::new();
-            w.put_u64(CMD_TRACE);
-            handle.ctx().send_service(dst, TAG_SERVE_CMD, w.finish());
-        }
-        for src in 1..self.p {
-            let payload = handle.ctx().recv(src, TAG_SERVE_TRACE);
-            reports.push(
-                TraceReport::decode(&mut ByteReader::new(payload))
-                    // INVARIANT: trace frames come from our own encoder over a
-                    // reliable transport; a malformed one is a peer bug worth
-                    // dying loudly on
-                    .unwrap_or_else(|e| panic!("rank {src} trace frame: {e}")),
-            );
+        if let Ok(workers) = inner
+            .session
+            .round(&[CMD_TRACE], TAG_SERVE_TRACE, TraceReport::decode)
+        {
+            reports.extend(workers);
         }
         reports
     }
@@ -1040,33 +1039,14 @@ impl<T: Scalar> ResidentService<T> {
         // INVARIANT: lock poisoning requires a panicked driver call, which
         // already surfaced to the caller
         let inner = &mut *self.inner.lock().expect("resident service poisoned");
-        if let Some(e) = &inner.poisoned {
-            return Err(e.clone());
-        }
-        let handle = inner.handle.as_mut().ok_or(SrsfError::ServiceShutDown)?;
-        for dst in 1..self.p {
-            let mut w = ByteWriter::new();
-            w.put_u64(CMD_GATHER);
-            handle.ctx().send_service(dst, TAG_SERVE_CMD, w.finish());
-        }
-        let mut frames = vec![encode_rank_snapshot(&inner.st.state, &inner.st.top)];
-        for src in 1..self.p {
-            match handle.ctx().try_recv(src, TAG_SERVE_GATHER) {
-                Ok(frame) => frames.push(frame),
-                Err(e) => {
-                    let err = SrsfError::from(e);
-                    inner.poisoned = Some(err.clone());
-                    return Err(err);
-                }
-            }
-        }
+        let workers =
+            inner
+                .session
+                .round(&[CMD_GATHER], TAG_SERVE_GATHER, decode_rank_snapshot::<T>)?;
+        let own = encode_rank_snapshot(&inner.st.state, &inner.st.top);
+        let own = decode_frame(own, 0, TAG_SERVE_GATHER, decode_rank_snapshot::<T>)?;
         let (mut records, mut shares) = (Vec::new(), Vec::new());
-        for (rank, frame) in frames.into_iter().enumerate() {
-            let (state, top) =
-                decode_rank_snapshot::<T>(frame).map_err(|e| SrsfError::RankFailed {
-                    rank,
-                    step: format!("malformed GATHER frame: {e}"),
-                })?;
+        for (state, top) in std::iter::once(own).chain(workers) {
             records.extend(state.records);
             shares.extend(top);
         }
@@ -1115,6 +1095,7 @@ impl<T: Scalar> ResidentService<T> {
     /// no abort — and the service is poisoned: the world is
     /// desynchronized, so every later solve returns the same error
     /// immediately. Shutdown and Drop still reap the surviving workers.
+    /// A shut-down service returns [`SrsfError::ServiceShutDown`].
     ///
     /// A block of the wrong height is [`SrsfError::RhsLength`]; nothing
     /// has been sent by then, so the service stays usable.
@@ -1128,24 +1109,13 @@ impl<T: Scalar> ResidentService<T> {
         // INVARIANT: lock poisoning requires a panicked driver call, which
         // already surfaced to the caller
         let inner = &mut *self.inner.lock().expect("resident service poisoned");
-        if let Some(e) = &inner.poisoned {
-            return Err(e.clone());
-        }
-        let handle = inner
-            .handle
-            .as_mut()
-            // INVARIANT: documented — solve after shutdown() is a caller bug
-            .expect("resident service already shut down");
+        let handle = inner.session.live()?;
         // Per-solve latency covers the whole round trip rank 0 sees: the
         // RHS scatter envelope, the SPMD sweep, the solution gather.
         let t_solve = std::time::Instant::now();
-        let nrhs = b.ncols() as u64;
         let mut x = RhsBlock::from_cols(b);
+        broadcast(handle, &[CMD_SOLVE, b.ncols() as u64]);
         for dst in 1..self.p {
-            let mut w = ByteWriter::new();
-            w.put_u64(CMD_SOLVE);
-            w.put_u64(nrhs);
-            handle.ctx().send_service(dst, TAG_SERVE_CMD, w.finish());
             let mut w = ByteWriter::new();
             w.put_mat(&x.frame(&inner.owned[dst]));
             handle.ctx().send_service(dst, TAG_SERVE_RHS, w.finish());
@@ -1157,10 +1127,9 @@ impl<T: Scalar> ResidentService<T> {
             &mut x,
             Some(&inner.owned),
         ) {
-            inner.poisoned = Some(e.clone());
             self.metrics
                 .observe_solve(t_solve.elapsed().as_nanos() as u64, false);
-            return Err(e);
+            return Err(inner.session.poison(e));
         }
         self.metrics
             .observe_solve(t_solve.elapsed().as_nanos() as u64, true);
@@ -1178,31 +1147,20 @@ impl<T: Scalar> ResidentService<T> {
     /// probe itself moves as uncounted service frames). Two snapshots
     /// bracketing `k` solves yield exact per-solve counters:
     /// `comm_counts --solve-reps` uses this to measure the §IV solve
-    /// bound.
-    pub fn comm_probe(&self) -> WorldStats {
+    /// bound. `None` when the service is poisoned or shut down, or when a
+    /// worker fails to reply, which poisons it as a failed solve does.
+    pub fn comm_probe(&self) -> Option<WorldStats> {
         // INVARIANT: poisoning requires a panicked driver call, which already
         // surfaced to the caller
         let inner = &mut *self.inner.lock().expect("resident service poisoned");
-        let handle = inner
-            .handle
-            .as_mut()
-            // INVARIANT: documented — probing after shutdown() is a caller bug
-            .expect("resident service already shut down");
-        for dst in 1..self.p {
-            let mut w = ByteWriter::new();
-            w.put_u64(CMD_PROBE);
-            handle.ctx().send_service(dst, TAG_SERVE_CMD, w.finish());
-        }
-        let mut per_rank = vec![CommStats::default(); self.p];
-        per_rank[0] = handle.ctx().stats();
-        for src in 1..self.p {
-            let payload = handle.ctx().recv(src, TAG_SERVE_STATS);
-            per_rank[src] = CommStats::decode(&mut ByteReader::new(payload))
-                // INVARIANT: stats frames come from our own encoder over a reliable
-                // transport; a malformed one is a peer bug worth dying loudly on
-                .unwrap_or_else(|e| panic!("rank {src} stats frame: {e}"));
-        }
-        WorldStats { per_rank }
+        let mine = inner.session.live().ok()?.ctx().stats();
+        let workers = inner
+            .session
+            .round(&[CMD_PROBE], TAG_SERVE_STATS, CommStats::decode)
+            .ok()?;
+        Some(WorldStats {
+            per_rank: std::iter::once(mine).chain(workers).collect(),
+        })
     }
 
     /// Broadcast the shutdown command and join the workers; returns the
@@ -1211,24 +1169,9 @@ impl<T: Scalar> ResidentService<T> {
     pub fn shutdown(&self) -> Option<WorldStats> {
         // INVARIANT: poisoning requires a panicked driver call, which already
         // surfaced to the caller
-        shutdown_inner(&mut self.inner.lock().expect("resident service poisoned"))
+        let inner = &mut *self.inner.lock().expect("resident service poisoned");
+        inner.session.shutdown()
     }
-}
-
-/// Shut a service's session down, taking its handle. When the service is
-/// poisoned the cooperative join would panic — a crashed worker's join
-/// re-raises its panic payload out of [`WorldHandle::finish`] — and the
-/// failure already surfaced to the caller as the typed error, so the
-/// degraded world goes through the quiet [`WorldHandle::reap`] path
-/// instead: swallow the dead rank, report best-effort counters. Shutdown
-/// and Drop of a degraded world stay clean — no second panic.
-fn shutdown_inner<T>(inner: &mut ServiceInner<T>) -> Option<WorldStats> {
-    let mut handle = inner.handle.take()?;
-    if inner.poisoned.is_some() {
-        broadcast_shutdown(&mut handle);
-        return Some(handle.reap());
-    }
-    Some(shutdown_session(handle))
 }
 
 /// The tag-based shutdown round: broadcast the shutdown command to every
@@ -1236,18 +1179,16 @@ fn shutdown_inner<T>(inner: &mut ServiceInner<T>) -> Option<WorldStats> {
 /// independent — shared by the service's explicit shutdown, its Drop,
 /// and the build-failure path.
 fn shutdown_session(mut handle: WorldHandle) -> WorldStats {
-    broadcast_shutdown(&mut handle);
+    broadcast(&mut handle, &[CMD_SHUTDOWN]);
     handle.finish()
 }
 
-fn broadcast_shutdown(handle: &mut WorldHandle) {
-    for dst in 1..handle.size() {
-        if handle.worker_live(dst) {
-            let mut w = ByteWriter::new();
-            w.put_u64(CMD_SHUTDOWN);
-            handle.ctx().send_service(dst, TAG_SERVE_CMD, w.finish());
-        }
-    }
+/// The shutdown round of a world known to have lost a rank: the quiet
+/// [`WorldHandle::reap`] swallows the lost worker instead of re-raising
+/// its end, which the caller already has as the typed error.
+fn reap_session(mut handle: WorldHandle) -> WorldStats {
+    broadcast(&mut handle, &[CMD_SHUTDOWN]);
+    handle.reap()
 }
 
 impl<T> Drop for ResidentService<T> {
@@ -1259,7 +1200,7 @@ impl<T> Drop for ResidentService<T> {
             return;
         }
         if let Ok(inner) = self.inner.get_mut() {
-            let _ = shutdown_inner(inner);
+            let _ = inner.session.shutdown();
         }
     }
 }
@@ -1308,7 +1249,7 @@ pub(crate) fn dist_factorize_resident<K: Kernel>(
     let (mine, handle) = world.run_resident(factor, serve);
     start_service(
         handle,
-        (TAG_SERVE_READY, "READY"),
+        TAG_SERVE_READY,
         mine,
         |_, e: FactorError| e.into(),
         geo,
@@ -1318,17 +1259,18 @@ pub(crate) fn dist_factorize_resident<K: Kernel>(
 }
 
 /// Rank 0's side of a world coming up, after a build or a restore:
-/// collect every worker's [`Ready`] report under `tag` (`name` in
-/// diagnostics), merge the rank table, store peak and compression
-/// counters into rank 0's stats (timings stay rank 0's), and hand back the
-/// serving service. A rank that failed its build or load is `fail(rank,
-/// why)` — a worker's failure reported before rank 0's own; a worker that
-/// dies before reporting, or whose report does not decode, is
-/// [`SrsfError::RankFailed`]. Either way the ranks that did reach their
+/// collect every worker's [`Ready`] report under `tag`, merge the rank
+/// table, store peak and compression counters into rank 0's stats
+/// (timings stay rank 0's), and hand back the serving service. A rank
+/// that failed its build or load is `fail(rank, why)` — a worker's
+/// failure reported before rank 0's own; a worker that is lost or late
+/// before reporting, or whose report does not decode, is
+/// [`SrsfError::RankFailed`], and the world, which lost that worker, is
+/// reaped rather than joined. Either way the ranks that did reach their
 /// serve loops get their shutdown round first.
 fn start_service<T: Scalar, E: Wire>(
     mut handle: WorldHandle,
-    (tag, name): (u32, &str),
+    tag: u32,
     (mine, my_comm): (Result<ServeState<T>, E>, CommStats),
     fail: impl Fn(usize, E) -> SrsfError,
     geo: Arc<ResidentGeo>,
@@ -1336,23 +1278,20 @@ fn start_service<T: Scalar, E: Wire>(
     traced: bool,
 ) -> Result<ResidentService<T>, SrsfError> {
     let p = geo.grid.p();
+    let outcomes = match collect(&mut handle, tag, Result::<Ready, E>::decode) {
+        Ok(outcomes) => outcomes,
+        Err(e) => {
+            let _ = reap_session(handle);
+            return Err(e.into());
+        }
+    };
     let mut reports = Vec::with_capacity(p - 1);
     let mut first_err = None;
-    for src in 1..p {
-        // A worker that dies before reporting (crash, cut link) must not
-        // hang the start: the bounded receive makes it a typed failure.
-        let report = match handle.ctx().try_recv(src, tag) {
-            Ok(payload) => decode_ready::<E>(src, name, payload),
-            Err(e) => Err(e.into()),
-        };
-        match report {
-            Ok(Ok(ready)) => reports.push(ready),
-            Ok(Err(e)) => {
-                first_err.get_or_insert(fail(src, e));
-            }
+    for (src, outcome) in (1..p).zip(outcomes) {
+        match outcome {
+            Ok(ready) => reports.push(ready),
             Err(e) => {
-                let _ = shutdown_session(handle);
-                return Err(e);
+                first_err.get_or_insert(fail(src, e));
             }
         }
     }
@@ -1398,11 +1337,13 @@ fn start_service<T: Scalar, E: Wire>(
         traced,
         metrics,
         inner: Mutex::new(ServiceInner {
-            handle: Some(handle),
+            session: Session {
+                handle: Some(handle),
+                poisoned: None,
+            },
             st,
             geo,
             owned,
-            poisoned: None,
         }),
     })
 }
@@ -1460,8 +1401,8 @@ pub(crate) fn restore_resident_service<T: Scalar>(
         let me = ctx.rank();
         let path = dir.join(rank_ckpt_name(me));
         let payload = read_container(&path, scalar_tag::<T>()).map_err(|e| e.to_string())?;
-        let (state, top) =
-            decode_rank_snapshot::<T>(payload).map_err(|e| format!("{}: {e}", path.display()))?;
+        let (state, top) = decode_rank_snapshot::<T>(&mut ByteReader::new(payload))
+            .map_err(|e| format!("{}: {e}", path.display()))?;
         // A chain link is a rank of this world other than the holder.
         let links = top.iter().flat_map(|share| [share.prev, share.next]);
         if links.flatten().any(|r| r >= grid.p() || r == me) {
@@ -1483,7 +1424,7 @@ pub(crate) fn restore_resident_service<T: Scalar>(
     let (mine, handle) = world.run_resident(factor, serve);
     let svc = start_service(
         handle,
-        (TAG_SERVE_CKPT, "CKPT"),
+        TAG_SERVE_CKPT,
         (mine, CommStats::default()),
         |src, msg: String| reject(format!("rank {src}: {msg}")),
         geo,
@@ -1566,7 +1507,8 @@ mod tests {
             comm: CommStats::default(),
         });
         let frame = ready.to_bytes();
-        let back = decode_ready::<FactorError>(2, "READY", frame.clone()).expect("whole frame");
+        let decode = Result::<Ready, FactorError>::decode;
+        let back = decode_frame(frame.clone(), 2, TAG_SERVE_READY, decode).expect("whole frame");
         assert!(matches!(
             back,
             Ok(Ready {
@@ -1576,10 +1518,15 @@ mod tests {
             })
         ));
         for cut in [0, 8, frame.len() / 2, frame.len() - 1] {
-            match decode_ready::<FactorError>(2, "READY", frame[..cut].to_vec()) {
-                Err(SrsfError::RankFailed { rank: 2, step }) => {
-                    assert!(step.starts_with("malformed READY frame: "), "{step}")
-                }
+            match decode_frame(frame[..cut].to_vec(), 2, TAG_SERVE_READY, decode)
+                .map_err(SrsfError::from)
+            {
+                Err(SrsfError::RankFailed { rank: 2, step }) => assert!(
+                    step.starts_with(
+                        "resident serve READY (factorization outcome): malformed frame: "
+                    ),
+                    "{step}"
+                ),
                 other => panic!("cut {cut}: expected RankFailed, got {:?}", other.err()),
             }
         }

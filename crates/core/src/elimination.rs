@@ -162,13 +162,15 @@ pub enum FactorError {
         /// Elimination step at which the pivoted LU broke down.
         step: usize,
     },
-    /// A distributed rank received a frame from `rank` that did not
-    /// decode; the build is abandoned and surfaces as
+    /// A distributed rank waited on a frame from `rank` that never came:
+    /// the peer was lost (its link closed or it exited), late (the
+    /// receive timed out), or sent a frame that did not decode. The build
+    /// is abandoned and surfaces as
     /// [`SrsfError::RankFailed`](crate::SrsfError::RankFailed).
-    MalformedFrame {
-        /// The rank that sent the frame.
+    RankFailed {
+        /// The rank the frame was expected from.
         rank: usize,
-        /// The protocol step and the decode failure.
+        /// The protocol step and what went wrong in it.
         step: String,
     },
 }
@@ -185,7 +187,7 @@ impl core::fmt::Display for FactorError {
                     "singular dense top block ({size} x {size}, pivot breakdown at step {step})"
                 )
             }
-            FactorError::MalformedFrame { rank, step } => write!(f, "rank {rank}: {step}"),
+            FactorError::RankFailed { rank, step } => write!(f, "rank {rank}: {step}"),
         }
     }
 }

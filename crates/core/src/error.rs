@@ -103,8 +103,9 @@ pub enum SrsfError {
         /// The rank that failed (as observed by the rank reporting it).
         rank: usize,
         /// The protocol step the failure was observed at, in algorithm
-        /// terms (a `srsf_runtime::tags::describe` string or a relayed
-        /// panic message).
+        /// terms: a `srsf_runtime::tags::describe` string and what went
+        /// wrong in it (timed out, link lost, malformed frame), or a
+        /// relayed panic message.
         step: String,
     },
     /// The resident rank world was already shut down
@@ -190,26 +191,36 @@ impl From<FactorError> for SrsfError {
         match e {
             FactorError::SingularDiagonal { box_id } => SrsfError::SingularDiagonal { box_id },
             FactorError::SingularTop { size, step } => SrsfError::SingularTop { size, step },
-            FactorError::MalformedFrame { rank, step } => SrsfError::RankFailed { rank, step },
+            FactorError::RankFailed { rank, step } => SrsfError::RankFailed { rank, step },
         }
     }
 }
 
 /// A transport-level receive failure: the peer waited on is the failed
-/// rank, and the tag names the protocol step it died in.
-impl From<RecvError> for SrsfError {
+/// rank, and the tag names the protocol step it was lost or late in.
+impl From<RecvError> for FactorError {
     fn from(e: RecvError) -> Self {
         match e {
-            RecvError::Timeout { src, tag, .. } | RecvError::Disconnected { src, tag, .. } => {
-                SrsfError::RankFailed {
-                    rank: src,
-                    step: tags::describe(tag),
-                }
-            }
-            RecvError::PeerPanicked { src, message, .. } => SrsfError::RankFailed {
+            RecvError::Timeout {
+                src, tag, waited, ..
+            } => FactorError::RankFailed {
+                rank: src,
+                step: format!("{}: timed out after {waited:.1?}", tags::describe(tag)),
+            },
+            RecvError::Disconnected { src, tag, .. } => FactorError::RankFailed {
+                rank: src,
+                step: format!("{}: link lost", tags::describe(tag)),
+            },
+            RecvError::PeerPanicked { src, message, .. } => FactorError::RankFailed {
                 rank: src,
                 step: format!("peer panic: {message}"),
             },
         }
+    }
+}
+
+impl From<RecvError> for SrsfError {
+    fn from(e: RecvError) -> Self {
+        FactorError::from(e).into()
     }
 }

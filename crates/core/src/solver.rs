@@ -384,10 +384,13 @@ impl<T: Scalar> Solver<T> {
     /// ([`Driver::Distributed`] only). Two snapshots bracketing `k`
     /// solves give exact per-solve message/word counts — how
     /// `comm_counts --solve-reps` measures the §IV solve-phase bound.
+    /// `None` for the sequential and colored drivers, and for a resident
+    /// world that was shut down or poisoned by a rank failure — a worker
+    /// that fails to answer the probe poisons it, as a failed solve does.
     pub fn resident_comm_probe(&self) -> Option<WorldStats> {
         match &self.backend {
             SolverBackend::Local(_) => None,
-            SolverBackend::Resident(s) => Some(s.comm_probe()),
+            SolverBackend::Resident(s) => s.comm_probe(),
         }
     }
 
@@ -699,9 +702,7 @@ impl<'a, K: Kernel> SolverBuilder<'a, K> {
                         leaf_boxes: 1usize << (2 * leaf),
                     });
                 }
-                let svc = catch_rank_failure(|| {
-                    dist_factorize_resident(kernel, pts, &tree, &grid, &opts)
-                })??;
+                let svc = dist_factorize_resident(kernel, pts, &tree, &grid, &opts)?;
                 SolverBackend::Resident(Box::new(svc))
             }
         };
@@ -720,71 +721,4 @@ impl<'a, K: Kernel> SolverBuilder<'a, K> {
         let x = solver.try_solve(rhs)?;
         Ok((solver, x))
     }
-}
-
-/// Run a distributed-driver call, converting the rank world's
-/// death-panics into the typed error. A rank dying mid-factorization
-/// surfaces on rank 0 as a panic whose message names the dead peer
-/// (peer-panic relay, bounded-receive timeout, lost-peer, injected
-/// fault, or a TCP worker exiting without a result); those shapes become
-/// [`SrsfError::RankFailed`] here at the driver boundary — the rank
-/// world has already torn itself down by the time the panic reaches us —
-/// and anything else keeps unwinding untouched.
-fn catch_rank_failure<R>(f: impl FnOnce() -> R) -> Result<R, SrsfError> {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
-        Ok(r) => Ok(r),
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&'static str>().copied());
-            match msg.and_then(parse_rank_failure) {
-                Some((rank, step)) => Err(SrsfError::RankFailed { rank, step }),
-                None => std::panic::resume_unwind(payload),
-            }
-        }
-    }
-}
-
-/// Recognize the panic-message shapes the runtime emits when a peer rank
-/// dies, returning `(failed rank, step description)`.
-fn parse_rank_failure(msg: &str) -> Option<(usize, String)> {
-    let msg = msg.strip_prefix("barrier failed: ").unwrap_or(msg);
-    // The step a receive-flavored message died in is the trailing
-    // parenthesized tag description, when present.
-    let paren_step = |msg: &str| -> Option<String> {
-        let (_, tail) = msg.rsplit_once('(')?;
-        Some(tail.trim_end_matches(')').to_string())
-    };
-    // "injected fault: rank R crashed at barrier K" (rank 0 itself hit a
-    // FaultPlan crash point).
-    if let Some(rest) = msg.strip_prefix("injected fault: rank ") {
-        let rank = rest.split_whitespace().next()?.parse().ok()?;
-        return Some((rank, msg.to_string()));
-    }
-    // "rank A: rank B panicked: <original message>"
-    if let Some((head, tail)) = msg.split_once(" panicked: ") {
-        let rank = head.rsplit("rank ").next()?.parse().ok()?;
-        return Some((rank, format!("peer panic: {tail}")));
-    }
-    // "worker rank B exited without reporting a result" (TCP parent).
-    if let Some(rest) = msg.strip_prefix("worker rank ") {
-        let rank = rest.split_whitespace().next()?.parse().ok()?;
-        return Some((rank, "worker exit before reporting a result".to_string()));
-    }
-    // "rank A timed out after .. waiting for a message from rank B with
-    // tag T (STEP)"
-    if msg.contains(" timed out after ") {
-        let rest = msg.split("from rank ").nth(1)?;
-        let rank = rest.split_whitespace().next()?.parse().ok()?;
-        let step = paren_step(msg).unwrap_or_else(|| "message wait".to_string());
-        return Some((rank, format!("timeout during {step}")));
-    }
-    // "rank A lost rank B while waiting for tag T (STEP)"
-    if let Some(rest) = msg.split(" lost rank ").nth(1) {
-        let rank = rest.split_whitespace().next()?.parse().ok()?;
-        let step = paren_step(msg).unwrap_or_else(|| "message wait".to_string());
-        return Some((rank, step));
-    }
-    None
 }

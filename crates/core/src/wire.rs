@@ -65,7 +65,7 @@ impl Wire for FactorError {
                 w.put_u64(*size as u64);
                 w.put_u64(*step as u64);
             }
-            FactorError::MalformedFrame { rank, step } => {
+            FactorError::RankFailed { rank, step } => {
                 w.put_u64(2);
                 w.put_u64(*rank as u64);
                 step.encode(w);
@@ -83,7 +83,7 @@ impl Wire for FactorError {
                 size: r.try_get_u64()? as usize,
                 step: r.try_get_u64()? as usize,
             }),
-            2 => Ok(FactorError::MalformedFrame {
+            2 => Ok(FactorError::RankFailed {
                 rank: r.try_get_u64()? as usize,
                 step: String::decode(r)?,
             }),
@@ -595,14 +595,13 @@ pub(crate) fn encode_rank_snapshot<T: Scalar>(state: &RankState<T>, top: &RankTo
 /// (e.g. crafted rather than corrupted) cannot panic the decoder.
 #[allow(clippy::type_complexity)]
 pub(crate) fn decode_rank_snapshot<T: Scalar>(
-    bytes: Vec<u8>,
+    r: &mut ByteReader,
 ) -> Result<(RankState<T>, RankTop<T>), CodecError> {
-    let mut r = ByteReader::new(bytes);
     let n_records = r.try_get_u64()? as usize;
     let mut records = Vec::new();
     for _ in 0..n_records {
         let key = r.try_get_u64()?;
-        records.push((key, BoxElimination::decode(&mut r)?));
+        records.push((key, BoxElimination::decode(r)?));
     }
     let n_levels = r.try_get_u64()? as usize;
     let mut act_end = HashMap::new();
@@ -611,8 +610,8 @@ pub(crate) fn decode_rank_snapshot<T: Scalar>(
         let n_entries = r.try_get_u64()? as usize;
         let mut entries = Vec::new();
         for _ in 0..n_entries {
-            let b = try_get_box(&mut r)?;
-            entries.push((b, try_get_ids(&mut r)?));
+            let b = try_get_box(r)?;
+            entries.push((b, try_get_ids(r)?));
         }
         act_end.insert(level, entries);
     }
@@ -621,10 +620,10 @@ pub(crate) fn decode_rank_snapshot<T: Scalar>(
     for _ in 0..n_folds {
         let level = r.try_get_u64()? as u8;
         let member = r.try_get_u64()? as usize;
-        fold_ids.insert((level, member), try_get_ids(&mut r)?);
+        fold_ids.insert((level, member), try_get_ids(r)?);
     }
-    let stats = FactorStats::decode(&mut r)?;
-    let top = Option::<TopShare<T>>::decode(&mut r)?;
+    let stats = FactorStats::decode(r)?;
+    let top = Option::<TopShare<T>>::decode(r)?;
     Ok((
         RankState {
             records,
@@ -751,7 +750,8 @@ mod tests {
             };
             let want = share.to_bytes();
             let bytes = encode_rank_snapshot(&state, &Some(share));
-            let (back, top) = decode_rank_snapshot::<f64>(bytes).expect("decode");
+            let (back, top) =
+                decode_rank_snapshot::<f64>(&mut ByteReader::new(bytes)).expect("decode");
             assert_eq!(back.records.len(), 1);
             assert_eq!(top.expect("share").to_bytes(), want);
         }

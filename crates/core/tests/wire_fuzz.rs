@@ -207,7 +207,7 @@ fn gen_error(rng: &mut Rng) -> FactorError {
             size: rng.below(1 << 16),
             step: rng.below(1 << 16),
         },
-        _ => FactorError::MalformedFrame {
+        _ => FactorError::RankFailed {
             rank: rng.below(1 << 8),
             step: format!("malformed frame {}", rng.below(1 << 16)),
         },
@@ -395,8 +395,8 @@ fn factor_error_round_trip() {
                 FactorError::SingularTop { size: s2, step: t2 },
             ) => assert_eq!((s1, t1), (s2, t2)),
             (
-                FactorError::MalformedFrame { rank: r1, step: t1 },
-                FactorError::MalformedFrame { rank: r2, step: t2 },
+                FactorError::RankFailed { rank: r1, step: t1 },
+                FactorError::RankFailed { rank: r2, step: t2 },
             ) => assert_eq!((r1, t1), (r2, t2)),
             _ => panic!("variant changed across the wire"),
         }

@@ -375,11 +375,6 @@ pub trait RankTransport: Send {
         timeout: Duration,
     ) -> Result<RawMsg, RecvError>;
 
-    /// Blocking receive of the next `(src, tag)` frame.
-    fn recv(&mut self, src: usize, tag: u32, timeout: Duration) -> Result<Bytes, RecvError> {
-        Ok(self.recv_any_of(src, &[tag], timeout)?.payload)
-    }
-
     /// Synchronize all ranks.
     fn barrier(&mut self, timeout: Duration) -> Result<(), RecvError>;
 
@@ -394,9 +389,10 @@ pub trait RankTransport: Send {
     /// their blocked receives fail fast (`Disconnected`) instead of
     /// waiting out the timeout. The TCP backend gets this for free from
     /// socket EOF on process exit; the in-process backend pushes explicit
-    /// EOF events (a dead thread closes no channels — its peers all still
-    /// hold clones of every sender).
-    fn announce_death(&mut self) {}
+    /// EOF events (a finished thread closes no channels — its peers all
+    /// still hold clones of every sender), whether the rank returned or
+    /// died.
+    fn announce_exit(&mut self) {}
 }
 
 /// Frame matching shared by both backends: a single incoming channel (fed
@@ -514,9 +510,9 @@ struct TimeoutBarrier {
 struct BarrierState {
     arrived: usize,
     generation: u64,
-    /// First rank that announced its death; a broken barrier can never
-    /// complete again, so waiters fail fast naming the dead rank instead
-    /// of waiting out their timeout.
+    /// First rank that announced its exit; a broken barrier can never
+    /// complete again, so waiters fail fast naming that rank instead of
+    /// waiting out their timeout.
     dead: Option<usize>,
 }
 
@@ -526,7 +522,7 @@ enum BarrierWait {
     Done,
     /// The timeout elapsed with ranks still missing.
     TimedOut,
-    /// A rank announced its death; the barrier can never complete.
+    /// A rank announced its exit; the barrier can never complete.
     Broken(usize),
 }
 
@@ -543,8 +539,11 @@ impl TimeoutBarrier {
         }
     }
 
-    /// Mark the barrier permanently broken by the death of `rank`, waking
-    /// every current waiter.
+    /// Mark the barrier permanently broken by the exit of `rank`, waking
+    /// every current waiter. A waiter whose generation already completed
+    /// is not failed: [`TimeoutBarrier::wait`] checks the generation
+    /// before the exit, so a rank that returns right after the last
+    /// barrier cannot fail a peer still waking from it.
     fn defect(&self, rank: usize) {
         // INVARIANT: poisoning requires a panicked holder, whose panic already ends the run
         let mut s = self.state.lock().expect("barrier lock");
@@ -641,7 +640,7 @@ impl RankTransport for InProcTransport {
             }),
         }
     }
-    fn announce_death(&mut self) {
+    fn announce_exit(&mut self) {
         for (dst, tx) in self.senders.iter().enumerate() {
             if dst != self.rank {
                 let _ = tx.send(Event::Eof(self.rank));
@@ -837,7 +836,7 @@ impl RankTransport for FaultyTransport {
         self.barriers += 1;
         let me = self.inner.rank() as u32;
         if self.plan.crash == Some((me, self.barriers as u32)) {
-            self.inner.announce_death();
+            self.inner.announce_exit();
             // INVARIANT: deliberate — the injected crash *is* a rank death; peers
             // observe it as Disconnected/PeerPanicked and degrade gracefully
             panic!(
@@ -853,8 +852,8 @@ impl RankTransport for FaultyTransport {
         self.inner.progress();
     }
 
-    fn announce_death(&mut self) {
-        self.inner.announce_death();
+    fn announce_exit(&mut self) {
+        self.inner.announce_exit();
     }
 }
 

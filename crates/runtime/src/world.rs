@@ -19,12 +19,17 @@
 //! and the paper's §IV communication bounds can be measured over real
 //! inter-process traffic.
 //!
-//! Deadlock discipline: the factorization's protocol is bulk-synchronous
-//! (compute phases separated by barriers; every `recv` has a matching
-//! `send` issued in the same round), and `recv` carries a generous timeout
-//! so protocol bugs surface as panics rather than hangs. The panic names
-//! the waiting rank, the expected source, and the tag decoded back into
-//! algorithm terms (level / phase / kind — see [`crate::tags`]).
+//! Deadlock discipline: every receive has a matching `send` issued in the
+//! same round, and every receive and barrier is bounded by the world's
+//! receive timeout. A wait that cannot complete comes back as a typed
+//! [`RecvError`] — never a panic, never a hang — naming the waiting rank,
+//! the expected source, and the tag decoded back into algorithm terms
+//! (level / phase / kind — see [`crate::tags`]). A rank whose closure has
+//! ended, by returning or by panicking, is gone on both backends: a TCP
+//! rank's sockets close when its process exits, and an in-process rank
+//! announces its exit to every peer. Frames it sent before it left are
+//! still delivered first, so a peer that waits on it fails at once
+//! (`Disconnected`) instead of waiting out the timeout.
 
 use crate::codec::{Bytes, Wire};
 use crate::stats::{CommStats, WorldStats};
@@ -66,12 +71,6 @@ impl RankCtx {
 
     pub(crate) fn set_alive_flag(&mut self, flag: Arc<AtomicBool>) {
         self.alive = Some(flag);
-    }
-
-    /// Propagate this rank's death to its peers so their blocked receives
-    /// fail fast; see [`RankTransport::announce_death`].
-    pub(crate) fn announce_death(&mut self) {
-        self.transport.announce_death();
     }
 
     pub(crate) fn into_transport(self) -> Box<dyn RankTransport> {
@@ -177,28 +176,9 @@ impl RankCtx {
 
     /// Blocking receive of the next message from `src` with `tag`.
     /// Out-of-order messages are buffered, so rank pairs can interleave
-    /// tags freely.
-    ///
-    /// # Panics
-    ///
-    /// Panics when no matching message arrives within the world's receive
-    /// timeout (or the link to `src` dies), naming the waiting rank, the
-    /// expected source and the decoded tag — on both backends. Code that
-    /// must degrade gracefully instead (the resident serve loop) uses
-    /// [`RankCtx::try_recv`].
-    pub fn recv(&mut self, src: usize, tag: u32) -> Bytes {
-        match self.try_recv(src, tag) {
-            Ok(payload) => payload,
-            // INVARIANT: deliberate — a recv timeout or disconnect is unrecoverable
-            // for the rank; the error names the offending tag via tags::describe
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible variant of [`RankCtx::recv`]: a timeout or a dead link
-    /// comes back as a typed [`RecvError`] instead of a panic, so a
-    /// resident serve loop can convert a mid-solve rank failure into a
-    /// typed error for the caller rather than poisoning the process.
+    /// tags freely. A timeout or a dead link comes back as a typed
+    /// [`RecvError`] naming the waiting rank, the expected source and the
+    /// decoded tag — on both backends.
     pub fn try_recv(&mut self, src: usize, tag: u32) -> Result<Bytes, RecvError> {
         let mut sp = srsf_trace::span!(srsf_trace::Cat::Comm, "recv {}", tags::describe(tag));
         let start = Instant::now();
@@ -208,22 +188,8 @@ impl RankCtx {
         Ok(m.payload)
     }
 
-    /// Synchronize all ranks.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the barrier cannot complete within the receive timeout
-    /// (a peer died or stalled); [`RankCtx::try_barrier`] is the fallible
-    /// variant.
-    pub fn barrier(&mut self) {
-        if let Err(e) = self.try_barrier() {
-            // INVARIANT: deliberate — a barrier failure means a peer died; the rank
-            // cannot make progress
-            panic!("barrier failed: {e}");
-        }
-    }
-
-    /// Fallible variant of [`RankCtx::barrier`].
+    /// Synchronize all ranks; a peer that died or stalled is the typed
+    /// [`RecvError`] within the receive timeout.
     pub fn try_barrier(&mut self) -> Result<(), RecvError> {
         let _sp = srsf_trace::span!(srsf_trace::Cat::Comm, "barrier");
         let start = Instant::now();
@@ -235,7 +201,7 @@ impl RankCtx {
     /// Opportunistically pump the transport without blocking: frames that
     /// already arrived move into the matching queue, so a compute phase
     /// can overlap with in-flight neighbor traffic and the eventual
-    /// blocking [`recv`](Self::recv) finds its frame pre-buffered. Never
+    /// blocking [`try_recv`](Self::try_recv) finds its frame pre-buffered. Never
     /// waits and touches no counters — receives are counted (and their
     /// wait time accounted) only where they block.
     pub fn progress(&mut self) {
@@ -312,6 +278,9 @@ impl World {
     /// reports its result to rank 0, and exits. `R: Wire` is what carries
     /// the workers' results across the process boundary; on the
     /// in-process backend it is not exercised.
+    #[doc(hidden)]
+    // ORACLE: the world.rs and tcp_world.rs tests drive one-shot worlds
+    // through it; the library's own sessions are resident (`run_resident`).
     pub fn run<R, F>(&self, f: F) -> (Vec<R>, WorldStats)
     where
         R: Send + Wire,
@@ -365,21 +334,8 @@ impl World {
                         // Tag this thread for the tracing layer so its
                         // spans collect under the rank it executes.
                         srsf_trace::enter_rank(rank);
-                        let out =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut ctx)));
-                        match out {
-                            Ok(r) => {
-                                let s = ctx.stats();
-                                (r, s)
-                            }
-                            Err(payload) => {
-                                // Fail peers fast: a dead thread closes no
-                                // channels, so push explicit EOFs (and
-                                // break the shared barrier) first.
-                                ctx.announce_death();
-                                std::panic::resume_unwind(payload)
-                            }
-                        }
+                        let r = run_rank(&mut ctx, f);
+                        (r, ctx.stats())
                     }),
                 ));
             }
@@ -505,18 +461,8 @@ impl World {
                     let mut ctx =
                         RankCtx::from_transport(transport::maybe_faulty(t, plan), timeout);
                     ctx.set_alive_flag(alive);
-                    let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        serve(&mut ctx, s)
-                    }));
-                    match out {
-                        Ok(()) => ctx.stats(),
-                        Err(payload) => {
-                            // Fail peers fast: a dead thread closes no
-                            // channels, so push explicit EOFs first.
-                            ctx.announce_death();
-                            std::panic::resume_unwind(payload)
-                        }
-                    }
+                    run_rank(&mut ctx, |ctx| serve(ctx, s));
+                    ctx.stats()
                 })
                 // INVARIANT: OS-thread spawn fails only on resource exhaustion; the
                 // resident world cannot exist without its serve threads
@@ -555,6 +501,28 @@ impl World {
                 metrics: Arc::new(srsf_trace::MetricsRegistry::new()),
             },
         )
+    }
+}
+
+/// Run one in-process rank's closure and announce its exit to its peers
+/// ([`RankTransport::announce_exit`]) however the closure ends — the
+/// in-process counterpart of a TCP rank's sockets closing when its
+/// process exits (a thread closes no channels: its peers all hold clones
+/// of every sender). A rank that returns pumps its transport first, so
+/// every frame it sent, a fault plan's withheld frames included, is
+/// queued ahead of the EOF; a rank that panics loses its tail, as a
+/// crashed process does.
+fn run_rank<R>(ctx: &mut RankCtx, f: impl FnOnce(&mut RankCtx) -> R) -> R {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(ctx))) {
+        Ok(r) => {
+            ctx.progress();
+            ctx.transport.announce_exit();
+            r
+        }
+        Err(payload) => {
+            ctx.transport.announce_exit();
+            std::panic::resume_unwind(payload)
+        }
     }
 }
 
@@ -782,6 +750,23 @@ mod tests {
     use super::*;
     use crate::codec::{ByteReader, ByteWriter};
 
+    /// [`RankCtx::try_recv`], panicking with the error's message.
+    fn recv(ctx: &mut RankCtx, src: usize, tag: u32) -> Bytes {
+        ctx.try_recv(src, tag).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`RankCtx::try_barrier`], panicking with the error's message.
+    fn barrier(ctx: &mut RankCtx) {
+        if let Err(e) = ctx.try_barrier() {
+            panic!("barrier failed: {e}");
+        }
+    }
+
+    /// How long a silent rank stays alive in the timeout tests: well past
+    /// their receive timeouts, so the waiting peer meets the timer and
+    /// not the silent rank's exit.
+    const LINGER: Duration = Duration::from_secs(2);
+
     #[test]
     fn single_rank_world() {
         let (results, stats) = World::new(1).run(|ctx| {
@@ -805,7 +790,7 @@ mod tests {
             let mut w = ByteWriter::new();
             w.put_u64(me as u64);
             ctx.send(next, 0, w.finish());
-            let mut r = ByteReader::new(ctx.recv(prev, 0));
+            let mut r = ByteReader::new(recv(ctx, prev, 0));
             r.get_u64()
         });
         assert_eq!(results, vec![3, 0, 1, 2]);
@@ -828,8 +813,8 @@ mod tests {
                 0
             } else {
                 // Receive in the opposite order.
-                let a = ByteReader::new(ctx.recv(0, 1)).get_u64();
-                let b = ByteReader::new(ctx.recv(0, 2)).get_u64();
+                let a = ByteReader::new(recv(ctx, 0, 1)).get_u64();
+                let b = ByteReader::new(recv(ctx, 0, 2)).get_u64();
                 assert_eq!((a, b), (111, 222));
                 1
             }
@@ -844,7 +829,7 @@ mod tests {
         let p = 4;
         World::new(p).run(|ctx| {
             counter.fetch_add(1, Ordering::SeqCst);
-            ctx.barrier();
+            barrier(ctx);
             // After the barrier every rank must see all increments.
             assert_eq!(counter.load(Ordering::SeqCst), p);
         });
@@ -859,7 +844,7 @@ mod tests {
                 w.put_u64(2); // 16 bytes total
                 ctx.send(1, 0, w.finish());
             } else {
-                ctx.recv(0, 0);
+                recv(ctx, 0, 0);
             }
         });
         assert_eq!(stats.per_rank[0].msgs_sent, 1);
@@ -874,7 +859,9 @@ mod tests {
             .with_recv_timeout(Duration::from_millis(50))
             .run(|ctx| {
                 if ctx.rank() == 1 {
-                    let _ = ctx.recv(0, 9); // never sent
+                    let _ = recv(ctx, 0, 9); // never sent
+                } else {
+                    std::thread::sleep(LINGER);
                 }
             });
     }
@@ -887,7 +874,9 @@ mod tests {
                 .with_recv_timeout(Duration::from_millis(30))
                 .run(|ctx| {
                     if ctx.rank() == 1 {
-                        let _ = ctx.recv(0, t);
+                        let _ = recv(ctx, 0, t);
+                    } else {
+                        std::thread::sleep(LINGER);
                     }
                 });
         })
@@ -908,9 +897,11 @@ mod tests {
         World::new(2)
             .with_recv_timeout(Duration::from_millis(50))
             .run(|ctx| {
-                // Rank 1 returns without arriving; rank 0 must not hang.
+                // Rank 1 never arrives; rank 0 must not hang.
                 if ctx.rank() == 0 {
-                    ctx.barrier();
+                    barrier(ctx);
+                } else {
+                    std::thread::sleep(LINGER);
                 }
             });
     }
@@ -963,7 +954,7 @@ mod tests {
                     .send_service(dst, crate::tags::TAG_SERVE_CMD, w.finish());
             }
             for src in 1..p {
-                let reply = handle.ctx().recv(src, crate::tags::TAG_SERVE_SOL);
+                let reply = recv(handle.ctx(), src, crate::tags::TAG_SERVE_SOL);
                 let v = ByteReader::new(reply).get_u64();
                 assert_eq!(v, round + 100 + src as u64 + src as u64);
             }
@@ -1025,10 +1016,10 @@ mod tests {
             }
             for src in 0..p {
                 if src != me {
-                    acc += ByteReader::new(ctx.recv(src, round as u32 * 8)).get_u64();
+                    acc += ByteReader::new(recv(ctx, src, round as u32 * 8)).get_u64();
                 }
             }
-            ctx.barrier();
+            barrier(ctx);
         }
         acc
     }
@@ -1057,7 +1048,7 @@ mod tests {
             World::new(2)
                 .with_recv_timeout(Duration::from_secs(10))
                 .transport(Transport::InProc.with_faults(plan))
-                .run(|ctx| ctx.barrier());
+                .run(barrier);
         })
         .unwrap_err();
         let msg = err
@@ -1083,8 +1074,9 @@ mod tests {
                         let mut w = ByteWriter::new();
                         w.put_u64(1);
                         ctx.send(1, 0, w.finish());
+                        std::thread::sleep(LINGER);
                     } else {
-                        ctx.recv(0, 0);
+                        recv(ctx, 0, 0);
                     }
                 });
         })
@@ -1095,6 +1087,63 @@ mod tests {
             .cloned()
             .unwrap_or_else(|| "?".into());
         assert!(msg.contains("timed out"), "{msg}");
+    }
+
+    /// The in-process twin of `tcp_dead_peer_fails_fast_with_diagnostics`:
+    /// a rank that returns is gone, so a peer waiting on it fails at once
+    /// — not after its 60 s receive timeout — naming the rank it lost and
+    /// the step it waited in.
+    #[test]
+    fn inproc_exit_fails_a_waiting_peer_fast() {
+        let waited_tag = crate::tags::tag(2, 1, crate::tags::KIND_FOLD);
+        let start = Instant::now();
+        let err = std::panic::catch_unwind(|| {
+            World::new(2)
+                .with_recv_timeout(Duration::from_secs(60))
+                .run(move |ctx| {
+                    if ctx.rank() == 0 {
+                        let _ = recv(ctx, 1, waited_tag);
+                    }
+                });
+        })
+        .unwrap_err();
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "the exit took {:?} to reach the waiting peer",
+            start.elapsed()
+        );
+        let msg = err
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_else(|| "?".into());
+        assert!(msg.contains("rank 0 lost rank 1"), "{msg}");
+        assert!(msg.contains("FOLD"), "{msg}");
+    }
+
+    /// A rank's frames sent before it returned, a fault plan's withheld
+    /// ones included, reach its peer ahead of its exit: the last frame is
+    /// withheld until the exit flushes it, so an EOF announced before the
+    /// flush would fail the last receive.
+    #[test]
+    fn frames_sent_before_an_exit_are_delivered_before_it() {
+        let plan = crate::transport::FaultPlan::seeded(5).with_drop_permille(1000);
+        let (results, _) = World::new(2)
+            .with_recv_timeout(Duration::from_secs(60))
+            .transport(Transport::InProc.with_faults(plan))
+            .run(|ctx| {
+                if ctx.rank() == 0 {
+                    for t in 0..4u32 {
+                        let mut w = ByteWriter::new();
+                        w.put_u64(10 + t as u64);
+                        ctx.send(1, t, w.finish());
+                    }
+                    return 0;
+                }
+                (0..4u32)
+                    .map(|t| ByteReader::new(recv(ctx, 0, t)).get_u64())
+                    .sum::<u64>()
+            });
+        assert_eq!(results, vec![0, 10 + 11 + 12 + 13]);
     }
 
     #[test]
@@ -1133,7 +1182,7 @@ mod tests {
             // The worker is gone; the receive must fail fast with a
             // link-down diagnostic, not wait out a timeout.
             let start = Instant::now();
-            let _ = handle.ctx().recv(1, crate::tags::TAG_SERVE_SOL);
+            let _ = recv(handle.ctx(), 1, crate::tags::TAG_SERVE_SOL);
             start.elapsed()
         }))
         .unwrap_err();

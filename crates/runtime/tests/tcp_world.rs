@@ -8,13 +8,25 @@
 //! run, so workers exit inside the TCP session instead of re-simulating
 //! the comparisons.
 
-use srsf_runtime::codec::{ByteReader, ByteWriter};
+use srsf_runtime::codec::{ByteReader, ByteWriter, Bytes};
 use srsf_runtime::world::RankCtx;
 use srsf_runtime::{set_tcp_child_args, tags, Transport, World};
 use std::time::Duration;
 
 fn worker_args(test_name: &str) -> Option<Vec<String>> {
     Some(vec![test_name.to_string(), "--exact".to_string()])
+}
+
+/// [`RankCtx::try_recv`], panicking with the error's message.
+fn recv(ctx: &mut RankCtx, src: usize, tag: u32) -> Bytes {
+    ctx.try_recv(src, tag).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`RankCtx::try_barrier`], panicking with the error's message.
+fn barrier(ctx: &mut RankCtx) {
+    if let Err(e) = ctx.try_barrier() {
+        panic!("barrier failed: {e}");
+    }
 }
 
 fn ring(ctx: &mut RankCtx) -> u64 {
@@ -24,8 +36,8 @@ fn ring(ctx: &mut RankCtx) -> u64 {
     let mut w = ByteWriter::new();
     w.put_u64(me as u64);
     ctx.send(next, 0, w.finish());
-    let got = ByteReader::new(ctx.recv(prev, 0)).get_u64();
-    ctx.barrier();
+    let got = ByteReader::new(recv(ctx, prev, 0)).get_u64();
+    barrier(ctx);
     got
 }
 
@@ -77,19 +89,19 @@ fn traffic(ctx: &mut RankCtx) -> u64 {
         w.put_u64(me as u64);
         ctx.send(dst, t_a, w.finish());
     }
-    ctx.barrier();
+    barrier(ctx);
     let mut acc = 0u64;
     // Receive in the opposite tag order.
     for src in 0..p {
         if src == me {
             continue;
         }
-        acc += ByteReader::new(ctx.recv(src, t_a)).get_u64();
-        let mut r = ByteReader::new(ctx.recv(src, t_b));
+        acc += ByteReader::new(recv(ctx, src, t_a)).get_u64();
+        let mut r = ByteReader::new(recv(ctx, src, t_b));
         acc = acc.wrapping_add(r.get_u64());
         assert_eq!(r.remaining(), 4095 * 8);
     }
-    ctx.barrier();
+    barrier(ctx);
     acc
 }
 
@@ -123,7 +135,7 @@ fn tcp_recv_timeout_names_the_waiting_step() {
                 if ctx.rank() == 0 {
                     // Never sent: rank 0 (the launching process) must run
                     // into the honored timeout...
-                    let _ = ctx.recv(1, waited_tag);
+                    let _ = recv(ctx, 1, waited_tag);
                 } else {
                     // ...while rank 1 deterministically outlives it (it
                     // is reaped by the launcher's unwind), so the failure
@@ -157,7 +169,7 @@ fn tcp_dead_peer_fails_fast_with_diagnostics() {
                     // Rank 1 finishes and exits; the closed link must
                     // fail this receive immediately (not after 60 s),
                     // still naming the waiting step.
-                    let _ = ctx.recv(1, waited_tag);
+                    let _ = recv(ctx, 1, waited_tag);
                 }
                 0u64
             });
@@ -256,7 +268,7 @@ fn tcp_resident_session_serves_rounds_and_shuts_down_cleanly() {
                 .send_service(dst, tags::TAG_SERVE_CMD, w.finish());
         }
         for src in 1..p {
-            let reply = handle.ctx().recv(src, tags::TAG_SERVE_SOL);
+            let reply = recv(handle.ctx(), src, tags::TAG_SERVE_SOL);
             let v = ByteReader::new(reply).get_u64();
             // seed (10 * rank) + per-process served counter: only a
             // process that survived every earlier round reports this.

@@ -550,13 +550,17 @@ fn barrier_free_rounds_need_no_rendezvous() {
 }
 
 // ---------------------------------------------------------------------------
-// Subsystem 7: rank death mid-phase. The fault-injected transport's
-// crash path (FaultyTransport announce_death) posts a control frame to
-// every peer before the rank stops; the matching queue records the death
-// and fails any wait on the dead rank instead of blocking — but frames
-// that arrived *before* the death stay deliverable. Every live rank must
-// observe the death (typed, not by luck), and the degraded world must
-// still complete a live-ranks-only regroup round.
+// Subsystem 7: a rank leaving. An in-process rank announces its exit to
+// every peer whenever its closure ends (world.rs `run_rank`): the
+// fault-injected transport's crash path announces before the rank
+// panics, and a rank that returns first flushes the frames a fault plan
+// withheld, then announces. The matching queue records the exit and
+// fails any wait on the gone rank instead of blocking — but frames that
+// arrived *before* the exit stay deliverable. Every live rank must
+// observe a death (typed, not by luck), the degraded world must still
+// complete a live-ranks-only regroup round, and a rank that returns
+// neither loses a frame it sent nor fails a peer still waking from the
+// last barrier they shared.
 // ---------------------------------------------------------------------------
 
 /// Control tag of a death announcement (the model's TAG_DEATH).
@@ -734,6 +738,116 @@ fn rank_death_mid_phase_is_observed_by_all_live_ranks() {
     assert!(report.schedules >= 1000, "explored {}", report.schedules);
 }
 
+/// The in-process barrier a rank's exit breaks (the runtime's
+/// `TimeoutBarrier`; the model's timeout never fires). A waiter checks
+/// its generation before the exit, so a rank that leaves right after the
+/// last barrier cannot fail a peer that is still waking from it.
+struct ExitBarrier {
+    n: usize,
+    /// `(arrived, generation, first rank gone)`.
+    state: Mutex<(usize, u64, Option<usize>)>,
+    cv: Condvar,
+}
+
+impl ExitBarrier {
+    fn new(n: usize) -> Self {
+        Self {
+            n,
+            state: Mutex::new((0, 0, None)),
+            cv: Condvar::new(),
+        }
+    }
+
+    /// `Err(rank)` when `rank` left before the barrier could complete.
+    fn wait(&self) -> Result<(), usize> {
+        let mut s = self.state.lock().unwrap();
+        if let Some(gone) = s.2 {
+            return Err(gone);
+        }
+        let gen = s.1;
+        s.0 += 1;
+        if s.0 == self.n {
+            s.0 = 0;
+            s.1 += 1;
+            self.cv.notify_all();
+            return Ok(());
+        }
+        while s.1 == gen {
+            if let Some(gone) = s.2 {
+                s.0 -= 1;
+                return Err(gone);
+            }
+            s = self.cv.wait(s).unwrap();
+        }
+        Ok(())
+    }
+
+    fn exit(&self, rank: usize) {
+        let mut s = self.state.lock().unwrap();
+        s.2.get_or_insert(rank);
+        self.cv.notify_all();
+    }
+}
+
+/// Rank 1 passes the last barrier, sends one frame straight through and
+/// one that its fault plan withholds, and returns: the exit flushes the
+/// withheld frame, then announces. Rank 0 waits on the barrier and then
+/// on both frames, and finally on a frame rank 1 never sent. The
+/// seeded-bug variant (`eof_first`) announces before the flush.
+fn rank_returns_round(
+    eof_first: bool,
+) -> (Result<(), usize>, Option<u64>, Option<u64>, Option<u64>) {
+    let (tx0, rx0) = mpsc::channel::<DFrame>();
+    let barrier = Arc::new(ExitBarrier::new(2));
+    let leaver = {
+        let barrier = barrier.clone();
+        thread::spawn(move || {
+            barrier.wait().expect("the last barrier completes");
+            let frame = |tag, val| DFrame { src: 1, tag, val };
+            tx0.send(frame(1, 11)).unwrap();
+            let withheld = vec![frame(2, 12)];
+            let eof = frame(DEATH, 0);
+            if eof_first {
+                // BUG: the EOF overtakes the withheld frame.
+                tx0.send(eof).unwrap();
+                withheld.into_iter().for_each(|f| tx0.send(f).unwrap());
+            } else {
+                withheld.into_iter().for_each(|f| tx0.send(f).unwrap());
+                tx0.send(eof).unwrap();
+            }
+            barrier.exit(1);
+        })
+    };
+    let released = barrier.wait();
+    let (mut pending, mut dead) = (Vec::new(), Vec::new());
+    let sent = recv_from(&rx0, &mut pending, &mut dead, 1, 1);
+    let withheld = recv_from(&rx0, &mut pending, &mut dead, 1, 2);
+    let never_sent = recv_from(&rx0, &mut pending, &mut dead, 1, 3);
+    leaver.join().unwrap();
+    (released, sent, withheld, never_sent)
+}
+
+#[test]
+fn returning_rank_delivers_its_frames_before_its_exit() {
+    let report = Model::new()
+        .preemption_bound(3)
+        .max_schedules(50_000)
+        .check(|| {
+            let out = rank_returns_round(false);
+            // On every schedule: the barrier released rank 0 although
+            // rank 1 may have left before rank 0 woke, both frames
+            // arrived, and the wait on a frame never sent ended typed.
+            assert_eq!(out, (Ok(()), Some(11), Some(12), None));
+            out
+        });
+    assert!(
+        report.exhausted || report.schedules >= 1000,
+        "explored {} (exhausted: {})",
+        report.schedules,
+        report.exhausted
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Subsystem 8: the top solve's owner chain (core::distributed::serve).
 // The packed top's block columns live on a chain of owners; rank 0 gathers
@@ -853,12 +967,29 @@ fn detects_swallowed_death_notification_as_deadlock() {
     // whose wait on the dead peer can then block forever (the inbox still
     // has live producers, so no EOF rescues it) — and rank 1, parked in
     // the regroup receive while holding a sender to rank 0, hangs with
-    // it. This is why announce_death must reach *every* peer before the
-    // rank stops.
+    // it. This is why an exit announcement must reach *every* peer
+    // before the rank stops.
     let msg = expect_failure(Model::new().preemption_bound(2), || {
         death_mid_phase_round(Some(0))
     });
     assert!(msg.contains("deadlock"), "unexpected failure: {msg}");
+}
+
+#[test]
+fn detects_eof_before_the_withheld_flush() {
+    // The seeded bug: a returning rank announces its exit before it
+    // flushes the frame its fault plan withheld, so the frame lands
+    // behind the EOF and its peer reports a lost rank for a frame that
+    // was sent.
+    let msg = expect_failure(Model::new().preemption_bound(2), || {
+        let out = rank_returns_round(true);
+        assert_eq!(out.2, Some(12), "withheld frame lost behind the EOF");
+        out
+    });
+    assert!(
+        msg.contains("withheld frame lost behind the EOF"),
+        "unexpected failure: {msg}"
+    );
 }
 
 #[test]

@@ -23,6 +23,13 @@
 //!   registry module (`metrics.rs`): every observation goes through
 //!   `MetricsRegistry::observe_solve`, so a snapshot is always
 //!   internally consistent.
+//! * `catch-unwind` — a panic is a bug and unwinds like one: rank
+//!   failures travel as typed errors (`RecvError` → `FactorError` →
+//!   `SrsfError`), never as panic messages caught and parsed back.
+//!   Outside tests, `catch_unwind` appears only where the rank runtime
+//!   turns a rank's end into its exit announcement or its relayed panic
+//!   (`crates/runtime/src/{world,transport}.rs`) and in the model checker
+//!   (`crates/verify/src`).
 //! * `forbid-unsafe` — every crate root carries
 //!   `#![forbid(unsafe_code)]`.
 //! * `pub-rent` — every `pub fn` of a library `src/` tree (outside
@@ -87,6 +94,13 @@ const METRICS_FIELDS: &[&str] = &["solves_served", "solves_failed"];
 /// The one file allowed to mutate them: the registry module itself
 /// (every observation goes through `MetricsRegistry::observe_solve`).
 const METRICS_APPROVED: &[&str] = &["metrics.rs"];
+
+/// The files and trees whose non-test code may call `catch_unwind`.
+const CATCH_UNWIND_APPROVED: &[&str] = &[
+    "crates/runtime/src/world.rs",
+    "crates/runtime/src/transport.rs",
+    "crates/verify/src",
+];
 
 /// Trees outside the crates whose non-test code counts as a `pub-rent`
 /// caller.
@@ -214,6 +228,9 @@ pub fn lint_source(path: &Path, content: &str) -> Vec<Violation> {
     let is_codec = file_name == "codec.rs";
     let commstats_ok = COMMSTATS_APPROVED.contains(&file_name);
     let metrics_ok = METRICS_APPROVED.contains(&file_name);
+    let unwind_ok = CATCH_UNWIND_APPROVED
+        .iter()
+        .any(|dir| path.starts_with(dir));
     let is_bin = path
         .components()
         .any(|c| c.as_os_str() == "bin" || c.as_os_str() == "examples");
@@ -258,6 +275,18 @@ pub fn lint_source(path: &Path, content: &str) -> Vec<Violation> {
                     break;
                 }
             }
+        }
+        if !unwind_ok && idents(clean).any(|id| id == "catch_unwind") {
+            out.push(Violation {
+                file: path.to_path_buf(),
+                line: i + 1,
+                rule: "catch-unwind",
+                msg: format!(
+                    "`catch_unwind` outside the rank runtime ({}): a panic is a bug and \
+                     unwinds; report failures as typed errors",
+                    CATCH_UNWIND_APPROVED.join(", ")
+                ),
+            });
         }
         if !commstats_ok {
             for field in COMMSTATS_FIELDS {
@@ -756,6 +785,27 @@ mod tests {
             "fn f(m: &MetricsRegistry) {\n    m.solves_served.fetch_add(1, O);\n}\n",
         );
         assert!(v.iter().all(|v| v.rule != "metrics-mutation"));
+    }
+
+    #[test]
+    fn flags_catch_unwind_outside_the_runtime() {
+        let src = "fn f() -> bool {\n    std::panic::catch_unwind(|| ()).is_ok()\n}\n";
+        let flagged = |path: &str| {
+            lint_source(Path::new(path), src)
+                .iter()
+                .any(|v| v.rule == "catch-unwind")
+        };
+        assert!(flagged("crates/core/src/solver.rs"));
+        assert!(flagged("crates/runtime/src/codec.rs"));
+        assert!(!flagged("crates/runtime/src/world.rs"));
+        assert!(!flagged("crates/runtime/src/transport.rs"));
+        assert!(!flagged("crates/verify/src/sched.rs"));
+        // Tests, comments and strings are not calls.
+        let quiet = "// catch_unwind\nfn f() -> &'static str {\n    \"catch_unwind\"\n}\n\
+                     #[cfg(test)]\nmod tests {\n    fn t() {\n        \
+                     let _ = std::panic::catch_unwind(|| ());\n    }\n}\n";
+        let v = lint_source(Path::new("crates/core/src/solver.rs"), quiet);
+        assert!(v.iter().all(|v| v.rule != "catch-unwind"));
     }
 
     #[test]
